@@ -200,20 +200,18 @@ class GasDomain:
 # ---------------------------------------------------------------------------
 
 
-def _rotation_matrices(model, normals):
-    """Per-edge variable rotations making the jump measure frame-invariant."""
-    n_edges = len(normals)
-    nv = model.nvars
-    if nv == 1:
-        return np.ones((n_edges, 1, 1))
-    T = np.zeros((n_edges, nv, nv))
-    T[:, 0, 0] = 1.0
-    T[:, 1, 1] = normals[:, 0]
-    T[:, 1, 2] = normals[:, 1]
-    T[:, 2, 1] = -normals[:, 1]
-    T[:, 2, 2] = normals[:, 0]
-    T[:, 3, 3] = 1.0
-    return T
+def _rotate_momentum(model, nx, ny, jump):
+    """Momentum pair of jump (E, nq, nv, k) in each edge's (n, t) frame.
+
+    Makes the jump measure frame-invariant; scalar jumps pass unchanged.
+    nx, ny: (E, 1, 1) edge normal components.
+    """
+    if model.nvars == 1:
+        return jump
+    out = jump.copy()
+    out[:, :, 1] = nx * jump[:, :, 1] + ny * jump[:, :, 2]
+    out[:, :, 2] = -ny * jump[:, :, 1] + nx * jump[:, :, 2]
+    return out
 
 
 def _component_denominators(model, ubar, upt, areas):
@@ -276,14 +274,10 @@ def damping_sigma(tables, model, coef, ubar, upt, c1=1.0, c2=1.0):
 
     g = tables.edge_side_gradients(coef, order=1)[ei]  # (E, 2, nqe, nv, 2)
     h = tables.edge_side_gradients(coef, order=2)[ei]  # (E, 2, nqe, nv, 3)
-    jump1 = g[:, 0] - g[:, 1]
-    jump2 = h[:, 0] - h[:, 1]
-    T = _rotation_matrices(model, mesh.edge_normal[ei])
-    jump1 = np.einsum("evw,eqwd->eqvd", T, jump1)
-    jump2 = np.einsum("evw,eqwd->eqvd", T, jump2)
-
     nx = mesh.edge_normal[ei, 0][:, None, None]
     ny = mesh.edge_normal[ei, 1][:, None, None]
+    jump1 = _rotate_momentum(model, nx, ny, g[:, 0] - g[:, 1])
+    jump2 = _rotate_momentum(model, nx, ny, h[:, 0] - h[:, 1])
     d_n = nx * jump1[..., 0] + ny * jump1[..., 1]
     d_t = -ny * jump1[..., 0] + nx * jump1[..., 1]
     a1 = np.abs(d_n) + np.abs(d_t)  # (E, nqe, nv)

@@ -103,7 +103,24 @@ class KPP:
 
 
 class Euler:
-    """2D compressible Euler with ideal-gas law, u = (rho, mx, my, E)."""
+    """2D compressible Euler with ideal-gas law, u = (rho, mx, my, E).
+
+    The directional Jacobian A = d(f.n)/du, |n| = 1, has the eigenvalues
+    un - c, un (double) and un + c, so every spectral function of it is
+
+        f(A) = f(un) I + (f(un - c) - f(un)) r0 l0^T
+                       + (f(un + c) - f(un)) r3 l3^T
+
+    with the acoustic eigenvectors, in conserved variables,
+
+        r0,3 = (1, v -/+ c n, H -/+ un c),
+        l0,3 = (b2 +/- un / c, -(b1 v +/- n / c), b1) / 2,
+
+    b1 = (gamma - 1) / c^2, b2 = b1 |v|^2 / 2 and l_i . r_j = delta_ij.
+    `jac_normal`, `sign_jac_normal` and `flux_normal_split` use this form.
+    Where f is equal on all three eigenvalues, as the sign at supersonic
+    states, f(A) is exactly f(un) I.
+    """
 
     nvars = 4
 
@@ -163,97 +180,71 @@ class Euler:
         rho, vx, vy, p = self.primitives(u)
         nn = np.linalg.norm(n, axis=-1)
         vn = vx * n[..., 0] + vy * n[..., 1]
-        return np.abs(vn) + self.sound_speed(u) * nn
+        return np.abs(vn) + np.sqrt(self.gamma * p / rho) * nn
 
     # -- eigenstructure in a unit direction ---------------------------------
 
     def _eig_rotated(self, u, n):
         """Eigen-data of d(f.n)/du for |n| = 1.
 
-        Returns (lam, R, L, T, Tinv): eigenvalues (..., 4) and the factors of
-        d(f.n)/du = Tinv @ R @ diag(lam) @ L @ T, where T rotates momentum
-        into the (n, t) frame, t = (-ny, nx).
+        Returns (lam, r, l): the eigenvalues (..., 4) = (un - c, un, un,
+        un + c), and the eigenvectors of the simple eigenvalues un - c and
+        un + c in conserved variables, right ones as the columns of r
+        (..., 4, 2) and left ones as the rows of l (..., 2, 4), normalized
+        so that l @ r = I.
         """
         g = self.gamma
         nx, ny = n[..., 0], n[..., 1]
         rho, vx, vy, p = self.primitives(u)
         un = vx * nx + vy * ny
-        ut = -vx * ny + vy * nx
         c = np.sqrt(g * p / rho)
-        q2 = vx**2 + vy**2
         H = (u[..., 3] + p) / rho
-
-        shape = u.shape[:-1]
-        lam = np.stack([un - c, un, un, un + c], axis=-1)
-
-        R = np.zeros(shape + (4, 4))
-        R[..., 0, 0] = 1.0
-        R[..., 0, 1] = 1.0
-        R[..., 0, 3] = 1.0
-        R[..., 1, 0] = un - c
-        R[..., 1, 1] = un
-        R[..., 1, 3] = un + c
-        R[..., 2, 0] = ut
-        R[..., 2, 1] = ut
-        R[..., 2, 2] = 1.0
-        R[..., 2, 3] = ut
-        R[..., 3, 0] = H - un * c
-        R[..., 3, 1] = 0.5 * q2
-        R[..., 3, 2] = ut
-        R[..., 3, 3] = H + un * c
-
         b1 = (g - 1.0) / c**2
-        b2 = 0.5 * b1 * q2
-        L = np.zeros(shape + (4, 4))
-        L[..., 0, 0] = 0.5 * (b2 + un / c)
-        L[..., 0, 1] = -0.5 * (b1 * un + 1.0 / c)
-        L[..., 0, 2] = -0.5 * b1 * ut
-        L[..., 0, 3] = 0.5 * b1
-        L[..., 1, 0] = 1.0 - b2
-        L[..., 1, 1] = b1 * un
-        L[..., 1, 2] = b1 * ut
-        L[..., 1, 3] = -b1
-        L[..., 2, 0] = -ut
-        L[..., 2, 2] = 1.0
-        L[..., 3, 0] = 0.5 * (b2 - un / c)
-        L[..., 3, 1] = -0.5 * (b1 * un - 1.0 / c)
-        L[..., 3, 2] = -0.5 * b1 * ut
-        L[..., 3, 3] = 0.5 * b1
-
-        T = np.zeros(shape + (4, 4))
-        T[..., 0, 0] = 1.0
-        T[..., 1, 1] = nx
-        T[..., 1, 2] = ny
-        T[..., 2, 1] = -ny
-        T[..., 2, 2] = nx
-        T[..., 3, 3] = 1.0
-        Tinv = np.swapaxes(T, -1, -2)  # rotation block is orthogonal
-
-        return lam, R, L, T, Tinv
+        b2 = 0.5 * b1 * (vx**2 + vy**2)
+        cx, cy, cn = c * nx, c * ny, c * un
+        one = np.ones_like(un)
+        r = np.stack(
+            [one, one, vx - cx, vx + cx, vy - cy, vy + cy, H - cn, H + cn],
+            axis=-1,
+        ).reshape(u.shape[:-1] + (4, 2))
+        ax, ay, an = nx / c, ny / c, un / c
+        l = 0.5 * np.stack(
+            [
+                b2 + an, -(b1 * vx + ax), -(b1 * vy + ay), b1,
+                b2 - an, -(b1 * vx - ax), -(b1 * vy - ay), b1,
+            ],
+            axis=-1,
+        ).reshape(u.shape[:-1] + (2, 4))
+        lam = np.stack([un - c, un, un, un + c], axis=-1)
+        return lam, r, l
 
     def _apply_eig_function(self, u, n, fn):
-        """Matrix function fn applied to d(f.n)/du for |n| = 1: (..., 4, 4)."""
-        lam, R, L, T, Tinv = self._eig_rotated(u, n)
-        g = fn(lam, u, n)
-        M = np.einsum("...ik,...k,...kj->...ij", R, g, L)
-        return np.einsum("...ik,...kj,...jl->...il", Tinv, M, T)
+        """Matrix function fn(lam) of d(f.n)/du for |n| = 1: (..., 4, 4)."""
+        lam, r, l = self._eig_rotated(u, n)
+        f = fn(lam)
+        d = f[..., (0, 3)] - f[..., 1:2]  # acoustic projector weights
+        M = (r * d[..., None, :]) @ l
+        # + f(un) I: the diagonal is every fifth entry of the flat 4 x 4.
+        M.reshape(M.shape[:-2] + (16,))[..., ::5] += f[..., 1, None]
+        return M
 
     def jac_normal(self, u, n, xy=None):
         nn = np.linalg.norm(n, axis=-1)
         nhat = n / nn[..., None]
-        A = self._apply_eig_function(u, nhat, lambda lam, u_, n_: lam)
+        A = self._apply_eig_function(u, nhat, lambda lam: lam)
         return A * nn[..., None, None]
 
     def sign_jac_normal(self, u, n, xy=None):
-        # Eigenvalues within round-off of zero get sign 0 so that stagnation
-        # and sonic points do not flip erratically between +1 and -1.
         nn = np.linalg.norm(n, axis=-1)
         nhat = n / nn[..., None]
 
-        def signfn(lam, u_, n_):
-            scale = self.max_wavespeed(u_, n_)[..., None]
+        def signfn(lam):
+            # Eigenvalues within round-off of zero get sign 0 so that
+            # stagnation and sonic points do not flip erratically between
+            # +1 and -1; max(|un - c|, |un + c|) is the wave speed |un| + c.
+            scale = np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., 3]))
             s = np.sign(lam)
-            s[np.abs(lam) <= 1e-12 * scale] = 0.0
+            s[np.abs(lam) <= 1e-12 * scale[..., None]] = 0.0
             return s
 
         return self._apply_eig_function(u, nhat, signfn)
@@ -304,15 +295,13 @@ class Euler:
         """Steger-Warming split flux f^+/-(u) . n (side = +1 or -1).
 
         Uses homogeneity of degree one of the Euler flux: f(u).n = A_n u, so
-        the split flux is A_n^{+/-} u.
+        the split flux is A_n^{+/-} u, applied to u through the
+        eigenprojectors without forming A_n^{+/-}.
         """
         nn = np.linalg.norm(n, axis=-1)
-        nhat = n / nn[..., None]
-
-        def split(lam, u_, n_):
-            if side > 0:
-                return 0.5 * (lam + np.abs(lam))
-            return 0.5 * (lam - np.abs(lam))
-
-        A = self._apply_eig_function(u, nhat, split)
-        return np.einsum("...ij,...j->...i", A, u) * nn[..., None]
+        lam, r, l = self._eig_rotated(u, n / nn[..., None])
+        f = 0.5 * (lam + side * np.abs(lam))
+        d = f[..., (0, 3)] - f[..., 1:2]
+        lu = (l @ u[..., None])[..., 0]  # (..., 2)
+        out = f[..., 1, None] * u + (r @ (d * lu)[..., None])[..., 0]
+        return out * nn[..., None]

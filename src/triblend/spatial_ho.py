@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .basis import (
     CENTROID_VALUES,
@@ -188,9 +189,17 @@ class Tables:
             [self.VERTEX_NORMAL, self.MID_NORMAL], axis=1
         )  # (NT, 6, 2)
 
+        # Element-DoF -> point scatter operator: row p has a unit entry in
+        # column 6 k + j for each (k, j) with tri_point_dofs[k, j] = p, in
+        # ascending column order, so its products add the element-DoF values
+        # of each point in the order np.add.at does (bitwise equal sums).
+        ndof = 6 * mesh.num_tris
+        self.point_scatter = sparse.csr_array(
+            (np.ones(ndof), (mesh.tri_point_dofs.ravel(), np.arange(ndof))),
+            shape=(mesh.num_points, ndof),
+        )
         # Elements per point (for arithmetic fallback weights).
-        self.point_count = np.zeros(mesh.num_points)
-        np.add.at(self.point_count, mesh.tri_point_dofs.ravel(), 1.0)
+        self.point_count = np.diff(self.point_scatter.indptr).astype(float)
 
         # -- low-order sub-triangle fan ---------------------------------------
         sub_bary = np.empty((6, 3, 3))
@@ -220,6 +229,13 @@ class Tables:
     def edge_traces(self, upt: np.ndarray) -> np.ndarray:
         """Single-valued traces at the edge quadrature points: (NE, nqe, nv)."""
         return self.N1D @ upt[self.edge_dofs]
+
+    def point_sums(self, x: np.ndarray) -> np.ndarray:
+        """Sum element point-DoF values (NT, 6, ...) per point: (NP, ...)."""
+        flat = x.reshape(6 * self.mesh.num_tris, -1)
+        return (self.point_scatter @ flat).reshape(
+            (self.mesh.num_points,) + x.shape[2:]
+        )
 
     def centroid_values(self, coef: np.ndarray) -> np.ndarray:
         return np.einsum("j,kjv->kv", CENTROID_VALUES, coef)
@@ -342,6 +358,12 @@ class HighOrder:
         classic one-dimensional upwind point update across an edge: weight
         Id on the upwind side and 0 on the downwind side for supersonic
         crossings.
+
+        The patch sums, and the spread of a too-large weight to every
+        element of its point, go through `Tables.point_scatter`, the sparse
+        element-DoF -> point operator with unit entries, so they add in the
+        order np.add.at would.  Patch sums that are not finite fall back
+        before any inversion.
         """
         tb = self.t
         mesh = tb.mesh
@@ -352,40 +374,30 @@ class HighOrder:
             0.5 * mesh.areas if self.eps_policy == "area" else np.zeros(mesh.num_tris)
         )
         Seps = 0.5 * (S + np.eye(nv)) + eps[:, None, None, None] * np.eye(nv)
-        total = np.zeros((mesh.num_points, nv, nv))
-        np.add.at(
-            total,
-            mesh.tri_point_dofs.ravel(),
-            Seps.reshape(-1, nv, nv),
-        )
-        # Invert per point; exactly singular points go straight to fallback.
-        det = np.linalg.det(total)
-        ok = det != 0.0
+        total = tb.point_sums(Seps)
+        # Invert per point; patch sums that are not finite or exactly
+        # singular go straight to the fallback.
+        ok = np.isfinite(total).all(axis=(1, 2))
+        ok[ok] = np.linalg.det(total[ok]) != 0.0
+        bad_pt = ~ok
         inv = np.zeros_like(total)
         if ok.any():
-            inv[ok] = np.linalg.inv(total[ok])
+            A = total[ok]
+            X = np.linalg.inv(A)
             # Newton steps X <- X + X (I - A X) square the residual of the
             # inverse, so sum_K omega stays at identity to round-off even
             # for moderately ill-conditioned sums.
             for _ in range(2):
-                res = np.eye(nv) - np.einsum(
-                    "pij,pjk->pik", total[ok], inv[ok]
-                )
-                inv[ok] += np.einsum("pij,pjk->pik", inv[ok], res)
-        cond = np.linalg.norm(total, axis=(1, 2)) * np.linalg.norm(
-            inv, axis=(1, 2)
-        )
-        omega = np.einsum(
-            "kpij,kpjl->kpil", inv[mesh.tri_point_dofs], Seps
-        )
+                X += X @ (np.eye(nv) - A @ X)
+            inv[ok] = X
+            cond = np.linalg.norm(A, axis=(1, 2)) * np.linalg.norm(
+                X, axis=(1, 2)
+            )
+            bad_pt[ok] = ~np.isfinite(cond) | (cond > self.cond_cap)
+        omega = inv[mesh.tri_point_dofs] @ Seps
         norms = np.linalg.norm(omega, axis=(2, 3))
-        bad_pt = ~ok | ~np.isfinite(cond) | (cond > self.cond_cap)
-        bad_from_norm = np.zeros(mesh.num_points, dtype=bool)
         big = ~np.isfinite(norms) | (norms > self.omega_cap)
-        np.logical_or.at(
-            bad_from_norm, mesh.tri_point_dofs.ravel(), big.ravel()
-        )
-        bad_pt |= bad_from_norm
+        bad_pt |= tb.point_sums(big.astype(float)) > 0.0
         fb = bad_pt[mesh.tri_point_dofs]  # (NT, 6)
         if fb.any():
             unit = np.eye(nv) / tb.point_count[mesh.tri_point_dofs][

@@ -198,9 +198,7 @@ class Stepper:
         stats["eta_lo_frac"] = float((etas < 0.01).mean())
         stats["eta_hi_frac"] = float((etas > 0.99).mean())
 
-        acc = np.zeros_like(upt)
-        np.add.at(acc, mesh.tri_point_dofs, b)
-        upt_new = upt - dt * acc
+        upt_new = upt - dt * self.tables.point_sums(b)
 
         F_loc = F[mesh.tri_edges]  # (NT, 3, nv)
         div = np.einsum("ke,kev->kv", mesh.tri_edge_orient.astype(float), F_loc)

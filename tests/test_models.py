@@ -224,6 +224,136 @@ def test_euler_supersonic_split_degenerates():
     )
 
 
+def reference_matrix_function(m, u, n, fn):
+    """fn(d(f.n)/du) for |n| = 1 as Tinv R diag(fn(lam, c)) L T.
+
+    Independent of the library's eigenprojector form: R and L are the
+    eigenvectors of the Jacobian in the frame rotated to (n, t), t = (-ny,
+    nx), and T rotates momentum into that frame.
+    """
+    g = m.gamma
+    nx, ny = n[..., 0], n[..., 1]
+    rho, vx, vy, p = m.primitives(u)
+    un = vx * nx + vy * ny
+    ut = -vx * ny + vy * nx
+    c = np.sqrt(g * p / rho)
+    q2 = vx**2 + vy**2
+    H = (u[..., 3] + p) / rho
+    shape = u.shape[:-1]
+    lam = np.stack([un - c, un, un, un + c], axis=-1)
+
+    R = np.zeros(shape + (4, 4))
+    R[..., 0, [0, 1, 3]] = 1.0
+    R[..., 1, 0], R[..., 1, 1], R[..., 1, 3] = un - c, un, un + c
+    R[..., 2, [0, 1, 3]] = ut[..., None]
+    R[..., 2, 2] = 1.0
+    R[..., 3, 0], R[..., 3, 1] = H - un * c, 0.5 * q2
+    R[..., 3, 2], R[..., 3, 3] = ut, H + un * c
+
+    b1 = (g - 1.0) / c**2
+    b2 = 0.5 * b1 * q2
+    L = np.zeros(shape + (4, 4))
+    L[..., 0, 0] = 0.5 * (b2 + un / c)
+    L[..., 0, 1] = -0.5 * (b1 * un + 1.0 / c)
+    L[..., 0, 2] = -0.5 * b1 * ut
+    L[..., 0, 3] = 0.5 * b1
+    L[..., 1, 0] = 1.0 - b2
+    L[..., 1, 1] = b1 * un
+    L[..., 1, 2] = b1 * ut
+    L[..., 1, 3] = -b1
+    L[..., 2, 0] = -ut
+    L[..., 2, 2] = 1.0
+    L[..., 3, 0] = 0.5 * (b2 - un / c)
+    L[..., 3, 1] = -0.5 * (b1 * un - 1.0 / c)
+    L[..., 3, 2] = -0.5 * b1 * ut
+    L[..., 3, 3] = 0.5 * b1
+
+    T = np.zeros(shape + (4, 4))
+    T[..., 0, 0] = T[..., 3, 3] = 1.0
+    T[..., 1, 1], T[..., 1, 2] = nx, ny
+    T[..., 2, 1], T[..., 2, 2] = -ny, nx
+    Tinv = np.swapaxes(T, -1, -2)
+    return Tinv @ R @ (fn(lam, c)[..., :, None] * L) @ T
+
+
+def reference_sign(lam, c):
+    s = np.sign(lam)
+    scale = np.abs(lam[..., 1:2]) + c[..., None]
+    s[np.abs(lam) <= 1e-12 * scale] = 0.0
+    return s
+
+
+def degenerate_euler_states(model):
+    """Random states plus stagnation, sonic and supersonic ones, with unit
+    normals: (u, n, label)."""
+    k = 12
+    n = random_unit_normals(5 * k)
+    t = np.stack([-n[:, 1], n[:, 0]], axis=-1)
+    rho = 0.3 + 2.0 * RNG.random(5 * k)
+    p = 0.2 + 2.0 * RNG.random(5 * k)
+    c = np.sqrt(model.gamma * p / rho)
+    vt = RNG.standard_normal(5 * k)
+    un = np.concatenate(
+        [
+            RNG.standard_normal(k),  # generic
+            np.zeros(k),  # stagnation: un = 0
+            c[2 * k : 3 * k] * np.sign(RNG.standard_normal(k)),  # sonic
+            c[3 * k : 4 * k] * (1.5 + 3.0 * RNG.random(k)),  # supersonic out
+            -c[4 * k :] * (1.5 + 3.0 * RNG.random(k)),  # supersonic in
+        ]
+    )
+    v = un[:, None] * n + vt[:, None] * t
+    u = model.conserved(rho, v[:, 0], v[:, 1], p)
+    label = np.repeat(["generic", "stagnation", "sonic", "super+", "super-"], k)
+    return u, n, label
+
+
+def assert_matrices_close(got, want, tol=1e-12):
+    scale = np.maximum(1.0, np.abs(want).max(axis=(-1, -2)))
+    err = np.abs(got - want).max(axis=(-1, -2)) / scale
+    assert err.max() <= tol, err.max()
+
+
+def test_euler_matrix_functions_match_rotated_sandwich():
+    m = Euler()
+    u, n, label = degenerate_euler_states(m)
+    S = m.sign_jac_normal(u, n)
+    assert_matrices_close(S, reference_matrix_function(m, u, n, reference_sign))
+    assert_matrices_close(
+        m.jac_normal(u, n),
+        reference_matrix_function(m, u, n, lambda lam, c: lam),
+    )
+    # Scaled normals: A_n scales with |n|, its sign does not.
+    s = 0.5 + RNG.random((len(n), 1))
+    assert_matrices_close(m.sign_jac_normal(u, s * n), S)
+    assert_matrices_close(
+        m.jac_normal(u, s * n), s[..., None] * m.jac_normal(u, n)
+    )
+    # The degenerate eigenvalues get sign 0; supersonic signs are +/- I.
+    eye = np.eye(4)
+    mag = np.sort(np.abs(np.linalg.eigvals(S).real), axis=-1)
+    assert np.allclose(mag[label == "stagnation"], [0, 0, 1, 1], atol=1e-12)
+    assert np.allclose(mag[label == "sonic"], [0, 1, 1, 1], atol=1e-12)
+    assert np.array_equal(S[label == "super+"], np.broadcast_to(eye, (12, 4, 4)))
+    assert np.array_equal(
+        S[label == "super-"], np.broadcast_to(-eye, (12, 4, 4))
+    )
+
+
+@pytest.mark.parametrize("side", [+1, -1])
+def test_euler_split_flux_matches_rotated_sandwich(side):
+    m = Euler()
+    u, n, _ = degenerate_euler_states(m)
+    s = 0.5 + RNG.random((len(n), 1))
+    A = reference_matrix_function(
+        m, u, n, lambda lam, c: 0.5 * (lam + side * np.abs(lam))
+    )
+    want = s * (A @ u[..., None])[..., 0]
+    got = m.flux_normal_split(u, s * n, side)
+    scale = np.maximum(1.0, np.abs(want).max(axis=-1))
+    assert (np.abs(got - want).max(axis=-1) / scale).max() <= 1e-12
+
+
 @pytest.mark.parametrize(
     "mach,post",
     [

@@ -1,5 +1,7 @@
 """Structural properties of the spatial operators and boundary fluxes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,47 @@ def test_omega_partition_of_unity(small_mesh, eps_policy, which):
     np.add.at(tot, mesh.tri_point_dofs, omega)
     err = np.abs(tot - np.eye(nv)).max()
     assert err < 1e-12
+
+
+def test_point_sums_equal_add_at_bitwise(small_mesh):
+    mesh = small_mesh
+    tb = Tables(mesh)
+    rng = np.random.default_rng(7)
+    for shape in [(), (3,), (4, 4)]:
+        size = (mesh.num_tris, 6) + shape
+        x = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+        want = np.zeros((mesh.num_points,) + shape)
+        np.add.at(want, mesh.tri_point_dofs, x)
+        got = tb.point_sums(x)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    want = np.zeros(mesh.num_points)
+    np.add.at(want, mesh.tri_point_dofs, 1.0)
+    assert np.array_equal(tb.point_count, want)
+
+
+def test_omega_nonfinite_patch_sum_falls_back_quietly(small_mesh):
+    # A NaN state makes its point's patch sum NaN: that point takes the
+    # arithmetic weights without reaching det/inv (no RuntimeWarning), and
+    # every other point keeps its upwind weights.
+    mesh = small_mesh
+    model = Euler()
+    upt = euler_field(mesh.point_xy)
+    tb = Tables(mesh)
+    ho = HighOrder(tb, model)
+    xy = mesh.point_xy[mesh.tri_point_dofs]
+    omega0, fb0 = ho.omega_weights(upt, xy)
+    bad = int(np.flatnonzero(~mesh.boundary_point_mask)[0])
+    upt[bad] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        omega, fb = ho.omega_weights(upt, xy)
+    hit = mesh.tri_point_dofs == bad
+    count = hit.sum()
+    assert fb == fb0 + 1
+    unit = np.broadcast_to(np.eye(4) / count, (count, 4, 4))
+    assert np.array_equal(omega[hit], unit)
+    assert np.array_equal(omega[~hit], omega0[~hit])
 
 
 def test_wall_flux_has_no_mass_or_energy_component(small_mesh):
