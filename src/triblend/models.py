@@ -117,7 +117,8 @@ class Euler:
         l0,3 = (b2 +/- un / c, -(b1 v +/- n / c), b1) / 2,
 
     b1 = (gamma - 1) / c^2, b2 = b1 |v|^2 / 2 and l_i . r_j = delta_ij.
-    `jac_normal`, `sign_jac_normal` and `flux_normal_split` use this form.
+    `jac_normal` and `sign_jac_normal` use this form, and
+    `flux_normal_split` its closed-form action on u.
     Where f is equal on all three eigenvalues, as the sign at supersonic
     states, f(A) is exactly f(un) I.
     """
@@ -224,8 +225,8 @@ class Euler:
         f = fn(lam)
         d = f[..., (0, 3)] - f[..., 1:2]  # acoustic projector weights
         M = (r * d[..., None, :]) @ l
-        # + f(un) I: the diagonal is every fifth entry of the flat 4 x 4.
-        M.reshape(M.shape[:-2] + (16,))[..., ::5] += f[..., 1, None]
+        i = np.arange(4)
+        M[..., i, i] += f[..., 1:2]  # + f(un) I
         return M
 
     def jac_normal(self, u, n, xy=None):
@@ -295,13 +296,31 @@ class Euler:
         """Steger-Warming split flux f^+/-(u) . n (side = +1 or -1).
 
         Uses homogeneity of degree one of the Euler flux: f(u).n = A_n u, so
-        the split flux is A_n^{+/-} u, applied to u through the
-        eigenprojectors without forming A_n^{+/-}.
+        the split flux is A_n^{+/-} u.  On u the acoustic projectors reduce
+        to l0 . u = l3 . u = rho / (2 gamma), which gives the closed form
+
+            A^{+/-} u = rho / (2 gamma) (2 (gamma - 1) f(un) (1, v, |v|^2 / 2)
+                                         + f(un - c) r0 + f(un + c) r3),
+
+        f(lam) = (lam +/- |lam|) / 2.  It skips the sums in l . u, whose
+        terms grow with the squared Mach number and cancel.
         """
+        g = self.gamma
         nn = np.linalg.norm(n, axis=-1)
-        lam, r, l = self._eig_rotated(u, n / nn[..., None])
-        f = 0.5 * (lam + side * np.abs(lam))
-        d = f[..., (0, 3)] - f[..., 1:2]
-        lu = (l @ u[..., None])[..., 0]  # (..., 2)
-        out = f[..., 1, None] * u + (r @ (d * lu)[..., None])[..., 0]
-        return out * nn[..., None]
+        nx, ny = n[..., 0] / nn, n[..., 1] / nn
+        rho, vx, vy, p = self.primitives(u)
+        un = vx * nx + vy * ny
+        c = np.sqrt(g * p / rho)
+        H = (u[..., 3] + p) / rho
+        lam = np.stack([un - c, un, un + c])
+        f0, f1, f3 = 0.5 * (lam + side * np.abs(lam)) * (0.5 / g * rho * nn)
+        w = 2.0 * (g - 1.0) * f1
+        return np.stack(
+            [
+                w + f0 + f3,
+                w * vx + f0 * (vx - c * nx) + f3 * (vx + c * nx),
+                w * vy + f0 * (vy - c * ny) + f3 * (vy + c * ny),
+                w * 0.5 * (vx**2 + vy**2) + f0 * (H - c * un) + f3 * (H + c * un),
+            ],
+            axis=-1,
+        )

@@ -86,12 +86,7 @@ class LowOrder:
             axis=2,
         )
         ubar_s = U.mean(axis=2)  # (NT, 6, nv)
-        # (NT, 6, nv, 2).  A batched matmul is 5x faster than einsum for
-        # systems; for scalars its per-matrix overhead makes it 2x slower.
-        if U.shape[-1] == 1:
-            grad = np.einsum("ksjv,ksjd->ksvd", U, tb.SUB_G)
-        else:
-            grad = U.swapaxes(-1, -2) @ tb.SUB_G
+        grad = U.swapaxes(-1, -2) @ tb.SUB_G  # (NT, 6, nv, 2)
         xy_s = tb.SUB_CENTROID
         central = (
             tb.SUB_AREA[..., None]
