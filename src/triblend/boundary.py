@@ -43,7 +43,7 @@ class Outflow:
     kind = "outflow"
 
 
-def _reflect(model, u, n):
+def _reflect(u, n):
     """Mirror momentum about the plane with unit normal n."""
     g = u.copy()
     mn = u[..., 1] * n[..., 0] + u[..., 2] * n[..., 1]
@@ -75,11 +75,9 @@ class BoundaryHandler:
             nm: np.flatnonzero(bnames == nm) for nm in self.bcs
         }
 
-    def _split_flux(self, bc, u_in, u_out, n, x):
+    def _split_flux(self, u_in, u_out, n, x):
         """Upwind-flavoured two-state boundary flux, broadcasting shapes."""
         m = self.model
-        if bc.kind == "outflow":
-            return m.flux_normal(u_in, n, x)
         if hasattr(m, "flux_normal_split"):
             return m.flux_normal_split(u_in, n, +1) + m.flux_normal_split(
                 u_out, n, -1
@@ -111,7 +109,7 @@ class BoundaryHandler:
             if bc.kind == "outflow":
                 out[idx] = m.flux_normal(tr, nn, xx)
             elif bc.kind == "wall":
-                ghost = _reflect(m, tr, nn)
+                ghost = _reflect(tr, nn)
                 alpha = np.maximum(
                     m.max_wavespeed(tr, nn, xx),
                     m.max_wavespeed(ghost, nn, xx),
@@ -121,7 +119,7 @@ class BoundaryHandler:
                 ) - 0.5 * alpha[..., None] * (ghost - tr)
             elif bc.kind == "farfield":
                 ub = bc.exterior(xx, t)
-                out[idx] = self._split_flux(bc, tr, ub, nn, xx)
+                out[idx] = self._split_flux(tr, ub, nn, xx)
             else:  # pragma: no cover - new kinds must be handled explicitly
                 raise ConfigError(f"unknown boundary kind {bc.kind!r}")
         return out
@@ -136,7 +134,7 @@ class BoundaryHandler:
             if bc.kind == "outflow":
                 out[idx] = ubar0[idx]
             elif bc.kind == "wall":
-                out[idx] = _reflect(self.model, ubar0[idx], n[idx])
+                out[idx] = _reflect(ubar0[idx], n[idx])
             elif bc.kind == "farfield":
                 out[idx] = bc.exterior(xmid[idx], t)
             else:  # pragma: no cover

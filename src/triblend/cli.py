@@ -265,9 +265,7 @@ def cmd_validate_basis(args) -> int:
     rule = triangle_rule(6)
     lam, w = rule.points, rule.weights
     phi = basis.basis_values(lam)  # (nq, 7)
-    M = np.einsum("q,qi,qj->ij", w, phi, phi)  # unit mass matrix M_K / |K|
-    P = basis.projection_matrix()
-    G = P @ M
+    G = basis.projection_matrix() @ basis.mass_matrix_unit()
     err_dual = np.abs(G - np.eye(7)).max()
     print("Gram matrix  P (M_K/|K|):")
     with np.printoptions(precision=3, suppress=True):

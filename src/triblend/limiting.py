@@ -201,16 +201,16 @@ class GasDomain:
 
 
 def _rotate_momentum(model, nx, ny, jump):
-    """Momentum pair of jump (E, nq, nv, k) in each edge's (n, t) frame.
+    """Momentum pair of jump (k, nv, nq, E) in each edge's (n, t) frame.
 
     Makes the jump measure frame-invariant; scalar jumps pass unchanged.
-    nx, ny: (E, 1, 1) edge normal components.
+    nx, ny: (E,) edge normal components.
     """
     if model.nvars == 1:
         return jump
     out = jump.copy()
-    out[:, :, 1] = nx * jump[:, :, 1] + ny * jump[:, :, 2]
-    out[:, :, 2] = -ny * jump[:, :, 1] + nx * jump[:, :, 2]
+    out[:, 1] = nx * jump[:, 1] + ny * jump[:, 2]
+    out[:, 2] = -ny * jump[:, 1] + nx * jump[:, 2]
     return out
 
 
@@ -272,25 +272,23 @@ def damping_sigma(tables, model, coef, ubar, upt, c1=1.0, c2=1.0):
         return ei, np.zeros((len(ei), 2))
     inv_den = np.where(dens > 0, 1.0 / np.where(dens > 0, dens, 1.0), 0.0)
 
-    g = tables.edge_side_gradients(coef, order=1)[ei]  # (E, 2, nqe, nv, 2)
-    h = tables.edge_side_gradients(coef, order=2)[ei]  # (E, 2, nqe, nv, 3)
-    nx = mesh.edge_normal[ei, 0][:, None, None]
-    ny = mesh.edge_normal[ei, 1][:, None, None]
-    jump1 = _rotate_momentum(model, nx, ny, g[:, 0] - g[:, 1])
-    jump2 = _rotate_momentum(model, nx, ny, h[:, 0] - h[:, 1])
-    d_n = nx * jump1[..., 0] + ny * jump1[..., 1]
-    d_t = -ny * jump1[..., 0] + nx * jump1[..., 1]
-    a1 = np.abs(d_n) + np.abs(d_t)  # (E, nqe, nv)
+    g, h = tables.edge_side_gradients(coef, ei)  # (2, 2 | 3, nv, nqe, E)
+    nx, ny = mesh.edge_normal[ei].T
+    jump1 = _rotate_momentum(model, nx, ny, g[0] - g[1])
+    jump2 = _rotate_momentum(model, nx, ny, h[0] - h[1])
+    d_n = nx * jump1[0] + ny * jump1[1]
+    d_t = -ny * jump1[0] + nx * jump1[1]
+    a1 = np.abs(d_n) + np.abs(d_t)  # (nv, nqe, E)
 
-    xx, xy, yy = jump2[..., 0], jump2[..., 1], jump2[..., 2]
+    xx, xy, yy = jump2
     d_nn = nx * nx * xx + 2.0 * nx * ny * xy + ny * ny * yy
     d_nt = -nx * ny * xx + (nx * nx - ny * ny) * xy + nx * ny * yy
     d_tt = ny * ny * xx - 2.0 * nx * ny * xy + nx * nx * yy
     a2 = np.abs(d_nn) + np.abs(d_nt) + np.abs(d_tt)
 
     wq = tables.wq_edge
-    S1 = np.einsum("q,eqv,v->ev", wq, a1, inv_den)
-    S2 = np.einsum("q,eqv,v->ev", wq, a2, inv_den)
+    S1 = np.einsum("q,vqe,v->ev", wq, a1, inv_den)
+    S2 = np.einsum("q,vqe,v->ev", wq, a2, inv_den)
     ell = tables.EDGE_DIST[ei]  # (E, 2)
     sig = (
         c1 * ell[:, :, None] * S1[:, None, :]

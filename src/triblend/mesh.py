@@ -192,7 +192,7 @@ class Mesh:
     def h_max(self) -> float:
         return float(self.edge_length.max())
 
-    def outward_normal(self, tri_local_edges=None) -> np.ndarray:
+    def outward_normal(self) -> np.ndarray:
         """(NT, 3, 2) unit outward normals of each triangle's local edges."""
         n = self.edge_normal[self.tri_edges]
         return n * self.tri_edge_orient[..., None]

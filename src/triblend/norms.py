@@ -60,25 +60,15 @@ def convergence_rows(hs, norm_dicts):
 
     norm_dicts: one error_norms() result per level, coarse to fine.
     Returns a list of dicts with keys h, then for each family/norm the
-    error and the order against the previous level ('' on the first row or
-    where undefined).
+    error and the order against the previous level ('' on the first row,
+    'NA' where undefined), from `observed_orders`.
     """
-    rows = []
-    for i, (h, nd) in enumerate(zip(hs, norm_dicts)):
-        row = {"h": h}
-        for fam in ("internal", "boundary"):
-            for nm in ("l1", "l2", "linf"):
-                row[f"{fam}_{nm}"] = nd[fam][nm]
-                if i == 0:
-                    row[f"{fam}_{nm}_order"] = ""
-                else:
-                    prev = norm_dicts[i - 1][fam][nm]
-                    cur = nd[fam][nm]
-                    if prev <= 0.0 or cur <= 0.0:
-                        row[f"{fam}_{nm}_order"] = "NA"
-                    else:
-                        row[f"{fam}_{nm}_order"] = math.log(prev / cur) / math.log(
-                            hs[i - 1] / h
-                        )
-        rows.append(row)
+    rows = [{"h": h} for h in hs]
+    for fam in ("internal", "boundary"):
+        for nm in ("l1", "l2", "linf"):
+            errors = [nd[fam][nm] for nd in norm_dicts]
+            orders = [""] + observed_orders(errors, hs)
+            for row, err, order in zip(rows, errors, orders):
+                row[f"{fam}_{nm}"] = err
+                row[f"{fam}_{nm}_order"] = "NA" if order is None else order
     return rows

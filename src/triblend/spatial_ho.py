@@ -33,7 +33,6 @@ import numpy as np
 from scipy import sparse
 
 from .basis import (
-    CENTROID_VALUES,
     POINT_DOF_BARY,
     basis_grad_bary,
     basis_hess_bary,
@@ -43,9 +42,25 @@ from .basis import (
 from .mesh import Mesh, triangle_geometry
 from .quadrature import edge_rule, triangle_rule
 
+# Exactness degree of the volume rule and Gauss points per edge.
+VOL_DEGREE = 6
+EDGE_POINTS = 3
+# Upwind weights fall back to 1/N at a point whose weights exceed OMEGA_CAP
+# in Frobenius norm or whose patch sum has a condition number above COND_CAP.
+OMEGA_CAP = 4.0
+COND_CAP = 1e8
+
 # Sub-triangle fan used by the low-order scheme: (outer1, outer2, centroid),
 # outer corners given as local point-DoF ids, ordered CCW around K.
 SUB_DOFS = np.array([[0, 3], [3, 1], [1, 4], [4, 2], [2, 5], [5, 0]])
+
+# Cyclic relabelling that makes local edge l local edge 0: coefficient j of
+# the relabelled element is coefficient ROTATE[l, j] of the original one,
+# and its barycentric coordinate m is lambda_{(m + l) % 3}.
+ROTATE = np.array(
+    [[(l + m) % 3 for m in range(3)] + [3 + (l + m) % 3 for m in range(3)] + [6]
+     for l in range(3)]
+)
 
 
 def _edge_bary(local_edge: int, tau: np.ndarray) -> np.ndarray:
@@ -55,35 +70,44 @@ def _edge_bary(local_edge: int, tau: np.ndarray) -> np.ndarray:
     return lam
 
 
-class Tables:
-    """Static geometry/basis tables shared by the spatial operators."""
+def _local_edges(mesh: Mesh, tris: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Local index of edges[i] in triangles tris[i, s]: (E, 2), 0 if absent."""
+    return np.argmax(mesh.tri_edges[tris] == edges[:, None, None], axis=2)
 
-    def __init__(self, mesh: Mesh, vol_degree: int = 6, edge_points: int = 3):
+
+class Tables:
+    """Static geometry/basis tables shared by the spatial operators.
+
+    Every element is affine, so element terms are reference-element tables
+    contracted at call time with `mesh.grad_lambda` (the gradients of the
+    barycentric coordinates), `mesh.areas` and the signed edge lengths.
+    The per-element arrays hold positions, normals, damping lengths and
+    the low-order fan geometry.
+    """
+
+    def __init__(self, mesh: Mesh):
         self.mesh = mesh
         self.P = projection_matrix()
 
         # -- volume quadrature ------------------------------------------------
-        vr = triangle_rule(vol_degree)
+        vr = triangle_rule(VOL_DEGREE)
         self.wq_vol = vr.weights
         self.PHI_V = basis_values(vr.points)  # (nqv, 7)
         self.DPHI_V = basis_grad_bary(vr.points)  # (nqv, 7, 3)
         tri_xy = mesh.verts[mesh.tris]  # (NT, 3, 2)
         self.XY_V = np.einsum("qm,kmd->kqd", vr.points, tri_xy)
-        # Quadrature-weighted physical test-function gradients, laid out so
-        # the volume term is one batched matmul against the flux values:
-        # DVOL_MAT[k, j, q*2 + d] = w_q (grad phi_j)_d at volume qp q.
-        dvol = np.einsum(
-            "q,qjm,kmd->kjqd",
-            vr.weights,
-            self.DPHI_V,
-            mesh.grad_lambda,
-            optimize=True,
-        )
-        nqv = len(vr.weights)
-        self.DVOL_MAT = np.ascontiguousarray(dvol.reshape(-1, 7, nqv * 2))
+        # With lambda_2 = 1 - lambda_0 - lambda_1, grad(phi_j) is
+        # sum_a (d phi_j / d lambda_a - d phi_j / d lambda_2) grad(lambda_a)
+        # over a = 0, 1.  VOL_OP[(a, j), q] holds P times the weighted
+        # reduced derivatives w_q (...), so P F_vol / |K| is VOL_OP applied
+        # to the flux and contracted with -grad(lambda_a); the row order
+        # (a, j) keeps (j, v) one strided axis in each (a, d) slice.
+        dred = self.DPHI_V[:, :, :2] - self.DPHI_V[:, :, 2:]  # (nqv, 7, 2)
+        vol = np.einsum("jk,q,qka->ajq", self.P, self.wq_vol, dred)
+        self.VOL_OP = np.ascontiguousarray(vol.reshape(14, -1))
 
         # -- edge quadrature and trace tables ---------------------------------
-        er = edge_rule(edge_points)
+        er = edge_rule(EDGE_POINTS)
         self.wq_edge = er.weights
         t = er.points
         self.nqe = len(t)
@@ -116,78 +140,49 @@ class Tables:
         self.DPHI_E = DPHI_E
         self.D2PHI_E = D2PHI_E
 
-        # Per-element surface assembly weights:
-        # W_EDGE[k, l, q, j] = s_{k,l} |e| w_q phi_j(edge qp).
-        oi = (1 - mesh.tri_edge_orient) // 2  # (NT, 3) in {0, 1}
-        self.ORIENT_IDX = oi
-        lidx = np.broadcast_to(np.arange(3), oi.shape)
-        phi_per = PHI_E[oi, lidx]  # (NT, 3, nqe, 7)
-        elen = mesh.edge_length[mesh.tri_edges]  # (NT, 3)
-        fac = mesh.tri_edge_orient * elen  # signed lengths
-        self.W_EDGE = (
-            phi_per * self.wq_edge[None, None, :, None] * fac[..., None, None]
-        )
-        # Same weights as a (NT, 7, 3*nqe) operator for batched matmul.
-        self.W_EDGE_MAT = np.ascontiguousarray(
-            self.W_EDGE.reshape(mesh.num_tris, 3 * self.nqe, 7)
-            .swapaxes(1, 2)
-        )
+        # The rule is symmetric, so an element traversing an edge against
+        # its stored direction meets the quadrature points in reverse order.
+        # SURF_OP[j, (l, q)] = (P PHI_E)[j] at point q of local edge l in the
+        # element's own direction, times w_q: applied to the edge fluxes
+        # scaled by the signed edge length over |K| it gives P F_surf / |K|.
+        surf = np.einsum("jk,q,lqk->jlq", self.P, self.wq_edge, PHI_E[0])
+        self.SURF_OP = np.ascontiguousarray(surf.reshape(7, -1))
 
-        # Map each edge to (local edge index, orientation table) per side.
-        esl = np.full((mesh.num_edges, 2), -1, dtype=np.int64)
-        cols = np.tile(np.arange(3), mesh.num_tris)
-        eids = mesh.tri_edges.ravel()
-        side = (1 - mesh.tri_edge_orient.ravel()) // 2
-        esl[eids, side] = cols
-        self.edge_side_local = esl
-
-        # Physical derivatives of the local basis at the edge quadrature
-        # points, per edge side (side index doubles as the orientation
-        # table index): PDG1[e, s, q, j, :] is the gradient of phi_j from
-        # side s, PDG2[s, e] the Hessian entries (xx, xy, yy).  Stored as
-        # (2, NE, nqe * D, 7) operators for a single batched matmul against
-        # the side's local coefficients.
-        PDG1 = np.empty((2, mesh.num_edges, self.nqe * 2, 7))
-        PDG2 = np.empty((2, mesh.num_edges, self.nqe * 3, 7))
-        for s in range(2):
-            k = np.clip(mesh.edge_tris[:, s], 0, None)
-            l = np.clip(esl[:, s], 0, None)
-            G = mesh.grad_lambda[k]  # (NE, 3, 2)
-            g1 = np.einsum("eqjm,emd->eqdj", DPHI_E[s, l], G)
-            PDG1[s] = g1.reshape(mesh.num_edges, self.nqe * 2, 7)
-            H = np.einsum(
-                "eqjmn,emd,enc->eqdcj", D2PHI_E[s, l], G, G, optimize=True
-            )
-            h = np.stack(
-                [H[:, :, 0, 0], H[:, :, 0, 1], H[:, :, 1, 1]], axis=2
-            )  # (NE, nqe, 3, 7)
-            PDG2[s] = h.reshape(mesh.num_edges, self.nqe * 3, 7)
-        self.PDG1 = PDG1
-        self.PDG2 = PDG2
+        # Reduced barycentric derivatives on local edge 0, for each edge
+        # side s (side s traverses the edge with orientation table s):
+        # rows (d/d lambda_0, d/d lambda_1, d2/d lambda_0^2,
+        # d2/d lambda_0 d lambda_1, d2/d lambda_1^2) per quadrature point,
+        # with lambda_2 eliminated as above.
+        d1 = DPHI_E[:, 0, :, :, :2] - DPHI_E[:, 0, :, :, 2:]  # (2, nqe, 7, 2)
+        H = D2PHI_E[:, 0]  # (2, nqe, 7, 3, 3)
+        h = H[..., :2, :2] - H[..., :2, 2:] - H[..., 2:, :2] + H[..., 2:, 2:]
+        comps = [d1[..., 0], d1[..., 1], h[..., 0, 0], h[..., 0, 1], h[..., 1, 1]]
+        self.EDGE_DERIV_OP = np.ascontiguousarray(
+            np.stack(comps, axis=1).reshape(2, 5 * self.nqe, 7)
+        )
 
         # Damping length sup_{x in K} dist(x, e) per edge side: the distance
         # function to a segment is convex, so the sup sits at the vertex
         # opposite the edge.  Side 1 of boundary edges holds garbage.
-        a = mesh.verts[mesh.edge_verts[:, 0]]
-        b = mesh.verts[mesh.edge_verts[:, 1]]
         ab = b - a
         denom = np.einsum("ed,ed->e", ab, ab)
         dist = np.empty((mesh.num_edges, 2))
+        tris = np.clip(mesh.edge_tris, 0, None)
+        local = _local_edges(mesh, tris, e)
         for s in range(2):
-            k = np.clip(mesh.edge_tris[:, s], 0, None)
-            l = np.clip(esl[:, s], 0, None)
-            opp = mesh.verts[mesh.tris[k, (l + 2) % 3]]
+            opp = mesh.verts[mesh.tris[tris[:, s], (local[:, s] + 2) % 3]]
             tpar = np.clip(np.einsum("ed,ed->e", opp - a, ab) / denom, 0.0, 1.0)
             dist[:, s] = np.linalg.norm(opp - (a + tpar[:, None] * ab), axis=1)
         self.EDGE_DIST = dist
 
         # -- upwind-weight normals --------------------------------------------
-        gl = mesh.grad_lambda  # (NT, 3, 2), inward-pointing for each vertex
-        self.VERTEX_NORMAL = gl / np.linalg.norm(gl, axis=2, keepdims=True)
-        self.MID_NORMAL = mesh.outward_normal()  # (NT, 3, 2) unit
+        # Unit inward normals opposite each vertex, then unit outward
+        # normals of the edges that hold the midpoints: (NT, 6, 2).
+        gl = mesh.grad_lambda
         self.DOF_NORMAL = np.concatenate(
-            [self.VERTEX_NORMAL, self.MID_NORMAL], axis=1
-        )  # (NT, 6, 2)
+            [gl / np.linalg.norm(gl, axis=2, keepdims=True), mesh.outward_normal()],
+            axis=1,
+        )
 
         # Element-DoF -> point scatter operator: row p has a unit entry in
         # column 6 k + j for each (k, j) with tri_point_dofs[k, j] = p, in
@@ -203,17 +198,11 @@ class Tables:
 
         # -- low-order sub-triangle fan ---------------------------------------
         sub_bary = np.empty((6, 3, 3))
-        for s in range(6):
-            sub_bary[s, 0] = POINT_DOF_BARY[SUB_DOFS[s, 0]]
-            sub_bary[s, 1] = POINT_DOF_BARY[SUB_DOFS[s, 1]]
-            sub_bary[s, 2] = 1.0 / 3.0
+        sub_bary[:, :2] = POINT_DOF_BARY[SUB_DOFS]
+        sub_bary[:, 2] = 1.0 / 3.0
         sub_xy = np.einsum("scm,kmd->kscd", sub_bary, tri_xy)  # (NT,6,3,2)
-        self.SUB_AREA, sub_g = triangle_geometry(sub_xy)
-        self.SUB_G = sub_g  # (NT, 6, 3, 2) P1 gradients on each sub-triangle
-        # Inward normals scaled by the opposite edge length.
-        self.SUB_NORMAL = sub_g * (2.0 * self.SUB_AREA[..., None, None])
+        _, self.SUB_G = triangle_geometry(sub_xy)  # (NT, 6, 3, 2) P1 gradients
         self.SUB_CENTROID = sub_xy.mean(axis=2)
-        self.SUB_XY = sub_xy
 
     # -- state helpers ---------------------------------------------------------
 
@@ -237,27 +226,40 @@ class Tables:
             (self.mesh.num_points,) + x.shape[2:]
         )
 
-    def centroid_values(self, coef: np.ndarray) -> np.ndarray:
-        return np.einsum("j,kjv->kv", CENTROID_VALUES, coef)
+    def edge_side_gradients(self, coef: np.ndarray, edges: np.ndarray):
+        """Gradient and Hessian of u_h at the quadrature points of interior
+        edges, from both sides.
 
-    def edge_side_gradients(self, coef: np.ndarray, order: int = 1):
-        """Physical derivatives of u_h at edge qps from both sides.
-
-        order 1 -> (NE, 2, nqe, nv, 2) gradients; order 2 -> Hessian entries
-        (NE, 2, nqe, nv, 3) as (xx, xy, yy).  Boundary edges carry garbage on
-        side 1 (local index -1); callers must mask with edge_tris[:, 1] >= 0.
+        Returns grad (2, 2, nv, nqe, E) with components (x, y) and hess
+        (2, 3, nv, nqe, E) with components (xx, xy, yy), indexed by side,
+        component, variable, quadrature point and edge; side s is element
+        edge_tris[edges, s].  Each side's element is relabelled (ROTATE) so
+        that the edge is its local edge 0, which makes EDGE_DERIV_OP[s] one
+        table for all edges; its reduced barycentric derivatives then map to
+        x, y through the relabelled grad(lambda_0), grad(lambda_1).
         """
         mesh = self.mesh
-        tab = self.PDG1 if order == 1 else self.PDG2
-        ncomp = 2 if order == 1 else 3
-        ne = mesh.num_edges
-        nv = coef.shape[-1]
-        out = np.empty((ne, 2, self.nqe, nv, ncomp))
+        nv, ne = coef.shape[-1], len(edges)
+        grad = np.empty((2, 2, nv, self.nqe, ne))
+        hess = np.empty((2, 3, nv, self.nqe, ne))
+        by_var = coef.transpose(2, 0, 1).reshape(nv, -1)  # (nv, 7 NT)
+        tris = mesh.edge_tris[edges]  # (E, 2)
+        local = _local_edges(mesh, tris, edges)
         for s in range(2):
-            k = np.clip(mesh.edge_tris[:, s], 0, None)
-            g = (tab[s] @ coef[k]).reshape(ne, self.nqe, ncomp, nv)
-            out[:, s] = g.swapaxes(2, 3)
-        return out
+            k = tris[:, s]
+            rot = ROTATE[local[:, s]].T  # (7, E)
+            c = np.take(by_var, 7 * k + rot, axis=1)  # (nv, 7, E)
+            r = (self.EDGE_DERIV_OP[s] @ c).reshape(nv, 5, self.nqe, ne)
+            g0 = mesh.grad_lambda[k, rot[0]].T  # (2, E): x, y parts
+            g1 = mesh.grad_lambda[k, rot[1]].T
+            for d in range(2):
+                out = np.multiply(g0[d], r[:, 0], out=grad[s, d])
+                out += g1[d] * r[:, 1]
+            for i, (d, e) in enumerate(((0, 0), (0, 1), (1, 1))):
+                out = np.multiply(g0[d] * g0[e], r[:, 2], out=hess[s, i])
+                out += (g0[d] * g1[e] + g1[d] * g0[e]) * r[:, 3]
+                out += (g1[d] * g1[e]) * r[:, 4]
+        return grad, hess
 
 
 @dataclass
@@ -278,8 +280,6 @@ class HighOrder:
         model,
         bc=None,
         eps_policy: str = "area",
-        omega_cap: float = 4.0,
-        cond_cap: float = 1e8,
         enforce_domain=None,
     ):
         if eps_policy not in ("area", "zero"):
@@ -288,8 +288,6 @@ class HighOrder:
         self.model = model
         self.bc = bc
         self.eps_policy = eps_policy
-        self.omega_cap = float(omega_cap)
-        self.cond_cap = float(cond_cap)
         # Domain used only to keep quadrature-state flux evaluations finite
         # (gas dynamics can NaN on overshoots); scalar models skip this.
         self.enforce_domain = enforce_domain
@@ -393,10 +391,10 @@ class HighOrder:
             cond = np.linalg.norm(A, axis=(1, 2)) * np.linalg.norm(
                 X, axis=(1, 2)
             )
-            bad_pt[ok] = ~np.isfinite(cond) | (cond > self.cond_cap)
+            bad_pt[ok] = ~np.isfinite(cond) | (cond > COND_CAP)
         omega = inv[mesh.tri_point_dofs] @ Seps
         norms = np.linalg.norm(omega, axis=(2, 3))
-        big = ~np.isfinite(norms) | (norms > self.omega_cap)
+        big = ~np.isfinite(norms) | (norms > OMEGA_CAP)
         bad_pt |= tb.point_sums(big.astype(float)) > 0.0
         fb = bad_pt[mesh.tri_point_dofs]  # (NT, 6)
         if fb.any():
@@ -411,26 +409,37 @@ class HighOrder:
     def compute(self, ubar, upt, t) -> HOResult:
         tb = self.t
         mesh = tb.mesh
-        nv = ubar.shape[-1]
+        nt, nv = ubar.shape
         coef = tb.coefficients(ubar, upt)
 
-        # Volume term.
+        # Volume term: VOL_OP against the flux (k, q, (v, d)), then the
+        # contraction of (a, d) with -grad(lambda_a).
         uq = tb.PHI_V @ coef  # (NT, nqv, nv)
         uq, resc_vol = self._rescue_states(uq, ubar, count_axis=1)
         fq = self.model.flux(uq, tb.XY_V)  # (NT, nqv, nv, 2)
-        nqv = fq.shape[1]
-        fq_mat = np.ascontiguousarray(fq.swapaxes(2, 3)).reshape(
-            mesh.num_tris, nqv * 2, nv
+        T = (tb.VOL_OP @ fq.reshape(nt, fq.shape[1], 2 * nv)).reshape(
+            nt, 2, 7, nv, 2
         )
-        VOL = -(tb.DVOL_MAT @ fq_mat) * mesh.areas[:, None, None]
+        G = mesh.grad_lambda[:, :, :, None, None]  # (NT, 3, 2, 1, 1)
+        Phi = -(G[:, 0, 0] * T[:, 0, :, :, 0])
+        Phi -= G[:, 0, 1] * T[:, 0, :, :, 1]
+        Phi -= G[:, 1, 0] * T[:, 1, :, :, 0]
+        Phi -= G[:, 1, 1] * T[:, 1, :, :, 1]
 
-        # Surface term from single-valued fluxes.
+        # Surface term: single-valued edge fluxes in each element's own
+        # traversal direction, times signed edge length over |K|.
         fluxhat, trace, resc_tr = self.interface_fluxes(ubar, upt, t)
-        fh_loc = fluxhat[mesh.tri_edges]  # (NT, 3, nqe, nv)
-        SURF = tb.W_EDGE_MAT @ fh_loc.reshape(mesh.num_tris, -1, nv)
-
-        F_K = VOL + SURF
-        Phi = (tb.P @ F_K) / mesh.areas[:, None, None]
+        nqe = tb.nqe
+        q = np.arange(nqe)
+        orient = mesh.tri_edge_orient[..., None]
+        rows = mesh.tri_edges[..., None] * nqe + np.where(orient > 0, q, nqe - 1 - q)
+        fh = np.take(fluxhat.reshape(-1, nv), rows, axis=0)  # (NT, 3, nqe, nv)
+        fh *= (
+            mesh.tri_edge_orient
+            * mesh.edge_length[mesh.tri_edges]
+            / mesh.areas[:, None]
+        )[..., None, None]
+        Phi += tb.SURF_OP @ fh.reshape(nt, 3 * nqe, nv)
 
         xy_pts = mesh.point_xy[mesh.tri_point_dofs]
         omega, fb = self.omega_weights(upt, xy_pts)

@@ -43,7 +43,6 @@ for _d in range(6):
 class LOResult:
     Phi_pt: np.ndarray  # (NT, 6, nv)
     F_edge: np.ndarray  # (NE, nv), integrated LLF fluxes (with |e|)
-    alpha_edge: np.ndarray  # (NE,)
 
 
 class LowOrder:
@@ -75,7 +74,7 @@ class LowOrder:
             self.model.flux_normal(u0, n, xy)
             + self.model.flux_normal(u1, n, xy)
         ) - 0.5 * alpha[:, None] * (u1 - u0)
-        return fn * mesh.edge_length[:, None], alpha
+        return fn * mesh.edge_length[:, None]
 
     def point_residuals(self, ubar, upt):
         tb = self.t
@@ -88,17 +87,19 @@ class LowOrder:
         ubar_s = U.mean(axis=2)  # (NT, 6, nv)
         grad = U.swapaxes(-1, -2) @ tb.SUB_G  # (NT, 6, nv, 2)
         xy_s = tb.SUB_CENTROID
+        # |S| / 3 = |K| / 18.  The edge-scaled inward normals of S are
+        # 2 |S| grad(lambda^S) = SUB_G |K| / 3; wave speeds are homogeneous
+        # in the normal, so the factor |K| / 3 applies to their maximum.
         central = (
-            tb.SUB_AREA[..., None]
-            / 3.0
+            mesh.areas[:, None, None] / 18.0
             * self.model.jac_apply(ubar_s, grad, xy_s)
         )
         speeds = self.model.max_wavespeed(
             U[:, :, :, None, :],  # (NT, 6, 3, 1, nv)
-            tb.SUB_NORMAL[:, :, None, :, :],  # (NT, 6, 1, 3, 2)
+            tb.SUB_G[:, :, None],  # (NT, 6, 1, 3, 2)
             xy_s[:, :, None, None, :],
         )
-        alpha_s = speeds.max(axis=(2, 3))  # (NT, 6)
+        alpha_s = speeds.max(axis=(2, 3)) * (mesh.areas[:, None] / 3.0)  # (NT, 6)
         contrib = central[:, :, None, :] + alpha_s[:, :, None, None] * (
             U[:, :, :2, :] - ubar_s[:, :, None, :]
         )  # (NT, 6 subtris, 2 corners, nv)
@@ -110,6 +111,6 @@ class LowOrder:
         return Phi
 
     def compute(self, ubar, upt, t) -> LOResult:
-        F_edge, alpha = self.average_fluxes(ubar, t)
-        Phi = self.point_residuals(ubar, upt)
-        return LOResult(Phi, F_edge, alpha)
+        return LOResult(
+            self.point_residuals(ubar, upt), self.average_fluxes(ubar, t)
+        )

@@ -27,6 +27,15 @@ from .spatial_ho import HighOrder, Tables
 from .spatial_lo import LowOrder
 
 
+# How a step's journal statistics combine those of its three substeps: the
+# limiter counts add up, theta takes the minimum, the eta fractions average.
+_STEP_REDUCE = {
+    "theta_min": min,
+    "eta_lo_frac": lambda v: float(np.mean(v)),
+    "eta_hi_frac": lambda v: float(np.mean(v)),
+}
+
+
 def initialize(tables: Tables, u0_fn):
     """Cell averages by volume quadrature and exact point values of u0."""
     ubar = np.einsum("q,kqv->kv", tables.wq_vol, u0_fn(tables.XY_V))
@@ -43,26 +52,20 @@ class Stepper:
         *,
         cfl: float = 0.2,
         eps_policy: str = "area",
-        omega_cap: float = 4.0,
-        cond_cap: float = 1e8,
         enforce_domain=None,
         assert_domain=None,
         mode: str = "full",
         damping_c1: float = 1.0,
         damping_c2: float = 1.0,
-        vol_degree: int = 6,
-        edge_points: int = 3,
     ):
         self.mesh = mesh
         self.model = model
-        self.tables = Tables(mesh, vol_degree=vol_degree, edge_points=edge_points)
+        self.tables = Tables(mesh)
         self.ho = HighOrder(
             self.tables,
             model,
             bc,
             eps_policy=eps_policy,
-            omega_cap=omega_cap,
-            cond_cap=cond_cap,
             enforce_domain=enforce_domain,
         )
         self.lo = LowOrder(self.tables, model, bc)
@@ -78,9 +81,8 @@ class Stepper:
         self.damping_c2 = float(damping_c2)
 
         self._inradius = mesh.inradius()
-        self._normals = mesh.outward_normal()
+        self._normals = self.tables.DOF_NORMAL[:, 3:]  # unit outward, (NT, 3, 2)
         self._xy_pts = mesh.point_xy[mesh.tri_point_dofs]
-        self._centroid = mesh.verts[mesh.tris].mean(axis=1)
 
         # Limiter diagnostics from the most recent rk3_step.
         self.last_theta = np.ones(mesh.num_tris)
@@ -96,7 +98,7 @@ class Stepper:
             [upt[mesh.tri_point_dofs], ubar[:, None, :]], axis=1
         )  # (NT, 7, nv)
         xy = np.concatenate(
-            [self._xy_pts, self._centroid[:, None, :]], axis=1
+            [self._xy_pts, mesh.centroids[:, None, :]], axis=1
         )
         speeds = self.model.max_wavespeed(
             states[:, :, None, :], self._normals[:, None, :, :], xy[:, :, None, :]
@@ -109,6 +111,7 @@ class Stepper:
     def _substep(self, ubar, upt, t, dt):
         mesh = self.mesh
 
+        fallback = resc_vol = resc_tr = resc_pt = resc_e = 0
         if self.mode == "lo":
             lo = self.lo.compute(ubar, upt, t)
             b = lo.Phi_pt
@@ -116,16 +119,11 @@ class Stepper:
             eta_pt = np.zeros((mesh.num_tris, 6))
             eta_e = np.zeros(mesh.num_edges)
             theta = np.ones(mesh.num_tris)
-            stats = {
-                "theta_min": 1.0,
-                "omega_fallback": 0,
-                "rescued_volume": 0,
-                "rescued_trace": 0,
-                "rescued_points": 0,
-                "rescued_edges": 0,
-            }
         else:
             ho = self.ho.compute(ubar, upt, t)
+            fallback = ho.omega_fallback_points
+            resc_vol = ho.rescued_volume_elems
+            resc_tr = ho.rescued_trace_edges
             if self.mode == "full":
                 coef = self.tables.coefficients(ubar, upt)
                 theta = damping_theta(
@@ -141,15 +139,6 @@ class Stepper:
                 )
             else:
                 theta = np.ones(mesh.num_tris)
-
-            stats = {
-                "theta_min": float(theta.min()),
-                "omega_fallback": ho.omega_fallback_points,
-                "rescued_volume": ho.rescued_volume_elems,
-                "rescued_trace": ho.rescued_trace_edges,
-                "rescued_points": 0,
-                "rescued_edges": 0,
-            }
 
             if self.mode != "ho" and self.enforce_domain is not None:
                 lo = self.lo.compute(ubar, upt, t)
@@ -171,8 +160,6 @@ class Stepper:
                     theta,
                     dt,
                 )
-                stats["rescued_points"] = resc_pt
-                stats["rescued_edges"] = resc_e
             elif self.mode == "full":
                 lo = self.lo.compute(ubar, upt, t)
                 b = lo.Phi_pt + theta[:, None, None] * (ho.Wpt - lo.Phi_pt)
@@ -195,8 +182,16 @@ class Stepper:
 
         interior = mesh.edge_tris[:, 1] >= 0
         etas = np.concatenate([eta_pt.ravel(), eta_e[interior]])
-        stats["eta_lo_frac"] = float((etas < 0.01).mean())
-        stats["eta_hi_frac"] = float((etas > 0.99).mean())
+        stats = {
+            "theta_min": float(theta.min()),
+            "eta_lo_frac": float((etas < 0.01).mean()),
+            "eta_hi_frac": float((etas > 0.99).mean()),
+            "omega_fallback": fallback,
+            "rescued_volume": resc_vol,
+            "rescued_trace": resc_tr,
+            "rescued_points": resc_pt,
+            "rescued_edges": resc_e,
+        }
 
         upt_new = upt - dt * self.tables.point_sums(b)
 
@@ -249,22 +244,9 @@ class Stepper:
 
         bflux = (bf0 + bf1) / 6.0 + (2.0 / 3.0) * bf2
         stats = {
-            "theta_min": min(s["theta_min"] for s in (st0, st1, st2)),
-            "eta_lo_frac": float(
-                np.mean([s["eta_lo_frac"] for s in (st0, st1, st2)])
-            ),
-            "eta_hi_frac": float(
-                np.mean([s["eta_hi_frac"] for s in (st0, st1, st2)])
-            ),
+            key: _STEP_REDUCE.get(key, sum)([s[key] for s in (st0, st1, st2)])
+            for key in st0
         }
-        for key in (
-            "omega_fallback",
-            "rescued_volume",
-            "rescued_trace",
-            "rescued_points",
-            "rescued_edges",
-        ):
-            stats[key] = sum(s[key] for s in (st0, st1, st2))
         return ub3, up3, bflux, stats
 
     # -- driver ---------------------------------------------------------------------

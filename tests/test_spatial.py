@@ -7,9 +7,10 @@ import pytest
 
 from triblend.boundary import BoundaryHandler, FarField, Outflow, Wall
 from triblend.exceptions import ConfigError
+from triblend.mesh import triangle_geometry
 from triblend.meshgen import rect_mesh
 from triblend.models import Euler, LinearAdvection
-from triblend.spatial_ho import HighOrder, Tables
+from triblend.spatial_ho import SUB_DOFS, HighOrder, Tables
 from triblend.spatial_lo import LowOrder
 from triblend.timeloop import Stepper, initialize
 
@@ -39,14 +40,127 @@ def euler_field(xy):
     return m.conserved(rho, vx, vy, p)
 
 
+def fan_corners(mesh):
+    """Corners (NT, 6, 3, 2) of the median-fan sub-triangles, CCW."""
+    outer = mesh.point_xy[mesh.tri_point_dofs][:, SUB_DOFS]  # (NT, 6, 2, 2)
+    centroid = np.broadcast_to(mesh.centroids[:, None, None], outer[:, :, :1].shape)
+    return np.concatenate([outer, centroid], axis=2)
+
+
 def test_sub_triangle_areas(small_mesh):
-    tb = Tables(small_mesh)
-    assert np.allclose(tb.SUB_AREA, small_mesh.areas[:, None] / 6.0, rtol=1e-13)
+    # LowOrder takes |S| = |K| / 6 for every sub-triangle of the fan.
+    area, _ = triangle_geometry(fan_corners(small_mesh))
+    assert np.allclose(area, small_mesh.areas[:, None] / 6.0, rtol=1e-13)
 
 
 def test_sub_normals_sum_zero(small_mesh):
-    tb = Tables(small_mesh)
-    assert np.abs(tb.SUB_NORMAL.sum(axis=2)).max() < 1e-12
+    # LowOrder takes the edge-scaled inward normals of S as SUB_G |K| / 3:
+    # each is the opposite edge of S turned inward, and the three close.
+    mesh = small_mesh
+    tb = Tables(mesh)
+    normals = tb.SUB_G * (mesh.areas[:, None, None, None] / 3.0)
+    xy = fan_corners(mesh)
+    for m in range(3):
+        d = xy[:, :, (m + 2) % 3] - xy[:, :, (m + 1) % 3]
+        inward = np.stack([-d[..., 1], d[..., 0]], axis=-1)
+        assert np.abs(normals[:, :, m] - inward).max() < 1e-14
+    assert np.abs(normals.sum(axis=2)).max() < 1e-12
+
+
+def reference_phi(ho, ubar, upt, t):
+    """Phi from per-element mapped tables, as stored before the reference
+    operators: DVOL_MAT[k, j, (q, d)] = w_q (grad phi_j)_d and
+    W_EDGE_MAT[k, j, (l, q)] = s_{k,l} |e_{k,l}| w_q phi_j on each local
+    edge in the element's orientation."""
+    tb, model = ho.t, ho.model
+    mesh = tb.mesh
+    nt, nv = ubar.shape
+    dvol = np.einsum("q,qjm,kmd->kjqd", tb.wq_vol, tb.DPHI_V, mesh.grad_lambda)
+    dvol_mat = dvol.reshape(nt, 7, -1)
+    oi = (1 - mesh.tri_edge_orient) // 2
+    phi_per = tb.PHI_E[oi, np.arange(3)]  # (NT, 3, nqe, 7)
+    fac = mesh.tri_edge_orient * mesh.edge_length[mesh.tri_edges]
+    w_edge = phi_per * tb.wq_edge[:, None] * fac[..., None, None]
+    w_edge_mat = w_edge.reshape(nt, 3 * tb.nqe, 7).swapaxes(1, 2)
+
+    coef = tb.coefficients(ubar, upt)
+    fq = model.flux(tb.PHI_V @ coef, tb.XY_V)  # (NT, nqv, nv, 2)
+    vol = -(dvol_mat @ fq.swapaxes(2, 3).reshape(nt, -1, nv))
+    vol *= mesh.areas[:, None, None]
+    fluxhat, _, _ = ho.interface_fluxes(ubar, upt, t)
+    surf = w_edge_mat @ fluxhat[mesh.tri_edges].reshape(nt, -1, nv)
+    return (tb.P @ (vol + surf)) / mesh.areas[:, None, None]
+
+
+@pytest.mark.parametrize("which", ["euler", "advection"])
+def test_ho_residual_matches_per_element_tables(small_mesh, which):
+    mesh = small_mesh
+    if which == "euler":
+        model = Euler()
+        u0 = euler_field
+        bc = {"out": FarField(lambda x, t: euler_field(x))}
+    else:
+        model = LinearAdvection(rotation_velocity)
+
+        def u0(xy):
+            return np.sin(2 * np.pi * xy[..., 0:1]) * np.cos(np.pi * xy[..., 1:2])
+
+        bc = {"out": Outflow()}
+    tb = Tables(mesh)
+    ho = HighOrder(tb, model, BoundaryHandler(mesh, model, bc))
+    ubar, upt = initialize(tb, u0)
+    # Perturb so that no DoF follows a smooth field.
+    rng = np.random.default_rng(4)
+    ubar = ubar * (1.0 + 0.05 * rng.standard_normal(ubar.shape))
+    upt = upt * (1.0 + 0.05 * rng.standard_normal(upt.shape))
+    got = ho.compute(ubar, upt, 0.0).Phi
+    want = reference_phi(ho, ubar, upt, 0.0)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_edge_side_gradients_exact_on_quadratics(small_mesh):
+    # Quadratics lie in the element space, so both sides of every interior
+    # edge see the exact gradient and Hessian.
+    mesh = small_mesh
+    tb = Tables(mesh)
+    # u_v = c0 + c1 x + c2 y + c3 x^2 + c4 x y + c5 y^2 for two variables v.
+    c = np.array(
+        [[0.3, -1.2, 0.7, 2.0, -0.5, 1.5], [1.0, 0.4, -2.0, -1.0, 3.0, 0.25]]
+    )
+
+    def u(xy):
+        x, y = xy[..., 0:1], xy[..., 1:2]
+        c0, c1, c2, c3, c4, c5 = c.T
+        return c0 + c1 * x + c2 * y + c3 * x * x + c4 * x * y + c5 * y * y
+
+    ubar, upt = initialize(tb, u)
+    edges = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
+    grad, hess = tb.edge_side_gradients(tb.coefficients(ubar, upt), edges)
+    x, y = tb.XY_E[edges].T  # (nqe, E)
+    _, c1, c2, c3, c4, c5 = c.T[:, :, None, None]  # (nv, 1, 1)
+    want_grad = np.stack([c1 + 2 * c3 * x + c4 * y, c2 + c4 * x + 2 * c5 * y])
+    want_hess = np.stack([2 * c3, c4, 2 * c5])
+    assert grad.shape == (2, 2, 2, tb.nqe, len(edges))
+    assert hess.shape == (2, 3, 2, tb.nqe, len(edges))
+    for s in range(2):
+        assert np.abs(grad[s] - want_grad).max() < 1e-11
+        assert np.abs(hess[s] - want_hess).max() < 1e-9
+
+
+def test_static_bytes_per_triangle():
+    # The element terms come from reference tables and the affine map, so
+    # the spatial operators hold at most 1 KB of arrays per triangle.
+    mesh = named(rect_mesh((0.0, 1.0, 0.0, 1.0), 32, jitter=0.25, seed=2))
+    assert mesh.num_tris >= 2000
+    model = Euler()
+    stepper = Stepper(mesh, model, BoundaryHandler(mesh, model, {"out": Outflow()}))
+    total = sum(
+        v.nbytes
+        for obj in (stepper.tables, stepper.ho, stepper.lo)
+        for v in vars(obj).values()
+        if isinstance(v, np.ndarray)
+    )
+    assert total / mesh.num_tris <= 1024
 
 
 def test_ho_average_row_equals_edge_flux_balance(small_mesh):
