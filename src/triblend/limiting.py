@@ -340,7 +340,7 @@ def blend_point_residuals(tables, domain, upt, Phi_lo, Wpt, theta, dt):
     whenever the DoF states already are.
     """
     mesh = tables.mesh
-    u_loc = upt[mesh.tri_point_dofs]  # (NT, 6, nv)
+    u_loc = np.take(upt, mesh.tri_point_dofs, axis=0)  # (NT, 6, nv)
     share = (mesh.areas[:, None] / 9.0) / mesh.point_area[
         mesh.tri_point_dofs
     ]  # (NT, 6) convex weights s_K

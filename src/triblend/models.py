@@ -10,10 +10,15 @@ Every model exposes the same informal interface over arrays whose last axis
     sign_jac_normal(...)    -- matrix sign of the above
     max_wavespeed(u, n, xy) -- (...,) spectral bound for |n| = 1 scaling;
                                the value scales linearly with |n|
+    static_signs            -- True when sign_jac_normal does not depend
+                               on u, so callers may evaluate it once
 
 `xy` carries physical coordinates for models with space-dependent flux;
 models that do not need it ignore the argument.  Leading dimensions
-broadcast everywhere.
+broadcast everywhere.  A result that does not depend on the state, such as
+the wave speed of a linear flux, has only the dimensions its inputs give
+it: `jac_normal`, `sign_jac_normal` and `max_wavespeed` are broadcastable
+against the leading dimensions of u, not materialized over them.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ class LinearAdvection:
     """u_t + div(a(x) u) = 0 with divergence-free velocity a."""
 
     nvars = 1
+    static_signs = True
 
     def __init__(self, velocity):
         """velocity: (2,) constant or callable xy -> (..., 2)."""
@@ -45,32 +51,34 @@ class LinearAdvection:
         a = self.velocity_at(xy)
         return u[..., :, None] * a[..., None, :]
 
+    def _normal_speed(self, n, xy):
+        """a(xy) . n, in the broadcast shape of the leading dims of n, xy."""
+        a = self.velocity_at(xy)
+        return a[..., 0] * n[..., 0] + a[..., 1] * n[..., 1]
+
     def flux_normal(self, u, n, xy):
-        an = np.sum(self.velocity_at(xy) * n, axis=-1)
-        return u * an[..., None]
+        return u * self._normal_speed(n, xy)[..., None]
 
     def jac_normal(self, u, n, xy):
-        an = np.sum(self.velocity_at(xy) * n, axis=-1)
-        return an[..., None, None] * np.ones_like(u[..., None])
+        return self._normal_speed(n, xy)[..., None, None]
 
     def sign_jac_normal(self, u, n, xy):
         return np.sign(self.jac_normal(u, n, xy))
 
     def max_wavespeed(self, u, n, xy):
-        return np.abs(np.sum(self.velocity_at(xy) * n, axis=-1)) * np.ones(
-            u.shape[:-1]
-        )
+        return np.abs(self._normal_speed(n, xy))
 
     def jac_apply(self, u, w, xy):
         """sum_d A_d(u) w[..., d] for the gradient-like tensor w (..., 1, 2)."""
-        a = self.velocity_at(xy)
-        return np.sum(a[..., None, :] * w, axis=-1)
+        a = self.velocity_at(xy)[..., None, :]
+        return a[..., 0] * w[..., 0] + a[..., 1] * w[..., 1]
 
 
 class KPP:
     """The rotating non-convex scalar flux f(u) = (sin u, cos u)."""
 
     nvars = 1
+    static_signs = False
 
     def flux(self, u, xy=None):
         out = np.empty(u.shape + (2,))
@@ -91,7 +99,7 @@ class KPP:
     def max_wavespeed(self, u, n, xy=None):
         # |f'(u) . n| <= |n| for every state: use the global bound, which is
         # what the dissipation argument for this non-convex flux needs.
-        return np.linalg.norm(n, axis=-1) * np.ones(u.shape[:-1])
+        return np.linalg.norm(n, axis=-1)
 
     def jac_apply(self, u, w, xy=None):
         return np.cos(u) * w[..., 0] - np.sin(u) * w[..., 1]
@@ -124,6 +132,7 @@ class Euler:
     """
 
     nvars = 4
+    static_signs = False
 
     def __init__(self, gamma: float = 1.4):
         self.gamma = float(gamma)

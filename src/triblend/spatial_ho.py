@@ -96,6 +96,8 @@ class Tables:
         self.DPHI_V = basis_grad_bary(vr.points)  # (nqv, 7, 3)
         tri_xy = mesh.verts[mesh.tris]  # (NT, 3, 2)
         self.XY_V = np.einsum("qm,kmd->kqd", vr.points, tri_xy)
+        # Positions of each element's point DoFs: (NT, 6, 2).
+        self.XY_PT = np.take(mesh.point_xy, mesh.tri_point_dofs, axis=0)
         # With lambda_2 = 1 - lambda_0 - lambda_1, grad(phi_j) is
         # sum_a (d phi_j / d lambda_a - d phi_j / d lambda_2) grad(lambda_a)
         # over a = 0, 1.  VOL_OP[(a, j), q] holds P times the weighted
@@ -211,13 +213,13 @@ class Tables:
         coef = np.empty(
             (self.mesh.num_tris, 7, ubar.shape[-1]), dtype=ubar.dtype
         )
-        coef[:, :6] = upt[self.mesh.tri_point_dofs]
+        coef[:, :6] = np.take(upt, self.mesh.tri_point_dofs, axis=0)
         coef[:, 6] = ubar
         return coef
 
     def edge_traces(self, upt: np.ndarray) -> np.ndarray:
         """Single-valued traces at the edge quadrature points: (NE, nqe, nv)."""
-        return self.N1D @ upt[self.edge_dofs]
+        return self.N1D @ np.take(upt, self.edge_dofs, axis=0)
 
     def point_sums(self, x: np.ndarray) -> np.ndarray:
         """Sum element point-DoF values (NT, 6, ...) per point: (NP, ...)."""
@@ -291,6 +293,9 @@ class HighOrder:
         # Domain used only to keep quadrature-state flux evaluations finite
         # (gas dynamics can NaN on overshoots); scalar models skip this.
         self.enforce_domain = enforce_domain
+        # (omega, fallback count), kept after the first call when the
+        # model's sign matrices do not depend on the state.
+        self._static_omega = None
 
     # -- pieces ---------------------------------------------------------------
 
@@ -337,7 +342,7 @@ class HighOrder:
             )
         return fluxhat, trace, rescued
 
-    def omega_weights(self, upt, xy_pts):
+    def omega_weights(self, upt):
         """Upwind weights: (NT, 6, nv, nv) plus the fallback-point count.
 
         Each incident element contributes the candidate weight
@@ -362,12 +367,19 @@ class HighOrder:
         element-DoF -> point operator with unit entries, so they add in the
         order np.add.at would.  Patch sums that are not finite fall back
         before any inversion.
+
+        The weights depend on the state only through the sign matrices.
+        For a model with `static_signs` (linear advection in a fixed
+        velocity field) they are built on the first call and the same
+        read-only array and count are returned after that.
         """
+        if self._static_omega is not None:
+            return self._static_omega
         tb = self.t
         mesh = tb.mesh
         nv = upt.shape[-1]
-        u_loc = upt[mesh.tri_point_dofs]  # (NT, 6, nv)
-        S = self.model.sign_jac_normal(u_loc, tb.DOF_NORMAL, xy_pts)
+        u_loc = np.take(upt, mesh.tri_point_dofs, axis=0)  # (NT, 6, nv)
+        S = self.model.sign_jac_normal(u_loc, tb.DOF_NORMAL, tb.XY_PT)
         eps = (
             0.5 * mesh.areas if self.eps_policy == "area" else np.zeros(mesh.num_tris)
         )
@@ -392,7 +404,7 @@ class HighOrder:
                 X, axis=(1, 2)
             )
             bad_pt[ok] = ~np.isfinite(cond) | (cond > COND_CAP)
-        omega = inv[mesh.tri_point_dofs] @ Seps
+        omega = np.take(inv, mesh.tri_point_dofs, axis=0) @ Seps
         norms = np.linalg.norm(omega, axis=(2, 3))
         big = ~np.isfinite(norms) | (norms > OMEGA_CAP)
         bad_pt |= tb.point_sums(big.astype(float)) > 0.0
@@ -402,7 +414,11 @@ class HighOrder:
                 ..., None, None
             ]
             omega = np.where(fb[..., None, None], unit, omega)
-        return omega, int(bad_pt.sum())
+        result = (omega, int(bad_pt.sum()))
+        if self.model.static_signs:
+            omega.flags.writeable = False
+            self._static_omega = result
+        return result
 
     # -- full residual ----------------------------------------------------------
 
@@ -441,8 +457,7 @@ class HighOrder:
         )[..., None, None]
         Phi += tb.SURF_OP @ fh.reshape(nt, 3 * nqe, nv)
 
-        xy_pts = mesh.point_xy[mesh.tri_point_dofs]
-        omega, fb = self.omega_weights(upt, xy_pts)
+        omega, fb = self.omega_weights(upt)
         Wpt = (omega @ Phi[:, :6, :, None])[..., 0]
 
         F_edge = np.einsum(

@@ -79,7 +79,8 @@ class LowOrder:
     def point_residuals(self, ubar, upt):
         tb = self.t
         mesh = tb.mesh
-        outer = upt[mesh.tri_point_dofs][:, SUB_DOFS]  # (NT, 6, 2, nv)
+        u_loc = np.take(upt, mesh.tri_point_dofs, axis=0)  # (NT, 6, nv)
+        outer = u_loc[:, SUB_DOFS]  # (NT, 6, 2, nv)
         U = np.concatenate(
             [outer, np.broadcast_to(ubar[:, None, None, :], outer[:, :, :1].shape)],
             axis=2,

@@ -82,7 +82,6 @@ class Stepper:
 
         self._inradius = mesh.inradius()
         self._normals = self.tables.DOF_NORMAL[:, 3:]  # unit outward, (NT, 3, 2)
-        self._xy_pts = mesh.point_xy[mesh.tri_point_dofs]
 
         # Limiter diagnostics from the most recent rk3_step.
         self.last_theta = np.ones(mesh.num_tris)
@@ -95,10 +94,10 @@ class Stepper:
         """CFL * min over elements of inradius / max local wavespeed."""
         mesh = self.mesh
         states = np.concatenate(
-            [upt[mesh.tri_point_dofs], ubar[:, None, :]], axis=1
+            [np.take(upt, mesh.tri_point_dofs, axis=0), ubar[:, None, :]], axis=1
         )  # (NT, 7, nv)
         xy = np.concatenate(
-            [self._xy_pts, mesh.centroids[:, None, :]], axis=1
+            [self.tables.XY_PT, mesh.centroids[:, None, :]], axis=1
         )
         speeds = self.model.max_wavespeed(
             states[:, :, None, :], self._normals[:, None, :, :], xy[:, :, None, :]

@@ -51,6 +51,57 @@ def test_advection_callable_velocity():
     assert m.flux_normal(u, n, xy)[0, 0] == pytest.approx(-np.pi, rel=1e-14)
 
 
+def rotation(xy):
+    return np.stack([0.5 - xy[..., 1], xy[..., 0] - 0.5], axis=-1)
+
+
+@pytest.mark.parametrize(
+    "velocity", [np.array([0.7, -1.3]), rotation], ids=["constant", "callable"]
+)
+def test_advection_matches_summed_forms_bitwise(velocity):
+    # The component form a_x n_x + a_y n_y gives bitwise what the sum over
+    # the xy axis gives.  The state-independent results keep only the
+    # dimensions of n and xy, and broadcast against the leading dims of u.
+    m = LinearAdvection(velocity)
+    u = RNG.standard_normal((6, 5, 4, 1))
+    n = RNG.standard_normal((6, 1, 4, 2))
+    xy = RNG.random((6, 1, 1, 2))
+    w = RNG.standard_normal((6, 5, 4, 1, 2))
+    lead = np.broadcast_shapes(n.shape[:-1], xy.shape[:-1])
+    a = m.velocity_at(xy)
+    an = np.sum(a * n, axis=-1)
+    jac = an[..., None, None] * np.ones_like(u[..., None])
+    want = {
+        "flux_normal": u * an[..., None],
+        "jac_normal": jac,
+        "sign_jac_normal": np.sign(jac),
+        "max_wavespeed": np.abs(an) * np.ones(u.shape[:-1]),
+    }
+    shapes = {
+        "flux_normal": u.shape,
+        "jac_normal": lead + (1, 1),
+        "sign_jac_normal": lead + (1, 1),
+        "max_wavespeed": lead,
+    }
+    for name, ref in want.items():
+        got = getattr(m, name)(u, n, xy)
+        assert got.shape == shapes[name], name
+        got = np.ascontiguousarray(np.broadcast_to(got, ref.shape))
+        assert got.tobytes() == ref.tobytes(), name
+    got = m.jac_apply(u, w, xy)
+    ref = np.sum(a[..., None, :] * w, axis=-1)
+    assert got.shape == ref.shape == u.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_kpp_wave_speed_broadcasts_against_u():
+    u = RNG.random((5, 3, 1))
+    n = random_unit_normals(5)[:, None, :] * 2.0
+    speed = KPP().max_wavespeed(u, n)
+    assert speed.shape == (5, 1)
+    assert np.array_equal(speed, np.linalg.norm(n, axis=-1))
+
+
 def test_kpp_jacobian_fd():
     m = KPP()
     u = RNG.random((40, 1)) * 7.0

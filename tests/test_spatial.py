@@ -196,7 +196,7 @@ def test_omega_partition_of_unity(small_mesh, eps_policy, which):
         upt = np.sin(3 * mesh.point_xy[:, 0:1] + mesh.point_xy[:, 1:2])
     tb = Tables(mesh)
     ho = HighOrder(tb, model, eps_policy=eps_policy)
-    omega, _fb = ho.omega_weights(upt, mesh.point_xy[mesh.tri_point_dofs])
+    omega, _fb = ho.omega_weights(upt)
     nv = model.nvars
     tot = np.zeros((mesh.num_points, nv, nv))
     np.add.at(tot, mesh.tri_point_dofs, omega)
@@ -230,19 +230,59 @@ def test_omega_nonfinite_patch_sum_falls_back_quietly(small_mesh):
     upt = euler_field(mesh.point_xy)
     tb = Tables(mesh)
     ho = HighOrder(tb, model)
-    xy = mesh.point_xy[mesh.tri_point_dofs]
-    omega0, fb0 = ho.omega_weights(upt, xy)
+    omega0, fb0 = ho.omega_weights(upt)
     bad = int(np.flatnonzero(~mesh.boundary_point_mask)[0])
     upt[bad] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        omega, fb = ho.omega_weights(upt, xy)
+        omega, fb = ho.omega_weights(upt)
     hit = mesh.tri_point_dofs == bad
     count = hit.sum()
     assert fb == fb0 + 1
     unit = np.broadcast_to(np.eye(4) / count, (count, 4, 4))
     assert np.array_equal(omega[hit], unit)
     assert np.array_equal(omega[~hit], omega0[~hit])
+
+
+@pytest.mark.parametrize("which", ["advection", "euler"])
+def test_omega_built_once_for_static_signs(small_mesh, monkeypatch, which):
+    # Linear advection's sign matrices do not depend on the state, so its
+    # weights are built on the first call and reused; Euler's are rebuilt
+    # on every call.  Either way they equal a fresh operator's bitwise.
+    mesh = small_mesh
+    if which == "euler":
+        model = Euler()
+        fields = [euler_field, lambda xy: euler_field(xy[..., ::-1])]
+    else:
+        model = LinearAdvection(rotation_velocity)
+        fields = [
+            lambda xy: np.sin(3 * xy[..., 0:1] + xy[..., 1:2]),
+            lambda xy: np.exp(-xy[..., 0:1] ** 2) * xy[..., 1:2],
+        ]
+    bc = BoundaryHandler(mesh, model, {"out": Outflow()})
+    tb = Tables(mesh)
+    ho = HighOrder(tb, model, bc)
+    calls = []
+    sign = model.sign_jac_normal
+
+    def counted(*args):
+        calls.append(1)
+        return sign(*args)
+
+    monkeypatch.setattr(model, "sign_jac_normal", counted)
+    for field in fields:
+        ubar, upt = initialize(tb, field)
+        got = ho.compute(ubar, upt, 0.0)
+    assert len(calls) == (1 if which == "advection" else len(fields))
+    fresh = HighOrder(tb, model, bc)
+    want = fresh.compute(ubar, upt, 0.0)
+    assert np.array_equal(got.Wpt, want.Wpt)
+    assert got.omega_fallback_points == want.omega_fallback_points
+    omega, fb = ho.omega_weights(upt)
+    omega_fresh, fb_fresh = fresh.omega_weights(upt)
+    assert omega.tobytes() == omega_fresh.tobytes()
+    assert fb == fb_fresh
+    assert omega.flags.writeable == (which == "euler")
 
 
 def test_wall_flux_has_no_mass_or_energy_component(small_mesh):
