@@ -36,9 +36,6 @@ from fractions import Fraction
 
 import numpy as np
 
-NUM_LOCAL_DOFS = 7
-AVG = 6  # index of the average DoF
-
 # Barycentric coordinates of the six point DoFs.
 POINT_DOF_BARY = np.array(
     [

@@ -1,19 +1,20 @@
 """Weak boundary conditions via flux substitution.
 
-Boundary edges replace the interface flux f(trace) . n in every residual
-row by a boundary flux built from the interior trace and a ghost state:
+Each boundary kind maps the interior state to one exterior (ghost) state,
+and a two-state flux of interior and ghost replaces the interface flux
+f(trace) . n in every residual row:
 
-* far field -- prescribed exterior state u_b(x, t).  For gas dynamics the
-  flux splits characteristically (flux-vector splitting using homogeneity),
-  f^+(trace) . n + f^-(u_b) . n; scalar models use the local
-  Lax-Friedrichs combination, which reduces to exact upwinding for linear
-  advection.
-* slip wall -- mirror the momentum about the wall plane and take the local
-  Lax-Friedrichs flux against the mirrored state; mass and energy
-  components cancel identically, leaving pressure plus a penalty on v . n.
-* outflow -- ghost equals trace: plain f(trace) . n.
+* far field -- the prescribed exterior state u_b(x, t);
+* slip wall -- the interior state with its momentum mirrored about the
+  wall plane, so the mass and energy components of the flux cancel and
+  leave pressure plus a penalty on v . n;
+* outflow -- the interior state itself.
 
-The same ghost constructions close the low-order average scheme.
+The two-state flux is local Lax-Friedrichs (exact upwinding for linear
+advection), except at a gas far field, where it is the Steger-Warming split
+f^+(trace) . n + f^-(u_b) . n.  The high-order outflow flux is plain
+f(trace) . n, which is what local Lax-Friedrichs gives for equal states.
+The low-order averages take the same ghost states against their LLF flux.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from .exceptions import ConfigError
 from .mesh import Mesh
+from .models import llf_flux
 
 
 class FarField:
@@ -75,20 +77,16 @@ class BoundaryHandler:
             nm: np.flatnonzero(bnames == nm) for nm in self.bcs
         }
 
-    def _split_flux(self, u_in, u_out, n, x):
-        """Upwind-flavoured two-state boundary flux, broadcasting shapes."""
-        m = self.model
-        if hasattr(m, "flux_normal_split"):
-            return m.flux_normal_split(u_in, n, +1) + m.flux_normal_split(
-                u_out, n, -1
-            )
-        alpha = np.maximum(
-            m.max_wavespeed(u_in, n, x), m.max_wavespeed(u_out, n, x)
-        )
-        central = 0.5 * (
-            m.flux_normal(u_in, n, x) + m.flux_normal(u_out, n, x)
-        )
-        return central - 0.5 * alpha[..., None] * (u_out - u_in)
+    @staticmethod
+    def _ghost(bc, u, n, x, t):
+        """Exterior state of boundary condition bc for interior states u."""
+        if bc.kind == "outflow":
+            return u
+        if bc.kind == "wall":
+            return _reflect(u, n)
+        if bc.kind == "farfield":
+            return bc.exterior(x, t)
+        raise ConfigError(f"unknown boundary kind {bc.kind!r}")
 
     def ho_flux(self, trace, n, xq, t):
         """Boundary fluxes at edge quadrature points.
@@ -107,21 +105,17 @@ class BoundaryHandler:
             nn = nq[idx]
             xx = xq[idx]
             if bc.kind == "outflow":
+                # LLF of two equal states, without its wave speeds: unlimited
+                # runs can leave traces on which those are not finite.
                 out[idx] = m.flux_normal(tr, nn, xx)
-            elif bc.kind == "wall":
-                ghost = _reflect(tr, nn)
-                alpha = np.maximum(
-                    m.max_wavespeed(tr, nn, xx),
-                    m.max_wavespeed(ghost, nn, xx),
+                continue
+            ghost = self._ghost(bc, tr, nn, xx, t)
+            if bc.kind == "farfield" and hasattr(m, "flux_normal_split"):
+                out[idx] = m.flux_normal_split(tr, nn, +1) + m.flux_normal_split(
+                    ghost, nn, -1
                 )
-                out[idx] = 0.5 * (
-                    m.flux_normal(tr, nn, xx) + m.flux_normal(ghost, nn, xx)
-                ) - 0.5 * alpha[..., None] * (ghost - tr)
-            elif bc.kind == "farfield":
-                ub = bc.exterior(xx, t)
-                out[idx] = self._split_flux(tr, ub, nn, xx)
-            else:  # pragma: no cover - new kinds must be handled explicitly
-                raise ConfigError(f"unknown boundary kind {bc.kind!r}")
+            else:
+                out[idx] = llf_flux(m, tr, ghost, nn, xx)
         return out
 
     def ghost_average(self, ubar0, n, xmid, t):
@@ -130,13 +124,5 @@ class BoundaryHandler:
         for nm, idx in self.groups.items():
             if len(idx) == 0:
                 continue
-            bc = self.bcs[nm]
-            if bc.kind == "outflow":
-                out[idx] = ubar0[idx]
-            elif bc.kind == "wall":
-                out[idx] = _reflect(ubar0[idx], n[idx])
-            elif bc.kind == "farfield":
-                out[idx] = bc.exterior(xmid[idx], t)
-            else:  # pragma: no cover
-                raise ConfigError(f"unknown boundary kind {bc.kind!r}")
+            out[idx] = self._ghost(self.bcs[nm], ubar0[idx], n[idx], xmid[idx], t)
         return out

@@ -226,24 +226,12 @@ def _component_denominators(model, ubar, upt, areas):
     allv = np.concatenate([upt, ubar], axis=0)
     mean = areas @ ubar / areas.sum()
     dev = allv - mean
-    nv = model.nvars
-    if nv == 1:
-        den = np.abs(dev[:, 0]).max()
-        ok = den > 1e-12 * max(1.0, abs(float(mean[0])))
-        return np.array([den if ok else 0.0])
-    dr = np.abs(dev[:, 0]).max()
-    dE = np.abs(dev[:, 3]).max()
-    dm = np.hypot(dev[:, 1], dev[:, 2]).max()
-    mscale = max(1.0, float(np.hypot(mean[1], mean[2])))
-    dens = np.array(
-        [
-            dr if dr > 1e-12 * max(1.0, abs(float(mean[0]))) else 0.0,
-            dm if dm > 1e-12 * mscale else 0.0,
-            dm if dm > 1e-12 * mscale else 0.0,
-            dE if dE > 1e-12 * max(1.0, abs(float(mean[3]))) else 0.0,
-        ]
-    )
-    return dens
+    den = np.abs(dev).max(axis=0)
+    scale = np.maximum(1.0, np.abs(mean))
+    if model.nvars == 4:
+        den[1:3] = np.hypot(dev[:, 1], dev[:, 2]).max()
+        scale[1:3] = max(1.0, float(np.hypot(mean[1], mean[2])))
+    return np.where(den > 1e-12 * scale, den, 0.0)
 
 
 def damping_sigma(tables, model, coef, ubar, upt, c1=1.0, c2=1.0):
@@ -332,15 +320,15 @@ def damping_theta(tables, model, coef, ubar, upt, trace_u, dt, c1=1.0, c2=1.0):
 # ---------------------------------------------------------------------------
 
 
-def blend_point_residuals(tables, domain, upt, Phi_lo, Wpt, theta, dt):
+def blend_point_residuals(tables, domain, u_loc, Phi_lo, Wpt, theta, dt):
     """Blend low/high point residuals per (element, local DoF).
 
-    Returns (b (NT, 6, nv), eta (NT, 6), n_rescued) with the final update
+    u_loc (NT, 6, nv) holds each element's point-DoF states.  Returns
+    (b (NT, 6, nv), eta (NT, 6), n_rescued) with the final update
     u' = u - dt * sum_K b_K guaranteed inside `domain` (up to round-off)
     whenever the DoF states already are.
     """
     mesh = tables.mesh
-    u_loc = np.take(upt, mesh.tri_point_dofs, axis=0)  # (NT, 6, nv)
     share = (mesh.areas[:, None] / 9.0) / mesh.point_area[
         mesh.tri_point_dofs
     ]  # (NT, 6) convex weights s_K
@@ -373,21 +361,17 @@ def blend_average_fluxes(tables, domain, ubar, F_lo, F_ho, theta, dt):
     mesh = tables.mesh
     interior = mesh.edge_tris[:, 1] >= 0
 
-    def side_quantities(F):
-        cands = []
-        for s, sign in ((0, 1.0), (1, -1.0)):
-            k = np.clip(mesh.edge_tris[:, s], 0, None)
-            fac = 3.0 * dt / mesh.areas[k] * sign
-            cands.append((ubar[k], fac, k))
-        return cands
-
-    sides = side_quantities(F_lo)
+    # Per side: the cell averages and the candidate step factors.
+    sides = []
+    for s, sign in ((0, 1.0), (1, -1.0)):
+        k = np.clip(mesh.edge_tris[:, s], 0, None)
+        sides.append((ubar[k], 3.0 * dt / mesh.areas[k] * sign))
 
     # Rescue pass: a shared scale on the low-order flux if a candidate
     # leaves the domain (CFL margin breach).
     r = np.ones(len(F_lo))
     n_rescued = 0
-    for s, (ub, fac, _k) in enumerate(sides):
+    for s, (ub, fac) in enumerate(sides):
         c = ub - fac[:, None] * F_lo
         ok = domain.contains(c)
         if s == 1:
@@ -402,7 +386,7 @@ def blend_average_fluxes(tables, domain, ubar, F_lo, F_ho, theta, dt):
 
     dF = F_ho - F_lo
     eta = np.ones(len(F_lo))
-    for s, (ub, fac, _k) in enumerate(sides):
+    for s, (ub, fac) in enumerate(sides):
         c0 = ub - fac[:, None] * F_lo
         eta_s = domain.max_blend(c0, -fac[:, None] * dF)
         if s == 1:

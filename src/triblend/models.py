@@ -19,11 +19,24 @@ broadcast everywhere.  A result that does not depend on the state, such as
 the wave speed of a linear flux, has only the dimensions its inputs give
 it: `jac_normal`, `sign_jac_normal` and `max_wavespeed` are broadcastable
 against the leading dimensions of u, not materialized over them.
+
+`llf_flux` is the local Lax-Friedrichs two-state flux over this interface,
+shared by the low-order averages and the boundary closure.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def llf_flux(model, ul, ur, n, xy):
+    """Local Lax-Friedrichs (Rusanov) flux from ul to ur across n: (..., nv)."""
+    alpha = np.maximum(
+        model.max_wavespeed(ul, n, xy), model.max_wavespeed(ur, n, xy)
+    )
+    central = 0.5 * (model.flux_normal(ul, n, xy) + model.flux_normal(ur, n, xy))
+    return central - 0.5 * alpha[..., None] * (ur - ul)
+
 
 # ---------------------------------------------------------------------------
 # scalar models

@@ -5,14 +5,11 @@ sum to one, so that
 
     integral_T f dA  ~=  area(T) * sum_i w_i * f(lambda_i)
 
-Rules come from two constructions, both with strictly positive weights:
-
-* a 7-point symmetric rule (exact to total degree 5) with closed-form
-  sqrt(15) nodes/weights,
-* Duffy-collapsed tensor Gauss rules for arbitrary degree: the square
-  (u, v) in [0,1]^2 maps to the triangle via x = u, y = v*(1-u) with
-  Jacobian (1-u).  An n x n Gauss grid integrates total degree d exactly
-  whenever 2*n - 1 >= d + 1 (the collapse raises the u-degree by one).
+Every triangle rule is a Duffy-collapsed tensor Gauss rule with strictly
+positive weights: the square (u, v) in [0,1]^2 maps to the triangle via
+x = u, y = v*(1-u) with Jacobian (1-u).  An n x n Gauss grid integrates
+total degree d exactly whenever 2*n - 1 >= d + 1 (the collapse raises the
+u-degree by one).
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from numpy.polynomial.legendre import leggauss
 
 @dataclass(frozen=True)
 class TriangleRule:
-    """Symmetric quadrature rule on the unit-area reference triangle.
+    """Positive-weight quadrature rule on the unit-area reference triangle.
 
     points: (n, 3) barycentric coordinates; weights: (n,) summing to 1.
     """
@@ -43,30 +40,6 @@ class EdgeRule:
     degree: int
     points: np.ndarray
     weights: np.ndarray
-
-
-def _rule_midpoints() -> TriangleRule:
-    pts = np.array(
-        [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]], dtype=float
-    )
-    w = np.full(3, 1.0 / 3.0)
-    return TriangleRule(2, pts, w)
-
-
-def _rule_seven_point() -> TriangleRule:
-    s15 = math.sqrt(15.0)
-    a1 = (6.0 - s15) / 21.0
-    a2 = (6.0 + s15) / 21.0
-    w1 = (155.0 - s15) / 1200.0
-    w2 = (155.0 + s15) / 1200.0
-
-    def orbit(a: float) -> list[list[float]]:
-        b = 1.0 - 2.0 * a
-        return [[b, a, a], [a, b, a], [a, a, b]]
-
-    pts = np.array([[1 / 3, 1 / 3, 1 / 3]] + orbit(a1) + orbit(a2))
-    w = np.array([9.0 / 40.0] + [w1] * 3 + [w2] * 3)
-    return TriangleRule(5, pts, w)
 
 
 def _rule_duffy(n: int) -> TriangleRule:
@@ -86,10 +59,6 @@ def _rule_duffy(n: int) -> TriangleRule:
 
 def triangle_rule(degree: int) -> TriangleRule:
     """Return a positive-weight rule exact for polynomials of total `degree`."""
-    if degree <= 2:
-        return _rule_midpoints()
-    if degree <= 5:
-        return _rule_seven_point()
     n = (degree + 3) // 2  # smallest n with 2n - 2 >= degree
     return _rule_duffy(n)
 

@@ -50,9 +50,12 @@ EDGE_POINTS = 3
 OMEGA_CAP = 4.0
 COND_CAP = 1e8
 
-# Sub-triangle fan used by the low-order scheme: (outer1, outer2, centroid),
-# outer corners given as local point-DoF ids, ordered CCW around K.
-SUB_DOFS = np.array([[0, 3], [3, 1], [1, 4], [4, 2], [2, 5], [5, 0]])
+# Sub-triangle fan used by the low-order scheme: (outer1, outer2, centroid)
+# as coefficient ids, ordered CCW around K; id 6 is the cell average, which
+# the fan places at the centroid.
+SUB_CORNERS = np.array(
+    [[0, 3, 6], [3, 1, 6], [1, 4, 6], [4, 2, 6], [2, 5, 6], [5, 0, 6]]
+)
 
 # Cyclic relabelling that makes local edge l local edge 0: coefficient j of
 # the relabelled element is coefficient ROTATE[l, j] of the original one,
@@ -199,9 +202,7 @@ class Tables:
         self.point_count = np.diff(self.point_scatter.indptr).astype(float)
 
         # -- low-order sub-triangle fan ---------------------------------------
-        sub_bary = np.empty((6, 3, 3))
-        sub_bary[:, :2] = POINT_DOF_BARY[SUB_DOFS]
-        sub_bary[:, 2] = 1.0 / 3.0
+        sub_bary = np.vstack([POINT_DOF_BARY, np.full(3, 1.0 / 3.0)])[SUB_CORNERS]
         sub_xy = np.einsum("scm,kmd->kscd", sub_bary, tri_xy)  # (NT,6,3,2)
         _, self.SUB_G = triangle_geometry(sub_xy)  # (NT, 6, 3, 2) P1 gradients
         self.SUB_CENTROID = sub_xy.mean(axis=2)
@@ -290,8 +291,11 @@ class HighOrder:
         self.model = model
         self.bc = bc
         self.eps_policy = eps_policy
-        # Domain used only to keep quadrature-state flux evaluations finite
-        # (gas dynamics can NaN on overshoots); scalar models skip this.
+        # Domain toward which `_rescue_states` pulls inadmissible volume
+        # quadrature states and edge traces before the flux sees them, so
+        # that gas dynamics stays finite on overshoots.  The stepper passes
+        # its enforced domain in every limited mode, scalar models included,
+        # so the rescue also shapes the high-order residual there.
         self.enforce_domain = enforce_domain
         # (omega, fallback count), kept after the first call when the
         # model's sign matrices do not depend on the state.
@@ -324,7 +328,7 @@ class HighOrder:
         )
         return u, int(bad_group.sum())
 
-    def interface_fluxes(self, ubar, upt, t):
+    def interface_fluxes(self, upt, t):
         """Single-valued edge fluxes: (fluxhat (NE, nqe, nv), trace, rescued)."""
         tb = self.t
         mesh = tb.mesh
@@ -342,8 +346,10 @@ class HighOrder:
             )
         return fluxhat, trace, rescued
 
-    def omega_weights(self, upt):
+    def omega_weights(self, u_loc):
         """Upwind weights: (NT, 6, nv, nv) plus the fallback-point count.
+
+        u_loc (NT, 6, nv) holds each element's point-DoF states.
 
         Each incident element contributes the candidate weight
 
@@ -377,8 +383,7 @@ class HighOrder:
             return self._static_omega
         tb = self.t
         mesh = tb.mesh
-        nv = upt.shape[-1]
-        u_loc = np.take(upt, mesh.tri_point_dofs, axis=0)  # (NT, 6, nv)
+        nv = u_loc.shape[-1]
         S = self.model.sign_jac_normal(u_loc, tb.DOF_NORMAL, tb.XY_PT)
         eps = (
             0.5 * mesh.areas if self.eps_policy == "area" else np.zeros(mesh.num_tris)
@@ -422,16 +427,17 @@ class HighOrder:
 
     # -- full residual ----------------------------------------------------------
 
-    def compute(self, ubar, upt, t) -> HOResult:
+    def compute(self, coef, upt, t) -> HOResult:
+        """High-order residuals from the element coefficients coef
+        (NT, 7, nv) and the point values upt they were gathered from."""
         tb = self.t
         mesh = tb.mesh
-        nt, nv = ubar.shape
-        coef = tb.coefficients(ubar, upt)
+        nt, _, nv = coef.shape
 
         # Volume term: VOL_OP against the flux (k, q, (v, d)), then the
         # contraction of (a, d) with -grad(lambda_a).
         uq = tb.PHI_V @ coef  # (NT, nqv, nv)
-        uq, resc_vol = self._rescue_states(uq, ubar, count_axis=1)
+        uq, resc_vol = self._rescue_states(uq, coef[:, 6], count_axis=1)
         fq = self.model.flux(uq, tb.XY_V)  # (NT, nqv, nv, 2)
         T = (tb.VOL_OP @ fq.reshape(nt, fq.shape[1], 2 * nv)).reshape(
             nt, 2, 7, nv, 2
@@ -444,7 +450,7 @@ class HighOrder:
 
         # Surface term: single-valued edge fluxes in each element's own
         # traversal direction, times signed edge length over |K|.
-        fluxhat, trace, resc_tr = self.interface_fluxes(ubar, upt, t)
+        fluxhat, trace, resc_tr = self.interface_fluxes(upt, t)
         nqe = tb.nqe
         q = np.arange(nqe)
         orient = mesh.tri_edge_orient[..., None]
@@ -457,7 +463,7 @@ class HighOrder:
         )[..., None, None]
         Phi += tb.SURF_OP @ fh.reshape(nt, 3 * nqe, nv)
 
-        omega, fb = self.omega_weights(upt)
+        omega, fb = self.omega_weights(coef[:, :6])
         Wpt = (omega @ Phi[:, :6, :, None])[..., 0]
 
         F_edge = np.einsum(

@@ -27,14 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spatial_ho import SUB_DOFS, Tables
+from .models import llf_flux
+from .spatial_ho import SUB_CORNERS, Tables
 
-# Inverse of SUB_DOFS: local point DoF d appears as corner
-# SLOT_CORNER[d, i] of sub-triangle SLOT_SUB[d, i], for i = 0, 1.
+# Inverse of the outer corners of SUB_CORNERS: local point DoF d appears as
+# corner SLOT_CORNER[d, i] of sub-triangle SLOT_SUB[d, i], for i = 0, 1.
 SLOT_SUB = np.empty((6, 2), dtype=np.int64)
 SLOT_CORNER = np.empty((6, 2), dtype=np.int64)
 for _d in range(6):
-    _hits = [(s, c) for s in range(6) for c in range(2) if SUB_DOFS[s, c] == _d]
+    _hits = [(s, c) for s in range(6) for c in range(2) if SUB_CORNERS[s, c] == _d]
     SLOT_SUB[_d] = [h[0] for h in _hits]
     SLOT_CORNER[_d] = [h[1] for h in _hits]
 
@@ -52,39 +53,23 @@ class LowOrder:
         self.bc = bc
 
     def average_fluxes(self, ubar, t):
-        tb = self.t
-        mesh = tb.mesh
+        mesh = self.t.mesh
         u0 = ubar[mesh.edge_tris[:, 0]]
-        u1 = ubar[np.clip(mesh.edge_tris[:, 1], 0, None)].copy()
+        u1 = ubar[np.clip(mesh.edge_tris[:, 1], 0, None)]
         if self.bc is not None:
             be = mesh.boundary_edges
             u1[be] = self.bc.ghost_average(
-                ubar[mesh.edge_tris[be, 0]],
-                mesh.edge_normal[be],
-                mesh.edge_mid[be],
-                t,
+                u0[be], mesh.edge_normal[be], mesh.edge_mid[be], t
             )
-        n = mesh.edge_normal
-        xy = mesh.edge_mid
-        alpha = np.maximum(
-            self.model.max_wavespeed(u0, n, xy),
-            self.model.max_wavespeed(u1, n, xy),
-        )
-        fn = 0.5 * (
-            self.model.flux_normal(u0, n, xy)
-            + self.model.flux_normal(u1, n, xy)
-        ) - 0.5 * alpha[:, None] * (u1 - u0)
+        fn = llf_flux(self.model, u0, u1, mesh.edge_normal, mesh.edge_mid)
         return fn * mesh.edge_length[:, None]
 
-    def point_residuals(self, ubar, upt):
+    def point_residuals(self, coef):
+        """Fan residuals of the point DoFs from the element coefficients
+        coef (NT, 7, nv): (NT, 6, nv)."""
         tb = self.t
         mesh = tb.mesh
-        u_loc = np.take(upt, mesh.tri_point_dofs, axis=0)  # (NT, 6, nv)
-        outer = u_loc[:, SUB_DOFS]  # (NT, 6, 2, nv)
-        U = np.concatenate(
-            [outer, np.broadcast_to(ubar[:, None, None, :], outer[:, :, :1].shape)],
-            axis=2,
-        )
+        U = np.take(coef, SUB_CORNERS, axis=1)  # (NT, 6 subtris, 3 corners, nv)
         ubar_s = U.mean(axis=2)  # (NT, 6, nv)
         grad = U.swapaxes(-1, -2) @ tb.SUB_G  # (NT, 6, nv, 2)
         xy_s = tb.SUB_CENTROID
@@ -111,7 +96,8 @@ class LowOrder:
         Phi /= mesh.point_area[mesh.tri_point_dofs][..., None]
         return Phi
 
-    def compute(self, ubar, upt, t) -> LOResult:
+    def compute(self, coef, t) -> LOResult:
+        """Low-order residuals from the element coefficients (NT, 7, nv)."""
         return LOResult(
-            self.point_residuals(ubar, upt), self.average_fluxes(ubar, t)
+            self.point_residuals(coef), self.average_fluxes(coef[:, 6], t)
         )

@@ -92,12 +92,9 @@ class Stepper:
 
     def compute_dt(self, ubar, upt):
         """CFL * min over elements of inradius / max local wavespeed."""
-        mesh = self.mesh
-        states = np.concatenate(
-            [np.take(upt, mesh.tri_point_dofs, axis=0), ubar[:, None, :]], axis=1
-        )  # (NT, 7, nv)
+        states = self.tables.coefficients(ubar, upt)  # (NT, 7, nv)
         xy = np.concatenate(
-            [self.tables.XY_PT, mesh.centroids[:, None, :]], axis=1
+            [self.tables.XY_PT, self.mesh.centroids[:, None, :]], axis=1
         )
         speeds = self.model.max_wavespeed(
             states[:, :, None, :], self._normals[:, None, :, :], xy[:, :, None, :]
@@ -109,22 +106,23 @@ class Stepper:
 
     def _substep(self, ubar, upt, t, dt):
         mesh = self.mesh
+        # The element-local states, gathered once for every operator.
+        coef = self.tables.coefficients(ubar, upt)  # (NT, 7, nv)
 
         fallback = resc_vol = resc_tr = resc_pt = resc_e = 0
         if self.mode == "lo":
-            lo = self.lo.compute(ubar, upt, t)
+            lo = self.lo.compute(coef, t)
             b = lo.Phi_pt
             F = lo.F_edge
             eta_pt = np.zeros((mesh.num_tris, 6))
             eta_e = np.zeros(mesh.num_edges)
             theta = np.ones(mesh.num_tris)
         else:
-            ho = self.ho.compute(ubar, upt, t)
+            ho = self.ho.compute(coef, upt, t)
             fallback = ho.omega_fallback_points
             resc_vol = ho.rescued_volume_elems
             resc_tr = ho.rescued_trace_edges
             if self.mode == "full":
-                coef = self.tables.coefficients(ubar, upt)
                 theta = damping_theta(
                     self.tables,
                     self.model,
@@ -140,11 +138,11 @@ class Stepper:
                 theta = np.ones(mesh.num_tris)
 
             if self.mode != "ho" and self.enforce_domain is not None:
-                lo = self.lo.compute(ubar, upt, t)
+                lo = self.lo.compute(coef, t)
                 b, eta_pt, resc_pt = blend_point_residuals(
                     self.tables,
                     self.enforce_domain,
-                    upt,
+                    coef[:, :6],
                     lo.Phi_pt,
                     ho.Wpt,
                     theta,
@@ -160,7 +158,7 @@ class Stepper:
                     dt,
                 )
             elif self.mode == "full":
-                lo = self.lo.compute(ubar, upt, t)
+                lo = self.lo.compute(coef, t)
                 b = lo.Phi_pt + theta[:, None, None] * (ho.Wpt - lo.Phi_pt)
                 eta_pt = np.broadcast_to(theta[:, None], (mesh.num_tris, 6))
                 te = np.where(

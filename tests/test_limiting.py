@@ -133,13 +133,16 @@ def test_blended_update_bound_preserving_under_adversarial_ho():
     ubar = rng.random((mesh.num_tris, 1))
     upt = rng.random((mesh.num_points, 1))
     dt = stepper.compute_dt(ubar, upt)
-    res = lo.compute(ubar, upt, 0.0)
+    coef = tb.coefficients(ubar, upt)
+    res = lo.compute(coef, 0.0)
     theta = np.ones(mesh.num_tris)
 
     Wpt = rng.normal(size=(mesh.num_tris, 6, 1)) * 50.0
     F_ho = rng.normal(size=(mesh.num_edges, 1)) * 50.0
 
-    b, eta_pt, _r1 = blend_point_residuals(tb, dom, upt, res.Phi_pt, Wpt, theta, dt)
+    b, eta_pt, _r1 = blend_point_residuals(
+        tb, dom, coef[:, :6], res.Phi_pt, Wpt, theta, dt
+    )
     F, eta_e, _r2 = blend_average_fluxes(tb, dom, ubar, res.F_edge, F_ho, theta, dt)
 
     acc = np.zeros_like(upt)

@@ -9,8 +9,8 @@ from triblend.boundary import BoundaryHandler, FarField, Outflow, Wall
 from triblend.exceptions import ConfigError
 from triblend.mesh import triangle_geometry
 from triblend.meshgen import rect_mesh
-from triblend.models import Euler, LinearAdvection
-from triblend.spatial_ho import SUB_DOFS, HighOrder, Tables
+from triblend.models import KPP, Euler, LinearAdvection
+from triblend.spatial_ho import SUB_CORNERS, HighOrder, Tables
 from triblend.spatial_lo import LowOrder
 from triblend.timeloop import Stepper, initialize
 
@@ -42,9 +42,10 @@ def euler_field(xy):
 
 def fan_corners(mesh):
     """Corners (NT, 6, 3, 2) of the median-fan sub-triangles, CCW."""
-    outer = mesh.point_xy[mesh.tri_point_dofs][:, SUB_DOFS]  # (NT, 6, 2, 2)
-    centroid = np.broadcast_to(mesh.centroids[:, None, None], outer[:, :, :1].shape)
-    return np.concatenate([outer, centroid], axis=2)
+    xy = np.concatenate(
+        [mesh.point_xy[mesh.tri_point_dofs], mesh.centroids[:, None]], axis=1
+    )  # (NT, 7, 2): point DoFs, then the centroid
+    return xy[:, SUB_CORNERS]
 
 
 def test_sub_triangle_areas(small_mesh):
@@ -87,7 +88,7 @@ def reference_phi(ho, ubar, upt, t):
     fq = model.flux(tb.PHI_V @ coef, tb.XY_V)  # (NT, nqv, nv, 2)
     vol = -(dvol_mat @ fq.swapaxes(2, 3).reshape(nt, -1, nv))
     vol *= mesh.areas[:, None, None]
-    fluxhat, _, _ = ho.interface_fluxes(ubar, upt, t)
+    fluxhat, _, _ = ho.interface_fluxes(upt, t)
     surf = w_edge_mat @ fluxhat[mesh.tri_edges].reshape(nt, -1, nv)
     return (tb.P @ (vol + surf)) / mesh.areas[:, None, None]
 
@@ -113,7 +114,7 @@ def test_ho_residual_matches_per_element_tables(small_mesh, which):
     rng = np.random.default_rng(4)
     ubar = ubar * (1.0 + 0.05 * rng.standard_normal(ubar.shape))
     upt = upt * (1.0 + 0.05 * rng.standard_normal(upt.shape))
-    got = ho.compute(ubar, upt, 0.0).Phi
+    got = ho.compute(tb.coefficients(ubar, upt), upt, 0.0).Phi
     want = reference_phi(ho, ubar, upt, 0.0)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -174,7 +175,7 @@ def test_ho_average_row_equals_edge_flux_balance(small_mesh):
         return np.sin(2 * np.pi * xy[..., 0:1]) * np.cos(np.pi * xy[..., 1:2])
 
     ubar, upt = initialize(tb, u0)
-    res = ho.compute(ubar, upt, 0.0)
+    res = ho.compute(tb.coefficients(ubar, upt), upt, 0.0)
     div = np.einsum(
         "ke,kev->kv",
         mesh.tri_edge_orient.astype(float),
@@ -196,7 +197,7 @@ def test_omega_partition_of_unity(small_mesh, eps_policy, which):
         upt = np.sin(3 * mesh.point_xy[:, 0:1] + mesh.point_xy[:, 1:2])
     tb = Tables(mesh)
     ho = HighOrder(tb, model, eps_policy=eps_policy)
-    omega, _fb = ho.omega_weights(upt)
+    omega, _fb = ho.omega_weights(upt[mesh.tri_point_dofs])
     nv = model.nvars
     tot = np.zeros((mesh.num_points, nv, nv))
     np.add.at(tot, mesh.tri_point_dofs, omega)
@@ -230,12 +231,12 @@ def test_omega_nonfinite_patch_sum_falls_back_quietly(small_mesh):
     upt = euler_field(mesh.point_xy)
     tb = Tables(mesh)
     ho = HighOrder(tb, model)
-    omega0, fb0 = ho.omega_weights(upt)
+    omega0, fb0 = ho.omega_weights(upt[mesh.tri_point_dofs])
     bad = int(np.flatnonzero(~mesh.boundary_point_mask)[0])
     upt[bad] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        omega, fb = ho.omega_weights(upt)
+        omega, fb = ho.omega_weights(upt[mesh.tri_point_dofs])
     hit = mesh.tri_point_dofs == bad
     count = hit.sum()
     assert fb == fb0 + 1
@@ -272,14 +273,15 @@ def test_omega_built_once_for_static_signs(small_mesh, monkeypatch, which):
     monkeypatch.setattr(model, "sign_jac_normal", counted)
     for field in fields:
         ubar, upt = initialize(tb, field)
-        got = ho.compute(ubar, upt, 0.0)
+        got = ho.compute(tb.coefficients(ubar, upt), upt, 0.0)
     assert len(calls) == (1 if which == "advection" else len(fields))
     fresh = HighOrder(tb, model, bc)
-    want = fresh.compute(ubar, upt, 0.0)
+    want = fresh.compute(tb.coefficients(ubar, upt), upt, 0.0)
     assert np.array_equal(got.Wpt, want.Wpt)
     assert got.omega_fallback_points == want.omega_fallback_points
-    omega, fb = ho.omega_weights(upt)
-    omega_fresh, fb_fresh = fresh.omega_weights(upt)
+    u_loc = upt[mesh.tri_point_dofs]
+    omega, fb = ho.omega_weights(u_loc)
+    omega_fresh, fb_fresh = fresh.omega_weights(u_loc)
     assert omega.tobytes() == omega_fresh.tobytes()
     assert fb == fb_fresh
     assert omega.flags.writeable == (which == "euler")
@@ -345,6 +347,105 @@ def test_farfield_scalar_is_exact_upwinding():
     assert np.allclose(f[right], 0.25, atol=1e-14)
 
 
+def reference_boundary_flux(model, bc, tr, n, xq, t):
+    """Per-kind boundary fluxes written out in full, as each kind once
+    spelled its own: plain outflow, LLF against the mirrored wall state,
+    split (gas) or LLF (scalar) flux against the far-field state."""
+    if bc.kind == "outflow":
+        return model.flux_normal(tr, n, xq)
+    if bc.kind == "wall":
+        ghost = tr.copy()
+        mn = tr[..., 1] * n[..., 0] + tr[..., 2] * n[..., 1]
+        ghost[..., 1] -= 2.0 * mn * n[..., 0]
+        ghost[..., 2] -= 2.0 * mn * n[..., 1]
+    else:
+        ghost = bc.exterior(xq, t)
+        if isinstance(model, Euler):
+            return model.flux_normal_split(tr, n, +1) + model.flux_normal_split(
+                ghost, n, -1
+            )
+    alpha = np.maximum(
+        model.max_wavespeed(tr, n, xq), model.max_wavespeed(ghost, n, xq)
+    )
+    return 0.5 * (
+        model.flux_normal(tr, n, xq) + model.flux_normal(ghost, n, xq)
+    ) - 0.5 * alpha[..., None] * (ghost - tr)
+
+
+def reference_ghost_average(bc, u, n, x, t):
+    if bc.kind == "outflow":
+        return u
+    if bc.kind == "wall":
+        g = u.copy()
+        mn = u[..., 1] * n[..., 0] + u[..., 2] * n[..., 1]
+        g[..., 1] -= 2.0 * mn * n[..., 0]
+        g[..., 2] -= 2.0 * mn * n[..., 1]
+        return g
+    return bc.exterior(x, t)
+
+
+@pytest.mark.parametrize("which", ["euler", "advection", "kpp"])
+def test_boundary_closure_matches_per_kind_formulas(which):
+    # One ghost-state dispatch and one two-state flux give, on a mesh with
+    # mixed boundary kinds, bitwise the per-kind formulas above for both
+    # the high-order edge fluxes and the low-order ghost averages.
+    mesh = rect_mesh((0.0, 1.0, 0.0, 1.0), 4, jitter=0.25, seed=5)
+
+    def sides(mids):
+        return [
+            "left" if x < 1e-12 else "right" if x > 1.0 - 1e-12 else "span"
+            for x, _ in mids
+        ]
+
+    mesh.name_boundary(sides)
+    rng = np.random.default_rng(12)
+    t = 0.3
+    nb = len(mesh.boundary_edges)
+    tb = Tables(mesh)
+    if which == "euler":
+        model = Euler()
+        kinds = {
+            "left": FarField(lambda x, t: euler_field(x + t)),
+            "right": Outflow(),
+            "span": Wall(),
+        }
+
+        def states(shape):
+            return model.conserved(
+                *(rng.uniform(lo, hi, shape) for lo, hi in
+                  ((0.5, 2.0), (-1.0, 1.0), (-1.0, 1.0), (0.5, 2.0)))
+            )
+    else:
+        model = KPP() if which == "kpp" else LinearAdvection(rotation_velocity)
+        kinds = {
+            "left": FarField(lambda x, t: np.sin(x[..., :1] + t)),
+            "right": Outflow(),
+            "span": FarField(lambda x, t: np.cos(3.0 * x[..., 1:] - t)),
+        }
+
+        def states(shape):
+            return rng.uniform(-1.0, 1.0, shape + (1,))
+
+    bc = BoundaryHandler(mesh, model, kinds)
+    be = mesh.boundary_edges
+    n = mesh.edge_normal[be]
+    xq = tb.XY_E[be]
+    tr = states((nb, tb.nqe))
+    ubar0 = states((nb,))
+    f = bc.ho_flux(tr, n, xq, t)
+    g = bc.ghost_average(ubar0, n, mesh.edge_mid[be], t)
+    assert {len(idx) > 0 for idx in bc.groups.values()} == {True}
+    for nm, idx in bc.groups.items():
+        want = reference_boundary_flux(
+            model, kinds[nm], tr[idx], n[idx, None, :], xq[idx], t
+        )
+        assert f[idx].tobytes() == want.tobytes(), nm
+        want = reference_ghost_average(
+            kinds[nm], ubar0[idx], n[idx], mesh.edge_mid[be][idx], t
+        )
+        assert g[idx].tobytes() == want.tobytes(), nm
+
+
 def test_boundary_validation_errors(small_mesh):
     model = LinearAdvection((1.0, 0.0))
     with pytest.raises(ConfigError):
@@ -395,7 +496,7 @@ def test_low_order_max_principle_small_dt(small_mesh):
     upt = rng.random((mesh.num_points, 1))
     stepper = Stepper(mesh, model, bc)
     dt = 0.2 * stepper.compute_dt(ubar, upt)
-    res = lo.compute(ubar, upt, 0.0)
+    res = lo.compute(tb.coefficients(ubar, upt), 0.0)
 
     acc = np.zeros_like(upt)
     np.add.at(acc, mesh.tri_point_dofs, res.Phi_pt)

@@ -164,3 +164,40 @@ def test_point_weights_match_run_bookkeeping():
     assert abs(w.sum() - mesh.areas.sum()) < 1e-13
     assert abs(mesh.point_area.sum() - 2.0 / 3.0 * mesh.areas.sum()) < 1e-13
     assert np.allclose(w, 1.5 * mesh.point_area, rtol=1e-13, atol=0)
+
+
+def test_rk3_step_gathers_element_states_once(monkeypatch):
+    # Each substep gathers its element-local states once, through
+    # Tables.coefficients, and hands them to every operator: one full RK3
+    # step makes three coefficient stacks and three point-value gathers.
+    prob = get_problem("rotating-shapes")
+    model = prob.make_model(1.4)
+    mesh = prob.mesh_builder(6)
+    mesh.name_boundary(prob.namer)
+    bc = BoundaryHandler(mesh, model, prob.boundaries(model))
+    enforce, assert_ = prob.domains(model)
+    stepper = Stepper(
+        mesh, model, bc, mode="full",
+        enforce_domain=enforce, assert_domain=assert_,
+    )
+    ubar, upt = sample_initial(prob, model, stepper.tables)
+    dt = stepper.compute_dt(ubar, upt)
+
+    stacks, gathers = [], []
+    coefficients = stepper.tables.coefficients
+    take = np.take
+
+    def counted_coefficients(*args):
+        stacks.append(1)
+        return coefficients(*args)
+
+    def counted_take(a, indices, *args, **kwargs):
+        if indices is mesh.tri_point_dofs and np.ndim(a) == 2:
+            gathers.append(1)  # point values (NP, nv) -> (NT, 6, nv)
+        return take(a, indices, *args, **kwargs)
+
+    monkeypatch.setattr(stepper.tables, "coefficients", counted_coefficients)
+    monkeypatch.setattr(np, "take", counted_take)
+    stepper.rk3_step(ubar, upt, 0.0, dt)
+    assert len(stacks) == 3
+    assert len(gathers) == 3
