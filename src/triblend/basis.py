@@ -48,22 +48,6 @@ POINT_DOF_BARY = np.array(
     ]
 )
 
-# Positive quadrature over the seven interpolation points (three vertices,
-# three edge midpoints, centroid) that reproduces the cell average exactly
-# for every function in the local space.  Because all weights are positive,
-# the average is a convex combination of these seven point values -- the
-# hinge of the bound-preservation argument for averages.
-AVG_POINT_WEIGHTS = np.array(
-    [1 / 20, 1 / 20, 1 / 20, 2 / 15, 2 / 15, 2 / 15, 9 / 20]
-)
-
-# Shape-function values at the centroid; dotted with a coefficient vector
-# this evaluates u at the barycenter.
-CENTROID_VALUES = np.array(
-    [-1 / 9, -1 / 9, -1 / 9, -8 / 27, -8 / 27, -8 / 27, 20 / 9]
-)
-
-
 def basis_values(lam: np.ndarray) -> np.ndarray:
     """Evaluate the seven shape functions.
 
@@ -136,7 +120,8 @@ def basis_hess_bary(lam: np.ndarray) -> np.ndarray:
     return h
 
 
-def _projection_fractions() -> list[list[Fraction]]:
+def projection_matrix() -> np.ndarray:
+    """The 7x7 dual-basis matrix P (element independent, rational)."""
     F = Fraction
     r_vertex = [
         F(140, 3), F(50, 3), F(50, 3),
@@ -161,33 +146,4 @@ def _projection_fractions() -> list[list[Fraction]]:
     rows = [cyc(r_vertex, k) for k in range(3)]
     rows += [cyc(r_mid, k) for k in range(3)]
     rows.append([F(1)] * 7)
-    return rows
-
-
-def projection_matrix() -> np.ndarray:
-    """The 7x7 dual-basis matrix P (element independent, rational)."""
-    return np.array(
-        [[float(x) for x in row] for row in _projection_fractions()]
-    )
-
-
-def projection_matrix_fractions() -> list[list[Fraction]]:
-    """Exact rational entries of P, for verification."""
-    return _projection_fractions()
-
-
-def dual_values(lam: np.ndarray) -> np.ndarray:
-    """Evaluate the dual functions theta_j = sum_k P_jk phi_k: (..., 7)."""
-    return basis_values(lam) @ projection_matrix().T
-
-
-def mass_matrix_unit() -> np.ndarray:
-    """(1/area) * integral of phi_j phi_k, computed from exact moments.
-
-    Used only for verification; equals inv(P).
-    """
-    from .quadrature import triangle_rule
-
-    rule = triangle_rule(6)
-    vals = basis_values(rule.points)  # (nq, 7)
-    return np.einsum("q,qj,qk->jk", rule.weights, vals, vals)
+    return np.array([[float(x) for x in row] for row in rows])

@@ -2,9 +2,8 @@
 
 Subcommands: `run <config>` marches a configured problem and writes VTK/CSV
 outputs; `convergence <config>` runs a nested refinement study against the
-problem's exact solution; `validate-basis` prints the projector/duality
-checks; `info <mesh>` summarizes a mesh file; `make-mesh` generates and tags
-a built-in problem geometry.  Exit codes: 0 success, 2 configuration error,
+problem's exact solution; `info <mesh>` summarizes a mesh file; `make-mesh`
+generates and tags a built-in problem geometry.  Exit codes: 0 success, 2 configuration error,
 3 numerical abort.  The environment variable TRIBLEND_OUTDIR overrides the
 configured output directory.
 """
@@ -17,7 +16,6 @@ import sys
 
 import numpy as np
 
-from . import basis
 from .boundary import BoundaryHandler, FarField, Outflow, Wall
 from .config import RunConfig, load_config
 from .exceptions import ConfigError, MeshError, NumericalAbort, TriblendError
@@ -33,8 +31,6 @@ from .mesh import read_msh
 from .meshgen import refine4, write_msh2
 from .norms import convergence_rows, error_norms
 from .problems import builtin_problems, get_problem, sample_initial
-from .quadrature import triangle_rule
-from .spatial_ho import Tables
 from .timeloop import Stepper, initialize
 
 
@@ -113,7 +109,6 @@ def _make_stepper(problem, model, mesh, bc, cfg):
         model,
         bc,
         cfl=cfg.cfl,
-        eps_policy=cfg.eps_policy,
         enforce_domain=enforce if limited else None,
         assert_domain=assert_ if limited else None,
         mode=cfg.mode,
@@ -261,41 +256,6 @@ def cmd_convergence(args) -> int:
     return 0
 
 
-def cmd_validate_basis(args) -> int:
-    rule = triangle_rule(6)
-    lam, w = rule.points, rule.weights
-    phi = basis.basis_values(lam)  # (nq, 7)
-    G = basis.projection_matrix() @ basis.mass_matrix_unit()
-    err_dual = np.abs(G - np.eye(7)).max()
-    print("Gram matrix  P (M_K/|K|):")
-    with np.printoptions(precision=3, suppress=True):
-        print(G)
-    print(f"max |G - I| = {err_dual:.3e}")
-
-    err_pou = np.abs(phi.sum(axis=1) - 1.0).max()
-    print(f"partition of unity, max deviation = {err_pou:.3e}")
-
-    avg = w @ phi  # integral mean of each shape over the element
-    want = np.zeros(7)
-    want[6] = 1.0
-    err_avg = np.abs(avg - want).max()
-    print(f"only the mean shape has unit integral, deviation = {err_avg:.3e}")
-
-    theta = basis.dual_values(lam)
-    err_mu = np.abs(theta[:, 6] - 1.0).max()
-    print(f"dual mean shape is constant 1, deviation = {err_mu:.3e}")
-
-    wpt = np.asarray(basis.AVG_POINT_WEIGHTS)
-    print(
-        f"average-reproducing point weights: min = {wpt.min():.4f}, "
-        f"sum - 1 = {abs(wpt.sum() - 1.0):.3e}"
-    )
-
-    ok = max(err_dual, err_pou, err_avg, err_mu) < 1e-12
-    print("validate-basis:", "PASS" if ok else "FAIL")
-    return 0 if ok else 3
-
-
 def cmd_info(args) -> int:
     mesh = read_msh(args.mesh)
     names = sorted(
@@ -343,9 +303,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=4)
     p.add_argument("--meshes", help="comma-separated MSH paths (overrides --levels)")
     p.set_defaults(fn=cmd_convergence)
-
-    p = sub.add_parser("validate-basis", help="print projector/duality checks")
-    p.set_defaults(fn=cmd_validate_basis)
 
     p = sub.add_parser("info", help="summarize a mesh file")
     p.add_argument("mesh")

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from .exceptions import ConfigError
 
 _MODES = ("ho", "lo", "bp", "full")
-_EPS_POLICIES = ("area", "zero")
 _ROLES = ("wall", "outflow", "inflow", "farfield", "none")
 
 
@@ -28,7 +27,6 @@ class RunConfig:
     final_time: float | None = None  # None -> problem default
     cfl: float = 0.2
     gamma: float = 1.4
-    eps_policy: str = "area"
     c1: float = 1.0
     c2: float = 1.0
     mode: str = "full"
@@ -54,8 +52,6 @@ class RunConfig:
             raise ConfigError(f"final_time must be >= 0, got {self.final_time}")
         if self.gamma <= 1.0:
             raise ConfigError(f"gamma must exceed 1, got {self.gamma}")
-        if self.eps_policy not in _EPS_POLICIES:
-            raise ConfigError(f"eps_policy must be one of {_EPS_POLICIES}")
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}")
         if self.c1 < 0.0 or self.c2 < 0.0:
@@ -86,7 +82,6 @@ _SCHEMA = {
         "final_time": float,
         "cfl": float,
         "gamma": float,
-        "eps_policy": str,
         "c1": float,
         "c2": float,
         "mode": str,

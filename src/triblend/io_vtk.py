@@ -107,7 +107,7 @@ def write_diagnostics_csv(path, mesh, theta, eta_point, eta_edge) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "index", "x", "y", "value"])
-        cent = mesh.verts[mesh.tris].mean(axis=1)
+        cent = mesh.centroids
         for k in range(mesh.num_tris):
             writer.writerow(
                 ["theta", k, _fmt(cent[k, 0]), _fmt(cent[k, 1]), _fmt(theta[k])]

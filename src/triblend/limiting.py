@@ -326,25 +326,30 @@ def blend_point_residuals(tables, domain, u_loc, Phi_lo, Wpt, theta, dt):
     u_loc (NT, 6, nv) holds each element's point-DoF states.  Returns
     (b (NT, 6, nv), eta (NT, 6), n_rescued) with the final update
     u' = u - dt * sum_K b_K guaranteed inside `domain` (up to round-off)
-    whenever the DoF states already are.
+    whenever the DoF states already are.  With domain None the blend is
+    the damping alone, eta = theta_K.
     """
-    mesh = tables.mesh
-    share = (mesh.areas[:, None] / 9.0) / mesh.point_area[
-        mesh.tri_point_dofs
-    ]  # (NT, 6) convex weights s_K
-    lam = dt / share  # amplified step per element candidate
+    n_rescued = 0
+    if domain is not None:
+        mesh = tables.mesh
+        share = (mesh.areas[:, None] / 9.0) / mesh.point_area[
+            mesh.tri_point_dofs
+        ]  # (NT, 6) convex weights s_K
+        lam = dt / share  # amplified step per element candidate
 
-    c0 = u_loc - lam[..., None] * Phi_lo
-    ok0 = domain.contains(c0)
-    n_rescued = int((~ok0).sum())
-    if n_rescued:
-        r = np.where(ok0, 1.0, domain.max_blend(u_loc, c0 - u_loc))
-        Phi_lo = Phi_lo * r[..., None]
         c0 = u_loc - lam[..., None] * Phi_lo
+        ok0 = domain.contains(c0)
+        n_rescued = int((~ok0).sum())
+        if n_rescued:
+            r = np.where(ok0, 1.0, domain.max_blend(u_loc, c0 - u_loc))
+            Phi_lo = Phi_lo * r[..., None]
+            c0 = u_loc - lam[..., None] * Phi_lo
 
     dW = Wpt - Phi_lo
-    eta = domain.max_blend(c0, -lam[..., None] * dW)
-    eta = np.minimum(eta, theta[:, None])
+    eta = theta[:, None]
+    if domain is not None:
+        eta = np.minimum(domain.max_blend(c0, -lam[..., None] * dW), eta)
+    eta = np.broadcast_to(eta, dW.shape[:2])
     b = Phi_lo + eta[..., None] * dW
     return b, eta, n_rescued
 
@@ -355,43 +360,45 @@ def blend_average_fluxes(tables, domain, ubar, F_lo, F_ho, theta, dt):
     Each cell average is a convex combination of three per-edge candidates
     ubar - 3 (dt/|K|) s_{K,e} Fhat_e, so limiting each candidate on both
     sides of the edge keeps the averages in `domain` while the shared flux
-    keeps the update conservative.  Returns (F (NE, nv), eta (NE,),
-    n_rescued).
+    keeps the update conservative.  With domain None the blend is the
+    damping alone: eta = min(theta_K, theta_L) on interior edges and
+    theta_K on boundary edges.  Returns (F (NE, nv), eta (NE,), n_rescued).
     """
     mesh = tables.mesh
     interior = mesh.edge_tris[:, 1] >= 0
-
-    # Per side: the cell averages and the candidate step factors.
-    sides = []
-    for s, sign in ((0, 1.0), (1, -1.0)):
-        k = np.clip(mesh.edge_tris[:, s], 0, None)
-        sides.append((ubar[k], 3.0 * dt / mesh.areas[k] * sign))
-
-    # Rescue pass: a shared scale on the low-order flux if a candidate
-    # leaves the domain (CFL margin breach).
-    r = np.ones(len(F_lo))
     n_rescued = 0
-    for s, (ub, fac) in enumerate(sides):
-        c = ub - fac[:, None] * F_lo
-        ok = domain.contains(c)
-        if s == 1:
-            ok |= ~interior
-        bad = ~ok
-        if bad.any():
-            n_rescued += int(bad.sum())
-            eta_r = domain.max_blend(ub, c - ub)
-            r = np.minimum(r, np.where(bad, eta_r, 1.0))
-    if n_rescued:
-        F_lo = F_lo * r[:, None]
+    if domain is not None:
+        # Per side: the cell averages and the candidate step factors.
+        sides = []
+        for s, sign in ((0, 1.0), (1, -1.0)):
+            k = np.clip(mesh.edge_tris[:, s], 0, None)
+            sides.append((ubar[k], 3.0 * dt / mesh.areas[k] * sign))
+
+        # Rescue pass: a shared scale on the low-order flux if a candidate
+        # leaves the domain (CFL margin breach).
+        r = np.ones(len(F_lo))
+        for s, (ub, fac) in enumerate(sides):
+            c = ub - fac[:, None] * F_lo
+            ok = domain.contains(c)
+            if s == 1:
+                ok |= ~interior
+            bad = ~ok
+            if bad.any():
+                n_rescued += int(bad.sum())
+                eta_r = domain.max_blend(ub, c - ub)
+                r = np.minimum(r, np.where(bad, eta_r, 1.0))
+        if n_rescued:
+            F_lo = F_lo * r[:, None]
 
     dF = F_ho - F_lo
     eta = np.ones(len(F_lo))
-    for s, (ub, fac) in enumerate(sides):
-        c0 = ub - fac[:, None] * F_lo
-        eta_s = domain.max_blend(c0, -fac[:, None] * dF)
-        if s == 1:
-            eta_s = np.where(interior, eta_s, np.inf)
-        eta = np.minimum(eta, eta_s)
+    if domain is not None:
+        for s, (ub, fac) in enumerate(sides):
+            c0 = ub - fac[:, None] * F_lo
+            eta_s = domain.max_blend(c0, -fac[:, None] * dF)
+            if s == 1:
+                eta_s = np.where(interior, eta_s, np.inf)
+            eta = np.minimum(eta, eta_s)
     eta = np.minimum(eta, theta[mesh.edge_tris[:, 0]])
     eta = np.minimum(
         eta,

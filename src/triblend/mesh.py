@@ -66,7 +66,6 @@ class Mesh:
     point_xy: np.ndarray = field(init=False)  # (NP, 2)
     point_area: np.ndarray = field(init=False)  # (NP,) sum of |K|/9
     tri_point_dofs: np.ndarray = field(init=False)  # (NT, 6)
-    boundary_point_mask: np.ndarray = field(init=False)  # (NP,) bool
 
     def __post_init__(self):
         self.verts = np.ascontiguousarray(self.verts, dtype=float)
@@ -164,11 +163,6 @@ class Mesh:
             self.tri_point_dofs.ravel(),
             np.repeat(self.areas / 9.0, 6),
         )
-        mask = np.zeros(nv + ne, dtype=bool)
-        bev = self.edge_verts[self.boundary_edges]
-        mask[bev.ravel()] = True
-        mask[nv + self.boundary_edges] = True
-        self.boundary_point_mask = mask
 
     # -- queries -------------------------------------------------------------
 
@@ -242,8 +236,11 @@ def read_msh(path) -> Mesh:
     if "MeshFormat" not in sections:
         raise MeshError("missing $MeshFormat")
     fmt_start, fmt_body = sections["MeshFormat"]
-    version = fmt_body[0].split()[0]
-    if fmt_body[0].split()[1] != "0":
+    fmt = fmt_body[0].split() if fmt_body else []
+    if len(fmt) < 2:
+        raise MeshError(f"malformed $MeshFormat (line {fmt_start})")
+    version = fmt[0]
+    if fmt[1] != "0":
         raise MeshError(f"binary MSH files are not supported (line {fmt_start})")
 
     phys_names: dict[int, str] = {}
@@ -279,11 +276,13 @@ def read_msh(path) -> Mesh:
     return mesh
 
 
-def _node_index(id2idx, n):
+def _node_index(id2idx, n, line):
     try:
         return id2idx[n]
     except KeyError:
-        raise IndexError(f"element references unknown node {n}") from None
+        raise MeshError(
+            f"element references unknown node {n} (line {line})"
+        ) from None
 
 
 def _parse_msh2(sections):
@@ -308,6 +307,7 @@ def _parse_msh2(sections):
     tris = []
     blines = []
     for off, ln in enumerate(elem_lines[1 : 1 + int(elem_lines[0])]):
+        line = elem_start + 1 + off
         try:
             parts = [int(x) for x in ln.split()]
             etype = parts[1]
@@ -315,15 +315,17 @@ def _parse_msh2(sections):
             tags = parts[3 : 3 + ntags]
             nodes = parts[3 + ntags :]
         except (ValueError, IndexError):
-            raise MeshError(
-                f"malformed element entry (line {elem_start + 1 + off})"
-            ) from None
+            raise MeshError(f"malformed element entry (line {line})") from None
         if etype == 2:
-            tris.append([_node_index(id2idx, n) for n in nodes[:3]])
+            tris.append([_node_index(id2idx, n, line) for n in nodes[:3]])
         elif etype == 1:
             tag = tags[0] if tags else 0
             blines.append(
-                (_node_index(id2idx, nodes[0]), _node_index(id2idx, nodes[1]), tag)
+                (
+                    _node_index(id2idx, nodes[0], line),
+                    _node_index(id2idx, nodes[1], line),
+                    tag,
+                )
             )
         elif etype != 15:
             raise UnsupportedElement(
@@ -401,16 +403,19 @@ def _parse_msh4(sections):
                 "2-node boundary lines are accepted"
             )
         for k in range(n_in):
-            parts = [int(x) for x in elem_lines[row + k].split()]
-            nodes = parts[1:]
+            line = elem_start + row + k
+            try:
+                nodes = [int(x) for x in elem_lines[row + k].split()][1:]
+            except (ValueError, IndexError):
+                raise MeshError(f"malformed element entry (line {line})") from None
             if etype == 2:
-                tris.append([_node_index(id2idx, n) for n in nodes[:3]])
+                tris.append([_node_index(id2idx, n, line) for n in nodes[:3]])
             elif etype == 1:
                 phys = ent_phys.get((edim, etag), 0)
                 blines.append(
                     (
-                        _node_index(id2idx, nodes[0]),
-                        _node_index(id2idx, nodes[1]),
+                        _node_index(id2idx, nodes[0], line),
+                        _node_index(id2idx, nodes[1], line),
                         phys,
                     )
                 )

@@ -14,7 +14,6 @@ u-degree by one).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,14 +66,3 @@ def edge_rule(npoints: int = 3) -> EdgeRule:
     """Gauss-Legendre rule on [0, 1]; exact for degree 2*npoints - 1."""
     x, w = leggauss(npoints)
     return EdgeRule(2 * npoints - 1, 0.5 * (x + 1.0), 0.5 * w)
-
-
-def simplex_moment(a: int, b: int, c: int) -> float:
-    """Exact unit-area integral of lambda1^a lambda2^b lambda3^c."""
-    return (
-        2.0
-        * math.factorial(a)
-        * math.factorial(b)
-        * math.factorial(c)
-        / math.factorial(a + b + c + 2)
-    )

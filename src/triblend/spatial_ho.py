@@ -218,10 +218,6 @@ class Tables:
         coef[:, 6] = ubar
         return coef
 
-    def edge_traces(self, upt: np.ndarray) -> np.ndarray:
-        """Single-valued traces at the edge quadrature points: (NE, nqe, nv)."""
-        return self.N1D @ np.take(upt, self.edge_dofs, axis=0)
-
     def point_sums(self, x: np.ndarray) -> np.ndarray:
         """Sum element point-DoF values (NT, 6, ...) per point: (NP, ...)."""
         flat = x.reshape(6 * self.mesh.num_tris, -1)
@@ -277,20 +273,10 @@ class HOResult:
 
 
 class HighOrder:
-    def __init__(
-        self,
-        tables: Tables,
-        model,
-        bc=None,
-        eps_policy: str = "area",
-        enforce_domain=None,
-    ):
-        if eps_policy not in ("area", "zero"):
-            raise ValueError(f"unknown eps policy {eps_policy!r}")
+    def __init__(self, tables: Tables, model, bc=None, enforce_domain=None):
         self.t = tables
         self.model = model
         self.bc = bc
-        self.eps_policy = eps_policy
         # Domain toward which `_rescue_states` pulls inadmissible volume
         # quadrature states and edge traces before the flux sees them, so
         # that gas dynamics stays finite on overshoots.  The stepper passes
@@ -332,10 +318,11 @@ class HighOrder:
         """Single-valued edge fluxes: (fluxhat (NE, nqe, nv), trace, rescued)."""
         tb = self.t
         mesh = tb.mesh
-        trace = tb.edge_traces(upt)
+        edge_u = np.take(upt, tb.edge_dofs, axis=0)  # (NE, 3, nv)
+        trace = tb.N1D @ edge_u
         # Edge-local rescue reference: the mean of the three edge DoFs (all
         # admissible), keeping the trace single-valued between the two sides.
-        ref = upt[tb.edge_dofs].mean(axis=1)
+        ref = edge_u.mean(axis=1)
         trace, rescued = self._rescue_states(trace, ref, count_axis=1)
         n = mesh.edge_normal[:, None, :]
         fluxhat = self.model.flux_normal(trace, n, tb.XY_E)
@@ -355,18 +342,18 @@ class HighOrder:
 
             N_K = (Id + sign(J(u_sigma) . n_sigma^K)) / 2 + eps_K Id,
 
-        i.e. the upwind projector (eigenvalue 1 on characteristics entering
-        through the element's normal, 0 on those leaving, 1/2 on parallel
-        ones) plus the regularization, and the final weights normalize the
-        patch sum: omega_K = (sum_K' N_K')^{-1} N_K.  The projector form is
-        what keeps the construction usable at eps = 0: a midpoint's two
-        candidates use opposite normals, so the bare sign matrices cancel in
-        the sum, while the projector halves are complementary and sum to Id
-        wherever the flow crosses the edge (and the degenerate edge-parallel
-        case regularizes to the central 1/2 weight).  It also reproduces the
-        classic one-dimensional upwind point update across an edge: weight
-        Id on the upwind side and 0 on the downwind side for supersonic
-        crossings.
+        with eps_K = |K| / 2: the upwind projector (eigenvalue 1 on
+        characteristics entering through the element's normal, 0 on those
+        leaving, 1/2 on parallel ones) plus the regularization.  The final
+        weights normalize the patch sum: omega_K = (sum_K' N_K')^{-1} N_K.
+        The projector form keeps the construction usable as eps_K -> 0
+        under refinement: a midpoint's two candidates use opposite normals,
+        so the bare sign matrices cancel in the sum, while the projector
+        halves are complementary and sum to Id wherever the flow crosses
+        the edge (and the degenerate edge-parallel case regularizes to the
+        central 1/2 weight).  It also reproduces the classic
+        one-dimensional upwind point update across an edge: weight Id on
+        the upwind side and 0 on the downwind side for supersonic crossings.
 
         The patch sums, and the spread of a too-large weight to every
         element of its point, go through `Tables.point_scatter`, the sparse
@@ -385,9 +372,7 @@ class HighOrder:
         mesh = tb.mesh
         nv = u_loc.shape[-1]
         S = self.model.sign_jac_normal(u_loc, tb.DOF_NORMAL, tb.XY_PT)
-        eps = (
-            0.5 * mesh.areas if self.eps_policy == "area" else np.zeros(mesh.num_tris)
-        )
+        eps = 0.5 * mesh.areas
         Seps = 0.5 * (S + np.eye(nv)) + eps[:, None, None, None] * np.eye(nv)
         total = tb.point_sums(Seps)
         # Invert per point; patch sums that are not finite or exactly

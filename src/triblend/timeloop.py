@@ -51,7 +51,6 @@ class Stepper:
         bc=None,
         *,
         cfl: float = 0.2,
-        eps_policy: str = "area",
         enforce_domain=None,
         assert_domain=None,
         mode: str = "full",
@@ -61,13 +60,7 @@ class Stepper:
         self.mesh = mesh
         self.model = model
         self.tables = Tables(mesh)
-        self.ho = HighOrder(
-            self.tables,
-            model,
-            bc,
-            eps_policy=eps_policy,
-            enforce_domain=enforce_domain,
-        )
+        self.ho = HighOrder(self.tables, model, bc, enforce_domain=enforce_domain)
         self.lo = LowOrder(self.tables, model, bc)
         self.cfl = float(cfl)
         self.enforce_domain = enforce_domain
@@ -137,7 +130,12 @@ class Stepper:
             else:
                 theta = np.ones(mesh.num_tris)
 
-            if self.mode != "ho" and self.enforce_domain is not None:
+            if self.mode == "ho":
+                b = ho.Wpt
+                F = ho.F_edge
+                eta_pt = np.ones((mesh.num_tris, 6))
+                eta_e = np.ones(mesh.num_edges)
+            else:
                 lo = self.lo.compute(coef, t)
                 b, eta_pt, resc_pt = blend_point_residuals(
                     self.tables,
@@ -157,25 +155,6 @@ class Stepper:
                     theta,
                     dt,
                 )
-            elif self.mode == "full":
-                lo = self.lo.compute(coef, t)
-                b = lo.Phi_pt + theta[:, None, None] * (ho.Wpt - lo.Phi_pt)
-                eta_pt = np.broadcast_to(theta[:, None], (mesh.num_tris, 6))
-                te = np.where(
-                    mesh.edge_tris[:, 1] >= 0,
-                    np.minimum(
-                        theta[mesh.edge_tris[:, 0]],
-                        theta[np.clip(mesh.edge_tris[:, 1], 0, None)],
-                    ),
-                    theta[mesh.edge_tris[:, 0]],
-                )
-                F = lo.F_edge + te[:, None] * (ho.F_edge - lo.F_edge)
-                eta_e = te
-            else:
-                b = ho.Wpt
-                F = ho.F_edge
-                eta_pt = np.ones((mesh.num_tris, 6))
-                eta_e = np.ones(mesh.num_edges)
 
         interior = mesh.edge_tris[:, 1] >= 0
         etas = np.concatenate([eta_pt.ravel(), eta_e[interior]])
@@ -284,12 +263,11 @@ class Stepper:
 
             row = {"step": step, "t": t, "dt": dt}
             row.update(stats)
+            allu = np.concatenate([ubar, upt], axis=0)
             if self.model.nvars == 4:
-                allu = np.concatenate([ubar, upt], axis=0)
                 row["min_density"] = float(allu[:, 0].min())
                 row["min_pressure"] = float(self.model.pressure(allu).min())
             else:
-                allu = np.concatenate([ubar, upt], axis=0)
                 row["min_u"] = float(allu.min())
                 row["max_u"] = float(allu.max())
             row["mass"] = float((mesh.areas @ ubar)[0])

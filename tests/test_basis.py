@@ -6,20 +6,49 @@ import numpy as np
 import pytest
 
 from triblend.basis import (
-    AVG_POINT_WEIGHTS,
-    CENTROID_VALUES,
     POINT_DOF_BARY,
     basis_grad_bary,
     basis_hess_bary,
     basis_values,
-    dual_values,
-    mass_matrix_unit,
     projection_matrix,
-    projection_matrix_fractions,
 )
 from triblend.quadrature import triangle_rule
 
 RNG = np.random.default_rng(20240817)
+
+# Positive quadrature over the seven interpolation points (three vertices,
+# three edge midpoints, centroid) that reproduces the cell average exactly
+# for every function in the local space.  Because all weights are positive,
+# the average is a convex combination of these seven point values -- the
+# hinge of the bound-preservation argument for averages.
+AVG_POINT_WEIGHTS = np.array(
+    [1 / 20, 1 / 20, 1 / 20, 2 / 15, 2 / 15, 2 / 15, 9 / 20]
+)
+
+# Shape-function values at the centroid.
+CENTROID_VALUES = np.array(
+    [-1 / 9, -1 / 9, -1 / 9, -8 / 27, -8 / 27, -8 / 27, 20 / 9]
+)
+
+
+def projection_matrix_fractions():
+    """Exact rational entries of P, recovered from its doubles."""
+    return [
+        [Fraction(x).limit_denominator(1000) for x in row]
+        for row in projection_matrix()
+    ]
+
+
+def dual_values(lam):
+    """The dual functions theta_j = sum_k P_jk phi_k: (..., 7)."""
+    return basis_values(lam) @ projection_matrix().T
+
+
+def mass_matrix_unit():
+    """(1/area) * integral of phi_j phi_k by a degree-6 rule (exact)."""
+    rule = triangle_rule(6)
+    vals = basis_values(rule.points)  # (nq, 7)
+    return np.einsum("q,qj,qk->jk", rule.weights, vals, vals)
 
 
 def random_bary(n):
@@ -77,6 +106,10 @@ def test_projection_matrix_rationals():
     # The printed rational entries, spot-checked plus full symmetry.
     F = Fraction
     P = projection_matrix_fractions()
+    # Each double of P is the nearest one to its rational entry.
+    assert np.array_equal(
+        projection_matrix(), [[float(x) for x in row] for row in P]
+    )
     assert P[0][:3] == [F(140, 3), F(50, 3), F(50, 3)]
     assert P[0][3:] == [F(-65, 6), F(-10, 3), F(-65, 6), F(1)]
     assert P[3][:3] == [F(-65, 6), F(-65, 6), F(-10, 3)]

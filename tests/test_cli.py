@@ -133,11 +133,6 @@ def test_info_reports_mesh_stats(tmp_path, capsys):
     assert "triangles:" in text and "farfield" in text
 
 
-def test_validate_basis_passes(capsys):
-    assert main(["validate-basis"]) == 0
-    assert "PASS" in capsys.readouterr().out
-
-
 def test_convergence_writes_table(tmp_path, capsys):
     out = tmp_path / "o"
     cfg = write_cfg(

@@ -9,7 +9,6 @@ problem = kpp
 final_time = 0.5
 cfl = 0.15
 mode = bp
-eps_policy = zero
 mesh_n = 12
 
 [limits]
@@ -32,7 +31,6 @@ def test_parse_reads_all_sections():
     assert cfg.final_time == 0.5
     assert cfg.cfl == 0.15
     assert cfg.mode == "bp"
-    assert cfg.eps_policy == "zero"
     assert cfg.mesh_n == 12
     assert cfg.lo == -1.0 and cfg.hi == 100.0
     assert cfg.directory == "results"
@@ -71,6 +69,7 @@ def test_defaults_only_need_problem():
         ("[run]\nproblem = kpp\ncfl = 0\n", "cfl"),
         ("[run]\nproblem = kpp\ncfl = 1.2\n", "cfl"),
         ("[run]\nproblem = kpp\nmode = magic\n", "mode"),
+        # A removed option is an unknown key, not a silently ignored one.
         ("[run]\nproblem = kpp\neps_policy = huge\n", "eps_policy"),
         ("[run]\nproblem = kpp\ngamma = 1.0\n", "gamma"),
         ("[run]\nproblem = kpp\nfinal_time = -1\n", "final_time"),

@@ -198,7 +198,7 @@ def test_blended_flux_is_conservative_across_edges():
 def _theta_for(mesh, model, ubar, upt, dt=1e-3):
     tb = Tables(mesh)
     coef = tb.coefficients(ubar, upt)
-    trace = tb.edge_traces(upt)
+    trace = tb.N1D @ upt[tb.edge_dofs]
     return damping_theta(tb, model, coef, ubar, upt, trace, dt)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from triblend.exceptions import MeshError
+from triblend.cli import main
 from triblend.exceptions import MeshError, UnsupportedElement
 from triblend.mesh import Mesh, read_msh, triangle_geometry
 from triblend.meshgen import (
@@ -299,8 +299,29 @@ def test_msh22_dangling_node_reference(tmp_path):
     text = MSH22_MINIMAL.replace("1 2 2 0 1 1 2 3", "1 2 2 0 1 1 2 9")
     path = tmp_path / "dangling.msh"
     path.write_text(text)
-    with pytest.raises(IndexError):
+    with pytest.raises(MeshError, match=r"unknown node 9 \(line 12\)"):
         read_msh(path)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # An element that references an unknown node id.
+        (MSH22_MINIMAL.replace("1 2 2 0 1 1 2 3", "1 2 2 0 1 1 2 9"), 12),
+        # A $MeshFormat line without the file-type token.
+        (MSH22_MINIMAL.replace("2.2 0 8", "2.2"), 2),
+        # A non-integer token in a v4.1 element line.
+        (MSH41_SAMPLE.replace("2 1 2 3\n", "2 1 two 3\n"), 31),
+    ],
+    ids=["unknown-node", "one-token-format", "v41-element-token"],
+)
+def test_malformed_msh_exits_2_with_line(tmp_path, capsys, text, line):
+    path = tmp_path / "bad.msh"
+    path.write_text(text)
+    with pytest.raises(MeshError, match=rf"\(line {line}\)"):
+        read_msh(path)
+    assert main(["info", str(path)]) == 2
+    assert f"(line {line})" in capsys.readouterr().err
 
 
 def test_msh22_malformed_reports_line(tmp_path):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from triblend.exceptions import ConfigError
+from triblend.boundary import BoundaryHandler
+from triblend.exceptions import ConfigError, NumericalAbort
 from triblend.limiting import IntervalDomain
 from triblend.mesh import Mesh
 from triblend.problems import (
@@ -12,7 +13,7 @@ from triblend.problems import (
     shock_jump,
 )
 from triblend.spatial_ho import Tables
-from triblend.timeloop import initialize
+from triblend.timeloop import Stepper, initialize
 
 # Coarse resolutions for catalog smoke checks (default_n is production size).
 SMALL_N = {
@@ -55,6 +56,57 @@ def test_catalog_entry_is_runnable(name):
     # Initial data admissible in the problem's own assert domain.
     sample_initial(prob, model, Tables(mesh))
     assert prob.final_time > 0
+
+
+def _catalog_modes():
+    """(problem, mode) for every mode each catalog problem accepts; `bp`
+    needs an invariant domain.  The unlimited scheme drives the pressure
+    negative on the shock data of `quadrants` and `double-mach`, so a wave
+    speed takes the square root of a negative number before the abort."""
+    sqrt_warning = pytest.mark.filterwarnings(
+        "ignore:invalid value encountered in sqrt:RuntimeWarning"
+    )
+    cases = []
+    for name, prob in sorted(builtin_problems().items()):
+        enforce, _ = prob.domains(prob.make_model(1.4))
+        for mode in ("ho", "lo", "bp", "full"):
+            if mode == "bp" and enforce is None:
+                continue
+            shock = mode == "ho" and name in ("quadrants", "double-mach")
+            cases.append(
+                pytest.param(name, mode, marks=[sqrt_warning] if shock else [])
+            )
+    return cases
+
+
+@pytest.mark.parametrize("name, mode", _catalog_modes())
+def test_catalog_problem_runs_two_steps(name, mode):
+    prob = get_problem(name)
+    model = prob.make_model(1.4)
+    mesh = prob.mesh_builder(6)
+    mesh.name_boundary(prob.namer)
+    bc = BoundaryHandler(mesh, model, prob.boundaries(model))
+    enforce, assert_ = prob.domains(model)
+    limited = mode in ("bp", "full")
+    stepper = Stepper(
+        mesh, model, bc, mode=mode,
+        enforce_domain=enforce if limited else None,
+        assert_domain=assert_ if limited else None,
+    )
+    ubar, upt = sample_initial(prob, model, stepper.tables)
+    try:
+        ubar, upt, journal, totals = stepper.run(
+            ubar, upt, prob.final_time, max_steps=2
+        )
+    except NumericalAbort:
+        assert mode == "ho" and name in ("quadrants", "double-mach")
+        return
+    assert totals["steps"] == len(journal) == 2
+    assert np.isfinite(ubar).all() and np.isfinite(upt).all()
+    drift = totals["mass"] - totals["mass0"] + totals["bflux_int"]
+    assert np.abs(drift).max() <= 1e-12 * max(1.0, np.abs(totals["mass0"]).max())
+    if limited and assert_ is not None:
+        assert assert_.contains(ubar).all() and assert_.contains(upt).all()
 
 
 def test_shock_jump_mach10():

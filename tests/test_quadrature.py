@@ -1,9 +1,22 @@
 """Triangle and edge quadrature: exactness against closed-form moments."""
 
+import math
+
 import numpy as np
 import pytest
 
-from triblend.quadrature import edge_rule, simplex_moment, triangle_rule
+from triblend.quadrature import edge_rule, triangle_rule
+
+
+def simplex_moment(a, b, c):
+    """Exact unit-area integral of lambda1^a lambda2^b lambda3^c."""
+    return (
+        2.0
+        * math.factorial(a)
+        * math.factorial(b)
+        * math.factorial(c)
+        / math.factorial(a + b + c + 2)
+    )
 
 
 def rule_moment(rule, a, b, c):

@@ -185,9 +185,8 @@ def test_ho_average_row_equals_edge_flux_balance(small_mesh):
     assert np.abs(res.Phi[:, 6] - div).max() < 1e-12 * scale
 
 
-@pytest.mark.parametrize("eps_policy", ["area", "zero"])
 @pytest.mark.parametrize("which", ["euler", "advection"])
-def test_omega_partition_of_unity(small_mesh, eps_policy, which):
+def test_omega_partition_of_unity(small_mesh, which):
     mesh = small_mesh
     if which == "euler":
         model = Euler()
@@ -196,7 +195,7 @@ def test_omega_partition_of_unity(small_mesh, eps_policy, which):
         model = LinearAdvection(rotation_velocity)
         upt = np.sin(3 * mesh.point_xy[:, 0:1] + mesh.point_xy[:, 1:2])
     tb = Tables(mesh)
-    ho = HighOrder(tb, model, eps_policy=eps_policy)
+    ho = HighOrder(tb, model)
     omega, _fb = ho.omega_weights(upt[mesh.tri_point_dofs])
     nv = model.nvars
     tot = np.zeros((mesh.num_points, nv, nv))
@@ -232,7 +231,13 @@ def test_omega_nonfinite_patch_sum_falls_back_quietly(small_mesh):
     tb = Tables(mesh)
     ho = HighOrder(tb, model)
     omega0, fb0 = ho.omega_weights(upt[mesh.tri_point_dofs])
-    bad = int(np.flatnonzero(~mesh.boundary_point_mask)[0])
+    on_boundary = np.concatenate(
+        [
+            mesh.edge_verts[mesh.boundary_edges].ravel(),
+            len(mesh.verts) + mesh.boundary_edges,
+        ]
+    )
+    bad = int(np.setdiff1d(np.arange(mesh.num_points), on_boundary)[0])
     upt[bad] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")

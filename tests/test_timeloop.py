@@ -3,7 +3,7 @@ import pytest
 
 from triblend.boundary import BoundaryHandler, FarField
 from triblend.exceptions import NumericalAbort
-from triblend.limiting import IntervalDomain
+from triblend.limiting import IntervalDomain, damping_theta
 from triblend.meshgen import rect_mesh
 from triblend.models import LinearAdvection
 from triblend.norms import point_weights
@@ -153,6 +153,47 @@ def test_journal_tracks_limiter_activity():
     assert stepper.last_eta_point.shape == (mesh.num_tris, 6)
     assert stepper.last_eta_edge.shape == (mesh.num_edges,)
     assert stepper.last_theta.min() < 1.0
+
+
+def test_full_mode_without_domain_blends_by_theta_bitwise():
+    # Without an invariant domain, mode full blends by the damping alone:
+    # eta = theta_K on the point residuals of K and min(theta_K, theta_L)
+    # on interior edges (theta_K on boundary edges).  The reference below
+    # spells that formula out; the substep must reproduce it bit for bit.
+    prob = get_problem("rotating-shapes")
+    model = prob.make_model(1.4)
+    mesh = prob.mesh_builder(6)
+    mesh.name_boundary(prob.namer)
+    bc = BoundaryHandler(mesh, model, prob.boundaries(model))
+    stepper = Stepper(mesh, model, bc, mode="full")
+    tb = stepper.tables
+    ubar, upt = sample_initial(prob, model, tb)
+    dt = stepper.compute_dt(ubar, upt)
+    ubar_new, upt_new, bflux, stats, (theta, eta_pt, eta_e) = stepper._substep(
+        ubar, upt, 0.0, dt
+    )
+
+    coef = tb.coefficients(ubar, upt)
+    ho = stepper.ho.compute(coef, upt, 0.0)
+    lo = stepper.lo.compute(coef, 0.0)
+    th = damping_theta(tb, model, coef, ubar, upt, ho.trace_u, dt)
+    assert th.min() < 1.0  # the discontinuous data must engage the damping
+    b = lo.Phi_pt + th[:, None, None] * (ho.Wpt - lo.Phi_pt)
+    k0, k1 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
+    te = np.where(
+        k1 >= 0, np.minimum(th[k0], th[np.clip(k1, 0, None)]), th[k0]
+    )
+    F = lo.F_edge + te[:, None] * (ho.F_edge - lo.F_edge)
+    div = np.einsum(
+        "ke,kev->kv", mesh.tri_edge_orient.astype(float), F[mesh.tri_edges]
+    )
+    assert np.array_equal(theta, th)
+    assert np.array_equal(eta_pt, np.broadcast_to(th[:, None], eta_pt.shape))
+    assert np.array_equal(eta_e, te)
+    assert np.array_equal(upt_new, upt - dt * tb.point_sums(b))
+    assert np.array_equal(ubar_new, ubar - (dt / mesh.areas[:, None]) * div)
+    assert np.array_equal(bflux, F[mesh.boundary_edges].sum(axis=0))
+    assert stats["rescued_points"] == stats["rescued_edges"] == 0
 
 
 def test_point_weights_match_run_bookkeeping():
