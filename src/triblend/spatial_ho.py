@@ -32,14 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .basis import (
-    POINT_DOF_BARY,
-    basis_grad_bary,
-    basis_hess_bary,
-    basis_values,
-    projection_matrix,
-)
-from .mesh import Mesh, triangle_geometry
+from .basis import basis_grad_bary, basis_hess_bary, basis_values, projection_matrix
+from .mesh import Mesh
 from .quadrature import edge_rule, triangle_rule
 
 # Exactness degree of the volume rule and Gauss points per edge.
@@ -49,13 +43,6 @@ EDGE_POINTS = 3
 # in Frobenius norm or whose patch sum has a condition number above COND_CAP.
 OMEGA_CAP = 4.0
 COND_CAP = 1e8
-
-# Sub-triangle fan used by the low-order scheme: (outer1, outer2, centroid)
-# as coefficient ids, ordered CCW around K; id 6 is the cell average, which
-# the fan places at the centroid.
-SUB_CORNERS = np.array(
-    [[0, 3, 6], [3, 1, 6], [1, 4, 6], [4, 2, 6], [2, 5, 6], [5, 0, 6]]
-)
 
 # Cyclic relabelling that makes local edge l local edge 0: coefficient j of
 # the relabelled element is coefficient ROTATE[l, j] of the original one,
@@ -83,9 +70,10 @@ class Tables:
 
     Every element is affine, so element terms are reference-element tables
     contracted at call time with `mesh.grad_lambda` (the gradients of the
-    barycentric coordinates), `mesh.areas` and the signed edge lengths.
-    The per-element arrays hold positions, normals, damping lengths and
-    the low-order fan geometry.
+    barycentric coordinates), `mesh.areas` and the signed edge lengths, and
+    reference points map to each element through `element_points`.  The
+    per-element arrays hold point-DoF positions, normals and damping
+    lengths.
     """
 
     def __init__(self, mesh: Mesh):
@@ -97,8 +85,7 @@ class Tables:
         self.wq_vol = vr.weights
         self.PHI_V = basis_values(vr.points)  # (nqv, 7)
         self.DPHI_V = basis_grad_bary(vr.points)  # (nqv, 7, 3)
-        tri_xy = mesh.verts[mesh.tris]  # (NT, 3, 2)
-        self.XY_V = np.einsum("qm,kmd->kqd", vr.points, tri_xy)
+        self.BARY_V = vr.points  # (nqv, 3)
         # Positions of each element's point DoFs: (NT, 6, 2).
         self.XY_PT = np.take(mesh.point_xy, mesh.tri_point_dofs, axis=0)
         # With lambda_2 = 1 - lambda_0 - lambda_1, grad(phi_j) is
@@ -201,13 +188,12 @@ class Tables:
         # Elements per point (for arithmetic fallback weights).
         self.point_count = np.diff(self.point_scatter.indptr).astype(float)
 
-        # -- low-order sub-triangle fan ---------------------------------------
-        sub_bary = np.vstack([POINT_DOF_BARY, np.full(3, 1.0 / 3.0)])[SUB_CORNERS]
-        sub_xy = np.einsum("scm,kmd->kscd", sub_bary, tri_xy)  # (NT,6,3,2)
-        _, self.SUB_G = triangle_geometry(sub_xy)  # (NT, 6, 3, 2) P1 gradients
-        self.SUB_CENTROID = sub_xy.mean(axis=2)
+    # -- geometry and state helpers --------------------------------------------
 
-    # -- state helpers ---------------------------------------------------------
+    def element_points(self, bary: np.ndarray) -> np.ndarray:
+        """Positions of the reference points bary (n, 3), given by their
+        barycentric coordinates, in every element: (NT, n, 2)."""
+        return bary @ np.take(self.mesh.verts, self.mesh.tris, axis=0)
 
     def coefficients(self, ubar: np.ndarray, upt: np.ndarray) -> np.ndarray:
         """Stack local coefficient vectors: (NT, 7, nvars)."""
@@ -423,7 +409,8 @@ class HighOrder:
         # contraction of (a, d) with -grad(lambda_a).
         uq = tb.PHI_V @ coef  # (NT, nqv, nv)
         uq, resc_vol = self._rescue_states(uq, coef[:, 6], count_axis=1)
-        fq = self.model.flux(uq, tb.XY_V)  # (NT, nqv, nv, 2)
+        xy = tb.element_points(tb.BARY_V)  # (NT, nqv, 2)
+        fq = self.model.flux(uq, xy)  # (NT, nqv, nv, 2)
         T = (tb.VOL_OP @ fq.reshape(nt, fq.shape[1], 2 * nv)).reshape(
             nt, 2, 7, nv, 2
         )

@@ -27,8 +27,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import POINT_DOF_BARY
 from .models import llf_flux
-from .spatial_ho import SUB_CORNERS, Tables
+from .spatial_ho import Tables
+
+# Sub-triangle fan: (outer1, outer2, centroid) as coefficient ids, ordered
+# CCW around K; id 6 is the cell average, which the fan places at the
+# centroid.
+SUB_CORNERS = np.array(
+    [[0, 3, 6], [3, 1, 6], [1, 4, 6], [4, 2, 6], [2, 5, 6], [5, 0, 6]]
+)
+# Barycentric coordinates in K of the fan corners: (6 subtris, 3 corners, 3).
+_FAN_BARY = np.vstack([POINT_DOF_BARY, np.full(3, 1.0 / 3.0)])[SUB_CORNERS]
+# A point with barycentric coordinates mu in sub-triangle S has
+# lambda = C_S^T mu in K, with C_S the corner rows above, so the P1
+# gradients of S are grad(mu) = C_S^-T grad(lambda).  FAN_GRAD stacks the
+# rows (S, corner) of the C_S^-T; its entries are integers in {-2, ..., 3}.
+FAN_GRAD = np.rint(np.linalg.inv(_FAN_BARY).transpose(0, 2, 1)).reshape(18, 3)
+FAN_CENTROID = _FAN_BARY.mean(axis=1)  # (6, 3)
 
 # Inverse of the outer corners of SUB_CORNERS: local point DoF d appears as
 # corner SLOT_CORNER[d, i] of sub-triangle SLOT_SUB[d, i], for i = 0, 1.
@@ -71,18 +87,20 @@ class LowOrder:
         mesh = tb.mesh
         U = np.take(coef, SUB_CORNERS, axis=1)  # (NT, 6 subtris, 3 corners, nv)
         ubar_s = U.mean(axis=2)  # (NT, 6, nv)
-        grad = U.swapaxes(-1, -2) @ tb.SUB_G  # (NT, 6, nv, 2)
-        xy_s = tb.SUB_CENTROID
+        # P1 gradients of the corner coordinates of S: (NT, 6, 3, 2).
+        sub_g = (FAN_GRAD @ mesh.grad_lambda).reshape(-1, 6, 3, 2)
+        grad = U.swapaxes(-1, -2) @ sub_g  # (NT, 6, nv, 2)
+        xy_s = tb.element_points(FAN_CENTROID)
         # |S| / 3 = |K| / 18.  The edge-scaled inward normals of S are
-        # 2 |S| grad(lambda^S) = SUB_G |K| / 3; wave speeds are homogeneous
-        # in the normal, so the factor |K| / 3 applies to their maximum.
+        # 2 |S| grad(mu) = sub_g |K| / 3; wave speeds are homogeneous in
+        # the normal, so the factor |K| / 3 applies to their maximum.
         central = (
             mesh.areas[:, None, None] / 18.0
             * self.model.jac_apply(ubar_s, grad, xy_s)
         )
         speeds = self.model.max_wavespeed(
             U[:, :, :, None, :],  # (NT, 6, 3, 1, nv)
-            tb.SUB_G[:, :, None],  # (NT, 6, 1, 3, 2)
+            sub_g[:, :, None],  # (NT, 6, 1, 3, 2)
             xy_s[:, :, None, None, :],
         )
         alpha_s = speeds.max(axis=(2, 3)) * (mesh.areas[:, None] / 3.0)  # (NT, 6)

@@ -38,7 +38,8 @@ _STEP_REDUCE = {
 
 def initialize(tables: Tables, u0_fn):
     """Cell averages by volume quadrature and exact point values of u0."""
-    ubar = np.einsum("q,kqv->kv", tables.wq_vol, u0_fn(tables.XY_V))
+    xy = tables.element_points(tables.BARY_V)
+    ubar = np.einsum("q,kqv->kv", tables.wq_vol, u0_fn(xy))
     upt = np.asarray(u0_fn(tables.mesh.point_xy), dtype=float)
     return ubar, upt
 

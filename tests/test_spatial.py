@@ -10,8 +10,8 @@ from triblend.exceptions import ConfigError
 from triblend.mesh import triangle_geometry
 from triblend.meshgen import rect_mesh
 from triblend.models import KPP, Euler, LinearAdvection
-from triblend.spatial_ho import SUB_CORNERS, HighOrder, Tables
-from triblend.spatial_lo import LowOrder
+from triblend.spatial_ho import HighOrder, Tables
+from triblend.spatial_lo import FAN_CENTROID, FAN_GRAD, SUB_CORNERS, LowOrder
 from triblend.timeloop import Stepper, initialize
 
 
@@ -55,17 +55,31 @@ def test_sub_triangle_areas(small_mesh):
 
 
 def test_sub_normals_sum_zero(small_mesh):
-    # LowOrder takes the edge-scaled inward normals of S as SUB_G |K| / 3:
-    # each is the opposite edge of S turned inward, and the three close.
+    # LowOrder takes the edge-scaled inward normals of S as the P1
+    # gradients FAN_GRAD grad(lambda) times |K| / 3: each is the opposite
+    # edge of S turned inward, and the three close.
     mesh = small_mesh
-    tb = Tables(mesh)
-    normals = tb.SUB_G * (mesh.areas[:, None, None, None] / 3.0)
+    sub_g = (FAN_GRAD @ mesh.grad_lambda).reshape(-1, 6, 3, 2)
+    normals = sub_g * (mesh.areas[:, None, None, None] / 3.0)
     xy = fan_corners(mesh)
     for m in range(3):
         d = xy[:, :, (m + 2) % 3] - xy[:, :, (m + 1) % 3]
         inward = np.stack([-d[..., 1], d[..., 0]], axis=-1)
         assert np.abs(normals[:, :, m] - inward).max() < 1e-14
     assert np.abs(normals.sum(axis=2)).max() < 1e-12
+
+
+def test_fan_gradients_and_centroids_from_the_affine_map(small_mesh):
+    # The fan geometry LowOrder derives from reference tables matches the
+    # geometry of the fan's own corners to round-off.
+    mesh = small_mesh
+    xy = fan_corners(mesh)
+    _, want_g = triangle_geometry(xy)
+    got_g = (FAN_GRAD @ mesh.grad_lambda).reshape(want_g.shape)
+    assert np.abs(got_g - want_g).max() <= 1e-13 * np.abs(want_g).max()
+    assert set(np.unique(FAN_GRAD)) <= set(range(-2, 4))
+    got_c = Tables(mesh).element_points(FAN_CENTROID)
+    assert np.abs(got_c - xy.mean(axis=2)).max() < 1e-15
 
 
 def reference_phi(ho, ubar, upt, t):
@@ -85,7 +99,8 @@ def reference_phi(ho, ubar, upt, t):
     w_edge_mat = w_edge.reshape(nt, 3 * tb.nqe, 7).swapaxes(1, 2)
 
     coef = tb.coefficients(ubar, upt)
-    fq = model.flux(tb.PHI_V @ coef, tb.XY_V)  # (NT, nqv, nv, 2)
+    xy = tb.element_points(tb.BARY_V)
+    fq = model.flux(tb.PHI_V @ coef, xy)  # (NT, nqv, nv, 2)
     vol = -(dvol_mat @ fq.swapaxes(2, 3).reshape(nt, -1, nv))
     vol *= mesh.areas[:, None, None]
     fluxhat, _, _ = ho.interface_fluxes(upt, t)
@@ -149,19 +164,23 @@ def test_edge_side_gradients_exact_on_quadratics(small_mesh):
 
 
 def test_static_bytes_per_triangle():
-    # The element terms come from reference tables and the affine map, so
-    # the spatial operators hold at most 1 KB of arrays per triangle.
+    # The element terms, the fan geometry and the volume quadrature points
+    # come from reference tables and the affine map, so the spatial
+    # operators, sparse point scatter included, hold at most 480 B of
+    # arrays per triangle.
     mesh = named(rect_mesh((0.0, 1.0, 0.0, 1.0), 32, jitter=0.25, seed=2))
     assert mesh.num_tris >= 2000
     model = Euler()
     stepper = Stepper(mesh, model, BoundaryHandler(mesh, model, {"out": Outflow()}))
-    total = sum(
-        v.nbytes
+    scatter = stepper.tables.point_scatter
+    arrays = [
+        v
         for obj in (stepper.tables, stepper.ho, stepper.lo)
         for v in vars(obj).values()
         if isinstance(v, np.ndarray)
-    )
-    assert total / mesh.num_tris <= 1024
+    ] + [scatter.data, scatter.indices, scatter.indptr]
+    total = sum(v.nbytes for v in arrays)
+    assert total / mesh.num_tris <= 480
 
 
 def test_ho_average_row_equals_edge_flux_balance(small_mesh):
