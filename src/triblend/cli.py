@@ -3,9 +3,9 @@
 Subcommands: `run <config>` marches a configured problem and writes VTK/CSV
 outputs; `convergence <config>` runs a nested refinement study against the
 problem's exact solution; `info <mesh>` summarizes a mesh file; `make-mesh`
-generates and tags a built-in problem geometry.  Exit codes: 0 success, 2 configuration error,
-3 numerical abort.  The environment variable TRIBLEND_OUTDIR overrides the
-configured output directory.
+generates and tags a built-in problem geometry.  Exit codes: 0 success, 2
+configuration or mesh-file error, 3 numerical abort.  The environment
+variable TRIBLEND_OUTDIR overrides the configured output directory.
 """
 
 from __future__ import annotations

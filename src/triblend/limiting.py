@@ -21,7 +21,8 @@ Three ingredients keep the blended update inside the physical set:
   update bound-preserving by convexity no matter how the per-element
   residuals interact.  Average updates split into three per-edge
   sub-updates limited on both sides with a single shared eta, so the
-  blended flux stays conservative.
+  blended flux stays conservative.  Without a domain the damping factor
+  alone sets the blend.
 """
 
 from __future__ import annotations

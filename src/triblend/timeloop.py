@@ -6,7 +6,7 @@ The stepper owns the spatial operators and, per forward-Euler substep,
    and integrated edge fluxes) and the low-order counterparts,
 2. computes the jump-based damping factor theta_K,
 3. blends low and high order per point DoF and per edge under the invariant
-   domain, and
+   domain (by the damping factor alone when there is none), and
 4. applies the update; averages advance through shared edge fluxes, so they
    telescope to a pure boundary term.
 
