@@ -212,8 +212,11 @@ def read_msh(path) -> Mesh:
     other element type raises UnsupportedElement.  Physical names on lines
     become edge names of the resulting mesh.
     """
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
+    try:
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeshError(f"cannot read mesh file {path}: {exc}") from None
     # Section name -> (1-based line number of the first body line, body).
     sections: dict[str, tuple[int, list[str]]] = {}
     i = 0
@@ -245,10 +248,12 @@ def read_msh(path) -> Mesh:
 
     phys_names: dict[int, str] = {}
     if "PhysicalNames" in sections:
-        for ln in sections["PhysicalNames"][1][1:]:
+        start, body = sections["PhysicalNames"]
+        for off, ln in enumerate(body[1:]):
             parts = ln.split(maxsplit=2)
             if len(parts) == 3:
-                phys_names[int(parts[1])] = parts[2].strip().strip('"')
+                tag = _int(parts[1], "physical name", start + 1 + off)
+                phys_names[tag] = parts[2].strip().strip('"')
 
     if version.startswith("2"):
         verts, tris, blines = _parse_msh2(sections)
@@ -276,6 +281,30 @@ def read_msh(path) -> Mesh:
     return mesh
 
 
+def _int(token, what, line):
+    """int(token), or a MeshError naming `what` and the 1-based line."""
+    try:
+        return int(token)
+    except ValueError:
+        raise MeshError(f"malformed {what} (line {line})") from None
+
+
+def _count(lines, start, what):
+    """Leading integer of a section's first body line (1-based `start`)."""
+    return _int(lines[0].split()[0] if lines and lines[0] else "", what, start)
+
+
+def _element_nodes(id2idx, etype, nodes, line):
+    """Mesh indices of the nodes of a 2-node line (etype 1) or a 3-node
+    triangle (etype 2)."""
+    need = 3 if etype == 2 else 2
+    if len(nodes) < need:
+        raise MeshError(
+            f"element of type {etype} needs {need} nodes (line {line})"
+        )
+    return [_node_index(id2idx, n, line) for n in nodes[:need]]
+
+
 def _node_index(id2idx, n, line):
     try:
         return id2idx[n]
@@ -290,7 +319,7 @@ def _parse_msh2(sections):
         raise MeshError("missing $Nodes or $Elements")
     node_start, node_lines = sections["Nodes"]
     elem_start, elem_lines = sections["Elements"]
-    nn = int(node_lines[0])
+    nn = _count(node_lines, node_start, "node count")
     ids = np.empty(nn, dtype=np.int64)
     xy = np.empty((nn, 2))
     for k in range(nn):
@@ -306,7 +335,8 @@ def _parse_msh2(sections):
 
     tris = []
     blines = []
-    for off, ln in enumerate(elem_lines[1 : 1 + int(elem_lines[0])]):
+    ne = _count(elem_lines, elem_start, "element count")
+    for off, ln in enumerate(elem_lines[1 : 1 + ne]):
         line = elem_start + 1 + off
         try:
             parts = [int(x) for x in ln.split()]
@@ -317,16 +347,10 @@ def _parse_msh2(sections):
         except (ValueError, IndexError):
             raise MeshError(f"malformed element entry (line {line})") from None
         if etype == 2:
-            tris.append([_node_index(id2idx, n, line) for n in nodes[:3]])
+            tris.append(_element_nodes(id2idx, etype, nodes, line))
         elif etype == 1:
             tag = tags[0] if tags else 0
-            blines.append(
-                (
-                    _node_index(id2idx, nodes[0], line),
-                    _node_index(id2idx, nodes[1], line),
-                    tag,
-                )
-            )
+            blines.append((*_element_nodes(id2idx, etype, nodes, line), tag))
         elif etype != 15:
             raise UnsupportedElement(
                 f"unsupported element type {etype} "
@@ -340,31 +364,36 @@ def _parse_msh4(sections):
     # Entity -> physical-tag map (dim, tag) -> phys id.
     ent_phys: dict[tuple[int, int], int] = {}
     if "Entities" in sections:
-        body = sections["Entities"][1]
-        counts = [int(x) for x in body[0].split()]
-        row = 1
-        for dim, cnt in enumerate(counts):
-            for _ in range(cnt):
-                parts = body[row].split()
-                row += 1
-                tag = int(parts[0])
-                # points: tag x y z numPhys ...; curves/surfaces/volumes:
-                # tag 6 bbox floats, then numPhys.
-                off = 4 if dim == 0 else 7
-                nphys = int(parts[off])
-                if nphys > 0:
-                    ent_phys[(dim, tag)] = int(parts[off + 1])
+        start, body = sections["Entities"]
+        row = 0
+        try:
+            counts = [int(x) for x in body[0].split()]
+            row = 1
+            for dim, cnt in enumerate(counts):
+                for _ in range(cnt):
+                    parts = body[row].split()
+                    tag = int(parts[0])
+                    # points: tag x y z numPhys ...; curves/surfaces/volumes:
+                    # tag 6 bbox floats, then numPhys.
+                    off = 4 if dim == 0 else 7
+                    nphys = int(parts[off])
+                    if nphys > 0:
+                        ent_phys[(dim, tag)] = int(parts[off + 1])
+                    row += 1
+        except (ValueError, IndexError):
+            raise MeshError(f"malformed entity entry (line {start + row})") from None
 
     if "Nodes" not in sections or "Elements" not in sections:
         raise MeshError("missing $Nodes or $Elements")
     node_start, node_lines = sections["Nodes"]
     elem_start, elem_lines = sections["Elements"]
 
-    nblocks, nn = (int(x) for x in node_lines[0].split()[:2])
     ids = []
     coords = []
-    row = 1
+    row = 0
     try:
+        nblocks, nn = (int(x) for x in node_lines[0].split()[:2])
+        row = 1
         for _ in range(nblocks):
             _, _, _, n_in = (int(x) for x in node_lines[row].split())
             row += 1
@@ -386,7 +415,7 @@ def _parse_msh4(sections):
 
     tris = []
     blines = []
-    nblocks = int(elem_lines[0].split()[0])
+    nblocks = _count(elem_lines, elem_start, "element block count")
     row = 1
     for _ in range(nblocks):
         try:
@@ -409,15 +438,9 @@ def _parse_msh4(sections):
             except (ValueError, IndexError):
                 raise MeshError(f"malformed element entry (line {line})") from None
             if etype == 2:
-                tris.append([_node_index(id2idx, n, line) for n in nodes[:3]])
+                tris.append(_element_nodes(id2idx, etype, nodes, line))
             elif etype == 1:
                 phys = ent_phys.get((edim, etag), 0)
-                blines.append(
-                    (
-                        _node_index(id2idx, nodes[0], line),
-                        _node_index(id2idx, nodes[1], line),
-                        phys,
-                    )
-                )
+                blines.append((*_element_nodes(id2idx, etype, nodes, line), phys))
         row += n_in
     return xy, tris, blines

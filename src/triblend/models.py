@@ -29,6 +29,21 @@ from __future__ import annotations
 import numpy as np
 
 
+def diagonal_view(M):
+    """Writable view of the diagonals of the matrices M (..., k, k): (..., k).
+
+    Adding to it adds a multiple of the identity in place, in one strided
+    pass and without a temporary of M's size."""
+    return np.lib.stride_tricks.as_strided(
+        M, M.shape[:-1], M.strides[:-2] + (M.strides[-2] + M.strides[-1],)
+    )
+
+
+def _length(n):
+    """Euclidean length of the 2-vectors n (..., 2): (...,)."""
+    return np.sqrt(n[..., 0] * n[..., 0] + n[..., 1] * n[..., 1])
+
+
 def llf_flux(model, ul, ur, n, xy):
     """Local Lax-Friedrichs (Rusanov) flux from ul to ur across n: (..., nv)."""
     alpha = np.maximum(
@@ -112,7 +127,7 @@ class KPP:
     def max_wavespeed(self, u, n, xy=None):
         # |f'(u) . n| <= |n| for every state: use the global bound, which is
         # what the dissipation argument for this non-convex flux needs.
-        return np.linalg.norm(n, axis=-1)
+        return _length(n)
 
     def jac_apply(self, u, w, xy=None):
         return np.cos(u) * w[..., 0] - np.sin(u) * w[..., 1]
@@ -201,7 +216,7 @@ class Euler:
 
     def max_wavespeed(self, u, n, xy=None):
         rho, vx, vy, p = self.primitives(u)
-        nn = np.linalg.norm(n, axis=-1)
+        nn = _length(n)
         vn = vx * n[..., 0] + vy * n[..., 1]
         return np.abs(vn) + np.sqrt(self.gamma * p / rho) * nn
 
@@ -247,18 +262,18 @@ class Euler:
         f = fn(lam)
         d = f[..., (0, 3)] - f[..., 1:2]  # acoustic projector weights
         M = (r * d[..., None, :]) @ l
-        i = np.arange(4)
-        M[..., i, i] += f[..., 1:2]  # + f(un) I
+        diag = diagonal_view(M)
+        diag += f[..., 1:2]  # + f(un) I
         return M
 
     def jac_normal(self, u, n, xy=None):
-        nn = np.linalg.norm(n, axis=-1)
+        nn = _length(n)
         nhat = n / nn[..., None]
         A = self._apply_eig_function(u, nhat, lambda lam: lam)
         return A * nn[..., None, None]
 
     def sign_jac_normal(self, u, n, xy=None):
-        nn = np.linalg.norm(n, axis=-1)
+        nn = _length(n)
         nhat = n / nn[..., None]
 
         def signfn(lam):
@@ -328,7 +343,7 @@ class Euler:
         terms grow with the squared Mach number and cancel.
         """
         g = self.gamma
-        nn = np.linalg.norm(n, axis=-1)
+        nn = _length(n)
         nx, ny = n[..., 0] / nn, n[..., 1] / nn
         rho, vx, vy, p = self.primitives(u)
         un = vx * nx + vy * ny

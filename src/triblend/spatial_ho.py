@@ -34,6 +34,7 @@ from scipy import sparse
 
 from .basis import basis_grad_bary, basis_hess_bary, basis_values, projection_matrix
 from .mesh import Mesh
+from .models import diagonal_view
 from .quadrature import edge_rule, triangle_rule
 
 # Exactness degree of the volume rule and Gauss points per edge.
@@ -63,6 +64,70 @@ def _edge_bary(local_edge: int, tau: np.ndarray) -> np.ndarray:
 def _local_edges(mesh: Mesh, tris: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Local index of edges[i] in triangles tris[i, s]: (E, 2), 0 if absent."""
     return np.argmax(mesh.tri_edges[tris] == edges[:, None, None], axis=2)
+
+
+def _inverse(A: np.ndarray):
+    """Inverses of the finite matrices A (M, nv, nv), nv = 1 or 4.
+
+    Returns (X, nonsingular): nonsingular (M,) flags the matrices whose
+    determinant is not zero, and X (M, nv, nv) holds their inverses (zero
+    for the others).  The inverse is built in closed form, then refined.
+    For nv = 1 it is 1 / a.  For nv = 4 the determinant and the adjugate
+    come from the six 2x2 minors s of rows 0-1 and the six c of rows 2-3
+    (Laplace expansion), evaluated on the component-major (16, M) layout,
+    so each term is one vector operation over all M.  Two Newton steps
+    X <- X + X (I - A X) then square the residual of the inverse, so that
+    sum_K omega stays at identity to round-off even for moderately
+    ill-conditioned sums.
+    """
+    m, nv = A.shape[0], A.shape[-1]
+    X = np.zeros((m, nv, nv))
+    if nv == 1:
+        nonsingular = A[:, 0, 0] != 0.0
+        X[nonsingular] = 1.0 / A[nonsingular]
+    elif nv == 4:
+        (a00, a01, a02, a03, a10, a11, a12, a13,
+         a20, a21, a22, a23, a30, a31, a32, a33) = A.reshape(m, 16).T.copy()
+        s0 = a00 * a11 - a10 * a01
+        s1 = a00 * a12 - a10 * a02
+        s2 = a00 * a13 - a10 * a03
+        s3 = a01 * a12 - a11 * a02
+        s4 = a01 * a13 - a11 * a03
+        s5 = a02 * a13 - a12 * a03
+        c0 = a20 * a31 - a30 * a21
+        c1 = a20 * a32 - a30 * a22
+        c2 = a20 * a33 - a30 * a23
+        c3 = a21 * a32 - a31 * a22
+        c4 = a21 * a33 - a31 * a23
+        c5 = a22 * a33 - a32 * a23
+        det = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
+        adj = np.stack([
+            a11 * c5 - a12 * c4 + a13 * c3,
+            a02 * c4 - a01 * c5 - a03 * c3,
+            a31 * s5 - a32 * s4 + a33 * s3,
+            a22 * s4 - a21 * s5 - a23 * s3,
+            a12 * c2 - a10 * c5 - a13 * c1,
+            a00 * c5 - a02 * c2 + a03 * c1,
+            a32 * s2 - a30 * s5 - a33 * s1,
+            a20 * s5 - a22 * s2 + a23 * s1,
+            a10 * c4 - a11 * c2 + a13 * c0,
+            a01 * c2 - a00 * c4 - a03 * c0,
+            a30 * s4 - a31 * s2 + a33 * s0,
+            a21 * s2 - a20 * s4 - a23 * s0,
+            a11 * c1 - a10 * c3 - a12 * c0,
+            a00 * c3 - a01 * c1 + a02 * c0,
+            a31 * s1 - a30 * s3 - a32 * s0,
+            a20 * s3 - a21 * s1 + a22 * s0,
+        ])
+        nonsingular = det != 0.0
+        X.reshape(m, 16)[nonsingular] = (
+            adj.T[nonsingular] / det[nonsingular, None]
+        )
+    else:
+        raise ValueError(f"closed-form inverse needs nv = 1 or 4, not {nv}")
+    for _ in range(2):
+        X += X @ (np.eye(nv) - A @ X)
+    return X, nonsingular
 
 
 class Tables:
@@ -275,13 +340,17 @@ class HighOrder:
 
     # -- pieces ---------------------------------------------------------------
 
-    def _rescue_states(self, u, ref, count_axis):
+    def _rescue_states(self, u, ref):
         """Pull inadmissible quadrature states toward an admissible reference.
 
-        u: (..., nq, nv) states, ref: (..., nv).  Scales the whole group by a
-        single factor s = min over its quadrature points of the admissible
-        blend, mirroring the classic quadrature-limiting trick.  Returns the
-        (possibly) modified states and the number of rescued groups.
+        u: (G, nq, nv) states in groups, ref: (G, nv).  Only the groups that
+        hold an inadmissible state are blended: each is scaled toward its
+        reference by a single factor s = min over its quadrature points of
+        the admissible blend, mirroring the classic quadrature-limiting
+        trick.  The domain's blend acts per state, so this equals blending
+        every group and keeping the offending ones.  Returns the states
+        (a new array when a group was rescued) and the number of rescued
+        groups.
         """
         dom = self.enforce_domain
         if dom is None:
@@ -289,16 +358,14 @@ class HighOrder:
         ok = dom.contains(u)
         if ok.all():
             return u, 0
-        bad_group = ~ok.all(axis=count_axis)
-        d = u - ref[..., None, :]
-        eta = dom.max_blend(
-            np.broadcast_to(ref[..., None, :], u.shape), d
-        )
-        s = eta.min(axis=count_axis, keepdims=True)
-        u = np.where(
-            bad_group[..., None, None], ref[..., None, :] + s[..., None] * d, u
-        )
-        return u, int(bad_group.sum())
+        bad = np.flatnonzero(~ok.all(axis=1))
+        r = np.take(ref, bad, axis=0)[:, None, :]
+        d = np.take(u, bad, axis=0) - r
+        eta = dom.max_blend(np.broadcast_to(r, d.shape), d)
+        s = eta.min(axis=1, keepdims=True)
+        u = u.copy()
+        u[bad] = r + s[..., None] * d
+        return u, len(bad)
 
     def interface_fluxes(self, upt, t):
         """Single-valued edge fluxes: (fluxhat (NE, nqe, nv), trace, rescued)."""
@@ -309,7 +376,7 @@ class HighOrder:
         # Edge-local rescue reference: the mean of the three edge DoFs (all
         # admissible), keeping the trace single-valued between the two sides.
         ref = edge_u.mean(axis=1)
-        trace, rescued = self._rescue_states(trace, ref, count_axis=1)
+        trace, rescued = self._rescue_states(trace, ref)
         n = mesh.edge_normal[:, None, :]
         fluxhat = self.model.flux_normal(trace, n, tb.XY_E)
         if self.bc is not None:
@@ -345,7 +412,9 @@ class HighOrder:
         element of its point, go through `Tables.point_scatter`, the sparse
         element-DoF -> point operator with unit entries, so they add in the
         order np.add.at would.  Patch sums that are not finite fall back
-        before any inversion.
+        before any inversion.  The others are inverted in closed form and
+        refined by two Newton steps (`_inverse`, no LAPACK call); exactly
+        singular ones fall back as well.
 
         The weights depend on the state only through the sign matrices.
         For a model with `static_signs` (linear advection in a fixed
@@ -358,38 +427,31 @@ class HighOrder:
         mesh = tb.mesh
         nv = u_loc.shape[-1]
         S = self.model.sign_jac_normal(u_loc, tb.DOF_NORMAL, tb.XY_PT)
-        eps = 0.5 * mesh.areas
-        Seps = 0.5 * (S + np.eye(nv)) + eps[:, None, None, None] * np.eye(nv)
+        # Seps = 0.5 (S + I) + eps_K I, formed in place on the fresh sign
+        # matrices (the diagonal takes + 0.5, then + eps_K, as that sum does).
+        Seps = np.multiply(S, 0.5, out=S)
+        diag = diagonal_view(Seps)
+        diag += 0.5
+        diag += 0.5 * mesh.areas[:, None, None]
         total = tb.point_sums(Seps)
         # Invert per point; patch sums that are not finite or exactly
         # singular go straight to the fallback.
         ok = np.isfinite(total).all(axis=(1, 2))
-        ok[ok] = np.linalg.det(total[ok]) != 0.0
-        bad_pt = ~ok
+        A = total[ok]
+        X, nonsingular = _inverse(A)
         inv = np.zeros_like(total)
-        if ok.any():
-            A = total[ok]
-            X = np.linalg.inv(A)
-            # Newton steps X <- X + X (I - A X) square the residual of the
-            # inverse, so sum_K omega stays at identity to round-off even
-            # for moderately ill-conditioned sums.
-            for _ in range(2):
-                X += X @ (np.eye(nv) - A @ X)
-            inv[ok] = X
-            cond = np.linalg.norm(A, axis=(1, 2)) * np.linalg.norm(
-                X, axis=(1, 2)
-            )
-            bad_pt[ok] = ~np.isfinite(cond) | (cond > COND_CAP)
+        inv[ok] = X
+        cond = np.linalg.norm(A, axis=(1, 2)) * np.linalg.norm(X, axis=(1, 2))
+        bad_pt = ~ok
+        bad_pt[ok] = ~nonsingular | ~np.isfinite(cond) | (cond > COND_CAP)
         omega = np.take(inv, mesh.tri_point_dofs, axis=0) @ Seps
         norms = np.linalg.norm(omega, axis=(2, 3))
         big = ~np.isfinite(norms) | (norms > OMEGA_CAP)
         bad_pt |= tb.point_sums(big.astype(float)) > 0.0
         fb = bad_pt[mesh.tri_point_dofs]  # (NT, 6)
         if fb.any():
-            unit = np.eye(nv) / tb.point_count[mesh.tri_point_dofs][
-                ..., None, None
-            ]
-            omega = np.where(fb[..., None, None], unit, omega)
+            count = tb.point_count[mesh.tri_point_dofs[fb]]
+            omega[fb] = np.eye(nv) / count[:, None, None]
         result = (omega, int(bad_pt.sum()))
         if self.model.static_signs:
             omega.flags.writeable = False
@@ -408,7 +470,7 @@ class HighOrder:
         # Volume term: VOL_OP against the flux (k, q, (v, d)), then the
         # contraction of (a, d) with -grad(lambda_a).
         uq = tb.PHI_V @ coef  # (NT, nqv, nv)
-        uq, resc_vol = self._rescue_states(uq, coef[:, 6], count_axis=1)
+        uq, resc_vol = self._rescue_states(uq, coef[:, 6])
         xy = tb.element_points(tb.BARY_V)  # (NT, nqv, 2)
         fq = self.model.flux(uq, xy)  # (NT, nqv, nv, 2)
         T = (tb.VOL_OP @ fq.reshape(nt, fq.shape[1], 2 * nv)).reshape(

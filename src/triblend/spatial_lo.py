@@ -86,7 +86,7 @@ class LowOrder:
         tb = self.t
         mesh = tb.mesh
         U = np.take(coef, SUB_CORNERS, axis=1)  # (NT, 6 subtris, 3 corners, nv)
-        ubar_s = U.mean(axis=2)  # (NT, 6, nv)
+        ubar_s = (U[:, :, 0] + U[:, :, 1] + U[:, :, 2]) / 3.0  # (NT, 6, nv)
         # P1 gradients of the corner coordinates of S: (NT, 6, 3, 2).
         sub_g = (FAN_GRAD @ mesh.grad_lambda).reshape(-1, 6, 3, 2)
         grad = U.swapaxes(-1, -2) @ sub_g  # (NT, 6, nv, 2)

@@ -330,3 +330,41 @@ def test_msh22_malformed_reports_line(tmp_path):
     path.write_text(text)
     with pytest.raises(MeshError, match=r"line 7"):
         read_msh(path)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        # A non-integer node count in v2.2 $Nodes.
+        (MSH22_MINIMAL.replace("$Nodes\n3\n", "$Nodes\nthree\n"), 5),
+        # A v2.2 line element with one node.
+        (
+            MSH22_MINIMAL.replace(
+                "$Elements\n1\n1 2 2 0 1 1 2 3\n",
+                "$Elements\n2\n1 2 2 0 1 1 2 3\n2 1 2 0 1 1\n",
+            ),
+            13,
+        ),
+        # A non-integer block count in v4.1 $Elements.
+        (MSH41_SAMPLE.replace("$Elements\n2 3 1 3\n", "$Elements\ntwo 3 1 3\n"), 27),
+        # A non-integer token in v4.1 $Entities.
+        (MSH41_SAMPLE.replace("5 0 0 0 1 1 0 1 7 0", "5 0 0 0 1 1 0 one 7 0"), 10),
+        # A file that does not exist: no line to report.
+        (None, None),
+    ],
+    ids=["v22-node-count", "v22-one-node-line", "v41-block-count",
+         "v41-entity-token", "missing-file"],
+)
+def test_malformed_msh_raises_mesh_error_and_info_exits_2(
+    tmp_path, capsys, text, line
+):
+    path = tmp_path / "bad.msh"
+    if text is not None:
+        path.write_text(text)
+    match = rf"\(line {line}\)" if line else "cannot read mesh file"
+    with pytest.raises(MeshError, match=match):
+        read_msh(path)
+    assert main(["info", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

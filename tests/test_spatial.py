@@ -7,10 +7,11 @@ import pytest
 
 from triblend.boundary import BoundaryHandler, FarField, Outflow, Wall
 from triblend.exceptions import ConfigError
+from triblend.limiting import GasDomain, IntervalDomain
 from triblend.mesh import triangle_geometry
 from triblend.meshgen import rect_mesh
 from triblend.models import KPP, Euler, LinearAdvection
-from triblend.spatial_ho import HighOrder, Tables
+from triblend.spatial_ho import HighOrder, Tables, _inverse
 from triblend.spatial_lo import FAN_CENTROID, FAN_GRAD, SUB_CORNERS, LowOrder
 from triblend.timeloop import Stepper, initialize
 
@@ -242,7 +243,7 @@ def test_point_sums_equal_add_at_bitwise(small_mesh):
 
 def test_omega_nonfinite_patch_sum_falls_back_quietly(small_mesh):
     # A NaN state makes its point's patch sum NaN: that point takes the
-    # arithmetic weights without reaching det/inv (no RuntimeWarning), and
+    # arithmetic weights without reaching the inversion (no RuntimeWarning), and
     # every other point keeps its upwind weights.
     mesh = small_mesh
     model = Euler()
@@ -309,6 +310,150 @@ def test_omega_built_once_for_static_signs(small_mesh, monkeypatch, which):
     assert omega.tobytes() == omega_fresh.tobytes()
     assert fb == fb_fresh
     assert omega.flags.writeable == (which == "euler")
+
+
+def reference_rescue(dom, u, ref):
+    """The all-rows rescue: blend every group toward its reference, then
+    keep the blend in the groups that hold an inadmissible state."""
+    ok = dom.contains(u)
+    if ok.all():
+        return u, 0
+    bad_group = ~ok.all(axis=1)
+    d = u - ref[:, None, :]
+    eta = dom.max_blend(np.broadcast_to(ref[:, None, :], u.shape), d)
+    s = eta.min(axis=1, keepdims=True)
+    u = np.where(bad_group[:, None, None], ref[:, None, :] + s[..., None] * d, u)
+    return u, int(bad_group.sum())
+
+
+def rescue_groups(which, bad_every):
+    """Admissible references (G, nv) and groups of states (G, 7, nv) around
+    them; every `bad_every`-th group holds inadmissible states (none if 0)."""
+    rng = np.random.default_rng(11)
+    g, nq = 300, 7
+    bad = slice(0, g, bad_every) if bad_every else slice(0)
+    if which == "gas":
+        dom = GasDomain()
+        ref = euler_field(rng.uniform(0.0, 1.0, (g, 2)))
+        u = ref[:, None, :] * (1.0 + 0.05 * rng.standard_normal((g, nq, 4)))
+        # Negative density in one state, negative pressure in another.
+        u[bad, 2, 0] = -0.1 * ref[bad, 0]
+        u[bad, 5, 3] = 0.25 * (u[bad, 5, 1] ** 2 + u[bad, 5, 2] ** 2) / u[bad, 5, 0]
+    else:
+        dom = IntervalDomain(0.0, 1.0)
+        ref = rng.uniform(0.1, 0.9, (g, 1))
+        u = np.clip(ref[:, None, :] + 0.05 * rng.standard_normal((g, nq, 1)), 0, 1)
+        u[bad, 1, 0] = 1.3
+        u[bad, 4, 0] = -0.2
+    assert np.all(dom.contains(ref))
+    return dom, u, ref
+
+
+@pytest.mark.parametrize("bad_every", [0, 1, 7])
+@pytest.mark.parametrize("which", ["gas", "interval"])
+def test_rescue_of_offending_groups_equals_all_rows_formula(
+    small_mesh, which, bad_every
+):
+    # Blending only the offending groups gives the states of the all-rows
+    # formula bitwise, because the domain's blend acts per state.
+    dom, u, ref = rescue_groups(which, bad_every)
+    model = Euler() if which == "gas" else LinearAdvection((1.0, 0.0))
+    ho = HighOrder(Tables(small_mesh), model, enforce_domain=dom)
+    u_in = u.copy()
+    got, count = ho._rescue_states(u, ref)
+    want, want_count = reference_rescue(dom, u_in, ref)
+    assert count == want_count
+    assert count == len(range(0, len(u), bad_every)) if bad_every else count == 0
+    assert got.tobytes() == want.tobytes()
+    assert u.tobytes() == u_in.tobytes()  # the input is left as it was
+    assert np.all(dom.contains(got))
+
+
+def test_closed_form_inverse_matches_lapack():
+    # After the Newton steps the closed-form inverse agrees with LAPACK's
+    # to 1e-12 relative, on random sums and on moderately ill-conditioned
+    # ones (condition number 3e3).  Both inverses err by about the
+    # condition number times the unit round-off.
+    rng = np.random.default_rng(5)
+    m = 2000
+    generic = rng.standard_normal((m, 4, 4)) + 4.0 * np.eye(4)
+    q1 = np.linalg.qr(rng.standard_normal((m, 4, 4)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((m, 4, 4)))[0]
+    ill = (q1 * np.logspace(0.0, -3.5, 4)) @ q2
+    for A in (generic, ill):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X, nonsingular = _inverse(A)
+        assert nonsingular.all()
+        want = np.linalg.inv(A)
+        scale = np.abs(want).max(axis=(1, 2))
+        assert (np.abs(X - want).max(axis=(1, 2)) / scale).max() < 1e-12
+    a = rng.uniform(0.5, 4.0, (m, 1, 1))
+    X, nonsingular = _inverse(a)
+    assert nonsingular.all()
+    assert np.abs(X * a - 1.0).max() <= np.finfo(float).eps
+
+
+def test_omega_exactly_singular_patch_sum_falls_back_quietly(
+    small_mesh, monkeypatch
+):
+    # A patch sum with two equal rows has determinant exactly 0: its point
+    # takes the arithmetic weights with no division by zero, and every other
+    # point keeps its upwind weights.
+    mesh = small_mesh
+    model = Euler()
+    upt = euler_field(mesh.point_xy)
+    tb = Tables(mesh)
+    ho = HighOrder(tb, model)
+    u_loc = upt[mesh.tri_point_dofs]
+    omega0, fb0 = ho.omega_weights(u_loc)
+    count = tb.point_count[mesh.tri_point_dofs]
+    upwind = ~np.all(omega0 == np.eye(4) / count[..., None, None], axis=(2, 3))
+    bad = int(mesh.tri_point_dofs[upwind][0])
+    point_sums = tb.point_sums
+
+    def singular_at_bad(x):
+        out = point_sums(x)
+        if out.ndim == 3:
+            out[bad, 1] = out[bad, 0]
+        return out
+
+    monkeypatch.setattr(tb, "point_sums", singular_at_bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        omega, fb = ho.omega_weights(u_loc)
+    hit = mesh.tri_point_dofs == bad
+    n = hit.sum()
+    assert fb == fb0 + 1
+    assert np.array_equal(omega[hit], np.broadcast_to(np.eye(4) / n, (n, 4, 4)))
+    assert np.array_equal(omega[~hit], omega0[~hit])
+    for A in (np.ones((1, 4, 4)), np.zeros((1, 4, 4)), np.zeros((1, 1, 1))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X, nonsingular = _inverse(A)
+        assert not nonsingular.any()
+        assert not X.any()
+
+
+def test_euler_omega_makes_no_lapack_inverse_call(small_mesh, monkeypatch):
+    mesh = small_mesh
+    model = Euler()
+    upt = euler_field(mesh.point_xy)
+    tb = Tables(mesh)
+    ho = HighOrder(tb, model)
+    want, want_fb = ho.omega_weights(upt[mesh.tri_point_dofs])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK inverse called")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    omega, fb = ho.omega_weights(upt[mesh.tri_point_dofs])
+    assert omega.tobytes() == want.tobytes()
+    assert fb == want_fb
+    bc = BoundaryHandler(mesh, model, {"out": Outflow()})
+    ubar, upt = initialize(tb, euler_field)
+    HighOrder(tb, model, bc).compute(tb.coefficients(ubar, upt), upt, 0.0)
 
 
 def test_wall_flux_has_no_mass_or_energy_component(small_mesh):
