@@ -152,7 +152,10 @@ def cmd_run(args) -> int:
         write_vtk_averages(os.path.join(out, f"averages{tag}.vtk"), mesh, ub, model)
         write_vtk_points(os.path.join(out, f"points{tag}.vtk"), mesh, up, model)
 
+    journal = []  # filled step by step, so an abort keeps the completed steps
+
     def callback(step, t, ub, up, row):
+        journal.append(row)
         if cfg.log_every and step % cfg.log_every == 0:
             act = (
                 f"theta_min={row['theta_min']:.3f} "
@@ -173,10 +176,12 @@ def cmd_run(args) -> int:
                 stepper.last_eta_edge,
             )
 
-    ubar, upt, journal, totals = stepper.run(ubar, upt, t_end, callback=callback)
+    try:
+        ubar, upt, _, totals = stepper.run(ubar, upt, t_end, callback=callback)
+    finally:
+        write_journal_csv(os.path.join(out, "journal.csv"), journal)
 
     dump("", ubar, upt)
-    write_journal_csv(os.path.join(out, "journal.csv"), journal)
     write_diagnostics_csv(
         os.path.join(out, "diagnostics.csv"),
         mesh,

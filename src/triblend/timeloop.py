@@ -19,6 +19,10 @@ round-off.
 
 from __future__ import annotations
 
+import ctypes
+import os
+import sys
+
 import numpy as np
 
 from .exceptions import NumericalAbort
@@ -34,6 +38,63 @@ _STEP_REDUCE = {
     "eta_lo_frac": lambda v: float(np.mean(v)),
     "eta_hi_frac": lambda v: float(np.mean(v)),
 }
+
+
+# glibc's mallopt parameters and the environment variables through which a
+# user sets them; see _pin_malloc_thresholds.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MALLOC_ENV = (
+    "MALLOC_MMAP_THRESHOLD_",
+    "MALLOC_TRIM_THRESHOLD_",
+    "MALLOC_TOP_PAD_",
+    "MALLOC_MMAP_MAX_",
+)
+_malloc_pinned = False
+
+
+def _glibc_mallopt():
+    """glibc's `mallopt`, or None off Linux or under another C library."""
+    if not sys.platform.startswith("linux"):
+        return None
+    libc = ctypes.CDLL(None)
+    if not hasattr(libc, "gnu_get_libc_version") or not hasattr(libc, "mallopt"):
+        return None
+    mallopt = libc.mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt
+
+
+def _pin_malloc_thresholds() -> None:
+    """Keep freed step temporaries in the heap, once per process.
+
+    A substep builds multi-MB temporaries (Euler sign matrices, upwind
+    weights, edge-side gradients) and frees them again.  glibc returns that
+    memory to the OS after nearly every operator: it trims the heap top
+    beyond its trim threshold and unmaps blocks above its dynamic mmap
+    threshold.  The next operator then faults the same pages in afresh:
+    22k-28k minor faults per `double-mach` step at 4.5k triangles (2.3k
+    at 516) and 8k-12k per `rotating-shapes` step at 7k, which cost about
+    15% of a `double-mach` step.  Pinning the mmap threshold at 32 MiB
+    (the ceiling of glibc's own dynamic rule on 64-bit) and the trim
+    threshold at twice that keeps the memory mapped and reused: fewer than
+    100 faults per step on both, with bitwise the same states.  Both are
+    set together, because setting either one switches the dynamic rule
+    off.  Nothing is set off glibc, or when the environment already
+    chooses malloc settings.
+    """
+    global _malloc_pinned
+    if _malloc_pinned:
+        return
+    _malloc_pinned = True
+    if any(name in os.environ for name in _MALLOC_ENV):
+        return
+    if "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        return
+    mallopt = _glibc_mallopt()
+    # mallopt returns 0 for a value it rejects (32 MiB on a 32-bit build).
+    if mallopt is not None and mallopt(_M_MMAP_THRESHOLD, 32 << 20):
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def initialize(tables: Tables, u0_fn):
@@ -58,6 +119,7 @@ class Stepper:
         damping_c1: float = 1.0,
         damping_c2: float = 1.0,
     ):
+        _pin_malloc_thresholds()
         self.mesh = mesh
         self.model = model
         self.tables = Tables(mesh)
@@ -84,8 +146,8 @@ class Stepper:
 
     # -- time step --------------------------------------------------------------
 
-    def compute_dt(self, ubar, upt):
-        """CFL * min over elements of inradius / max local wavespeed."""
+    def _wavespeeds(self, ubar, upt):
+        """Max local wavespeed per element, (NT,), floored at 1e-300."""
         states = self.tables.coefficients(ubar, upt)  # (NT, 7, nv)
         xy = np.concatenate(
             [self.tables.XY_PT, self.mesh.centroids[:, None, :]], axis=1
@@ -93,8 +155,24 @@ class Stepper:
         speeds = self.model.max_wavespeed(
             states[:, :, None, :], self._normals[:, None, :, :], xy[:, :, None, :]
         )  # (NT, 7, 3)
-        lam = np.maximum(speeds.max(axis=(1, 2)), 1e-300)
+        return np.maximum(speeds.max(axis=(1, 2)), 1e-300)
+
+    def compute_dt(self, ubar, upt):
+        """CFL * min over elements of inradius / max local wavespeed."""
+        lam = self._wavespeeds(ubar, upt)
         return self.cfl * float((self._inradius / lam).min())
+
+    def _collapse(self, ubar, upt, t, step):
+        """The abort for a time step that is not finite and positive; it
+        names the first element whose own time step is not."""
+        lam = self._wavespeeds(ubar, upt)
+        dt_k = self._inradius / lam
+        k = int(np.argmax(~(np.isfinite(dt_k) & (dt_k > 0.0))))
+        x, y = self.mesh.centroids[k]
+        return NumericalAbort(
+            f"time step collapsed: step {step}, t = {t:.6g}; element {k} at "
+            f"({x:.6g}, {y:.6g}) has wave speed {lam[k]:.6g}"
+        )
 
     # -- one forward-Euler substep ------------------------------------------------
 
@@ -180,17 +258,31 @@ class Stepper:
         return ubar_new, upt_new, bflux, stats, (theta, eta_pt, eta_e)
 
     def _check(self, ubar, upt, t, step, stage):
-        bad = 0
         if self.assert_domain is not None:
-            bad += int((~self.assert_domain.contains(ubar)).sum())
-            bad += int((~self.assert_domain.contains(upt)).sum())
+            bad_bar = ~self.assert_domain.contains(ubar)
+            bad_pt = ~self.assert_domain.contains(upt)
         else:
-            bad += int((~np.isfinite(ubar)).any(axis=-1).sum())
-            bad += int((~np.isfinite(upt)).any(axis=-1).sum())
+            bad_bar = (~np.isfinite(ubar)).any(axis=-1)
+            bad_pt = (~np.isfinite(upt)).any(axis=-1)
+        bad = int(bad_bar.sum()) + int(bad_pt.sum())
         if bad:
+            # Point values first: they have no conservative update, and
+            # breakdowns have started there.
+            sites = [
+                ("point", i, self.mesh.point_xy[i], upt[i])
+                for i in np.flatnonzero(bad_pt)[:3]
+            ] + [
+                ("average", k, self.mesh.centroids[k], ubar[k])
+                for k in np.flatnonzero(bad_bar)[:3]
+            ]
+            where = "; ".join(
+                f"{kind} {i} at ({xy[0]:.6g}, {xy[1]:.6g}) state "
+                f"({', '.join(f'{v:.6g}' for v in u)})"
+                for kind, i, xy, u in sites[:3]
+            )
             raise NumericalAbort(
                 f"inadmissible state: step {step}, stage {stage}, t = {t:.6g}, "
-                f"{bad} offending DoFs"
+                f"{bad} offending DoFs: {where}"
             )
 
     # -- full RK step -------------------------------------------------------------
@@ -198,12 +290,21 @@ class Stepper:
     def rk3_step(self, ubar, upt, t, dt, step=0):
         """One SSP-RK3 step; returns (ubar, upt, bflux, stats).
 
+        `step` numbers the step in abort messages, as the journal does;
+        stage 0 there means the step started from an inadmissible state.
+
         Stashes per-step limiter diagnostics as `last_theta` (NT,),
         `last_eta_point` (NT, 6) and `last_eta_edge` (NE,), each the
         element-wise minimum over the three substeps.
         """
         ub1, up1, bf0, st0, dg0 = self._substep(ubar, upt, t, dt)
-        self._check(ub1, up1, t + dt, step, 1)
+        try:
+            self._check(ub1, up1, t + dt, step, 1)
+        except NumericalAbort:
+            # A substep spreads a bad DoF to its neighbours; if the step
+            # started from it, name it as stage 0.
+            self._check(ubar, upt, t, step, 0)
+            raise
 
         ub2, up2, bf1, st1, dg1 = self._substep(ub1, up1, t + dt, dt)
         ub2 = 0.75 * ubar + 0.25 * ub2
@@ -255,9 +356,9 @@ class Stepper:
         while t < t_end - 1e-12 * max(1.0, abs(t_end)):
             dt = self.compute_dt(ubar, upt)
             if not np.isfinite(dt) or dt <= 0.0:
-                raise NumericalAbort(f"time step collapsed at t = {t:.6g}")
+                raise self._collapse(ubar, upt, t, step + 1)
             dt = min(dt, t_end - t)
-            ubar, upt, bflux, stats = self.rk3_step(ubar, upt, t, dt, step)
+            ubar, upt, bflux, stats = self.rk3_step(ubar, upt, t, dt, step + 1)
             bflux_int += dt * bflux
             t += dt
             step += 1

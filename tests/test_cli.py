@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,16 @@ def test_unlimited_mode_on_shock_data_exits_3(tmp_path, capsys):
         "log_every = 0\n",
     )
     assert main(["run", cfg]) == 3
-    assert "numerical abort" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical abort" in err
+    # The abort names the step that failed and where, and the journal
+    # keeps one row per completed step before it.
+    m = re.search(r"step (\d+), t = \S+; element \d+ at \(\S+, \S+\)", err)
+    assert m, err
+    rows = (tmp_path / "o" / "journal.csv").read_text().splitlines()
+    steps = [int(row.split(",")[0]) for row in rows[1:]]
+    assert rows[0].startswith("step,t,dt,")
+    assert steps == list(range(1, int(m.group(1))))
 
 
 def test_unmapped_boundary_name_exits_2(tmp_path, capsys):

@@ -1,5 +1,9 @@
+import os
+
 import numpy as np
 import pytest
+
+from triblend import timeloop
 
 from triblend.boundary import BoundaryHandler, FarField
 from triblend.exceptions import NumericalAbort
@@ -93,6 +97,21 @@ def test_nonfinite_state_aborts_without_domain():
     upt[3, 0] = np.nan
     with pytest.raises(NumericalAbort):
         stepper.run(ubar, upt, 0.1)
+
+
+def test_nan_point_value_abort_names_the_point():
+    mesh, model, stepper, exact = linear_setup()
+    ubar, upt = initialize(stepper.tables, lambda xy: exact(xy, 0.0))
+    upt[3, 0] = np.nan
+    with pytest.raises(NumericalAbort) as info:
+        stepper.rk3_step(ubar, upt, 0.0, 0.01, step=4)
+    # The first substep spreads the NaN to the neighbours of point 3, so
+    # the abort names the step's own input as stage 0.
+    x, y = mesh.point_xy[3]
+    assert str(info.value) == (
+        "inadmissible state: step 4, stage 0, t = 0, 1 offending DoFs: "
+        f"point 3 at ({x:.6g}, {y:.6g}) state (nan)"
+    )
 
 
 def test_dt_scales_linearly_with_cfl():
@@ -242,3 +261,92 @@ def test_rk3_step_gathers_element_states_once(monkeypatch):
     stepper.rk3_step(ubar, upt, 0.0, dt)
     assert len(stacks) == 3
     assert len(gathers) == 3
+
+
+def mach_stepper(n):
+    prob = get_problem("double-mach")
+    model = prob.make_model(1.4)
+    mesh = prob.mesh_builder(n)
+    mesh.name_boundary(prob.namer)
+    bc = BoundaryHandler(mesh, model, prob.boundaries(model))
+    enforce, assert_ = prob.domains(model)
+    stepper = Stepper(
+        mesh, model, bc, mode="full",
+        enforce_domain=enforce, assert_domain=assert_,
+    )
+    return prob, model, stepper
+
+
+@pytest.mark.skipif(
+    timeloop._glibc_mallopt() is None, reason="needs glibc's mallopt"
+)
+def test_mach_steps_do_not_page_fault():
+    # With the malloc thresholds pinned, the step temporaries of one
+    # operator are reused by the next one instead of being unmapped and
+    # faulted in again (about 2.3k faults per step without the pin).
+    resource = pytest.importorskip("resource")
+    if any(name in os.environ for name in timeloop._MALLOC_ENV):
+        pytest.skip("the environment chooses the malloc settings")
+    prob, model, stepper = mach_stepper(8)
+    assert stepper.mesh.num_tris == 516
+    ubar, upt = sample_initial(prob, model, stepper.tables)
+    t = 0.0
+    for step in range(5):
+        if step == 2:
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        dt = stepper.compute_dt(ubar, upt)
+        ubar, upt, _, _ = stepper.rk3_step(ubar, upt, t, dt)
+        t += dt
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    assert faults / 3 < 500
+
+
+@pytest.fixture
+def mallopt_calls(monkeypatch):
+    """Record mallopt calls, as if no Stepper had been built yet."""
+    calls = []
+    monkeypatch.setattr(timeloop, "_malloc_pinned", False)
+
+    def accepting(*args):
+        calls.append(args)
+        return 1
+
+    monkeypatch.setattr(timeloop, "_glibc_mallopt", lambda: accepting)
+    for name in timeloop._MALLOC_ENV + ("GLIBC_TUNABLES",):
+        monkeypatch.delenv(name, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("MALLOC_TRIM_THRESHOLD_", "1000000"),
+        ("MALLOC_TOP_PAD_", "0"),
+        ("GLIBC_TUNABLES", "glibc.malloc.mmap_threshold=131072"),
+    ],
+)
+def test_user_malloc_settings_are_kept(mallopt_calls, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    linear_setup()
+    assert mallopt_calls == []
+
+
+def test_malloc_thresholds_are_pinned_once(mallopt_calls):
+    linear_setup()
+    pinned = [(timeloop._M_MMAP_THRESHOLD, 32 << 20),
+              (timeloop._M_TRIM_THRESHOLD, 64 << 20)]
+    assert mallopt_calls == pinned
+    linear_setup()
+    assert mallopt_calls == pinned
+
+
+def test_trim_threshold_is_not_set_alone(monkeypatch, mallopt_calls):
+    # Either threshold alone switches glibc's dynamic rule off, so a
+    # rejected mmap threshold leaves the trim threshold alone too.
+    def rejecting(*args):
+        mallopt_calls.append(args)
+        return 0
+
+    monkeypatch.setattr(timeloop, "_glibc_mallopt", lambda: rejecting)
+    linear_setup()
+    assert mallopt_calls == [(timeloop._M_MMAP_THRESHOLD, 32 << 20)]
