@@ -330,12 +330,16 @@ def blend_point_residuals(tables, domain, u_loc, Phi_lo, Wpt, theta, dt):
     whenever the DoF states already are.  With domain None the blend is
     the damping alone, eta = theta_K.
     """
+    # Work on (6, NT, nv) views: their leading axes follow the memory order
+    # of the component-major residuals (element axis innermost, see
+    # `Tables`), so every array built here is laid out alike.
+    u_loc, Phi_lo, Wpt = (x.transpose(1, 0, 2) for x in (u_loc, Phi_lo, Wpt))
     n_rescued = 0
     if domain is not None:
         mesh = tables.mesh
-        share = (mesh.areas[:, None] / 9.0) / mesh.point_area[
-            mesh.tri_point_dofs
-        ]  # (NT, 6) convex weights s_K
+        share = (mesh.areas / 9.0) / mesh.point_area[
+            mesh.tri_point_dofs.T
+        ]  # (6, NT) convex weights s_K
         lam = dt / share  # amplified step per element candidate
 
         c0 = u_loc - lam[..., None] * Phi_lo
@@ -347,12 +351,12 @@ def blend_point_residuals(tables, domain, u_loc, Phi_lo, Wpt, theta, dt):
             c0 = u_loc - lam[..., None] * Phi_lo
 
     dW = Wpt - Phi_lo
-    eta = theta[:, None]
+    eta = theta
     if domain is not None:
         eta = np.minimum(domain.max_blend(c0, -lam[..., None] * dW), eta)
     eta = np.broadcast_to(eta, dW.shape[:2])
     b = Phi_lo + eta[..., None] * dW
-    return b, eta, n_rescued
+    return b.transpose(1, 0, 2), eta.T, n_rescued
 
 
 def blend_average_fluxes(tables, domain, ubar, F_lo, F_ho, theta, dt):

@@ -20,6 +20,15 @@ the wave speed of a linear flux, has only the dimensions its inputs give
 it: `jac_normal`, `sign_jac_normal` and `max_wavespeed` are broadcastable
 against the leading dimensions of u, not materialized over them.
 
+Memory layout: any strides are accepted.  The element kernels store their
+arrays component-major, (nvars, local axes..., NT) with the element axis
+innermost, and pass the models nv-last views of them (`np.moveaxis(a, 0,
+-1)`), so that every `u[..., i]` is one contiguous block and numpy's inner
+loops run over all elements.  Results are laid out the same way: arrays
+shaped like u follow its strides (`np.empty_like`), and split fluxes, flux
+tensors and matrices come from `component_major`, which puts their last
+one or two axes outermost in memory.
+
 `llf_flux` is the local Lax-Friedrichs two-state flux over this interface,
 shared by the low-order averages and the boundary closure.
 """
@@ -37,6 +46,14 @@ def diagonal_view(M):
     return np.lib.stride_tricks.as_strided(
         M, M.shape[:-1], M.strides[:-2] + (M.strides[-2] + M.strides[-1],)
     )
+
+
+def component_major(lead, *comps):
+    """Uninitialized array of shape lead + comps stored as comps + lead:
+    each component is one C-contiguous block over the leading dims."""
+    k = len(comps)
+    out = np.empty(comps + tuple(lead))
+    return np.moveaxis(out, tuple(range(k)), tuple(range(-k, 0)))
 
 
 def _length(n):
@@ -77,7 +94,9 @@ class LinearAdvection:
 
     def flux(self, u, xy):
         a = self.velocity_at(xy)
-        return u[..., :, None] * a[..., None, :]
+        lead = np.broadcast_shapes(u.shape[:-1], a.shape[:-1])
+        out = component_major(lead, u.shape[-1], 2)
+        return np.multiply(u[..., :, None], a[..., None, :], out=out)
 
     def _normal_speed(self, n, xy):
         """a(xy) . n, in the broadcast shape of the leading dims of n, xy."""
@@ -109,7 +128,7 @@ class KPP:
     static_signs = False
 
     def flux(self, u, xy=None):
-        out = np.empty(u.shape + (2,))
+        out = component_major(u.shape[:-1], u.shape[-1], 2)
         out[..., 0] = np.sin(u)
         out[..., 1] = np.cos(u)
         return out
@@ -138,6 +157,19 @@ class KPP:
 # ---------------------------------------------------------------------------
 
 
+def _eigen_signs(lam):
+    """Signs of the stacked eigenvalues lam (3, ...) = (un - c, un, un + c).
+
+    Eigenvalues within round-off of zero get sign 0 so that stagnation and
+    sonic points do not flip erratically between +1 and -1; max(|un - c|,
+    |un + c|) is the wave speed |un| + c.
+    """
+    scale = np.maximum(np.abs(lam[0]), np.abs(lam[2]))
+    s = np.sign(lam)
+    s[np.abs(lam) <= 1e-12 * scale] = 0.0
+    return s
+
+
 class Euler:
     """2D compressible Euler with ideal-gas law, u = (rho, mx, my, E).
 
@@ -153,8 +185,8 @@ class Euler:
         l0,3 = (b2 +/- un / c, -(b1 v +/- n / c), b1) / 2,
 
     b1 = (gamma - 1) / c^2, b2 = b1 |v|^2 / 2 and l_i . r_j = delta_ij.
-    `jac_normal` and `sign_jac_normal` use this form, and
-    `flux_normal_split` its closed-form action on u.
+    `jac_normal` and `sign_jac_normal` build this form entry by entry, and
+    `flux_normal_split` uses its closed-form action on u.
     Where f is equal on all three eigenvalues, as the sign at supersonic
     states, f(A) is exactly f(un) I.
     """
@@ -193,7 +225,7 @@ class Euler:
 
     def flux(self, u, xy=None):
         rho, vx, vy, p = self.primitives(u)
-        out = np.empty(u.shape + (2,))
+        out = component_major(u.shape[:-1], 4, 2)
         out[..., 0, 0] = u[..., 1]
         out[..., 0, 1] = u[..., 2]
         out[..., 1, 0] = u[..., 1] * vx + p
@@ -218,74 +250,64 @@ class Euler:
         rho, vx, vy, p = self.primitives(u)
         nn = _length(n)
         vn = vx * n[..., 0] + vy * n[..., 1]
-        return np.abs(vn) + np.sqrt(self.gamma * p / rho) * nn
+        # A negative pressure gives NaN, which the time step and the
+        # admissibility check report as a numerical abort.
+        with np.errstate(invalid="ignore"):
+            c = np.sqrt(self.gamma * p / rho)
+        return np.abs(vn) + c * nn
 
-    # -- eigenstructure in a unit direction ---------------------------------
+    # -- matrix functions of the directional Jacobian ------------------------
 
-    def _eig_rotated(self, u, n):
-        """Eigen-data of d(f.n)/du for |n| = 1.
+    def _matrix_function(self, u, n, fn):
+        """fn(d(f.n)/du) for the unit direction n / |n|: (..., 4, 4).
 
-        Returns (lam, r, l): the eigenvalues (..., 4) = (un - c, un, un,
-        un + c), and the eigenvectors of the simple eigenvalues un - c and
-        un + c in conserved variables, right ones as the columns of r
-        (..., 4, 2) and left ones as the rows of l (..., 2, 4), normalized
-        so that l @ r = I.
+        fn maps the distinct eigenvalues, stacked as (un - c, un, un + c)
+        (3, ...), to their function values.  The 16 entries of the
+        eigenprojector form are built one by one from component arrays
+        into a `component_major` result, r_k d_k times l_k for k = 0, 3
+        with the projector weights d_k = f(lam_k) - f(un).
         """
         g = self.gamma
-        nx, ny = n[..., 0], n[..., 1]
+        nn = _length(n)
+        nx, ny = n[..., 0] / nn, n[..., 1] / nn
         rho, vx, vy, p = self.primitives(u)
         un = vx * nx + vy * ny
-        c = np.sqrt(g * p / rho)
+        with np.errstate(invalid="ignore"):
+            c = np.sqrt(g * p / rho)
         H = (u[..., 3] + p) / rho
+        f0, f1, f3 = fn(np.stack([un - c, un, un + c]))
+        d0, d3 = f0 - f1, f3 - f1
+        cx, cy, cn = c * nx, c * ny, c * un
+        r0 = (d0, (vx - cx) * d0, (vy - cy) * d0, (H - cn) * d0)
+        r3 = (d3, (vx + cx) * d3, (vy + cy) * d3, (H + cn) * d3)
         b1 = (g - 1.0) / c**2
         b2 = 0.5 * b1 * (vx**2 + vy**2)
-        cx, cy, cn = c * nx, c * ny, c * un
-        one = np.ones_like(un)
-        r = np.stack(
-            [one, one, vx - cx, vx + cx, vy - cy, vy + cy, H - cn, H + cn],
-            axis=-1,
-        ).reshape(u.shape[:-1] + (4, 2))
         ax, ay, an = nx / c, ny / c, un / c
-        l = 0.5 * np.stack(
-            [
-                b2 + an, -(b1 * vx + ax), -(b1 * vy + ay), b1,
-                b2 - an, -(b1 * vx - ax), -(b1 * vy - ay), b1,
-            ],
-            axis=-1,
-        ).reshape(u.shape[:-1] + (2, 4))
-        lam = np.stack([un - c, un, un, un + c], axis=-1)
-        return lam, r, l
-
-    def _apply_eig_function(self, u, n, fn):
-        """Matrix function fn(lam) of d(f.n)/du for |n| = 1: (..., 4, 4)."""
-        lam, r, l = self._eig_rotated(u, n)
-        f = fn(lam)
-        d = f[..., (0, 3)] - f[..., 1:2]  # acoustic projector weights
-        M = (r * d[..., None, :]) @ l
+        l0 = (
+            0.5 * (b2 + an), 0.5 * -(b1 * vx + ax), 0.5 * -(b1 * vy + ay),
+            0.5 * b1,
+        )
+        l3 = (
+            0.5 * (b2 - an), 0.5 * -(b1 * vx - ax), 0.5 * -(b1 * vy - ay),
+            l0[3],
+        )
+        M = component_major(un.shape, 4, 4)
+        tmp = np.empty(un.shape)
+        for i in range(4):
+            for j in range(4):
+                m = np.multiply(r0[i], l0[j], out=M[..., i, j])
+                m += np.multiply(r3[i], l3[j], out=tmp)
         diag = diagonal_view(M)
-        diag += f[..., 1:2]  # + f(un) I
+        diag += f1[..., None]  # + f(un) I
         return M
 
     def jac_normal(self, u, n, xy=None):
-        nn = _length(n)
-        nhat = n / nn[..., None]
-        A = self._apply_eig_function(u, nhat, lambda lam: lam)
-        return A * nn[..., None, None]
+        A = self._matrix_function(u, n, lambda lam: lam)
+        A *= _length(n)[..., None, None]
+        return A
 
     def sign_jac_normal(self, u, n, xy=None):
-        nn = _length(n)
-        nhat = n / nn[..., None]
-
-        def signfn(lam):
-            # Eigenvalues within round-off of zero get sign 0 so that
-            # stagnation and sonic points do not flip erratically between
-            # +1 and -1; max(|un - c|, |un + c|) is the wave speed |un| + c.
-            scale = np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., 3]))
-            s = np.sign(lam)
-            s[np.abs(lam) <= 1e-12 * scale[..., None]] = 0.0
-            return s
-
-        return self._apply_eig_function(u, nhat, signfn)
+        return self._matrix_function(u, n, _eigen_signs)
 
     def jac_apply(self, u, w, xy=None):
         """A_x(u) w_x + A_y(u) w_y for gradient-like w (..., 4, 2)."""
@@ -347,17 +369,17 @@ class Euler:
         nx, ny = n[..., 0] / nn, n[..., 1] / nn
         rho, vx, vy, p = self.primitives(u)
         un = vx * nx + vy * ny
-        c = np.sqrt(g * p / rho)
+        with np.errstate(invalid="ignore"):
+            c = np.sqrt(g * p / rho)
         H = (u[..., 3] + p) / rho
         lam = np.stack([un - c, un, un + c])
         f0, f1, f3 = 0.5 * (lam + side * np.abs(lam)) * (0.5 / g * rho * nn)
         w = 2.0 * (g - 1.0) * f1
-        return np.stack(
-            [
-                w + f0 + f3,
-                w * vx + f0 * (vx - c * nx) + f3 * (vx + c * nx),
-                w * vy + f0 * (vy - c * ny) + f3 * (vy + c * ny),
-                w * 0.5 * (vx**2 + vy**2) + f0 * (H - c * un) + f3 * (H + c * un),
-            ],
-            axis=-1,
+        out = component_major(un.shape, 4)
+        out[..., 0] = w + f0 + f3
+        out[..., 1] = w * vx + f0 * (vx - c * nx) + f3 * (vx + c * nx)
+        out[..., 2] = w * vy + f0 * (vy - c * ny) + f3 * (vy + c * ny)
+        out[..., 3] = (
+            w * 0.5 * (vx**2 + vy**2) + f0 * (H - c * un) + f3 * (H + c * un)
         )
+        return out

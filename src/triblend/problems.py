@@ -128,9 +128,13 @@ def _rotating_shapes():
     center = np.array([0.5, 0.5])
 
     def vel(xy):
-        return 2.0 * np.pi * np.stack(
-            [center[1] - xy[..., 1], xy[..., 0] - center[0]], axis=-1
-        )
+        # Laid out like xy, so component-major positions give
+        # component-major velocities (see `models`).
+        v = np.empty_like(xy)
+        np.subtract(center[1], xy[..., 1], out=v[..., 0])
+        np.subtract(xy[..., 0], center[0], out=v[..., 1])
+        v *= 2.0 * np.pi
+        return v
 
     def u0(xy):
         x, y = xy[..., 0], xy[..., 1]

@@ -130,6 +130,11 @@ def _inverse(A: np.ndarray):
     return X, nonsingular
 
 
+def _frobenius(M):
+    """Frobenius norms of the component-major matrices M (k, k, ...): (...)."""
+    return np.sqrt(sum(m * m for row in M for m in row))
+
+
 class Tables:
     """Static geometry/basis tables shared by the spatial operators.
 
@@ -139,6 +144,14 @@ class Tables:
     reference points map to each element through `element_points`.  The
     per-element arrays hold point-DoF positions, normals and damping
     lengths.
+
+    Layout: element arrays with components, the (NT, k, ncomp) positions,
+    normals and coefficients, are stored component-major with the element
+    axis innermost; the attribute or return value is the transpose `.T` of
+    a C-contiguous (ncomp, k, NT) array, so `.T` gives each component as one
+    contiguous block over (k, NT).  The element kernels work on those
+    blocks and hand the models nv-last views of them (see `models`); any
+    other strides are accepted, at the cost of strided loops or a copy.
     """
 
     def __init__(self, mesh: Mesh):
@@ -151,8 +164,9 @@ class Tables:
         self.PHI_V = basis_values(vr.points)  # (nqv, 7)
         self.DPHI_V = basis_grad_bary(vr.points)  # (nqv, 7, 3)
         self.BARY_V = vr.points  # (nqv, 3)
-        # Positions of each element's point DoFs: (NT, 6, 2).
-        self.XY_PT = np.take(mesh.point_xy, mesh.tri_point_dofs, axis=0)
+        # Positions of each element's point DoFs: (NT, 6, 2), component-major.
+        xy_pt = np.take(mesh.point_xy, mesh.tri_point_dofs, axis=0)
+        self.XY_PT = np.ascontiguousarray(xy_pt.T).T
         # With lambda_2 = 1 - lambda_0 - lambda_1, grad(phi_j) is
         # sum_a (d phi_j / d lambda_a - d phi_j / d lambda_2) grad(lambda_a)
         # over a = 0, 1.  VOL_OP[(a, j), q] holds P times the weighted
@@ -234,12 +248,14 @@ class Tables:
 
         # -- upwind-weight normals --------------------------------------------
         # Unit inward normals opposite each vertex, then unit outward
-        # normals of the edges that hold the midpoints: (NT, 6, 2).
+        # normals of the edges that hold the midpoints: (NT, 6, 2),
+        # component-major.
         gl = mesh.grad_lambda
-        self.DOF_NORMAL = np.concatenate(
+        normals = np.concatenate(
             [gl / np.linalg.norm(gl, axis=2, keepdims=True), mesh.outward_normal()],
             axis=1,
         )
+        self.DOF_NORMAL = np.ascontiguousarray(normals.T).T
 
         # Element-DoF -> point scatter operator: row p has a unit entry in
         # column 6 k + j for each (k, j) with tri_point_dofs[k, j] = p, in
@@ -257,17 +273,19 @@ class Tables:
 
     def element_points(self, bary: np.ndarray) -> np.ndarray:
         """Positions of the reference points bary (n, 3), given by their
-        barycentric coordinates, in every element: (NT, n, 2)."""
-        return bary @ np.take(self.mesh.verts, self.mesh.tris, axis=0)
+        barycentric coordinates, in every element: (NT, n, 2),
+        component-major."""
+        corners = np.take(self.mesh.verts.T, self.mesh.tris.T, axis=1)
+        return (bary @ corners).T
 
     def coefficients(self, ubar: np.ndarray, upt: np.ndarray) -> np.ndarray:
-        """Stack local coefficient vectors: (NT, 7, nvars)."""
-        coef = np.empty(
-            (self.mesh.num_tris, 7, ubar.shape[-1]), dtype=ubar.dtype
-        )
-        coef[:, :6] = np.take(upt, self.mesh.tri_point_dofs, axis=0)
-        coef[:, 6] = ubar
-        return coef
+        """Local coefficient vectors (NT, 7, nvars), component-major: the
+        point values of each element, then its average."""
+        nt, nv = ubar.shape
+        coef = np.empty((nv, 7, nt), dtype=ubar.dtype)
+        coef[:, :6] = np.take(upt, self.mesh.tri_point_dofs, axis=0).T
+        coef[:, 6] = ubar.T
+        return coef.T
 
     def point_sums(self, x: np.ndarray) -> np.ndarray:
         """Sum element point-DoF values (NT, 6, ...) per point: (NP, ...)."""
@@ -289,16 +307,17 @@ class Tables:
         x, y through the relabelled grad(lambda_0), grad(lambda_1).
         """
         mesh = self.mesh
-        nv, ne = coef.shape[-1], len(edges)
+        nt, _, nv = coef.shape
+        ne = len(edges)
         grad = np.empty((2, 2, nv, self.nqe, ne))
         hess = np.empty((2, 3, nv, self.nqe, ne))
-        by_var = coef.transpose(2, 0, 1).reshape(nv, -1)  # (nv, 7 NT)
+        by_var = coef.T.reshape(nv, -1)  # (nv, 7 NT), component-major
         tris = mesh.edge_tris[edges]  # (E, 2)
         local = _local_edges(mesh, tris, edges)
         for s in range(2):
             k = tris[:, s]
             rot = ROTATE[local[:, s]].T  # (7, E)
-            c = np.take(by_var, 7 * k + rot, axis=1)  # (nv, 7, E)
+            c = np.take(by_var, rot * nt + k, axis=1)  # (nv, 7, E)
             r = (self.EDGE_DERIV_OP[s] @ c).reshape(nv, 5, self.nqe, ne)
             g0 = mesh.grad_lambda[k, rot[0]].T  # (2, E): x, y parts
             g1 = mesh.grad_lambda[k, rot[1]].T
@@ -363,7 +382,7 @@ class HighOrder:
         d = np.take(u, bad, axis=0) - r
         eta = dom.max_blend(np.broadcast_to(r, d.shape), d)
         s = eta.min(axis=1, keepdims=True)
-        u = u.copy()
+        u = u.copy(order="K")
         u[bad] = r + s[..., None] * d
         return u, len(bad)
 
@@ -387,7 +406,8 @@ class HighOrder:
         return fluxhat, trace, rescued
 
     def omega_weights(self, u_loc):
-        """Upwind weights: (NT, 6, nv, nv) plus the fallback-point count.
+        """Upwind weights (NT, 6, nv, nv), component-major, plus the
+        fallback-point count.
 
         u_loc (NT, 6, nv) holds each element's point-DoF states.
 
@@ -425,15 +445,19 @@ class HighOrder:
             return self._static_omega
         tb = self.t
         mesh = tb.mesh
-        nv = u_loc.shape[-1]
-        S = self.model.sign_jac_normal(u_loc, tb.DOF_NORMAL, tb.XY_PT)
+        nt, _, nv = u_loc.shape
+        S = self.model.sign_jac_normal(
+            np.moveaxis(u_loc.T, 0, -1),
+            np.moveaxis(tb.DOF_NORMAL.T, 0, -1),
+            np.moveaxis(tb.XY_PT.T, 0, -1),
+        )  # (6, NT, nv, nv)
         # Seps = 0.5 (S + I) + eps_K I, formed in place on the fresh sign
         # matrices (the diagonal takes + 0.5, then + eps_K, as that sum does).
         Seps = np.multiply(S, 0.5, out=S)
         diag = diagonal_view(Seps)
         diag += 0.5
-        diag += 0.5 * mesh.areas[:, None, None]
-        total = tb.point_sums(Seps)
+        diag += 0.5 * mesh.areas[:, None]
+        total = tb.point_sums(Seps.transpose(1, 0, 2, 3))
         # Invert per point; patch sums that are not finite or exactly
         # singular go straight to the fallback.
         ok = np.isfinite(total).all(axis=(1, 2))
@@ -441,13 +465,19 @@ class HighOrder:
         X, nonsingular = _inverse(A)
         inv = np.zeros_like(total)
         inv[ok] = X
-        cond = np.linalg.norm(A, axis=(1, 2)) * np.linalg.norm(X, axis=(1, 2))
+        cond = _frobenius(A.T) * _frobenius(X.T)
         bad_pt = ~ok
         bad_pt[ok] = ~nonsingular | ~np.isfinite(cond) | (cond > COND_CAP)
-        omega = np.take(inv, mesh.tri_point_dofs, axis=0) @ Seps
-        norms = np.linalg.norm(omega, axis=(2, 3))
+        # omega = inv[sigma] Seps, written component-major (nv, nv, 6, NT).
+        omega = np.empty((nv, nv, 6, nt))
+        np.matmul(
+            np.take(inv, mesh.tri_point_dofs.T, axis=0), Seps,
+            out=omega.transpose(2, 3, 0, 1),
+        )
+        norms = _frobenius(omega)  # (6, NT)
         big = ~np.isfinite(norms) | (norms > OMEGA_CAP)
-        bad_pt |= tb.point_sums(big.astype(float)) > 0.0
+        bad_pt |= tb.point_sums(big.T.astype(float)) > 0.0
+        omega = omega.transpose(3, 2, 0, 1)  # (NT, 6, nv, nv)
         fb = bad_pt[mesh.tri_point_dofs]  # (NT, 6)
         if fb.any():
             count = tb.point_count[mesh.tri_point_dofs[fb]]
@@ -462,46 +492,59 @@ class HighOrder:
 
     def compute(self, coef, upt, t) -> HOResult:
         """High-order residuals from the element coefficients coef
-        (NT, 7, nv) and the point values upt they were gathered from."""
+        (NT, 7, nv) and the point values upt they were gathered from.
+
+        The volume, surface and weighted point terms work on
+        component-major blocks (nv, ..., NT) (see `Tables`), so the
+        reference operators act as GEMMs over all elements; Wpt and Phi
+        come out component-major."""
         tb = self.t
         mesh = tb.mesh
         nt, _, nv = coef.shape
+        gl = np.ascontiguousarray(mesh.grad_lambda.T)  # (2, 3, NT): [d, a]
 
-        # Volume term: VOL_OP against the flux (k, q, (v, d)), then the
-        # contraction of (a, d) with -grad(lambda_a).
-        uq = tb.PHI_V @ coef  # (NT, nqv, nv)
+        # Volume term: VOL_OP against the flux ((v, d), q, NT), one GEMM
+        # per (v, d) over all elements, then the contraction of (a, d)
+        # with -grad(lambda_a).
+        uq = (tb.PHI_V @ coef.T).T  # (NT, nqv, nv), component-major
         uq, resc_vol = self._rescue_states(uq, coef[:, 6])
-        xy = tb.element_points(tb.BARY_V)  # (NT, nqv, 2)
-        fq = self.model.flux(uq, xy)  # (NT, nqv, nv, 2)
-        T = (tb.VOL_OP @ fq.reshape(nt, fq.shape[1], 2 * nv)).reshape(
-            nt, 2, 7, nv, 2
-        )
-        G = mesh.grad_lambda[:, :, :, None, None]  # (NT, 3, 2, 1, 1)
-        Phi = -(G[:, 0, 0] * T[:, 0, :, :, 0])
-        Phi -= G[:, 0, 1] * T[:, 0, :, :, 1]
-        Phi -= G[:, 1, 0] * T[:, 1, :, :, 0]
-        Phi -= G[:, 1, 1] * T[:, 1, :, :, 1]
+        xy = tb.element_points(tb.BARY_V)  # (NT, nqv, 2), component-major
+        fq = self.model.flux(uq.transpose(1, 0, 2), xy.transpose(1, 0, 2))
+        T = tb.VOL_OP @ fq.transpose(2, 3, 0, 1)  # (nv, 2, (a, j), NT)
+        Phi = -(gl[0, 0] * T[:, 0, :7])  # (nv, 7, NT)
+        Phi -= gl[1, 0] * T[:, 1, :7]
+        Phi -= gl[0, 1] * T[:, 0, 7:]
+        Phi -= gl[1, 1] * T[:, 1, 7:]
 
         # Surface term: single-valued edge fluxes in each element's own
         # traversal direction, times signed edge length over |K|.
         fluxhat, trace, resc_tr = self.interface_fluxes(upt, t)
         nqe = tb.nqe
-        q = np.arange(nqe)
-        orient = mesh.tri_edge_orient[..., None]
-        rows = mesh.tri_edges[..., None] * nqe + np.where(orient > 0, q, nqe - 1 - q)
-        fh = np.take(fluxhat.reshape(-1, nv), rows, axis=0)  # (NT, 3, nqe, nv)
-        fh *= (
+        q = np.arange(nqe)[:, None]
+        orient = mesh.tri_edge_orient.T[:, None, :]  # (3, 1, NT)
+        rows = mesh.tri_edges.T[:, None, :] * nqe + np.where(
+            orient > 0, q, nqe - 1 - q
+        )  # (3, nqe, NT)
+        fh = np.take(fluxhat.reshape(-1, nv), rows, axis=0)  # (3, nqe, NT, nv)
+        scale = (
             mesh.tri_edge_orient
             * mesh.edge_length[mesh.tri_edges]
             / mesh.areas[:, None]
-        )[..., None, None]
-        Phi += tb.SURF_OP @ fh.reshape(nt, 3 * nqe, nv)
+        ).T[:, None, :]
+        fh = np.multiply(
+            np.moveaxis(fh, -1, 0), scale, out=np.empty((nv, 3, nqe, nt))
+        )
+        Phi += tb.SURF_OP @ fh.reshape(nv, 3 * nqe, nt)
 
+        # Upwind-weighted point residuals, entry by entry over (6, NT).
         omega, fb = self.omega_weights(coef[:, :6])
-        Wpt = (omega @ Phi[:, :6, :, None])[..., 0]
+        om = omega.transpose(2, 3, 1, 0)  # (nv, nv, 6, NT)
+        Wpt = om[:, 0] * Phi[0, :6]
+        for w in range(1, nv):
+            Wpt += om[:, w] * Phi[w, :6]
 
         F_edge = np.einsum(
             "q,eqv->ev", tb.wq_edge, fluxhat
         ) * mesh.edge_length[:, None]
 
-        return HOResult(Wpt, F_edge, trace, Phi, fb, resc_vol, resc_tr)
+        return HOResult(Wpt.T, F_edge, trace, Phi.T, fb, resc_vol, resc_tr)

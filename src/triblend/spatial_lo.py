@@ -82,37 +82,45 @@ class LowOrder:
 
     def point_residuals(self, coef):
         """Fan residuals of the point DoFs from the element coefficients
-        coef (NT, 7, nv): (NT, 6, nv)."""
+        coef (NT, 7, nv): (NT, 6, nv), component-major.
+
+        The kernel works on component-major blocks, (nv, ..., NT) with the
+        element axis innermost, and gives the model nv-last views of them.
+        """
         tb = self.t
         mesh = tb.mesh
-        U = np.take(coef, SUB_CORNERS, axis=1)  # (NT, 6 subtris, 3 corners, nv)
-        ubar_s = (U[:, :, 0] + U[:, :, 1] + U[:, :, 2]) / 3.0  # (NT, 6, nv)
-        # P1 gradients of the corner coordinates of S: (NT, 6, 3, 2).
-        sub_g = (FAN_GRAD @ mesh.grad_lambda).reshape(-1, 6, 3, 2)
-        grad = U.swapaxes(-1, -2) @ sub_g  # (NT, 6, nv, 2)
-        xy_s = tb.element_points(FAN_CENTROID)
+        model = self.model
+        U = np.take(coef.T, SUB_CORNERS, axis=1)  # (nv, 6 subtris, 3 corners, NT)
+        ubar_s = (U[:, :, 0] + U[:, :, 1] + U[:, :, 2]) / 3.0  # (nv, 6, NT)
+        # P1 gradients of the corner coordinates of S: (2, 6, 3, NT).
+        gl = np.ascontiguousarray(mesh.grad_lambda.T)  # (2, 3, NT)
+        sub_g = (FAN_GRAD @ gl).reshape(2, 6, 3, -1)
+        grad = U[:, None, :, 0] * sub_g[:, :, 0]  # (nv, 2, 6, NT)
+        grad += U[:, None, :, 1] * sub_g[:, :, 1]
+        grad += U[:, None, :, 2] * sub_g[:, :, 2]
+        xy_s = np.moveaxis(tb.element_points(FAN_CENTROID).T, 0, -1)  # (6, NT, 2)
         # |S| / 3 = |K| / 18.  The edge-scaled inward normals of S are
         # 2 |S| grad(mu) = sub_g |K| / 3; wave speeds are homogeneous in
         # the normal, so the factor |K| / 3 applies to their maximum.
-        central = (
-            mesh.areas[:, None, None] / 18.0
-            * self.model.jac_apply(ubar_s, grad, xy_s)
+        jac = model.jac_apply(
+            np.moveaxis(ubar_s, 0, -1), np.moveaxis(grad, (0, 1), (-2, -1)), xy_s
+        )  # (6, NT, nv)
+        central = mesh.areas / 18.0 * np.moveaxis(jac, -1, 0)  # (nv, 6, NT)
+        speeds = model.max_wavespeed(
+            np.moveaxis(U, 0, -1)[:, :, None],  # (6, 3, 1, NT, nv)
+            np.moveaxis(sub_g, 0, -1)[:, None],  # (6, 1, 3, NT, 2)
+            xy_s[:, None, None],
         )
-        speeds = self.model.max_wavespeed(
-            U[:, :, :, None, :],  # (NT, 6, 3, 1, nv)
-            sub_g[:, :, None],  # (NT, 6, 1, 3, 2)
-            xy_s[:, :, None, None, :],
-        )
-        alpha_s = speeds.max(axis=(2, 3)) * (mesh.areas[:, None] / 3.0)  # (NT, 6)
-        contrib = central[:, :, None, :] + alpha_s[:, :, None, None] * (
-            U[:, :, :2, :] - ubar_s[:, :, None, :]
-        )  # (NT, 6 subtris, 2 corners, nv)
+        alpha_s = speeds.max(axis=(1, 2)) * (mesh.areas / 3.0)  # (6, NT)
+        contrib = central[:, :, None] + alpha_s[:, None] * (
+            U[:, :, :2] - ubar_s[:, :, None]
+        )  # (nv, 6 subtris, 2 corners, NT)
         Phi = (
             contrib[:, SLOT_SUB[:, 0], SLOT_CORNER[:, 0]]
             + contrib[:, SLOT_SUB[:, 1], SLOT_CORNER[:, 1]]
-        )  # (NT, 6 local dofs, nv)
-        Phi /= mesh.point_area[mesh.tri_point_dofs][..., None]
-        return Phi
+        )  # (nv, 6 local dofs, NT)
+        Phi /= mesh.point_area[mesh.tri_point_dofs.T]
+        return Phi.T
 
     def compute(self, coef, t) -> LOResult:
         """Low-order residuals from the element coefficients (NT, 7, nv)."""

@@ -137,7 +137,9 @@ class Stepper:
         self.damping_c2 = float(damping_c2)
 
         self._inradius = mesh.inradius()
-        self._normals = self.tables.DOF_NORMAL[:, 3:]  # unit outward, (NT, 3, 2)
+        # Unit outward edge normals as an nv-last view (3, NT, 2) of their
+        # component-major block.
+        self._normals = np.moveaxis(self.tables.DOF_NORMAL.T[:, 3:], 0, -1)
 
         # Limiter diagnostics from the most recent rk3_step.
         self.last_theta = np.ones(mesh.num_tris)
@@ -147,15 +149,20 @@ class Stepper:
     # -- time step --------------------------------------------------------------
 
     def _wavespeeds(self, ubar, upt):
-        """Max local wavespeed per element, (NT,), floored at 1e-300."""
-        states = self.tables.coefficients(ubar, upt)  # (NT, 7, nv)
+        """Max local wavespeed per element, (NT,), floored at 1e-300.
+
+        Works on component-major blocks (see `Tables`): the model sees
+        (7 states, 3 normals, NT) views."""
+        states = self.tables.coefficients(ubar, upt).T  # (nv, 7, NT)
         xy = np.concatenate(
-            [self.tables.XY_PT, self.mesh.centroids[:, None, :]], axis=1
-        )
+            [self.tables.XY_PT.T, self.mesh.centroids.T[:, None]], axis=1
+        )  # (2, 7, NT)
         speeds = self.model.max_wavespeed(
-            states[:, :, None, :], self._normals[:, None, :, :], xy[:, :, None, :]
-        )  # (NT, 7, 3)
-        return np.maximum(speeds.max(axis=(1, 2)), 1e-300)
+            np.moveaxis(states, 0, -1)[:, None],  # (7, 1, NT, nv)
+            self._normals,  # (3, NT, 2)
+            np.moveaxis(xy, 0, -1)[:, None],  # (7, 1, NT, 2)
+        )  # (7, 3, NT)
+        return np.maximum(speeds.max(axis=(0, 1)), 1e-300)
 
     def compute_dt(self, ubar, upt):
         """CFL * min over elements of inradius / max local wavespeed."""

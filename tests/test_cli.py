@@ -1,7 +1,6 @@
 import re
 
 import numpy as np
-import pytest
 
 from triblend.cli import main
 from triblend.problems import get_problem, sample_initial
@@ -37,11 +36,8 @@ def test_unknown_problem_exits_2(tmp_path, capsys):
     assert "unknown problem" in capsys.readouterr().err
 
 
-# The unlimited scheme drives the pressure negative on this shock data, so a
-# wave speed takes the square root of a negative number before the abort.
-@pytest.mark.filterwarnings(
-    "ignore:invalid value encountered in sqrt:RuntimeWarning"
-)
+# The unlimited scheme drives the pressure negative on this shock data; the
+# NaN sound speed must end the run as a numerical abort, with no warning.
 def test_unlimited_mode_on_shock_data_exits_3(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

@@ -191,13 +191,66 @@ def test_euler_sign_matrix_properties():
     assert np.allclose(got, want, rtol=1e-8, atol=1e-8)
 
 
+def eig_rotated(m, u, n):
+    """Eigen-data of d(f.n)/du for |n| = 1, as the library once built it.
+
+    Returns (lam, r, l): the eigenvalues (..., 4) = (un - c, un, un, un + c),
+    and the eigenvectors of the simple eigenvalues un - c and un + c in
+    conserved variables, right ones as the columns of r (..., 4, 2) and left
+    ones as the rows of l (..., 2, 4), normalized so that l @ r = I.
+    """
+    g = m.gamma
+    nx, ny = n[..., 0], n[..., 1]
+    rho, vx, vy, p = m.primitives(u)
+    un = vx * nx + vy * ny
+    c = np.sqrt(g * p / rho)
+    H = (u[..., 3] + p) / rho
+    b1 = (g - 1.0) / c**2
+    b2 = 0.5 * b1 * (vx**2 + vy**2)
+    cx, cy, cn = c * nx, c * ny, c * un
+    one = np.ones_like(un)
+    r = np.stack(
+        [one, one, vx - cx, vx + cx, vy - cy, vy + cy, H - cn, H + cn], axis=-1
+    ).reshape(u.shape[:-1] + (4, 2))
+    ax, ay, an = nx / c, ny / c, un / c
+    l = 0.5 * np.stack(
+        [
+            b2 + an, -(b1 * vx + ax), -(b1 * vy + ay), b1,
+            b2 - an, -(b1 * vx - ax), -(b1 * vy - ay), b1,
+        ],
+        axis=-1,
+    ).reshape(u.shape[:-1] + (2, 4))
+    lam = np.stack([un - c, un, un, un + c], axis=-1)
+    return lam, r, l
+
+
+def nv_last_matrix_function(m, u, n, fn):
+    """fn(d(f.n)/du / |n|) from the nv-last eigen-data as one batched
+    (4, 2) @ (2, 4) product: the library's matrix functions before they
+    were built entry by entry.  fn maps lam (..., 4) to its values."""
+    nn = np.sqrt(n[..., 0] * n[..., 0] + n[..., 1] * n[..., 1])
+    lam, r, l = eig_rotated(m, u, n / nn[..., None])
+    f = fn(lam)
+    d = f[..., (0, 3)] - f[..., 1:2]  # acoustic projector weights
+    M = (r * d[..., None, :]) @ l
+    M += f[..., 1:2, None] * np.eye(4)
+    return M
+
+
+def nv_last_sign(lam):
+    scale = np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., 3]))
+    s = np.sign(lam)
+    s[np.abs(lam) <= 1e-12 * scale[..., None]] = 0.0
+    return s
+
+
 def test_euler_sign_matrix_frozen():
     # Frozen from an independent finite-difference + dense-eig computation.
     m = Euler()
     u = m.conserved(1.3, 0.6, -0.4, 1.7)
     assert np.allclose(u, [1.3, 0.78, -0.52, 4.588], atol=1e-14)
     n = np.array([0.6, 0.8])
-    lam, *_ = m._eig_rotated(u, n)
+    lam, *_ = eig_rotated(m, u, n)
     assert np.allclose(
         np.sort(lam), [-1.31305921, 0.04, 0.04, 1.39305921], atol=1e-7
     )
@@ -423,3 +476,28 @@ def test_normal_shock_states(mach, post):
     n = np.array([1.0, 0.0])
     jump = m.flux_normal(u2, n) - m.flux_normal(u1, n) - s * (u2 - u1)
     assert np.allclose(jump, 0.0, atol=1e-10)
+
+
+def test_euler_matrix_functions_match_nv_last_builder():
+    # The entry-by-entry builder agrees with the batched nv-last product to
+    # 1e-13 relative on generic, stagnation, sonic and supersonic states
+    # (a sign zeroed on one side only would differ by 1); on component-major views
+    # (element axis innermost) as on plain arrays; and on a single state.
+    m = Euler()
+    u, n, _ = degenerate_euler_states(m)
+    n = n * (0.5 + RNG.random((len(n), 1)))
+    u_cm = np.ascontiguousarray(u.T).T  # same values, variables outermost
+    n_cm = np.ascontiguousarray(n.T).T
+    for name, fn in (("sign_jac_normal", nv_last_sign), ("jac_normal", None)):
+        if fn is None:
+            nn = np.linalg.norm(n, axis=-1)[..., None, None]
+            want = nn * nv_last_matrix_function(m, u, n, lambda lam: lam)
+        else:
+            want = nv_last_matrix_function(m, u, n, fn)
+        for uu, nn_ in ((u, n), (u_cm, n_cm)):
+            got = getattr(m, name)(uu, nn_)
+            assert got.shape == want.shape
+            assert_matrices_close(got, want, tol=1e-13)
+        single = getattr(m, name)(u[0], n[0])
+        assert single.shape == (4, 4)
+        assert_matrices_close(single[None], want[:1], tol=1e-13)

@@ -60,22 +60,14 @@ def test_catalog_entry_is_runnable(name):
 
 def _catalog_modes():
     """(problem, mode) for every mode each catalog problem accepts; `bp`
-    needs an invariant domain.  The unlimited scheme drives the pressure
-    negative on the shock data of `quadrants` and `double-mach`, so a wave
-    speed takes the square root of a negative number before the abort."""
-    sqrt_warning = pytest.mark.filterwarnings(
-        "ignore:invalid value encountered in sqrt:RuntimeWarning"
-    )
+    needs an invariant domain."""
     cases = []
     for name, prob in sorted(builtin_problems().items()):
         enforce, _ = prob.domains(prob.make_model(1.4))
         for mode in ("ho", "lo", "bp", "full"):
             if mode == "bp" and enforce is None:
                 continue
-            shock = mode == "ho" and name in ("quadrants", "double-mach")
-            cases.append(
-                pytest.param(name, mode, marks=[sqrt_warning] if shock else [])
-            )
+            cases.append((name, mode))
     return cases
 
 

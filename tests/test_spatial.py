@@ -12,7 +12,14 @@ from triblend.mesh import triangle_geometry
 from triblend.meshgen import rect_mesh
 from triblend.models import KPP, Euler, LinearAdvection
 from triblend.spatial_ho import HighOrder, Tables, _inverse
-from triblend.spatial_lo import FAN_CENTROID, FAN_GRAD, SUB_CORNERS, LowOrder
+from triblend.spatial_lo import (
+    FAN_CENTROID,
+    FAN_GRAD,
+    SLOT_CORNER,
+    SLOT_SUB,
+    SUB_CORNERS,
+    LowOrder,
+)
 from triblend.timeloop import Stepper, initialize
 
 
@@ -235,6 +242,11 @@ def test_point_sums_equal_add_at_bitwise(small_mesh):
         np.add.at(want, mesh.tri_point_dofs, x)
         got = tb.point_sums(x)
         assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        # Component-major input, the layout of the element kernels, adds
+        # in the same order.
+        x_cm = np.ascontiguousarray(np.moveaxis(x, (0, 1), (-1, -2)))
+        got = tb.point_sums(np.moveaxis(x_cm, (-1, -2), (0, 1)))
         assert np.array_equal(got, want)
     want = np.zeros(mesh.num_points)
     np.add.at(want, mesh.tri_point_dofs, 1.0)
@@ -683,3 +695,63 @@ def test_low_order_max_principle_small_dt(small_mesh):
     assert upt2.max() <= hi_bound + 1e-12
     assert ubar2.min() >= lo_bound - 1e-12
     assert ubar2.max() <= hi_bound + 1e-12
+
+
+def nv_last_point_residuals(lo, coef):
+    """The fan residuals (NT, 6, nv) as LowOrder computed them on nv-last
+    arrays (NT, ..., nv), before its kernel went component-major."""
+    mesh, model = lo.t.mesh, lo.model
+    coef = np.ascontiguousarray(coef)
+    U = np.take(coef, SUB_CORNERS, axis=1)  # (NT, 6, 3, nv)
+    ubar_s = (U[:, :, 0] + U[:, :, 1] + U[:, :, 2]) / 3.0
+    sub_g = (FAN_GRAD @ mesh.grad_lambda).reshape(-1, 6, 3, 2)
+    grad = U.swapaxes(-1, -2) @ sub_g  # (NT, 6, nv, 2)
+    xy_s = FAN_CENTROID @ mesh.verts[mesh.tris]
+    central = (
+        mesh.areas[:, None, None] / 18.0 * model.jac_apply(ubar_s, grad, xy_s)
+    )
+    speeds = model.max_wavespeed(
+        U[:, :, :, None, :], sub_g[:, :, None], xy_s[:, :, None, None, :]
+    )
+    alpha_s = speeds.max(axis=(2, 3)) * (mesh.areas[:, None] / 3.0)
+    contrib = central[:, :, None, :] + alpha_s[:, :, None, None] * (
+        U[:, :, :2, :] - ubar_s[:, :, None, :]
+    )
+    Phi = (
+        contrib[:, SLOT_SUB[:, 0], SLOT_CORNER[:, 0]]
+        + contrib[:, SLOT_SUB[:, 1], SLOT_CORNER[:, 1]]
+    )
+    return Phi / mesh.point_area[mesh.tri_point_dofs][..., None]
+
+
+@pytest.mark.parametrize("which", ["euler", "advection", "kpp"])
+def test_point_residuals_match_nv_last_kernel(which):
+    # The component-major kernel agrees with the nv-last one to 1e-13
+    # relative on random admissible states of a jittered mesh, whether the
+    # coefficients come component-major from Tables or as a plain array.
+    mesh = named(rect_mesh((0.0, 1.0, 0.0, 1.0), 7, jitter=0.3, seed=9))
+    rng = np.random.default_rng(12)
+    if which == "euler":
+        model = Euler()
+
+        def states(n):
+            return model.conserved(
+                0.2 + 2.0 * rng.random(n), rng.standard_normal(n),
+                rng.standard_normal(n), 0.1 + 2.0 * rng.random(n),
+            )
+    else:
+        model = LinearAdvection(rotation_velocity) if which == "advection" else KPP()
+
+        def states(n):
+            return rng.uniform(-2.0, 4.0, (n, 1))
+
+    tb = Tables(mesh)
+    lo = LowOrder(tb, model)
+    ubar, upt = states(mesh.num_tris), states(mesh.num_points)
+    coef = tb.coefficients(ubar, upt)
+    want = nv_last_point_residuals(lo, coef)
+    scale = np.abs(want).max()
+    for c in (coef, np.ascontiguousarray(coef)):
+        got = lo.point_residuals(c)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * scale
