@@ -324,16 +324,13 @@ def damping_theta(tables, model, coef, ubar, upt, trace_u, dt, c1=1.0, c2=1.0):
 def blend_point_residuals(tables, domain, u_loc, Phi_lo, Wpt, theta, dt):
     """Blend low/high point residuals per (element, local DoF).
 
-    u_loc (NT, 6, nv) holds each element's point-DoF states.  Returns
-    (b (NT, 6, nv), eta (NT, 6), n_rescued) with the final update
-    u' = u - dt * sum_K b_K guaranteed inside `domain` (up to round-off)
-    whenever the DoF states already are.  With domain None the blend is
-    the damping alone, eta = theta_K.
+    u_loc (6, NT, nv) holds each element's point-DoF states, and the
+    residuals are laid out alike (see `Tables`).  Returns (b (6, NT, nv),
+    eta (6, NT), n_rescued) with the final update u' = u - dt * sum_K b_K
+    guaranteed inside `domain` (up to round-off) whenever the DoF states
+    already are.  With domain None the blend is the damping alone,
+    eta = theta_K.
     """
-    # Work on (6, NT, nv) views: their leading axes follow the memory order
-    # of the component-major residuals (element axis innermost, see
-    # `Tables`), so every array built here is laid out alike.
-    u_loc, Phi_lo, Wpt = (x.transpose(1, 0, 2) for x in (u_loc, Phi_lo, Wpt))
     n_rescued = 0
     if domain is not None:
         mesh = tables.mesh
@@ -356,7 +353,7 @@ def blend_point_residuals(tables, domain, u_loc, Phi_lo, Wpt, theta, dt):
         eta = np.minimum(domain.max_blend(c0, -lam[..., None] * dW), eta)
     eta = np.broadcast_to(eta, dW.shape[:2])
     b = Phi_lo + eta[..., None] * dW
-    return b.transpose(1, 0, 2), eta.T, n_rescued
+    return b, eta, n_rescued
 
 
 def blend_average_fluxes(tables, domain, ubar, F_lo, F_ho, theta, dt):

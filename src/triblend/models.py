@@ -22,12 +22,12 @@ against the leading dimensions of u, not materialized over them.
 
 Memory layout: any strides are accepted.  The element kernels store their
 arrays component-major, (nvars, local axes..., NT) with the element axis
-innermost, and pass the models nv-last views of them (`np.moveaxis(a, 0,
--1)`), so that every `u[..., i]` is one contiguous block and numpy's inner
-loops run over all elements.  Results are laid out the same way: arrays
-shaped like u follow its strides (`np.empty_like`), and split fluxes, flux
-tensors and matrices come from `component_major`, which puts their last
-one or two axes outermost in memory.
+innermost, and pass the models nv-last views of them (`nv_last`; `nv_first`
+gives the block back), so that every `u[..., i]` is one contiguous block
+and numpy's inner loops run over all elements.  Results are laid out the
+same way: arrays shaped like u follow its strides (`np.empty_like`), and
+split fluxes, flux tensors and matrices come from `component_major`, which
+puts their last one or two axes outermost in memory.
 
 `llf_flux` is the local Lax-Friedrichs two-state flux over this interface,
 shared by the low-order averages and the boundary closure.
@@ -46,6 +46,18 @@ def diagonal_view(M):
     return np.lib.stride_tricks.as_strided(
         M, M.shape[:-1], M.strides[:-2] + (M.strides[-2] + M.strides[-1],)
     )
+
+
+def nv_last(block):
+    """View of a component-major block (nvars, ...) with the component
+    axis last: the array the models take."""
+    return np.moveaxis(block, 0, -1)
+
+
+def nv_first(a):
+    """View of a (..., nvars) array with the component axis first: the
+    component-major block under an `nv_last` view."""
+    return np.moveaxis(a, -1, 0)
 
 
 def component_major(lead, *comps):

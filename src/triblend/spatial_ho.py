@@ -34,7 +34,7 @@ from scipy import sparse
 
 from .basis import basis_grad_bary, basis_hess_bary, basis_values, projection_matrix
 from .mesh import Mesh
-from .models import diagonal_view
+from .models import component_major, diagonal_view, nv_first, nv_last
 from .quadrature import edge_rule, triangle_rule
 
 # Exactness degree of the volume rule and Gauss points per edge.
@@ -145,13 +145,15 @@ class Tables:
     per-element arrays hold point-DoF positions, normals and damping
     lengths.
 
-    Layout: element arrays with components, the (NT, k, ncomp) positions,
-    normals and coefficients, are stored component-major with the element
-    axis innermost; the attribute or return value is the transpose `.T` of
-    a C-contiguous (ncomp, k, NT) array, so `.T` gives each component as one
-    contiguous block over (k, NT).  The element kernels work on those
-    blocks and hand the models nv-last views of them (see `models`); any
-    other strides are accepted, at the cost of strided loops or a copy.
+    Layout: element arrays are indexed (k, NT, ncomp), local axis first,
+    element axis next, components last, and those with components are
+    stored component-major with the element axis innermost: the positions,
+    normals and coefficients are nv-last views (`models.nv_last`) of
+    C-contiguous (ncomp, k, NT) blocks, so each component is one
+    contiguous block over (k, NT).  The models take these views as they
+    are (see `models`), and `models.nv_first` gives a kernel the block
+    back.  Any other strides are accepted, at the cost of strided loops or
+    a copy.
     """
 
     def __init__(self, mesh: Mesh):
@@ -164,9 +166,10 @@ class Tables:
         self.PHI_V = basis_values(vr.points)  # (nqv, 7)
         self.DPHI_V = basis_grad_bary(vr.points)  # (nqv, 7, 3)
         self.BARY_V = vr.points  # (nqv, 3)
-        # Positions of each element's point DoFs: (NT, 6, 2), component-major.
-        xy_pt = np.take(mesh.point_xy, mesh.tri_point_dofs, axis=0)
-        self.XY_PT = np.ascontiguousarray(xy_pt.T).T
+        # Positions of each element's point DoFs: (6, NT, 2).
+        self.XY_PT = nv_last(
+            np.take(mesh.point_xy.T, mesh.tri_point_dofs.T, axis=1)
+        )
         # With lambda_2 = 1 - lambda_0 - lambda_1, grad(phi_j) is
         # sum_a (d phi_j / d lambda_a - d phi_j / d lambda_2) grad(lambda_a)
         # over a = 0, 1.  VOL_OP[(a, j), q] holds P times the weighted
@@ -248,23 +251,29 @@ class Tables:
 
         # -- upwind-weight normals --------------------------------------------
         # Unit inward normals opposite each vertex, then unit outward
-        # normals of the edges that hold the midpoints: (NT, 6, 2),
-        # component-major.
+        # normals of the edges that hold the midpoints: (6, NT, 2).
         gl = mesh.grad_lambda
         normals = np.concatenate(
             [gl / np.linalg.norm(gl, axis=2, keepdims=True), mesh.outward_normal()],
             axis=1,
         )
-        self.DOF_NORMAL = np.ascontiguousarray(normals.T).T
+        self.DOF_NORMAL = nv_last(np.ascontiguousarray(normals.transpose(2, 1, 0)))
 
         # Element-DoF -> point scatter operator: row p has a unit entry in
-        # column 6 k + j for each (k, j) with tri_point_dofs[k, j] = p, in
-        # ascending column order, so its products add the element-DoF values
-        # of each point in the order np.add.at does (bitwise equal sums).
-        ndof = 6 * mesh.num_tris
-        self.point_scatter = sparse.csr_array(
+        # column j NT + k for each (k, j) with tri_point_dofs[k, j] = p.
+        # The entries of a row are stored in ascending order of 6 k + j,
+        # element by element as np.add.at meets them on (NT, 6) arrays, and
+        # its products add in stored order: the sums are bitwise those of
+        # np.add.at over the element-major values.
+        nt = mesh.num_tris
+        ndof = 6 * nt
+        by_elem = sparse.csr_array(
             (np.ones(ndof), (mesh.tri_point_dofs.ravel(), np.arange(ndof))),
             shape=(mesh.num_points, ndof),
+        )
+        cols = (by_elem.indices % 6) * nt + by_elem.indices // 6
+        self.point_scatter = sparse.csr_array(
+            (by_elem.data, cols, by_elem.indptr), shape=by_elem.shape
         )
         # Elements per point (for arithmetic fallback weights).
         self.point_count = np.diff(self.point_scatter.indptr).astype(float)
@@ -273,22 +282,21 @@ class Tables:
 
     def element_points(self, bary: np.ndarray) -> np.ndarray:
         """Positions of the reference points bary (n, 3), given by their
-        barycentric coordinates, in every element: (NT, n, 2),
-        component-major."""
+        barycentric coordinates, in every element: (n, NT, 2)."""
         corners = np.take(self.mesh.verts.T, self.mesh.tris.T, axis=1)
-        return (bary @ corners).T
+        return nv_last(bary @ corners)
 
     def coefficients(self, ubar: np.ndarray, upt: np.ndarray) -> np.ndarray:
-        """Local coefficient vectors (NT, 7, nvars), component-major: the
-        point values of each element, then its average."""
+        """Local coefficient vectors (7, NT, nvars): the point values of
+        each element, then its average."""
         nt, nv = ubar.shape
         coef = np.empty((nv, 7, nt), dtype=ubar.dtype)
         coef[:, :6] = np.take(upt, self.mesh.tri_point_dofs, axis=0).T
         coef[:, 6] = ubar.T
-        return coef.T
+        return nv_last(coef)
 
     def point_sums(self, x: np.ndarray) -> np.ndarray:
-        """Sum element point-DoF values (NT, 6, ...) per point: (NP, ...)."""
+        """Sum element point-DoF values (6, NT, ...) per point: (NP, ...)."""
         flat = x.reshape(6 * self.mesh.num_tris, -1)
         return (self.point_scatter @ flat).reshape(
             (self.mesh.num_points,) + x.shape[2:]
@@ -307,11 +315,11 @@ class Tables:
         x, y through the relabelled grad(lambda_0), grad(lambda_1).
         """
         mesh = self.mesh
-        nt, _, nv = coef.shape
+        _, nt, nv = coef.shape
         ne = len(edges)
         grad = np.empty((2, 2, nv, self.nqe, ne))
         hess = np.empty((2, 3, nv, self.nqe, ne))
-        by_var = coef.T.reshape(nv, -1)  # (nv, 7 NT), component-major
+        by_var = nv_first(coef).reshape(nv, -1)  # (nv, 7 NT)
         tris = mesh.edge_tris[edges]  # (E, 2)
         local = _local_edges(mesh, tris, edges)
         for s in range(2):
@@ -333,10 +341,10 @@ class Tables:
 
 @dataclass
 class HOResult:
-    Wpt: np.ndarray  # (NT, 6, nv) upwind-weighted point residuals
+    Wpt: np.ndarray  # (6, NT, nv) upwind-weighted point residuals
     F_edge: np.ndarray  # (NE, nv) integrated edge fluxes (with |e|)
     trace_u: np.ndarray  # (NE, nqe, nv) traces used for the fluxes
-    Phi: np.ndarray  # (NT, 7, nv) projected moment residuals
+    Phi: np.ndarray  # (7, NT, nv) projected moment residuals
     omega_fallback_points: int
     rescued_volume_elems: int
     rescued_trace_edges: int
@@ -406,10 +414,10 @@ class HighOrder:
         return fluxhat, trace, rescued
 
     def omega_weights(self, u_loc):
-        """Upwind weights (NT, 6, nv, nv), component-major, plus the
-        fallback-point count.
+        """Upwind weights (6, NT, nv, nv), stored component-major
+        (nv, nv, 6, NT), plus the fallback-point count.
 
-        u_loc (NT, 6, nv) holds each element's point-DoF states.
+        u_loc (6, NT, nv) holds each element's point-DoF states.
 
         Each incident element contributes the candidate weight
 
@@ -445,19 +453,15 @@ class HighOrder:
             return self._static_omega
         tb = self.t
         mesh = tb.mesh
-        nt, _, nv = u_loc.shape
-        S = self.model.sign_jac_normal(
-            np.moveaxis(u_loc.T, 0, -1),
-            np.moveaxis(tb.DOF_NORMAL.T, 0, -1),
-            np.moveaxis(tb.XY_PT.T, 0, -1),
-        )  # (6, NT, nv, nv)
+        _, nt, nv = u_loc.shape
+        S = self.model.sign_jac_normal(u_loc, tb.DOF_NORMAL, tb.XY_PT)
         # Seps = 0.5 (S + I) + eps_K I, formed in place on the fresh sign
         # matrices (the diagonal takes + 0.5, then + eps_K, as that sum does).
         Seps = np.multiply(S, 0.5, out=S)
         diag = diagonal_view(Seps)
         diag += 0.5
         diag += 0.5 * mesh.areas[:, None]
-        total = tb.point_sums(Seps.transpose(1, 0, 2, 3))
+        total = tb.point_sums(Seps)
         # Invert per point; patch sums that are not finite or exactly
         # singular go straight to the fallback.
         ok = np.isfinite(total).all(axis=(1, 2))
@@ -469,18 +473,15 @@ class HighOrder:
         bad_pt = ~ok
         bad_pt[ok] = ~nonsingular | ~np.isfinite(cond) | (cond > COND_CAP)
         # omega = inv[sigma] Seps, written component-major (nv, nv, 6, NT).
-        omega = np.empty((nv, nv, 6, nt))
-        np.matmul(
-            np.take(inv, mesh.tri_point_dofs.T, axis=0), Seps,
-            out=omega.transpose(2, 3, 0, 1),
-        )
-        norms = _frobenius(omega)  # (6, NT)
+        dofs = mesh.tri_point_dofs.T  # (6, NT)
+        omega = component_major((6, nt), nv, nv)
+        np.matmul(np.take(inv, dofs, axis=0), Seps, out=omega)
+        norms = _frobenius(omega.transpose(2, 3, 0, 1))  # (6, NT)
         big = ~np.isfinite(norms) | (norms > OMEGA_CAP)
-        bad_pt |= tb.point_sums(big.T.astype(float)) > 0.0
-        omega = omega.transpose(3, 2, 0, 1)  # (NT, 6, nv, nv)
-        fb = bad_pt[mesh.tri_point_dofs]  # (NT, 6)
+        bad_pt |= tb.point_sums(big.astype(float)) > 0.0
+        fb = bad_pt[dofs]  # (6, NT)
         if fb.any():
-            count = tb.point_count[mesh.tri_point_dofs[fb]]
+            count = tb.point_count[dofs[fb]]
             omega[fb] = np.eye(nv) / count[:, None, None]
         result = (omega, int(bad_pt.sum()))
         if self.model.static_signs:
@@ -492,24 +493,25 @@ class HighOrder:
 
     def compute(self, coef, upt, t) -> HOResult:
         """High-order residuals from the element coefficients coef
-        (NT, 7, nv) and the point values upt they were gathered from.
+        (7, NT, nv) and the point values upt they were gathered from.
 
-        The volume, surface and weighted point terms work on
-        component-major blocks (nv, ..., NT) (see `Tables`), so the
-        reference operators act as GEMMs over all elements; Wpt and Phi
-        come out component-major."""
+        The volume, surface and weighted point terms work on the
+        component-major blocks (nv, ..., NT) under the views (see
+        `Tables`), so the reference operators act as GEMMs over all
+        elements; Wpt (6, NT, nv) and Phi (7, NT, nv) are views of such
+        blocks."""
         tb = self.t
         mesh = tb.mesh
-        nt, _, nv = coef.shape
+        _, nt, nv = coef.shape
         gl = np.ascontiguousarray(mesh.grad_lambda.T)  # (2, 3, NT): [d, a]
 
         # Volume term: VOL_OP against the flux ((v, d), q, NT), one GEMM
         # per (v, d) over all elements, then the contraction of (a, d)
-        # with -grad(lambda_a).
-        uq = (tb.PHI_V @ coef.T).T  # (NT, nqv, nv), component-major
-        uq, resc_vol = self._rescue_states(uq, coef[:, 6])
-        xy = tb.element_points(tb.BARY_V)  # (NT, nqv, 2), component-major
-        fq = self.model.flux(uq.transpose(1, 0, 2), xy.transpose(1, 0, 2))
+        # with -grad(lambda_a).  The rescue groups the states by element.
+        uq = (tb.PHI_V @ nv_first(coef)).T  # (NT, nqv, nv)
+        uq, resc_vol = self._rescue_states(uq, coef[6])
+        xy = tb.element_points(tb.BARY_V)  # (nqv, NT, 2)
+        fq = self.model.flux(uq.swapaxes(0, 1), xy)  # (nqv, NT, nv, 2)
         T = tb.VOL_OP @ fq.transpose(2, 3, 0, 1)  # (nv, 2, (a, j), NT)
         Phi = -(gl[0, 0] * T[:, 0, :7])  # (nv, 7, NT)
         Phi -= gl[1, 0] * T[:, 1, :7]
@@ -525,20 +527,17 @@ class HighOrder:
         rows = mesh.tri_edges.T[:, None, :] * nqe + np.where(
             orient > 0, q, nqe - 1 - q
         )  # (3, nqe, NT)
-        fh = np.take(fluxhat.reshape(-1, nv), rows, axis=0)  # (3, nqe, NT, nv)
-        scale = (
+        fh = np.take(fluxhat.reshape(-1, nv).T, rows, axis=1)  # (nv, 3, nqe, NT)
+        fh *= (
             mesh.tri_edge_orient
             * mesh.edge_length[mesh.tri_edges]
             / mesh.areas[:, None]
         ).T[:, None, :]
-        fh = np.multiply(
-            np.moveaxis(fh, -1, 0), scale, out=np.empty((nv, 3, nqe, nt))
-        )
         Phi += tb.SURF_OP @ fh.reshape(nv, 3 * nqe, nt)
 
         # Upwind-weighted point residuals, entry by entry over (6, NT).
-        omega, fb = self.omega_weights(coef[:, :6])
-        om = omega.transpose(2, 3, 1, 0)  # (nv, nv, 6, NT)
+        omega, fb = self.omega_weights(coef[:6])
+        om = omega.transpose(2, 3, 0, 1)  # (nv, nv, 6, NT)
         Wpt = om[:, 0] * Phi[0, :6]
         for w in range(1, nv):
             Wpt += om[:, w] * Phi[w, :6]
@@ -547,4 +546,6 @@ class HighOrder:
             "q,eqv->ev", tb.wq_edge, fluxhat
         ) * mesh.edge_length[:, None]
 
-        return HOResult(Wpt.T, F_edge, trace, Phi.T, fb, resc_vol, resc_tr)
+        return HOResult(
+            nv_last(Wpt), F_edge, trace, nv_last(Phi), fb, resc_vol, resc_tr
+        )

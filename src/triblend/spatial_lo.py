@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import POINT_DOF_BARY
-from .models import llf_flux
+from .models import llf_flux, nv_first, nv_last
 from .spatial_ho import Tables
 
 # Sub-triangle fan: (outer1, outer2, centroid) as coefficient ids, ordered
@@ -58,7 +58,7 @@ for _d in range(6):
 
 @dataclass
 class LOResult:
-    Phi_pt: np.ndarray  # (NT, 6, nv)
+    Phi_pt: np.ndarray  # (6, NT, nv)
     F_edge: np.ndarray  # (NE, nv), integrated LLF fluxes (with |e|)
 
 
@@ -82,15 +82,16 @@ class LowOrder:
 
     def point_residuals(self, coef):
         """Fan residuals of the point DoFs from the element coefficients
-        coef (NT, 7, nv): (NT, 6, nv), component-major.
+        coef (7, NT, nv): (6, NT, nv).
 
-        The kernel works on component-major blocks, (nv, ..., NT) with the
-        element axis innermost, and gives the model nv-last views of them.
+        The kernel works on the component-major blocks (nv, ..., NT) under
+        the views (see `Tables`), and gives the model nv-last views of its
+        own blocks.
         """
         tb = self.t
         mesh = tb.mesh
         model = self.model
-        U = np.take(coef.T, SUB_CORNERS, axis=1)  # (nv, 6 subtris, 3 corners, NT)
+        U = np.take(nv_first(coef), SUB_CORNERS, axis=1)  # (nv, 6, 3 corners, NT)
         ubar_s = (U[:, :, 0] + U[:, :, 1] + U[:, :, 2]) / 3.0  # (nv, 6, NT)
         # P1 gradients of the corner coordinates of S: (2, 6, 3, NT).
         gl = np.ascontiguousarray(mesh.grad_lambda.T)  # (2, 3, NT)
@@ -98,17 +99,17 @@ class LowOrder:
         grad = U[:, None, :, 0] * sub_g[:, :, 0]  # (nv, 2, 6, NT)
         grad += U[:, None, :, 1] * sub_g[:, :, 1]
         grad += U[:, None, :, 2] * sub_g[:, :, 2]
-        xy_s = np.moveaxis(tb.element_points(FAN_CENTROID).T, 0, -1)  # (6, NT, 2)
+        xy_s = tb.element_points(FAN_CENTROID)  # (6, NT, 2)
         # |S| / 3 = |K| / 18.  The edge-scaled inward normals of S are
         # 2 |S| grad(mu) = sub_g |K| / 3; wave speeds are homogeneous in
         # the normal, so the factor |K| / 3 applies to their maximum.
         jac = model.jac_apply(
-            np.moveaxis(ubar_s, 0, -1), np.moveaxis(grad, (0, 1), (-2, -1)), xy_s
+            nv_last(ubar_s), np.moveaxis(grad, (0, 1), (-2, -1)), xy_s
         )  # (6, NT, nv)
-        central = mesh.areas / 18.0 * np.moveaxis(jac, -1, 0)  # (nv, 6, NT)
+        central = mesh.areas / 18.0 * nv_first(jac)  # (nv, 6, NT)
         speeds = model.max_wavespeed(
-            np.moveaxis(U, 0, -1)[:, :, None],  # (6, 3, 1, NT, nv)
-            np.moveaxis(sub_g, 0, -1)[:, None],  # (6, 1, 3, NT, 2)
+            nv_last(U)[:, :, None],  # (6, 3, 1, NT, nv)
+            nv_last(sub_g)[:, None],  # (6, 1, 3, NT, 2)
             xy_s[:, None, None],
         )
         alpha_s = speeds.max(axis=(1, 2)) * (mesh.areas / 3.0)  # (6, NT)
@@ -120,10 +121,10 @@ class LowOrder:
             + contrib[:, SLOT_SUB[:, 1], SLOT_CORNER[:, 1]]
         )  # (nv, 6 local dofs, NT)
         Phi /= mesh.point_area[mesh.tri_point_dofs.T]
-        return Phi.T
+        return nv_last(Phi)
 
     def compute(self, coef, t) -> LOResult:
-        """Low-order residuals from the element coefficients (NT, 7, nv)."""
+        """Low-order residuals from the element coefficients (7, NT, nv)."""
         return LOResult(
-            self.point_residuals(coef), self.average_fluxes(coef[:, 6], t)
+            self.point_residuals(coef), self.average_fluxes(coef[6], t)
         )

@@ -27,6 +27,7 @@ import numpy as np
 
 from .exceptions import NumericalAbort
 from .limiting import blend_average_fluxes, blend_point_residuals, damping_theta
+from .models import component_major
 from .spatial_ho import HighOrder, Tables
 from .spatial_lo import LowOrder
 
@@ -99,7 +100,7 @@ def _pin_malloc_thresholds() -> None:
 
 def initialize(tables: Tables, u0_fn):
     """Cell averages by volume quadrature and exact point values of u0."""
-    xy = tables.element_points(tables.BARY_V)
+    xy = tables.element_points(tables.BARY_V).swapaxes(0, 1)  # (NT, nqv, 2)
     ubar = np.einsum("q,kqv->kv", tables.wq_vol, u0_fn(xy))
     upt = np.asarray(u0_fn(tables.mesh.point_xy), dtype=float)
     return ubar, upt
@@ -137,9 +138,7 @@ class Stepper:
         self.damping_c2 = float(damping_c2)
 
         self._inradius = mesh.inradius()
-        # Unit outward edge normals as an nv-last view (3, NT, 2) of their
-        # component-major block.
-        self._normals = np.moveaxis(self.tables.DOF_NORMAL.T[:, 3:], 0, -1)
+        self._normals = self.tables.DOF_NORMAL[3:]  # unit outward, (3, NT, 2)
 
         # Limiter diagnostics from the most recent rk3_step.
         self.last_theta = np.ones(mesh.num_tris)
@@ -149,18 +148,15 @@ class Stepper:
     # -- time step --------------------------------------------------------------
 
     def _wavespeeds(self, ubar, upt):
-        """Max local wavespeed per element, (NT,), floored at 1e-300.
-
-        Works on component-major blocks (see `Tables`): the model sees
-        (7 states, 3 normals, NT) views."""
-        states = self.tables.coefficients(ubar, upt).T  # (nv, 7, NT)
-        xy = np.concatenate(
-            [self.tables.XY_PT.T, self.mesh.centroids.T[:, None]], axis=1
-        )  # (2, 7, NT)
+        """Max local wavespeed per element, (NT,), floored at 1e-300, over
+        its seven states (the point values, then the average at the
+        centroid) and its three edge normals."""
+        states = self.tables.coefficients(ubar, upt)  # (7, NT, nv)
+        xy = component_major((7, self.mesh.num_tris), 2)  # laid out like states
+        xy[:6] = self.tables.XY_PT
+        xy[6] = self.mesh.centroids
         speeds = self.model.max_wavespeed(
-            np.moveaxis(states, 0, -1)[:, None],  # (7, 1, NT, nv)
-            self._normals,  # (3, NT, 2)
-            np.moveaxis(xy, 0, -1)[:, None],  # (7, 1, NT, 2)
+            states[:, None], self._normals, xy[:, None]
         )  # (7, 3, NT)
         return np.maximum(speeds.max(axis=(0, 1)), 1e-300)
 
@@ -186,14 +182,14 @@ class Stepper:
     def _substep(self, ubar, upt, t, dt):
         mesh = self.mesh
         # The element-local states, gathered once for every operator.
-        coef = self.tables.coefficients(ubar, upt)  # (NT, 7, nv)
+        coef = self.tables.coefficients(ubar, upt)  # (7, NT, nv)
 
         fallback = resc_vol = resc_tr = resc_pt = resc_e = 0
         if self.mode == "lo":
             lo = self.lo.compute(coef, t)
             b = lo.Phi_pt
             F = lo.F_edge
-            eta_pt = np.zeros((mesh.num_tris, 6))
+            eta_pt = np.zeros((6, mesh.num_tris))
             eta_e = np.zeros(mesh.num_edges)
             theta = np.ones(mesh.num_tris)
         else:
@@ -219,14 +215,14 @@ class Stepper:
             if self.mode == "ho":
                 b = ho.Wpt
                 F = ho.F_edge
-                eta_pt = np.ones((mesh.num_tris, 6))
+                eta_pt = np.ones((6, mesh.num_tris))
                 eta_e = np.ones(mesh.num_edges)
             else:
                 lo = self.lo.compute(coef, t)
                 b, eta_pt, resc_pt = blend_point_residuals(
                     self.tables,
                     self.enforce_domain,
-                    coef[:, :6],
+                    coef[:6],
                     lo.Phi_pt,
                     ho.Wpt,
                     theta,
@@ -324,7 +320,8 @@ class Stepper:
         self._check(ub3, up3, t + dt, step, 3)
 
         self.last_theta = np.minimum.reduce([d[0] for d in (dg0, dg1, dg2)])
-        self.last_eta_point = np.minimum.reduce([d[1] for d in (dg0, dg1, dg2)])
+        eta_point = np.minimum.reduce([d[1] for d in (dg0, dg1, dg2)])
+        self.last_eta_point = eta_point.T
         self.last_eta_edge = np.minimum.reduce([d[2] for d in (dg0, dg1, dg2)])
 
         bflux = (bf0 + bf1) / 6.0 + (2.0 / 3.0) * bf2

@@ -137,16 +137,16 @@ def test_blended_update_bound_preserving_under_adversarial_ho():
     res = lo.compute(coef, 0.0)
     theta = np.ones(mesh.num_tris)
 
-    Wpt = rng.normal(size=(mesh.num_tris, 6, 1)) * 50.0
+    Wpt = rng.normal(size=(6, mesh.num_tris, 1)) * 50.0
     F_ho = rng.normal(size=(mesh.num_edges, 1)) * 50.0
 
     b, eta_pt, _r1 = blend_point_residuals(
-        tb, dom, coef[:, :6], res.Phi_pt, Wpt, theta, dt
+        tb, dom, coef[:6], res.Phi_pt, Wpt, theta, dt
     )
     F, eta_e, _r2 = blend_average_fluxes(tb, dom, ubar, res.F_edge, F_ho, theta, dt)
 
     acc = np.zeros_like(upt)
-    np.add.at(acc, mesh.tri_point_dofs, b)
+    np.add.at(acc, mesh.tri_point_dofs.T, b)
     upt2 = upt - dt * acc
     div = np.einsum(
         "ke,kev->kv", mesh.tri_edge_orient.astype(float), F[mesh.tri_edges]

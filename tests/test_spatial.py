@@ -86,8 +86,8 @@ def test_fan_gradients_and_centroids_from_the_affine_map(small_mesh):
     got_g = (FAN_GRAD @ mesh.grad_lambda).reshape(want_g.shape)
     assert np.abs(got_g - want_g).max() <= 1e-13 * np.abs(want_g).max()
     assert set(np.unique(FAN_GRAD)) <= set(range(-2, 4))
-    got_c = Tables(mesh).element_points(FAN_CENTROID)
-    assert np.abs(got_c - xy.mean(axis=2)).max() < 1e-15
+    got_c = Tables(mesh).element_points(FAN_CENTROID)  # (6, NT, 2)
+    assert np.abs(got_c.swapaxes(0, 1) - xy.mean(axis=2)).max() < 1e-15
 
 
 def reference_phi(ho, ubar, upt, t):
@@ -106,8 +106,8 @@ def reference_phi(ho, ubar, upt, t):
     w_edge = phi_per * tb.wq_edge[:, None] * fac[..., None, None]
     w_edge_mat = w_edge.reshape(nt, 3 * tb.nqe, 7).swapaxes(1, 2)
 
-    coef = tb.coefficients(ubar, upt)
-    xy = tb.element_points(tb.BARY_V)
+    coef = tb.coefficients(ubar, upt).swapaxes(0, 1)  # (NT, 7, nv)
+    xy = tb.element_points(tb.BARY_V).swapaxes(0, 1)  # (NT, nqv, 2)
     fq = model.flux(tb.PHI_V @ coef, xy)  # (NT, nqv, nv, 2)
     vol = -(dvol_mat @ fq.swapaxes(2, 3).reshape(nt, -1, nv))
     vol *= mesh.areas[:, None, None]
@@ -137,7 +137,7 @@ def test_ho_residual_matches_per_element_tables(small_mesh, which):
     rng = np.random.default_rng(4)
     ubar = ubar * (1.0 + 0.05 * rng.standard_normal(ubar.shape))
     upt = upt * (1.0 + 0.05 * rng.standard_normal(upt.shape))
-    got = ho.compute(tb.coefficients(ubar, upt), upt, 0.0).Phi
+    got = ho.compute(tb.coefficients(ubar, upt), upt, 0.0).Phi.swapaxes(0, 1)
     want = reference_phi(ho, ubar, upt, 0.0)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -208,8 +208,8 @@ def test_ho_average_row_equals_edge_flux_balance(small_mesh):
         mesh.tri_edge_orient.astype(float),
         res.F_edge[mesh.tri_edges],
     ) / mesh.areas[:, None]
-    scale = max(1.0, np.abs(res.Phi[:, 6]).max())
-    assert np.abs(res.Phi[:, 6] - div).max() < 1e-12 * scale
+    scale = max(1.0, np.abs(res.Phi[6]).max())
+    assert np.abs(res.Phi[6] - div).max() < 1e-12 * scale
 
 
 @pytest.mark.parametrize("which", ["euler", "advection"])
@@ -223,10 +223,10 @@ def test_omega_partition_of_unity(small_mesh, which):
         upt = np.sin(3 * mesh.point_xy[:, 0:1] + mesh.point_xy[:, 1:2])
     tb = Tables(mesh)
     ho = HighOrder(tb, model)
-    omega, _fb = ho.omega_weights(upt[mesh.tri_point_dofs])
+    omega, _fb = ho.omega_weights(upt[mesh.tri_point_dofs.T])
     nv = model.nvars
     tot = np.zeros((mesh.num_points, nv, nv))
-    np.add.at(tot, mesh.tri_point_dofs, omega)
+    np.add.at(tot, mesh.tri_point_dofs.T, omega)
     err = np.abs(tot - np.eye(nv)).max()
     assert err < 1e-12
 
@@ -240,13 +240,15 @@ def test_point_sums_equal_add_at_bitwise(small_mesh):
         x = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
         want = np.zeros((mesh.num_points,) + shape)
         np.add.at(want, mesh.tri_point_dofs, x)
-        got = tb.point_sums(x)
+        # point_sums takes (6, NT, ...) and adds each point's values in the
+        # order np.add.at meets them on the element-major (NT, 6, ...)
+        # array, for plain and for component-major input (the layout of
+        # the element kernels).
+        got = tb.point_sums(np.ascontiguousarray(x.swapaxes(0, 1)))
         assert got.shape == want.shape
         assert np.array_equal(got, want)
-        # Component-major input, the layout of the element kernels, adds
-        # in the same order.
         x_cm = np.ascontiguousarray(np.moveaxis(x, (0, 1), (-1, -2)))
-        got = tb.point_sums(np.moveaxis(x_cm, (-1, -2), (0, 1)))
+        got = tb.point_sums(np.moveaxis(x_cm, (-2, -1), (0, 1)))
         assert np.array_equal(got, want)
     want = np.zeros(mesh.num_points)
     np.add.at(want, mesh.tri_point_dofs, 1.0)
@@ -262,7 +264,7 @@ def test_omega_nonfinite_patch_sum_falls_back_quietly(small_mesh):
     upt = euler_field(mesh.point_xy)
     tb = Tables(mesh)
     ho = HighOrder(tb, model)
-    omega0, fb0 = ho.omega_weights(upt[mesh.tri_point_dofs])
+    omega0, fb0 = ho.omega_weights(upt[mesh.tri_point_dofs.T])
     on_boundary = np.concatenate(
         [
             mesh.edge_verts[mesh.boundary_edges].ravel(),
@@ -273,8 +275,8 @@ def test_omega_nonfinite_patch_sum_falls_back_quietly(small_mesh):
     upt[bad] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        omega, fb = ho.omega_weights(upt[mesh.tri_point_dofs])
-    hit = mesh.tri_point_dofs == bad
+        omega, fb = ho.omega_weights(upt[mesh.tri_point_dofs.T])
+    hit = mesh.tri_point_dofs.T == bad
     count = hit.sum()
     assert fb == fb0 + 1
     unit = np.broadcast_to(np.eye(4) / count, (count, 4, 4))
@@ -316,7 +318,7 @@ def test_omega_built_once_for_static_signs(small_mesh, monkeypatch, which):
     want = fresh.compute(tb.coefficients(ubar, upt), upt, 0.0)
     assert np.array_equal(got.Wpt, want.Wpt)
     assert got.omega_fallback_points == want.omega_fallback_points
-    u_loc = upt[mesh.tri_point_dofs]
+    u_loc = upt[mesh.tri_point_dofs.T]
     omega, fb = ho.omega_weights(u_loc)
     omega_fresh, fb_fresh = fresh.omega_weights(u_loc)
     assert omega.tobytes() == omega_fresh.tobytes()
@@ -417,11 +419,12 @@ def test_omega_exactly_singular_patch_sum_falls_back_quietly(
     upt = euler_field(mesh.point_xy)
     tb = Tables(mesh)
     ho = HighOrder(tb, model)
-    u_loc = upt[mesh.tri_point_dofs]
+    dofs = mesh.tri_point_dofs.T
+    u_loc = upt[dofs]
     omega0, fb0 = ho.omega_weights(u_loc)
-    count = tb.point_count[mesh.tri_point_dofs]
+    count = tb.point_count[dofs]
     upwind = ~np.all(omega0 == np.eye(4) / count[..., None, None], axis=(2, 3))
-    bad = int(mesh.tri_point_dofs[upwind][0])
+    bad = int(dofs[upwind][0])
     point_sums = tb.point_sums
 
     def singular_at_bad(x):
@@ -434,7 +437,7 @@ def test_omega_exactly_singular_patch_sum_falls_back_quietly(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         omega, fb = ho.omega_weights(u_loc)
-    hit = mesh.tri_point_dofs == bad
+    hit = dofs == bad
     n = hit.sum()
     assert fb == fb0 + 1
     assert np.array_equal(omega[hit], np.broadcast_to(np.eye(4) / n, (n, 4, 4)))
@@ -453,14 +456,14 @@ def test_euler_omega_makes_no_lapack_inverse_call(small_mesh, monkeypatch):
     upt = euler_field(mesh.point_xy)
     tb = Tables(mesh)
     ho = HighOrder(tb, model)
-    want, want_fb = ho.omega_weights(upt[mesh.tri_point_dofs])
+    want, want_fb = ho.omega_weights(upt[mesh.tri_point_dofs.T])
 
     def refuse(*args, **kwargs):
         raise AssertionError("LAPACK inverse called")
 
     monkeypatch.setattr(np.linalg, "inv", refuse)
     monkeypatch.setattr(np.linalg, "det", refuse)
-    omega, fb = ho.omega_weights(upt[mesh.tri_point_dofs])
+    omega, fb = ho.omega_weights(upt[mesh.tri_point_dofs.T])
     assert omega.tobytes() == want.tobytes()
     assert fb == want_fb
     bc = BoundaryHandler(mesh, model, {"out": Outflow()})
@@ -680,7 +683,7 @@ def test_low_order_max_principle_small_dt(small_mesh):
     res = lo.compute(tb.coefficients(ubar, upt), 0.0)
 
     acc = np.zeros_like(upt)
-    np.add.at(acc, mesh.tri_point_dofs, res.Phi_pt)
+    np.add.at(acc, mesh.tri_point_dofs.T, res.Phi_pt)
     upt2 = upt - dt * acc
     div = np.einsum(
         "ke,kev->kv",
@@ -749,7 +752,7 @@ def test_point_residuals_match_nv_last_kernel(which):
     lo = LowOrder(tb, model)
     ubar, upt = states(mesh.num_tris), states(mesh.num_points)
     coef = tb.coefficients(ubar, upt)
-    want = nv_last_point_residuals(lo, coef)
+    want = nv_last_point_residuals(lo, coef.swapaxes(0, 1)).swapaxes(0, 1)
     scale = np.abs(want).max()
     for c in (coef, np.ascontiguousarray(coef)):
         got = lo.point_residuals(c)

@@ -197,7 +197,7 @@ def test_full_mode_without_domain_blends_by_theta_bitwise():
     lo = stepper.lo.compute(coef, 0.0)
     th = damping_theta(tb, model, coef, ubar, upt, ho.trace_u, dt)
     assert th.min() < 1.0  # the discontinuous data must engage the damping
-    b = lo.Phi_pt + th[:, None, None] * (ho.Wpt - lo.Phi_pt)
+    b = lo.Phi_pt + th[:, None] * (ho.Wpt - lo.Phi_pt)
     k0, k1 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
     te = np.where(
         k1 >= 0, np.minimum(th[k0], th[np.clip(k1, 0, None)]), th[k0]
@@ -207,7 +207,7 @@ def test_full_mode_without_domain_blends_by_theta_bitwise():
         "ke,kev->kv", mesh.tri_edge_orient.astype(float), F[mesh.tri_edges]
     )
     assert np.array_equal(theta, th)
-    assert np.array_equal(eta_pt, np.broadcast_to(th[:, None], eta_pt.shape))
+    assert np.array_equal(eta_pt, np.broadcast_to(th, eta_pt.shape))
     assert np.array_equal(eta_e, te)
     assert np.array_equal(upt_new, upt - dt * tb.point_sums(b))
     assert np.array_equal(ubar_new, ubar - (dt / mesh.areas[:, None]) * div)
