@@ -100,7 +100,9 @@ def _pin_malloc_thresholds() -> None:
 
 def initialize(tables: Tables, u0_fn):
     """Cell averages by volume quadrature and exact point values of u0."""
-    xy = tables.element_points(tables.BARY_V).swapaxes(0, 1)  # (NT, nqv, 2)
+    # Element by element, (NT, nqv, 2): a u0 that allocates its result in C
+    # order keeps each element's quadrature values together.
+    xy = tables.element_points(tables.BARY_V).swapaxes(0, 1)
     ubar = np.einsum("q,kqv->kv", tables.wq_vol, u0_fn(xy))
     upt = np.asarray(u0_fn(tables.mesh.point_xy), dtype=float)
     return ubar, upt
@@ -320,8 +322,7 @@ class Stepper:
         self._check(ub3, up3, t + dt, step, 3)
 
         self.last_theta = np.minimum.reduce([d[0] for d in (dg0, dg1, dg2)])
-        eta_point = np.minimum.reduce([d[1] for d in (dg0, dg1, dg2)])
-        self.last_eta_point = eta_point.T
+        self.last_eta_point = np.minimum.reduce([d[1] for d in (dg0, dg1, dg2)]).T
         self.last_eta_edge = np.minimum.reduce([d[2] for d in (dg0, dg1, dg2)])
 
         bflux = (bf0 + bf1) / 6.0 + (2.0 / 3.0) * bf2
