@@ -26,49 +26,54 @@ from .io_vtk import (
     write_vtk_averages,
     write_vtk_points,
 )
-from .limiting import GasDomain, IntervalDomain
 from .mesh import read_msh
 from .meshgen import refine4, write_msh2
 from .norms import convergence_rows, error_norms
-from .problems import builtin_problems, get_problem, sample_initial
+from .problems import (
+    builtin_problems,
+    gas_domains,
+    get_problem,
+    interval_domains,
+    sample_initial,
+)
 from .timeloop import Stepper, initialize
 
 
 def _effective_domains(problem, model, cfg):
+    """(enforce, assert) domains: the problem's, or those of the `[limits]`
+    overrides, which must fit the model (lo/hi for scalar models, rho_min
+    and p_min for gas dynamics)."""
+    interval = cfg.lo is not None  # validate() pairs lo with hi
+    gas = cfg.rho_min is not None or cfg.p_min is not None
+    name = problem.name
+    if interval and model.nvars != 1:
+        raise ConfigError(f"[limits] lo/hi need a scalar problem, not {name!r}")
+    if gas and model.nvars == 1:
+        raise ConfigError(f"[limits] rho_min/p_min need a gas problem, not {name!r}")
+    if interval:
+        return interval_domains(cfg.lo, cfg.hi)
     enforce, assert_ = problem.domains(model)
-    if problem.kind == "scalar" and cfg.lo is not None and cfg.hi is not None:
-        enforce = IntervalDomain(cfg.lo, cfg.hi)
-        pad = 1e-9 * max(1.0, abs(cfg.lo), abs(cfg.hi))
-        assert_ = IntervalDomain(cfg.lo - pad, cfg.hi + pad)
-    if problem.kind == "euler" and (
-        cfg.rho_min is not None or cfg.p_min is not None
-    ):
-        base = problem.domains(model)[1]
-        assert_ = GasDomain(
-            rho_min=cfg.rho_min if cfg.rho_min is not None else base.rho_min,
-            p_min=cfg.p_min if cfg.p_min is not None else base.p_min,
-            gamma=model.gamma,
+    if gas:
+        return gas_domains(
+            model.gamma,
+            cfg.rho_min if cfg.rho_min is not None else assert_.rho_min,
+            cfg.p_min if cfg.p_min is not None else assert_.p_min,
         )
-        enforce = assert_.scaled(2.0)
     return enforce, assert_
 
 
-def _farfield_of(bcs):
-    for bc in bcs.values():
-        if isinstance(bc, FarField):
-            return bc
-    return None
-
-
 def _resolve_boundaries(problem, model, cfg):
-    bcs = problem.boundaries(model)
+    defaults = problem.boundaries(model)
+    bcs = dict(defaults)
     for name, role in cfg.boundary.items():
         if role == "wall":
             bcs[name] = Wall()
         elif role == "outflow":
             bcs[name] = Outflow()
         elif role in ("inflow", "farfield"):
-            ff = _farfield_of(problem.boundaries(model))
+            ff = next(
+                (bc for bc in defaults.values() if isinstance(bc, FarField)), None
+            )
             if ff is None:
                 raise ConfigError(
                     f"boundary {name!r}: problem {problem.name!r} provides "
@@ -80,23 +85,23 @@ def _resolve_boundaries(problem, model, cfg):
     return bcs
 
 
-def _load_mesh(problem, cfg):
-    if cfg.mesh is not None:
-        mesh = read_msh(cfg.mesh)
-    else:
-        mesh = problem.mesh_builder(cfg.mesh_n or problem.default_n)
-    if any(not mesh.edge_name[e] for e in mesh.boundary_edges):
-        mesh.name_boundary(problem.namer)
-    return mesh
-
-
-def _build(cfg: RunConfig):
+def _build(cfg: RunConfig, mesh=None):
+    """(problem, model, mesh, stepper, ubar, upt) for the configured run,
+    on `mesh` in place of the configured one if given.  The initial state
+    (ubar, upt) is checked against the stepper's assert domain."""
     problem = get_problem(cfg.problem)
     model = problem.make_model(cfg.gamma)
-    mesh = _load_mesh(problem, cfg)
+    if mesh is None:
+        mesh = (read_msh(cfg.mesh) if cfg.mesh is not None
+                else problem.mesh_builder(cfg.mesh_n or problem.default_n))
+    if any(not mesh.edge_name[e] for e in mesh.boundary_edges):
+        mesh.name_boundary(problem.namer)
     bc = BoundaryHandler(mesh, model, _resolve_boundaries(problem, model, cfg))
     stepper = _make_stepper(problem, model, mesh, bc, cfg)
-    return problem, model, mesh, stepper
+    ubar, upt = sample_initial(
+        problem, model, stepper.tables, domain=stepper.assert_domain
+    )
+    return problem, model, mesh, stepper, ubar, upt
 
 
 def _make_stepper(problem, model, mesh, bc, cfg):
@@ -136,13 +141,9 @@ def _extrema(model, ubar, upt):
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    problem, model, mesh, stepper = _build(cfg)
+    problem, model, mesh, stepper, ubar, upt = _build(cfg)
     out = _outdir(cfg)
     t_end = cfg.final_time if cfg.final_time is not None else problem.final_time
-
-    ubar, upt = sample_initial(
-        problem, model, stepper.tables, domain=stepper.assert_domain
-    )
     print(
         f"{problem.name}: {mesh.num_tris} elements, {mesh.num_points} point "
         f"DoFs, mode={cfg.mode}, T={t_end}"
@@ -151,6 +152,15 @@ def cmd_run(args) -> int:
     def dump(tag, ub, up):
         write_vtk_averages(os.path.join(out, f"averages{tag}.vtk"), mesh, ub, model)
         write_vtk_points(os.path.join(out, f"points{tag}.vtk"), mesh, up, model)
+
+    def diagnose(tag):
+        write_diagnostics_csv(
+            os.path.join(out, f"diagnostics{tag}.csv"),
+            mesh,
+            stepper.last_theta,
+            stepper.last_eta_point,
+            stepper.last_eta_edge,
+        )
 
     journal = []  # filled step by step, so an abort keeps the completed steps
 
@@ -168,13 +178,7 @@ def cmd_run(args) -> int:
         if cfg.vtk_every and step % cfg.vtk_every == 0:
             dump(f"_{step:06d}", ub, up)
         if cfg.diagnostics_every and step % cfg.diagnostics_every == 0:
-            write_diagnostics_csv(
-                os.path.join(out, f"diagnostics_{step:06d}.csv"),
-                mesh,
-                stepper.last_theta,
-                stepper.last_eta_point,
-                stepper.last_eta_edge,
-            )
+            diagnose(f"_{step:06d}")
 
     try:
         ubar, upt, _, totals = stepper.run(ubar, upt, t_end, callback=callback)
@@ -182,13 +186,7 @@ def cmd_run(args) -> int:
         write_journal_csv(os.path.join(out, "journal.csv"), journal)
 
     dump("", ubar, upt)
-    write_diagnostics_csv(
-        os.path.join(out, "diagnostics.csv"),
-        mesh,
-        stepper.last_theta,
-        stepper.last_eta_point,
-        stepper.last_eta_edge,
-    )
+    diagnose("")
 
     drift = totals["mass"] - totals["mass0"] + totals["bflux_int"]
     rel = np.abs(drift).max() / max(1.0, np.abs(totals["mass0"]).max())
@@ -205,7 +203,6 @@ def cmd_convergence(args) -> int:
     problem = get_problem(cfg.problem)
     if problem.exact is None:
         raise ConfigError(f"problem {cfg.problem!r} has no exact solution")
-    model = problem.make_model(cfg.gamma)
     t_end = cfg.final_time if cfg.final_time is not None else problem.final_time
 
     if args.meshes:
@@ -221,13 +218,7 @@ def cmd_convergence(args) -> int:
     hs = []
     norm_dicts = []
     for mesh in meshes:
-        if any(not mesh.edge_name[e] for e in mesh.boundary_edges):
-            mesh.name_boundary(problem.namer)
-        bc = BoundaryHandler(
-            mesh, model, _resolve_boundaries(problem, model, cfg)
-        )
-        stepper = _make_stepper(problem, model, mesh, bc, cfg)
-        ubar, upt = sample_initial(problem, model, stepper.tables)
+        _, model, _, stepper, ubar, upt = _build(cfg, mesh)
         ubar, upt, _, _ = stepper.run(ubar, upt, t_end)
         exact_bar, exact_pt = initialize(
             stepper.tables, lambda xy: problem.exact(model, xy, t_end)

@@ -59,8 +59,10 @@ class RunConfig:
         for name, val in (("rho_min", self.rho_min), ("p_min", self.p_min)):
             if val is not None and val <= 0.0:
                 raise ConfigError(f"{name} must be > 0, got {val}")
-        if self.lo is not None and self.hi is not None and not self.lo < self.hi:
-            raise ConfigError("interval override needs lo < hi")
+        if (self.lo is None) != (self.hi is None) or (
+            self.lo is not None and not self.lo < self.hi
+        ):
+            raise ConfigError("interval override needs both lo and hi, lo < hi")
         if self.mesh_n is not None and self.mesh_n < 1:
             raise ConfigError("mesh_n must be >= 1")
         for key in ("vtk_every", "diagnostics_every", "log_every"):

@@ -17,16 +17,6 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _header(out, title, npoints, xy):
-    out.append("# vtk DataFile Version 3.0")
-    out.append(title)
-    out.append("ASCII")
-    out.append("DATASET UNSTRUCTURED_GRID")
-    out.append(f"POINTS {npoints} double")
-    for x, y in xy:
-        out.append(f"{_fmt(x)} {_fmt(y)} 0")
-
-
 def _scalar_fields(model, u):
     """Named scalar arrays for output; Euler adds derived quantities."""
     if u.shape[-1] == 1:
@@ -46,54 +36,60 @@ def _scalar_fields(model, u):
     ]
 
 
-def _data_block(out, kind, count, fields):
-    out.append(f"{kind} {count}")
-    for name, vals in fields:
+def _write_grid(path, title, xy, cells, cell_type, data, u, model):
+    """Unstructured grid of `cells` (NT, k) over the points xy, carrying the
+    scalar fields of the states u as `data` (CELL_DATA or POINT_DATA)."""
+    out = [
+        "# vtk DataFile Version 3.0",
+        title,
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        f"POINTS {len(xy)} double",
+    ]
+    out.extend(f"{_fmt(x)} {_fmt(y)} 0" for x, y in xy)
+    nt, k = cells.shape
+    out.append(f"CELLS {nt} {(k + 1) * nt}")
+    out.extend(f"{k} " + " ".join(str(i) for i in c) for c in cells)
+    out.append(f"CELL_TYPES {nt}")
+    out.extend(cell_type for _ in range(nt))
+    out.append(f"{data} {len(u)}")
+    for name, vals in _scalar_fields(model, np.asarray(u)):
         out.append(f"SCALARS {name} double 1")
         out.append("LOOKUP_TABLE default")
         out.extend(_fmt(v) for v in vals)
+    with open(path, "w") as fh:
+        fh.write("\n".join(out) + "\n")
 
 
 def write_vtk_averages(path, mesh, ubar, model) -> None:
     """Linear triangles carrying the cell averages as cell data."""
-    out: list[str] = []
-    _header(out, "cell averages", len(mesh.verts), mesh.verts)
-    nt = mesh.num_tris
-    out.append(f"CELLS {nt} {4 * nt}")
-    for a, b, c in mesh.tris:
-        out.append(f"3 {a} {b} {c}")
-    out.append(f"CELL_TYPES {nt}")
-    out.extend("5" for _ in range(nt))
-    _data_block(out, "CELL_DATA", nt, _scalar_fields(model, np.asarray(ubar)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(out) + "\n")
+    _write_grid(
+        path, "cell averages", mesh.verts, mesh.tris, "5", "CELL_DATA", ubar, model
+    )
 
 
 def write_vtk_points(path, mesh, upt, model) -> None:
     """Quadratic triangles carrying the point-value DoFs as point data."""
-    out: list[str] = []
-    _header(out, "point values", mesh.num_points, mesh.point_xy)
-    nt = mesh.num_tris
-    out.append(f"CELLS {nt} {7 * nt}")
-    for dofs in mesh.tri_point_dofs:
-        out.append("6 " + " ".join(str(d) for d in dofs))
-    out.append(f"CELL_TYPES {nt}")
-    out.extend("22" for _ in range(nt))
-    _data_block(
-        out, "POINT_DATA", mesh.num_points, _scalar_fields(model, np.asarray(upt))
+    _write_grid(
+        path, "point values", mesh.point_xy, mesh.tri_point_dofs, "22",
+        "POINT_DATA", upt, model,
     )
-    with open(path, "w") as fh:
-        fh.write("\n".join(out) + "\n")
+
+
+def _write_rows(path, rows, fmt):
+    """Dict rows as CSV with their keys as the header, each value written
+    as fmt(value); no rows give a header-less empty file."""
+    with open(path, "w", newline="") as fh:
+        if not rows:
+            return
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows({k: fmt(v) for k, v in row.items()} for row in rows)
 
 
 def write_journal_csv(path, journal) -> None:
-    """Per-step progress rows as CSV (no rows -> header-less empty file)."""
-    with open(path, "w", newline="") as fh:
-        if not journal:
-            return
-        writer = csv.DictWriter(fh, fieldnames=list(journal[0].keys()))
-        writer.writeheader()
-        writer.writerows(journal)
+    """Per-step progress rows as CSV."""
+    _write_rows(path, journal, lambda v: v)
 
 
 def write_diagnostics_csv(path, mesh, theta, eta_point, eta_edge) -> None:
@@ -104,47 +100,19 @@ def write_diagnostics_csv(path, mesh, theta, eta_point, eta_edge) -> None:
     """
     eta_pt = np.full(mesh.num_points, np.inf)
     np.minimum.at(eta_pt, mesh.tri_point_dofs, eta_point)
+    blocks = (
+        ("theta", mesh.centroids, theta),
+        ("eta_edge", mesh.edge_mid, eta_edge),
+        ("eta_point", mesh.point_xy, eta_pt),
+    )
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["kind", "index", "x", "y", "value"])
-        cent = mesh.centroids
-        for k in range(mesh.num_tris):
-            writer.writerow(
-                ["theta", k, _fmt(cent[k, 0]), _fmt(cent[k, 1]), _fmt(theta[k])]
-            )
-        for e in range(mesh.num_edges):
-            writer.writerow(
-                [
-                    "eta_edge",
-                    e,
-                    _fmt(mesh.edge_mid[e, 0]),
-                    _fmt(mesh.edge_mid[e, 1]),
-                    _fmt(eta_edge[e]),
-                ]
-            )
-        for p in range(mesh.num_points):
-            writer.writerow(
-                [
-                    "eta_point",
-                    p,
-                    _fmt(mesh.point_xy[p, 0]),
-                    _fmt(mesh.point_xy[p, 1]),
-                    _fmt(eta_pt[p]),
-                ]
-            )
+        for kind, xy, values in blocks:
+            for i, (x, y) in enumerate(xy):
+                writer.writerow([kind, i, _fmt(x), _fmt(y), _fmt(values[i])])
 
 
 def write_convergence_csv(path, rows) -> None:
     """Error table rows (from norms.convergence_rows) as CSV."""
-    with open(path, "w", newline="") as fh:
-        if not rows:
-            return
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(
-                {
-                    k: (_fmt(v) if isinstance(v, float) else v)
-                    for k, v in row.items()
-                }
-            )
+    _write_rows(path, rows, lambda v: _fmt(v) if isinstance(v, float) else v)

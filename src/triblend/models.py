@@ -6,8 +6,8 @@ Every model exposes the same informal interface over arrays whose last axis
     nvars                   -- number of conserved variables
     flux(u, xy)             -- (..., nvars, 2) flux tensor
     flux_normal(u, n, xy)   -- (..., nvars) normal flux f(u) . n
-    jac_normal(u, n, xy)    -- (..., nvars, nvars) Jacobian of f . n
-    sign_jac_normal(...)    -- matrix sign of the above
+    sign_jac_normal(...)    -- (..., nvars, nvars) matrix sign of the
+                               Jacobian d(f . n)/du
     max_wavespeed(u, n, xy) -- (...,) spectral bound for |n| = 1 scaling;
                                the value scales linearly with |n|
     static_signs            -- True when sign_jac_normal does not depend
@@ -17,7 +17,7 @@ Every model exposes the same informal interface over arrays whose last axis
 models that do not need it ignore the argument.  Leading dimensions
 broadcast everywhere.  A result that does not depend on the state, such as
 the wave speed of a linear flux, has only the dimensions its inputs give
-it: `jac_normal`, `sign_jac_normal` and `max_wavespeed` are broadcastable
+it: `sign_jac_normal` and `max_wavespeed` are broadcastable
 against the leading dimensions of u, not materialized over them.
 
 Memory layout: any strides are accepted.  The element kernels store their
@@ -197,7 +197,7 @@ class Euler:
         l0,3 = (b2 +/- un / c, -(b1 v +/- n / c), b1) / 2,
 
     b1 = (gamma - 1) / c^2, b2 = b1 |v|^2 / 2 and l_i . r_j = delta_ij.
-    `jac_normal` and `sign_jac_normal` build this form entry by entry, and
+    `sign_jac_normal` builds this form entry by entry, and
     `flux_normal_split` uses its closed-form action on u.
     Where f is equal on all three eigenvalues, as the sign at supersonic
     states, f(A) is exactly f(un) I.
@@ -312,11 +312,6 @@ class Euler:
         diag = diagonal_view(M)
         diag += f1[..., None]  # + f(un) I
         return M
-
-    def jac_normal(self, u, n, xy=None):
-        A = self._matrix_function(u, n, lambda lam: lam)
-        A *= _length(n)[..., None, None]
-        return A
 
     def sign_jac_normal(self, u, n, xy=None):
         return self._matrix_function(u, n, _eigen_signs)

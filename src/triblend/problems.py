@@ -4,7 +4,15 @@ Each entry bundles everything a run needs: a model factory (taking the
 adiabatic index, ignored by scalar problems), analytic initial data, a
 boundary map plus a geometric namer for generated meshes, default final
 time, a mesh builder, invariant domains for enforcement and assertion, and
-the exact solution where one exists.
+the exact solution where one exists.  Each factory's docstring describes
+its problem.
+
+The invariant domains follow two rules, shared with the `[limits]`
+overrides of `triblend run`: an interval [lo, hi] is enforced as given and
+asserted padded by 1e-9 max(1, |lo|, |hi|) (`interval_domains`); a gas
+domain asserts the floors rho_min and p_min and enforces twice them
+(`gas_domains`).  `kpp` keeps one unpadded pair, because padding would
+loosen its assert.
 
 Discontinuous initial data is written as an ordered region list; the first
 region whose closure contains a point wins, which pins the values taken
@@ -30,7 +38,6 @@ from .timeloop import initialize
 @dataclass
 class ProblemDefinition:
     name: str
-    kind: str  # "scalar" | "euler"
     make_model: Callable[[float], object]
     initial: Callable[[object, np.ndarray], np.ndarray]  # (model, xy) -> states
     boundaries: Callable[[object], dict]  # model -> {name: BC}
@@ -40,7 +47,6 @@ class ProblemDefinition:
     default_n: int
     domains: Callable[[object], tuple]  # model -> (enforce, assert) or Nones
     exact: Callable[[object, np.ndarray, float], np.ndarray] | None = None
-    description: str = ""
 
 
 def piecewise_state(xy, regions, default):
@@ -87,6 +93,25 @@ def sample_initial(problem, model, tables, domain=None):
 
 
 # ---------------------------------------------------------------------------
+# domain rules
+# ---------------------------------------------------------------------------
+
+
+def interval_domains(lo, hi):
+    """(enforce, assert) domains of the interval [lo, hi]; the padding rule
+    is in the module docstring."""
+    pad = 1e-9 * max(1.0, abs(lo), abs(hi))
+    return IntervalDomain(lo, hi), IntervalDomain(lo - pad, hi + pad)
+
+
+def gas_domains(gamma, rho_min, p_min):
+    """(enforce, assert) domains of the asserted gas floors rho_min and
+    p_min; the enforcement rule is in the module docstring."""
+    hard = GasDomain(rho_min=rho_min, p_min=p_min, gamma=gamma)
+    return hard.scaled(2.0), hard
+
+
+# ---------------------------------------------------------------------------
 # the catalog
 # ---------------------------------------------------------------------------
 
@@ -95,7 +120,19 @@ def _const_namer(name):
     return lambda mids: [name] * len(mids)
 
 
+def _constant(u):
+    """Far field holding the state u (nv,) everywhere and at all times."""
+    u = np.asarray(u, dtype=float)
+    return FarField(lambda x, t: np.broadcast_to(u, x.shape[:-1] + u.shape))
+
+
+def _from_primitives(model, prim):
+    """Conserved states from primitives (rho, vx, vy, p) on the last axis."""
+    return model.conserved(*np.moveaxis(np.asarray(prim, dtype=float), -1, 0))
+
+
 def _gauss_advection():
+    """Smooth Gaussian transported diagonally; exact solution."""
     a = np.array([-1.0, -1.0])
     x0 = np.array([15.0, 15.0])
 
@@ -108,7 +145,6 @@ def _gauss_advection():
 
     return ProblemDefinition(
         name="advect-gauss",
-        kind="scalar",
         make_model=lambda gamma: LinearAdvection(a),
         initial=lambda model, xy: u0(xy),
         boundaries=lambda model: {
@@ -120,11 +156,12 @@ def _gauss_advection():
         default_n=28,
         domains=lambda model: (None, None),
         exact=exact,
-        description="smooth Gaussian transported diagonally; exact solution",
     )
 
 
 def _rotating_shapes():
+    """Solid-body rotation of a cosine hump, cone and notched disk; one
+    full turn returns the initial data."""
     center = np.array([0.5, 0.5])
 
     def vel(xy):
@@ -156,26 +193,20 @@ def _rotating_shapes():
 
     return ProblemDefinition(
         name="rotating-shapes",
-        kind="scalar",
         make_model=lambda gamma: LinearAdvection(vel),
         initial=lambda model, xy: u0(xy),
-        boundaries=lambda model: {
-            "farfield": FarField(lambda x, t: np.zeros(x.shape[:-1] + (1,)))
-        },
+        boundaries=lambda model: {"farfield": _constant([0.0])},
         namer=_const_namer("farfield"),
         final_time=1.0,
         mesh_builder=lambda n: rect_mesh((0.0, 1.0, 0.0, 1.0), n, seed=2),
         default_n=59,
-        domains=lambda model: (
-            IntervalDomain(0.0, 1.0),
-            IntervalDomain(-1e-9, 1.0 + 1e-9),
-        ),
-        description="solid-body rotation of a cosine hump, cone and notched "
-        "disk; one full turn returns the initial data",
+        domains=lambda model: interval_domains(0.0, 1.0),
     )
 
 
 def _kpp():
+    """Nonconvex flux with a rotational composite-wave solution; a
+    deliberately loose invariant interval."""
     lo = math.pi / 4.0
     hi = 3.5 * math.pi
 
@@ -185,12 +216,9 @@ def _kpp():
 
     return ProblemDefinition(
         name="kpp",
-        kind="scalar",
         make_model=lambda gamma: KPP(),
         initial=lambda model, xy: u0(xy),
-        boundaries=lambda model: {
-            "farfield": FarField(lambda x, t: np.full(x.shape[:-1] + (1,), lo))
-        },
+        boundaries=lambda model: {"farfield": _constant([lo])},
         namer=_const_namer("farfield"),
         final_time=1.0,
         mesh_builder=lambda n: rect_mesh((-2.0, 2.0, -2.0, 2.0), n, seed=3),
@@ -199,18 +227,30 @@ def _kpp():
             IntervalDomain(-1.0, 100.0),
             IntervalDomain(-1.0, 100.0),
         ),
-        description="nonconvex flux with a rotational composite-wave "
-        "solution; a deliberately loose invariant interval",
     )
 
 
-def _gas_domains(model):
-    hard = GasDomain(rho_min=1e-10, p_min=(model.gamma - 1.0) * 1e-10,
-                     gamma=model.gamma)
-    return hard.scaled(2.0), hard
+def _euler_problem(name, initial, boundaries, namer, final_time,
+                   mesh_builder, default_n, exact=None):
+    """Gas-dynamics entry asserting rho >= 1e-10 and p >= (gamma - 1) 1e-10."""
+    return ProblemDefinition(
+        name=name,
+        make_model=Euler,
+        initial=initial,
+        boundaries=boundaries,
+        namer=namer,
+        final_time=final_time,
+        mesh_builder=mesh_builder,
+        default_n=default_n,
+        domains=lambda model: gas_domains(
+            model.gamma, 1e-10, (model.gamma - 1.0) * 1e-10
+        ),
+        exact=exact,
+    )
 
 
 def _quadrants():
+    """Four-state Riemann data meeting at (1, 1)."""
     states = [
         (lambda x, y: (x >= 1.0) & (y >= 1.0), (1.5, 0.0, 0.0, 1.5)),
         (lambda x, y: (x <= 1.0) & (y >= 1.0), (0.5323, 1.206, 0.0, 0.3)),
@@ -219,32 +259,53 @@ def _quadrants():
     ]
 
     def u0(model, xy):
-        prim = piecewise_state(xy, states, states[0][1])
-        return model.conserved(
-            prim[..., 0], prim[..., 1], prim[..., 2], prim[..., 3]
-        )
+        return _from_primitives(model, piecewise_state(xy, states, states[0][1]))
 
     # Far-field data frozen at the initial quadrant states.  Half of the
     # boundary sees entering flow, so a transmissive closure is ill-posed
     # there; prescribing the state at infinity keeps every wall well-posed
     # (late-time pollution where outgoing waves cross is local and stable).
-    return ProblemDefinition(
-        name="quadrants",
-        kind="euler",
-        make_model=lambda gamma: Euler(gamma),
-        initial=u0,
-        boundaries=lambda model: {"farfield": FarField(
-            lambda xy, t: u0(model, xy))},
-        namer=_const_namer("farfield"),
-        final_time=1.0,
+    return _euler_problem(
+        "quadrants", u0,
+        lambda model: {"farfield": FarField(lambda xy, t: u0(model, xy))},
+        _const_namer("farfield"), final_time=1.0, default_n=56,
         mesh_builder=lambda n: rect_mesh((0.0, 1.2, 0.0, 1.2), n, seed=4),
-        default_n=56,
-        domains=_gas_domains,
-        description="four-state Riemann data meeting at (1, 1)",
+    )
+
+
+def _shock_problem(name, mach, pre_rho, x_shock, namer, final_time,
+                   mesh_builder, default_n):
+    """A normal Mach-`mach` shock at x = x_shock, running right into
+    quiescent gas (pre_rho(gamma), 0, 0, 1); the post-shock state enters
+    through the `inflow` edges, and `outflow` and `wall` edges close the
+    rest."""
+
+    def post(model):
+        return shock_jump(mach, pre_rho(model.gamma), 1.0, model.gamma)
+
+    def u0(model, xy):
+        prim = piecewise_state(
+            xy,
+            [(lambda x, y: x <= x_shock, post(model))],
+            (pre_rho(model.gamma), 0.0, 0.0, 1.0),
+        )
+        return _from_primitives(model, prim)
+
+    def bcs(model):
+        return {
+            "inflow": _constant(_from_primitives(model, post(model))),
+            "outflow": Outflow(),
+            "wall": Wall(),
+        }
+
+    return _euler_problem(
+        name, u0, bcs, namer, final_time, mesh_builder, default_n
     )
 
 
 def _double_mach():
+    """Mach-10 shock over a 30-degree ramp cut from the rectangle; inflow
+    left, outflow right and top, walls elsewhere."""
     tan30 = math.tan(math.pi / 6.0)
     poly = [
         (-0.25, 0.0),
@@ -253,30 +314,6 @@ def _double_mach():
         (3.0, 2.0),
         (-0.25, 2.0),
     ]
-    x_shock = -0.1
-
-    def u0(model, xy):
-        post = shock_jump(10.0, model.gamma, 1.0, model.gamma)
-        prim = piecewise_state(
-            xy,
-            [(lambda x, y: x <= x_shock, post)],
-            (model.gamma, 0.0, 0.0, 1.0),
-        )
-        return model.conserved(
-            prim[..., 0], prim[..., 1], prim[..., 2], prim[..., 3]
-        )
-
-    def bcs(model):
-        post = np.asarray(
-            model.conserved(*shock_jump(10.0, model.gamma, 1.0, model.gamma))
-        )
-        return {
-            "inflow": FarField(
-                lambda x, t: np.broadcast_to(post, x.shape[:-1] + (4,))
-            ),
-            "outflow": Outflow(),
-            "wall": Wall(),
-        }
 
     def namer(mids):
         names = []
@@ -289,47 +326,16 @@ def _double_mach():
                 names.append("wall")
         return names
 
-    return ProblemDefinition(
-        name="double-mach",
-        kind="euler",
-        make_model=lambda gamma: Euler(gamma),
-        initial=u0,
-        boundaries=bcs,
-        namer=namer,
-        final_time=0.2,
+    return _shock_problem(
+        "double-mach", 10.0, lambda gamma: gamma, x_shock=-0.1, namer=namer,
+        final_time=0.2, default_n=24,
         mesh_builder=lambda n: polygon_mesh(poly, h=1.0 / n, seed=5),
-        default_n=24,
-        domains=_gas_domains,
-        description="Mach-10 shock over a 30-degree ramp cut from the "
-        "rectangle; inflow left, outflow right and top, walls elsewhere",
     )
 
 
 def _diffraction():
-    x_shock = -0.05
-
-    def u0(model, xy):
-        post = shock_jump(2.4, 1.4, 1.0, model.gamma)
-        prim = piecewise_state(
-            xy,
-            [(lambda x, y: x <= x_shock, post)],
-            (1.4, 0.0, 0.0, 1.0),
-        )
-        return model.conserved(
-            prim[..., 0], prim[..., 1], prim[..., 2], prim[..., 3]
-        )
-
-    def bcs(model):
-        post = np.asarray(
-            model.conserved(*shock_jump(2.4, 1.4, 1.0, model.gamma))
-        )
-        return {
-            "inflow": FarField(
-                lambda x, t: np.broadcast_to(post, x.shape[:-1] + (4,))
-            ),
-            "outflow": Outflow(),
-            "wall": Wall(),
-        }
+    """Mach-2.4 shock diffracting around a convex corner on an L-shaped
+    domain; walls on the step faces."""
 
     def namer(mids):
         names = []
@@ -342,37 +348,21 @@ def _diffraction():
                 names.append("outflow")
         return names
 
-    return ProblemDefinition(
-        name="diffraction",
-        kind="euler",
-        make_model=lambda gamma: Euler(gamma),
-        initial=u0,
-        boundaries=bcs,
-        namer=namer,
-        final_time=0.35,
+    return _shock_problem(
+        "diffraction", 2.4, lambda gamma: 1.4, x_shock=-0.05, namer=namer,
+        final_time=0.35, default_n=40,
         mesh_builder=lambda n: ldomain_mesh(n, seed=6),
-        default_n=40,
-        domains=_gas_domains,
-        description="Mach-2.4 shock diffracting around a convex corner on an "
-        "L-shaped domain; walls on the step faces",
     )
 
 
 def _free_stream():
+    """Uniform wall-parallel flow in a channel; the exact solution is the
+    constant state."""
     prim = (1.4, 0.3, 0.0, 2.0)
 
     def u0(model, xy):
-        u = np.asarray(model.conserved(*prim))
+        u = _from_primitives(model, prim)
         return np.broadcast_to(u, xy.shape[:-1] + (4,)).copy()
-
-    def bcs(model):
-        u = np.asarray(model.conserved(*prim))
-        return {
-            "farfield": FarField(
-                lambda x, t: np.broadcast_to(u, x.shape[:-1] + (4,))
-            ),
-            "wall": Wall(),
-        }
 
     def namer(mids):
         return [
@@ -380,20 +370,14 @@ def _free_stream():
             for x, y in mids
         ]
 
-    return ProblemDefinition(
-        name="free-stream",
-        kind="euler",
-        make_model=lambda gamma: Euler(gamma),
-        initial=u0,
-        boundaries=bcs,
-        namer=namer,
-        final_time=1.0,
+    def bcs(model):
+        u = _from_primitives(model, prim)
+        return {"farfield": _constant(u), "wall": Wall()}
+
+    return _euler_problem(
+        "free-stream", u0, bcs, namer, final_time=1.0, default_n=4,
         mesh_builder=lambda n: rect_mesh((0.0, 2.0, 0.0, 1.0), n, seed=7),
-        default_n=4,
-        domains=_gas_domains,
         exact=lambda model, xy, t: u0(model, xy),
-        description="uniform wall-parallel flow in a channel; the exact "
-        "solution is the constant state",
     )
 
 

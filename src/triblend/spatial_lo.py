@@ -70,8 +70,10 @@ class LowOrder:
 
     def average_fluxes(self, ubar, t):
         mesh = self.t.mesh
-        u0 = ubar[mesh.edge_tris[:, 0]]
-        u1 = ubar[np.clip(mesh.edge_tris[:, 1], 0, None)]
+        left, right = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
+        u0 = ubar[left]
+        # Without a handler a boundary edge sees its own element: outflow.
+        u1 = ubar[np.where(right >= 0, right, left)]
         if self.bc is not None:
             be = mesh.boundary_edges
             u1[be] = self.bc.ghost_average(

@@ -1,8 +1,14 @@
+import dataclasses
 import re
 
 import numpy as np
+import pytest
 
-from triblend.cli import main
+from triblend.boundary import BoundaryHandler, FarField, Outflow, Wall
+from triblend.cli import _make_stepper, _resolve_boundaries, main
+from triblend.config import RunConfig, load_config
+from triblend.exceptions import ConfigError
+from triblend.meshgen import refine4, write_msh2
 from triblend.problems import get_problem, sample_initial
 from triblend.spatial_ho import Tables
 
@@ -163,3 +169,124 @@ def test_convergence_needs_exact_solution(tmp_path, capsys):
 def test_convergence_needs_three_levels(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[run]\nproblem = advect-gauss\n")
     assert main(["convergence", cfg, "--levels", "2"]) == 2
+
+
+def test_convergence_reads_mesh_files(tmp_path, capsys):
+    # Three refine4 levels written as MSH files give the table that
+    # --levels builds from the same base mesh.
+    prob = get_problem("advect-gauss")
+    mesh = prob.mesh_builder(8)
+    paths = []
+    for level in range(3):
+        mesh.name_boundary(prob.namer)
+        paths.append(str(tmp_path / f"level{level}.msh"))
+        write_msh2(paths[-1], mesh)
+        mesh = refine4(mesh)
+    run = (
+        "[run]\nproblem = advect-gauss\nfinal_time = 0.4\nmesh_n = 8\n"
+        "mode = ho\n[output]\ndirectory = {out}\n"
+    )
+    cfg_a = write_cfg(tmp_path, run.format(out=tmp_path / "a"), "a.ini")
+    cfg_b = write_cfg(tmp_path, run.format(out=tmp_path / "b"), "b.ini")
+    assert main(["convergence", cfg_a, "--meshes", ",".join(paths)]) == 0
+    assert main(["convergence", cfg_b, "--levels", "3"]) == 0
+    table = (tmp_path / "a" / "convergence.csv").read_bytes()
+    assert len(table.splitlines()) == 4
+    assert table == (tmp_path / "b" / "convergence.csv").read_bytes()
+
+
+def test_boundary_roles_override_the_problem(tmp_path, capsys):
+    msh = tmp_path / "ramp.msh"
+    assert main(["make-mesh", "double-mach", "4", str(msh)]) == 0
+    path = write_cfg(
+        tmp_path,
+        f"[run]\nproblem = double-mach\nfinal_time = 0.002\nmesh = {msh}\n"
+        f"[output]\ndirectory = {tmp_path / 'o'}\nlog_every = 0\n"
+        "[boundary]\nwall = outflow\noutflow = wall\ninflow = farfield\n",
+    )
+    assert main(["run", path]) == 0
+    prob = get_problem("double-mach")
+    model = prob.make_model(1.4)
+    bcs = _resolve_boundaries(prob, model, load_config(path))
+    assert isinstance(bcs["wall"], Outflow)
+    assert isinstance(bcs["outflow"], Wall)
+    assert isinstance(bcs["inflow"], FarField)
+    # An inflow role needs a far-field state from the problem.
+    walled = dataclasses.replace(prob, boundaries=lambda model: {"wall": Wall()})
+    with pytest.raises(ConfigError, match="no far-field state"):
+        _resolve_boundaries(walled, model, RunConfig(boundary={"x": "inflow"}))
+
+
+def test_every_step_outputs(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = write_cfg(
+        tmp_path,
+        FS_RUN.format(T=0.02, out=out).replace("log_every = 0", "log_every = 1")
+        + "vtk_every = 1\ndiagnostics_every = 1\n",
+    )
+    assert main(["run", cfg]) == 0
+    steps = len((out / "journal.csv").read_text().splitlines()) - 1
+    assert steps >= 2
+    logged = capsys.readouterr().out.splitlines()
+    assert sum(ln.startswith("step") for ln in logged) == steps
+    for stem, ext in (("averages", "vtk"), ("points", "vtk"), ("diagnostics", "csv")):
+        names = sorted(p.name for p in out.glob(f"{stem}_*.{ext}"))
+        assert names == [f"{stem}_{k:06d}.{ext}" for k in range(1, steps + 1)]
+        # The last step's dump is the final output.
+        last = (out / names[-1]).read_bytes()
+        assert last == (out / f"{stem}.{ext}").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "problem, limits",
+    [("kpp", "rho_min = 0.1"), ("double-mach", "lo = 0.0\nhi = 1.0")],
+)
+def test_limits_that_do_not_fit_the_model_exit_2(tmp_path, capsys, problem, limits):
+    cfg = write_cfg(
+        tmp_path, f"[run]\nproblem = {problem}\nmesh_n = 4\n[limits]\n{limits}\n"
+    )
+    assert main(["run", cfg]) == 2
+    assert "need a" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "cfg, enforce, assert_",
+    [
+        (
+            RunConfig(problem="rotating-shapes", lo=0.25, hi=0.75),
+            (0.25, 0.75),
+            (0.25 - 1e-9, 0.75 + 1e-9),
+        ),
+        (
+            RunConfig(problem="free-stream", rho_min=0.5),
+            (1.0, 0.8e-10),
+            (0.5, 0.4e-10),
+        ),
+    ],
+)
+def test_limits_reach_the_stepper(cfg, enforce, assert_):
+    prob = get_problem(cfg.problem)
+    model = prob.make_model(cfg.gamma)
+    mesh = prob.mesh_builder(4)
+    mesh.name_boundary(prob.namer)
+    bc = BoundaryHandler(mesh, model, prob.boundaries(model))
+    stepper = _make_stepper(prob, model, mesh, bc, cfg)
+    for dom, want in (
+        (stepper.enforce_domain, enforce),
+        (stepper.assert_domain, assert_),
+    ):
+        got = (dom.lo, dom.hi) if model.nvars == 1 else (dom.rho_min, dom.p_min)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_convergence_checks_initial_data_like_run(tmp_path, capsys):
+    # The floor rho_min = 2 excludes the free-stream density 1.4: both
+    # commands reject the initial data as bad input.
+    cfg = write_cfg(
+        tmp_path,
+        "[run]\nproblem = free-stream\nmesh_n = 4\nfinal_time = 0.01\n"
+        f"[limits]\nrho_min = 2.0\n[output]\ndirectory = {tmp_path / 'o'}\n",
+    )
+    for argv in (["run", cfg], ["convergence", cfg, "--levels", "3"]):
+        assert main(argv) == 2
+        assert "leaves the invariant domain" in capsys.readouterr().err

@@ -76,6 +76,9 @@ def test_defaults_only_need_problem():
         ("[run]\nproblem = kpp\nmesh_n = 0\n", "mesh_n"),
         ("[run]\nproblem = kpp\nc1 = -0.5\n", "damping"),
         ("[run]\nproblem = kpp\n[limits]\nlo = 2\nhi = 1\n", "lo < hi"),
+        # One side alone is no interval, not the default one.
+        ("[run]\nproblem = kpp\n[limits]\nhi = 2.0\n", "both lo and hi"),
+        ("[run]\nproblem = kpp\n[limits]\nlo = 2.0\n", "both lo and hi"),
         ("[run]\nproblem = kpp\n[limits]\nrho_min = 0\n", "rho_min"),
         ("[run]\nproblem = kpp\n[output]\nlog_every = -2\n", "log_every"),
         ("[run]\nproblem = kpp\n[boundary]\ntop = slippery\n", "role"),

@@ -7,6 +7,7 @@ from triblend.boundary import BoundaryHandler, FarField
 from triblend.limiting import (
     GasDomain,
     IntervalDomain,
+    _verified_eta,
     blend_average_fluxes,
     blend_point_residuals,
     damping_sigma,
@@ -72,6 +73,18 @@ def test_gas_domain_basics():
     d2 = dom.scaled(2.0)
     assert d2.rho_min == 2.0 * dom.rho_min
     assert d2.e_min == 2.0 * dom.e_min
+
+
+def test_verified_eta_halves_until_the_state_is_admissible():
+    dom = IntervalDomain(0.0, 1.0)
+    base = np.array([[0.5], [0.5], [0.2], [2.0]])
+    d = np.array([[1.0], [-2.0], [0.5], [0.0]])
+    eta = np.array([1.0, 0.9, 1.0, 0.5])
+    got = _verified_eta(dom, base, d, eta)
+    # 1.5 leaves [0, 1] and 1.0 does not; -1.3 and -0.4 leave and 0.05 does
+    # not; 0.7 is admissible as given; an inadmissible base falls back to 0.
+    assert got.tolist() == [0.5, 0.225, 1.0, 0.0]
+    assert dom.contains(base[:3] + got[:3, None] * d[:3]).all()
 
 
 @pytest.mark.parametrize("seed", range(4))

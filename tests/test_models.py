@@ -1,5 +1,7 @@
 """Model algebra: fluxes, Jacobians, matrix signs, split fluxes."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,13 @@ def test_kpp_jacobian_fd():
 # ---------------------------------------------------------------------------
 
 
+def jac_normal(m, u, n):
+    """d(f . n)/du of the Euler flux (..., 4, 4): `Euler._matrix_function`
+    of the identity, scaled by |n|."""
+    A = m._matrix_function(u, n, lambda lam: lam)
+    return A * np.hypot(n[..., 0], n[..., 1])[..., None, None]
+
+
 def test_euler_conserved_roundtrip():
     m = Euler()
     u = random_euler_states(20, m)
@@ -139,7 +148,7 @@ def test_euler_jacobian_fd():
     m = Euler()
     u = random_euler_states(10, m)
     n = random_unit_normals(10)
-    A = m.jac_normal(u, n)
+    A = jac_normal(m, u, n)
     fd = np.empty_like(A)
     eps = 1e-6
     for j in range(4):
@@ -156,7 +165,7 @@ def test_euler_flux_homogeneity():
     m = Euler()
     u = random_euler_states(30, m)
     n = random_unit_normals(30)
-    An_u = np.einsum("...ij,...j->...i", m.jac_normal(u, n), u)
+    An_u = np.einsum("...ij,...j->...i", jac_normal(m, u, n), u)
     assert np.allclose(An_u, m.flux_normal(u, n), rtol=1e-12, atol=1e-12)
 
 
@@ -164,7 +173,7 @@ def test_euler_eigenvalues():
     m = Euler()
     u = random_euler_states(15, m)
     n = random_unit_normals(15)
-    A = m.jac_normal(u, n)
+    A = jac_normal(m, u, n)
     got = np.sort(np.linalg.eigvals(A).real, axis=-1)
     _, vx, vy, _ = m.primitives(u)
     un = vx * n[:, 0] + vy * n[:, 1]
@@ -178,7 +187,7 @@ def test_euler_sign_matrix_properties():
     u = random_euler_states(20, m)
     n = random_unit_normals(20)
     S = m.sign_jac_normal(u, n)
-    A = m.jac_normal(u, n)
+    A = jac_normal(m, u, n)
     eye = np.broadcast_to(np.eye(4), S.shape)
     # S^2 = I away from sonic/stagnation degeneracy (generic random states).
     assert np.allclose(np.einsum("...ij,...jk->...ik", S, S), eye, atol=1e-9)
@@ -275,7 +284,7 @@ def test_euler_jac_apply_matches_normal_jacobian():
     v = RNG.standard_normal((25, 4))
     w = v[..., None] * n[:, None, :]  # (25, 4, 2)
     got = m.jac_apply(u, w, None)
-    want = np.einsum("...ij,...j->...i", m.jac_normal(u, n), v)
+    want = np.einsum("...ij,...j->...i", jac_normal(m, u, n), v)
     assert np.allclose(got, want, rtol=1e-11, atol=1e-11)
 
 
@@ -424,14 +433,14 @@ def test_euler_matrix_functions_match_rotated_sandwich():
     S = m.sign_jac_normal(u, n)
     assert_matrices_close(S, reference_matrix_function(m, u, n, reference_sign))
     assert_matrices_close(
-        m.jac_normal(u, n),
+        jac_normal(m, u, n),
         reference_matrix_function(m, u, n, lambda lam, c: lam),
     )
     # Scaled normals: A_n scales with |n|, its sign does not.
     s = 0.5 + RNG.random((len(n), 1))
     assert_matrices_close(m.sign_jac_normal(u, s * n), S)
     assert_matrices_close(
-        m.jac_normal(u, s * n), s[..., None] * m.jac_normal(u, n)
+        jac_normal(m, u, s * n), s[..., None] * jac_normal(m, u, n)
     )
     # The degenerate eigenvalues get sign 0; supersonic signs are +/- I.
     eye = np.eye(4)
@@ -488,16 +497,19 @@ def test_euler_matrix_functions_match_nv_last_builder():
     n = n * (0.5 + RNG.random((len(n), 1)))
     u_cm = np.ascontiguousarray(u.T).T  # same values, variables outermost
     n_cm = np.ascontiguousarray(n.T).T
-    for name, fn in (("sign_jac_normal", nv_last_sign), ("jac_normal", None)):
-        if fn is None:
-            nn = np.linalg.norm(n, axis=-1)[..., None, None]
-            want = nn * nv_last_matrix_function(m, u, n, lambda lam: lam)
-        else:
-            want = nv_last_matrix_function(m, u, n, fn)
+    nn = np.linalg.norm(n, axis=-1)[..., None, None]
+    cases = (
+        (m.sign_jac_normal, nv_last_matrix_function(m, u, n, nv_last_sign)),
+        (
+            functools.partial(jac_normal, m),
+            nn * nv_last_matrix_function(m, u, n, lambda lam: lam),
+        ),
+    )
+    for op, want in cases:
         for uu, nn_ in ((u, n), (u_cm, n_cm)):
-            got = getattr(m, name)(uu, nn_)
+            got = op(uu, nn_)
             assert got.shape == want.shape
             assert_matrices_close(got, want, tol=1e-13)
-        single = getattr(m, name)(u[0], n[0])
+        single = op(u[0], n[0])
         assert single.shape == (4, 4)
         assert_matrices_close(single[None], want[:1], tol=1e-13)

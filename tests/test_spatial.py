@@ -758,3 +758,22 @@ def test_point_residuals_match_nv_last_kernel(which):
         got = lo.point_residuals(c)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+def test_lo_average_fluxes_without_handler_read_boundaries_as_outflow():
+    # With no boundary handler each boundary edge sees its own element, so
+    # the LLF flux there is the outflow flux f(ubar_K) . n |e|: only the
+    # element holding mass sends any across the inflow side.
+    mesh = rect_mesh((0.0, 1.0, 0.0, 1.0), 4)
+    model = LinearAdvection(np.array([1.0, 0.0]))
+    ubar = np.zeros((mesh.num_tris, 1))
+    ubar[0] = 1.0
+    F = LowOrder(Tables(mesh), model).average_fluxes(ubar, 0.0)
+    be = mesh.boundary_edges
+    own = ubar[mesh.edge_tris[be, 0]]
+    n = mesh.edge_normal[be]
+    want = model.flux_normal(own, n, mesh.edge_mid[be]) * mesh.edge_length[be, None]
+    assert np.array_equal(F[be], want)
+    inflow = n[:, 0] < -0.5
+    assert inflow.sum() == 4
+    assert np.count_nonzero(F[be][inflow]) <= 1
