@@ -85,17 +85,25 @@ def _resolve_boundaries(problem, model, cfg):
     return bcs
 
 
+def _mesh(cfg: RunConfig, problem):
+    """The configured mesh: `[run] mesh`, else the problem's generator."""
+    return (read_msh(cfg.mesh) if cfg.mesh is not None
+            else problem.mesh_builder(cfg.mesh_n or problem.default_n))
+
+
 def _build(cfg: RunConfig, mesh=None):
     """(problem, model, mesh, stepper, ubar, upt) for the configured run,
     on `mesh` in place of the configured one if given.  The initial state
     (ubar, upt) is checked against the stepper's assert domain."""
     problem = get_problem(cfg.problem)
     model = problem.make_model(cfg.gamma)
-    if mesh is None:
-        mesh = (read_msh(cfg.mesh) if cfg.mesh is not None
-                else problem.mesh_builder(cfg.mesh_n or problem.default_n))
+    mesh = mesh if mesh is not None else _mesh(cfg, problem)
     if any(not mesh.edge_name[e] for e in mesh.boundary_edges):
         mesh.name_boundary(problem.namer)
+    # Only the overrides: a problem's defaults may name more than a user mesh.
+    unknown = set(cfg.boundary) - set(mesh.edge_name[mesh.boundary_edges])
+    if unknown:
+        raise ConfigError(f"[boundary] names no mesh boundary: {sorted(unknown)}")
     bc = BoundaryHandler(mesh, model, _resolve_boundaries(problem, model, cfg))
     stepper = _make_stepper(problem, model, mesh, bc, cfg)
     ubar, upt = sample_initial(
@@ -208,12 +216,11 @@ def cmd_convergence(args) -> int:
     if args.meshes:
         meshes = [read_msh(p) for p in args.meshes.split(",")]
     else:
-        if args.levels < 3:
-            raise ConfigError("convergence needs at least 3 mesh levels")
-        base = problem.mesh_builder(cfg.mesh_n or problem.default_n)
-        meshes = [base]
+        meshes = [_mesh(cfg, problem)]
         for _ in range(args.levels - 1):
             meshes.append(refine4(meshes[-1]))
+    if len(meshes) < 3:
+        raise ConfigError("convergence needs at least 3 mesh levels")
 
     hs = []
     norm_dicts = []

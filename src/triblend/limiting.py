@@ -31,6 +31,8 @@ import math
 
 import numpy as np
 
+from .models import nv_first, nv_last
+
 
 def _largest_root_bound(a, b, c):
     """Largest eta* >= 0 with a x^2 + b x + c >= 0 on [0, eta*], c >= 0.
@@ -286,8 +288,11 @@ def damping_sigma(tables, model, coef, ubar, upt, c1=1.0, c2=1.0):
     return ei, sig.max(axis=2)
 
 
-def damping_theta(tables, model, coef, ubar, upt, trace_u, dt, c1=1.0, c2=1.0):
-    """Per-element damping factor theta in (0, 1].
+def damping_theta(
+    tables, model, coef, ubar, upt, trace_u, trace_xy, dt, c1=1.0, c2=1.0
+):
+    """Per-element damping factor theta in (0, 1], from the edge traces
+    and their positions that `HighOrder.interface_fluxes` returns.
 
     theta_K = exp(-(dt / N_K) sum_e alpha_e sigma_{e,K} / ell_{e,K}) over
     the N_K interior edges of K, with alpha_e the fastest wave speed of the
@@ -301,8 +306,10 @@ def damping_theta(tables, model, coef, ubar, upt, trace_u, dt, c1=1.0, c2=1.0):
     if len(ei) == 0 or not sigma.any():
         return theta
 
+    # Gathered per component, the positions stay component-major.
+    xy = nv_last(np.take(nv_first(trace_xy), ei, axis=1))
     alpha = model.max_wavespeed(
-        trace_u[ei], mesh.edge_normal[ei, None, :], tables.XY_E[ei]
+        trace_u[ei], mesh.edge_normal[ei, None, :], xy
     ).max(axis=1)
 
     expo = np.zeros(mesh.num_tris)

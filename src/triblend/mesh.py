@@ -62,8 +62,7 @@ class Mesh:
     tri_edge_orient: np.ndarray = field(init=False)  # (NT, 3) +-1
     boundary_edges: np.ndarray = field(init=False)  # indices into edges
     edge_name: np.ndarray = field(init=False)  # (NE,) str, '' inside
-    # point DoFs (vertices then edge midpoints)
-    point_xy: np.ndarray = field(init=False)  # (NP, 2)
+    # point DoFs (vertices then edge midpoints; `point_xy` gives positions)
     point_area: np.ndarray = field(init=False)  # (NP,) sum of |K|/9
     tri_point_dofs: np.ndarray = field(init=False)  # (NT, 6)
 
@@ -155,7 +154,6 @@ class Mesh:
     def _build_points(self):
         nv = len(self.verts)
         ne = len(self.edge_verts)
-        self.point_xy = np.vstack([self.verts, self.edge_mid])
         self.tri_point_dofs = np.hstack([self.tris, nv + self.tri_edges])
         self.point_area = np.zeros(nv + ne)
         np.add.at(
@@ -172,7 +170,12 @@ class Mesh:
 
     @property
     def num_points(self) -> int:
-        return len(self.point_xy)
+        return len(self.verts) + len(self.edge_verts)
+
+    @property
+    def point_xy(self) -> np.ndarray:
+        """(NP, 2) new array: the vertices, then the edge midpoints."""
+        return np.vstack([self.verts, self.edge_mid])
 
     @property
     def num_edges(self) -> int:
@@ -187,9 +190,9 @@ class Mesh:
         return float(self.edge_length.max())
 
     def outward_normal(self) -> np.ndarray:
-        """(NT, 3, 2) unit outward normals of each triangle's local edges."""
-        n = self.edge_normal[self.tri_edges]
-        return n * self.tri_edge_orient[..., None]
+        """(NT, 3, 2) unit outward normals of the local edges, stored (2, 3, NT)."""
+        n = np.take(self.edge_normal.T, self.tri_edges.T, axis=1)
+        return (n * self.tri_edge_orient.T).T
 
     def name_boundary(self, namer) -> None:
         """Assign names to boundary edges: namer(midpoints (NB, 2)) -> list."""

@@ -41,7 +41,8 @@ def rect_mesh(bounds, n, jitter=0.25, seed=0) -> Mesh:
 
 
 def refine4(mesh: Mesh) -> Mesh:
-    """Uniform refinement: each triangle into four via edge midpoints."""
+    """Uniform refinement: each triangle into four via edge midpoints.  The
+    two halves of a boundary edge, which end at its midpoint, keep its name."""
     nv = len(mesh.verts)
     verts = np.vstack([mesh.verts, mesh.edge_mid])
     t = mesh.tris
@@ -54,7 +55,10 @@ def refine4(mesh: Mesh) -> Mesh:
             m,
         ]
     )
-    return Mesh(verts, children)
+    fine = Mesh(verts, children)
+    be = fine.boundary_edges
+    fine.edge_name[be] = mesh.edge_name[fine.edge_verts[be].max(axis=1) - nv]
+    return fine
 
 
 def polygon_mesh(poly, h, jitter=0.25, seed=0) -> Mesh:

@@ -279,39 +279,40 @@ class Euler:
         into a `component_major` result, r_k d_k times l_k for k = 0, 3
         with the projector weights d_k = f(lam_k) - f(un).
         """
-        g = self.gamma
-        nn = _length(n)
-        nx, ny = n[..., 0] / nn, n[..., 1] / nn
-        rho, vx, vy, p = self.primitives(u)
-        un = vx * nx + vy * ny
-        with np.errstate(invalid="ignore"):
+        # c = 0 or NaN gives a non-finite matrix, on which the weights fall back.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = self.gamma
+            nn = _length(n)
+            nx, ny = n[..., 0] / nn, n[..., 1] / nn
+            rho, vx, vy, p = self.primitives(u)
+            un = vx * nx + vy * ny
             c = np.sqrt(g * p / rho)
-        H = (u[..., 3] + p) / rho
-        f0, f1, f3 = fn(np.stack([un - c, un, un + c]))
-        d0, d3 = f0 - f1, f3 - f1
-        cx, cy, cn = c * nx, c * ny, c * un
-        r0 = (d0, (vx - cx) * d0, (vy - cy) * d0, (H - cn) * d0)
-        r3 = (d3, (vx + cx) * d3, (vy + cy) * d3, (H + cn) * d3)
-        b1 = (g - 1.0) / c**2
-        b2 = 0.5 * b1 * (vx**2 + vy**2)
-        ax, ay, an = nx / c, ny / c, un / c
-        l0 = (
-            0.5 * (b2 + an), 0.5 * -(b1 * vx + ax), 0.5 * -(b1 * vy + ay),
-            0.5 * b1,
-        )
-        l3 = (
-            0.5 * (b2 - an), 0.5 * -(b1 * vx - ax), 0.5 * -(b1 * vy - ay),
-            l0[3],
-        )
-        M = component_major(un.shape, 4, 4)
-        tmp = np.empty(un.shape)
-        for i in range(4):
-            for j in range(4):
-                m = np.multiply(r0[i], l0[j], out=M[..., i, j])
-                m += np.multiply(r3[i], l3[j], out=tmp)
-        diag = diagonal_view(M)
-        diag += f1[..., None]  # + f(un) I
-        return M
+            H = (u[..., 3] + p) / rho
+            f0, f1, f3 = fn(np.stack([un - c, un, un + c]))
+            d0, d3 = f0 - f1, f3 - f1
+            cx, cy, cn = c * nx, c * ny, c * un
+            r0 = (d0, (vx - cx) * d0, (vy - cy) * d0, (H - cn) * d0)
+            r3 = (d3, (vx + cx) * d3, (vy + cy) * d3, (H + cn) * d3)
+            b1 = (g - 1.0) / c**2
+            b2 = 0.5 * b1 * (vx**2 + vy**2)
+            ax, ay, an = nx / c, ny / c, un / c
+            l0 = (
+                0.5 * (b2 + an), 0.5 * -(b1 * vx + ax), 0.5 * -(b1 * vy + ay),
+                0.5 * b1,
+            )
+            l3 = (
+                0.5 * (b2 - an), 0.5 * -(b1 * vx - ax), 0.5 * -(b1 * vy - ay),
+                l0[3],
+            )
+            M = component_major(un.shape, 4, 4)
+            tmp = np.empty(un.shape)
+            for i in range(4):
+                for j in range(4):
+                    m = np.multiply(r0[i], l0[j], out=M[..., i, j])
+                    m += np.multiply(r3[i], l3[j], out=tmp)
+            diag = diagonal_view(M)
+            diag += f1[..., None]  # + f(un) I
+            return M
 
     def sign_jac_normal(self, u, n, xy=None):
         return self._matrix_function(u, n, _eigen_signs)

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .basis import basis_grad_bary, basis_hess_bary, basis_values, projection_matrix
+from .basis import POINT_DOF_BARY, basis_grad_bary, basis_hess_bary
+from .basis import basis_values, projection_matrix
 from .mesh import Mesh
 from .models import component_major, diagonal_view, nv_first, nv_last
 from .quadrature import edge_rule, triangle_rule
@@ -130,6 +131,17 @@ def _inverse(A: np.ndarray):
     return X, nonsingular
 
 
+def _dof_normals(mesh: Mesh) -> np.ndarray:
+    """Unit normals of the upwind weights, (6, NT, 2) component-major: the
+    inward normals grad(lambda) / |grad(lambda)| opposite each vertex, then
+    the outward normals of the edges that hold the midpoints."""
+    gl = mesh.grad_lambda.T  # (2, 3, NT)
+    n = np.empty((2, 6, mesh.num_tris))
+    np.divide(gl, np.sqrt(gl[0] * gl[0] + gl[1] * gl[1]), out=n[:, :3])
+    n[:, 3:] = mesh.outward_normal().T
+    return nv_last(n)
+
+
 def _frobenius(M):
     """Frobenius norms of the component-major matrices M (k, k, ...): (...)."""
     return np.sqrt(sum(m * m for row in M for m in row))
@@ -141,49 +153,44 @@ class Tables:
     Every element is affine, so element terms are reference-element tables
     contracted at call time with `mesh.grad_lambda` (the gradients of the
     barycentric coordinates), `mesh.areas` and the signed edge lengths, and
-    reference points map to each element through `element_points`.  The
-    per-element arrays hold point-DoF positions, normals and damping
-    lengths.
+    reference points map to each element and edge through `element_points`
+    and `edge_points`.  Only connectivity and damping lengths are stored
+    per edge, and no array has an element axis.
 
     Layout: element arrays are indexed (k, NT, ncomp), local axis first,
     element axis next, components last, and those with components are
-    stored component-major with the element axis innermost: the positions,
-    normals and coefficients are nv-last views (`models.nv_last`) of
-    C-contiguous (ncomp, k, NT) blocks, so each component is one
-    contiguous block over (k, NT).  The models take these views as they
-    are (see `models`), and `models.nv_first` gives a kernel the block
-    back.  Any other strides are accepted, at the cost of strided loops or
-    a copy.
+    stored component-major with the element axis innermost: the positions
+    and coefficients are nv-last views (`models.nv_last`) of C-contiguous
+    (ncomp, k, NT) blocks, so each component is one contiguous block over
+    (k, NT).  The models take these views as they are (see `models`), and
+    `models.nv_first` gives a kernel the block back.  Any other strides are
+    accepted, at the cost of strided loops or a copy.
     """
 
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        self.P = projection_matrix()
+        P = projection_matrix()
 
         # -- volume quadrature ------------------------------------------------
         vr = triangle_rule(VOL_DEGREE)
         self.wq_vol = vr.weights
         self.PHI_V = basis_values(vr.points)  # (nqv, 7)
-        self.DPHI_V = basis_grad_bary(vr.points)  # (nqv, 7, 3)
         self.BARY_V = vr.points  # (nqv, 3)
-        # Positions of each element's point DoFs: (6, NT, 2).
-        self.XY_PT = nv_last(
-            np.take(mesh.point_xy.T, mesh.tri_point_dofs.T, axis=1)
-        )
         # With lambda_2 = 1 - lambda_0 - lambda_1, grad(phi_j) is
         # sum_a (d phi_j / d lambda_a - d phi_j / d lambda_2) grad(lambda_a)
         # over a = 0, 1.  VOL_OP[(a, j), q] holds P times the weighted
         # reduced derivatives w_q (...), so P F_vol / |K| is VOL_OP applied
         # to the flux and contracted with -grad(lambda_a); the row order
         # (a, j) keeps (j, v) one strided axis in each (a, d) slice.
-        dred = self.DPHI_V[:, :, :2] - self.DPHI_V[:, :, 2:]  # (nqv, 7, 2)
-        vol = np.einsum("jk,q,qka->ajq", self.P, self.wq_vol, dred)
+        dphi = basis_grad_bary(vr.points)  # (nqv, 7, 3)
+        dred = dphi[:, :, :2] - dphi[:, :, 2:]  # (nqv, 7, 2)
+        vol = np.einsum("jk,q,qka->ajq", P, self.wq_vol, dred)
         self.VOL_OP = np.ascontiguousarray(vol.reshape(14, -1))
 
         # -- edge quadrature and trace tables ---------------------------------
         er = edge_rule(EDGE_POINTS)
         self.wq_edge = er.weights
-        t = er.points
+        self.tq_edge = t = er.points  # positions along the edge, in [0, 1]
         self.nqe = len(t)
         # 1D P2 shapes in the stored edge direction for (a, b, midpoint).
         self.N1D = np.stack(
@@ -194,9 +201,6 @@ class Tables:
         self.edge_dofs = np.stack(
             [mesh.edge_verts[:, 0], mesh.edge_verts[:, 1], nv + e], axis=1
         )
-        a = mesh.verts[mesh.edge_verts[:, 0]]
-        b = mesh.verts[mesh.edge_verts[:, 1]]
-        self.XY_E = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
 
         # Basis (and derivative) tables on each local edge for both
         # orientations: index [o, l] with o = 0 when the element traverses the
@@ -210,16 +214,13 @@ class Tables:
                 PHI_E[o, l] = basis_values(lam)
                 DPHI_E[o, l] = basis_grad_bary(lam)
                 D2PHI_E[o, l] = basis_hess_bary(lam)
-        self.PHI_E = PHI_E
-        self.DPHI_E = DPHI_E
-        self.D2PHI_E = D2PHI_E
 
         # The rule is symmetric, so an element traversing an edge against
         # its stored direction meets the quadrature points in reverse order.
         # SURF_OP[j, (l, q)] = (P PHI_E)[j] at point q of local edge l in the
         # element's own direction, times w_q: applied to the edge fluxes
         # scaled by the signed edge length over |K| it gives P F_surf / |K|.
-        surf = np.einsum("jk,q,lqk->jlq", self.P, self.wq_edge, PHI_E[0])
+        surf = np.einsum("jk,q,lqk->jlq", P, self.wq_edge, PHI_E[0])
         self.SURF_OP = np.ascontiguousarray(surf.reshape(7, -1))
 
         # Reduced barycentric derivatives on local edge 0, for each edge
@@ -238,7 +239,8 @@ class Tables:
         # Damping length sup_{x in K} dist(x, e) per edge side: the distance
         # function to a segment is convex, so the sup sits at the vertex
         # opposite the edge.  Side 1 of boundary edges holds garbage.
-        ab = b - a
+        a = mesh.verts[mesh.edge_verts[:, 0]]
+        ab = mesh.verts[mesh.edge_verts[:, 1]] - a
         denom = np.einsum("ed,ed->e", ab, ab)
         dist = np.empty((mesh.num_edges, 2))
         tris = np.clip(mesh.edge_tris, 0, None)
@@ -248,16 +250,6 @@ class Tables:
             tpar = np.clip(np.einsum("ed,ed->e", opp - a, ab) / denom, 0.0, 1.0)
             dist[:, s] = np.linalg.norm(opp - (a + tpar[:, None] * ab), axis=1)
         self.EDGE_DIST = dist
-
-        # -- upwind-weight normals --------------------------------------------
-        # Unit inward normals opposite each vertex, then unit outward
-        # normals of the edges that hold the midpoints: (6, NT, 2).
-        gl = mesh.grad_lambda
-        normals = np.concatenate(
-            [gl / np.linalg.norm(gl, axis=2, keepdims=True), mesh.outward_normal()],
-            axis=1,
-        )
-        self.DOF_NORMAL = nv_last(np.ascontiguousarray(normals.transpose(2, 1, 0)))
 
         # Element-DoF -> point scatter operator: row p has a unit entry in
         # column j NT + k for each (k, j) with tri_point_dofs[k, j] = p.
@@ -275,8 +267,6 @@ class Tables:
         self.point_scatter = sparse.csr_array(
             (by_elem.data, cols, by_elem.indptr), shape=by_elem.shape
         )
-        # Elements per point (for arithmetic fallback weights).
-        self.point_count = np.diff(self.point_scatter.indptr).astype(float)
 
     # -- geometry and state helpers --------------------------------------------
 
@@ -285,6 +275,18 @@ class Tables:
         barycentric coordinates, in every element: (n, NT, 2)."""
         corners = np.take(self.mesh.verts.T, self.mesh.tris.T, axis=1)
         return nv_last(bary @ corners)
+
+    def edge_points(self, edges) -> np.ndarray:
+        """Positions of the quadrature points of `edges` (indices or a
+        slice), a + t (b - a) from each edge's stored start a to its end
+        b: (E, nqe, 2), component-major."""
+        ends = np.take(self.mesh.verts.T, self.mesh.edge_verts[edges].T, axis=1)
+        a, d = ends[:, 0], ends[:, 1] - ends[:, 0]  # (2, E): x, y
+        xy = np.empty(a.shape + (self.nqe,))
+        # One pass per point: a broadcast over the short last axis is slow.
+        for q, t in enumerate(self.tq_edge):
+            np.add(a, t * d, out=xy[..., q])
+        return nv_last(xy)
 
     def coefficients(self, ubar: np.ndarray, upt: np.ndarray) -> np.ndarray:
         """Local coefficient vectors (7, NT, nvars): the point values of
@@ -344,6 +346,7 @@ class HOResult:
     Wpt: np.ndarray  # (6, NT, nv) upwind-weighted point residuals
     F_edge: np.ndarray  # (NE, nv) integrated edge fluxes (with |e|)
     trace_u: np.ndarray  # (NE, nqe, nv) traces used for the fluxes
+    trace_xy: np.ndarray  # (NE, nqe, 2) positions of those traces
     Phi: np.ndarray  # (7, NT, nv) projected moment residuals
     omega_fallback_points: int
     rescued_volume_elems: int
@@ -395,7 +398,7 @@ class HighOrder:
         return u, len(bad)
 
     def interface_fluxes(self, upt, t):
-        """Single-valued edge fluxes: (fluxhat (NE, nqe, nv), trace, rescued)."""
+        """Single-valued edge fluxes: (fluxhat (NE, nqe, nv), trace, xy, rescued)."""
         tb = self.t
         mesh = tb.mesh
         edge_u = np.take(upt, tb.edge_dofs, axis=0)  # (NE, 3, nv)
@@ -405,13 +408,14 @@ class HighOrder:
         ref = edge_u.mean(axis=1)
         trace, rescued = self._rescue_states(trace, ref)
         n = mesh.edge_normal[:, None, :]
-        fluxhat = self.model.flux_normal(trace, n, tb.XY_E)
+        xy = tb.edge_points(slice(None))
+        fluxhat = self.model.flux_normal(trace, n, xy)
         if self.bc is not None:
             be = mesh.boundary_edges
             fluxhat[be] = self.bc.ho_flux(
-                trace[be], mesh.edge_normal[be], tb.XY_E[be], t
+                trace[be], mesh.edge_normal[be], xy[be], t
             )
-        return fluxhat, trace, rescued
+        return fluxhat, trace, xy, rescued
 
     def omega_weights(self, u_loc):
         """Upwind weights (6, NT, nv, nv), stored component-major
@@ -454,7 +458,9 @@ class HighOrder:
         tb = self.t
         mesh = tb.mesh
         _, nt, nv = u_loc.shape
-        S = self.model.sign_jac_normal(u_loc, tb.DOF_NORMAL, tb.XY_PT)
+        S = self.model.sign_jac_normal(
+            u_loc, _dof_normals(mesh), tb.element_points(POINT_DOF_BARY)
+        )
         # Seps = 0.5 (S + I) + eps_K I, formed in place on the fresh sign
         # matrices (the diagonal takes + 0.5, then + eps_K, as that sum does).
         Seps = np.multiply(S, 0.5, out=S)
@@ -481,7 +487,7 @@ class HighOrder:
         bad_pt |= tb.point_sums(big.astype(float)) > 0.0
         fb = bad_pt[dofs]  # (6, NT)
         if fb.any():
-            count = tb.point_count[dofs[fb]]
+            count = np.diff(tb.point_scatter.indptr)[dofs[fb]]
             omega[fb] = np.eye(nv) / count[:, None, None]
         result = (omega, int(bad_pt.sum()))
         if self.model.static_signs:
@@ -520,7 +526,7 @@ class HighOrder:
 
         # Surface term: single-valued edge fluxes in each element's own
         # traversal direction, times signed edge length over |K|.
-        fluxhat, trace, resc_tr = self.interface_fluxes(upt, t)
+        fluxhat, trace, trace_xy, resc_tr = self.interface_fluxes(upt, t)
         nqe = tb.nqe
         q = np.arange(nqe)[:, None]
         orient = mesh.tri_edge_orient.T[:, None, :]  # (3, 1, NT)
@@ -547,5 +553,5 @@ class HighOrder:
         ) * mesh.edge_length[:, None]
 
         return HOResult(
-            nv_last(Wpt), F_edge, trace, nv_last(Phi), fb, resc_vol, resc_tr
+            nv_last(Wpt), F_edge, trace, trace_xy, nv_last(Phi), fb, resc_vol, resc_tr
         )

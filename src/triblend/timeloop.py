@@ -25,6 +25,7 @@ import sys
 
 import numpy as np
 
+from .basis import POINT_DOF_BARY
 from .exceptions import NumericalAbort
 from .limiting import blend_average_fluxes, blend_point_residuals, damping_theta
 from .models import component_major
@@ -140,7 +141,6 @@ class Stepper:
         self.damping_c2 = float(damping_c2)
 
         self._inradius = mesh.inradius()
-        self._normals = self.tables.DOF_NORMAL[3:]  # unit outward, (3, NT, 2)
 
         # Limiter diagnostics from the most recent rk3_step.
         self.last_theta = np.ones(mesh.num_tris)
@@ -155,10 +155,10 @@ class Stepper:
         centroid) and its three edge normals."""
         states = self.tables.coefficients(ubar, upt)  # (7, NT, nv)
         xy = component_major((7, self.mesh.num_tris), 2)  # laid out like states
-        xy[:6] = self.tables.XY_PT
+        xy[:6] = self.tables.element_points(POINT_DOF_BARY)
         xy[6] = self.mesh.centroids
         speeds = self.model.max_wavespeed(
-            states[:, None], self._normals, xy[:, None]
+            states[:, None], self.mesh.outward_normal().swapaxes(0, 1), xy[:, None]
         )  # (7, 3, NT)
         return np.maximum(speeds.max(axis=(0, 1)), 1e-300)
 
@@ -207,6 +207,7 @@ class Stepper:
                     ubar,
                     upt,
                     ho.trace_u,
+                    ho.trace_xy,
                     dt,
                     c1=self.damping_c1,
                     c2=self.damping_c2,

@@ -8,7 +8,7 @@ from triblend.boundary import BoundaryHandler, FarField, Outflow, Wall
 from triblend.cli import _make_stepper, _resolve_boundaries, main
 from triblend.config import RunConfig, load_config
 from triblend.exceptions import ConfigError
-from triblend.meshgen import refine4, write_msh2
+from triblend.meshgen import rect_mesh, refine4, write_msh2
 from triblend.problems import get_problem, sample_initial
 from triblend.spatial_ho import Tables
 
@@ -73,6 +73,18 @@ def test_unmapped_boundary_name_exits_2(tmp_path, capsys):
         "[boundary]\nwall = none\n",
     )
     assert main(["run", cfg]) == 2
+
+
+def test_boundary_override_of_a_missing_name_exits_2(tmp_path, capsys):
+    # A typo of `wall` must not leave the walls unchanged.
+    cfg = write_cfg(
+        tmp_path,
+        "[run]\nproblem = free-stream\nmesh_n = 4\nfinal_time = 0.01\n"
+        f"[output]\ndirectory = {tmp_path / 'o'}\nlog_every = 0\n"
+        "[boundary]\nwal = outflow\n",
+    )
+    assert main(["run", cfg]) == 2
+    assert "'wal'" in capsys.readouterr().err
 
 
 def _read_scalars(path, tag):
@@ -169,6 +181,45 @@ def test_convergence_needs_exact_solution(tmp_path, capsys):
 def test_convergence_needs_three_levels(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "[run]\nproblem = advect-gauss\n")
     assert main(["convergence", cfg, "--levels", "2"]) == 2
+
+
+def test_convergence_needs_three_mesh_files(tmp_path, capsys):
+    # --meshes obeys the same minimum as --levels.
+    msh = tmp_path / "m.msh"
+    assert main(["make-mesh", "advect-gauss", "4", str(msh)]) == 0
+    cfg = write_cfg(
+        tmp_path,
+        "[run]\nproblem = advect-gauss\nfinal_time = 0.4\nmode = ho\n"
+        f"[output]\ndirectory = {tmp_path / 'o'}\n",
+    )
+    assert main(["convergence", cfg, "--meshes", f"{msh},{msh}"]) == 2
+    assert "at least 3" in capsys.readouterr().err
+
+
+def test_convergence_starts_from_the_configured_mesh(tmp_path, capsys):
+    # With `[run] mesh`, the levels are that mesh and its refine4
+    # children, not the generator's mesh of `mesh_n`.
+    prob = get_problem("advect-gauss")
+    mesh = rect_mesh((-20.0, 20.0, -20.0, 20.0), 4, seed=7)
+    paths = []
+    for level in range(3):
+        mesh.name_boundary(prob.namer)
+        paths.append(str(tmp_path / f"level{level}.msh"))
+        write_msh2(paths[-1], mesh)
+        mesh = refine4(mesh)
+    run = (
+        "[run]\nproblem = advect-gauss\nfinal_time = 0.4\nmesh_n = 4\n"
+        "mode = ho\n{mesh}[output]\ndirectory = {out}\n"
+    )
+    cfg_a = write_cfg(
+        tmp_path, run.format(mesh=f"mesh = {paths[0]}\n", out=tmp_path / "a"), "a.ini"
+    )
+    cfg_b = write_cfg(tmp_path, run.format(mesh="", out=tmp_path / "b"), "b.ini")
+    assert main(["convergence", cfg_a, "--levels", "3"]) == 0
+    assert main(["convergence", cfg_b, "--meshes", ",".join(paths)]) == 0
+    table = (tmp_path / "a" / "convergence.csv").read_bytes()
+    assert len(table.splitlines()) == 4
+    assert table == (tmp_path / "b" / "convergence.csv").read_bytes()
 
 
 def test_convergence_reads_mesh_files(tmp_path, capsys):

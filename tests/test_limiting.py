@@ -212,7 +212,8 @@ def _theta_for(mesh, model, ubar, upt, dt=1e-3):
     tb = Tables(mesh)
     coef = tb.coefficients(ubar, upt)
     trace = tb.N1D @ upt[tb.edge_dofs]
-    return damping_theta(tb, model, coef, ubar, upt, trace, dt)
+    xy = tb.edge_points(slice(None))
+    return damping_theta(tb, model, coef, ubar, upt, trace, xy, dt)
 
 
 def test_damping_is_one_on_constants():

@@ -147,6 +147,19 @@ def test_refine4(small_mesh):
     assert np.allclose(r.verts[: len(m.verts)], m.verts)
 
 
+def test_refine4_keeps_boundary_names():
+    # Both halves of a named boundary edge keep its name, so that a named
+    # MSH mesh keeps its names on the finer levels.
+    m = rect_mesh((0.0, 1.0, 0.0, 1.0), 4, seed=5)
+    m.name_boundary(lambda mids: [f"{x:.3f},{y:.3f}" for x, y in mids])
+    r = refine4(m)
+    assert len(r.boundary_edges) == 2 * len(m.boundary_edges)
+    for e in r.boundary_edges:
+        # The half's end that is not a parent vertex is the parent's midpoint.
+        x, y = r.verts[r.edge_verts[e].max()]
+        assert r.edge_name[e] == f"{x:.3f},{y:.3f}"
+
+
 def test_msh22_roundtrip(tmp_path, small_mesh):
     m = small_mesh
 

@@ -200,6 +200,15 @@ def test_euler_sign_matrix_properties():
     assert np.allclose(got, want, rtol=1e-8, atol=1e-8)
 
 
+def test_euler_sign_matrix_of_zero_sound_speed_is_quiet():
+    # p = 0 gives c = 0: its sign matrix is not finite, with no
+    # RuntimeWarning, and the other states keep theirs.
+    m = Euler()
+    u = m.conserved([1.0, 1.4], [0.5, 0.3], [0.0, 0.1], [0.0, 1.0])
+    S = m.sign_jac_normal(u, np.array([[1.0, 0.0]]))
+    assert np.isfinite(S).all(axis=(1, 2)).tolist() == [False, True]
+
+
 def eig_rotated(m, u, n):
     """Eigen-data of d(f.n)/du for |n| = 1, as the library once built it.
 

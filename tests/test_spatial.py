@@ -5,13 +5,19 @@ import warnings
 import numpy as np
 import pytest
 
+from triblend.basis import (
+    POINT_DOF_BARY,
+    basis_grad_bary,
+    basis_values,
+    projection_matrix,
+)
 from triblend.boundary import BoundaryHandler, FarField, Outflow, Wall
 from triblend.exceptions import ConfigError
 from triblend.limiting import GasDomain, IntervalDomain
 from triblend.mesh import triangle_geometry
 from triblend.meshgen import rect_mesh
-from triblend.models import KPP, Euler, LinearAdvection
-from triblend.spatial_ho import HighOrder, Tables, _inverse
+from triblend.models import KPP, Euler, LinearAdvection, nv_first
+from triblend.spatial_ho import HighOrder, Tables, _dof_normals, _edge_bary, _inverse
 from triblend.spatial_lo import (
     FAN_CENTROID,
     FAN_GRAD,
@@ -98,10 +104,17 @@ def reference_phi(ho, ubar, upt, t):
     tb, model = ho.t, ho.model
     mesh = tb.mesh
     nt, nv = ubar.shape
-    dvol = np.einsum("q,qjm,kmd->kjqd", tb.wq_vol, tb.DPHI_V, mesh.grad_lambda)
+    dphi_v = basis_grad_bary(tb.BARY_V)  # (nqv, 7, 3)
+    dvol = np.einsum("q,qjm,kmd->kjqd", tb.wq_vol, dphi_v, mesh.grad_lambda)
     dvol_mat = dvol.reshape(nt, 7, -1)
+    # Basis values on local edge l, traversed in the stored direction
+    # (o = 0) or against it (o = 1): (2, 3, nqe, 7).
+    tq = tb.tq_edge
+    phi_e = np.array(
+        [[basis_values(_edge_bary(l, tau)) for l in range(3)] for tau in (tq, 1 - tq)]
+    )
     oi = (1 - mesh.tri_edge_orient) // 2
-    phi_per = tb.PHI_E[oi, np.arange(3)]  # (NT, 3, nqe, 7)
+    phi_per = phi_e[oi, np.arange(3)]  # (NT, 3, nqe, 7)
     fac = mesh.tri_edge_orient * mesh.edge_length[mesh.tri_edges]
     w_edge = phi_per * tb.wq_edge[:, None] * fac[..., None, None]
     w_edge_mat = w_edge.reshape(nt, 3 * tb.nqe, 7).swapaxes(1, 2)
@@ -111,9 +124,9 @@ def reference_phi(ho, ubar, upt, t):
     fq = model.flux(tb.PHI_V @ coef, xy)  # (NT, nqv, nv, 2)
     vol = -(dvol_mat @ fq.swapaxes(2, 3).reshape(nt, -1, nv))
     vol *= mesh.areas[:, None, None]
-    fluxhat, _, _ = ho.interface_fluxes(upt, t)
+    fluxhat, _, _, _ = ho.interface_fluxes(upt, t)
     surf = w_edge_mat @ fluxhat[mesh.tri_edges].reshape(nt, -1, nv)
-    return (tb.P @ (vol + surf)) / mesh.areas[:, None, None]
+    return (projection_matrix() @ (vol + surf)) / mesh.areas[:, None, None]
 
 
 @pytest.mark.parametrize("which", ["euler", "advection"])
@@ -160,7 +173,7 @@ def test_edge_side_gradients_exact_on_quadratics(small_mesh):
     ubar, upt = initialize(tb, u)
     edges = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
     grad, hess = tb.edge_side_gradients(tb.coefficients(ubar, upt), edges)
-    x, y = tb.XY_E[edges].T  # (nqe, E)
+    x, y = tb.edge_points(edges).T  # (nqe, E)
     _, c1, c2, c3, c4, c5 = c.T[:, :, None, None]  # (nv, 1, 1)
     want_grad = np.stack([c1 + 2 * c3 * x + c4 * y, c2 + c4 * x + 2 * c5 * y])
     want_hess = np.stack([2 * c3, c4, 2 * c5])
@@ -189,6 +202,49 @@ def test_static_bytes_per_triangle():
     ] + [scatter.data, scatter.indices, scatter.indptr]
     total = sum(v.nbytes for v in arrays)
     assert total / mesh.num_tris <= 480
+
+
+def test_tables_store_no_element_axis(small_mesh):
+    # Positions and normals come from the mesh when a kernel needs them:
+    # no array of Tables has an axis of NT entries.
+    mesh = small_mesh
+    nt = mesh.num_tris
+    assert len({nt, mesh.num_edges, mesh.num_points}) == 3
+    arrays = [v for v in vars(Tables(mesh)).values() if isinstance(v, np.ndarray)]
+    assert arrays and not any(nt in v.shape for v in arrays)
+
+
+def test_point_dof_positions_from_the_affine_map(small_mesh):
+    mesh = small_mesh
+    got = Tables(mesh).element_points(POINT_DOF_BARY)  # (6, NT, 2)
+    want = mesh.point_xy[mesh.tri_point_dofs].swapaxes(0, 1)
+    assert got.tobytes() == want.tobytes()
+    assert nv_first(got).flags.c_contiguous  # component-major
+
+
+def test_edge_points_lie_on_their_segments(small_mesh):
+    mesh = small_mesh
+    tb = Tables(mesh)
+    edges = np.arange(1, mesh.num_edges, 3)
+    xy = tb.edge_points(edges)  # (E, nqe, 2)
+    a, b = (mesh.verts[mesh.edge_verts[edges, s]][:, None] for s in (0, 1))
+    assert xy.shape == (len(edges), tb.nqe, 2)
+    assert np.all((tb.tq_edge > 0.0) & (tb.tq_edge < 1.0))
+    want = a + tb.tq_edge[:, None] * (b - a)
+    assert np.abs(xy - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_dof_normals_unit_inward_at_vertices_outward_at_midpoints(small_mesh):
+    mesh = small_mesh
+    n = _dof_normals(mesh).swapaxes(0, 1)  # (NT, 6, 2)
+    assert np.abs(np.hypot(n[..., 0], n[..., 1]) - 1.0).max() < 1e-15
+    c = mesh.centroids
+    for l in range(3):
+        # Vertex l faces local edge l + 1; midpoint 3 + l sits on edge l.
+        opposite = mesh.edge_mid[mesh.tri_edges[:, (l + 1) % 3]]
+        mid = mesh.edge_mid[mesh.tri_edges[:, l]]
+        assert np.all(np.einsum("kd,kd->k", n[:, l], c - opposite) > 0)
+        assert np.all(np.einsum("kd,kd->k", n[:, 3 + l], mid - c) > 0)
 
 
 def test_ho_average_row_equals_edge_flux_balance(small_mesh):
@@ -252,7 +308,7 @@ def test_point_sums_equal_add_at_bitwise(small_mesh):
         assert np.array_equal(got, want)
     want = np.zeros(mesh.num_points)
     np.add.at(want, mesh.tri_point_dofs, 1.0)
-    assert np.array_equal(tb.point_count, want)
+    assert np.array_equal(np.diff(tb.point_scatter.indptr), want)
 
 
 def test_omega_nonfinite_patch_sum_falls_back_quietly(small_mesh):
@@ -422,7 +478,7 @@ def test_omega_exactly_singular_patch_sum_falls_back_quietly(
     dofs = mesh.tri_point_dofs.T
     u_loc = upt[dofs]
     omega0, fb0 = ho.omega_weights(u_loc)
-    count = tb.point_count[dofs]
+    count = np.diff(tb.point_scatter.indptr)[dofs]
     upwind = ~np.all(omega0 == np.eye(4) / count[..., None, None], axis=(2, 3))
     bad = int(dofs[upwind][0])
     point_sums = tb.point_sums
@@ -484,7 +540,7 @@ def test_wall_flux_has_no_mass_or_energy_component(small_mesh):
         rng.uniform(0.5, 2.0, (nb, 3)),
     )
     n = mesh.edge_normal[mesh.boundary_edges]
-    xq = Tables(mesh).XY_E[mesh.boundary_edges]
+    xq = Tables(mesh).edge_points(mesh.boundary_edges)
     f = bc.ho_flux(tr, n, xq, 0.0)
     scale = np.abs(f).max()
     assert np.abs(f[..., 0]).max() < 1e-12 * scale
@@ -521,7 +577,7 @@ def test_farfield_scalar_is_exact_upwinding():
     tb = Tables(mesh)
     be = mesh.boundary_edges
     n = mesh.edge_normal[be]
-    xq = tb.XY_E[be]
+    xq = tb.edge_points(be)
     tr = np.full((len(be), tb.nqe, 1), 0.25)
     f = bc.ho_flux(tr, n, xq, 0.0)
     left = np.isclose(mesh.edge_mid[be][:, 0], 0.0)
@@ -613,7 +669,7 @@ def test_boundary_closure_matches_per_kind_formulas(which):
     bc = BoundaryHandler(mesh, model, kinds)
     be = mesh.boundary_edges
     n = mesh.edge_normal[be]
-    xq = tb.XY_E[be]
+    xq = tb.edge_points(be)
     tr = states((nb, tb.nqe))
     ubar0 = states((nb,))
     f = bc.ho_flux(tr, n, xq, t)

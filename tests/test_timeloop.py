@@ -114,6 +114,30 @@ def test_nan_point_value_abort_names_the_point():
     )
 
 
+@pytest.mark.parametrize("mode", ["ho", "full"])
+def test_zero_sound_speed_point_falls_back_quietly(mode):
+    # One point DoF with p = 0 exactly reaches the sign matrices with c = 0:
+    # the step completes with no RuntimeWarning, and the upwind weights
+    # of that point fall back to 1/N.
+    prob = get_problem("free-stream")
+    model = prob.make_model(1.4)
+    mesh = prob.mesh_builder(4)
+    mesh.name_boundary(prob.namer)
+    bc = BoundaryHandler(mesh, model, prob.boundaries(model))
+    enforce, assert_ = prob.domains(model) if mode == "full" else (None, None)
+    stepper = Stepper(
+        mesh, model, bc, mode=mode, enforce_domain=enforce, assert_domain=assert_
+    )
+    ubar, upt = sample_initial(prob, model, stepper.tables)
+    rho, vx, vy, _ = model.primitives(upt)
+    i = mesh.num_points // 2
+    upt[i] = model.conserved(rho[i], vx[i], vy[i], 0.0)
+    dt = stepper.compute_dt(ubar, upt)
+    ubar, upt, _, stats = stepper.rk3_step(ubar, upt, 0.0, dt, 1)
+    assert stats["omega_fallback"] > 0
+    assert np.isfinite(ubar).all() and np.isfinite(upt).all()
+
+
 def test_dt_scales_linearly_with_cfl():
     _, _, s1, exact = linear_setup(cfl=0.2)
     _, _, s2, _ = linear_setup(cfl=0.4)
@@ -195,7 +219,7 @@ def test_full_mode_without_domain_blends_by_theta_bitwise():
     coef = tb.coefficients(ubar, upt)
     ho = stepper.ho.compute(coef, upt, 0.0)
     lo = stepper.lo.compute(coef, 0.0)
-    th = damping_theta(tb, model, coef, ubar, upt, ho.trace_u, dt)
+    th = damping_theta(tb, model, coef, ubar, upt, ho.trace_u, ho.trace_xy, dt)
     assert th.min() < 1.0  # the discontinuous data must engage the damping
     b = lo.Phi_pt + th[:, None] * (ho.Wpt - lo.Phi_pt)
     k0, k1 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
