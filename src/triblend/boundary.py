@@ -23,7 +23,7 @@ import numpy as np
 
 from .exceptions import ConfigError
 from .mesh import Mesh
-from .models import llf_flux
+from .models import llf_flux, nv_first, nv_last
 
 
 class FarField:
@@ -101,9 +101,11 @@ class BoundaryHandler:
             if len(idx) == 0:
                 continue
             bc = self.bcs[nm]
-            tr = trace[idx]
-            nn = nq[idx]
-            xx = xq[idx]
+            # Gathered along the edge axis, so that component-major
+            # positions stay component-major.
+            tr = np.take(trace, idx, axis=0)
+            nn = np.take(nq, idx, axis=0)
+            xx = nv_last(np.take(nv_first(xq), idx, axis=1))
             if bc.kind == "outflow":
                 # LLF of two equal states, without its wave speeds: unlimited
                 # runs can leave traces on which those are not finite.

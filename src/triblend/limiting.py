@@ -9,10 +9,12 @@ Three ingredients keep the blended update inside the physical set:
 
 * `damping_sigma` / `damping_theta` measure inter-element smoothness: for
   every interior edge the first- and second-derivative jumps of u_h are
-  averaged in frame-invariant directional norms, scaled by global solution
-  ranges, and folded into a per-element factor theta_K = exp(-dt * rate)
-  in (0, 1] that damps the high-order deviation near discontinuities but
-  is 1 - O(dt h) in smooth regions (and exactly 1 on constants).
+  taken in the edge's (n, t) frame (one pass over the interior edges,
+  `Tables.edge_side_gradients`), averaged in frame-invariant directional
+  norms, scaled by global solution ranges, and folded into a per-element
+  factor theta_K = exp(-dt * rate) in (0, 1] that damps the high-order
+  deviation near discontinuities but is 1 - O(dt h) in smooth regions
+  (and exactly 1 on constants).
 
 * `blend_point_residuals` / `blend_average_fluxes` pick the final blend
   coefficients.  Point updates are written as convex combinations over the
@@ -38,50 +40,63 @@ def _largest_root_bound(a, b, c):
     """Largest eta* >= 0 with a x^2 + b x + c >= 0 on [0, eta*], c >= 0.
 
     Vectorized and numerically stable; returns +inf where the constraint
-    never activates.  Where c < 0 (infeasible start) returns 0.
+    never activates.  Where c < 0 (infeasible start) returns 0.  Each case
+    is evaluated on the entries it covers only, gathered by index.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
     a, b, c = np.broadcast_arrays(a, b, c)
+    shape = a.shape
+    a, b, c = (np.ascontiguousarray(x, dtype=float).reshape(-1) for x in (a, b, c))
     out = np.full(a.shape, np.inf)
 
-    scale = np.maximum(
-        np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), 1e-300)
-    )
-    lin = np.abs(a) <= 1e-14 * scale
+    scale = np.maximum(np.abs(a), np.abs(b))
+    np.maximum(scale, np.maximum(np.abs(c), 1e-300), out=scale)
+    scale *= 1e-14
+    lin = np.abs(a) <= scale
     neg_b = b < 0
     with np.errstate(divide="ignore", invalid="ignore"):
         # Linear case: c + b eta >= 0.
-        m = lin & neg_b
-        out[m] = np.where(c[m] <= 0, 0.0, -c[m] / b[m])
+        i = np.flatnonzero(lin & neg_b)
+        ci = np.take(c, i)
+        out[i] = np.where(ci <= 0, 0.0, -ci / np.take(b, i))
 
-        disc = b * b - 4.0 * a * c
-        sq = np.sqrt(np.maximum(disc, 0.0))
+        disc = b * b
+        disc -= 4.0 * a * c
+        sq = np.maximum(disc, 0.0)
+        np.sqrt(sq, out=sq)
+        curved = ~lin
 
         # Convex (a > 0): only b < 0 can produce positive roots; the smaller
         # root is c / qf with qf = (-b + sqrt(disc)) / 2 (no cancellation).
-        m = (~lin) & (a > 0) & neg_b & (disc > 0)
-        qf = 0.5 * (-b[m] + sq[m])
-        out[m] = c[m] / qf
+        i = np.flatnonzero(curved & (a > 0) & neg_b & (disc > 0))
+        qf = 0.5 * (-np.take(b, i) + np.take(sq, i))
+        out[i] = np.take(c, i) / qf
 
         # Concave (a < 0): the constraint set is [r1, r2] containing 0;
         # eta* is the larger root.
-        m = (~lin) & (a < 0)
-        r_direct = (-b[m] - sq[m]) / (2.0 * a[m])
-        qf = -b[m] + sq[m]
-        r_stable = np.where(qf > 0, 2.0 * c[m] / np.where(qf > 0, qf, 1.0), r_direct)
-        out[m] = np.where(b[m] < 0, r_stable, r_direct)
+        i = np.flatnonzero(curved & (a < 0))
+        bi, si = np.take(b, i), np.take(sq, i)
+        r_direct = (-bi - si) / (2.0 * np.take(a, i))
+        qf = -bi + si
+        r_stable = np.where(
+            qf > 0, 2.0 * np.take(c, i) / np.where(qf > 0, qf, 1.0), r_direct
+        )
+        out[i] = np.where(bi < 0, r_stable, r_direct)
 
-    out = np.where(c < 0, 0.0, out)
-    return np.maximum(out, 0.0)
+    np.copyto(out, 0.0, where=c < 0)
+    return np.maximum(out, 0.0, out=out).reshape(shape)
 
 
 def _linear_bound(room, step):
     """Largest eta >= 0 with room - eta * step >= 0 (room >= 0)."""
+    room, step = np.broadcast_arrays(room, step)
+    out = np.full(room.shape, np.inf)
+    # A C-order mask, so that flatnonzero need not copy a transposed one.
+    i = np.flatnonzero(np.greater(step, 0.0, order="C"))
     with np.errstate(divide="ignore", invalid="ignore"):
-        b = np.where(step > 0, room / np.where(step > 0, step, 1.0), np.inf)
-    return np.where(room < 0, 0.0, np.maximum(b, 0.0))
+        out.reshape(-1)[i] = np.take(room, i) / np.take(step, i)
+    np.maximum(out, 0.0, out=out)
+    np.copyto(out, 0.0, where=room < 0)
+    return out
 
 
 _SAFETY = 1.0 - 1e-12
@@ -122,12 +137,13 @@ class IntervalDomain:
     def max_blend(self, base, d):
         v = base[..., 0]
         dv = d[..., 0]
-        eta = np.minimum(
-            _linear_bound(v - self.lo, -dv), _linear_bound(self.hi - v, dv)
-        )
-        eta = np.minimum(eta * _SAFETY, 1.0)
-        infeasible = (v < self.lo) | (v > self.hi)
-        eta = np.where(infeasible, 0.0, eta)
+        eta = _linear_bound(v - self.lo, -dv)
+        np.minimum(eta, _linear_bound(self.hi - v, dv), out=eta)
+        eta *= _SAFETY
+        np.minimum(eta, 1.0, out=eta)
+        infeasible = v < self.lo
+        infeasible |= v > self.hi
+        np.copyto(eta, 0.0, where=infeasible)
         return _verified_eta(self, base, d, eta)
 
 
@@ -179,42 +195,29 @@ class GasDomain:
     def max_blend(self, base, d):
         rho = base[..., 0]
         drho = d[..., 0]
-        eta = np.minimum(
-            _linear_bound(rho - self.rho_min, -drho),
-            _linear_bound(self.rho_max - rho, drho),
-        )
+        eta = _linear_bound(rho - self.rho_min, -drho)
+        np.minimum(eta, _linear_bound(self.rho_max - rho, drho), out=eta)
+        # g(base + x d) = a x^2 + b x + c.
         c = self.g(base)
-        b = (
-            drho * (base[..., 3] - self.e_min)
-            + rho * d[..., 3]
-            - base[..., 1] * d[..., 1]
-            - base[..., 2] * d[..., 2]
-        )
-        a = drho * d[..., 3] - 0.5 * (d[..., 1] ** 2 + d[..., 2] ** 2)
-        eta = np.minimum(eta, _largest_root_bound(a, b, c))
-        eta = np.minimum(eta * _SAFETY, 1.0)
-        infeasible = (rho < self.rho_min) | (rho > self.rho_max) | (c < 0)
-        eta = np.where(infeasible, 0.0, eta)
+        b = drho * (base[..., 3] - self.e_min)
+        b += rho * d[..., 3]
+        b -= base[..., 1] * d[..., 1]
+        b -= base[..., 2] * d[..., 2]
+        a = drho * d[..., 3]
+        a -= 0.5 * (d[..., 1] ** 2 + d[..., 2] ** 2)
+        np.minimum(eta, _largest_root_bound(a, b, c), out=eta)
+        eta *= _SAFETY
+        np.minimum(eta, 1.0, out=eta)
+        infeasible = rho < self.rho_min
+        infeasible |= rho > self.rho_max
+        infeasible |= c < 0
+        np.copyto(eta, 0.0, where=infeasible)
         return _verified_eta(self, base, d, eta)
 
 
 # ---------------------------------------------------------------------------
 # jump-based high-order damping
 # ---------------------------------------------------------------------------
-
-
-def _rotate_momentum(model, nx, ny, jump):
-    """Momentum pair of jump (k, nv, nq, E) in each edge's (n, t) frame.
-
-    Makes the jump measure frame-invariant; scalar jumps pass unchanged.
-    nx, ny: (E,) edge normal components.
-    """
-    if model.nvars == 1:
-        return jump
-    out = jump.copy()
-    out[:, 1] = nx * jump[:, 1] + ny * jump[:, 2]
-    out[:, 2] = -ny * jump[:, 1] + nx * jump[:, 2]
-    return out
 
 
 def _component_denominators(model, ubar, upt, areas):
@@ -241,51 +244,51 @@ def damping_sigma(tables, model, coef, ubar, upt, c1=1.0, c2=1.0):
     """Normalized derivative-jump measure per interior edge and side.
 
     Returns (edge_ids, sigma) where sigma[i, s] >= 0 is the smoothness
-    measure charged to the side-s element of interior edge edge_ids[i]:
+    measure charged to the side-s element of interior edge edge_ids[i]
+    (`Tables.interior_edges`):
 
         sigma = max_v (c1 * ell * S1_v + c2 * ell^2 * S2_v)
 
     with ell the element's farthest distance to the edge and S1_v / S2_v
     the edge-averaged absolute jumps of the first / second directional
     derivatives of variable v, each divided by the variable's global
-    deviation.  Derivatives are taken along the edge normal and tangent and
-    the momentum components are rotated into that frame, so the measure
-    is invariant under rigid rotations; it is also invariant under
-    u -> a u + b by the normalization.  Inactive (globally constant)
-    components contribute 0.
+    deviation.  Derivatives are taken along the edge normal and tangent
+    (`Tables.edge_side_gradients`) and the momentum components are rotated
+    into that frame, so the measure is invariant under rigid rotations; it
+    is also invariant under u -> a u + b by the normalization.  Inactive
+    (globally constant) components contribute 0.
     """
-    mesh = tables.mesh
-    ei = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
+    ei = tables.interior_edges
     if len(ei) == 0:
         return ei, np.zeros((0, 2))
-    dens = _component_denominators(model, ubar, upt, mesh.areas)
+    dens = _component_denominators(model, ubar, upt, tables.mesh.areas)
     if not np.any(dens > 0):
         return ei, np.zeros((len(ei), 2))
     inv_den = np.where(dens > 0, 1.0 / np.where(dens > 0, dens, 1.0), 0.0)
 
-    g, h = tables.edge_side_gradients(coef, ei)  # (2, 2 | 3, nv, nqe, E)
-    nx, ny = mesh.edge_normal[ei].T
-    jump1 = _rotate_momentum(model, nx, ny, g[0] - g[1])
-    jump2 = _rotate_momentum(model, nx, ny, h[0] - h[1])
-    d_n = nx * jump1[0] + ny * jump1[1]
-    d_t = -ny * jump1[0] + nx * jump1[1]
-    a1 = np.abs(d_n) + np.abs(d_t)  # (nv, nqe, E)
-
-    xx, xy, yy = jump2
-    d_nn = nx * nx * xx + 2.0 * nx * ny * xy + ny * ny * yy
-    d_nt = -nx * ny * xx + (nx * nx - ny * ny) * xy + nx * ny * yy
-    d_tt = ny * ny * xx - 2.0 * nx * ny * xy + nx * nx * yy
-    a2 = np.abs(d_nn) + np.abs(d_nt) + np.abs(d_tt)
-
+    jump = tables.edge_side_gradients(coef)  # (5, nv, nqe, E)
+    if model.nvars > 1:
+        # Momentum pair in the (n, t) frame, in place.
+        nx, ny = np.take(tables.mesh.edge_normal, ei, axis=0).T
+        mx, my = jump[:, 1], jump[:, 2]
+        mn = nx * mx
+        mn += ny * my
+        my *= nx
+        my -= ny * mx
+        mx[...] = mn
+    a = np.abs(jump, out=jump)
+    a[0] += a[1]  # |d_n| + |d_t|
+    a[2] += a[3]  # |d_nn| + |d_nt| + |d_tt|
+    a[2] += a[4]
     wq = tables.wq_edge
-    S1 = np.einsum("q,vqe,v->ev", wq, a1, inv_den)
-    S2 = np.einsum("q,vqe,v->ev", wq, a2, inv_den)
-    ell = tables.EDGE_DIST[ei]  # (E, 2)
-    sig = (
-        c1 * ell[:, :, None] * S1[:, None, :]
-        + c2 * (ell**2)[:, :, None] * S2[:, None, :]
-    )
-    return ei, sig.max(axis=2)
+    S1 = (wq @ a[0]) * inv_den[:, None]  # (nv, E)
+    S2 = (wq @ a[2]) * inv_den[:, None]
+    ell = np.take(tables.EDGE_DIST, ei, axis=0).T  # (2, E)
+    w1, w2 = c1 * ell, c2 * (ell * ell)
+    sig = w1 * S1[0] + w2 * S2[0]
+    for v in range(1, len(S1)):
+        np.maximum(sig, w1 * S1[v] + w2 * S2[v], out=sig)
+    return ei, sig.T
 
 
 def damping_theta(
@@ -301,26 +304,29 @@ def damping_theta(
     O(dt/ell), an order-one reduction per step.
     """
     mesh = tables.mesh
-    theta = np.ones(mesh.num_tris)
     ei, sigma = damping_sigma(tables, model, coef, ubar, upt, c1=c1, c2=c2)
     if len(ei) == 0 or not sigma.any():
-        return theta
+        return np.ones(mesh.num_tris)
 
-    # Gathered per component, the positions stay component-major.
+    # Gathered along the edge axis, the positions stay component-major.
     xy = nv_last(np.take(nv_first(trace_xy), ei, axis=1))
-    alpha = model.max_wavespeed(
-        trace_u[ei], mesh.edge_normal[ei, None, :], xy
-    ).max(axis=1)
+    speed = model.max_wavespeed(
+        np.take(trace_u, ei, axis=0),
+        np.take(mesh.edge_normal, ei, axis=0)[:, None, :],
+        xy,
+    )  # (E, nqe | 1)
+    # One pass per point: a reduction over the short last axis is slow.
+    alpha = speed[:, 0]
+    for q in range(1, speed.shape[1]):
+        alpha = np.maximum(alpha, speed[:, q])
 
-    expo = np.zeros(mesh.num_tris)
-    n_int = np.zeros(mesh.num_tris)
-    for s in range(2):
-        k = mesh.edge_tris[ei, s]
-        np.add.at(expo, k, alpha * sigma[:, s] / tables.EDGE_DIST[ei, s])
-        np.add.at(n_int, k, 1.0)
-    active = n_int > 0
-    theta[active] = np.exp(-dt * expo[active] / n_int[active])
-    return theta
+    # Sums over the edges of each element, side 0 then side 1, in edge
+    # order; an element without interior edges keeps exp(-0) = 1.
+    k = np.take(mesh.edge_tris, ei, axis=0).T.ravel()
+    rate = alpha * sigma.T / np.take(tables.EDGE_DIST, ei, axis=0).T
+    expo = np.bincount(k, weights=rate.ravel(), minlength=mesh.num_tris)
+    n_int = np.bincount(k, minlength=mesh.num_tris)
+    return np.exp(-dt * expo / np.maximum(n_int, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +347,11 @@ def blend_point_residuals(tables, domain, u_loc, Phi_lo, Wpt, theta, dt):
     n_rescued = 0
     if domain is not None:
         mesh = tables.mesh
-        share = (mesh.areas / 9.0) / mesh.point_area[
-            mesh.tri_point_dofs.T
-        ]  # (6, NT) convex weights s_K
+        # (6, NT) convex weights s_K, C-ordered like the residual blocks,
+        # so that the candidates and steps given to the domain are too.
+        share = (mesh.areas / 9.0) / np.take(
+            mesh.point_area, mesh.tri_point_dofs.T
+        )
         lam = dt / share  # amplified step per element candidate
 
         c0 = u_loc - lam[..., None] * Phi_lo

@@ -155,7 +155,11 @@ class Tables:
     barycentric coordinates), `mesh.areas` and the signed edge lengths, and
     reference points map to each element and edge through `element_points`
     and `edge_points`.  Only connectivity and damping lengths are stored
-    per edge, and no array has an element axis.
+    per edge, and no array has an element axis.  Per interior edge the
+    damping keeps the edge ids (`interior_edges`) and the local index of
+    the edge in each side's element (`edge_side_local`, int8); the normals
+    and barycentric gradients it contracts with come from the mesh at call
+    time.
 
     Layout: element arrays are indexed (k, NT, ncomp), local axis first,
     element axis next, components last, and those with components are
@@ -251,6 +255,11 @@ class Tables:
             dist[:, s] = np.linalg.norm(opp - (a + tpar[:, None] * ab), axis=1)
         self.EDGE_DIST = dist
 
+        # Damping connectivity: the interior edges, and the local index of
+        # each in its side-s element, (2, E).
+        self.interior_edges = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
+        self.edge_side_local = local[self.interior_edges].T.astype(np.int8)
+
         # Element-DoF -> point scatter operator: row p has a unit entry in
         # column j NT + k for each (k, j) with tri_point_dofs[k, j] = p.
         # The entries of a row are stored in ascending order of 6 k + j,
@@ -304,41 +313,63 @@ class Tables:
             (self.mesh.num_points,) + x.shape[2:]
         )
 
-    def edge_side_gradients(self, coef: np.ndarray, edges: np.ndarray):
-        """Gradient and Hessian of u_h at the quadrature points of interior
-        edges, from both sides.
+    def edge_side_gradients(self, coef: np.ndarray) -> np.ndarray:
+        """Jumps of the first and second derivatives of u_h across the
+        interior edges, in each edge's (n, t) frame.
 
-        Returns grad (2, 2, nv, nqe, E) with components (x, y) and hess
-        (2, 3, nv, nqe, E) with components (xx, xy, yy), indexed by side,
-        component, variable, quadrature point and edge; side s is element
-        edge_tris[edges, s].  Each side's element is relabelled (ROTATE) so
-        that the edge is its local edge 0, which makes EDGE_DERIV_OP[s] one
-        table for all edges; its reduced barycentric derivatives then map to
-        x, y through the relabelled grad(lambda_0), grad(lambda_1).
+        Returns (5, nv, nqe, E) over `interior_edges`: the derivatives
+        (d_n, d_t, d_nn, d_nt, d_tt) along the unit normal n (out of side
+        0) and the tangent t = (-n_y, n_x), side 0 minus side 1, indexed by
+        derivative, variable, quadrature point and edge; side s is element
+        edge_tris[e, s].  Each side's element is relabelled (ROTATE) so that
+        the edge is its local edge 0, which makes EDGE_DERIV_OP[s] one table
+        for all edges, and its reduced barycentric derivatives are
+        contracted with n . grad(lambda_a) and t . grad(lambda_a) of the
+        relabelled vertices a = 0, 1.
         """
         mesh = self.mesh
         _, nt, nv = coef.shape
+        edges = self.interior_edges
         ne = len(edges)
-        grad = np.empty((2, 2, nv, self.nqe, ne))
-        hess = np.empty((2, 3, nv, self.nqe, ne))
-        by_var = nv_first(coef).reshape(nv, -1)  # (nv, 7 NT)
-        tris = mesh.edge_tris[edges]  # (E, 2)
-        local = _local_edges(mesh, tris, edges)
+        jump = np.empty((5, nv, self.nqe, ne))
+        # Column j of side s's relabelled element is column ROTATE[l, j] of
+        # element k = edge_tris[e, s], l = edge_side_local[s, e]: entry
+        # ROTATE[l, j] NT + k of the (nv, 7 NT) coefficient rows.
+        idx = np.take(ROTATE.T * nt, self.edge_side_local, axis=1)  # (7, 2, E)
+        idx += np.take(mesh.edge_tris, edges, axis=0).T
+        c = np.take(nv_first(coef).reshape(nv, -1), idx.swapaxes(0, 1), axis=1)
+        # n . grad(lambda_a) and t . grad(lambda_a) of the relabelled
+        # vertices a = 0, 1 (their entries of idx index the (2, 3 NT) rows
+        # of grad(lambda)): (2, 2, E) each, indexed by a and side.
+        gl = np.ascontiguousarray(mesh.grad_lambda.T).reshape(2, -1)
+        gx, gy = np.take(gl, idx[:2], axis=1)
+        nx, ny = np.take(mesh.edge_normal, edges, axis=0).T
+        nd = nx * gx
+        nd += ny * gy
+        td = nx * gy
+        td -= ny * gx
+        buf = np.empty((nv, self.nqe, ne))
         for s in range(2):
-            k = tris[:, s]
-            rot = ROTATE[local[:, s]].T  # (7, E)
-            c = np.take(by_var, rot * nt + k, axis=1)  # (nv, 7, E)
-            r = (self.EDGE_DERIV_OP[s] @ c).reshape(nv, 5, self.nqe, ne)
-            g0 = mesh.grad_lambda[k, rot[0]].T  # (2, E): x, y parts
-            g1 = mesh.grad_lambda[k, rot[1]].T
-            for d in range(2):
-                out = np.multiply(g0[d], r[:, 0], out=grad[s, d])
-                out += g1[d] * r[:, 1]
-            for i, (d, e) in enumerate(((0, 0), (0, 1), (1, 1))):
-                out = np.multiply(g0[d] * g0[e], r[:, 2], out=hess[s, i])
-                out += (g0[d] * g1[e] + g1[d] * g0[e]) * r[:, 3]
-                out += (g1[d] * g1[e]) * r[:, 4]
-        return grad, hess
+            r = (self.EDGE_DERIV_OP[s] @ c[:, s]).reshape(nv, 5, self.nqe, ne)
+            (n0, n1), (t0, t1) = nd[:, s], td[:, s]
+            # Coefficients of the reduced derivatives r[:, j] in each row.
+            rows = (
+                ((0, n0), (1, n1)),
+                ((0, t0), (1, t1)),
+                ((2, n0 * n0), (3, 2.0 * n0 * n1), (4, n1 * n1)),
+                ((2, n0 * t0), (3, n0 * t1 + n1 * t0), (4, n1 * t1)),
+                ((2, t0 * t0), (3, 2.0 * t0 * t1), (4, t1 * t1)),
+            )
+            for out, terms in zip(jump, rows):
+                if s == 0:
+                    (j, w), *rest = terms
+                    np.multiply(w, r[:, j], out=out)
+                    for j, w in rest:
+                        out += np.multiply(w, r[:, j], out=buf)
+                else:
+                    for j, w in terms:
+                        out -= np.multiply(w, r[:, j], out=buf)
+        return jump
 
 
 @dataclass
@@ -411,9 +442,13 @@ class HighOrder:
         xy = tb.edge_points(slice(None))
         fluxhat = self.model.flux_normal(trace, n, xy)
         if self.bc is not None:
+            # Gathered along the edge axis, each array keeps its layout.
             be = mesh.boundary_edges
             fluxhat[be] = self.bc.ho_flux(
-                trace[be], mesh.edge_normal[be], xy[be], t
+                np.take(trace, be, axis=0),
+                np.take(mesh.edge_normal, be, axis=0),
+                nv_last(np.take(nv_first(xy), be, axis=1)),
+                t,
             )
         return fluxhat, trace, xy, rescued
 

@@ -5,17 +5,22 @@ import pytest
 
 from triblend.boundary import BoundaryHandler, FarField
 from triblend.limiting import (
+    _SAFETY,
     GasDomain,
     IntervalDomain,
+    _component_denominators,
+    _largest_root_bound,
+    _linear_bound,
     _verified_eta,
     blend_average_fluxes,
     blend_point_residuals,
     damping_sigma,
     damping_theta,
 )
+from triblend.mesh import Mesh
 from triblend.meshgen import rect_mesh
-from triblend.models import Euler, LinearAdvection
-from triblend.spatial_ho import Tables
+from triblend.models import Euler, LinearAdvection, nv_first
+from triblend.spatial_ho import ROTATE, Tables, _local_edges
 from triblend.spatial_lo import LowOrder
 from triblend.timeloop import Stepper, initialize
 
@@ -123,6 +128,189 @@ def test_gas_max_blend_matches_bisection(seed):
         ref = bisect_eta(dom, base, d)
         assert abs(eta - ref) < 1e-10, (base, d)
         assert dom.contains(base + eta * d, slack=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# blend bounds: bitwise the reference formulas, adversarial inputs included
+# ---------------------------------------------------------------------------
+
+
+def reference_largest_root_bound(a, b, c):
+    """The root bound as boolean-mask assignments over the masked entries."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    a, b, c = np.broadcast_arrays(a, b, c)
+    out = np.full(a.shape, np.inf)
+    scale = np.maximum(
+        np.maximum(np.abs(a), np.abs(b)), np.maximum(np.abs(c), 1e-300)
+    )
+    lin = np.abs(a) <= 1e-14 * scale
+    neg_b = b < 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = lin & neg_b
+        out[m] = np.where(c[m] <= 0, 0.0, -c[m] / b[m])
+        disc = b * b - 4.0 * a * c
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        m = (~lin) & (a > 0) & neg_b & (disc > 0)
+        qf = 0.5 * (-b[m] + sq[m])
+        out[m] = c[m] / qf
+        m = (~lin) & (a < 0)
+        r_direct = (-b[m] - sq[m]) / (2.0 * a[m])
+        qf = -b[m] + sq[m]
+        r_stable = np.where(qf > 0, 2.0 * c[m] / np.where(qf > 0, qf, 1.0), r_direct)
+        out[m] = np.where(b[m] < 0, r_stable, r_direct)
+    out = np.where(c < 0, 0.0, out)
+    return np.maximum(out, 0.0)
+
+
+def reference_linear_bound(room, step):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = np.where(step > 0, room / np.where(step > 0, step, 1.0), np.inf)
+    return np.where(room < 0, 0.0, np.maximum(b, 0.0))
+
+
+def reference_interval_max_blend(dom, base, d):
+    v = base[..., 0]
+    dv = d[..., 0]
+    eta = np.minimum(
+        reference_linear_bound(v - dom.lo, -dv),
+        reference_linear_bound(dom.hi - v, dv),
+    )
+    eta = np.minimum(eta * _SAFETY, 1.0)
+    eta = np.where((v < dom.lo) | (v > dom.hi), 0.0, eta)
+    return _verified_eta(dom, base, d, eta)
+
+
+def reference_gas_max_blend(dom, base, d):
+    rho = base[..., 0]
+    drho = d[..., 0]
+    eta = np.minimum(
+        reference_linear_bound(rho - dom.rho_min, -drho),
+        reference_linear_bound(dom.rho_max - rho, drho),
+    )
+    c = dom.g(base)
+    b = (
+        drho * (base[..., 3] - dom.e_min)
+        + rho * d[..., 3]
+        - base[..., 1] * d[..., 1]
+        - base[..., 2] * d[..., 2]
+    )
+    a = drho * d[..., 3] - 0.5 * (d[..., 1] ** 2 + d[..., 2] ** 2)
+    eta = np.minimum(eta, reference_largest_root_bound(a, b, c))
+    eta = np.minimum(eta * _SAFETY, 1.0)
+    infeasible = (rho < dom.rho_min) | (rho > dom.rho_max) | (c < 0)
+    eta = np.where(infeasible, 0.0, eta)
+    return _verified_eta(dom, base, d, eta)
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+# Values that exercise every branch: signed zeros, tiny and huge finite
+# values, infinities and NaN.  Both the kernels and the reference
+# formulas overflow on some of them, or meet inf - inf, which the tests
+# let pass silently (`adversarial`).
+SPECIAL = np.array(
+    [0.0, -0.0, 1e-300, -1e-300, 1e-15, -1e-15, 0.5, -0.5, 1.0, -1.0, 3.0,
+     -3.0, 1e12, -1e12, np.inf, -np.inf, np.nan]
+)
+
+
+adversarial = np.errstate(over="ignore", invalid="ignore")
+
+
+@adversarial
+def test_linear_bound_bitwise_on_adversarial_inputs():
+    room, step = np.meshgrid(SPECIAL, SPECIAL, indexing="ij")
+    assert_bitwise(_linear_bound(room, step), reference_linear_bound(room, step))
+    rng = np.random.default_rng(21)
+    room = rng.normal(size=(40, 7)) * 10.0 ** rng.uniform(-3, 3, (40, 7))
+    step = rng.normal(size=(7, 40)).T  # transposed strides
+    step[::3] = 0.0
+    assert_bitwise(_linear_bound(room, step), reference_linear_bound(room, step))
+    # broadcast and 0-d arguments
+    assert_bitwise(_linear_bound(room, 0.5), reference_linear_bound(room, 0.5))
+    assert_bitwise(
+        _linear_bound(np.array(-1.0), np.array(0.0)),
+        reference_linear_bound(np.array(-1.0), np.array(0.0)),
+    )
+
+
+@adversarial
+def test_largest_root_bound_bitwise_on_adversarial_inputs():
+    a, b, c = (x.ravel() for x in np.meshgrid(SPECIAL, SPECIAL, SPECIAL))
+    assert_bitwise(_largest_root_bound(a, b, c), reference_largest_root_bound(a, b, c))
+    rng = np.random.default_rng(22)
+    n = 4000
+    b = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
+    c = np.abs(rng.normal(size=n)) * 10.0 ** rng.uniform(-3, 3, n)
+    a = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, n)
+    kind = rng.integers(0, 6, n)
+    a[kind == 0] = 1e-15 * np.maximum(np.abs(b), np.abs(c))[kind == 0]  # ~linear
+    a[kind == 1] = b[kind == 1] ** 2 / (4.0 * c[kind == 1])  # double root
+    a[kind == 2] *= 1e-16  # |a| below the 1e-14 scale
+    c[kind == 3] *= -1.0  # infeasible start
+    b[kind == 4] = 0.0
+    for sl in (slice(None), slice(None, None, 3)):  # contiguous and strided
+        got = _largest_root_bound(a[sl], b[sl], c[sl])
+        assert_bitwise(got, reference_largest_root_bound(a[sl], b[sl], c[sl]))
+    # Every case occurs: convex and concave roots, disc < 0, linear.
+    disc = b * b - 4.0 * a * c
+    lin = np.abs(a) <= 1e-14 * np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+    assert ((~lin) & (a > 0) & (b < 0) & (disc > 0)).any()
+    assert ((~lin) & (a < 0) & (b < 0)).any() and ((~lin) & (a < 0) & (b > 0)).any()
+    assert ((~lin) & (disc < 0)).any() and (lin & (b < 0)).any()
+    # broadcast scalars
+    assert_bitwise(
+        _largest_root_bound(a[:50], -1.0, 2.0),
+        reference_largest_root_bound(a[:50], -1.0, 2.0),
+    )
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-np.inf, 2.0), (0.5, np.inf)])
+@adversarial
+def test_interval_max_blend_bitwise(lo, hi):
+    dom = IntervalDomain(lo, hi)
+    v, dv = np.meshgrid(SPECIAL, SPECIAL, indexing="ij")
+    base, d = v[..., None], dv[..., None]
+    assert_bitwise(dom.max_blend(base, d), reference_interval_max_blend(dom, base, d))
+    rng = np.random.default_rng(23)
+    base = rng.uniform(-0.2, 1.2, (6, 50, 1))
+    d = rng.normal(size=(1, 50, 6)).T * 10.0 ** rng.uniform(-2, 2, (6, 50, 1))
+    d[:, ::4] = 0.0
+    assert_bitwise(dom.max_blend(base, d), reference_interval_max_blend(dom, base, d))
+
+
+@adversarial
+def test_gas_max_blend_bitwise():
+    m = Euler()
+    dom = GasDomain()
+    rng = np.random.default_rng(24)
+    n = 600
+    base = m.conserved(
+        10.0 ** rng.uniform(-3, 1, n),
+        rng.uniform(-3, 3, n),
+        rng.uniform(-3, 3, n),
+        10.0 ** rng.uniform(-3, 1, n),
+    )
+    d = rng.normal(size=(n, 4)) * 10.0 ** rng.uniform(-2, 2, (n, 1))
+    kind = rng.integers(0, 5, n)
+    d[kind == 0, 1:] = 0.0  # density only: a linear constraint
+    d[kind == 1] = 0.0  # step = 0
+    base[kind == 2, 0] *= -1.0  # rho < rho_min
+    base[kind == 3, 3] = 0.0  # g(base) < 0
+    special = np.stack(np.meshgrid(*[SPECIAL[[0, 4, 8, 10, 14, 16]]] * 4), -1)
+    special = special.reshape(-1, 4)
+    half = len(special) // 2
+    base = np.concatenate([base, special[:half] + 1.0])
+    d = np.concatenate([d, special[half : 2 * half]])
+    assert_bitwise(dom.max_blend(base, d), reference_gas_max_blend(dom, base, d))
+    b3, d3 = base[:300].reshape(100, 3, 4), d[:300].reshape(100, 3, 4)
+    assert_bitwise(dom.max_blend(b3, d3), reference_gas_max_blend(dom, b3, d3))
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +435,88 @@ def test_damping_rotation_invariance_scalar():
 
     c, s = np.cos(np.pi / 6), np.sin(np.pi / 6)
     R = np.array([[c, -s], [s, c]])
-    from triblend.mesh import Mesh
-
     rot = Mesh(base.verts @ R.T, base.tris.copy())
     model_rot = LinearAdvection(R @ a)
 
     t1 = _theta_for(base, model, ubar, upt_vals[:, None])
     t2 = _theta_for(rot, model_rot, ubar, upt_vals[:, None])
     assert np.abs(t1 - t2).max() < 1e-10
+
+
+def test_damping_rotation_invariance_euler():
+    # A rigid rotation of the mesh, with the momentum of the data rotated
+    # alike, leaves theta unchanged: the jumps are taken in each edge's
+    # (n, t) frame and the momentum pair is rotated into it.
+    base = rect_mesh((0.0, 1.0, 0.0, 1.0), 5, jitter=0.25, seed=8)
+    model = Euler()
+    rng = np.random.default_rng(13)
+
+    def states(n):
+        return model.conserved(
+            rng.uniform(0.5, 2.0, n),
+            rng.uniform(-1.0, 1.0, n),
+            rng.uniform(-1.0, 1.0, n),
+            rng.uniform(0.5, 2.0, n),
+        )
+
+    ubar, upt = states(base.num_tris), states(base.num_points)
+    c, s = np.cos(np.pi / 5), np.sin(np.pi / 5)
+    R = np.array([[c, -s], [s, c]])
+    rot = Mesh(base.verts @ R.T, base.tris.copy())
+
+    def rotated(u):
+        u = u.copy()
+        u[:, 1:3] = u[:, 1:3] @ R.T
+        return u
+
+    t1 = _theta_for(base, model, ubar, upt, dt=1e-2)
+    t2 = _theta_for(rot, model, rotated(ubar), rotated(upt), dt=1e-2)
+    assert t1.min() < 0.99
+    assert np.abs(t1 - t2).max() < 1e-10
+
+
+def test_damping_theta_is_the_mean_edge_rate_per_element():
+    # theta_K = exp(-(dt / N_K) sum_e alpha_e sigma_{e,K} / ell_{e,K}),
+    # summed edge by edge, side 0 edges first: bitwise the same sums.
+    mesh = named(rect_mesh((0.0, 1.0, 0.0, 1.0), 5, jitter=0.25, seed=6))
+    model = LinearAdvection(rotation_velocity)
+    rng = np.random.default_rng(14)
+    ubar = rng.random((mesh.num_tris, 1))
+    upt = rng.random((mesh.num_points, 1))
+    tb = Tables(mesh)
+    coef = tb.coefficients(ubar, upt)
+    trace = tb.N1D @ upt[tb.edge_dofs]
+    xy = tb.edge_points(slice(None))
+    dt = 1e-2
+    theta = damping_theta(tb, model, coef, ubar, upt, trace, xy, dt)
+
+    ei, sig = damping_sigma(tb, model, coef, ubar, upt)
+    expo = np.zeros(mesh.num_tris)
+    count = np.zeros(mesh.num_tris)
+    for s in range(2):
+        for i, e in enumerate(ei):
+            alpha = model.max_wavespeed(trace[e], mesh.edge_normal[e], xy[e]).max()
+            k = mesh.edge_tris[e, s]
+            expo[k] += alpha * sig[i, s] / tb.EDGE_DIST[e, s]
+            count[k] += 1.0
+    assert (count > 0).all() and (count < 3).any()
+    want = np.exp(-dt * expo / count)
+    assert want.min() < 0.99
+    assert theta.tobytes() == want.tobytes()
+
+
+def test_damping_on_a_mesh_without_interior_edges():
+    mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.2, 0.9]]), np.array([[0, 1, 2]]))
+    tb = Tables(mesh)
+    assert len(tb.interior_edges) == 0 and tb.edge_side_local.shape == (2, 0)
+    model = LinearAdvection((1.0, 0.3))
+    rng = np.random.default_rng(4)
+    ubar, upt = rng.random((1, 1)), rng.random((mesh.num_points, 1))
+    coef = tb.coefficients(ubar, upt)
+    assert tb.edge_side_gradients(coef).shape == (5, 1, tb.nqe, 0)
+    ei, sig = damping_sigma(tb, model, coef, ubar, upt)
+    assert ei.shape == (0,) and sig.shape == (0, 2)
+    assert _theta_for(mesh, model, ubar, upt).tolist() == [1.0]
 
 
 def test_damping_reacts_to_discontinuities():
@@ -327,7 +589,6 @@ def test_damping_sigma_matches_symbolic_oracle():
     # scratch with sympy.
     import sympy as sp
 
-    from triblend.mesh import Mesh
     from triblend.quadrature import edge_rule
 
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -422,3 +683,82 @@ def test_damping_sigma_matches_symbolic_oracle():
         ell = np.linalg.norm(opp - (a + tpar * seg))
         expected = c1 * ell * S1 / den + c2 * ell**2 * S2 / den
         assert abs(sig[0, s] - expected) < 1e-12 * max(1.0, expected)
+
+
+def xy_frame_sigma(tb, model, coef, ubar, upt, c1=1.0, c2=1.0):
+    """sigma by way of the x, y frame: the gradients and Hessians of both
+    sides in x and y, their difference, the momentum pair rotated into
+    (n, t), then the projections on n and t."""
+    mesh = tb.mesh
+    ei = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
+    dens = _component_denominators(model, ubar, upt, mesh.areas)
+    inv_den = np.where(dens > 0, 1.0 / np.where(dens > 0, dens, 1.0), 0.0)
+    _, nt, nv = coef.shape
+    ne, nqe = len(ei), tb.nqe
+    grad = np.empty((2, 2, nv, nqe, ne))
+    hess = np.empty((2, 3, nv, nqe, ne))
+    by_var = nv_first(coef).reshape(nv, -1)
+    tris = mesh.edge_tris[ei]
+    local = _local_edges(mesh, tris, ei)
+    for s in range(2):
+        k = tris[:, s]
+        rot = ROTATE[local[:, s]].T
+        c = np.take(by_var, rot * nt + k, axis=1)
+        r = (tb.EDGE_DERIV_OP[s] @ c).reshape(nv, 5, nqe, ne)
+        g0 = mesh.grad_lambda[k, rot[0]].T
+        g1 = mesh.grad_lambda[k, rot[1]].T
+        for d in range(2):
+            grad[s, d] = g0[d] * r[:, 0] + g1[d] * r[:, 1]
+        for i, (d, e) in enumerate(((0, 0), (0, 1), (1, 1))):
+            hess[s, i] = (
+                g0[d] * g0[e] * r[:, 2]
+                + (g0[d] * g1[e] + g1[d] * g0[e]) * r[:, 3]
+                + g1[d] * g1[e] * r[:, 4]
+            )
+    nx, ny = mesh.edge_normal[ei].T
+
+    def rotate_momentum(j):
+        if nv == 1:
+            return j
+        out = j.copy()
+        out[:, 1] = nx * j[:, 1] + ny * j[:, 2]
+        out[:, 2] = -ny * j[:, 1] + nx * j[:, 2]
+        return out
+
+    jump1 = rotate_momentum(grad[0] - grad[1])
+    jump2 = rotate_momentum(hess[0] - hess[1])
+    d_n = nx * jump1[0] + ny * jump1[1]
+    d_t = -ny * jump1[0] + nx * jump1[1]
+    xx, xy, yy = jump2
+    d_nn = nx * nx * xx + 2.0 * nx * ny * xy + ny * ny * yy
+    d_nt = -nx * ny * xx + (nx * nx - ny * ny) * xy + nx * ny * yy
+    d_tt = ny * ny * xx - 2.0 * nx * ny * xy + nx * nx * yy
+    a1 = np.abs(d_n) + np.abs(d_t)
+    a2 = np.abs(d_nn) + np.abs(d_nt) + np.abs(d_tt)
+    S1 = np.einsum("q,vqe,v->ev", tb.wq_edge, a1, inv_den)
+    S2 = np.einsum("q,vqe,v->ev", tb.wq_edge, a2, inv_den)
+    ell = tb.EDGE_DIST[ei]
+    sig = (
+        c1 * ell[:, :, None] * S1[:, None, :]
+        + c2 * (ell**2)[:, :, None] * S2[:, None, :]
+    )
+    return ei, sig.max(axis=2)
+
+
+@pytest.mark.parametrize("nv", [1, 4])
+def test_damping_sigma_matches_the_xy_frame_formula(nv):
+    # Random P2 data, so that every derivative jump is of order one; the
+    # Euler case (nv = 4) also rotates the momentum pair.
+    mesh = rect_mesh((0.0, 1.0, 0.0, 1.0), 6, jitter=0.25, seed=10)
+    tb = Tables(mesh)
+    rng = np.random.default_rng(30 + nv)
+    scale = 10.0 ** np.arange(nv)
+    ubar = rng.random((mesh.num_tris, nv)) * scale
+    upt = rng.random((mesh.num_points, nv)) * scale
+    model = LinearAdvection((1.0, 0.3)) if nv == 1 else Euler()
+    coef = tb.coefficients(ubar, upt)
+    ei, sig = damping_sigma(tb, model, coef, ubar, upt, c1=0.9, c2=1.7)
+    ref_ei, ref = xy_frame_sigma(tb, model, coef, ubar, upt, c1=0.9, c2=1.7)
+    assert ei.tolist() == ref_ei.tolist() and sig.shape == ref.shape
+    assert ref.min() > 0
+    assert (np.abs(sig - ref) <= 1e-13 * ref).all()

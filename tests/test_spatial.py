@@ -156,8 +156,12 @@ def test_ho_residual_matches_per_element_tables(small_mesh, which):
 
 
 def test_edge_side_gradients_exact_on_quadratics(small_mesh):
-    # Quadratics lie in the element space, so both sides of every interior
-    # edge see the exact gradient and Hessian.
+    # Point values of quadratics q_v and averages of q_v + delta_K give
+    # u_h = q_v + delta_K b_K on element K, with b_K = 60 l_0 l_1 l_2 the
+    # shape of the average DoF.  Both sides see the exact q_v, whose jumps
+    # vanish.  On an edge where l_c = 0 the bubble has gradient
+    # 60 l_a l_b grad(l_c) and Hessian
+    # 60 (l_b sym(g_a, g_c) + l_a sym(g_b, g_c)), with sym(x, y) = x y^T + y x^T.
     mesh = small_mesh
     tb = Tables(mesh)
     # u_v = c0 + c1 x + c2 y + c3 x^2 + c4 x y + c5 y^2 for two variables v.
@@ -171,17 +175,37 @@ def test_edge_side_gradients_exact_on_quadratics(small_mesh):
         return c0 + c1 * x + c2 * y + c3 * x * x + c4 * x * y + c5 * y * y
 
     ubar, upt = initialize(tb, u)
-    edges = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
-    grad, hess = tb.edge_side_gradients(tb.coefficients(ubar, upt), edges)
-    x, y = tb.edge_points(edges).T  # (nqe, E)
-    _, c1, c2, c3, c4, c5 = c.T[:, :, None, None]  # (nv, 1, 1)
-    want_grad = np.stack([c1 + 2 * c3 * x + c4 * y, c2 + c4 * x + 2 * c5 * y])
-    want_hess = np.stack([2 * c3, c4, 2 * c5])
-    assert grad.shape == (2, 2, 2, tb.nqe, len(edges))
-    assert hess.shape == (2, 3, 2, tb.nqe, len(edges))
-    for s in range(2):
-        assert np.abs(grad[s] - want_grad).max() < 1e-11
-        assert np.abs(hess[s] - want_hess).max() < 1e-9
+    delta = np.random.default_rng(5).uniform(-0.01, 0.01, ubar.shape)
+    jump = tb.edge_side_gradients(tb.coefficients(ubar + delta, upt))
+    edges = tb.interior_edges
+    assert edges.tolist() == np.flatnonzero(mesh.edge_tris[:, 1] >= 0).tolist()
+    assert jump.shape == (5, 2, tb.nqe, len(edges))
+
+    t = tb.tq_edge
+    want = np.zeros_like(jump)
+    for i, e in enumerate(edges):
+        n = mesh.edge_normal[e]
+        frame = (n, np.array([-n[1], n[0]]))
+        for s, sign in ((0, 1.0), (1, -1.0)):
+            k = mesh.edge_tris[e, s]
+            a, b = (list(mesh.tris[k]).index(v) for v in mesh.edge_verts[e])
+            g = mesh.grad_lambda[k]
+            ga, gb, gc = g[a], g[b], g[3 - a - b]
+            # l_a = 1 - t and l_b = t at the points of the stored direction.
+            la, lb = 1.0 - t, t
+            first = [60.0 * la * lb * (d @ gc) for d in frame]
+            second = [
+                60.0 * (
+                    lb * ((d @ ga) * (w @ gc) + (d @ gc) * (w @ ga))
+                    + la * ((d @ gb) * (w @ gc) + (d @ gc) * (w @ gb))
+                )
+                for d, w in ((frame[0], frame[0]), frame, (frame[1], frame[1]))
+            ]
+            for row, val in enumerate(first + second):
+                want[row, :, :, i] += sign * delta[k][:, None] * val
+    assert np.abs(want[0]).max() > 0.1 and np.abs(want[2:4]).max() > 1.0
+    assert np.abs(jump[:2] - want[:2]).max() < 1e-11
+    assert np.abs(jump[2:] - want[2:]).max() < 1e-9
 
 
 def test_static_bytes_per_triangle():
