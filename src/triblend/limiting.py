@@ -8,13 +8,14 @@ Three ingredients keep the blended update inside the physical set:
   internal-energy constraint).
 
 * `damping_sigma` / `damping_theta` measure inter-element smoothness: for
-  every interior edge the first- and second-derivative jumps of u_h are
-  taken in the edge's (n, t) frame (one pass over the interior edges,
-  `Tables.edge_side_gradients`), averaged in frame-invariant directional
-  norms, scaled by global solution ranges, and folded into a per-element
-  factor theta_K = exp(-dt * rate) in (0, 1] that damps the high-order
-  deviation near discontinuities but is 1 - O(dt h) in smooth regions
-  (and exactly 1 on constants).
+  every interior edge the jumps of u_h's normal derivatives d_n, d_nn and
+  d_nt are taken in the edge's (n, t) frame (one pass over the interior
+  edges, `Tables.edge_side_gradients`; the tangential jumps vanish),
+  averaged in frame-invariant directional norms, scaled by global
+  solution ranges, and folded into a per-element factor
+  theta_K = exp(-dt * rate) in (0, 1] that damps the high-order deviation
+  near discontinuities but is 1 - O(dt h) in smooth regions (and exactly
+  1 on constants).
 
 * `blend_point_residuals` / `blend_average_fluxes` pick the final blend
   coefficients.  Point updates are written as convex combinations over the
@@ -23,8 +24,9 @@ Three ingredients keep the blended update inside the physical set:
   update bound-preserving by convexity no matter how the per-element
   residuals interact.  Average updates split into three per-edge
   sub-updates limited on both sides with a single shared eta, so the
-  blended flux stays conservative.  Without a domain the damping factor
-  alone sets the blend.
+  blended flux stays conservative; the candidates of both sides are one
+  set, limited by one call.  Without a domain the damping factor alone
+  sets the blend.
 """
 
 from __future__ import annotations
@@ -130,9 +132,9 @@ class IntervalDomain:
         self.lo = float(lo)
         self.hi = float(hi)
 
-    def contains(self, u, slack: float = 0.0):
+    def contains(self, u):
         v = u[..., 0]
-        return (v >= self.lo - slack) & (v <= self.hi + slack)
+        return (v >= self.lo) & (v <= self.hi)
 
     def max_blend(self, base, d):
         v = base[..., 0]
@@ -179,17 +181,11 @@ class GasDomain:
             u[..., 1] ** 2 + u[..., 2] ** 2
         )
 
-    def contains(self, u, slack: float = 0.0):
+    def contains(self, u):
         rho = u[..., 0]
-        gscale = (
-            np.abs(u[..., 0]) * (np.abs(u[..., 3]) + self.e_min)
-            + 0.5 * (u[..., 1] ** 2 + u[..., 2] ** 2)
-            + 1.0
-        )
+        g = self.g(u)  # +-inf or NaN for a non-finite state with rho in bounds
         return (
-            (rho >= self.rho_min * (1.0 - slack) - slack)
-            & (rho <= self.rho_max * (1.0 + slack))
-            & (self.g(u) >= -slack * gscale)
+            (rho >= self.rho_min) & (rho <= self.rho_max) & (g >= 0.0) & (g < np.inf)
         )
 
     def max_blend(self, base, d):
@@ -220,7 +216,7 @@ class GasDomain:
 # ---------------------------------------------------------------------------
 
 
-def _component_denominators(model, ubar, upt, areas):
+def _component_denominators(model, coef, areas):
     """Global L-inf deviation from the mesh mean per variable; 0 = inactive.
 
     The mean is the exact integral mean of u_h (the average DoFs integrate
@@ -229,18 +225,18 @@ def _component_denominators(model, ubar, upt, areas):
     the frame cannot change it.  A component whose deviation is at
     round-off level relative to max(1, |mean|) is flagged inactive.
     """
-    allv = np.concatenate([upt, ubar], axis=0)
-    mean = areas @ ubar / areas.sum()
-    dev = allv - mean
-    den = np.abs(dev).max(axis=0)
+    mean = areas @ coef[6] / areas.sum()
+    c = nv_first(coef)  # (nv, 7, NT): every point value and average
+    # Rounding is monotone: max |x - mean| = max(max x - mean, mean - min x).
+    den = np.maximum(c.max(axis=(1, 2)) - mean, mean - c.min(axis=(1, 2)))
     scale = np.maximum(1.0, np.abs(mean))
     if model.nvars == 4:
-        den[1:3] = np.hypot(dev[:, 1], dev[:, 2]).max()
+        den[1:3] = np.hypot(c[1] - mean[1], c[2] - mean[2]).max()
         scale[1:3] = max(1.0, float(np.hypot(mean[1], mean[2])))
     return np.where(den > 1e-12 * scale, den, 0.0)
 
 
-def damping_sigma(tables, model, coef, ubar, upt, c1=1.0, c2=1.0):
+def damping_sigma(tables, model, coef, c1=1.0, c2=1.0):
     """Normalized derivative-jump measure per interior edge and side.
 
     Returns (edge_ids, sigma) where sigma[i, s] >= 0 is the smoothness
@@ -249,24 +245,25 @@ def damping_sigma(tables, model, coef, ubar, upt, c1=1.0, c2=1.0):
 
         sigma = max_v (c1 * ell * S1_v + c2 * ell^2 * S2_v)
 
-    with ell the element's farthest distance to the edge and S1_v / S2_v
-    the edge-averaged absolute jumps of the first / second directional
-    derivatives of variable v, each divided by the variable's global
-    deviation.  Derivatives are taken along the edge normal and tangent
-    (`Tables.edge_side_gradients`) and the momentum components are rotated
-    into that frame, so the measure is invariant under rigid rotations; it
-    is also invariant under u -> a u + b by the normalization.  Inactive
+    with ell the element's farthest distance to the edge (`EDGE_DIST`)
+    and S1_v = |[d_n]|, S2_v = |[d_nn]| + |[d_nt]| the edge-averaged
+    absolute jumps of the derivatives of variable v along the edge normal
+    n and tangent t (`Tables.edge_side_gradients`; the tangential jumps
+    [d_t] and [d_tt] vanish), each divided by the variable's global
+    deviation.  The momentum components are rotated into the (n, t)
+    frame, so the measure is invariant under rigid rotations; it is also
+    invariant under u -> a u + b by the normalization.  Inactive
     (globally constant) components contribute 0.
     """
     ei = tables.interior_edges
     if len(ei) == 0:
         return ei, np.zeros((0, 2))
-    dens = _component_denominators(model, ubar, upt, tables.mesh.areas)
+    dens = _component_denominators(model, coef, tables.mesh.areas)
     if not np.any(dens > 0):
         return ei, np.zeros((len(ei), 2))
     inv_den = np.where(dens > 0, 1.0 / np.where(dens > 0, dens, 1.0), 0.0)
 
-    jump = tables.edge_side_gradients(coef)  # (5, nv, nqe, E)
+    jump = tables.edge_side_gradients(coef)  # (3, nv, nqe, E)
     if model.nvars > 1:
         # Momentum pair in the (n, t) frame, in place.
         nx, ny = np.take(tables.mesh.edge_normal, ei, axis=0).T
@@ -277,13 +274,11 @@ def damping_sigma(tables, model, coef, ubar, upt, c1=1.0, c2=1.0):
         my -= ny * mx
         mx[...] = mn
     a = np.abs(jump, out=jump)
-    a[0] += a[1]  # |d_n| + |d_t|
-    a[2] += a[3]  # |d_nn| + |d_nt| + |d_tt|
-    a[2] += a[4]
+    a[1] += a[2]  # |d_nn| + |d_nt|
     wq = tables.wq_edge
     S1 = (wq @ a[0]) * inv_den[:, None]  # (nv, E)
-    S2 = (wq @ a[2]) * inv_den[:, None]
-    ell = np.take(tables.EDGE_DIST, ei, axis=0).T  # (2, E)
+    S2 = (wq @ a[1]) * inv_den[:, None]
+    ell = tables.EDGE_DIST  # (2, E)
     w1, w2 = c1 * ell, c2 * (ell * ell)
     sig = w1 * S1[0] + w2 * S2[0]
     for v in range(1, len(S1)):
@@ -291,9 +286,7 @@ def damping_sigma(tables, model, coef, ubar, upt, c1=1.0, c2=1.0):
     return ei, sig.T
 
 
-def damping_theta(
-    tables, model, coef, ubar, upt, trace_u, trace_xy, dt, c1=1.0, c2=1.0
-):
+def damping_theta(tables, model, coef, trace_u, trace_xy, dt, c1=1.0, c2=1.0):
     """Per-element damping factor theta in (0, 1], from the edge traces
     and their positions that `HighOrder.interface_fluxes` returns.
 
@@ -304,7 +297,7 @@ def damping_theta(
     O(dt/ell), an order-one reduction per step.
     """
     mesh = tables.mesh
-    ei, sigma = damping_sigma(tables, model, coef, ubar, upt, c1=c1, c2=c2)
+    ei, sigma = damping_sigma(tables, model, coef, c1=c1, c2=c2)
     if len(ei) == 0 or not sigma.any():
         return np.ones(mesh.num_tris)
 
@@ -323,7 +316,7 @@ def damping_theta(
     # Sums over the edges of each element, side 0 then side 1, in edge
     # order; an element without interior edges keeps exp(-0) = 1.
     k = np.take(mesh.edge_tris, ei, axis=0).T.ravel()
-    rate = alpha * sigma.T / np.take(tables.EDGE_DIST, ei, axis=0).T
+    rate = alpha * sigma.T / tables.EDGE_DIST
     expo = np.bincount(k, weights=rate.ravel(), minlength=mesh.num_tris)
     n_int = np.bincount(k, minlength=mesh.num_tris)
     return np.exp(-dt * expo / np.maximum(n_int, 1))
@@ -380,48 +373,34 @@ def blend_average_fluxes(tables, domain, ubar, F_lo, F_ho, theta, dt):
     keeps the update conservative.  With domain None the blend is the
     damping alone: eta = min(theta_K, theta_L) on interior edges and
     theta_K on boundary edges.  Returns (F (NE, nv), eta (NE,), n_rescued).
+
+    Both sides' candidates form one (2, NE) set, s_{K,e} = +1 on side 0
+    and -1 on side 1, bounded by minima over the side axis; side 1 of a
+    boundary edge repeats side 0, so only the rescue count skips it.
     """
     mesh = tables.mesh
     interior = mesh.edge_tris[:, 1] >= 0
+    k = np.where(interior, mesh.edge_tris.T, mesh.edge_tris[:, 0])  # (2, NE)
     n_rescued = 0
     if domain is not None:
-        # Per side: the cell averages and the candidate step factors.
-        sides = []
-        for s, sign in ((0, 1.0), (1, -1.0)):
-            k = np.clip(mesh.edge_tris[:, s], 0, None)
-            sides.append((ubar[k], 3.0 * dt / mesh.areas[k] * sign))
-
+        ub = np.take(ubar, k, axis=0)  # (2, NE, nv)
+        sign = np.where(interior, [[1.0], [-1.0]], 1.0)
+        fac = 3.0 * dt / np.take(mesh.areas, k) * sign
+        c0 = ub - fac[..., None] * F_lo
         # Rescue pass: a shared scale on the low-order flux if a candidate
         # leaves the domain (CFL margin breach).
-        r = np.ones(len(F_lo))
-        for s, (ub, fac) in enumerate(sides):
-            c = ub - fac[:, None] * F_lo
-            ok = domain.contains(c)
-            if s == 1:
-                ok |= ~interior
-            bad = ~ok
-            if bad.any():
-                n_rescued += int(bad.sum())
-                eta_r = domain.max_blend(ub, c - ub)
-                r = np.minimum(r, np.where(bad, eta_r, 1.0))
+        bad = ~domain.contains(c0)
+        bad[1] &= interior
+        n_rescued = int(bad.sum())
         if n_rescued:
+            r = np.where(bad, domain.max_blend(ub, c0 - ub), 1.0).min(axis=0)
             F_lo = F_lo * r[:, None]
+            c0 = ub - fac[..., None] * F_lo
 
     dF = F_ho - F_lo
-    eta = np.ones(len(F_lo))
+    eta = np.take(theta, k).min(axis=0)
     if domain is not None:
-        for s, (ub, fac) in enumerate(sides):
-            c0 = ub - fac[:, None] * F_lo
-            eta_s = domain.max_blend(c0, -fac[:, None] * dF)
-            if s == 1:
-                eta_s = np.where(interior, eta_s, np.inf)
-            eta = np.minimum(eta, eta_s)
-    eta = np.minimum(eta, theta[mesh.edge_tris[:, 0]])
-    eta = np.minimum(
-        eta,
-        np.where(
-            interior, theta[np.clip(mesh.edge_tris[:, 1], 0, None)], np.inf
-        ),
-    )
+        eta_dom = domain.max_blend(c0, -fac[..., None] * dF)
+        eta = np.minimum(eta_dom.min(axis=0), eta)
     F = F_lo + eta[:, None] * dF
     return F, eta, n_rescued

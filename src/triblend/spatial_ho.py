@@ -156,10 +156,10 @@ class Tables:
     reference points map to each element and edge through `element_points`
     and `edge_points`.  Only connectivity and damping lengths are stored
     per edge, and no array has an element axis.  Per interior edge the
-    damping keeps the edge ids (`interior_edges`) and the local index of
-    the edge in each side's element (`edge_side_local`, int8); the normals
-    and barycentric gradients it contracts with come from the mesh at call
-    time.
+    damping keeps the edge ids (`interior_edges`) and, per side, the
+    edge's local index (`edge_side_local`, int8) and damping length
+    (`EDGE_DIST`); the normals and barycentric gradients it contracts
+    with come from the mesh at call time.
 
     Layout: element arrays are indexed (k, NT, ncomp), local axis first,
     element axis next, components last, and those with components are
@@ -240,25 +240,22 @@ class Tables:
             np.stack(comps, axis=1).reshape(2, 5 * self.nqe, 7)
         )
 
-        # Damping length sup_{x in K} dist(x, e) per edge side: the distance
-        # function to a segment is convex, so the sup sits at the vertex
-        # opposite the edge.  Side 1 of boundary edges holds garbage.
-        a = mesh.verts[mesh.edge_verts[:, 0]]
-        ab = mesh.verts[mesh.edge_verts[:, 1]] - a
+        # Damping, per interior edge: the edge ids, the local index of each
+        # in its side-s element and the length sup_{x in K} dist(x, e) of
+        # that element, both (2, E).  The distance function to a segment is
+        # convex, so the sup sits at the vertex opposite the edge.
+        ei = self.interior_edges = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
+        tris = mesh.edge_tris[ei]
+        local = _local_edges(mesh, tris, ei)
+        a = mesh.verts[mesh.edge_verts[ei, 0]]
+        ab = mesh.verts[mesh.edge_verts[ei, 1]] - a
         denom = np.einsum("ed,ed->e", ab, ab)
-        dist = np.empty((mesh.num_edges, 2))
-        tris = np.clip(mesh.edge_tris, 0, None)
-        local = _local_edges(mesh, tris, e)
+        self.EDGE_DIST = np.empty((2, len(ei)))
         for s in range(2):
             opp = mesh.verts[mesh.tris[tris[:, s], (local[:, s] + 2) % 3]]
             tpar = np.clip(np.einsum("ed,ed->e", opp - a, ab) / denom, 0.0, 1.0)
-            dist[:, s] = np.linalg.norm(opp - (a + tpar[:, None] * ab), axis=1)
-        self.EDGE_DIST = dist
-
-        # Damping connectivity: the interior edges, and the local index of
-        # each in its side-s element, (2, E).
-        self.interior_edges = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
-        self.edge_side_local = local[self.interior_edges].T.astype(np.int8)
+            self.EDGE_DIST[s] = np.linalg.norm(opp - (a + tpar[:, None] * ab), axis=1)
+        self.edge_side_local = local.T.astype(np.int8)
 
         # Element-DoF -> point scatter operator: row p has a unit entry in
         # column j NT + k for each (k, j) with tri_point_dofs[k, j] = p.
@@ -314,24 +311,26 @@ class Tables:
         )
 
     def edge_side_gradients(self, coef: np.ndarray) -> np.ndarray:
-        """Jumps of the first and second derivatives of u_h across the
-        interior edges, in each edge's (n, t) frame.
+        """Jumps of the normal derivatives of u_h across the interior
+        edges, in each edge's (n, t) frame.
 
-        Returns (5, nv, nqe, E) over `interior_edges`: the derivatives
-        (d_n, d_t, d_nn, d_nt, d_tt) along the unit normal n (out of side
-        0) and the tangent t = (-n_y, n_x), side 0 minus side 1, indexed by
+        Returns (3, nv, nqe, E) over `interior_edges`: the derivatives
+        (d_n, d_nn, d_nt) along the unit normal n (out of side 0) and the
+        tangent t = (-n_y, n_x), side 0 minus side 1, indexed by
         derivative, variable, quadrature point and edge; side s is element
-        edge_tris[e, s].  Each side's element is relabelled (ROTATE) so that
-        the edge is its local edge 0, which makes EDGE_DERIV_OP[s] one table
-        for all edges, and its reduced barycentric derivatives are
-        contracted with n . grad(lambda_a) and t . grad(lambda_a) of the
-        relabelled vertices a = 0, 1.
+        edge_tris[e, s].  The jumps of d_t and d_tt vanish and are not
+        formed: on an edge, u_h depends only on the edge's three point
+        DoFs, which both sides share.  Each side's element is relabelled
+        (ROTATE) so that the edge is its local edge 0, which makes
+        EDGE_DERIV_OP[s] one table for all edges, and its reduced
+        barycentric derivatives are contracted with n . grad(lambda_a) and
+        t . grad(lambda_a) of the relabelled vertices a = 0, 1.
         """
         mesh = self.mesh
         _, nt, nv = coef.shape
         edges = self.interior_edges
         ne = len(edges)
-        jump = np.empty((5, nv, self.nqe, ne))
+        jump = np.empty((3, nv, self.nqe, ne))
         # Column j of side s's relabelled element is column ROTATE[l, j] of
         # element k = edge_tris[e, s], l = edge_side_local[s, e]: entry
         # ROTATE[l, j] NT + k of the (nv, 7 NT) coefficient rows.
@@ -355,10 +354,8 @@ class Tables:
             # Coefficients of the reduced derivatives r[:, j] in each row.
             rows = (
                 ((0, n0), (1, n1)),
-                ((0, t0), (1, t1)),
                 ((2, n0 * n0), (3, 2.0 * n0 * n1), (4, n1 * n1)),
                 ((2, n0 * t0), (3, n0 * t1 + n1 * t0), (4, n1 * t1)),
-                ((2, t0 * t0), (3, 2.0 * t0 * t1), (4, t1 * t1)),
             )
             for out, terms in zip(jump, rows):
                 if s == 0:

@@ -122,7 +122,7 @@ class LowOrder:
             contrib[:, SLOT_SUB[:, 0], SLOT_CORNER[:, 0]]
             + contrib[:, SLOT_SUB[:, 1], SLOT_CORNER[:, 1]]
         )  # (nv, 6 local dofs, NT)
-        Phi /= mesh.point_area[mesh.tri_point_dofs.T]
+        Phi /= np.take(mesh.point_area, mesh.tri_point_dofs.T)
         return nv_last(Phi)
 
     def compute(self, coef, t) -> LOResult:

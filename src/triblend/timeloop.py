@@ -204,8 +204,6 @@ class Stepper:
                     self.tables,
                     self.model,
                     coef,
-                    ubar,
-                    upt,
                     ho.trace_u,
                     ho.trace_xy,
                     dt,

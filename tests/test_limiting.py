@@ -57,7 +57,6 @@ def test_interval_domain_basics():
     dom = IntervalDomain(0.0, 1.0)
     assert dom.contains(np.array([0.5]))
     assert not dom.contains(np.array([-0.1]))
-    assert dom.contains(np.array([-1e-10]), slack=1e-9)
     # blend from the middle toward an overshoot: eta = room / step
     eta = dom.max_blend(np.array([0.5]), np.array([1.0]))
     assert abs(eta - 0.5) < 1e-12
@@ -127,7 +126,7 @@ def test_gas_max_blend_matches_bisection(seed):
         eta = float(dom.max_blend(base, d))
         ref = bisect_eta(dom, base, d)
         assert abs(eta - ref) < 1e-10, (base, d)
-        assert dom.contains(base + eta * d, slack=1e-9)
+        assert dom.contains(base + eta * d)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +312,155 @@ def test_gas_max_blend_bitwise():
     assert_bitwise(dom.max_blend(b3, d3), reference_gas_max_blend(dom, b3, d3))
 
 
+def reference_interval_contains(dom, u):
+    """The interval predicate as it was with its tolerance `slack` = 0."""
+    slack = 0.0
+    v = u[..., 0]
+    return (v >= dom.lo - slack) & (v <= dom.hi + slack)
+
+
+def reference_gas_contains(dom, u):
+    """The gas predicate as it was with its tolerance `slack` = 0: it
+    rejected a non-finite state only through -0 * inf = NaN."""
+    slack = 0.0
+    rho = u[..., 0]
+    gscale = (
+        np.abs(u[..., 0]) * (np.abs(u[..., 3]) + dom.e_min)
+        + 0.5 * (u[..., 1] ** 2 + u[..., 2] ** 2)
+        + 1.0
+    )
+    return (
+        (rho >= dom.rho_min * (1.0 - slack) - slack)
+        & (rho <= dom.rho_max * (1.0 + slack))
+        & (dom.g(u) >= -slack * gscale)
+    )
+
+
+@adversarial
+def test_contains_bitwise_on_special_values():
+    v = SPECIAL[:, None]
+    for lo, hi in [(0.0, 1.0), (-np.inf, 2.0), (0.5, np.inf)]:
+        dom = IntervalDomain(lo, hi)
+        assert_bitwise(dom.contains(v), reference_interval_contains(dom, v))
+    # All 19^4 states over the special values and +-1e200, whose products
+    # overflow: E = +inf, NaN and overflowing energies are inadmissible.
+    vals = np.concatenate([SPECIAL, [1e200, -1e200]])
+    u = np.stack(np.meshgrid(*[vals] * 4, indexing="ij"), -1).reshape(-1, 4)
+    dom = GasDomain()
+    got = dom.contains(u)
+    assert_bitwise(got, reference_gas_contains(dom, u))
+    assert got.any() and not got[~np.isfinite(u).all(axis=1)].any()
+    assert not dom.contains(np.array([1.0, 0.0, 0.0, np.inf]))
+
+
+def reference_blend_average_fluxes(tables, domain, ubar, F_lo, F_ho, theta, dt):
+    """The edge blend side by side, as it was before the two sides became
+    one candidate set."""
+    mesh = tables.mesh
+    interior = mesh.edge_tris[:, 1] >= 0
+    n_rescued = 0
+    if domain is not None:
+        sides = []
+        for s, sign in ((0, 1.0), (1, -1.0)):
+            k = np.clip(mesh.edge_tris[:, s], 0, None)
+            sides.append((ubar[k], 3.0 * dt / mesh.areas[k] * sign))
+        r = np.ones(len(F_lo))
+        for s, (ub, fac) in enumerate(sides):
+            c = ub - fac[:, None] * F_lo
+            ok = domain.contains(c)
+            if s == 1:
+                ok |= ~interior
+            bad = ~ok
+            if bad.any():
+                n_rescued += int(bad.sum())
+                eta_r = domain.max_blend(ub, c - ub)
+                r = np.minimum(r, np.where(bad, eta_r, 1.0))
+        if n_rescued:
+            F_lo = F_lo * r[:, None]
+    dF = F_ho - F_lo
+    eta = np.ones(len(F_lo))
+    if domain is not None:
+        for s, (ub, fac) in enumerate(sides):
+            c0 = ub - fac[:, None] * F_lo
+            eta_s = domain.max_blend(c0, -fac[:, None] * dF)
+            if s == 1:
+                eta_s = np.where(interior, eta_s, np.inf)
+            eta = np.minimum(eta, eta_s)
+    eta = np.minimum(eta, theta[mesh.edge_tris[:, 0]])
+    eta = np.minimum(
+        eta,
+        np.where(
+            interior, theta[np.clip(mesh.edge_tris[:, 1], 0, None)], np.inf
+        ),
+    )
+    F = F_lo + eta[:, None] * dF
+    return F, eta, n_rescued
+
+
+def _rescued_sides(tb, domain, ubar, F_lo, dt):
+    """Per edge, whether the low-order candidate of each side leaves the
+    domain: (2, NE), side 1 of boundary edges False."""
+    mesh = tb.mesh
+    bad = np.zeros((2, mesh.num_edges), dtype=bool)
+    for s, sign in ((0, 1.0), (1, -1.0)):
+        k = mesh.edge_tris[:, s]
+        keep = k >= 0
+        fac = sign * 3.0 * dt / mesh.areas[k[keep]]
+        bad[s, keep] = ~domain.contains(ubar[k[keep]] - fac[:, None] * F_lo[keep])
+    return bad
+
+
+@pytest.mark.parametrize("case", ["interval", "gas", "none", "no-rescue"])
+def test_blend_average_fluxes_bitwise_per_side_reference(case):
+    mesh = rect_mesh((0.0, 1.0, 0.0, 1.0), 8, jitter=0.25, seed=3)
+    tb = Tables(mesh)
+    rng = np.random.default_rng(50)
+    ne = mesh.num_edges
+    dt = mesh.areas.mean() / 3.0
+    theta = rng.uniform(0.2, 1.0, mesh.num_tris)
+    theta[::5] = 1.0
+    mag = 10.0 ** rng.uniform(-2, 1, (ne, 1))
+    if case == "gas":
+        model = Euler()
+        n = mesh.num_tris
+        ubar = model.conserved(
+            rng.uniform(0.5, 2.0, n),
+            rng.uniform(-1, 1, n),
+            rng.uniform(-1, 1, n),
+            rng.uniform(0.5, 2.0, n),
+        )
+        F_lo = rng.normal(size=(ne, 4)) * mag
+        domain = GasDomain()
+    else:
+        ubar = rng.uniform(0.0, 1.0, (mesh.num_tris, 1))
+        ubar[::7] = 1.0  # on the bound
+        F_lo = rng.normal(size=(ne, 1)) * mag
+        if case == "no-rescue":
+            ubar = 0.25 + 0.5 * ubar
+            F_lo *= 1e-2
+        domain = None if case == "none" else IntervalDomain(0.0, 1.0)
+    F_ho = F_lo + rng.normal(size=F_lo.shape) * 10.0 ** rng.uniform(-2, 1, (ne, 1))
+
+    got = blend_average_fluxes(tb, domain, ubar, F_lo, F_ho, theta, dt)
+    want = reference_blend_average_fluxes(tb, domain, ubar, F_lo, F_ho, theta, dt)
+    assert_bitwise(got[0], want[0])
+    assert_bitwise(got[1], want[1])
+    assert got[2] == want[2]
+    if domain is not None:
+        # The domain, not only the damping, limits some edges.
+        damped = blend_average_fluxes(tb, None, ubar, F_lo, F_ho, theta, dt)[1]
+        assert (got[1] < damped).any()
+    if case in ("interval", "gas"):
+        # Rescues on one side only, on both sides, and on boundary edges.
+        bad = _rescued_sides(tb, domain, ubar, F_lo, dt)
+        boundary = mesh.edge_tris[:, 1] < 0
+        assert got[2] == bad.sum()
+        assert (bad[0] ^ bad[1])[~boundary].any()
+        assert (bad[0] & bad[1]).any() and bad[0, boundary].any()
+    else:
+        assert got[2] == 0
+
+
 # ---------------------------------------------------------------------------
 # blending keeps the update in the domain no matter the high-order input
 # ---------------------------------------------------------------------------
@@ -401,7 +549,7 @@ def _theta_for(mesh, model, ubar, upt, dt=1e-3):
     coef = tb.coefficients(ubar, upt)
     trace = tb.N1D @ upt[tb.edge_dofs]
     xy = tb.edge_points(slice(None))
-    return damping_theta(tb, model, coef, ubar, upt, trace, xy, dt)
+    return damping_theta(tb, model, coef, trace, xy, dt)
 
 
 def test_damping_is_one_on_constants():
@@ -488,16 +636,16 @@ def test_damping_theta_is_the_mean_edge_rate_per_element():
     trace = tb.N1D @ upt[tb.edge_dofs]
     xy = tb.edge_points(slice(None))
     dt = 1e-2
-    theta = damping_theta(tb, model, coef, ubar, upt, trace, xy, dt)
+    theta = damping_theta(tb, model, coef, trace, xy, dt)
 
-    ei, sig = damping_sigma(tb, model, coef, ubar, upt)
+    ei, sig = damping_sigma(tb, model, coef)
     expo = np.zeros(mesh.num_tris)
     count = np.zeros(mesh.num_tris)
     for s in range(2):
         for i, e in enumerate(ei):
             alpha = model.max_wavespeed(trace[e], mesh.edge_normal[e], xy[e]).max()
             k = mesh.edge_tris[e, s]
-            expo[k] += alpha * sig[i, s] / tb.EDGE_DIST[e, s]
+            expo[k] += alpha * sig[i, s] / tb.EDGE_DIST[s, i]
             count[k] += 1.0
     assert (count > 0).all() and (count < 3).any()
     want = np.exp(-dt * expo / count)
@@ -509,12 +657,13 @@ def test_damping_on_a_mesh_without_interior_edges():
     mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.2, 0.9]]), np.array([[0, 1, 2]]))
     tb = Tables(mesh)
     assert len(tb.interior_edges) == 0 and tb.edge_side_local.shape == (2, 0)
+    assert tb.EDGE_DIST.shape == (2, 0)
     model = LinearAdvection((1.0, 0.3))
     rng = np.random.default_rng(4)
     ubar, upt = rng.random((1, 1)), rng.random((mesh.num_points, 1))
     coef = tb.coefficients(ubar, upt)
-    assert tb.edge_side_gradients(coef).shape == (5, 1, tb.nqe, 0)
-    ei, sig = damping_sigma(tb, model, coef, ubar, upt)
+    assert tb.edge_side_gradients(coef).shape == (3, 1, tb.nqe, 0)
+    ei, sig = damping_sigma(tb, model, coef)
     assert ei.shape == (0,) and sig.shape == (0, 2)
     assert _theta_for(mesh, model, ubar, upt).tolist() == [1.0]
 
@@ -548,7 +697,7 @@ def test_damping_sigma_scale_and_shift_invariance():
     def sig(ub, up):
         tb = Tables(mesh)
         coef = tb.coefficients(ub, up)
-        return damping_sigma(tb, model, coef, ub, up)[1]
+        return damping_sigma(tb, model, coef)[1]
 
     s0 = sig(ubar, upt)
     scale = s0.max()
@@ -579,7 +728,7 @@ def test_damping_sigma_zero_for_global_quadratic():
     ubar = quad(mids).mean(axis=1)
     tb = Tables(mesh)
     coef = tb.coefficients(ubar, upt)
-    _, sig = damping_sigma(tb, model, coef, ubar, upt)
+    _, sig = damping_sigma(tb, model, coef)
     assert sig.max() < 1e-12
 
 
@@ -611,7 +760,7 @@ def test_damping_sigma_matches_symbolic_oracle():
     tb = Tables(mesh)
     coef = tb.coefficients(ubar, upt)
     model = LinearAdvection((1.0, 0.0))
-    ei, sig = damping_sigma(tb, model, coef, ubar, upt, c1=c1, c2=c2)
+    ei, sig = damping_sigma(tb, model, coef, c1=c1, c2=c2)
     assert len(ei) == 1
     e = ei[0]
     assert sorted(mesh.edge_verts[e]) == [0, 2]
@@ -685,14 +834,28 @@ def test_damping_sigma_matches_symbolic_oracle():
         assert abs(sig[0, s] - expected) < 1e-12 * max(1.0, expected)
 
 
-def xy_frame_sigma(tb, model, coef, ubar, upt, c1=1.0, c2=1.0):
-    """sigma by way of the x, y frame: the gradients and Hessians of both
-    sides in x and y, their difference, the momentum pair rotated into
-    (n, t), then the projections on n and t."""
+def reference_denominators(model, ubar, upt, areas):
+    """The denominators of the damping from the concatenated point values
+    and averages, as `_component_denominators` computed them before it
+    read them from the coefficient block."""
+    allv = np.concatenate([upt, ubar], axis=0)
+    mean = areas @ ubar / areas.sum()
+    dev = allv - mean
+    den = np.abs(dev).max(axis=0)
+    scale = np.maximum(1.0, np.abs(mean))
+    if model.nvars == 4:
+        den[1:3] = np.hypot(dev[:, 1], dev[:, 2]).max()
+        scale[1:3] = max(1.0, float(np.hypot(mean[1], mean[2])))
+    return np.where(den > 1e-12 * scale, den, 0.0)
+
+
+def xy_frame_jumps(tb, coef):
+    """The jumps (d_n, d_t, d_nn, d_nt, d_tt) over the interior edges by
+    way of the x, y frame: the gradients and Hessians of both sides in x
+    and y, their difference, then the projections on n and t.  Returns
+    (edge ids, (5, nv, nqe, E)); no momentum rotation."""
     mesh = tb.mesh
     ei = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
-    dens = _component_denominators(model, ubar, upt, mesh.areas)
-    inv_den = np.where(dens > 0, 1.0 / np.where(dens > 0, dens, 1.0), 0.0)
     _, nt, nv = coef.shape
     ne, nqe = len(ei), tb.nqe
     grad = np.empty((2, 2, nv, nqe, ne))
@@ -716,28 +879,33 @@ def xy_frame_sigma(tb, model, coef, ubar, upt, c1=1.0, c2=1.0):
                 + g1[d] * g1[e] * r[:, 4]
             )
     nx, ny = mesh.edge_normal[ei].T
+    gx, gy = grad[0] - grad[1]
+    xx, xy, yy = hess[0] - hess[1]
+    return ei, np.stack([
+        nx * gx + ny * gy,
+        -ny * gx + nx * gy,
+        nx * nx * xx + 2.0 * nx * ny * xy + ny * ny * yy,
+        -nx * ny * xx + (nx * nx - ny * ny) * xy + nx * ny * yy,
+        ny * ny * xx - 2.0 * nx * ny * xy + nx * nx * yy,
+    ])
 
-    def rotate_momentum(j):
-        if nv == 1:
-            return j
-        out = j.copy()
-        out[:, 1] = nx * j[:, 1] + ny * j[:, 2]
-        out[:, 2] = -ny * j[:, 1] + nx * j[:, 2]
-        return out
 
-    jump1 = rotate_momentum(grad[0] - grad[1])
-    jump2 = rotate_momentum(hess[0] - hess[1])
-    d_n = nx * jump1[0] + ny * jump1[1]
-    d_t = -ny * jump1[0] + nx * jump1[1]
-    xx, xy, yy = jump2
-    d_nn = nx * nx * xx + 2.0 * nx * ny * xy + ny * ny * yy
-    d_nt = -nx * ny * xx + (nx * nx - ny * ny) * xy + nx * ny * yy
-    d_tt = ny * ny * xx - 2.0 * nx * ny * xy + nx * nx * yy
-    a1 = np.abs(d_n) + np.abs(d_t)
-    a2 = np.abs(d_nn) + np.abs(d_nt) + np.abs(d_tt)
-    S1 = np.einsum("q,vqe,v->ev", tb.wq_edge, a1, inv_den)
-    S2 = np.einsum("q,vqe,v->ev", tb.wq_edge, a2, inv_den)
-    ell = tb.EDGE_DIST[ei]
+def xy_frame_sigma(tb, model, coef, ubar, upt, c1=1.0, c2=1.0):
+    """sigma from `xy_frame_jumps` with the momentum pair rotated into
+    (n, t), all five jumps and the concatenating denominators."""
+    mesh = tb.mesh
+    ei, jump = xy_frame_jumps(tb, coef)
+    dens = reference_denominators(model, ubar, upt, mesh.areas)
+    inv_den = np.where(dens > 0, 1.0 / np.where(dens > 0, dens, 1.0), 0.0)
+    if model.nvars > 1:
+        nx, ny = mesh.edge_normal[ei].T
+        mx, my = jump[:, 1].copy(), jump[:, 2].copy()
+        jump[:, 1] = nx * mx + ny * my
+        jump[:, 2] = -ny * mx + nx * my
+    d_n, d_t, d_nn, d_nt, d_tt = np.abs(jump)
+    S1 = np.einsum("q,vqe,v->ev", tb.wq_edge, d_n + d_t, inv_den)
+    S2 = np.einsum("q,vqe,v->ev", tb.wq_edge, d_nn + d_nt + d_tt, inv_den)
+    ell = tb.EDGE_DIST.T
     sig = (
         c1 * ell[:, :, None] * S1[:, None, :]
         + c2 * (ell**2)[:, :, None] * S2[:, None, :]
@@ -757,8 +925,54 @@ def test_damping_sigma_matches_the_xy_frame_formula(nv):
     upt = rng.random((mesh.num_points, nv)) * scale
     model = LinearAdvection((1.0, 0.3)) if nv == 1 else Euler()
     coef = tb.coefficients(ubar, upt)
-    ei, sig = damping_sigma(tb, model, coef, ubar, upt, c1=0.9, c2=1.7)
+    ei, sig = damping_sigma(tb, model, coef, c1=0.9, c2=1.7)
     ref_ei, ref = xy_frame_sigma(tb, model, coef, ubar, upt, c1=0.9, c2=1.7)
     assert ei.tolist() == ref_ei.tolist() and sig.shape == ref.shape
     assert ref.min() > 0
     assert (np.abs(sig - ref) <= 1e-13 * ref).all()
+    # The denominators from the coefficient block are the concatenating
+    # ones to round-off in the mean.
+    dens = _component_denominators(model, coef, mesh.areas)
+    want = reference_denominators(model, ubar, upt, mesh.areas)
+    assert (np.abs(dens - want) <= 1e-15 * want).all()
+
+
+@pytest.mark.parametrize("nv", [1, 4])
+def test_tangential_jumps_vanish(nv):
+    # On an edge u_h depends only on the three point DoFs of the edge,
+    # which both sides share, so [d_t] and [d_tt] are round-off while the
+    # normal jumps are of order one; those are the rows of
+    # `edge_side_gradients`.
+    mesh = rect_mesh((0.0, 1.0, 0.0, 1.0), 6, jitter=0.25, seed=11)
+    tb = Tables(mesh)
+    rng = np.random.default_rng(40 + nv)
+    coef = tb.coefficients(
+        rng.random((mesh.num_tris, nv)), rng.random((mesh.num_points, nv))
+    )
+    ei, jump = xy_frame_jumps(tb, coef)
+    d_n, d_t, d_nn, d_nt, d_tt = np.abs(jump).max(axis=(1, 2, 3))
+    assert min(d_n, d_nn, d_nt) > 1.0
+    assert d_t < 1e-12 * d_n and d_tt < 1e-12 * d_nn
+    got = tb.edge_side_gradients(coef)
+    assert ei.tolist() == tb.interior_edges.tolist()
+    for row, want in zip(got, jump[[0, 2, 3]]):
+        assert np.abs(row - want).max() < 1e-12 * np.abs(want).max()
+
+
+def test_edge_dist_is_the_all_edge_formula_on_interior_edges():
+    # The damping lengths, computed per interior edge and side, are the
+    # bits of the formula evaluated over every edge.
+    mesh = rect_mesh((0.0, 1.0, 0.0, 1.0), 6, jitter=0.25, seed=12)
+    tb = Tables(mesh)
+    a = mesh.verts[mesh.edge_verts[:, 0]]
+    ab = mesh.verts[mesh.edge_verts[:, 1]] - a
+    denom = np.einsum("ed,ed->e", ab, ab)
+    tris = np.clip(mesh.edge_tris, 0, None)
+    local = _local_edges(mesh, tris, np.arange(mesh.num_edges))
+    want = np.empty((2, mesh.num_edges))
+    for s in range(2):
+        opp = mesh.verts[mesh.tris[tris[:, s], (local[:, s] + 2) % 3]]
+        tpar = np.clip(np.einsum("ed,ed->e", opp - a, ab) / denom, 0.0, 1.0)
+        want[s] = np.linalg.norm(opp - (a + tpar[:, None] * ab), axis=1)
+    assert_bitwise(tb.EDGE_DIST, want[:, tb.interior_edges])
+    assert_bitwise(tb.edge_side_local, local[tb.interior_edges].T.astype(np.int8))

@@ -219,7 +219,7 @@ def test_full_mode_without_domain_blends_by_theta_bitwise():
     coef = tb.coefficients(ubar, upt)
     ho = stepper.ho.compute(coef, upt, 0.0)
     lo = stepper.lo.compute(coef, 0.0)
-    th = damping_theta(tb, model, coef, ubar, upt, ho.trace_u, ho.trace_xy, dt)
+    th = damping_theta(tb, model, coef, ho.trace_u, ho.trace_xy, dt)
     assert th.min() < 1.0  # the discontinuous data must engage the damping
     b = lo.Phi_pt + th[:, None] * (ho.Wpt - lo.Phi_pt)
     k0, k1 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
