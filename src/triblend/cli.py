@@ -80,8 +80,6 @@ def _resolve_boundaries(problem, model, cfg):
                     "no far-field state to inflow"
                 )
             bcs[name] = ff
-        elif role == "none":
-            bcs.pop(name, None)
     return bcs
 
 

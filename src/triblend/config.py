@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .exceptions import ConfigError
 
 _MODES = ("ho", "lo", "bp", "full")
-_ROLES = ("wall", "outflow", "inflow", "farfield", "none")
+_ROLES = ("wall", "outflow", "inflow", "farfield")
 
 
 @dataclass

@@ -18,15 +18,13 @@ Three ingredients keep the blended update inside the physical set:
   1 on constants).
 
 * `blend_point_residuals` / `blend_average_fluxes` pick the final blend
-  coefficients.  Point updates are written as convex combinations over the
-  owning elements with weights s_K = (|K|/9) / |C_sigma|; each element's
-  amplified candidate is limited separately, which makes the blended point
-  update bound-preserving by convexity no matter how the per-element
-  residuals interact.  Average updates split into three per-edge
-  sub-updates limited on both sides with a single shared eta, so the
-  blended flux stays conservative; the candidates of both sides are one
-  set, limited by one call.  Without a domain the damping factor alone
-  sets the blend.
+  coefficients through one kernel, `_limit_candidates`.  Point updates are
+  convex combinations over the owning elements with weights
+  s_K = (|K|/9) / |C_sigma|, and each element's amplified candidate is
+  limited, so the point update is bound-preserving whatever the residuals.
+  Average updates split into per-edge sub-updates whose candidates on both
+  sides of the edge share one eta, so the blended flux stays conservative.
+  Without a domain the damping factor alone sets the blend.
 """
 
 from __future__ import annotations
@@ -123,6 +121,14 @@ def _verified_eta(domain, base, d, eta):
     return np.where(bad, 0.0, eta)
 
 
+def _blend_tail(domain, base, d, eta, infeasible):
+    """The end of `max_blend`: eta scaled, capped at 1, 0 where infeasible."""
+    eta *= _SAFETY
+    np.minimum(eta, 1.0, out=eta)
+    np.copyto(eta, 0.0, where=infeasible)
+    return _verified_eta(domain, base, d, eta)
+
+
 class IntervalDomain:
     """Scalar invariant interval [lo, hi] (either side may be infinite)."""
 
@@ -141,12 +147,7 @@ class IntervalDomain:
         dv = d[..., 0]
         eta = _linear_bound(v - self.lo, -dv)
         np.minimum(eta, _linear_bound(self.hi - v, dv), out=eta)
-        eta *= _SAFETY
-        np.minimum(eta, 1.0, out=eta)
-        infeasible = v < self.lo
-        infeasible |= v > self.hi
-        np.copyto(eta, 0.0, where=infeasible)
-        return _verified_eta(self, base, d, eta)
+        return _blend_tail(self, base, d, eta, (v < self.lo) | (v > self.hi))
 
 
 class GasDomain:
@@ -164,17 +165,15 @@ class GasDomain:
     def __init__(self, rho_min=1e-10, p_min=1e-10, gamma=1.4, rho_max=1e10):
         self.rho_min = float(rho_min)
         self.p_min = float(p_min)
+        self.gamma = float(gamma)
         self.rho_max = float(rho_max)
-        self.e_min = float(p_min) / (gamma - 1.0)
+        self.e_min = self.p_min / (self.gamma - 1.0)
 
     def scaled(self, factor: float) -> "GasDomain":
         """Same set with floors multiplied by `factor` (enforcement margin)."""
-        g = GasDomain.__new__(GasDomain)
-        g.rho_min = self.rho_min * factor
-        g.p_min = self.p_min * factor
-        g.rho_max = self.rho_max
-        g.e_min = self.e_min * factor
-        return g
+        return GasDomain(
+            self.rho_min * factor, self.p_min * factor, self.gamma, self.rho_max
+        )
 
     def g(self, u):
         return u[..., 0] * (u[..., 3] - self.e_min) - 0.5 * (
@@ -202,13 +201,8 @@ class GasDomain:
         a = drho * d[..., 3]
         a -= 0.5 * (d[..., 1] ** 2 + d[..., 2] ** 2)
         np.minimum(eta, _largest_root_bound(a, b, c), out=eta)
-        eta *= _SAFETY
-        np.minimum(eta, 1.0, out=eta)
-        infeasible = rho < self.rho_min
-        infeasible |= rho > self.rho_max
-        infeasible |= c < 0
-        np.copyto(eta, 0.0, where=infeasible)
-        return _verified_eta(self, base, d, eta)
+        infeasible = (rho < self.rho_min) | (rho > self.rho_max) | (c < 0)
+        return _blend_tail(self, base, d, eta, infeasible)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +321,38 @@ def damping_theta(tables, model, coef, trace_u, trace_xy, dt, c1=1.0, c2=1.0):
 # ---------------------------------------------------------------------------
 
 
+def _limit_candidates(domain, base, lam, F_lo, F_ho, cap, counted=True):
+    """Limit the candidates base - lam F of S sides, base (S, ..., nv) and
+    lam (S, ...), for an update F between F_lo and F_ho (..., nv).
+
+    Where a low-order candidate leaves `domain` (a breach of the CFL
+    margin), F_lo is first scaled by its largest admissible blend; only
+    these candidates, those that `counted` keeps, are blended, gathered by
+    index.  Then eta <= cap is the largest blend towards F_ho.  Bounds
+    combine by the minimum over the sides.  Returns (F_lo + eta (F_ho -
+    F_lo), eta, n_rescued); without a domain eta is the cap.
+    """
+    n_rescued = 0
+    if domain is not None:
+        step = lam[..., None]
+        c0 = base - step * F_lo
+        bad = ~domain.contains(c0) & counted
+        idx = np.nonzero(bad)
+        n_rescued = len(idx[0])
+        if n_rescued:
+            ub = base[idx]
+            r = np.ones(bad.shape)
+            r[idx] = domain.max_blend(ub, c0[idx] - ub)
+            F_lo = F_lo * r.min(axis=0)[..., None]
+            c0 = base - step * F_lo
+
+    dF = F_ho - F_lo
+    eta = cap
+    if domain is not None:
+        eta = np.minimum(domain.max_blend(c0, -step * dF).min(axis=0), eta)
+    return F_lo + eta[..., None] * dF, eta, n_rescued
+
+
 def blend_point_residuals(tables, domain, u_loc, Phi_lo, Wpt, theta, dt):
     """Blend low/high point residuals per (element, local DoF).
 
@@ -334,34 +360,17 @@ def blend_point_residuals(tables, domain, u_loc, Phi_lo, Wpt, theta, dt):
     residuals are laid out alike (see `Tables`).  Returns (b (6, NT, nv),
     eta (6, NT), n_rescued) with the final update u' = u - dt * sum_K b_K
     guaranteed inside `domain` (up to round-off) whenever the DoF states
-    already are.  With domain None the blend is the damping alone,
-    eta = theta_K.
+    already are.  Its candidates u - (dt / s_K) b_K are one side of
+    `_limit_candidates`; with domain None, eta = theta_K.
     """
-    n_rescued = 0
-    if domain is not None:
-        mesh = tables.mesh
-        # (6, NT) convex weights s_K, C-ordered like the residual blocks,
-        # so that the candidates and steps given to the domain are too.
-        share = (mesh.areas / 9.0) / np.take(
-            mesh.point_area, mesh.tri_point_dofs.T
-        )
-        lam = dt / share  # amplified step per element candidate
-
-        c0 = u_loc - lam[..., None] * Phi_lo
-        ok0 = domain.contains(c0)
-        n_rescued = int((~ok0).sum())
-        if n_rescued:
-            r = np.where(ok0, 1.0, domain.max_blend(u_loc, c0 - u_loc))
-            Phi_lo = Phi_lo * r[..., None]
-            c0 = u_loc - lam[..., None] * Phi_lo
-
-    dW = Wpt - Phi_lo
-    eta = theta
-    if domain is not None:
-        eta = np.minimum(domain.max_blend(c0, -lam[..., None] * dW), eta)
-    eta = np.broadcast_to(eta, dW.shape[:2])
-    b = Phi_lo + eta[..., None] * dW
-    return b, eta, n_rescued
+    mesh = tables.mesh
+    # (6, NT) convex weights s_K, C-ordered like the residual blocks,
+    # so that the candidates and steps given to the domain are too.
+    share = (mesh.areas / 9.0) / np.take(mesh.point_area, mesh.tri_point_dofs.T)
+    return _limit_candidates(
+        domain, u_loc[None], (dt / share)[None], Phi_lo, Wpt,
+        np.broadcast_to(theta, share.shape),
+    )
 
 
 def blend_average_fluxes(tables, domain, ubar, F_lo, F_ho, theta, dt):
@@ -374,33 +383,15 @@ def blend_average_fluxes(tables, domain, ubar, F_lo, F_ho, theta, dt):
     damping alone: eta = min(theta_K, theta_L) on interior edges and
     theta_K on boundary edges.  Returns (F (NE, nv), eta (NE,), n_rescued).
 
-    Both sides' candidates form one (2, NE) set, s_{K,e} = +1 on side 0
-    and -1 on side 1, bounded by minima over the side axis; side 1 of a
-    boundary edge repeats side 0, so only the rescue count skips it.
+    Both sides' candidates are the sides of `_limit_candidates`, (2, NE)
+    with s_{K,e} = +1 on side 0 and -1 on side 1.  Side 1 of a boundary
+    edge repeats side 0; the rescue count keeps only the edge's own sides.
     """
     mesh = tables.mesh
     interior = mesh.edge_tris[:, 1] >= 0
     k = np.where(interior, mesh.edge_tris.T, mesh.edge_tris[:, 0])  # (2, NE)
-    n_rescued = 0
-    if domain is not None:
-        ub = np.take(ubar, k, axis=0)  # (2, NE, nv)
-        sign = np.where(interior, [[1.0], [-1.0]], 1.0)
-        fac = 3.0 * dt / np.take(mesh.areas, k) * sign
-        c0 = ub - fac[..., None] * F_lo
-        # Rescue pass: a shared scale on the low-order flux if a candidate
-        # leaves the domain (CFL margin breach).
-        bad = ~domain.contains(c0)
-        bad[1] &= interior
-        n_rescued = int(bad.sum())
-        if n_rescued:
-            r = np.where(bad, domain.max_blend(ub, c0 - ub), 1.0).min(axis=0)
-            F_lo = F_lo * r[:, None]
-            c0 = ub - fac[..., None] * F_lo
-
-    dF = F_ho - F_lo
-    eta = np.take(theta, k).min(axis=0)
-    if domain is not None:
-        eta_dom = domain.max_blend(c0, -fac[..., None] * dF)
-        eta = np.minimum(eta_dom.min(axis=0), eta)
-    F = F_lo + eta[:, None] * dF
-    return F, eta, n_rescued
+    sign = np.where(interior, [[1.0], [-1.0]], 1.0)
+    return _limit_candidates(
+        domain, np.take(ubar, k, axis=0), 3.0 * dt / np.take(mesh.areas, k) * sign,
+        F_lo, F_ho, np.take(theta, k).min(axis=0), k == mesh.edge_tris.T,
+    )

@@ -197,8 +197,8 @@ class Euler:
         l0,3 = (b2 +/- un / c, -(b1 v +/- n / c), b1) / 2,
 
     b1 = (gamma - 1) / c^2, b2 = b1 |v|^2 / 2 and l_i . r_j = delta_ij.
-    `sign_jac_normal` builds this form entry by entry, and
-    `flux_normal_split` uses its closed-form action on u.
+    `sign_jac_normal` builds this form entry by entry, `flux_normal_split`
+    uses its closed-form action on u, and `jac_apply` differentiates `flux`.
     Where f is equal on all three eigenvalues, as the sign at supersonic
     states, f(A) is exactly f(un) I.
     """
@@ -318,45 +318,28 @@ class Euler:
         return self._matrix_function(u, n, _eigen_signs)
 
     def jac_apply(self, u, w, xy=None):
-        """A_x(u) w_x + A_y(u) w_y for gradient-like w (..., 4, 2)."""
-        g = self.gamma
+        """A_x(u) w_x + A_y(u) w_y for gradient-like w (..., 4, 2).
+
+        The derivative of `flux` along w_d, summed over the directions d.
+        With dp_d = (gamma - 1)(w_E,d - v . w_m,d + |v|^2 w_rho,d / 2), the
+        derivative of the pressure, and D = sum_d (w_m_d,d - v_d w_rho,d),
+        rho times that of the velocity's divergence, it is
+
+            (sum_d w_m_d,d,  sum_d v_d w_m,d + v D + (dp_x, dp_y),
+             sum_d v_d (w_E,d + dp_d) + H D).
+        """
         rho, vx, vy, p = self.primitives(u)
-        q2 = vx**2 + vy**2
-        phi2 = 0.5 * (g - 1.0) * q2
         H = (u[..., 3] + p) / rho
-        wx = w[..., 0]
-        wy = w[..., 1]
+        g1, k = self.gamma - 1.0, 0.5 * (vx**2 + vy**2)
+        wx, wy = w[..., 0], w[..., 1]
+        dpx = g1 * (wx[..., 3] - vx * wx[..., 1] - vy * wx[..., 2] + k * wx[..., 0])
+        dpy = g1 * (wy[..., 3] - vx * wy[..., 1] - vy * wy[..., 2] + k * wy[..., 0])
+        D = wx[..., 1] - vx * wx[..., 0] + wy[..., 2] - vy * wy[..., 0]
         out = np.empty_like(wx)
-        # x-direction Jacobian applied to wx
-        out[..., 0] = wx[..., 1]
-        out[..., 1] = (
-            (phi2 - vx**2) * wx[..., 0]
-            + (3.0 - g) * vx * wx[..., 1]
-            - (g - 1.0) * vy * wx[..., 2]
-            + (g - 1.0) * wx[..., 3]
-        )
-        out[..., 2] = -vx * vy * wx[..., 0] + vy * wx[..., 1] + vx * wx[..., 2]
-        out[..., 3] = (
-            vx * (phi2 - H) * wx[..., 0]
-            + (H - (g - 1.0) * vx**2) * wx[..., 1]
-            - (g - 1.0) * vx * vy * wx[..., 2]
-            + g * vx * wx[..., 3]
-        )
-        # y-direction Jacobian applied to wy
-        out[..., 0] += wy[..., 2]
-        out[..., 1] += -vx * vy * wy[..., 0] + vy * wy[..., 1] + vx * wy[..., 2]
-        out[..., 2] += (
-            (phi2 - vy**2) * wy[..., 0]
-            - (g - 1.0) * vx * wy[..., 1]
-            + (3.0 - g) * vy * wy[..., 2]
-            + (g - 1.0) * wy[..., 3]
-        )
-        out[..., 3] += (
-            vy * (phi2 - H) * wy[..., 0]
-            - (g - 1.0) * vx * vy * wy[..., 1]
-            + (H - (g - 1.0) * vy**2) * wy[..., 2]
-            + g * vy * wy[..., 3]
-        )
+        out[..., 0] = wx[..., 1] + wy[..., 2]
+        out[..., 1] = vx * wx[..., 1] + vy * wy[..., 1] + vx * D + dpx
+        out[..., 2] = vx * wx[..., 2] + vy * wy[..., 2] + vy * D + dpy
+        out[..., 3] = vx * (wx[..., 3] + dpx) + vy * (wy[..., 3] + dpy) + H * D
         return out
 
     def flux_normal_split(self, u, n, side: int, xy=None):

@@ -200,11 +200,6 @@ class Tables:
         self.N1D = np.stack(
             [(1 - t) * (1 - 2 * t), t * (2 * t - 1), 4 * t * (1 - t)], axis=1
         )  # (nqe, 3)
-        nv = len(mesh.verts)
-        e = np.arange(mesh.num_edges)
-        self.edge_dofs = np.stack(
-            [mesh.edge_verts[:, 0], mesh.edge_verts[:, 1], nv + e], axis=1
-        )
 
         # Basis (and derivative) tables on each local edge for both
         # orientations: index [o, l] with o = 0 when the element traverses the
@@ -429,7 +424,9 @@ class HighOrder:
         """Single-valued edge fluxes: (fluxhat (NE, nqe, nv), trace, xy, rescued)."""
         tb = self.t
         mesh = tb.mesh
-        edge_u = np.take(upt, tb.edge_dofs, axis=0)  # (NE, 3, nv)
+        edge_u = np.empty((mesh.num_edges, 3, upt.shape[-1]))  # a, b, midpoint
+        edge_u[:, :2] = np.take(upt, mesh.edge_verts, axis=0)
+        edge_u[:, 2] = upt[len(mesh.verts):]
         trace = tb.N1D @ edge_u
         # Edge-local rescue reference: the mean of the three edge DoFs (all
         # admissible), keeping the trace single-valued between the two sides.

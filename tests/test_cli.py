@@ -65,7 +65,7 @@ def test_unlimited_mode_on_shock_data_exits_3(tmp_path, capsys):
 
 
 def test_unmapped_boundary_name_exits_2(tmp_path, capsys):
-    # Dropping the wall leaves its edges without a condition.
+    # No role leaves a boundary without a condition: `none` is not one.
     cfg = write_cfg(
         tmp_path,
         "[run]\nproblem = free-stream\nmesh_n = 4\n"
@@ -73,6 +73,7 @@ def test_unmapped_boundary_name_exits_2(tmp_path, capsys):
         "[boundary]\nwall = none\n",
     )
     assert main(["run", cfg]) == 2
+    assert "boundary role for 'wall' must be one of" in capsys.readouterr().err
 
 
 def test_boundary_override_of_a_missing_name_exits_2(tmp_path, capsys):

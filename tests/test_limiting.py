@@ -19,7 +19,7 @@ from triblend.limiting import (
 )
 from triblend.mesh import Mesh
 from triblend.meshgen import rect_mesh
-from triblend.models import Euler, LinearAdvection, nv_first
+from triblend.models import Euler, LinearAdvection, nv_first, nv_last
 from triblend.spatial_ho import ROTATE, Tables, _local_edges
 from triblend.spatial_lo import LowOrder
 from triblend.timeloop import Stepper, initialize
@@ -410,8 +410,11 @@ def _rescued_sides(tb, domain, ubar, F_lo, dt):
     return bad
 
 
-@pytest.mark.parametrize("case", ["interval", "gas", "none", "no-rescue"])
-def test_blend_average_fluxes_bitwise_per_side_reference(case):
+def edge_blend_inputs(case):
+    """(tables, domain, ubar, F_lo, F_ho, theta, dt) of an edge blend whose
+    low-order candidates leave the domain on one side, on both sides and
+    on boundary edges ("interval", "gas"), or that needs no rescue
+    ("none" without a domain, "no-rescue")."""
     mesh = rect_mesh((0.0, 1.0, 0.0, 1.0), 8, jitter=0.25, seed=3)
     tb = Tables(mesh)
     rng = np.random.default_rng(50)
@@ -440,7 +443,13 @@ def test_blend_average_fluxes_bitwise_per_side_reference(case):
             F_lo *= 1e-2
         domain = None if case == "none" else IntervalDomain(0.0, 1.0)
     F_ho = F_lo + rng.normal(size=F_lo.shape) * 10.0 ** rng.uniform(-2, 1, (ne, 1))
+    return tb, domain, ubar, F_lo, F_ho, theta, dt
 
+
+@pytest.mark.parametrize("case", ["interval", "gas", "none", "no-rescue"])
+def test_blend_average_fluxes_bitwise_per_side_reference(case):
+    tb, domain, ubar, F_lo, F_ho, theta, dt = edge_blend_inputs(case)
+    mesh = tb.mesh
     got = blend_average_fluxes(tb, domain, ubar, F_lo, F_ho, theta, dt)
     want = reference_blend_average_fluxes(tb, domain, ubar, F_lo, F_ho, theta, dt)
     assert_bitwise(got[0], want[0])
@@ -459,6 +468,127 @@ def test_blend_average_fluxes_bitwise_per_side_reference(case):
         assert (bad[0] & bad[1]).any() and bad[0, boundary].any()
     else:
         assert got[2] == 0
+
+
+def reference_blend_point_residuals(tables, domain, u_loc, Phi_lo, Wpt, theta, dt):
+    """The point blend as it was before points and edges shared one
+    candidate kernel: its rescue blends every candidate."""
+    n_rescued = 0
+    if domain is not None:
+        mesh = tables.mesh
+        share = (mesh.areas / 9.0) / np.take(
+            mesh.point_area, mesh.tri_point_dofs.T
+        )
+        lam = dt / share
+        c0 = u_loc - lam[..., None] * Phi_lo
+        ok0 = domain.contains(c0)
+        n_rescued = int((~ok0).sum())
+        if n_rescued:
+            r = np.where(ok0, 1.0, domain.max_blend(u_loc, c0 - u_loc))
+            Phi_lo = Phi_lo * r[..., None]
+            c0 = u_loc - lam[..., None] * Phi_lo
+    dW = Wpt - Phi_lo
+    eta = theta
+    if domain is not None:
+        eta = np.minimum(domain.max_blend(c0, -lam[..., None] * dW), eta)
+    eta = np.broadcast_to(eta, dW.shape[:2])
+    b = Phi_lo + eta[..., None] * dW
+    return b, eta, n_rescued
+
+
+def point_blend_inputs(case):
+    """(tables, domain, u_loc, Phi_lo, Wpt, theta, dt) of a point blend
+    whose low-order candidates leave the domain ("interval" on data that
+    touch the bounds, "gas" with Euler states) or that has no domain
+    ("none").  u_loc is component-major, as the stepper passes it."""
+    mesh = rect_mesh((0.0, 1.0, 0.0, 1.0), 8, jitter=0.25, seed=3)
+    tb = Tables(mesh)
+    rng = np.random.default_rng(51)
+    nt = mesh.num_tris
+    dt = mesh.areas.mean() / 3.0
+    theta = rng.uniform(0.2, 1.0, nt)
+    theta[::5] = 1.0
+    if case == "gas":
+        model = Euler()
+        # Densities and pressures down to 1e-3, near the floors of the
+        # amplified point candidates.
+        ubar, upt = (
+            model.conserved(
+                10.0 ** rng.uniform(-3, 0.3, n),
+                rng.uniform(-1, 1, n),
+                rng.uniform(-1, 1, n),
+                10.0 ** rng.uniform(-3, 0.3, n),
+            )
+            for n in (nt, mesh.num_points)
+        )
+        domain = GasDomain()
+    else:
+        ubar = rng.uniform(0.0, 1.0, (nt, 1))
+        upt = rng.uniform(0.0, 1.0, (mesh.num_points, 1))
+        upt[::7] = 1.0  # on the upper bound
+        upt[3::7] = 0.0  # on the lower bound
+        domain = None if case == "none" else IntervalDomain(0.0, 1.0)
+    u_loc = tb.coefficients(ubar, upt)[:6]
+    nv = u_loc.shape[-1]
+    Phi_lo = nv_last(rng.normal(size=(nv, 6, nt))) * 10.0 ** rng.uniform(
+        -2, 1, (6, nt, 1)
+    )
+    Wpt = Phi_lo + rng.normal(size=Phi_lo.shape) * 10.0 ** rng.uniform(
+        -2, 1, (6, nt, 1)
+    )
+    return tb, domain, u_loc, Phi_lo, Wpt, theta, dt
+
+
+@pytest.mark.parametrize("case", ["interval", "gas", "none"])
+def test_blend_point_residuals_bitwise_reference(case):
+    args = point_blend_inputs(case)
+    got = blend_point_residuals(*args)
+    want = reference_blend_point_residuals(*args)
+    assert_bitwise(got[0], want[0])
+    assert_bitwise(got[1], want[1])
+    assert got[2] == want[2]
+    theta = args[5]
+    if case == "none":
+        assert got[2] == 0
+        assert_bitwise(got[1], np.broadcast_to(theta, got[1].shape))
+    else:
+        # Rescued points, and points that the domain, not the damping, limits.
+        assert got[2] > 0
+        assert (got[1] < theta).any()
+
+
+class RecordingDomain:
+    """A domain that records how many states each `max_blend` call gets."""
+
+    def __init__(self, domain):
+        self.domain = domain
+        self.sizes = []
+
+    def contains(self, u):
+        return self.domain.contains(u)
+
+    def max_blend(self, base, d):
+        self.sizes.append(base[..., 0].size)
+        return self.domain.max_blend(base, d)
+
+
+@pytest.mark.parametrize("kind", ["points", "edges"])
+def test_rescue_blends_only_the_offending_candidates(kind):
+    # The rescue blend gets the rescued candidates, gathered; the blend
+    # towards the high order gets every candidate.
+    inputs, blend = {
+        "points": (point_blend_inputs, blend_point_residuals),
+        "edges": (edge_blend_inputs, blend_average_fluxes),
+    }[kind]
+    tb, domain, base, F_lo, F_ho, theta, dt = inputs("interval")
+    rec = RecordingDomain(domain)
+    got = blend(tb, rec, base, F_lo, F_ho, theta, dt)
+    want = blend(tb, domain, base, F_lo, F_ho, theta, dt)
+    for g, w in zip(got[:2], want[:2]):
+        assert_bitwise(g, w)
+    n_candidates = 6 * tb.mesh.num_tris if kind == "points" else 2 * tb.mesh.num_edges
+    assert 0 < got[2] < n_candidates
+    assert rec.sizes == [got[2], n_candidates]
 
 
 # ---------------------------------------------------------------------------
@@ -544,10 +674,17 @@ def test_blended_flux_is_conservative_across_edges():
 # ---------------------------------------------------------------------------
 
 
+def edge_traces(tb, upt):
+    """The P2 traces on the edges from their vertex and midpoint values."""
+    mesh = tb.mesh
+    mid = len(mesh.verts) + np.arange(mesh.num_edges)
+    return tb.N1D @ upt[np.column_stack([mesh.edge_verts, mid])]
+
+
 def _theta_for(mesh, model, ubar, upt, dt=1e-3):
     tb = Tables(mesh)
     coef = tb.coefficients(ubar, upt)
-    trace = tb.N1D @ upt[tb.edge_dofs]
+    trace = edge_traces(tb, upt)
     xy = tb.edge_points(slice(None))
     return damping_theta(tb, model, coef, trace, xy, dt)
 
@@ -633,7 +770,7 @@ def test_damping_theta_is_the_mean_edge_rate_per_element():
     upt = rng.random((mesh.num_points, 1))
     tb = Tables(mesh)
     coef = tb.coefficients(ubar, upt)
-    trace = tb.N1D @ upt[tb.edge_dofs]
+    trace = edge_traces(tb, upt)
     xy = tb.edge_points(slice(None))
     dt = 1e-2
     theta = damping_theta(tb, model, coef, trace, xy, dt)

@@ -297,6 +297,68 @@ def test_euler_jac_apply_matches_normal_jacobian():
     assert np.allclose(got, want, rtol=1e-11, atol=1e-11)
 
 
+def reference_jac_apply(m, u, w):
+    """A_x(u) w_x + A_y(u) w_y with the 32 entries of A_x and A_y written
+    out, as `Euler.jac_apply` had them before it derived them from `flux`."""
+    g = m.gamma
+    rho, vx, vy, p = m.primitives(u)
+    q2 = vx**2 + vy**2
+    phi2 = 0.5 * (g - 1.0) * q2
+    H = (u[..., 3] + p) / rho
+    wx = w[..., 0]
+    wy = w[..., 1]
+    out = np.empty_like(wx)
+    out[..., 0] = wx[..., 1]
+    out[..., 1] = (
+        (phi2 - vx**2) * wx[..., 0]
+        + (3.0 - g) * vx * wx[..., 1]
+        - (g - 1.0) * vy * wx[..., 2]
+        + (g - 1.0) * wx[..., 3]
+    )
+    out[..., 2] = -vx * vy * wx[..., 0] + vy * wx[..., 1] + vx * wx[..., 2]
+    out[..., 3] = (
+        vx * (phi2 - H) * wx[..., 0]
+        + (H - (g - 1.0) * vx**2) * wx[..., 1]
+        - (g - 1.0) * vx * vy * wx[..., 2]
+        + g * vx * wx[..., 3]
+    )
+    out[..., 0] += wy[..., 2]
+    out[..., 1] += -vx * vy * wy[..., 0] + vy * wy[..., 1] + vx * wy[..., 2]
+    out[..., 2] += (
+        (phi2 - vy**2) * wy[..., 0]
+        - (g - 1.0) * vx * wy[..., 1]
+        + (3.0 - g) * vy * wy[..., 2]
+        + (g - 1.0) * wy[..., 3]
+    )
+    out[..., 3] += (
+        vy * (phi2 - H) * wy[..., 0]
+        - (g - 1.0) * vx * vy * wy[..., 1]
+        + (H - (g - 1.0) * vy**2) * wy[..., 2]
+        + g * vy * wy[..., 3]
+    )
+    return out
+
+
+def test_euler_jac_apply_matches_the_expanded_jacobians():
+    # In the component-major layout that `LowOrder.point_residuals` passes:
+    # states (4, 6, NT) and gradients (4, 2, 6, NT) under nv-last views.
+    m = Euler()
+    shape = (6, 500)
+    u = m.conserved(
+        10.0 ** RNG.uniform(-2, 1, shape),
+        3.0 * RNG.standard_normal(shape),
+        3.0 * RNG.standard_normal(shape),
+        10.0 ** RNG.uniform(-2, 2, shape),
+    )
+    u = np.moveaxis(np.ascontiguousarray(np.moveaxis(u, -1, 0)), 0, -1)
+    w = RNG.standard_normal((4, 2) + shape) * 10.0 ** RNG.uniform(-2, 2, shape)
+    w = np.moveaxis(w, (0, 1), (-2, -1))
+    got = m.jac_apply(u, w)
+    want = reference_jac_apply(m, u, w)
+    scale = np.abs(want).max(axis=(0, 1))
+    assert (np.abs(got - want).max(axis=(0, 1)) <= 1e-14 * scale).all()
+
+
 def test_scalar_jac_apply():
     adv = LinearAdvection(np.array([2.0, -3.0]))
     xy = RNG.random((7, 2))
