@@ -14,12 +14,18 @@ upwind weight matrices omega_{K, sigma}.
 The weights combine the matrix signs of the directional Jacobians seen by
 the point from each element:
 
-    omega_{K,sigma} = (sum_K' (sign(A_n) + eps_K' I))^-1 (sign(A_n) + eps_K I)
+    omega_{K,sigma} = (sum_K' N_K')^-1 N_K,   N_K = (I + sign(A_n)) / 2 + eps_K I
 
 with n the inward unit normal of the opposite edge (vertex DoFs) or the
-outward unit normal of the containing edge (midpoint DoFs).  At interior
-edge midpoints the two signs cancel exactly and the formula degenerates;
-whenever the combined matrix is near singular or the resulting weights are
+outward unit normal of the containing edge (midpoint DoFs).  The two
+elements K, L of an interior edge see its midpoint through opposite
+normals, and sign(A_{-n}) = -sign(A_n): negating n negates the
+eigenvalues of A_n and keeps its eigenvectors, and every model forms the
+sign so that this holds bit for bit.  The patch sum there is therefore
+(1 + eps_K + eps_L) I, and the weights take the closed form
+N_K / (1 + eps_K + eps_L); a boundary midpoint has one element, and its
+weight is I.  Only the vertex patch sums are inverted.  Whenever a vertex
+patch sum is near singular, or a point's weights are not finite or are
 large, all weights of that point fall back to the arithmetic 1/N -- the
 partition-of-unity property sum_K omega_{K,sigma} = I holds in either
 branch.
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .basis import POINT_DOF_BARY, basis_grad_bary, basis_hess_bary
+from .basis import basis_grad_bary, basis_hess_bary
 from .basis import basis_values, projection_matrix
 from .mesh import Mesh
 from .models import component_major, diagonal_view, nv_first, nv_last
@@ -121,24 +127,27 @@ def _inverse(A: np.ndarray):
             a20 * s3 - a21 * s1 + a22 * s0,
         ])
         nonsingular = det != 0.0
-        X.reshape(m, 16)[nonsingular] = (
-            adj.T[nonsingular] / det[nonsingular, None]
-        )
+        X.reshape(m, 16)[...] = np.divide(
+            adj, det, out=np.zeros_like(adj), where=nonsingular
+        ).T
     else:
         raise ValueError(f"closed-form inverse needs nv = 1 or 4, not {nv}")
     for _ in range(2):
-        X += X @ (np.eye(nv) - A @ X)
+        R = A @ X
+        np.negative(R, out=R)
+        diag = diagonal_view(R)
+        diag += 1.0  # R = I - A X
+        X += X @ R
     return X, nonsingular
 
 
 def _dof_normals(mesh: Mesh) -> np.ndarray:
-    """Unit normals of the upwind weights, (6, NT, 2) component-major: the
-    inward normals grad(lambda) / |grad(lambda)| opposite each vertex, then
-    the outward normals of the edges that hold the midpoints."""
+    """Unit normals of the upwind weights at the vertex DoFs, (3, NT, 2)
+    component-major: the inward normals grad(lambda) / |grad(lambda)|
+    opposite each vertex.  The midpoint DoFs use `mesh.edge_normal`."""
     gl = mesh.grad_lambda.T  # (2, 3, NT)
-    n = np.empty((2, 6, mesh.num_tris))
-    np.divide(gl, np.sqrt(gl[0] * gl[0] + gl[1] * gl[1]), out=n[:, :3])
-    n[:, 3:] = mesh.outward_normal().T
+    n = np.empty(gl.shape)
+    np.divide(gl, np.sqrt(gl[0] * gl[0] + gl[1] * gl[1]), out=n)
     return nv_last(n)
 
 
@@ -239,7 +248,8 @@ class Tables:
         # in its side-s element and the length sup_{x in K} dist(x, e) of
         # that element, both (2, E).  The distance function to a segment is
         # convex, so the sup sits at the vertex opposite the edge.
-        ei = self.interior_edges = np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
+        ei = np.flatnonzero(mesh.edge_tris[:, 1] >= 0).astype(np.int32)
+        self.interior_edges = ei
         tris = mesh.edge_tris[ei]
         local = _local_edges(mesh, tris, ei)
         a = mesh.verts[mesh.edge_verts[ei, 0]]
@@ -267,6 +277,14 @@ class Tables:
         cols = (by_elem.indices % 6) * nt + by_elem.indices // 6
         self.point_scatter = sparse.csr_array(
             (by_elem.data, cols, by_elem.indptr), shape=by_elem.shape
+        )
+        # The vertex rows come first and read only the vertex DoFs, the
+        # first 3 NT columns: their operator is a view of the same arrays.
+        nvert = len(mesh.verts)
+        m = self.point_scatter.indptr[nvert]
+        self.vertex_scatter = sparse.csr_array(
+            (by_elem.data[:m], cols[:m], self.point_scatter.indptr[: nvert + 1]),
+            shape=(nvert, 3 * nt),
         )
 
     # -- geometry and state helpers --------------------------------------------
@@ -299,11 +317,13 @@ class Tables:
         return nv_last(coef)
 
     def point_sums(self, x: np.ndarray) -> np.ndarray:
-        """Sum element point-DoF values (6, NT, ...) per point: (NP, ...)."""
-        flat = x.reshape(6 * self.mesh.num_tris, -1)
-        return (self.point_scatter @ flat).reshape(
-            (self.mesh.num_points,) + x.shape[2:]
-        )
+        """Sum element point-DoF values (6, NT, ...) per point: (NP, ...).
+        The vertex-DoF values alone, (3, NT, ...), give the sums at the
+        vertices, (NV, ...).  Element-major x (C order) is read without a
+        copy."""
+        op = self.point_scatter if len(x) == 6 else self.vertex_scatter
+        flat = x.reshape(op.shape[1], -1)
+        return (op @ flat).reshape(op.shape[:1] + x.shape[2:])
 
     def edge_side_gradients(self, coef: np.ndarray) -> np.ndarray:
         """Jumps of the normal derivatives of u_h across the interior
@@ -461,21 +481,28 @@ class HighOrder:
         leaving, 1/2 on parallel ones) plus the regularization.  The final
         weights normalize the patch sum: omega_K = (sum_K' N_K')^{-1} N_K.
         The projector form keeps the construction usable as eps_K -> 0
-        under refinement: a midpoint's two candidates use opposite normals,
-        so the bare sign matrices cancel in the sum, while the projector
-        halves are complementary and sum to Id wherever the flow crosses
-        the edge (and the degenerate edge-parallel case regularizes to the
-        central 1/2 weight).  It also reproduces the classic
-        one-dimensional upwind point update across an edge: weight Id on
-        the upwind side and 0 on the downwind side for supersonic crossings.
+        under refinement, and it reproduces the classic one-dimensional
+        upwind point update across an edge: weight Id on the upwind side
+        and 0 on the downwind side for supersonic crossings.
 
-        The patch sums, and the spread of a too-large weight to every
-        element of its point, go through `Tables.point_scatter`, the sparse
-        element-DoF -> point operator with unit entries, so they add in the
-        order np.add.at would.  Patch sums that are not finite fall back
-        before any inversion.  The others are inverted in closed form and
-        refined by two Newton steps (`_inverse`, no LAPACK call); exactly
-        singular ones fall back as well.
+        Edge midpoints take the closed form (see the module docstring):
+        with S_e the sign matrix along `mesh.edge_normal`, which points out
+        of side 0 (K) into side 1 (L),
+
+            omega_K = ((Id + S_e) / 2 + eps_K Id) / (1 + eps_K + eps_L),
+            omega_L = ((Id - S_e) / 2 + eps_L Id) / (1 + eps_K + eps_L),
+
+        and a boundary midpoint's weight is Id.  Only the vertex patch sums
+        go through `Tables.point_sums` and are inverted, in closed form and
+        refined by two Newton steps (`_inverse`, no LAPACK call).  One sign
+        evaluation covers the 3 NT vertex DoFs and the NE edge midpoints.
+
+        All weights of a point fall back to Id / N when one of them is not
+        finite (a non-finite sign) or exceeds OMEGA_CAP in Frobenius norm,
+        and at a vertex also when the patch sum is not finite, exactly
+        singular or has a condition number above COND_CAP.  A boundary
+        midpoint with a non-finite sign counts as a fallback; its weight is
+        Id either way.
 
         The weights depend on the state only through the sign matrices.
         For a model with `static_signs` (linear advection in a fixed
@@ -487,38 +514,89 @@ class HighOrder:
         tb = self.t
         mesh = tb.mesh
         _, nt, nv = u_loc.shape
+        ne = mesh.num_edges
+        eye = np.eye(nv)
+        # Each edge's midpoint state from its side-0 element, the one that
+        # traverses it forward, at local DoF 3 + l: flat index l NT + k of
+        # the (3 NT) midpoint DoFs.
+        side1 = mesh.tri_edge_orient.T < 0  # (3, NT)
+        mid = np.empty(ne, dtype=np.intp)
+        mid[mesh.tri_edges.T[~side1]] = np.flatnonzero(~side1)
+        ucm = nv_first(u_loc)  # (nv, 6, NT)
+
+        def vertices_then_edges(vert, edge):
+            """(3 NT + NE, c) view of a component-major block of the
+            vertex-DoF values vert (c, 3, NT) followed by edge (c, NE)."""
+            return nv_last(np.concatenate([vert.reshape(len(vert), -1), edge], axis=1))
+
         S = self.model.sign_jac_normal(
-            u_loc, _dof_normals(mesh), tb.element_points(POINT_DOF_BARY)
+            vertices_then_edges(
+                ucm[:, :3], np.take(ucm[:, 3:].reshape(nv, -1), mid, axis=1)
+            ),
+            vertices_then_edges(nv_first(_dof_normals(mesh)), mesh.edge_normal.T),
+            vertices_then_edges(
+                np.take(mesh.verts.T, mesh.tris.T, axis=1), mesh.edge_mid.T
+            ),
         )
-        # Seps = 0.5 (S + I) + eps_K I, formed in place on the fresh sign
-        # matrices (the diagonal takes + 0.5, then + eps_K, as that sum does).
-        Seps = np.multiply(S, 0.5, out=S)
-        diag = diagonal_view(Seps)
+        eps = 0.5 * mesh.areas
+
+        # Vertices.  N_K = S / 2 + (1/2 + eps_K) Id, element-major (C order),
+        # the layout `point_sums` reads without a copy.
+        Nv = np.multiply(
+            S[: 3 * nt].reshape(3, nt, nv, nv), 0.5, out=np.empty((3, nt, nv, nv))
+        )
+        diag = diagonal_view(Nv)
         diag += 0.5
-        diag += 0.5 * mesh.areas[:, None]
-        total = tb.point_sums(Seps)
-        # Invert per point; patch sums that are not finite or exactly
-        # singular go straight to the fallback.
+        diag += eps[:, None]
+        total = tb.point_sums(Nv)  # (NV, nv, nv)
+        # Patch sums that are not finite or exactly singular go straight to
+        # the fallback.
         ok = np.isfinite(total).all(axis=(1, 2))
         A = total[ok]
         X, nonsingular = _inverse(A)
         inv = np.zeros_like(total)
         inv[ok] = X
         cond = _frobenius(A.T) * _frobenius(X.T)
-        bad_pt = ~ok
-        bad_pt[ok] = ~nonsingular | ~np.isfinite(cond) | (cond > COND_CAP)
-        # omega = inv[sigma] Seps, written component-major (nv, nv, 6, NT).
-        dofs = mesh.tri_point_dofs.T  # (6, NT)
+        bad_v = ~ok
+        bad_v[ok] = ~nonsingular | ~np.isfinite(cond) | (cond > COND_CAP)
         omega = component_major((6, nt), nv, nv)
-        np.matmul(np.take(inv, dofs, axis=0), Seps, out=omega)
-        norms = _frobenius(omega.transpose(2, 3, 0, 1))  # (6, NT)
+        om = omega.transpose(2, 3, 0, 1)  # (nv, nv, 6, NT), C-contiguous
+        om[:, :, :3] = (np.take(inv, mesh.tris.T, axis=0) @ Nv).transpose(2, 3, 0, 1)
+        norms = _frobenius(om[:, :, :3])  # (3, NT)
         big = ~np.isfinite(norms) | (norms > OMEGA_CAP)
-        bad_pt |= tb.point_sums(big.astype(float)) > 0.0
-        fb = bad_pt[dofs]  # (6, NT)
+        bad_v |= tb.point_sums(big.astype(float)) > 0.0
+        fb = bad_v[mesh.tris.T]  # (3, NT)
         if fb.any():
-            count = np.diff(tb.point_scatter.indptr)[dofs[fb]]
-            omega[fb] = np.eye(nv) / count[:, None, None]
-        result = (omega, int(bad_pt.sum()))
+            count = np.diff(tb.point_scatter.indptr)[mesh.tris.T[fb]]
+            omega[:3][fb] = eye / count[:, None, None]
+
+        # Edge midpoints in closed form, side s of every edge in W[s].
+        k = mesh.edge_tris.T  # (2, NE); -1 where there is no side 1
+        e_side = np.where(k >= 0, eps[k], 0.0)
+        W = component_major((2, ne), nv, nv)
+        np.multiply(S[3 * nt:], 0.5, out=W[0])
+        np.multiply(S[3 * nt:], -0.5, out=W[1])
+        diag = diagonal_view(W)
+        diag += 0.5
+        diag += e_side[..., None]
+        W /= (1.0 + e_side[0] + e_side[1])[:, None, None]
+        norms = _frobenius(W.transpose(2, 3, 0, 1))  # (2, NE)
+        boundary = k[1] < 0
+        bad_e = np.where(
+            boundary,
+            ~np.isfinite(norms[0]),
+            (~np.isfinite(norms) | (norms > OMEGA_CAP)).any(axis=0),
+        )
+        W[:, bad_e] = eye / 2.0
+        W[0, boundary] = eye
+        # Element k's midpoint on its local edge l reads side s of that edge.
+        om[:, :, 3:] = np.take(
+            W.transpose(2, 3, 0, 1).reshape(nv, nv, 2 * ne),
+            mesh.tri_edges.T + ne * side1,
+            axis=2,
+        )
+
+        result = (omega, int(bad_v.sum() + bad_e.sum()))
         if self.model.static_signs:
             omega.flags.writeable = False
             self._static_omega = result
@@ -538,6 +616,9 @@ class HighOrder:
         tb = self.t
         mesh = tb.mesh
         _, nt, nv = coef.shape
+        # The upwind weights first, so that their temporaries and those of
+        # the volume and surface terms are never alive together.
+        omega, fb = self.omega_weights(coef[:6])
         gl = np.ascontiguousarray(mesh.grad_lambda.T)  # (2, 3, NT): [d, a]
 
         # Volume term: VOL_OP against the flux ((v, d), q, NT), one GEMM
@@ -571,7 +652,6 @@ class HighOrder:
         Phi += tb.SURF_OP @ fh.reshape(nv, 3 * nqe, nt)
 
         # Upwind-weighted point residuals, entry by entry over (6, NT).
-        omega, fb = self.omega_weights(coef[:6])
         om = omega.transpose(2, 3, 0, 1)  # (nv, nv, 6, NT)
         Wpt = om[:, 0] * Phi[0, :6]
         for w in range(1, nv):

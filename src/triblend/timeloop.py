@@ -239,8 +239,9 @@ class Stepper:
                     dt,
                 )
 
-        interior = mesh.edge_tris[:, 1] >= 0
-        etas = np.concatenate([eta_pt.ravel(), eta_e[interior]])
+        etas = np.concatenate(
+            [eta_pt.ravel(), np.take(eta_e, self.tables.interior_edges)]
+        )
         stats = {
             "theta_min": float(theta.min()),
             "eta_lo_frac": float((etas < 0.01).mean()),

@@ -524,6 +524,43 @@ def test_euler_matrix_functions_match_rotated_sandwich():
     )
 
 
+@pytest.mark.parametrize("which", ["euler", "kpp", "advection"])
+def test_sign_matrices_are_odd_in_the_normal_bit_for_bit(which):
+    # S(u, -n) = -S(u, n) value for value, NaNs in the same places: the two
+    # candidate weights at an interior edge midpoint then sum to a multiple
+    # of the identity exactly, which the closed-form weights rest on.
+    if which == "euler":
+        m = Euler()
+        u, n, _ = degenerate_euler_states(m)
+        # Unit and non-unit normals; p = 0 (c = 0) and NaN states.
+        n = np.concatenate([n, n * (0.5 + RNG.random((len(n), 1)))])
+        u = np.concatenate([u, u])
+        u[:4, 3] = 0.5 * (u[:4, 1] ** 2 + u[:4, 2] ** 2) / u[:4, 0]
+        u[4:6] = np.nan
+        xy = None
+        want_bad = np.arange(len(u)) < 6
+    else:
+        u = RNG.uniform(-4.0, 4.0, (200, 1))
+        n = random_unit_normals(200) * (0.5 + RNG.random((200, 1)))
+        # Zero speeds: f'(0) . (0, 1) = 0 for KPP, and the rotation's
+        # fixed point for advection; then a NaN state.
+        u[0], n[0] = 0.0, (0.0, 1.0)
+        u[1] = np.nan
+        xy = RNG.uniform(0.0, 1.0, (200, 2))
+        xy[0] = (0.5, 0.5)
+        m = KPP() if which == "kpp" else LinearAdvection(rotation)
+        # Advection's signs do not depend on the state.
+        want_bad = (np.arange(len(u)) == 1) & (which == "kpp")
+    with np.errstate(all="raise"):
+        S = m.sign_jac_normal(u, n, xy)
+        S_neg = m.sign_jac_normal(u, -n, xy)
+    assert S.shape == (len(u), m.nvars, m.nvars)
+    assert np.array_equal(S_neg, -S, equal_nan=True)
+    assert np.array_equal(~np.isfinite(S).all(axis=(1, 2)), want_bad)
+    if which != "euler":
+        assert S[0, 0, 0] == 0.0
+
+
 @pytest.mark.parametrize("side", [+1, -1])
 def test_euler_split_flux_matches_rotated_sandwich(side):
     m = Euler()

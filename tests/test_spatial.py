@@ -1,5 +1,6 @@
 """Structural properties of the spatial operators and boundary fluxes."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,8 +17,17 @@ from triblend.exceptions import ConfigError
 from triblend.limiting import GasDomain, IntervalDomain
 from triblend.mesh import triangle_geometry
 from triblend.meshgen import rect_mesh
-from triblend.models import KPP, Euler, LinearAdvection, nv_first
-from triblend.spatial_ho import HighOrder, Tables, _dof_normals, _edge_bary, _inverse
+from triblend.models import KPP, Euler, LinearAdvection, diagonal_view, nv_first
+from triblend.spatial_ho import (
+    COND_CAP,
+    OMEGA_CAP,
+    HighOrder,
+    Tables,
+    _dof_normals,
+    _edge_bary,
+    _frobenius,
+    _inverse,
+)
 from triblend.spatial_lo import (
     FAN_CENTROID,
     FAN_GRAD,
@@ -262,16 +272,22 @@ def test_edge_points_lie_on_their_segments(small_mesh):
 
 
 def test_dof_normals_unit_inward_at_vertices_outward_at_midpoints(small_mesh):
+    # The vertex DoFs use _dof_normals; a midpoint uses its edge's normal,
+    # outward from side 0 and inward to side 1.
     mesh = small_mesh
-    n = _dof_normals(mesh).swapaxes(0, 1)  # (NT, 6, 2)
-    assert np.abs(np.hypot(n[..., 0], n[..., 1]) - 1.0).max() < 1e-15
+    n = _dof_normals(mesh).swapaxes(0, 1)  # (NT, 3, 2)
+    assert n.shape == (mesh.num_tris, 3, 2)
+    for m in (n, mesh.edge_normal):
+        assert np.abs(np.hypot(m[..., 0], m[..., 1]) - 1.0).max() < 1e-15
     c = mesh.centroids
     for l in range(3):
-        # Vertex l faces local edge l + 1; midpoint 3 + l sits on edge l.
+        # Vertex l faces local edge l + 1.
         opposite = mesh.edge_mid[mesh.tri_edges[:, (l + 1) % 3]]
-        mid = mesh.edge_mid[mesh.tri_edges[:, l]]
         assert np.all(np.einsum("kd,kd->k", n[:, l], c - opposite) > 0)
-        assert np.all(np.einsum("kd,kd->k", n[:, 3 + l], mid - c) > 0)
+    for s, sign in ((0, 1.0), (1, -1.0)):
+        e = np.flatnonzero(mesh.edge_tris[:, s] >= 0)
+        out = mesh.edge_mid[e] - c[mesh.edge_tris[e, s]]
+        assert np.all(sign * np.einsum("ed,ed->e", mesh.edge_normal[e], out) > 0)
 
 
 def test_ho_average_row_equals_edge_flux_balance(small_mesh):
@@ -552,6 +568,140 @@ def test_euler_omega_makes_no_lapack_inverse_call(small_mesh, monkeypatch):
     bc = BoundaryHandler(mesh, model, {"out": Outflow()})
     ubar, upt = initialize(tb, euler_field)
     HighOrder(tb, model, bc).compute(tb.coefficients(ubar, upt), upt, 0.0)
+
+
+def reference_omega_weights(ho, u_loc):
+    """The upwind weights by the general path at every point DoF, edge
+    midpoints included: the patch sums of N_K = (I + S) / 2 + |K| / 2 I
+    inverted per point, each midpoint's N_K taken with the element's
+    outward normal.  Returns the weights (6, NT, nv, nv), the fallback
+    mask (NP,) and the condition numbers of the patch sums (NP,), inf
+    where a sum is not finite."""
+    tb = ho.t
+    mesh = tb.mesh
+    _, nt, nv = u_loc.shape
+    n = np.concatenate([_dof_normals(mesh), mesh.outward_normal().swapaxes(0, 1)])
+    S = ho.model.sign_jac_normal(u_loc, n, tb.element_points(POINT_DOF_BARY))
+    Seps = np.array(np.broadcast_to(0.5 * S, (6, nt, nv, nv)), order="C")
+    diag = diagonal_view(Seps)
+    diag += 0.5
+    diag += 0.5 * mesh.areas[:, None]
+    total = tb.point_sums(Seps)
+    ok = np.isfinite(total).all(axis=(1, 2))
+    X, nonsingular = _inverse(total[ok])
+    inv = np.zeros_like(total)
+    inv[ok] = X
+    cond = np.full(len(total), np.inf)
+    cond[ok] = _frobenius(total[ok].T) * _frobenius(X.T)
+    bad = ~ok
+    bad[ok] = ~nonsingular | ~np.isfinite(cond[ok]) | (cond[ok] > COND_CAP)
+    dofs = mesh.tri_point_dofs.T
+    omega = np.take(inv, dofs, axis=0) @ Seps
+    norms = _frobenius(omega.transpose(2, 3, 0, 1))
+    big = ~np.isfinite(norms) | (norms > OMEGA_CAP)
+    bad |= tb.point_sums(big.astype(float)) > 0.0
+    fb = bad[dofs]
+    count = np.diff(tb.point_scatter.indptr)[dofs]
+    omega[fb] = np.eye(nv) / count[fb][:, None, None]
+    return omega, bad, cond
+
+
+def omega_case(mesh, which):
+    """A model and point states for the weight tests: for Euler, random gas
+    states up to Mach 5 (which make vertex and midpoint fallbacks), a NaN
+    state at an interior midpoint and p = 0 at a boundary midpoint; for
+    KPP, random states and a NaN at an interior midpoint."""
+    rng = np.random.default_rng(1)
+    npt = mesh.num_points
+    interior_mid = len(mesh.verts) + np.flatnonzero(mesh.edge_tris[:, 1] >= 0)
+    boundary_mid = len(mesh.verts) + mesh.boundary_edges
+    if which == "euler":
+        model = Euler()
+        rho, p = rng.uniform(0.2, 5.0, npt), rng.uniform(0.1, 5.0, npt)
+        speed = 5.0 * np.sqrt(1.4 * p / rho) * rng.uniform(0.0, 1.0, npt)
+        ang = rng.uniform(0.0, 2 * np.pi, npt)
+        p[boundary_mid[3]] = 0.0
+        upt = model.conserved(rho, speed * np.cos(ang), speed * np.sin(ang), p)
+    elif which == "kpp":
+        model = KPP()
+        upt = rng.uniform(-4.0, 4.0, (npt, 1))
+    else:
+        model = LinearAdvection(rotation_velocity)
+        upt = rng.uniform(0.0, 1.0, (npt, 1))
+    if which != "advection":
+        upt[interior_mid[5]] = np.nan
+    return model, upt[mesh.tri_point_dofs.T]
+
+
+@pytest.mark.parametrize("which", ["euler", "kpp", "advection"])
+def test_omega_matches_the_general_path(small_mesh, which):
+    # The closed form at the midpoints and the vertex-only general path
+    # give the general path's weights: as many fallback points (vertex and
+    # midpoint ones both occur for Euler), the arithmetic weights at every
+    # fallback point of the general path, and elsewhere weights within
+    # round-off times the condition number of its patch sum.  A boundary
+    # midpoint's weight is I either way; its fallback (p = 0 in the Euler
+    # case) shows in the count only.
+    mesh = small_mesh
+    model, u_loc = omega_case(mesh, which)
+    ho = HighOrder(Tables(mesh), model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        omega, fb = ho.omega_weights(u_loc)
+        want, bad, cond = reference_omega_weights(ho, u_loc)
+    dofs = mesh.tri_point_dofs.T
+    assert fb == bad.sum()
+    if which == "euler":
+        nvert = len(mesh.verts)
+        assert bad[:nvert].any() and bad[nvert:].any()
+    elif which == "kpp":
+        assert bad.sum() == 1
+    fall = bad[dofs]
+    assert np.array_equal(omega[fall], want[fall])
+    err = np.abs(omega - want).max(axis=(2, 3))[~fall]
+    assert np.all(err <= 1e3 * np.finfo(float).eps * cond[dofs][~fall])
+
+
+@pytest.mark.parametrize("which", ["euler", "kpp", "advection"])
+def test_omega_at_midpoints_is_the_closed_form(small_mesh, which):
+    # At an interior midpoint the two weights sum to the identity to
+    # round-off; at a boundary midpoint the weight is the identity bitwise.
+    mesh = small_mesh
+    model, u_loc = omega_case(mesh, which)
+    omega, _fb = HighOrder(Tables(mesh), model).omega_weights(u_loc)
+    nv = model.nvars
+    e = mesh.tri_edges.T  # (3, NT)
+    side = (mesh.tri_edge_orient.T < 0).astype(int)
+    om = np.zeros((2, mesh.num_edges, nv, nv))
+    om[side, e] = omega[3:]
+    interior = mesh.edge_tris[:, 1] >= 0
+    scale = 1.0 + np.abs(om[:, interior]).max(axis=(0, 2, 3))
+    err = np.abs(om[0, interior] + om[1, interior] - np.eye(nv)).max(axis=(1, 2))
+    assert np.all(err <= 4 * np.finfo(float).eps * scale)
+    assert np.array_equal(om[0, ~interior], np.broadcast_to(np.eye(nv), om[0, ~interior].shape))
+
+
+def test_ho_compute_memory_peak_on_euler():
+    # The allocation peak of one Euler HighOrder.compute call on 968
+    # elements: about 6.9 MB when the weights are built by the general path
+    # at every point while the volume and surface temporaries are alive,
+    # about 4.7 MB with the closed form at the midpoints built first.
+    mesh = named(rect_mesh((0.0, 1.0, 0.0, 1.0), 22, jitter=0.25, seed=3))
+    model = Euler()
+    tb = Tables(mesh)
+    ho = HighOrder(tb, model, BoundaryHandler(mesh, model, {"out": Outflow()}))
+    ubar, upt = initialize(tb, euler_field)
+    coef = tb.coefficients(ubar, upt)
+    ho.compute(coef, upt, 0.0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ho.compute(coef, upt, 0.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert mesh.num_tris == 968
+    assert peak <= 5.8e6, peak
 
 
 def test_wall_flux_has_no_mass_or_energy_component(small_mesh):
