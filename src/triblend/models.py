@@ -10,8 +10,9 @@ Every model exposes the same informal interface over arrays whose last axis
                                Jacobian d(f . n)/du
     max_wavespeed(u, n, xy) -- (...,) spectral bound for |n| = 1 scaling;
                                the value scales linearly with |n|
-    static_signs            -- True when sign_jac_normal does not depend
-                               on u, so callers may evaluate it once
+    static_signs            -- True when d(f . n)/du does not depend on u
+                               (a linear flux), so callers may evaluate
+                               its sign and wave speed at one state
 
 `xy` carries physical coordinates for models with space-dependent flux;
 models that do not need it ignore the argument.  Leading dimensions

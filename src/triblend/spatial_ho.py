@@ -77,24 +77,24 @@ def _inverse(A: np.ndarray):
     """Inverses of the finite matrices A (M, nv, nv), nv = 1 or 4.
 
     Returns (X, nonsingular): nonsingular (M,) flags the matrices whose
-    determinant is not zero, and X (M, nv, nv) holds their inverses (zero
-    for the others).  The inverse is built in closed form, then refined.
-    For nv = 1 it is 1 / a.  For nv = 4 the determinant and the adjugate
-    come from the six 2x2 minors s of rows 0-1 and the six c of rows 2-3
-    (Laplace expansion), evaluated on the component-major (16, M) layout,
-    so each term is one vector operation over all M.  Two Newton steps
-    X <- X + X (I - A X) then square the residual of the inverse, so that
-    sum_K omega stays at identity to round-off even for moderately
+    determinant is not zero, and X (M, nv, nv), component-major, holds
+    their inverses (zero for the others), built in closed form, then
+    refined.  For nv = 1 it is 1 / a.  For nv = 4 the determinant and the
+    adjugate come from the six 2x2 minors s of rows 0-1 and the six c of
+    rows 2-3 (Laplace expansion), each one vector operation over all M on
+    the (16, M) entry rows, a view when A is component-major.  Two Newton
+    steps X <- X + X (I - A X) then square the residual of the inverse, so
+    that sum_K omega stays at identity to round-off even for moderately
     ill-conditioned sums.
     """
     m, nv = A.shape[0], A.shape[-1]
-    X = np.zeros((m, nv, nv))
+    X = np.moveaxis(np.zeros((nv, nv, m)), 2, 0)
     if nv == 1:
         nonsingular = A[:, 0, 0] != 0.0
         X[nonsingular] = 1.0 / A[nonsingular]
     elif nv == 4:
         (a00, a01, a02, a03, a10, a11, a12, a13,
-         a20, a21, a22, a23, a30, a31, a32, a33) = A.reshape(m, 16).T.copy()
+         a20, a21, a22, a23, a30, a31, a32, a33) = A.reshape(m, 16).T
         s0 = a00 * a11 - a10 * a01
         s1 = a00 * a12 - a10 * a02
         s2 = a00 * a13 - a10 * a03
@@ -127,9 +127,7 @@ def _inverse(A: np.ndarray):
             a20 * s3 - a21 * s1 + a22 * s0,
         ])
         nonsingular = det != 0.0
-        X.reshape(m, 16)[...] = np.divide(
-            adj, det, out=np.zeros_like(adj), where=nonsingular
-        ).T
+        np.divide(adj, det, out=X.reshape(m, 16).T, where=nonsingular)
     else:
         raise ValueError(f"closed-form inverse needs nv = 1 or 4, not {nv}")
     for _ in range(2):
@@ -319,11 +317,13 @@ class Tables:
     def point_sums(self, x: np.ndarray) -> np.ndarray:
         """Sum element point-DoF values (6, NT, ...) per point: (NP, ...).
         The vertex-DoF values alone, (3, NT, ...), give the sums at the
-        vertices, (NV, ...).  Element-major x (C order) is read without a
-        copy."""
+        vertices, (NV, ...).  The sums are taken one C-contiguous (6, NT)
+        block at a time and keep the component-major layout: such x, the
+        layout of the element kernels, is read without a copy."""
         op = self.point_scatter if len(x) == 6 else self.vertex_scatter
-        flat = x.reshape(op.shape[1], -1)
-        return (op @ flat).reshape(op.shape[:1] + x.shape[2:])
+        blocks = np.ascontiguousarray(np.moveaxis(x, (0, 1), (-2, -1)))
+        out = np.array([op @ row for row in blocks.reshape(-1, op.shape[1])])
+        return np.moveaxis(out.reshape(x.shape[2:] + op.shape[:1]), -1, 0)
 
     def edge_side_gradients(self, coef: np.ndarray) -> np.ndarray:
         """Jumps of the normal derivatives of u_h across the interior
@@ -346,41 +346,47 @@ class Tables:
         edges = self.interior_edges
         ne = len(edges)
         jump = np.empty((3, nv, self.nqe, ne))
-        # Column j of side s's relabelled element is column ROTATE[l, j] of
-        # element k = edge_tris[e, s], l = edge_side_local[s, e]: entry
-        # ROTATE[l, j] NT + k of the (nv, 7 NT) coefficient rows.
-        idx = np.take(ROTATE.T * nt, self.edge_side_local, axis=1)  # (7, 2, E)
-        idx += np.take(mesh.edge_tris, edges, axis=0).T
-        c = np.take(nv_first(coef).reshape(nv, -1), idx.swapaxes(0, 1), axis=1)
-        # n . grad(lambda_a) and t . grad(lambda_a) of the relabelled
-        # vertices a = 0, 1 (their entries of idx index the (2, 3 NT) rows
-        # of grad(lambda)): (2, 2, E) each, indexed by a and side.
+        flat = nv_first(coef).reshape(nv, -1)
         gl = np.ascontiguousarray(mesh.grad_lambda.T).reshape(2, -1)
-        gx, gy = np.take(gl, idx[:2], axis=1)
         nx, ny = np.take(mesh.edge_normal, edges, axis=0).T
-        nd = nx * gx
-        nd += ny * gy
-        td = nx * gy
-        td -= ny * gx
-        buf = np.empty((nv, self.nqe, ne))
+        buf = np.empty((self.nqe, ne))
+        # One edge side, and within it one variable, at a time: the
+        # gathered coefficients (7, E) and derivative rows (5 nqe, E) of
+        # one are freed before the next ones are formed.
         for s in range(2):
-            r = (self.EDGE_DERIV_OP[s] @ c[:, s]).reshape(nv, 5, self.nqe, ne)
-            (n0, n1), (t0, t1) = nd[:, s], td[:, s]
-            # Coefficients of the reduced derivatives r[:, j] in each row.
+            # Column j of side s's relabelled element is column ROTATE[l, j]
+            # of element k = edge_tris[e, s], l = edge_side_local[s, e]:
+            # entry ROTATE[l, j] NT + k of the (nv, 7 NT) coefficient rows.
+            idx = np.take(ROTATE.T * nt, self.edge_side_local[s], axis=1)  # (7, E)
+            idx += mesh.edge_tris[edges, s]
+            # n . grad(lambda_a) and t . grad(lambda_a) of the relabelled
+            # vertices a = 0, 1 (their entries of idx index the (2, 3 NT)
+            # rows of grad(lambda)): (2, E) each, indexed by a.
+            gx, gy = np.take(gl, idx[:2], axis=1)
+            nd = nx * gx
+            nd += ny * gy
+            td = nx * gy
+            td -= ny * gx
+            (n0, n1), (t0, t1) = nd, td
+            # Coefficients of the reduced derivatives r[j] in each row.
             rows = (
                 ((0, n0), (1, n1)),
                 ((2, n0 * n0), (3, 2.0 * n0 * n1), (4, n1 * n1)),
                 ((2, n0 * t0), (3, n0 * t1 + n1 * t0), (4, n1 * t1)),
             )
-            for out, terms in zip(jump, rows):
-                if s == 0:
-                    (j, w), *rest = terms
-                    np.multiply(w, r[:, j], out=out)
-                    for j, w in rest:
-                        out += np.multiply(w, r[:, j], out=buf)
-                else:
-                    for j, w in terms:
-                        out -= np.multiply(w, r[:, j], out=buf)
+            for v in range(nv):
+                r = self.EDGE_DERIV_OP[s] @ np.take(flat[v], idx)
+                r = r.reshape(5, self.nqe, ne)
+                for out, terms in zip(jump[:, v], rows):
+                    if s == 0:
+                        (j, w), *rest = terms
+                        np.multiply(w, r[j], out=out)
+                        for j, w in rest:
+                            out += np.multiply(w, r[j], out=buf)
+                    else:
+                        for j, w in terms:
+                            out -= np.multiply(w, r[j], out=buf)
+                del r
         return jump
 
 
@@ -390,7 +396,6 @@ class HOResult:
     F_edge: np.ndarray  # (NE, nv) integrated edge fluxes (with |e|)
     trace_u: np.ndarray  # (NE, nqe, nv) traces used for the fluxes
     trace_xy: np.ndarray  # (NE, nqe, 2) positions of those traces
-    Phi: np.ndarray  # (7, NT, nv) projected moment residuals
     omega_fallback_points: int
     rescued_volume_elems: int
     rescued_trace_edges: int
@@ -433,7 +438,7 @@ class HighOrder:
             return u, 0
         bad = np.flatnonzero(~ok.all(axis=1))
         r = np.take(ref, bad, axis=0)[:, None, :]
-        d = np.take(u, bad, axis=0) - r
+        d = u[bad] - r
         eta = dom.max_blend(np.broadcast_to(r, d.shape), d)
         s = eta.min(axis=1, keepdims=True)
         u = u.copy(order="K")
@@ -450,7 +455,7 @@ class HighOrder:
         trace = tb.N1D @ edge_u
         # Edge-local rescue reference: the mean of the three edge DoFs (all
         # admissible), keeping the trace single-valued between the two sides.
-        ref = edge_u.mean(axis=1)
+        ref = (edge_u[:, 0] + edge_u[:, 1] + edge_u[:, 2]) / 3.0
         trace, rescued = self._rescue_states(trace, ref)
         n = mesh.edge_normal[:, None, :]
         xy = tb.edge_points(slice(None))
@@ -540,28 +545,33 @@ class HighOrder:
         )
         eps = 0.5 * mesh.areas
 
-        # Vertices.  N_K = S / 2 + (1/2 + eps_K) Id, element-major (C order),
-        # the layout `point_sums` reads without a copy.
-        Nv = np.multiply(
-            S[: 3 * nt].reshape(3, nt, nv, nv), 0.5, out=np.empty((3, nt, nv, nv))
-        )
+        # Vertices.  N_K = S / 2 + (1/2 + eps_K) Id, formed in place of the
+        # vertex signs; its sums, their inverses and the weights keep the
+        # component-major layout, so no step copies or transposes a block.
+        Nb = S.transpose(1, 2, 0)[:, :, : 3 * nt].reshape(nv, nv, 3, nt)
+        Nb *= 0.5
+        Nv = nv_last(nv_last(Nb))  # (3, NT, nv, nv)
         diag = diagonal_view(Nv)
         diag += 0.5
         diag += eps[:, None]
-        total = tb.point_sums(Nv)  # (NV, nv, nv)
+        total = nv_first(nv_first(tb.point_sums(Nv)))  # (nv, nv, NV)
         # Patch sums that are not finite or exactly singular go straight to
         # the fallback.
-        ok = np.isfinite(total).all(axis=(1, 2))
-        A = total[ok]
-        X, nonsingular = _inverse(A)
+        ok = np.isfinite(total).all(axis=(0, 1))
+        A = total[:, :, ok]
+        X, nonsingular = _inverse(nv_last(nv_last(A)))
         inv = np.zeros_like(total)
-        inv[ok] = X
-        cond = _frobenius(A.T) * _frobenius(X.T)
+        inv[:, :, ok] = nv_first(nv_first(X))
+        cond = _frobenius(A.swapaxes(0, 1)) * _frobenius(X.T)
         bad_v = ~ok
         bad_v[ok] = ~nonsingular | ~np.isfinite(cond) | (cond > COND_CAP)
         omega = component_major((6, nt), nv, nv)
         om = omega.transpose(2, 3, 0, 1)  # (nv, nv, 6, NT), C-contiguous
-        om[:, :, :3] = (np.take(inv, mesh.tris.T, axis=0) @ Nv).transpose(2, 3, 0, 1)
+        # Each vertex DoF's inverse, gathered into a component-major block;
+        # matmul sums over these strided views as over element-major ones.
+        np.matmul(
+            nv_last(nv_last(np.take(inv, mesh.tris.T, axis=2))), Nv, out=omega[:3]
+        )
         norms = _frobenius(om[:, :, :3])  # (3, NT)
         big = ~np.isfinite(norms) | (norms > OMEGA_CAP)
         bad_v |= tb.point_sums(big.astype(float)) > 0.0
@@ -576,6 +586,7 @@ class HighOrder:
         W = component_major((2, ne), nv, nv)
         np.multiply(S[3 * nt:], 0.5, out=W[0])
         np.multiply(S[3 * nt:], -0.5, out=W[1])
+        del S, Nb, Nv  # the signs' last read
         diag = diagonal_view(W)
         diag += 0.5
         diag += e_side[..., None]
@@ -589,12 +600,13 @@ class HighOrder:
         )
         W[:, bad_e] = eye / 2.0
         W[0, boundary] = eye
-        # Element k's midpoint on its local edge l reads side s of that edge.
-        om[:, :, 3:] = np.take(
-            W.transpose(2, 3, 0, 1).reshape(nv, nv, 2 * ne),
-            mesh.tri_edges.T + ne * side1,
-            axis=2,
-        )
+        # Element k's midpoint on its local edge l reads side s of that
+        # edge, gathered entry by entry into the weights' own blocks.
+        Wb = W.transpose(2, 3, 0, 1).reshape(nv, nv, 2 * ne)
+        side = mesh.tri_edges.T + ne * side1
+        for i in range(nv):
+            for j in range(nv):
+                np.take(Wb[i, j], side, out=om[i, j, 3:])
 
         result = (omega, int(bad_v.sum() + bad_e.sum()))
         if self.model.static_signs:
@@ -604,21 +616,16 @@ class HighOrder:
 
     # -- full residual ----------------------------------------------------------
 
-    def compute(self, coef, upt, t) -> HOResult:
-        """High-order residuals from the element coefficients coef
-        (7, NT, nv) and the point values upt they were gathered from.
-
-        The volume, surface and weighted point terms work on the
-        component-major blocks (nv, ..., NT) under the views (see
-        `Tables`), so the reference operators act as GEMMs over all
-        elements; Wpt (6, NT, nv) and Phi (7, NT, nv) are views of such
-        blocks."""
+    def moment_residuals(self, coef, upt, t):
+        """Moment residuals Phi (7, NT, nv) of the element coefficients
+        coef (7, NT, nv) and the point values upt they were gathered from,
+        with the integrated edge fluxes F_edge (NE, nv), the traces of
+        `interface_fluxes` and the rescue counts.  The reference operators
+        act as GEMMs over the component-major blocks (nv, ..., NT) (see
+        `Tables`); each large temporary is freed after its last read."""
         tb = self.t
         mesh = tb.mesh
         _, nt, nv = coef.shape
-        # The upwind weights first, so that their temporaries and those of
-        # the volume and surface terms are never alive together.
-        omega, fb = self.omega_weights(coef[:6])
         gl = np.ascontiguousarray(mesh.grad_lambda.T)  # (2, 3, NT): [d, a]
 
         # Volume term: VOL_OP against the flux ((v, d), q, NT), one GEMM
@@ -628,11 +635,14 @@ class HighOrder:
         uq, resc_vol = self._rescue_states(uq, coef[6])
         xy = tb.element_points(tb.BARY_V)  # (nqv, NT, 2)
         fq = self.model.flux(uq.swapaxes(0, 1), xy)  # (nqv, NT, nv, 2)
+        del uq, xy
         T = tb.VOL_OP @ fq.transpose(2, 3, 0, 1)  # (nv, 2, (a, j), NT)
+        del fq
         Phi = -(gl[0, 0] * T[:, 0, :7])  # (nv, 7, NT)
         Phi -= gl[1, 0] * T[:, 1, :7]
         Phi -= gl[0, 1] * T[:, 0, 7:]
         Phi -= gl[1, 1] * T[:, 1, 7:]
+        del T
 
         # Surface term: single-valued edge fluxes in each element's own
         # traversal direction, times signed edge length over |K|.
@@ -651,16 +661,29 @@ class HighOrder:
         ).T[:, None, :]
         Phi += tb.SURF_OP @ fh.reshape(nv, 3 * nqe, nt)
 
-        # Upwind-weighted point residuals, entry by entry over (6, NT).
-        om = omega.transpose(2, 3, 0, 1)  # (nv, nv, 6, NT)
-        Wpt = om[:, 0] * Phi[0, :6]
-        for w in range(1, nv):
-            Wpt += om[:, w] * Phi[w, :6]
-
         F_edge = np.einsum(
             "q,eqv->ev", tb.wq_edge, fluxhat
         ) * mesh.edge_length[:, None]
+        return nv_last(Phi), F_edge, trace, trace_xy, resc_vol, resc_tr
 
+    def compute(self, coef, upt, t) -> HOResult:
+        """High-order residuals from the element coefficients coef
+        (7, NT, nv) and the point values upt they were gathered from: the
+        upwind-weighted point rows of `moment_residuals`, Wpt (6, NT, nv),
+        a view of a component-major block, and its edge fluxes."""
+        Phi, F_edge, trace, trace_xy, resc_vol, resc_tr = self.moment_residuals(
+            coef, upt, t
+        )
+        # The weights last: then only Phi, F_edge and the traces are alive
+        # while they are built, and they are not alive in the volume term.
+        omega, fb = self.omega_weights(coef[:6])
+
+        # Upwind-weighted point residuals, entry by entry over (6, NT).
+        Phi = nv_first(Phi)
+        om = omega.transpose(2, 3, 0, 1)  # (nv, nv, 6, NT)
+        Wpt = om[:, 0] * Phi[0, :6]
+        for w in range(1, coef.shape[-1]):
+            Wpt += om[:, w] * Phi[w, :6]
         return HOResult(
-            nv_last(Wpt), F_edge, trace, trace_xy, nv_last(Phi), fb, resc_vol, resc_tr
+            nv_last(Wpt), F_edge, trace, trace_xy, fb, resc_vol, resc_tr
         )

@@ -46,14 +46,11 @@ _FAN_BARY = np.vstack([POINT_DOF_BARY, np.full(3, 1.0 / 3.0)])[SUB_CORNERS]
 FAN_GRAD = np.rint(np.linalg.inv(_FAN_BARY).transpose(0, 2, 1)).reshape(18, 3)
 FAN_CENTROID = _FAN_BARY.mean(axis=1)  # (6, 3)
 
-# Inverse of the outer corners of SUB_CORNERS: local point DoF d appears as
-# corner SLOT_CORNER[d, i] of sub-triangle SLOT_SUB[d, i], for i = 0, 1.
-SLOT_SUB = np.empty((6, 2), dtype=np.int64)
-SLOT_CORNER = np.empty((6, 2), dtype=np.int64)
-for _d in range(6):
-    _hits = [(s, c) for s in range(6) for c in range(2) if SUB_CORNERS[s, c] == _d]
-    SLOT_SUB[_d] = [h[0] for h in _hits]
-    SLOT_CORNER[_d] = [h[1] for h in _hits]
+# The two sub-triangles that hold local point DoF d as an outer corner, in
+# ascending order: SLOT_SUB[d], (6, 2).
+SLOT_SUB = np.array(
+    [np.flatnonzero((SUB_CORNERS[:, :2] == d).any(axis=1)) for d in range(6)]
+)
 
 
 @dataclass
@@ -88,40 +85,47 @@ class LowOrder:
 
         The kernel works on the component-major blocks (nv, ..., NT) under
         the views (see `Tables`), and gives the model nv-last views of its
-        own blocks.
+        own blocks.  The corner states of the sub-triangles are gathered
+        corner by corner, (nv, 6, NT) each; the centroid corner is the
+        average, the same for all six.
         """
         tb = self.t
         mesh = tb.mesh
         model = self.model
-        U = np.take(nv_first(coef), SUB_CORNERS, axis=1)  # (nv, 6, 3 corners, NT)
-        ubar_s = (U[:, :, 0] + U[:, :, 1] + U[:, :, 2]) / 3.0  # (nv, 6, NT)
+        c = nv_first(coef)  # (nv, 7, NT)
+        U = [np.take(c, SUB_CORNERS[:, k], axis=1) for k in range(2)]
+        U.append(c[:, None, 6])  # (nv, 1, NT)
+        ubar_s = (U[0] + U[1] + U[2]) / 3.0  # (nv, 6, NT)
         # P1 gradients of the corner coordinates of S: (2, 6, 3, NT).
         gl = np.ascontiguousarray(mesh.grad_lambda.T)  # (2, 3, NT)
         sub_g = (FAN_GRAD @ gl).reshape(2, 6, 3, -1)
-        grad = U[:, None, :, 0] * sub_g[:, :, 0]  # (nv, 2, 6, NT)
-        grad += U[:, None, :, 1] * sub_g[:, :, 1]
-        grad += U[:, None, :, 2] * sub_g[:, :, 2]
         xy_s = tb.element_points(FAN_CENTROID)  # (6, NT, 2)
         # |S| / 3 = |K| / 18.  The edge-scaled inward normals of S are
         # 2 |S| grad(mu) = sub_g |K| / 3; wave speeds are homogeneous in
-        # the normal, so the factor |K| / 3 applies to their maximum.
+        # the normal, so the factor |K| / 3 applies to their maximum, taken
+        # one corner at a time.  A linear flux has the same speeds at every
+        # state, so its first corner stands for all three.
+        alpha_s = 0.0
+        for u in U[: 1 if model.static_signs else 3]:
+            speeds = model.max_wavespeed(
+                nv_last(u)[:, None], nv_last(sub_g), xy_s[:, None]
+            )  # (6, 3, NT)
+            alpha_s = np.maximum(alpha_s, speeds.max(axis=1))
+        alpha_s *= mesh.areas / 3.0  # (6, NT)
+        grad = U[0][:, None] * sub_g[:, :, 0]  # (nv, 2, 6, NT)
+        grad += U[1][:, None] * sub_g[:, :, 1]
+        grad += U[2][:, None] * sub_g[:, :, 2]
+        del U, sub_g
         jac = model.jac_apply(
             nv_last(ubar_s), np.moveaxis(grad, (0, 1), (-2, -1)), xy_s
         )  # (6, NT, nv)
         central = mesh.areas / 18.0 * nv_first(jac)  # (nv, 6, NT)
-        speeds = model.max_wavespeed(
-            nv_last(U)[:, :, None],  # (6, 3, 1, NT, nv)
-            nv_last(sub_g)[:, None],  # (6, 1, 3, NT, 2)
-            xy_s[:, None, None],
-        )
-        alpha_s = speeds.max(axis=(1, 2)) * (mesh.areas / 3.0)  # (6, NT)
-        contrib = central[:, :, None] + alpha_s[:, None] * (
-            U[:, :, :2] - ubar_s[:, :, None]
-        )  # (nv, 6 subtris, 2 corners, NT)
-        Phi = (
-            contrib[:, SLOT_SUB[:, 0], SLOT_CORNER[:, 0]]
-            + contrib[:, SLOT_SUB[:, 1], SLOT_CORNER[:, 1]]
-        )  # (nv, 6 local dofs, NT)
+        del grad, jac
+        # Point DoF d gets central + alpha_S (u_d - u_S) from each of the
+        # two sub-triangles SLOT_SUB[d] it is a corner of.
+        s0, s1 = SLOT_SUB.T
+        Phi = central[:, s0] + alpha_s[s0] * (c[:, :6] - ubar_s[:, s0])
+        Phi += central[:, s1] + alpha_s[s1] * (c[:, :6] - ubar_s[:, s1])
         Phi /= np.take(mesh.point_area, mesh.tri_point_dofs.T)
         return nv_last(Phi)
 

@@ -6,24 +6,31 @@ exact solution as the far field, on `rect_mesh(8, seed=1)` and two uniform
 refinements (128, 512 and 2,048 triangles).  The orders still rise with
 refinement (`ho` averages: 2.41, 2.63, then 2.82 at 8,192 triangles), so
 the bound 2.5 applies to the last pair that Tier-1 can afford.
+
+For gas dynamics, Shu's isentropic vortex in `full` mode on the first two
+of those meshes (see `test_third_order_on_an_isentropic_vortex`).
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from triblend.boundary import BoundaryHandler, FarField
 from triblend.meshgen import rect_mesh, refine4
-from triblend.models import LinearAdvection
+from triblend.models import Euler, LinearAdvection
 from triblend.norms import error_norms, observed_orders
-from triblend.problems import interval_domains
+from triblend.problems import gas_domains, interval_domains
 from triblend.timeloop import Stepper, initialize
 
 VELOCITY = np.array([1.0, 0.5])
+X0 = np.array([-0.3, -0.2])
 T_END = 0.4
+GAMMA = 1.4
 
 
 def gaussian(xy, t):
-    s = xy - VELOCITY * t - np.array([-0.3, -0.2])
+    s = xy - VELOCITY * t - X0
     return np.exp(-(s[..., 0] ** 2 + s[..., 1] ** 2) / 0.09)[..., None]
 
 
@@ -31,15 +38,34 @@ def shifted_gaussian(xy, t):
     return 0.5 + 0.5 * gaussian(xy, t)
 
 
-def l1_orders(mode, exact, domains):
+def isentropic_vortex(xy, t, beta=5.0, radius=0.25):
+    """Shu's isentropic vortex on rho = p = 1, centred at X0 and carried
+    with VELOCITY: with d = (x - X0 - VELOCITY t) / radius, the velocity
+    VELOCITY + beta / (2 pi) exp((1 - |d|^2) / 2) (-d_y, d_x) and the
+    temperature T = 1 - (gamma - 1) beta^2 / (8 gamma pi^2) exp(1 - |d|^2),
+    rho = T^(1 / (gamma - 1)) and p = rho T.  It is an exact solution for
+    any radius."""
+    d = (xy - VELOCITY * t - X0) / radius
+    r2 = d[..., 0] ** 2 + d[..., 1] ** 2
+    swirl = beta / (2.0 * math.pi) * np.exp(0.5 * (1.0 - r2))
+    temp = 1.0 - (GAMMA - 1.0) * beta**2 / (8.0 * GAMMA * math.pi**2) * np.exp(
+        1.0 - r2
+    )
+    rho = temp ** (1.0 / (GAMMA - 1.0))
+    return Euler(GAMMA).conserved(
+        rho, VELOCITY[0] - swirl * d[..., 1], VELOCITY[1] + swirl * d[..., 0],
+        rho * temp,
+    )
+
+
+def l1_orders(model, mode, exact, domains, levels=3):
     """L1 orders of the averages and of the point values over the last
-    pair of levels."""
-    model = LinearAdvection(VELOCITY)
+    pair of `levels` meshes, and the journal of every run."""
     meshes = [rect_mesh((-1.0, 1.0, -1.0, 1.0), 8, seed=1)]
     meshes[0].name_boundary(lambda mids: ["far"] * len(mids))
-    for _ in range(2):
+    for _ in range(levels - 1):
         meshes.append(refine4(meshes[-1]))
-    hs, errors = [], []
+    hs, errors, journals = [], [], []
     for mesh in meshes:
         bc = BoundaryHandler(mesh, model, {"far": FarField(exact)})
         stepper = Stepper(
@@ -47,14 +73,16 @@ def l1_orders(mode, exact, domains):
             enforce_domain=domains[0], assert_domain=domains[1],
         )
         ubar, upt = initialize(stepper.tables, lambda xy: exact(xy, 0.0))
-        ubar, upt, _, _ = stepper.run(ubar, upt, T_END)
+        ubar, upt, journal, _ = stepper.run(ubar, upt, T_END)
         want = initialize(stepper.tables, lambda xy: exact(xy, T_END))
         hs.append(mesh.h_max())
         errors.append(error_norms(mesh, ubar, upt, *want))
-    return [
+        journals.append(journal)
+    orders = [
         observed_orders([e[fam]["l1"] for e in errors], hs)[-1]
         for fam in ("internal", "boundary")
     ]
+    return orders, journals
 
 
 @pytest.mark.parametrize(
@@ -66,5 +94,20 @@ def l1_orders(mode, exact, domains):
     ids=["ho", "full"],
 )
 def test_third_order_on_a_smooth_gaussian(mode, exact, domains):
-    averages, points = l1_orders(mode, exact, domains)
+    (averages, points), _ = l1_orders(LinearAdvection(VELOCITY), mode, exact, domains)
     assert averages >= 2.5 and points >= 2.5, (averages, points)
+
+
+def test_third_order_on_an_isentropic_vortex():
+    # Gas dynamics on smooth data: the vortex in `full` mode on 128 and 512
+    # triangles, with the exact state as the (Steger-Warming) far field.
+    # The L1 orders over this pair read 3.01 for the averages and 3.05 for
+    # the point values; the bound 2.8 leaves 0.2 below both.  Smooth data
+    # must not make the limiter fall back to the low-order residual.
+    model = Euler(GAMMA)
+    domains = gas_domains(GAMMA, 1e-10, (GAMMA - 1.0) * 1e-10)
+    (averages, points), journals = l1_orders(
+        model, "full", isentropic_vortex, domains, levels=2
+    )
+    assert averages >= 2.8 and points >= 2.8, (averages, points)
+    assert all(row["eta_lo_frac"] == 0.0 for j in journals for row in j)

@@ -14,7 +14,7 @@ from triblend.basis import (
 )
 from triblend.boundary import BoundaryHandler, FarField, Outflow, Wall
 from triblend.exceptions import ConfigError
-from triblend.limiting import GasDomain, IntervalDomain
+from triblend.limiting import GasDomain, IntervalDomain, damping_theta
 from triblend.mesh import triangle_geometry
 from triblend.meshgen import rect_mesh
 from triblend.models import KPP, Euler, LinearAdvection, diagonal_view, nv_first
@@ -31,7 +31,6 @@ from triblend.spatial_ho import (
 from triblend.spatial_lo import (
     FAN_CENTROID,
     FAN_GRAD,
-    SLOT_CORNER,
     SLOT_SUB,
     SUB_CORNERS,
     LowOrder,
@@ -160,7 +159,7 @@ def test_ho_residual_matches_per_element_tables(small_mesh, which):
     rng = np.random.default_rng(4)
     ubar = ubar * (1.0 + 0.05 * rng.standard_normal(ubar.shape))
     upt = upt * (1.0 + 0.05 * rng.standard_normal(upt.shape))
-    got = ho.compute(tb.coefficients(ubar, upt), upt, 0.0).Phi.swapaxes(0, 1)
+    got = ho.moment_residuals(tb.coefficients(ubar, upt), upt, 0.0)[0].swapaxes(0, 1)
     want = reference_phi(ho, ubar, upt, 0.0)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -301,14 +300,14 @@ def test_ho_average_row_equals_edge_flux_balance(small_mesh):
         return np.sin(2 * np.pi * xy[..., 0:1]) * np.cos(np.pi * xy[..., 1:2])
 
     ubar, upt = initialize(tb, u0)
-    res = ho.compute(tb.coefficients(ubar, upt), upt, 0.0)
+    phi, F_edge, *_ = ho.moment_residuals(tb.coefficients(ubar, upt), upt, 0.0)
     div = np.einsum(
         "ke,kev->kv",
         mesh.tri_edge_orient.astype(float),
-        res.F_edge[mesh.tri_edges],
+        F_edge[mesh.tri_edges],
     ) / mesh.areas[:, None]
-    scale = max(1.0, np.abs(res.Phi[6]).max())
-    assert np.abs(res.Phi[6] - div).max() < 1e-12 * scale
+    scale = max(1.0, np.abs(phi[6]).max())
+    assert np.abs(phi[6] - div).max() < 1e-12 * scale
 
 
 @pytest.mark.parametrize("which", ["euler", "advection"])
@@ -473,13 +472,16 @@ def test_rescue_of_offending_groups_equals_all_rows_formula(
     model = Euler() if which == "gas" else LinearAdvection((1.0, 0.0))
     ho = HighOrder(Tables(small_mesh), model, enforce_domain=dom)
     u_in = u.copy()
-    got, count = ho._rescue_states(u, ref)
     want, want_count = reference_rescue(dom, u_in, ref)
-    assert count == want_count
-    assert count == len(range(0, len(u), bad_every)) if bad_every else count == 0
-    assert got.tobytes() == want.tobytes()
-    assert u.tobytes() == u_in.tobytes()  # the input is left as it was
-    assert np.all(dom.contains(got))
+    # Also on the transposed view of a component-major (nv, nq, G) block,
+    # the layout in which `HighOrder.compute` passes the volume states.
+    for u in (u, np.ascontiguousarray(u.T).T):
+        got, count = ho._rescue_states(u, ref)
+        assert count == want_count
+        assert count == len(range(0, len(u), bad_every)) if bad_every else count == 0
+        assert got.tobytes() == want.tobytes()
+        assert u.tobytes() == u_in.tobytes()  # the input is left as it was
+        assert np.all(dom.contains(got))
 
 
 def test_closed_form_inverse_matches_lapack():
@@ -681,27 +683,63 @@ def test_omega_at_midpoints_is_the_closed_form(small_mesh, which):
     assert np.array_equal(om[0, ~interior], np.broadcast_to(np.eye(nv), om[0, ~interior].shape))
 
 
-def test_ho_compute_memory_peak_on_euler():
-    # The allocation peak of one Euler HighOrder.compute call on 968
-    # elements: about 6.9 MB when the weights are built by the general path
-    # at every point while the volume and surface temporaries are alive,
-    # about 4.7 MB with the closed form at the midpoints built first.
+def traced_peak(f):
+    """Allocation peak of f() above the memory allocated at its call, after
+    one warm-up call."""
+    f()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        f()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def euler_memory_case():
+    """Euler states of `euler_field` on 968 elements: the tables, the HO
+    operator, the coefficients, the point values and one HO result."""
     mesh = named(rect_mesh((0.0, 1.0, 0.0, 1.0), 22, jitter=0.25, seed=3))
     model = Euler()
     tb = Tables(mesh)
     ho = HighOrder(tb, model, BoundaryHandler(mesh, model, {"out": Outflow()}))
     ubar, upt = initialize(tb, euler_field)
     coef = tb.coefficients(ubar, upt)
-    ho.compute(coef, upt, 0.0)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        ho.compute(coef, upt, 0.0)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
     assert mesh.num_tris == 968
-    assert peak <= 5.8e6, peak
+    return tb, ho, coef, upt, ho.compute(coef, upt, 0.0)
+
+
+def test_ho_compute_memory_peak_on_euler(euler_memory_case):
+    # The allocation peak of one Euler HighOrder.compute call on 968
+    # elements: 4.70 MB when every temporary of the volume and surface
+    # terms lived until the call returned, and with the upwind weights
+    # alive during the volume term; 2.75 MB when each is freed after its
+    # last read and the weights come last.  The bound leaves 20% margin.
+    _, ho, coef, upt, _ = euler_memory_case
+    peak = traced_peak(lambda: ho.compute(coef, upt, 0.0))
+    assert peak <= 3.3e6, peak
+
+
+def test_lo_point_residuals_memory_peak_on_euler(euler_memory_case):
+    # 3.95 MB when the fan rate was formed over (6 sub-triangles,
+    # 3 corners, 3 normals, NT) states at once, from a gathered copy of all
+    # corner states; 2.05 MB one corner at a time.  20% margin.
+    tb, ho, coef, _, _ = euler_memory_case
+    lo = LowOrder(tb, ho.model)
+    peak = traced_peak(lambda: lo.point_residuals(coef))
+    assert peak <= 2.5e6, peak
+
+
+def test_damping_theta_memory_peak_on_euler(euler_memory_case):
+    # 3.00 MB when the edge-side gradients gathered both sides'
+    # coefficients and formed all derivative rows at once; 1.05 MB one side
+    # and one variable at a time.  The bound leaves 0.25 MB margin.
+    tb, ho, coef, _, res = euler_memory_case
+    peak = traced_peak(
+        lambda: damping_theta(tb, ho.model, coef, res.trace_u, res.trace_xy, 1e-3)
+    )
+    assert peak <= 1.3e6, peak
 
 
 def test_wall_flux_has_no_mass_or_energy_component(small_mesh):
@@ -953,9 +991,11 @@ def nv_last_point_residuals(lo, coef):
     contrib = central[:, :, None, :] + alpha_s[:, :, None, None] * (
         U[:, :, :2, :] - ubar_s[:, :, None, :]
     )
+    # Local point DoF d is corner `corner[d, i]` of sub-triangle SLOT_SUB[d, i].
+    corner = (SUB_CORNERS[SLOT_SUB, 0] != np.arange(6)[:, None]).astype(int)
     Phi = (
-        contrib[:, SLOT_SUB[:, 0], SLOT_CORNER[:, 0]]
-        + contrib[:, SLOT_SUB[:, 1], SLOT_CORNER[:, 1]]
+        contrib[:, SLOT_SUB[:, 0], corner[:, 0]]
+        + contrib[:, SLOT_SUB[:, 1], corner[:, 1]]
     )
     return Phi / mesh.point_area[mesh.tri_point_dofs][..., None]
 
