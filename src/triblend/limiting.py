@@ -5,7 +5,9 @@ Three ingredients keep the blended update inside the physical set:
 * `IntervalDomain` / `GasDomain` describe admissible states and solve, in
   closed form, the largest eta in [0, 1] with base + eta * d admissible
   (linear bounds for intervals and density, a stable quadratic root for the
-  internal-energy constraint).
+  internal-energy constraint).  `max_group_blend` is a group's common
+  blend toward r; for an interval, min_q fl((hi - r)/fl(u_q - r)) sits at
+  the largest u_q (lo: the smallest), as both roundings are monotone.
 
 * `damping_sigma` / `damping_theta` measure inter-element smoothness: for
   every interior edge the jumps of u_h's normal derivatives d_n, d_nn and
@@ -89,11 +91,9 @@ def _largest_root_bound(a, b, c):
 def _linear_bound(room, step):
     """Largest eta >= 0 with room - eta * step >= 0 (room >= 0)."""
     room, step = np.broadcast_arrays(room, step)
-    out = np.full(room.shape, np.inf)
-    # A C-order mask, so that flatnonzero need not copy a transposed one.
-    i = np.flatnonzero(np.greater(step, 0.0, order="C"))
+    # Divided everywhere, then selected: a masked divide is not vectorized.
     with np.errstate(divide="ignore", invalid="ignore"):
-        out.reshape(-1)[i] = np.take(room, i) / np.take(step, i)
+        out = np.where(step > 0, room / step, np.inf)
     np.maximum(out, 0.0, out=out)
     np.copyto(out, 0.0, where=room < 0)
     return out
@@ -145,9 +145,25 @@ class IntervalDomain:
     def max_blend(self, base, d):
         v = base[..., 0]
         dv = d[..., 0]
-        eta = _linear_bound(v - self.lo, -dv)
-        np.minimum(eta, _linear_bound(self.hi - v, dv), out=eta)
+        # A step moves toward one bound only: one division for both.
+        eta = _linear_bound(np.where(dv < 0, v - self.lo, self.hi - v), np.abs(dv))
         return _blend_tail(self, base, d, eta, (v < self.lo) | (v > self.hi))
+
+    def max_group_blend(self, u, ref, groups):
+        """min_q max_blend(r, u_q - r) for the groups `groups` of states u
+        (G, nq, 1) and references ref (G, 1), from each group's NaN-skipping
+        extremes (module docstring); a group holding NaN gets at most 0, a
+        NaN state's blend.  Bitwise while no blend is subnormal, where the
+        SAFETY margin can fall under round-off."""
+        cols = np.ascontiguousarray(u.T[0])  # (nq, G), as in `_rescue_states`
+        r = np.take(ref, groups, axis=0)
+        ext = np.stack((np.fmax.reduce(cols), np.fmin.reduce(cols)))
+        ext = np.take(ext, groups, axis=1)[..., None]
+        # The class's blend: a wrapper on the instance sees callers only.
+        eta = type(self).max_blend(self, np.broadcast_to(r, ext.shape), ext - r)
+        s = np.minimum(eta[0], eta[1])
+        nan = np.isnan(np.take(np.maximum.reduce(cols), groups))
+        return np.where(nan, np.minimum(s, 0.0), s)
 
 
 class GasDomain:
@@ -190,8 +206,8 @@ class GasDomain:
     def max_blend(self, base, d):
         rho = base[..., 0]
         drho = d[..., 0]
-        eta = _linear_bound(rho - self.rho_min, -drho)
-        np.minimum(eta, _linear_bound(self.rho_max - rho, drho), out=eta)
+        room = np.where(drho < 0, rho - self.rho_min, self.rho_max - rho)
+        eta = _linear_bound(room, np.abs(drho))  # one division, as for intervals
         # g(base + x d) = a x^2 + b x + c.
         c = self.g(base)
         b = drho * (base[..., 3] - self.e_min)
@@ -203,6 +219,12 @@ class GasDomain:
         np.minimum(eta, _largest_root_bound(a, b, c), out=eta)
         infeasible = (rho < self.rho_min) | (rho > self.rho_max) | (c < 0)
         return _blend_tail(self, base, d, eta, infeasible)
+
+    def max_group_blend(self, u, ref, groups):
+        """`IntervalDomain.max_group_blend`, state by state on the groups."""
+        r = np.take(ref, groups, axis=0)[:, None, :]
+        d = u[groups] - r  # `np.take` would copy a transposed u whole
+        return type(self).max_blend(self, np.broadcast_to(r, d.shape), d).min(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -76,9 +76,9 @@ def _length(n):
 
 def llf_flux(model, ul, ur, n, xy):
     """Local Lax-Friedrichs (Rusanov) flux from ul to ur across n: (..., nv)."""
-    alpha = np.maximum(
-        model.max_wavespeed(ul, n, xy), model.max_wavespeed(ur, n, xy)
-    )
+    alpha = model.max_wavespeed(ul, n, xy)  # both states' for a linear flux
+    if not model.static_signs:
+        alpha = np.maximum(alpha, model.max_wavespeed(ur, n, xy))
     central = 0.5 * (model.flux_normal(ul, n, xy) + model.flux_normal(ur, n, xy))
     return central - 0.5 * alpha[..., None] * (ur - ul)
 

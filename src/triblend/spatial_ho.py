@@ -423,26 +423,28 @@ class HighOrder:
 
         u: (G, nq, nv) states in groups, ref: (G, nv).  Only the groups that
         hold an inadmissible state are blended: each is scaled toward its
-        reference by a single factor s = min over its quadrature points of
+        reference r by a single factor s = min over its quadrature points of
         the admissible blend, mirroring the classic quadrature-limiting
-        trick.  The domain's blend acts per state, so this equals blending
-        every group and keeping the offending ones.  Returns the states
-        (a new array when a group was rescued) and the number of rescued
-        groups.
+        trick.  The domain gives s (`max_group_blend`); an interval reads
+        it off the group's largest and smallest state in closed form, as
+        rounding is monotone in fl(u_q - r) and in the division by it.
+        Returns the states (a new array when a group was rescued) and the
+        number of rescued groups.
         """
         dom = self.enforce_domain
         if dom is None:
             return u, 0
-        ok = dom.contains(u)
+        # Reduced and blended with the group axis innermost: over the short
+        # q axis of C-order groups, numpy loops per group.
+        ok = np.logical_and.reduce(np.ascontiguousarray(dom.contains(u).T))
         if ok.all():
             return u, 0
-        bad = np.flatnonzero(~ok.all(axis=1))
-        r = np.take(ref, bad, axis=0)[:, None, :]
-        d = u[bad] - r
-        eta = dom.max_blend(np.broadcast_to(r, d.shape), d)
-        s = eta.min(axis=1, keepdims=True)
+        bad = np.flatnonzero(~ok)
+        s = dom.max_group_blend(u, ref, bad)
+        r = np.take(ref, bad, axis=0).T[:, None, :]
         u = u.copy(order="K")
-        u[bad] = r + s[..., None] * d
+        ut = u.T  # (nv, nq, G)
+        ut[..., bad] = r + s * (np.take(ut, bad, axis=-1) - r)
         return u, len(bad)
 
     def interface_fluxes(self, upt, t):

@@ -1,5 +1,7 @@
 """Invariant domains, blend bounds, and the jump-damping factor."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from triblend.limiting import (
 from triblend.mesh import Mesh
 from triblend.meshgen import rect_mesh
 from triblend.models import Euler, LinearAdvection, nv_first, nv_last
+from triblend.problems import get_problem, sample_initial
 from triblend.spatial_ho import ROTATE, Tables, _local_edges
 from triblend.spatial_lo import LowOrder
 from triblend.timeloop import Stepper, initialize
@@ -312,6 +315,69 @@ def test_gas_max_blend_bitwise():
     assert_bitwise(dom.max_blend(b3, d3), reference_gas_max_blend(dom, b3, d3))
 
 
+def reference_group_blend(dom, u, ref):
+    """The per-state blends of the groups u (G, nq, nv) toward ref (G, nv),
+    and their minimum over each group."""
+    r = ref[:, None, :]
+    return dom.max_blend(np.broadcast_to(r, u.shape), u - r).min(axis=1)
+
+
+def assert_same_blends(got, want):
+    """Bitwise, except for the sign of a NaN: a minimum over a row takes
+    its NaN's sign from where the NaN sits and from the layout."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert_bitwise(got[~nan], want[~nan])
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0.0, 1.0), (-np.inf, 2.0), (0.5, np.inf), (-np.inf, np.inf), (-0.0, 1.0)],
+)
+@adversarial
+def test_interval_group_blend_is_the_per_state_minimum(lo, hi):
+    # Every reference and group of three states over the special values:
+    # on and beyond the bounds, signed zeros, NaN and +-inf.  Both layouts
+    # of `HighOrder._rescue_states`: C-order trace groups (NE, 3, 1) and
+    # the transposed view of the volume block (1, nq, NT).
+    dom = IntervalDomain(lo, hi)
+    g = np.stack(np.meshgrid(*[SPECIAL] * 4, indexing="ij"), -1).reshape(-1, 4)
+    ref, u = g[:, :1], g[:, 1:, None]
+    rng = np.random.default_rng(25)
+    ref_rng = rng.uniform(0.0, 1.0, (200, 1))
+    u_rng = rng.uniform(-0.2, 1.2, (200, 16, 1))
+    u_rng[::3, 5] = 0.0
+    u_rng[::4, 7] = 1.0
+    for ref, u in ((ref, u), (ref_rng, u_rng)):
+        want = reference_group_blend(dom, u, ref)
+        assert np.isnan(want).any() == (u is not u_rng and np.isinf([lo, hi]).any())
+        for groups in (np.arange(len(u)), np.arange(1, len(u), 3)):
+            for x in (u, np.ascontiguousarray(u.T).T):
+                assert_same_blends(dom.max_group_blend(x, ref, groups), want[groups])
+
+
+@adversarial
+def test_gas_group_blend_is_the_per_state_minimum():
+    # Groups of three states over the special values, shifted as in the
+    # per-state test, toward admissible references; one of them sits on
+    # the density bound.
+    m = Euler()
+    dom = GasDomain()
+    special = np.stack(np.meshgrid(*[SPECIAL[[0, 4, 8, 10, 14, 16]]] * 4), -1)
+    u = special.reshape(-1, 3, 4) + np.array([1.0, 0.0, 1.0])[None, :, None]
+    rng = np.random.default_rng(26)
+    n = len(u)
+    rho = 10.0 ** rng.uniform(-3, 1, n)
+    rho[0] = dom.rho_min
+    ref = m.conserved(rho, rng.uniform(-3, 3, n), rng.uniform(-3, 3, n), 1.0 + rho)
+    assert dom.contains(ref).all()
+    want = reference_group_blend(dom, u, ref)
+    for groups in (np.arange(n), np.arange(1, n, 3)):
+        for x in (u, np.ascontiguousarray(u.T).T):
+            assert_same_blends(dom.max_group_blend(x, ref, groups), want[groups])
+
+
 def reference_interval_contains(dom, u):
     """The interval predicate as it was with its tolerance `slack` = 0."""
     slack = 0.0
@@ -558,18 +624,25 @@ def test_blend_point_residuals_bitwise_reference(case):
 
 
 class RecordingDomain:
-    """A domain that records how many states each `max_blend` call gets."""
+    """A domain that records how many states each `max_blend` call gets,
+    and the function that calls each blend."""
 
     def __init__(self, domain):
         self.domain = domain
         self.sizes = []
+        self.callers = []
 
     def contains(self, u):
         return self.domain.contains(u)
 
     def max_blend(self, base, d):
         self.sizes.append(base[..., 0].size)
+        self.callers.append(("max_blend", sys._getframe(1).f_code.co_name))
         return self.domain.max_blend(base, d)
+
+    def max_group_blend(self, u, ref, groups):
+        self.callers.append(("max_group_blend", sys._getframe(1).f_code.co_name))
+        return self.domain.max_group_blend(u, ref, groups)
 
 
 @pytest.mark.parametrize("kind", ["points", "edges"])
@@ -589,6 +662,36 @@ def test_rescue_blends_only_the_offending_candidates(kind):
     n_candidates = 6 * tb.mesh.num_tris if kind == "points" else 2 * tb.mesh.num_edges
     assert 0 < got[2] < n_candidates
     assert rec.sizes == [got[2], n_candidates]
+
+
+def test_ho_rescue_blends_groups_not_states():
+    # On a tiny `rotating-shapes` run in `full` mode, the per-state blend is
+    # called only from the point and edge blends (`_limit_candidates`: the
+    # blend toward the high order and its low-order rescue).  The high-order
+    # rescue asks the domain for group blends, which an interval answers
+    # from two states per group.
+    prob = get_problem("rotating-shapes")
+    model = prob.make_model(1.4)
+    mesh = prob.mesh_builder(8)
+    mesh.name_boundary(prob.namer)
+    bc = BoundaryHandler(mesh, model, prob.boundaries(model))
+    enforce, assert_ = prob.domains(model)
+    rec = RecordingDomain(enforce)
+    stepper = Stepper(
+        mesh, model, bc, mode="full", enforce_domain=rec, assert_domain=assert_
+    )
+    ubar, upt = sample_initial(prob, model, stepper.tables, domain=assert_)
+    journal = stepper.run(ubar, upt, prob.final_time, max_steps=3)[2]
+    assert len(journal) == 3
+    assert sum(row["rescued_volume"] + row["rescued_trace"] for row in journal) > 0
+    assert {c for k, c in rec.callers if k == "max_blend"} == {"_limit_candidates"}
+    assert {c for k, c in rec.callers if k == "max_group_blend"} == {"_rescue_states"}
+    # Two blends per substep, and one more per blend that rescued.
+    n_blend = sum(k == "max_blend" for k, _ in rec.callers)
+    n_lo = sum(
+        (row["rescued_points"] > 0) + (row["rescued_edges"] > 0) for row in journal
+    )
+    assert 6 * len(journal) + n_lo <= n_blend <= 12 * len(journal)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import functools
 import numpy as np
 import pytest
 
-from triblend.models import KPP, Euler, LinearAdvection
+from triblend.models import KPP, Euler, LinearAdvection, llf_flux
 
 RNG = np.random.default_rng(42)
 
@@ -94,6 +94,25 @@ def test_advection_matches_summed_forms_bitwise(velocity):
     ref = np.sum(a[..., None, :] * w, axis=-1)
     assert got.shape == ref.shape == u.shape
     assert got.tobytes() == ref.tobytes()
+
+
+def test_llf_flux_of_a_linear_flux_takes_one_wave_speed(monkeypatch):
+    # A linear flux has one wave speed for both states, so the flux asks
+    # for it once and gives bitwise the two-speed formula, on the edge
+    # layout of the low-order averages (states (E, 1), normals (E, 2)).
+    m = LinearAdvection(rotation)
+    ul, ur = RNG.standard_normal((2, 40, 1))
+    n = random_unit_normals(40)
+    xy = RNG.random((40, 2))
+    alpha = np.maximum(m.max_wavespeed(ul, n, xy), m.max_wavespeed(ur, n, xy))
+    fn = m.flux_normal(ul, n, xy) + m.flux_normal(ur, n, xy)
+    want = 0.5 * fn - 0.5 * alpha[..., None] * (ur - ul)
+    calls = []
+    speed = m.max_wavespeed
+    monkeypatch.setattr(m, "max_wavespeed", lambda *a: calls.append(1) or speed(*a))
+    got = llf_flux(m, ul, ur, n, xy)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert len(calls) == 1
 
 
 def test_kpp_wave_speed_broadcasts_against_u():

@@ -471,17 +471,64 @@ def test_rescue_of_offending_groups_equals_all_rows_formula(
     dom, u, ref = rescue_groups(which, bad_every)
     model = Euler() if which == "gas" else LinearAdvection((1.0, 0.0))
     ho = HighOrder(Tables(small_mesh), model, enforce_domain=dom)
-    u_in = u.copy()
-    want, want_count = reference_rescue(dom, u_in, ref)
     # Also on the transposed view of a component-major (nv, nq, G) block,
-    # the layout in which `HighOrder.compute` passes the volume states.
-    for u in (u, np.ascontiguousarray(u.T).T):
+    # the layout in which `HighOrder.compute` passes the volume states, and
+    # on C-order groups of three, the layout of the edge traces.
+    trace = np.ascontiguousarray(u[:, :3])
+    for u in (u, np.ascontiguousarray(u.T).T, trace):
+        u_in = u.copy()
+        want, want_count = reference_rescue(dom, u_in, ref)
         got, count = ho._rescue_states(u, ref)
         assert count == want_count
         assert count == len(range(0, len(u), bad_every)) if bad_every else count == 0
         assert got.tobytes() == want.tobytes()
         assert u.tobytes() == u_in.tobytes()  # the input is left as it was
         assert np.all(dom.contains(got))
+
+
+def special_rescue_groups(which):
+    """Groups of three states, one reference each, over special values:
+    states on each bound, beyond them, NaN and +-inf, and references on a
+    bound among admissible ones."""
+    if which == "gas":
+        dom = GasDomain()
+        rng = np.random.default_rng(12)
+        ref = euler_field(rng.uniform(0.0, 1.0, (120, 2)))
+        ref[::4, :3] = [dom.rho_min, 0.0, 0.0]  # density on its bound, at rest
+        assert np.all(dom.contains(ref))
+        u = ref[:, None, :] * (1.0 + 0.05 * rng.standard_normal((120, 3, 4)))
+        u[::5, 1, 0] = dom.rho_min
+        u[1::5, 2, 0] = -1.0
+        u[2::5, 0, 3] = np.nan
+        u[3::5, 1, 1] = np.inf
+        u[4::10, 2, 0] = -np.inf
+        return dom, u, ref
+    dom = IntervalDomain(0.0, 1.0)
+    vals = [0.0, -0.0, 1.0, 0.25, 1.5, -0.5, np.nan, np.inf, -np.inf]
+    refs = [0.0, -0.0, 1.0, 0.5]
+    g = np.stack(np.meshgrid(refs, vals, vals, vals, indexing="ij"), -1)
+    g = g.reshape(-1, 4)
+    return dom, g[:, 1:, None], g[:, :1]
+
+
+@pytest.mark.parametrize("which", ["gas", "interval"])
+@np.errstate(invalid="ignore", over="ignore")  # inf - inf, 0 * inf
+def test_rescue_of_special_groups_equals_all_rows_formula(small_mesh, which):
+    # The closed form of an interval's group blend keeps the states of the
+    # all-rows formula bitwise on the bounds, beyond them and on NaN and
+    # +-inf, in both layouts; a rescued group that holds one stays
+    # non-finite.
+    dom, u, ref = special_rescue_groups(which)
+    model = Euler() if which == "gas" else LinearAdvection((1.0, 0.0))
+    ho = HighOrder(Tables(small_mesh), model, enforce_domain=dom)
+    want, want_count = reference_rescue(dom, u, ref)
+    for x in (u, np.ascontiguousarray(u.T).T):
+        got, count = ho._rescue_states(x, ref)
+        assert count == want_count > 0
+        assert got.tobytes() == want.tobytes()
+        finite = np.isfinite(u).all(axis=(1, 2))
+        assert np.all(dom.contains(got[finite]))
+        assert not np.isfinite(got[~finite]).all(axis=(1, 2)).any()
 
 
 def test_closed_form_inverse_matches_lapack():
