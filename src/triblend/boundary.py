@@ -59,8 +59,8 @@ class BoundaryHandler:
         self.mesh = mesh
         self.model = model
         self.bcs = dict(bcs)
-        names = {str(mesh.edge_name[e]) for e in mesh.boundary_edges}
-        missing = names - set(self.bcs)
+        bnames = mesh.boundary_name.astype(str)
+        missing = set(bnames) - set(self.bcs)
         if missing:
             raise ConfigError(
                 f"boundary names without a condition: {sorted(missing)}"
@@ -70,9 +70,6 @@ class BoundaryHandler:
         ):
             raise ConfigError("wall boundaries require the gas-dynamics model")
         # Positions of each named group inside mesh.boundary_edges.
-        bnames = np.array(
-            [str(mesh.edge_name[e]) for e in mesh.boundary_edges]
-        )
         self.groups = {
             nm: np.flatnonzero(bnames == nm) for nm in self.bcs
         }

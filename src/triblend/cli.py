@@ -36,7 +36,7 @@ from .problems import (
     interval_domains,
     sample_initial,
 )
-from .timeloop import Stepper, initialize
+from .timeloop import LIMITED_MODES, Stepper, initialize
 
 
 def _effective_domains(problem, model, cfg):
@@ -96,10 +96,10 @@ def _build(cfg: RunConfig, mesh=None):
     problem = get_problem(cfg.problem)
     model = problem.make_model(cfg.gamma)
     mesh = mesh if mesh is not None else _mesh(cfg, problem)
-    if any(not mesh.edge_name[e] for e in mesh.boundary_edges):
+    if not all(mesh.boundary_name):
         mesh.name_boundary(problem.namer)
     # Only the overrides: a problem's defaults may name more than a user mesh.
-    unknown = set(cfg.boundary) - set(mesh.edge_name[mesh.boundary_edges])
+    unknown = set(cfg.boundary) - set(mesh.boundary_name)
     if unknown:
         raise ConfigError(f"[boundary] names no mesh boundary: {sorted(unknown)}")
     bc = BoundaryHandler(mesh, model, _resolve_boundaries(problem, model, cfg))
@@ -114,7 +114,7 @@ def _make_stepper(problem, model, mesh, bc, cfg):
     enforce, assert_ = _effective_domains(problem, model, cfg)
     # Only the limited modes promise the invariant domain; pure ho/lo runs
     # keep the plain finiteness check instead of the domain assert.
-    limited = cfg.mode in ("bp", "full")
+    limited = cfg.mode in LIMITED_MODES
     return Stepper(
         mesh,
         model,
@@ -259,9 +259,7 @@ def cmd_convergence(args) -> int:
 
 def cmd_info(args) -> int:
     mesh = read_msh(args.mesh)
-    names = sorted(
-        {str(mesh.edge_name[e]) or "<unnamed>" for e in mesh.boundary_edges}
-    )
+    names = sorted({str(nm) or "<unnamed>" for nm in mesh.boundary_name})
     q = mesh.inradius() / mesh.h_max()
     print(f"vertices:       {len(mesh.verts)}")
     print(f"triangles:      {mesh.num_tris}")

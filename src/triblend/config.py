@@ -14,8 +14,7 @@ import io
 from dataclasses import dataclass, field
 
 from .exceptions import ConfigError
-
-_MODES = ("ho", "lo", "bp", "full")
+from .timeloop import MODES
 _ROLES = ("wall", "outflow", "inflow", "farfield")
 
 
@@ -52,8 +51,8 @@ class RunConfig:
             raise ConfigError(f"final_time must be >= 0, got {self.final_time}")
         if self.gamma <= 1.0:
             raise ConfigError(f"gamma must exceed 1, got {self.gamma}")
-        if self.mode not in _MODES:
-            raise ConfigError(f"mode must be one of {_MODES}")
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}")
         if self.c1 < 0.0 or self.c2 < 0.0:
             raise ConfigError("damping constants must be >= 0")
         for name, val in (("rho_min", self.rho_min), ("p_min", self.p_min)):

@@ -70,9 +70,9 @@ def write_vtk_averages(path, mesh, ubar, model) -> None:
 
 def write_vtk_points(path, mesh, upt, model) -> None:
     """Quadratic triangles carrying the point-value DoFs as point data."""
+    dofs = mesh.gather_points(np.arange(mesh.num_points)).T  # (NT, 6)
     _write_grid(
-        path, "point values", mesh.point_xy, mesh.tri_point_dofs, "22",
-        "POINT_DATA", upt, model,
+        path, "point values", mesh.point_xy, dofs, "22", "POINT_DATA", upt, model
     )
 
 
@@ -99,9 +99,9 @@ def write_diagnostics_csv(path, mesh, theta, eta_point, eta_edge) -> None:
     eta_point is the minimum over the owning elements of each point DoF.
     """
     eta_pt = np.full(mesh.num_points, np.inf)
-    np.minimum.at(eta_pt, mesh.tri_point_dofs, eta_point)
+    np.minimum.at(eta_pt, mesh.gather_points(np.arange(mesh.num_points)).T, eta_point)
     blocks = (
-        ("theta", mesh.centroids, theta),
+        ("theta", mesh.verts[mesh.tris].mean(axis=1), theta),
         ("eta_edge", mesh.edge_mid, eta_edge),
         ("eta_point", mesh.point_xy, eta_pt),
     )

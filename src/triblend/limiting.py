@@ -110,13 +110,15 @@ def _verified_eta(domain, base, d, eta):
     boundary) the constraint margin is quadratically small and round-off
     can push the evaluated state outside.  Geometric back-off is cheap
     because it almost never triggers, and eta = 0 is always feasible for
-    an admissible base state.
+    an admissible base state.  A refused entry whose step is not finite
+    drops to 0 at once: an interval sees the same state at every eta > 0,
+    and the gas domain refuses every non-finite state.
     """
     for _ in range(64):
         bad = (eta > 0.0) & ~domain.contains(base + eta[..., None] * d)
         if not bad.any():
             return eta
-        eta = np.where(bad, 0.5 * eta, eta)
+        eta = np.where(bad, 0.5 * np.isfinite(d).all(axis=-1) * eta, eta)
     bad = (eta > 0.0) & ~domain.contains(base + eta[..., None] * d)
     return np.where(bad, 0.0, eta)
 
@@ -388,7 +390,7 @@ def blend_point_residuals(tables, domain, u_loc, Phi_lo, Wpt, theta, dt):
     mesh = tables.mesh
     # (6, NT) convex weights s_K, C-ordered like the residual blocks,
     # so that the candidates and steps given to the domain are too.
-    share = (mesh.areas / 9.0) / np.take(mesh.point_area, mesh.tri_point_dofs.T)
+    share = (mesh.areas / 9.0) / mesh.gather_points(mesh.point_area)
     return _limit_candidates(
         domain, u_loc[None], (dt / share)[None], Phi_lo, Wpt,
         np.broadcast_to(theta, share.shape),

@@ -46,11 +46,19 @@ def triangle_geometry(pts):
 
 @dataclass
 class Mesh:
+    """A conforming triangle mesh that stores each fact once.
+
+    Index arrays are int32 and `tri_edge_orient` is int8; index arithmetic
+    that can pass 2**31 (the edge keys of `_build_edges`) runs in int64.
+    Derived where read: the point DoFs of element k, `tris[k]` and then
+    NV + `tri_edges[k]` (`gather_points`), and its centroid, the vertex
+    mean verts[tris[k]].mean(0).  Only boundary edges are named.
+    """
+
     verts: np.ndarray  # (NV, 2)
-    tris: np.ndarray  # (NT, 3) int, CCW
+    tris: np.ndarray  # (NT, 3) int32, CCW
     # geometry
     areas: np.ndarray = field(init=False)
-    centroids: np.ndarray = field(init=False)
     grad_lambda: np.ndarray = field(init=False)  # (NT, 3, 2)
     # edges
     edge_verts: np.ndarray = field(init=False)  # (NE, 2) in side-0 direction
@@ -59,37 +67,28 @@ class Mesh:
     edge_normal: np.ndarray = field(init=False)  # unit, out of side 0
     edge_mid: np.ndarray = field(init=False)
     tri_edges: np.ndarray = field(init=False)  # (NT, 3)
-    tri_edge_orient: np.ndarray = field(init=False)  # (NT, 3) +-1
-    boundary_edges: np.ndarray = field(init=False)  # indices into edges
-    edge_name: np.ndarray = field(init=False)  # (NE,) str, '' inside
+    tri_edge_orient: np.ndarray = field(init=False)  # (NT, 3) int8 +-1
+    boundary_edges: np.ndarray = field(init=False)  # (NB,) indices into edges
+    boundary_name: np.ndarray = field(init=False)  # (NB,) str, '' if unnamed
     # point DoFs (vertices then edge midpoints; `point_xy` gives positions)
     point_area: np.ndarray = field(init=False)  # (NP,) sum of |K|/9
-    tri_point_dofs: np.ndarray = field(init=False)  # (NT, 6)
 
     def __post_init__(self):
         self.verts = np.ascontiguousarray(self.verts, dtype=float)
-        self.tris = np.ascontiguousarray(self.tris, dtype=np.int64)
+        self.tris = np.ascontiguousarray(self.tris, dtype=np.int32)
         if self.verts.ndim != 2 or self.verts.shape[1] != 2:
             raise MeshError("verts must be (NV, 2)")
         if self.tris.ndim != 2 or self.tris.shape[1] != 3:
             raise MeshError("tris must be (NT, 3)")
-        self._orient_ccw()
-        pts = self.verts[self.tris]  # (NT, 3, 2)
-        self.areas, self.grad_lambda = triangle_geometry(pts)
-        self.centroids = pts.mean(axis=1)
+        # Clockwise triangles turn CCW by swapping their last two vertices.
+        d = self.verts[self.tris[:, 1:]] - self.verts[self.tris[:, :1]]
+        flip = d[:, 0, 0] * d[:, 1, 1] < d[:, 0, 1] * d[:, 1, 0]
+        self.tris[flip] = self.tris[flip][:, [0, 2, 1]]
+        self.areas, self.grad_lambda = triangle_geometry(self.verts[self.tris])
         self._build_edges()
         self._build_points()
 
     # -- construction helpers ------------------------------------------------
-
-    def _orient_ccw(self):
-        pts = self.verts[self.tris]
-        d1 = pts[:, 1] - pts[:, 0]
-        d2 = pts[:, 2] - pts[:, 0]
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        flip = det < 0
-        if np.any(flip):
-            self.tris[flip] = self.tris[flip][:, [0, 2, 1]]
 
     def _build_edges(self):
         nt = len(self.tris)
@@ -99,16 +98,17 @@ class Mesh:
         ).reshape(-1, 2)  # (3 NT, 2) directed
         lo = pairs.min(axis=1)
         hi = pairs.max(axis=1)
-        key = lo * (self.verts.shape[0] + 1) + hi
+        # In int32 the key would wrap once NV passes 46,340.
+        key = lo.astype(np.int64) * (self.verts.shape[0] + 1) + hi
         uniq, first, inv, counts = np.unique(
             key, return_index=True, return_inverse=True, return_counts=True
         )
         if np.any(counts > 2):
             raise MeshError("non-manifold edge (more than two triangles)")
         ne = len(uniq)
-        self.tri_edges = inv.reshape(nt, 3)
+        self.tri_edges = inv.reshape(nt, 3).astype(np.int32)
         forward = pairs[:, 0] == lo[first][inv]  # traverses lo -> hi
-        self.tri_edge_orient = np.where(forward, 1, -1).reshape(nt, 3)
+        self.tri_edge_orient = np.where(forward, 1, -1).reshape(nt, 3).astype(np.int8)
 
         # With all triangles CCW, a manifold interior edge is traversed once
         # in each direction; two same-direction traversals mean overlap.
@@ -118,22 +118,17 @@ class Mesh:
             raise MeshError("inconsistently oriented (overlapping) triangles")
 
         tri_of_slot = np.repeat(np.arange(nt), 3)
-        edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-        fslots = np.flatnonzero(forward)
-        bslots = np.flatnonzero(~forward)
-        edge_tris[inv[fslots], 0] = tri_of_slot[fslots]
-        edge_tris[inv[bslots], 1] = tri_of_slot[bslots]
+        edge_tris = np.full((ne, 2), -1, dtype=np.int32)
+        edge_tris[inv[forward], 0] = tri_of_slot[forward]
+        edge_tris[inv[~forward], 1] = tri_of_slot[~forward]
 
         # Boundary edges traversed only hi -> lo: make that element side 0 by
         # flipping the stored direction.
         need_flip = edge_tris[:, 0] < 0
         ev = np.stack([lo[first], hi[first]], axis=1)
-        ev[need_flip] = ev[need_flip][:, [1, 0]]
-        if np.any(need_flip):
-            edge_tris[need_flip, 0] = edge_tris[need_flip, 1]
-            edge_tris[need_flip, 1] = -1
-            slot_mask = need_flip[inv] & ~forward
-            self.tri_edge_orient.reshape(-1)[slot_mask] = 1
+        ev[need_flip] = ev[need_flip][:, ::-1]
+        edge_tris[need_flip] = edge_tris[need_flip][:, ::-1]
+        self.tri_edge_orient.reshape(-1)[need_flip[inv] & ~forward] = 1
         if np.any(edge_tris[:, 0] < 0):
             raise MeshError("edge without owning triangle")
 
@@ -148,19 +143,17 @@ class Mesh:
             / self.edge_length[:, None]
         )
         self.edge_mid = 0.5 * (self.verts[ev[:, 0]] + self.verts[ev[:, 1]])
-        self.boundary_edges = np.flatnonzero(edge_tris[:, 1] < 0)
-        self.edge_name = np.full(ne, "", dtype=object)
+        self.boundary_edges = np.flatnonzero(edge_tris[:, 1] < 0).astype(np.int32)
+        self.boundary_name = np.full(len(self.boundary_edges), "", dtype=object)
 
     def _build_points(self):
-        nv = len(self.verts)
-        ne = len(self.edge_verts)
-        self.tri_point_dofs = np.hstack([self.tris, nv + self.tri_edges])
-        self.point_area = np.zeros(nv + ne)
-        np.add.at(
-            self.point_area,
-            self.tri_point_dofs.ravel(),
-            np.repeat(self.areas / 9.0, 6),
-        )
+        # Vertex and midpoint DoFs are disjoint points: each sum adds its
+        # elements in ascending order, as one pass over all six DoFs would.
+        share = np.repeat(self.areas / 9.0, 3)
+        self.point_area = np.concatenate([
+            np.bincount(self.tris.ravel(), share, len(self.verts)),
+            np.bincount(self.tri_edges.ravel(), share, self.num_edges),
+        ])
 
     # -- queries -------------------------------------------------------------
 
@@ -181,6 +174,16 @@ class Mesh:
     def num_edges(self) -> int:
         return len(self.edge_verts)
 
+    def gather_points(self, x: np.ndarray, out=None) -> np.ndarray:
+        """The point values x (NP,) or (NP, nv) at each element's point
+        DoFs, component-major: (6, NT) or (nv, 6, NT), written to `out` if
+        given.  The vertex and the midpoint parts are gathered separately."""
+        if out is None:
+            out = np.empty(x.shape[1:] + (6, self.num_tris), x.dtype)
+        out[..., :3, :] = np.take(x, self.tris, axis=0).T
+        out[..., 3:, :] = np.take(x[len(self.verts):], self.tri_edges, axis=0).T
+        return out
+
     def inradius(self) -> np.ndarray:
         """2 |K| / perimeter, the classic time-step length scale."""
         per = self.edge_length[self.tri_edges].sum(axis=1)
@@ -196,10 +199,7 @@ class Mesh:
 
     def name_boundary(self, namer) -> None:
         """Assign names to boundary edges: namer(midpoints (NB, 2)) -> list."""
-        mids = self.edge_mid[self.boundary_edges]
-        names = namer(mids)
-        for e, nm in zip(self.boundary_edges, names):
-            self.edge_name[e] = nm
+        self.boundary_name[:] = namer(self.edge_mid[self.boundary_edges])
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +213,8 @@ def read_msh(path) -> Mesh:
     Only 2-node lines (boundary tags) and 3-node triangles are used;
     0-dimensional point elements (tagging artifacts) are skipped, and any
     other element type raises UnsupportedElement.  Physical names on lines
-    become edge names of the resulting mesh.
+    become the names of the boundary edges they tag; interior lines carry
+    no name.
     """
     try:
         with open(path) as fh:
@@ -269,18 +270,14 @@ def read_msh(path) -> Mesh:
         raise MeshError("mesh contains no triangles")
     mesh = Mesh(verts, np.asarray(tris))
 
-    # Attach names from tagged line elements to the matching edges.
+    # Attach names from tagged line elements to the matching boundary edges.
     if blines:
-        nv1 = len(mesh.verts) + 1
-        ekey = {
-            int(a) * nv1 + int(b): e
-        for e, (a, b) in enumerate(np.sort(mesh.edge_verts, axis=1))
-        }
+        ends = np.sort(mesh.edge_verts[mesh.boundary_edges], axis=1).tolist()
+        position = {(a, b): i for i, (a, b) in enumerate(ends)}
         for a, b, tag in blines:
-            lo, hi = (a, b) if a < b else (b, a)
-            e = ekey.get(lo * nv1 + hi)
-            if e is not None:
-                mesh.edge_name[e] = phys_names.get(tag, str(tag))
+            i = position.get((min(a, b), max(a, b)))
+            if i is not None:
+                mesh.boundary_name[i] = phys_names.get(tag, str(tag))
     return mesh
 
 

@@ -56,8 +56,10 @@ def refine4(mesh: Mesh) -> Mesh:
         ]
     )
     fine = Mesh(verts, children)
-    be = fine.boundary_edges
-    fine.edge_name[be] = mesh.edge_name[fine.edge_verts[be].max(axis=1) - nv]
+    parent = fine.edge_verts[fine.boundary_edges].max(axis=1) - nv  # parent edges
+    fine.boundary_name[:] = mesh.boundary_name[
+        np.searchsorted(mesh.boundary_edges, parent)
+    ]
     return fine
 
 
@@ -167,7 +169,10 @@ def ldomain_mesh(n, jitter=0.15, seed=0) -> Mesh:
 
 def write_msh2(path, mesh: Mesh) -> None:
     """Write the mesh (with named boundary edges) as ASCII MSH v2.2."""
-    names = sorted({str(mesh.edge_name[e]) for e in mesh.boundary_edges if mesh.edge_name[e]})
+    blines = [
+        (e, str(nm)) for e, nm in zip(mesh.boundary_edges, mesh.boundary_name) if nm
+    ]
+    names = sorted({nm for _, nm in blines})
     name_id = {nm: k + 1 for k, nm in enumerate(names)}
     with open(path, "w") as fh:
         fh.write("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n")
@@ -180,11 +185,6 @@ def write_msh2(path, mesh: Mesh) -> None:
         for k, (x, y) in enumerate(mesh.verts):
             fh.write("%d %.17g %.17g 0\n" % (k + 1, x, y))
         fh.write("$EndNodes\n")
-        blines = [
-            (e, str(mesh.edge_name[e]))
-            for e in mesh.boundary_edges
-            if mesh.edge_name[e]
-        ]
         fh.write("$Elements\n%d\n" % (len(blines) + len(mesh.tris)))
         eid = 1
         for e, nm in blines:

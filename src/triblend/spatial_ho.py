@@ -261,15 +261,16 @@ class Tables:
         self.edge_side_local = local.T.astype(np.int8)
 
         # Element-DoF -> point scatter operator: row p has a unit entry in
-        # column j NT + k for each (k, j) with tri_point_dofs[k, j] = p.
-        # The entries of a row are stored in ascending order of 6 k + j,
+        # column j NT + k for each (k, j) where DoF j of element k is point
+        # p.  The entries of a row are stored in ascending order of 6 k + j,
         # element by element as np.add.at meets them on (NT, 6) arrays, and
         # its products add in stored order: the sums are bitwise those of
         # np.add.at over the element-major values.
         nt = mesh.num_tris
         ndof = 6 * nt
+        dofs = mesh.gather_points(np.arange(mesh.num_points))  # (6, NT)
         by_elem = sparse.csr_array(
-            (np.ones(ndof), (mesh.tri_point_dofs.ravel(), np.arange(ndof))),
+            (np.ones(ndof), (dofs.T.ravel(), np.arange(ndof))),
             shape=(mesh.num_points, ndof),
         )
         cols = (by_elem.indices % 6) * nt + by_elem.indices // 6
@@ -310,7 +311,7 @@ class Tables:
         each element, then its average."""
         nt, nv = ubar.shape
         coef = np.empty((nv, 7, nt), dtype=ubar.dtype)
-        coef[:, :6] = np.take(upt, self.mesh.tri_point_dofs, axis=0).T
+        self.mesh.gather_points(upt, out=coef[:, :6])
         coef[:, 6] = ubar.T
         return nv_last(coef)
 

@@ -68,9 +68,9 @@ class LowOrder:
     def average_fluxes(self, ubar, t):
         mesh = self.t.mesh
         left, right = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
-        u0 = ubar[left]
+        u0 = np.take(ubar, left, axis=0)
         # Without a handler a boundary edge sees its own element: outflow.
-        u1 = ubar[np.where(right >= 0, right, left)]
+        u1 = np.take(ubar, np.where(right >= 0, right, left), axis=0)
         if self.bc is not None:
             be = mesh.boundary_edges
             u1[be] = self.bc.ghost_average(
@@ -126,7 +126,7 @@ class LowOrder:
         s0, s1 = SLOT_SUB.T
         Phi = central[:, s0] + alpha_s[s0] * (c[:, :6] - ubar_s[:, s0])
         Phi += central[:, s1] + alpha_s[s1] * (c[:, :6] - ubar_s[:, s1])
-        Phi /= np.take(mesh.point_area, mesh.tri_point_dofs.T)
+        Phi /= mesh.gather_points(mesh.point_area)
         return nv_last(Phi)
 
     def compute(self, coef, t) -> LOResult:

@@ -33,6 +33,10 @@ from .spatial_ho import HighOrder, Tables
 from .spatial_lo import LowOrder
 
 
+# Stepping modes; the limited ones promise the invariant domain.
+MODES = ("ho", "lo", "bp", "full")
+LIMITED_MODES = ("bp", "full")
+
 # How a step's journal statistics combine those of its three substeps: the
 # limiter counts add up, theta takes the minimum, the eta fractions average.
 _STEP_REDUCE = {
@@ -132,7 +136,7 @@ class Stepper:
         self.cfl = float(cfl)
         self.enforce_domain = enforce_domain
         self.assert_domain = assert_domain
-        if mode not in ("ho", "lo", "bp", "full"):
+        if mode not in MODES:
             raise ValueError(f"unknown stepping mode {mode!r}")
         if mode == "bp" and enforce_domain is None:
             raise ValueError("mode 'bp' requires an enforce_domain")
@@ -156,7 +160,7 @@ class Stepper:
         states = self.tables.coefficients(ubar, upt)  # (7, NT, nv)
         xy = component_major((7, self.mesh.num_tris), 2)  # laid out like states
         xy[:6] = self.tables.element_points(POINT_DOF_BARY)
-        xy[6] = self.mesh.centroids
+        xy[6] = (xy[0] + xy[1] + xy[2]) / 3.0  # the vertex mean
         speeds = self.model.max_wavespeed(
             states[:, None], self.mesh.outward_normal().swapaxes(0, 1), xy[:, None]
         )  # (7, 3, NT)
@@ -173,7 +177,7 @@ class Stepper:
         lam = self._wavespeeds(ubar, upt)
         dt_k = self._inradius / lam
         k = int(np.argmax(~(np.isfinite(dt_k) & (dt_k > 0.0))))
-        x, y = self.mesh.centroids[k]
+        x, y = self.mesh.verts[self.mesh.tris[k]].mean(axis=0)
         return NumericalAbort(
             f"time step collapsed: step {step}, t = {t:.6g}; element {k} at "
             f"({x:.6g}, {y:.6g}) has wave speed {lam[k]:.6g}"
@@ -255,7 +259,7 @@ class Stepper:
 
         upt_new = upt - dt * self.tables.point_sums(b)
 
-        F_loc = F[mesh.tri_edges]  # (NT, 3, nv)
+        F_loc = np.take(F, mesh.tri_edges, axis=0)  # (NT, 3, nv)
         div = np.einsum("ke,kev->kv", mesh.tri_edge_orient.astype(float), F_loc)
         ubar_new = ubar - (dt / mesh.areas[:, None]) * div
 
@@ -273,11 +277,12 @@ class Stepper:
         if bad:
             # Point values first: they have no conservative update, and
             # breakdowns have started there.
+            mesh = self.mesh
             sites = [
-                ("point", i, self.mesh.point_xy[i], upt[i])
+                ("point", i, mesh.point_xy[i], upt[i])
                 for i in np.flatnonzero(bad_pt)[:3]
             ] + [
-                ("average", k, self.mesh.centroids[k], ubar[k])
+                ("average", k, mesh.verts[mesh.tris[k]].mean(axis=0), ubar[k])
                 for k in np.flatnonzero(bad_bar)[:3]
             ]
             where = "; ".join(

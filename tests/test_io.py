@@ -84,7 +84,8 @@ def test_point_file_reread_is_bitwise(tmp_path):
     for k in range(mesh.num_tris):
         nodes = [int(v) for v in lines[i + 1 + k].split()]
         assert nodes[0] == 6
-        assert nodes[1:] == list(mesh.tri_point_dofs[k])
+        nv = len(mesh.verts)
+        assert nodes[1:] == [*mesh.tris[k], *(nv + mesh.tri_edges[k])]
     i = lines.index(f"CELL_TYPES {mesh.num_tris}")
     assert all(ln == "22" for ln in lines[i + 1 : i + 1 + mesh.num_tris])
 
@@ -147,7 +148,7 @@ def test_diagnostics_csv_scatters_point_minima(tmp_path):
     assert len(by_kind["eta_point"]) == mesh.num_points
     assert by_kind["theta"][0] == 0.25
     # Shared DoFs keep the minimum over their owning elements:
-    # tri_point_dofs rows are [0,1,2,4,7,5] and [0,2,3,5,8,6].
+    # the point DoFs of the elements are [0,1,2,4,7,5] and [0,2,3,5,8,6].
     assert by_kind["eta_point"][0] == 0.1  # min(0.1, 0.7)
     assert by_kind["eta_point"][2] == 0.3  # min(0.3, 0.8)
     assert by_kind["eta_point"][5] == 0.15  # min(0.6, 0.15)

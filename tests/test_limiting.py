@@ -94,6 +94,37 @@ def test_verified_eta_halves_until_the_state_is_admissible():
     assert dom.contains(base[:3] + got[:3, None] * d[:3]).all()
 
 
+@pytest.mark.parametrize("kind", ["interval", "gas"])
+def test_nan_step_drops_to_zero_at_its_first_failure(kind, monkeypatch):
+    # No eta > 0 makes base + eta d admissible for a NaN step: its entry
+    # ends at 0 after one failed check instead of after 64 halvings, each
+    # with a `contains` pass over the whole array, and every eta is the
+    # value the halvings reached.
+    if kind == "interval":
+        domain = IntervalDomain(0.0, 1.0)
+        base = np.array([[0.5], [0.2], [0.9]])
+        d = np.array([[0.3], [np.nan], [-0.5]])
+    else:
+        domain = GasDomain()
+        base = Euler().conserved(np.ones(3), 0.0, 0.0, 1.0)
+        d = np.array([[0.1, 0.1, 0.0, 0.1], [np.nan, 0, 0, 0], [0, 0, np.nan, 0]])
+    finite = np.isfinite(d).all(axis=1)
+    want = np.zeros(len(d))
+    want[finite] = domain.max_blend(base[finite], d[finite])
+    assert want[0] > 0.0
+    calls = []
+    contains = domain.contains
+
+    def counted_contains(u):
+        calls.append(1)
+        return contains(u)
+
+    monkeypatch.setattr(domain, "contains", counted_contains)
+    eta = domain.max_blend(base, d)
+    assert len(calls) <= 2
+    assert eta.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_interval_max_blend_matches_bisection(seed):
     rng = np.random.default_rng(seed)
@@ -542,9 +573,7 @@ def reference_blend_point_residuals(tables, domain, u_loc, Phi_lo, Wpt, theta, d
     n_rescued = 0
     if domain is not None:
         mesh = tables.mesh
-        share = (mesh.areas / 9.0) / np.take(
-            mesh.point_area, mesh.tri_point_dofs.T
-        )
+        share = (mesh.areas / 9.0) / mesh.gather_points(mesh.point_area)
         lam = dt / share
         c0 = u_loc - lam[..., None] * Phi_lo
         ok0 = domain.contains(c0)
@@ -728,7 +757,7 @@ def test_blended_update_bound_preserving_under_adversarial_ho():
     F, eta_e, _r2 = blend_average_fluxes(tb, dom, ubar, res.F_edge, F_ho, theta, dt)
 
     acc = np.zeros_like(upt)
-    np.add.at(acc, mesh.tri_point_dofs.T, b)
+    np.add.at(acc, mesh.gather_points(np.arange(mesh.num_points)), b)
     upt2 = upt - dt * acc
     div = np.einsum(
         "ke,kev->kv", mesh.tri_edge_orient.astype(float), F[mesh.tri_edges]

@@ -20,6 +20,10 @@ def small_mesh():
     return rect_mesh((0.0, 1.0, 0.0, 1.0), 6, seed=3)
 
 
+def centroids(m):
+    return m.verts[m.tris].mean(axis=1)
+
+
 def test_triangle_geometry_basic():
     area, g = triangle_geometry(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     assert area == pytest.approx(0.5)
@@ -71,18 +75,18 @@ def test_edge_conventions(small_mesh):
     n_out = m.outward_normal()  # (NT, 3, 2)
     for k in range(3):
         mid = m.edge_mid[m.tri_edges[:, k]]
-        out = np.einsum("td,td->t", n_out[:, k], mid - m.centroids)
+        out = np.einsum("td,td->t", n_out[:, k], mid - centroids(m))
         assert np.all(out > 0)
     assert np.allclose(np.linalg.norm(m.edge_normal, axis=1), 1.0, atol=1e-14)
 
 
 def test_edge_normal_points_out_of_side0(small_mesh):
     m = small_mesh
-    c0 = m.centroids[m.edge_tris[:, 0]]
+    c0 = centroids(m)[m.edge_tris[:, 0]]
     s = np.einsum("ed,ed->e", m.edge_normal, m.edge_mid - c0)
     assert np.all(s > 0)
     interior = m.edge_tris[:, 1] >= 0
-    c1 = m.centroids[m.edge_tris[interior, 1]]
+    c1 = centroids(m)[m.edge_tris[interior, 1]]
     s1 = np.einsum(
         "ed,ed->e", m.edge_normal[interior], m.edge_mid[interior] - c1
     )
@@ -117,6 +121,48 @@ def test_point_areas(small_mesh):
     k0, k1 = m.edge_tris[e]
     want = (m.areas[k0] + m.areas[k1]) / 9.0
     assert m.point_area[len(m.verts) + e] == pytest.approx(want, rel=1e-13)
+
+
+def test_mesh_stores_each_fact_once():
+    # Connectivity is int32 (the +-1 orientation int8), nothing that the
+    # other arrays give is stored, and every attribute is an array, so
+    # that the bytes below count all of the mesh.
+    m = rect_mesh((0.0, 1.0, 0.0, 1.0), 32, seed=2)
+    assert m.num_tris == 2048
+    state = vars(m)
+    assert all(isinstance(v, np.ndarray) for v in state.values())
+    assert not {"tri_point_dofs", "centroids", "edge_name"} & set(state)
+    ints = {k: v.dtype for k, v in state.items() if v.dtype.kind in "iu"}
+    assert ints == {
+        "tris": np.int32,
+        "tri_edges": np.int32,
+        "tri_edge_orient": np.int8,
+        "edge_verts": np.int32,
+        "edge_tris": np.int32,
+        "boundary_edges": np.int32,
+    }
+    assert len(m.boundary_name) == len(m.boundary_edges)
+    assert sum(v.nbytes for v in state.values()) / m.num_tris <= 200
+
+
+def test_edge_keys_do_not_wrap():
+    # The edge key lo (NV + 1) + hi of ids near 50,000 passes 2**31 for some
+    # edges of this square and not for others, so keys formed in int32
+    # would wrap and reorder its edges.  Relabelled, the square on ids
+    # 42000, 42001, 49999, 50000 of a 50,001-vertex mesh is the one on ids
+    # 0-3.
+    xy = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    tris = np.array([[0, 1, 2], [0, 2, 3]])
+    ids = np.array([42000, 42001, 49999, 50000])
+    assert 42000 * 50002 + 50000 < 2**31 < 49999 * 50002 + 50000
+    verts = np.zeros((50001, 2))
+    verts[ids] = xy
+    big, small = Mesh(verts, ids[tris]), Mesh(xy, tris)
+    relabel = np.full(len(verts), -1)
+    relabel[ids] = np.arange(4)
+    assert np.array_equal(relabel[big.edge_verts], small.edge_verts)
+    assert np.array_equal(big.edge_tris, small.edge_tris)
+    assert np.array_equal(big.tri_edges, small.tri_edges)
 
 
 def test_inradius(small_mesh):
@@ -154,10 +200,10 @@ def test_refine4_keeps_boundary_names():
     m.name_boundary(lambda mids: [f"{x:.3f},{y:.3f}" for x, y in mids])
     r = refine4(m)
     assert len(r.boundary_edges) == 2 * len(m.boundary_edges)
-    for e in r.boundary_edges:
+    for e, nm in zip(r.boundary_edges, r.boundary_name):
         # The half's end that is not a parent vertex is the parent's midpoint.
         x, y = r.verts[r.edge_verts[e].max()]
-        assert r.edge_name[e] == f"{x:.3f},{y:.3f}"
+        assert nm == f"{x:.3f},{y:.3f}"
 
 
 def test_msh22_roundtrip(tmp_path, small_mesh):
@@ -176,12 +222,12 @@ def test_msh22_roundtrip(tmp_path, small_mesh):
         tuple(sorted(t)) for t in m.tris
     }
     # Boundary names survive (match edges by midpoint coordinates).
-    for e in m.boundary_edges:
+    for e, nm in zip(m.boundary_edges, m.boundary_name):
         mid = m.edge_mid[e]
-        eb = back.boundary_edges[
-            np.argmin(np.linalg.norm(back.edge_mid[back.boundary_edges] - mid, axis=1))
-        ]
-        assert back.edge_name[eb] == m.edge_name[e]
+        i = np.argmin(
+            np.linalg.norm(back.edge_mid[back.boundary_edges] - mid, axis=1)
+        )
+        assert back.boundary_name[i] == nm
 
 
 MSH41_SAMPLE = """$MeshFormat
@@ -227,7 +273,7 @@ def test_msh41_parse(tmp_path):
     assert len(m.verts) == 4
     assert m.num_tris == 2
     assert m.areas.sum() == pytest.approx(1.0)
-    named = [m.edge_name[e] for e in m.boundary_edges if m.edge_name[e]]
+    named = [nm for nm in m.boundary_name if nm]
     assert named == ["lid"]
 
 
@@ -238,7 +284,8 @@ def test_ldomain_mesh():
     d = np.linalg.norm(m.verts, axis=1)
     assert d.min() < 1e-12
     # No triangle pokes into the notch x < 0, y < 0.
-    assert not np.any((m.centroids[:, 0] < 0) & (m.centroids[:, 1] < 0))
+    c = centroids(m)
+    assert not np.any((c[:, 0] < 0) & (c[:, 1] < 0))
 
 
 def test_polygon_mesh_ramp():
@@ -258,7 +305,7 @@ def test_polygon_mesh_ramp():
     )
     assert m.areas.sum() == pytest.approx(want, rel=1e-12)
     # All centroids above the ramp line y = x tan(30 deg) for x > 0.
-    c = m.centroids
+    c = centroids(m)
     above = c[:, 1] > (c[:, 0] * tan30) - 1e-9
     assert np.all(above | (c[:, 0] < 0))
 

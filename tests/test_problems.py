@@ -51,7 +51,7 @@ def test_catalog_entry_is_runnable(name):
     mesh = prob.mesh_builder(SMALL_N[name])
     mesh.name_boundary(prob.namer)
     bcs = prob.boundaries(model)
-    used = {str(mesh.edge_name[e]) for e in mesh.boundary_edges}
+    used = set(mesh.boundary_name.astype(str))
     assert used <= set(bcs), f"unmapped boundary names {used - set(bcs)}"
     # Initial data admissible in the problem's own assert domain.
     sample_initial(prob, model, Tables(mesh))
@@ -203,7 +203,7 @@ def test_double_mach_namer_covers_the_ramp_polygon():
     prob = get_problem("double-mach")
     mesh = prob.mesh_builder(8)
     mesh.name_boundary(prob.namer)
-    names = [str(mesh.edge_name[e]) for e in mesh.boundary_edges]
+    names = mesh.boundary_name.astype(str).tolist()
     assert set(names) == {"inflow", "outflow", "wall"}
     # The sloped ramp edge must be a wall, not outflow.
     mids = mesh.edge_mid[mesh.boundary_edges]

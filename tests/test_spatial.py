@@ -43,6 +43,15 @@ def named(mesh, name="out"):
     return mesh
 
 
+def point_dofs(mesh):
+    """(NT, 6) point ids of each element's DoFs, element by element."""
+    return np.ascontiguousarray(mesh.gather_points(np.arange(mesh.num_points)).T)
+
+
+def centroids(mesh):
+    return mesh.verts[mesh.tris].mean(axis=1)
+
+
 def rotation_velocity(xy):
     return np.stack([0.5 - xy[..., 1], xy[..., 0] - 0.5], axis=-1)
 
@@ -66,7 +75,7 @@ def euler_field(xy):
 def fan_corners(mesh):
     """Corners (NT, 6, 3, 2) of the median-fan sub-triangles, CCW."""
     xy = np.concatenate(
-        [mesh.point_xy[mesh.tri_point_dofs], mesh.centroids[:, None]], axis=1
+        [mesh.point_xy[point_dofs(mesh)], centroids(mesh)[:, None]], axis=1
     )  # (NT, 7, 2): point DoFs, then the centroid
     return xy[:, SUB_CORNERS]
 
@@ -253,7 +262,7 @@ def test_tables_store_no_element_axis(small_mesh):
 def test_point_dof_positions_from_the_affine_map(small_mesh):
     mesh = small_mesh
     got = Tables(mesh).element_points(POINT_DOF_BARY)  # (6, NT, 2)
-    want = mesh.point_xy[mesh.tri_point_dofs].swapaxes(0, 1)
+    want = mesh.point_xy[point_dofs(mesh)].swapaxes(0, 1)
     assert got.tobytes() == want.tobytes()
     assert nv_first(got).flags.c_contiguous  # component-major
 
@@ -278,7 +287,7 @@ def test_dof_normals_unit_inward_at_vertices_outward_at_midpoints(small_mesh):
     assert n.shape == (mesh.num_tris, 3, 2)
     for m in (n, mesh.edge_normal):
         assert np.abs(np.hypot(m[..., 0], m[..., 1]) - 1.0).max() < 1e-15
-    c = mesh.centroids
+    c = centroids(mesh)
     for l in range(3):
         # Vertex l faces local edge l + 1.
         opposite = mesh.edge_mid[mesh.tri_edges[:, (l + 1) % 3]]
@@ -321,10 +330,10 @@ def test_omega_partition_of_unity(small_mesh, which):
         upt = np.sin(3 * mesh.point_xy[:, 0:1] + mesh.point_xy[:, 1:2])
     tb = Tables(mesh)
     ho = HighOrder(tb, model)
-    omega, _fb = ho.omega_weights(upt[mesh.tri_point_dofs.T])
+    omega, _fb = ho.omega_weights(upt[point_dofs(mesh).T])
     nv = model.nvars
     tot = np.zeros((mesh.num_points, nv, nv))
-    np.add.at(tot, mesh.tri_point_dofs.T, omega)
+    np.add.at(tot, point_dofs(mesh).T, omega)
     err = np.abs(tot - np.eye(nv)).max()
     assert err < 1e-12
 
@@ -337,7 +346,7 @@ def test_point_sums_equal_add_at_bitwise(small_mesh):
         size = (mesh.num_tris, 6) + shape
         x = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
         want = np.zeros((mesh.num_points,) + shape)
-        np.add.at(want, mesh.tri_point_dofs, x)
+        np.add.at(want, point_dofs(mesh), x)
         # point_sums takes (6, NT, ...) and adds each point's values in the
         # order np.add.at meets them on the element-major (NT, 6, ...)
         # array, for plain and for component-major input (the layout of
@@ -349,7 +358,7 @@ def test_point_sums_equal_add_at_bitwise(small_mesh):
         got = tb.point_sums(np.moveaxis(x_cm, (-2, -1), (0, 1)))
         assert np.array_equal(got, want)
     want = np.zeros(mesh.num_points)
-    np.add.at(want, mesh.tri_point_dofs, 1.0)
+    np.add.at(want, point_dofs(mesh), 1.0)
     assert np.array_equal(np.diff(tb.point_scatter.indptr), want)
 
 
@@ -362,7 +371,7 @@ def test_omega_nonfinite_patch_sum_falls_back_quietly(small_mesh):
     upt = euler_field(mesh.point_xy)
     tb = Tables(mesh)
     ho = HighOrder(tb, model)
-    omega0, fb0 = ho.omega_weights(upt[mesh.tri_point_dofs.T])
+    omega0, fb0 = ho.omega_weights(upt[point_dofs(mesh).T])
     on_boundary = np.concatenate(
         [
             mesh.edge_verts[mesh.boundary_edges].ravel(),
@@ -373,8 +382,8 @@ def test_omega_nonfinite_patch_sum_falls_back_quietly(small_mesh):
     upt[bad] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        omega, fb = ho.omega_weights(upt[mesh.tri_point_dofs.T])
-    hit = mesh.tri_point_dofs.T == bad
+        omega, fb = ho.omega_weights(upt[point_dofs(mesh).T])
+    hit = point_dofs(mesh).T == bad
     count = hit.sum()
     assert fb == fb0 + 1
     unit = np.broadcast_to(np.eye(4) / count, (count, 4, 4))
@@ -416,7 +425,7 @@ def test_omega_built_once_for_static_signs(small_mesh, monkeypatch, which):
     want = fresh.compute(tb.coefficients(ubar, upt), upt, 0.0)
     assert np.array_equal(got.Wpt, want.Wpt)
     assert got.omega_fallback_points == want.omega_fallback_points
-    u_loc = upt[mesh.tri_point_dofs.T]
+    u_loc = upt[point_dofs(mesh).T]
     omega, fb = ho.omega_weights(u_loc)
     omega_fresh, fb_fresh = fresh.omega_weights(u_loc)
     assert omega.tobytes() == omega_fresh.tobytes()
@@ -567,7 +576,7 @@ def test_omega_exactly_singular_patch_sum_falls_back_quietly(
     upt = euler_field(mesh.point_xy)
     tb = Tables(mesh)
     ho = HighOrder(tb, model)
-    dofs = mesh.tri_point_dofs.T
+    dofs = point_dofs(mesh).T
     u_loc = upt[dofs]
     omega0, fb0 = ho.omega_weights(u_loc)
     count = np.diff(tb.point_scatter.indptr)[dofs]
@@ -604,14 +613,14 @@ def test_euler_omega_makes_no_lapack_inverse_call(small_mesh, monkeypatch):
     upt = euler_field(mesh.point_xy)
     tb = Tables(mesh)
     ho = HighOrder(tb, model)
-    want, want_fb = ho.omega_weights(upt[mesh.tri_point_dofs.T])
+    want, want_fb = ho.omega_weights(upt[point_dofs(mesh).T])
 
     def refuse(*args, **kwargs):
         raise AssertionError("LAPACK inverse called")
 
     monkeypatch.setattr(np.linalg, "inv", refuse)
     monkeypatch.setattr(np.linalg, "det", refuse)
-    omega, fb = ho.omega_weights(upt[mesh.tri_point_dofs.T])
+    omega, fb = ho.omega_weights(upt[point_dofs(mesh).T])
     assert omega.tobytes() == want.tobytes()
     assert fb == want_fb
     bc = BoundaryHandler(mesh, model, {"out": Outflow()})
@@ -644,7 +653,7 @@ def reference_omega_weights(ho, u_loc):
     cond[ok] = _frobenius(total[ok].T) * _frobenius(X.T)
     bad = ~ok
     bad[ok] = ~nonsingular | ~np.isfinite(cond[ok]) | (cond[ok] > COND_CAP)
-    dofs = mesh.tri_point_dofs.T
+    dofs = point_dofs(mesh).T
     omega = np.take(inv, dofs, axis=0) @ Seps
     norms = _frobenius(omega.transpose(2, 3, 0, 1))
     big = ~np.isfinite(norms) | (norms > OMEGA_CAP)
@@ -679,7 +688,7 @@ def omega_case(mesh, which):
         upt = rng.uniform(0.0, 1.0, (npt, 1))
     if which != "advection":
         upt[interior_mid[5]] = np.nan
-    return model, upt[mesh.tri_point_dofs.T]
+    return model, upt[point_dofs(mesh).T]
 
 
 @pytest.mark.parametrize("which", ["euler", "kpp", "advection"])
@@ -698,7 +707,7 @@ def test_omega_matches_the_general_path(small_mesh, which):
         warnings.simplefilter("error")
         omega, fb = ho.omega_weights(u_loc)
         want, bad, cond = reference_omega_weights(ho, u_loc)
-    dofs = mesh.tri_point_dofs.T
+    dofs = point_dofs(mesh).T
     assert fb == bad.sum()
     if which == "euler":
         nvert = len(mesh.verts)
@@ -1001,7 +1010,7 @@ def test_low_order_max_principle_small_dt(small_mesh):
     res = lo.compute(tb.coefficients(ubar, upt), 0.0)
 
     acc = np.zeros_like(upt)
-    np.add.at(acc, mesh.tri_point_dofs.T, res.Phi_pt)
+    np.add.at(acc, point_dofs(mesh).T, res.Phi_pt)
     upt2 = upt - dt * acc
     div = np.einsum(
         "ke,kev->kv",
@@ -1044,7 +1053,7 @@ def nv_last_point_residuals(lo, coef):
         contrib[:, SLOT_SUB[:, 0], corner[:, 0]]
         + contrib[:, SLOT_SUB[:, 1], corner[:, 1]]
     )
-    return Phi / mesh.point_area[mesh.tri_point_dofs][..., None]
+    return Phi / mesh.point_area[point_dofs(mesh)][..., None]
 
 
 @pytest.mark.parametrize("which", ["euler", "advection", "kpp"])

@@ -269,19 +269,19 @@ def test_rk3_step_gathers_element_states_once(monkeypatch):
 
     stacks, gathers = [], []
     coefficients = stepper.tables.coefficients
-    take = np.take
+    gather_points = mesh.gather_points
 
     def counted_coefficients(*args):
         stacks.append(1)
         return coefficients(*args)
 
-    def counted_take(a, indices, *args, **kwargs):
-        if indices is mesh.tri_point_dofs and np.ndim(a) == 2:
-            gathers.append(1)  # point values (NP, nv) -> (NT, 6, nv)
-        return take(a, indices, *args, **kwargs)
+    def counted_gather_points(x, *args, **kwargs):
+        if np.ndim(x) == 2:
+            gathers.append(1)  # point values (NP, nv) -> (nv, 6, NT)
+        return gather_points(x, *args, **kwargs)
 
     monkeypatch.setattr(stepper.tables, "coefficients", counted_coefficients)
-    monkeypatch.setattr(np, "take", counted_take)
+    monkeypatch.setattr(mesh, "gather_points", counted_gather_points)
     stepper.rk3_step(ubar, upt, 0.0, dt)
     assert len(stacks) == 3
     assert len(gathers) == 3
