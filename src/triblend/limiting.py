@@ -112,15 +112,22 @@ def _verified_eta(domain, base, d, eta):
     because it almost never triggers, and eta = 0 is always feasible for
     an admissible base state.  A refused entry whose step is not finite
     drops to 0 at once: an interval sees the same state at every eta > 0,
-    and the gas domain refuses every non-finite state.
+    and the gas domain refuses every non-finite state.  A NaN eta, as an
+    infinite step toward an unbounded side gives (inf / inf), is 0 too.
     """
+    eta = np.where(np.isnan(eta), 0.0, eta)
+
+    def refused():
+        blended = eta[..., None] * d
+        blended += base
+        return (eta > 0.0) & ~domain.contains(blended)
+
     for _ in range(64):
-        bad = (eta > 0.0) & ~domain.contains(base + eta[..., None] * d)
+        bad = refused()
         if not bad.any():
             return eta
         eta = np.where(bad, 0.5 * np.isfinite(d).all(axis=-1) * eta, eta)
-    bad = (eta > 0.0) & ~domain.contains(base + eta[..., None] * d)
-    return np.where(bad, 0.0, eta)
+    return np.where(refused(), 0.0, eta)
 
 
 def _blend_tail(domain, base, d, eta, infeasible):
@@ -194,9 +201,13 @@ class GasDomain:
         )
 
     def g(self, u):
-        return u[..., 0] * (u[..., 3] - self.e_min) - 0.5 * (
-            u[..., 1] ** 2 + u[..., 2] ** 2
-        )
+        g = u[..., 3] - self.e_min
+        g *= u[..., 0]
+        k = u[..., 1] ** 2
+        k += u[..., 2] ** 2
+        k *= 0.5
+        g -= k
+        return g
 
     def contains(self, u):
         rho = u[..., 0]
@@ -210,8 +221,10 @@ class GasDomain:
         drho = d[..., 0]
         room = np.where(drho < 0, rho - self.rho_min, self.rho_max - rho)
         eta = _linear_bound(room, np.abs(drho))  # one division, as for intervals
+        del room
         # g(base + x d) = a x^2 + b x + c.
         c = self.g(base)
+        infeasible = (rho < self.rho_min) | (rho > self.rho_max) | (c < 0)
         b = drho * (base[..., 3] - self.e_min)
         b += rho * d[..., 3]
         b -= base[..., 1] * d[..., 1]
@@ -219,7 +232,7 @@ class GasDomain:
         a = drho * d[..., 3]
         a -= 0.5 * (d[..., 1] ** 2 + d[..., 2] ** 2)
         np.minimum(eta, _largest_root_bound(a, b, c), out=eta)
-        infeasible = (rho < self.rho_min) | (rho > self.rho_max) | (c < 0)
+        del a, b, c
         return _blend_tail(self, base, d, eta, infeasible)
 
     def max_group_blend(self, u, ref, groups):
@@ -357,6 +370,7 @@ def _limit_candidates(domain, base, lam, F_lo, F_ho, cap, counted=True):
     F_lo), eta, n_rescued); without a domain eta is the cap.
     """
     n_rescued = 0
+    eta = cap
     if domain is not None:
         step = lam[..., None]
         c0 = base - step * F_lo
@@ -369,12 +383,16 @@ def _limit_candidates(domain, base, lam, F_lo, F_ho, cap, counted=True):
             r[idx] = domain.max_blend(ub, c0[idx] - ub)
             F_lo = F_lo * r.min(axis=0)[..., None]
             c0 = base - step * F_lo
-
-    dF = F_ho - F_lo
-    eta = cap
-    if domain is not None:
-        eta = np.minimum(domain.max_blend(c0, -step * dF).min(axis=0), eta)
-    return F_lo + eta[..., None] * dF, eta, n_rescued
+        # F_ho - F_lo is formed again for the result, so that it is not
+        # alive while the blends are.
+        eta = np.minimum(
+            domain.max_blend(c0, -step * (F_ho - F_lo)).min(axis=0), eta
+        )
+        del c0
+    F = np.subtract(F_ho, F_lo)
+    F *= eta[..., None]
+    F += F_lo
+    return F, eta, n_rescued
 
 
 def blend_point_residuals(tables, domain, u_loc, Phi_lo, Wpt, theta, dt):

@@ -52,6 +52,16 @@ EDGE_POINTS = 3
 OMEGA_CAP = 4.0
 COND_CAP = 1e8
 
+# The element-local work of a substep (the volume term of
+# `HighOrder.moment_residuals`, the vertex signs of `omega_weights` and the
+# LO fan) runs over blocks of BLOCK_BYTES / (nv ELEM_BYTES) elements, see
+# `element_blocks`.  ELEM_BYTES is about what the volume term's temporaries
+# take per element and variable, so a block's working set stays near
+# BLOCK_BYTES whatever nv: `double-mach` at n=24 (4.6k elements, nv = 4)
+# runs in two blocks, a scalar case up to 9k elements in one.
+BLOCK_BYTES = 5_500_000
+ELEM_BYTES = 600
+
 # Cyclic relabelling that makes local edge l local edge 0: coefficient j of
 # the relabelled element is coefficient ROTATE[l, j] of the original one,
 # and its barycentric coordinate m is lambda_{(m + l) % 3}.
@@ -108,26 +118,27 @@ def _inverse(A: np.ndarray):
         c4 = a21 * a33 - a31 * a23
         c5 = a22 * a33 - a32 * a23
         det = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
-        adj = np.stack([
-            a11 * c5 - a12 * c4 + a13 * c3,
-            a02 * c4 - a01 * c5 - a03 * c3,
-            a31 * s5 - a32 * s4 + a33 * s3,
-            a22 * s4 - a21 * s5 - a23 * s3,
-            a12 * c2 - a10 * c5 - a13 * c1,
-            a00 * c5 - a02 * c2 + a03 * c1,
-            a32 * s2 - a30 * s5 - a33 * s1,
-            a20 * s5 - a22 * s2 + a23 * s1,
-            a10 * c4 - a11 * c2 + a13 * c0,
-            a01 * c2 - a00 * c4 - a03 * c0,
-            a30 * s4 - a31 * s2 + a33 * s0,
-            a21 * s2 - a20 * s4 - a23 * s0,
-            a11 * c1 - a10 * c3 - a12 * c0,
-            a00 * c3 - a01 * c1 + a02 * c0,
-            a31 * s1 - a30 * s3 - a32 * s0,
-            a20 * s3 - a21 * s1 + a22 * s0,
-        ])
+        # The adjugate, row-major, in the (16, M) entry rows of X.
+        rows = X.reshape(m, 16).T
+        rows[0] = a11 * c5 - a12 * c4 + a13 * c3
+        rows[1] = a02 * c4 - a01 * c5 - a03 * c3
+        rows[2] = a31 * s5 - a32 * s4 + a33 * s3
+        rows[3] = a22 * s4 - a21 * s5 - a23 * s3
+        rows[4] = a12 * c2 - a10 * c5 - a13 * c1
+        rows[5] = a00 * c5 - a02 * c2 + a03 * c1
+        rows[6] = a32 * s2 - a30 * s5 - a33 * s1
+        rows[7] = a20 * s5 - a22 * s2 + a23 * s1
+        rows[8] = a10 * c4 - a11 * c2 + a13 * c0
+        rows[9] = a01 * c2 - a00 * c4 - a03 * c0
+        rows[10] = a30 * s4 - a31 * s2 + a33 * s0
+        rows[11] = a21 * s2 - a20 * s4 - a23 * s0
+        rows[12] = a11 * c1 - a10 * c3 - a12 * c0
+        rows[13] = a00 * c3 - a01 * c1 + a02 * c0
+        rows[14] = a31 * s1 - a30 * s3 - a32 * s0
+        rows[15] = a20 * s3 - a21 * s1 + a22 * s0
         nonsingular = det != 0.0
-        np.divide(adj, det, out=X.reshape(m, 16).T, where=nonsingular)
+        np.divide(rows, det, out=rows, where=nonsingular)
+        rows[:, ~nonsingular] = 0.0
     else:
         raise ValueError(f"closed-form inverse needs nv = 1 or 4, not {nv}")
     for _ in range(2):
@@ -137,6 +148,15 @@ def _inverse(A: np.ndarray):
         diag += 1.0  # R = I - A X
         X += X @ R
     return X, nonsingular
+
+
+def element_blocks(nt: int, nv: int) -> list:
+    """Slices of the NT elements, each of BLOCK_BYTES / (nv ELEM_BYTES)
+    elements rounded down to a multiple of 8 (the last one shorter).  The
+    blocked kernels are element-local, so every block gives the bits that
+    one call over all elements would."""
+    size = max(8, BLOCK_BYTES // (nv * ELEM_BYTES) // 8 * 8)
+    return [slice(s, min(s + size, nt)) for s in range(0, nt, size)]
 
 
 def _dof_normals(mesh: Mesh) -> np.ndarray:
@@ -288,10 +308,11 @@ class Tables:
 
     # -- geometry and state helpers --------------------------------------------
 
-    def element_points(self, bary: np.ndarray) -> np.ndarray:
+    def element_points(self, bary: np.ndarray, elems=slice(None)) -> np.ndarray:
         """Positions of the reference points bary (n, 3), given by their
-        barycentric coordinates, in every element: (n, NT, 2)."""
-        corners = np.take(self.mesh.verts.T, self.mesh.tris.T, axis=1)
+        barycentric coordinates, in the elements `elems` (indices or a
+        slice; all by default): (n, E, 2)."""
+        corners = np.take(self.mesh.verts.T, self.mesh.tris[elems].T, axis=1)
         return nv_last(bary @ corners)
 
     def edge_points(self, edges) -> np.ndarray:
@@ -320,11 +341,14 @@ class Tables:
         The vertex-DoF values alone, (3, NT, ...), give the sums at the
         vertices, (NV, ...).  The sums are taken one C-contiguous (6, NT)
         block at a time and keep the component-major layout: such x, the
-        layout of the element kernels, is read without a copy."""
+        layout of the element kernels, is read without a copy, and any
+        other block is copied alone."""
         op = self.point_scatter if len(x) == 6 else self.vertex_scatter
-        blocks = np.ascontiguousarray(np.moveaxis(x, (0, 1), (-2, -1)))
-        out = np.array([op @ row for row in blocks.reshape(-1, op.shape[1])])
-        return np.moveaxis(out.reshape(x.shape[2:] + op.shape[:1]), -1, 0)
+        blocks = np.moveaxis(x, (0, 1), (-2, -1))  # (..., 6 | 3, NT)
+        out = np.empty(blocks.shape[:-2] + op.shape[:1])
+        for c in np.ndindex(blocks.shape[:-2]):
+            out[c] = op @ blocks[c].reshape(-1)
+        return np.moveaxis(out, -1, 0)
 
     def edge_side_gradients(self, coef: np.ndarray) -> np.ndarray:
         """Jumps of the normal derivatives of u_h across the interior
@@ -502,8 +526,7 @@ class HighOrder:
 
         and a boundary midpoint's weight is Id.  Only the vertex patch sums
         go through `Tables.point_sums` and are inverted, in closed form and
-        refined by two Newton steps (`_inverse`, no LAPACK call).  One sign
-        evaluation covers the 3 NT vertex DoFs and the NE edge midpoints.
+        refined by two Newton steps (`_inverse`, no LAPACK call).
 
         All weights of a point fall back to Id / N when one of them is not
         finite (a non-finite sign) or exceeds OMEGA_CAP in Frobenius norm,
@@ -512,48 +535,95 @@ class HighOrder:
         midpoint with a non-finite sign counts as a fallback; its weight is
         Id either way.
 
-        The weights depend on the state only through the sign matrices.
-        For a model with `static_signs` (linear advection in a fixed
-        velocity field) they are built on the first call and the same
+        The sign matrices are taken once on the NE midpoint states, before
+        the weights exist, and per local vertex by element blocks
+        (`element_blocks`), written straight into the weights'
+        component-major blocks: no block of all signs is formed.  The
+        weights depend on the state only through the sign
+        matrices.  For a model with `static_signs` (linear advection in a
+        fixed velocity field) they are built on the first call and the same
         read-only array and count are returned after that.
         """
         if self._static_omega is not None:
             return self._static_omega
         tb = self.t
         mesh = tb.mesh
+        model = self.model
         _, nt, nv = u_loc.shape
         ne = mesh.num_edges
         eye = np.eye(nv)
-        # Each edge's midpoint state from its side-0 element, the one that
-        # traverses it forward, at local DoF 3 + l: flat index l NT + k of
-        # the (3 NT) midpoint DoFs.
+        eps = 0.5 * mesh.areas
+        ucm = nv_first(u_loc)  # (nv, 6, NT)
+
+        # Edge midpoints first, from one sign block along the edge normals
+        # taken before the weights exist.  Each edge's state comes from its
+        # side-0 element, the one that traverses it forward, at local DoF
+        # 3 + l: flat index l NT + k of the (3 NT) midpoint DoFs.
         side1 = mesh.tri_edge_orient.T < 0  # (3, NT)
         mid = np.empty(ne, dtype=np.intp)
         mid[mesh.tri_edges.T[~side1]] = np.flatnonzero(~side1)
-        ucm = nv_first(u_loc)  # (nv, 6, NT)
-
-        def vertices_then_edges(vert, edge):
-            """(3 NT + NE, c) view of a component-major block of the
-            vertex-DoF values vert (c, 3, NT) followed by edge (c, NE)."""
-            return nv_last(np.concatenate([vert.reshape(len(vert), -1), edge], axis=1))
-
-        S = self.model.sign_jac_normal(
-            vertices_then_edges(
-                ucm[:, :3], np.take(ucm[:, 3:].reshape(nv, -1), mid, axis=1)
-            ),
-            vertices_then_edges(nv_first(_dof_normals(mesh)), mesh.edge_normal.T),
-            vertices_then_edges(
-                np.take(mesh.verts.T, mesh.tris.T, axis=1), mesh.edge_mid.T
-            ),
+        S = model.sign_jac_normal(
+            nv_last(np.take(ucm[:, 3:].reshape(nv, -1), mid, axis=1)),
+            mesh.edge_normal,
+            mesh.edge_mid,
         )
-        eps = 0.5 * mesh.areas
+        S = np.broadcast_to(S, (ne, nv, nv))
+        del mid
+        omega = component_major((6, nt), nv, nv)
+        om = omega.transpose(2, 3, 0, 1)  # (nv, nv, 6, NT), C-contiguous
+        k = mesh.edge_tris.T  # (2, NE); -1 where there is no side 1
+        e_side = np.where(k >= 0, eps[k], 0.0)
+        scale = 1.0 + e_side[0] + e_side[1]
+        # Element k's midpoint on its local edge l reads side s of that
+        # edge: entry side[l, k] = e + NE s of the (2 NE) side weights,
+        # C-ordered and in range, so that each gather writes unbuffered.
+        edges = mesh.tri_edges.T  # (3, NT)
+        side = np.array(edges, dtype=np.intp, order="C")
+        side += ne * side1
+        # Both sides' weights entry by entry, gathered into the weights'
+        # blocks; their squares sum to the Frobenius norms (2, NE) in the
+        # order of `_frobenius`.
+        w = np.empty((2, ne))
+        sq = np.zeros((2, ne))
+        for i in range(nv):
+            for j in range(nv):
+                np.multiply(S[:, i, j], 0.5, out=w[0])
+                np.multiply(S[:, i, j], -0.5, out=w[1])
+                if i == j:
+                    w += 0.5
+                    w += e_side
+                w /= scale
+                np.take(w.reshape(-1), side, out=om[i, j, 3:], mode="wrap")
+                sq += w * w
+        del S, w, side, e_side, scale
+        norms = np.sqrt(sq, out=sq)
+        boundary = k[1] < 0
+        bad_e = np.where(
+            boundary,
+            ~np.isfinite(norms[0]),
+            (~np.isfinite(norms) | (norms > OMEGA_CAP)).any(axis=0),
+        )
+        del sq, norms
+        om[:, :, 3:][..., bad_e[edges]] = eye[..., None] / 2.0
+        om[:, :, 3:][..., boundary[edges]] = eye[..., None]
 
-        # Vertices.  N_K = S / 2 + (1/2 + eps_K) Id, formed in place of the
-        # vertex signs; its sums, their inverses and the weights keep the
-        # component-major layout, so no step copies or transposes a block.
-        Nb = S.transpose(1, 2, 0)[:, :, : 3 * nt].reshape(nv, nv, 3, nt)
-        Nb *= 0.5
-        Nv = nv_last(nv_last(Nb))  # (3, NT, nv, nv)
+        # Vertices.  N_K = S / 2 + (1/2 + eps_K) Id, formed in the weights'
+        # block of each local vertex from signs taken by element blocks;
+        # its sums, their inverses and the weights keep the component-major
+        # layout, so no step copies or transposes a block.
+        normals = _dof_normals(mesh)  # (3, NT, 2)
+        corners = np.take(mesh.verts.T, mesh.tris.T, axis=1)  # (2, 3, NT)
+        for a in range(3):
+            for blk in element_blocks(nt, nv):
+                S = model.sign_jac_normal(
+                    nv_last(ucm[:, a, blk]),
+                    normals[a, blk],
+                    nv_last(corners[:, a, blk]),
+                )
+                np.multiply(S, 0.5, out=omega[a, blk])
+                del S
+        del normals, corners
+        Nv = omega[:3]
         diag = diagonal_view(Nv)
         diag += 0.5
         diag += eps[:, None]
@@ -562,19 +632,23 @@ class HighOrder:
         # the fallback.
         ok = np.isfinite(total).all(axis=(0, 1))
         A = total[:, :, ok]
+        del total
         X, nonsingular = _inverse(nv_last(nv_last(A)))
-        inv = np.zeros_like(total)
+        inv = np.zeros((nv, nv, len(ok)))
         inv[:, :, ok] = nv_first(nv_first(X))
         cond = _frobenius(A.swapaxes(0, 1)) * _frobenius(X.T)
+        del A, X
         bad_v = ~ok
         bad_v[ok] = ~nonsingular | ~np.isfinite(cond) | (cond > COND_CAP)
-        omega = component_major((6, nt), nv, nv)
-        om = omega.transpose(2, 3, 0, 1)  # (nv, nv, 6, NT), C-contiguous
-        # Each vertex DoF's inverse, gathered into a component-major block;
-        # matmul sums over these strided views as over element-major ones.
-        np.matmul(
-            nv_last(nv_last(np.take(inv, mesh.tris.T, axis=2))), Nv, out=omega[:3]
-        )
+        # Local vertex a's N_K times its vertex's inverse, gathered into a
+        # component-major block; matmul sums over these strided views as
+        # over element-major ones.
+        prod = component_major((nt,), nv, nv)
+        for a in range(3):
+            g = nv_last(nv_last(np.take(inv, mesh.tris[:, a], axis=2)))
+            omega[a] = np.matmul(g, omega[a], out=prod)
+            del g
+        del inv, prod
         norms = _frobenius(om[:, :, :3])  # (3, NT)
         big = ~np.isfinite(norms) | (norms > OMEGA_CAP)
         bad_v |= tb.point_sums(big.astype(float)) > 0.0
@@ -583,36 +657,8 @@ class HighOrder:
             count = np.diff(tb.point_scatter.indptr)[mesh.tris.T[fb]]
             omega[:3][fb] = eye / count[:, None, None]
 
-        # Edge midpoints in closed form, side s of every edge in W[s].
-        k = mesh.edge_tris.T  # (2, NE); -1 where there is no side 1
-        e_side = np.where(k >= 0, eps[k], 0.0)
-        W = component_major((2, ne), nv, nv)
-        np.multiply(S[3 * nt:], 0.5, out=W[0])
-        np.multiply(S[3 * nt:], -0.5, out=W[1])
-        del S, Nb, Nv  # the signs' last read
-        diag = diagonal_view(W)
-        diag += 0.5
-        diag += e_side[..., None]
-        W /= (1.0 + e_side[0] + e_side[1])[:, None, None]
-        norms = _frobenius(W.transpose(2, 3, 0, 1))  # (2, NE)
-        boundary = k[1] < 0
-        bad_e = np.where(
-            boundary,
-            ~np.isfinite(norms[0]),
-            (~np.isfinite(norms) | (norms > OMEGA_CAP)).any(axis=0),
-        )
-        W[:, bad_e] = eye / 2.0
-        W[0, boundary] = eye
-        # Element k's midpoint on its local edge l reads side s of that
-        # edge, gathered entry by entry into the weights' own blocks.
-        Wb = W.transpose(2, 3, 0, 1).reshape(nv, nv, 2 * ne)
-        side = mesh.tri_edges.T + ne * side1
-        for i in range(nv):
-            for j in range(nv):
-                np.take(Wb[i, j], side, out=om[i, j, 3:])
-
         result = (omega, int(bad_v.sum() + bad_e.sum()))
-        if self.model.static_signs:
+        if model.static_signs:
             omega.flags.writeable = False
             self._static_omega = result
         return result
@@ -625,38 +671,52 @@ class HighOrder:
         with the integrated edge fluxes F_edge (NE, nv), the traces of
         `interface_fluxes` and the rescue counts.  The reference operators
         act as GEMMs over the component-major blocks (nv, ..., NT) (see
-        `Tables`); each large temporary is freed after its last read."""
+        `Tables`); the volume term runs by element blocks
+        (`element_blocks`), and each large temporary is freed after its
+        last read."""
         tb = self.t
         mesh = tb.mesh
         _, nt, nv = coef.shape
         gl = np.ascontiguousarray(mesh.grad_lambda.T)  # (2, 3, NT): [d, a]
+        cf = nv_first(coef)  # (nv, 7, NT)
 
-        # Volume term: VOL_OP against the flux ((v, d), q, NT), one GEMM
-        # per (v, d) over all elements, then the contraction of (a, d)
-        # with -grad(lambda_a).  The rescue groups the states by element.
-        uq = (tb.PHI_V @ nv_first(coef)).T  # (NT, nqv, nv)
-        uq, resc_vol = self._rescue_states(uq, coef[6])
-        xy = tb.element_points(tb.BARY_V)  # (nqv, NT, 2)
-        fq = self.model.flux(uq.swapaxes(0, 1), xy)  # (nqv, NT, nv, 2)
-        del uq, xy
-        T = tb.VOL_OP @ fq.transpose(2, 3, 0, 1)  # (nv, 2, (a, j), NT)
-        del fq
-        Phi = -(gl[0, 0] * T[:, 0, :7])  # (nv, 7, NT)
-        Phi -= gl[1, 0] * T[:, 1, :7]
-        Phi -= gl[0, 1] * T[:, 0, 7:]
-        Phi -= gl[1, 1] * T[:, 1, 7:]
-        del T
+        # Volume term: VOL_OP against the flux ((v, d), q, E), one GEMM per
+        # (v, d) over the block's E elements, then the contraction of
+        # (a, d) with -grad(lambda_a).  The rescue groups the states by
+        # element.
+        Phi = np.empty((nv, 7, nt))
+        resc_vol = 0
+        for blk in element_blocks(nt, nv):
+            uq = (tb.PHI_V @ cf[:, :, blk]).T  # (E, nqv, nv)
+            uq, rescued = self._rescue_states(uq, coef[6, blk])
+            resc_vol += rescued
+            xy = tb.element_points(tb.BARY_V, blk)  # (nqv, E, 2)
+            fq = self.model.flux(uq.swapaxes(0, 1), xy)  # (nqv, E, nv, 2)
+            del uq, xy
+            T = tb.VOL_OP @ fq.transpose(2, 3, 0, 1)  # (nv, 2, (a, j), E)
+            del fq
+            g = gl[..., blk]
+            P = np.multiply(g[0, 0], T[:, 0, :7], out=Phi[..., blk])
+            np.negative(P, out=P)
+            P -= g[1, 0] * T[:, 1, :7]
+            P -= g[0, 1] * T[:, 0, 7:]
+            P -= g[1, 1] * T[:, 1, 7:]
+            del T
 
         # Surface term: single-valued edge fluxes in each element's own
         # traversal direction, times signed edge length over |K|.
         fluxhat, trace, trace_xy, resc_tr = self.interface_fluxes(upt, t)
         nqe = tb.nqe
+        # Rows e nqe + q of the (nv, NE nqe) fluxes, q reversed against the
+        # edge's direction: a C-ordered (3, nqe, NT) index, in range, so
+        # that the gather writes unbuffered.
         q = np.arange(nqe)[:, None]
-        orient = mesh.tri_edge_orient.T[:, None, :]  # (3, 1, NT)
-        rows = mesh.tri_edges.T[:, None, :] * nqe + np.where(
-            orient > 0, q, nqe - 1 - q
-        )  # (3, nqe, NT)
-        fh = np.take(fluxhat.reshape(-1, nv).T, rows, axis=1)  # (nv, 3, nqe, NT)
+        forward = np.ascontiguousarray(mesh.tri_edge_orient.T)[:, None, :] > 0
+        rows = np.where(forward, q, nqe - 1 - q)
+        rows += nqe * np.ascontiguousarray(mesh.tri_edges.T)[:, None, :]
+        fh = np.empty((nv, 3, nqe, nt))
+        np.take(fluxhat.reshape(-1, nv).T, rows, axis=1, out=fh, mode="wrap")
+        del rows
         fh *= (
             mesh.tri_edge_orient
             * mesh.edge_length[mesh.tri_edges]
@@ -681,12 +741,14 @@ class HighOrder:
         # while they are built, and they are not alive in the volume term.
         omega, fb = self.omega_weights(coef[:6])
 
-        # Upwind-weighted point residuals, entry by entry over (6, NT).
+        # Upwind-weighted point residuals, entry by entry over (6, NT), the
+        # sums one local DoF at a time.
         Phi = nv_first(Phi)
         om = omega.transpose(2, 3, 0, 1)  # (nv, nv, 6, NT)
         Wpt = om[:, 0] * Phi[0, :6]
         for w in range(1, coef.shape[-1]):
-            Wpt += om[:, w] * Phi[w, :6]
+            for d in range(6):
+                Wpt[:, d] += om[:, w, d] * Phi[w, d]
         return HOResult(
             nv_last(Wpt), F_edge, trace, trace_xy, fb, resc_vol, resc_tr
         )

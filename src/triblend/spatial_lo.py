@@ -29,7 +29,7 @@ import numpy as np
 
 from .basis import POINT_DOF_BARY
 from .models import llf_flux, nv_first, nv_last
-from .spatial_ho import Tables
+from .spatial_ho import Tables, element_blocks
 
 # Sub-triangle fan: (outer1, outer2, centroid) as coefficient ids, ordered
 # CCW around K; id 6 is the cell average, which the fan places at the
@@ -85,21 +85,32 @@ class LowOrder:
 
         The kernel works on the component-major blocks (nv, ..., NT) under
         the views (see `Tables`), and gives the model nv-last views of its
-        own blocks.  The corner states of the sub-triangles are gathered
-        corner by corner, (nv, 6, NT) each; the centroid corner is the
-        average, the same for all six.
+        own blocks.  It runs by element blocks (`element_blocks`); within
+        one, the corner states of the sub-triangles are gathered corner by
+        corner, (nv, 6, E) each, and the centroid corner is the average,
+        the same for all six.
         """
-        tb = self.t
-        mesh = tb.mesh
-        model = self.model
+        mesh = self.t.mesh
+        _, nt, nv = coef.shape
         c = nv_first(coef)  # (nv, 7, NT)
-        U = [np.take(c, SUB_CORNERS[:, k], axis=1) for k in range(2)]
-        U.append(c[:, None, 6])  # (nv, 1, NT)
-        ubar_s = (U[0] + U[1] + U[2]) / 3.0  # (nv, 6, NT)
-        # P1 gradients of the corner coordinates of S: (2, 6, 3, NT).
         gl = np.ascontiguousarray(mesh.grad_lambda.T)  # (2, 3, NT)
+        Phi = np.empty((nv, 6, nt))
+        for blk in element_blocks(nt, nv):
+            self._fan(c[..., blk], gl[..., blk], mesh.areas[blk], blk, Phi[..., blk])
+        Phi /= mesh.gather_points(mesh.point_area)
+        return nv_last(Phi)
+
+    def _fan(self, c, gl, areas, blk, Phi):
+        """The fan sums of the elements `blk` into Phi (nv, 6, E), from
+        their coefficients c (nv, 7, E), barycentric gradients gl (2, 3, E)
+        and areas (E,); `point_residuals` divides by the point areas."""
+        model = self.model
+        U = [np.take(c, SUB_CORNERS[:, k], axis=1) for k in range(2)]
+        U.append(c[:, None, 6])  # (nv, 1, E)
+        ubar_s = (U[0] + U[1] + U[2]) / 3.0  # (nv, 6, E)
+        # P1 gradients of the corner coordinates of S: (2, 6, 3, E).
         sub_g = (FAN_GRAD @ gl).reshape(2, 6, 3, -1)
-        xy_s = tb.element_points(FAN_CENTROID)  # (6, NT, 2)
+        xy_s = self.t.element_points(FAN_CENTROID, blk)  # (6, E, 2)
         # |S| / 3 = |K| / 18.  The edge-scaled inward normals of S are
         # 2 |S| grad(mu) = sub_g |K| / 3; wave speeds are homogeneous in
         # the normal, so the factor |K| / 3 applies to their maximum, taken
@@ -109,25 +120,25 @@ class LowOrder:
         for u in U[: 1 if model.static_signs else 3]:
             speeds = model.max_wavespeed(
                 nv_last(u)[:, None], nv_last(sub_g), xy_s[:, None]
-            )  # (6, 3, NT)
+            )  # (6, 3, E)
             alpha_s = np.maximum(alpha_s, speeds.max(axis=1))
-        alpha_s *= mesh.areas / 3.0  # (6, NT)
-        grad = U[0][:, None] * sub_g[:, :, 0]  # (nv, 2, 6, NT)
+            del speeds
+        alpha_s *= areas / 3.0  # (6, E)
+        grad = U[0][:, None] * sub_g[:, :, 0]  # (nv, 2, 6, E)
         grad += U[1][:, None] * sub_g[:, :, 1]
         grad += U[2][:, None] * sub_g[:, :, 2]
         del U, sub_g
         jac = model.jac_apply(
             nv_last(ubar_s), np.moveaxis(grad, (0, 1), (-2, -1)), xy_s
-        )  # (6, NT, nv)
-        central = mesh.areas / 18.0 * nv_first(jac)  # (nv, 6, NT)
-        del grad, jac
+        )  # (6, E, nv)
+        del grad
+        central = areas / 18.0 * nv_first(jac)  # (nv, 6, E)
+        del jac
         # Point DoF d gets central + alpha_S (u_d - u_S) from each of the
         # two sub-triangles SLOT_SUB[d] it is a corner of.
         s0, s1 = SLOT_SUB.T
-        Phi = central[:, s0] + alpha_s[s0] * (c[:, :6] - ubar_s[:, s0])
+        np.add(central[:, s0], alpha_s[s0] * (c[:, :6] - ubar_s[:, s0]), out=Phi)
         Phi += central[:, s1] + alpha_s[s1] * (c[:, :6] - ubar_s[:, s1])
-        Phi /= mesh.gather_points(mesh.point_area)
-        return nv_last(Phi)
 
     def compute(self, coef, t) -> LOResult:
         """Low-order residuals from the element coefficients (7, NT, nv)."""

@@ -29,7 +29,7 @@ from .basis import POINT_DOF_BARY
 from .exceptions import NumericalAbort
 from .limiting import blend_average_fluxes, blend_point_residuals, damping_theta
 from .models import component_major
-from .spatial_ho import HighOrder, Tables
+from .spatial_ho import HighOrder, Tables, element_blocks
 from .spatial_lo import LowOrder
 
 
@@ -104,12 +104,16 @@ def _pin_malloc_thresholds() -> None:
 
 
 def initialize(tables: Tables, u0_fn):
-    """Cell averages by volume quadrature and exact point values of u0."""
-    # Element by element, (NT, nqv, 2): a u0 that allocates its result in C
-    # order keeps each element's quadrature values together.
-    xy = tables.element_points(tables.BARY_V).swapaxes(0, 1)
-    ubar = np.einsum("q,kqv->kv", tables.wq_vol, u0_fn(xy))
+    """Cell averages by volume quadrature and exact point values of u0.
+    The averages are taken by element blocks (`element_blocks`)."""
     upt = np.asarray(u0_fn(tables.mesh.point_xy), dtype=float)
+    nt = tables.mesh.num_tris
+    ubar = np.empty((nt,) + upt.shape[1:])
+    for blk in element_blocks(nt, upt.shape[-1]):
+        # Element by element, (E, nqv, 2): a u0 that allocates its result
+        # in C order keeps each element's quadrature values together.
+        xy = tables.element_points(tables.BARY_V, blk).swapaxes(0, 1)
+        ubar[blk] = np.einsum("q,kqv->kv", tables.wq_vol, u0_fn(xy))
     return ubar, upt
 
 
@@ -216,10 +220,13 @@ class Stepper:
                 )
             else:
                 theta = np.ones(mesh.num_tris)
+            # The traces' last read: only the residuals stay alive.
+            Wpt, F_ho = ho.Wpt, ho.F_edge
+            del ho
 
             if self.mode == "ho":
-                b = ho.Wpt
-                F = ho.F_edge
+                b = Wpt
+                F = F_ho
                 eta_pt = np.ones((6, mesh.num_tris))
                 eta_e = np.ones(mesh.num_edges)
             else:
@@ -229,16 +236,18 @@ class Stepper:
                     self.enforce_domain,
                     coef[:6],
                     lo.Phi_pt,
-                    ho.Wpt,
+                    Wpt,
                     theta,
                     dt,
                 )
+                F_lo = lo.F_edge
+                del lo, Wpt, coef  # the point residuals' and states' last read
                 F, eta_e, resc_e = blend_average_fluxes(
                     self.tables,
                     self.enforce_domain,
                     ubar,
-                    lo.F_edge,
-                    ho.F_edge,
+                    F_lo,
+                    F_ho,
                     theta,
                     dt,
                 )
@@ -317,18 +326,24 @@ class Stepper:
             raise
 
         ub2, up2, bf1, st1, dg1 = self._substep(ub1, up1, t + dt, dt)
+        del ub1, up1
         ub2 = 0.75 * ubar + 0.25 * ub2
         up2 = 0.75 * upt + 0.25 * up2
         self._check(ub2, up2, t + 0.5 * dt, step, 2)
+        # The diagnostics' running minimum, so that one set is kept.
+        dg = [np.minimum(a, b) for a, b in zip(dg0, dg1)]
+        del dg0, dg1
 
         ub3, up3, bf2, st2, dg2 = self._substep(ub2, up2, t + 0.5 * dt, dt)
+        del ub2, up2
         ub3 = ubar / 3.0 + 2.0 / 3.0 * ub3
         up3 = upt / 3.0 + 2.0 / 3.0 * up3
         self._check(ub3, up3, t + dt, step, 3)
 
-        self.last_theta = np.minimum.reduce([d[0] for d in (dg0, dg1, dg2)])
-        self.last_eta_point = np.minimum.reduce([d[1] for d in (dg0, dg1, dg2)]).T
-        self.last_eta_edge = np.minimum.reduce([d[2] for d in (dg0, dg1, dg2)])
+        self.last_theta, eta_point, self.last_eta_edge = (
+            np.minimum(a, b) for a, b in zip(dg, dg2)
+        )
+        self.last_eta_point = eta_point.T
 
         bflux = (bf0 + bf1) / 6.0 + (2.0 / 3.0) * bf2
         stats = {

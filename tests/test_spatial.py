@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from triblend import spatial_ho
 from triblend.basis import (
     POINT_DOF_BARY,
     basis_grad_bary,
@@ -27,6 +28,7 @@ from triblend.spatial_ho import (
     _edge_bary,
     _frobenius,
     _inverse,
+    element_blocks,
 )
 from triblend.spatial_lo import (
     FAN_CENTROID,
@@ -395,7 +397,8 @@ def test_omega_nonfinite_patch_sum_falls_back_quietly(small_mesh):
 def test_omega_built_once_for_static_signs(small_mesh, monkeypatch, which):
     # Linear advection's sign matrices do not depend on the state, so its
     # weights are built on the first call and reused; Euler's are rebuilt
-    # on every call.  Either way they equal a fresh operator's bitwise.
+    # on every call.  Either way they equal a fresh operator's bitwise.  A
+    # build inverts the vertex patch sums once, so `_inverse` counts builds.
     mesh = small_mesh
     if which == "euler":
         model = Euler()
@@ -410,13 +413,13 @@ def test_omega_built_once_for_static_signs(small_mesh, monkeypatch, which):
     tb = Tables(mesh)
     ho = HighOrder(tb, model, bc)
     calls = []
-    sign = model.sign_jac_normal
+    inverse = spatial_ho._inverse
 
     def counted(*args):
         calls.append(1)
-        return sign(*args)
+        return inverse(*args)
 
-    monkeypatch.setattr(model, "sign_jac_normal", counted)
+    monkeypatch.setattr(spatial_ho, "_inverse", counted)
     for field in fields:
         ubar, upt = initialize(tb, field)
         got = ho.compute(tb.coefficients(ubar, upt), upt, 0.0)
@@ -766,25 +769,105 @@ def euler_memory_case():
     return tb, ho, coef, upt, ho.compute(coef, upt, 0.0)
 
 
-def test_ho_compute_memory_peak_on_euler(euler_memory_case):
+@pytest.fixture
+def two_blocks(monkeypatch):
+    """A block budget that splits the 968 Euler elements into blocks of
+    488 and 480, as `double-mach` at n=24 (4,567 elements) is split by the
+    default budget."""
+    monkeypatch.setattr(spatial_ho, "BLOCK_BYTES", 488 * 4 * spatial_ho.ELEM_BYTES)
+    assert [b.stop - b.start for b in element_blocks(968, 4)] == [488, 480]
+
+
+def test_ho_compute_memory_peak_on_euler(euler_memory_case, two_blocks):
     # The allocation peak of one Euler HighOrder.compute call on 968
     # elements: 4.70 MB when every temporary of the volume and surface
     # terms lived until the call returned, and with the upwind weights
-    # alive during the volume term; 2.75 MB when each is freed after its
-    # last read and the weights come last.  The bound leaves 20% margin.
+    # alive during the volume term; 2.65 MB when each is freed after its
+    # last read and the weights come last, with one sign block of all
+    # point DoFs; 1.71 MB in two element blocks, with the vertex signs
+    # written into the weights.  The bound leaves 20% margin.
     _, ho, coef, upt, _ = euler_memory_case
     peak = traced_peak(lambda: ho.compute(coef, upt, 0.0))
-    assert peak <= 3.3e6, peak
+    assert peak <= 2.05e6, peak
 
 
-def test_lo_point_residuals_memory_peak_on_euler(euler_memory_case):
+def test_lo_point_residuals_memory_peak_on_euler(euler_memory_case, two_blocks):
     # 3.95 MB when the fan rate was formed over (6 sub-triangles,
     # 3 corners, 3 normals, NT) states at once, from a gathered copy of all
-    # corner states; 2.05 MB one corner at a time.  20% margin.
+    # corner states; 2.05 MB one corner at a time; 1.20 MB in two element
+    # blocks.  20% margin.
     tb, ho, coef, _, _ = euler_memory_case
     lo = LowOrder(tb, ho.model)
     peak = traced_peak(lambda: lo.point_residuals(coef))
-    assert peak <= 2.5e6, peak
+    assert peak <= 1.44e6, peak
+
+
+def test_rk3_step_memory_peak_on_euler(euler_memory_case, two_blocks):
+    # One whole `full` SSP-RK3 step on the 968 Euler elements: 3.21 MB
+    # with one sign block of all point DoFs, every substep's operators
+    # over all elements and each substep's results alive to the step's
+    # end; 2.11 MB in two element blocks, with the traces freed after the
+    # damping, the point residuals after the point blend and one running
+    # minimum of the limiter diagnostics.  20% margin.
+    tb, ho, _, _, _ = euler_memory_case
+    st = Stepper(tb.mesh, ho.model, ho.bc, enforce_domain=GasDomain(), mode="full")
+    ubar, upt = initialize(st.tables, euler_field)
+    dt = st.compute_dt(ubar, upt)
+    peak = traced_peak(lambda: st.rk3_step(ubar, upt, 0.0, dt))
+    assert peak <= 2.53e6, peak
+
+
+def blocked_case(mesh, which):
+    """A model, its enforced domain and point values whose volume states
+    leave the domain in some elements, with admissible averages (the
+    vertex means)."""
+    rng = np.random.default_rng(5)
+    npt = mesh.num_points
+    if which == "euler":
+        model, dom = Euler(), GasDomain()
+        rho, p = rng.uniform(0.2, 5.0, npt), rng.uniform(0.1, 5.0, npt)
+        speed = 3.0 * np.sqrt(1.4 * p / rho) * rng.uniform(0.0, 1.0, npt)
+        ang = rng.uniform(0.0, 2 * np.pi, npt)
+        upt = model.conserved(rho, speed * np.cos(ang), speed * np.sin(ang), p)
+    else:
+        model, dom = KPP(), IntervalDomain(-1.0, 1.0)
+        upt = rng.uniform(-1.0, 1.0, (npt, 1))
+    ubar = upt[mesh.tris].mean(axis=1)
+    return model, dom, ubar, upt
+
+
+@pytest.mark.parametrize("which", ["euler", "kpp"])
+def test_blocked_kernels_equal_one_block(small_mesh, monkeypatch, which):
+    # The volume term, the vertex signs of the weights and the LO fan run
+    # by element blocks.  On 50 elements in blocks of 16 (the last one 2)
+    # they give the bits of one block over all elements, rescue counts and
+    # fallback counts included.
+    mesh = small_mesh
+    model, dom, ubar, upt = blocked_case(mesh, which)
+    tb = Tables(mesh)
+    bc = BoundaryHandler(mesh, model, {"out": Outflow()})
+    ho = HighOrder(tb, model, bc, enforce_domain=dom)
+    lo = LowOrder(tb, model, bc)
+    coef = tb.coefficients(ubar, upt)
+
+    def run():
+        return (
+            ho.moment_residuals(coef, upt, 0.0),
+            ho.omega_weights(coef[:6]),
+            lo.point_residuals(coef),
+        )
+
+    nv = model.nvars
+    assert len(element_blocks(mesh.num_tris, nv)) == 1
+    (Phi, *surface, resc_vol, resc_tr), (omega, fb), lo_pt = run()
+    assert resc_vol > 0
+    monkeypatch.setattr(spatial_ho, "BLOCK_BYTES", 16 * nv * spatial_ho.ELEM_BYTES)
+    sizes = [b.stop - b.start for b in element_blocks(mesh.num_tris, nv)]
+    assert sizes == [16, 16, 16, 2]
+    (Phi_b, *surface_b, resc_vol_b, resc_tr_b), (omega_b, fb_b), lo_pt_b = run()
+    for got, want in zip((Phi_b, omega_b, lo_pt_b, *surface_b), (Phi, omega, lo_pt, *surface)):
+        assert got.tobytes() == want.tobytes()
+    assert (resc_vol_b, resc_tr_b, fb_b) == (resc_vol, resc_tr, fb)
 
 
 def test_damping_theta_memory_peak_on_euler(euler_memory_case):
