@@ -154,9 +154,30 @@ def element_blocks(nt: int, nv: int) -> list:
     """Slices of the NT elements, each of BLOCK_BYTES / (nv ELEM_BYTES)
     elements rounded down to a multiple of 8 (the last one shorter).  The
     blocked kernels are element-local, so every block gives the bits that
-    one call over all elements would."""
+    one call over all elements would; the VOL_OP GEMM needs
+    `block_matmul` for that."""
     size = max(8, BLOCK_BYTES // (nv * ELEM_BYTES) // 8 * 8)
     return [slice(s, min(s + size, nt)) for s in range(0, nt, size)]
+
+
+def block_matmul(A: np.ndarray, X: np.ndarray, blk: slice, nt: int) -> np.ndarray:
+    """A @ X for the element block `blk` of NT elements, X (..., k, E):
+    bitwise the block's columns of one A @ X over all NT elements.
+
+    A BLAS computes the last columns of a call (NT mod 8 here) in its
+    tail kernel and picks its kernels by the call's size; OpenBLAS takes a
+    small-matrix kernel below 1e6 multiply-adds, whose tail differs from
+    the large kernel's in the last bit for the 16-term products of
+    VOL_OP.  So the tail of the last of several blocks is computed again,
+    one matrix of X at a time, in a call as wide as all elements."""
+    out = A @ X
+    r = nt % 8
+    if r and blk.start > 0 and blk.stop == nt:
+        wide = np.zeros((A.shape[1], nt))
+        for i in np.ndindex(X.shape[:-2]):
+            wide[:, -r:] = X[i][:, -r:]
+            out[i][:, -r:] = (A @ wide)[:, -r:]
+    return out
 
 
 def _dof_normals(mesh: Mesh) -> np.ndarray:
@@ -681,9 +702,9 @@ class HighOrder:
         cf = nv_first(coef)  # (nv, 7, NT)
 
         # Volume term: VOL_OP against the flux ((v, d), q, E), one GEMM per
-        # (v, d) over the block's E elements, then the contraction of
-        # (a, d) with -grad(lambda_a).  The rescue groups the states by
-        # element.
+        # (v, d) over the block's E elements into T (nv, 2, (a, j), E),
+        # then the contraction of (a, d) with -grad(lambda_a).  The rescue
+        # groups the states by element.
         Phi = np.empty((nv, 7, nt))
         resc_vol = 0
         for blk in element_blocks(nt, nv):
@@ -693,7 +714,7 @@ class HighOrder:
             xy = tb.element_points(tb.BARY_V, blk)  # (nqv, E, 2)
             fq = self.model.flux(uq.swapaxes(0, 1), xy)  # (nqv, E, nv, 2)
             del uq, xy
-            T = tb.VOL_OP @ fq.transpose(2, 3, 0, 1)  # (nv, 2, (a, j), E)
+            T = block_matmul(tb.VOL_OP, fq.transpose(2, 3, 0, 1), blk, nt)
             del fq
             g = gl[..., blk]
             P = np.multiply(g[0, 0], T[:, 0, :7], out=Phi[..., blk])

@@ -28,6 +28,7 @@ from triblend.spatial_ho import (
     _edge_bary,
     _frobenius,
     _inverse,
+    block_matmul,
     element_blocks,
 )
 from triblend.spatial_lo import (
@@ -834,6 +835,21 @@ def blocked_case(mesh, which):
         upt = rng.uniform(-1.0, 1.0, (npt, 1))
     ubar = upt[mesh.tris].mean(axis=1)
     return model, dom, ubar, upt
+
+
+def test_block_matmul_equals_one_call():
+    # 16-term products, the shape of VOL_OP against a volume flux, over
+    # 4,521 elements in blocks of 2,288 and 2,233 give the bits of one
+    # product over all elements.  On OpenBLAS the plain product of the
+    # last block differs in the last bit of its last column: below 1e6
+    # multiply-adds the call takes the small-matrix kernel, whose tail
+    # rounds otherwise.
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((14, 16))
+    X = rng.standard_normal((4, 2, 16, 4521))
+    blocks = [slice(0, 2288), slice(2288, 4521)]
+    got = [block_matmul(A, np.ascontiguousarray(X[..., b]), b, 4521) for b in blocks]
+    assert np.concatenate(got, axis=-1).tobytes() == (A @ X).tobytes()
 
 
 @pytest.mark.parametrize("which", ["euler", "kpp"])
