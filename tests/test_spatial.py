@@ -843,7 +843,10 @@ def test_block_matmul_equals_one_call():
     # product over all elements.  On OpenBLAS the plain product of the
     # last block differs in the last bit of its last column: below 1e6
     # multiply-adds the call takes the small-matrix kernel, whose tail
-    # rounds otherwise.
+    # rounds otherwise.  This pins OpenBLAS's kernel choice (checked with
+    # 1 and 2 threads on 0.3.31): a failure under another BLAS or version
+    # is a host difference to look at in `block_matmul`, not a solver
+    # defect.
     rng = np.random.default_rng(8)
     A = rng.standard_normal((14, 16))
     X = rng.standard_normal((4, 2, 16, 4521))
