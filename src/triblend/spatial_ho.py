@@ -58,7 +58,9 @@ COND_CAP = 1e8
 # `element_blocks`.  ELEM_BYTES is about what the volume term's temporaries
 # take per element and variable, so a block's working set stays near
 # BLOCK_BYTES whatever nv: `double-mach` at n=24 (4.6k elements, nv = 4)
-# runs in two blocks, a scalar case up to 9k elements in one.
+# runs in two blocks, a scalar case up to 9k elements in one, and the
+# 25k-element scalar `gauss` benchmark in three (its steps measured no
+# slower than in one block).
 BLOCK_BYTES = 5_500_000
 ELEM_BYTES = 600
 

@@ -29,7 +29,7 @@ from .basis import POINT_DOF_BARY
 from .exceptions import NumericalAbort
 from .limiting import blend_average_fluxes, blend_point_residuals, damping_theta
 from .models import component_major
-from .spatial_ho import HighOrder, Tables
+from .spatial_ho import HighOrder, Tables, element_blocks
 from .spatial_lo import LowOrder
 
 
@@ -104,12 +104,17 @@ def _pin_malloc_thresholds() -> None:
 
 
 def initialize(tables: Tables, u0_fn):
-    """Cell averages by volume quadrature and exact point values of u0."""
-    # Element by element, (NT, nqv, 2): a u0 that allocates its result in C
-    # order keeps each element's quadrature values together.
-    xy = tables.element_points(tables.BARY_V).swapaxes(0, 1)
-    ubar = np.einsum("q,kqv->kv", tables.wq_vol, u0_fn(xy))
+    """Cell averages by volume quadrature and exact point values of u0.
+    The averages are taken by element blocks (`element_blocks`): on a
+    large scalar mesh the whole-mesh quadrature values outgrow a step."""
     upt = np.asarray(u0_fn(tables.mesh.point_xy), dtype=float)
+    nt = tables.mesh.num_tris
+    ubar = np.empty((nt,) + upt.shape[1:])
+    for blk in element_blocks(nt, upt.shape[-1]):
+        # Element by element, (E, nqv, 2): a u0 that allocates its result
+        # in C order keeps each element's quadrature values together.
+        xy = tables.element_points(tables.BARY_V, blk).swapaxes(0, 1)
+        ubar[blk] = np.einsum("q,kqv->kv", tables.wq_vol, u0_fn(xy))
     return ubar, upt
 
 
