@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .models import nv_first, nv_last
+from .models import nv_first
 
 
 def _largest_root_bound(a, b, c):
@@ -317,37 +317,43 @@ def damping_sigma(tables, model, coef, c1=1.0, c2=1.0):
     return ei, sig.T
 
 
-def damping_theta(tables, model, coef, trace_u, trace_xy, dt, c1=1.0, c2=1.0):
-    """Per-element damping factor theta in (0, 1], from the edge traces
-    and their positions that `HighOrder.interface_fluxes` returns.
+def interior_edge_speeds(tables, model, trace_u):
+    """Fastest wave speed of the edge traces trace_u (NE, nqe, nv), which
+    `HighOrder.interface_fluxes` returns, on each interior edge
+    (`Tables.interior_edges`): (E,).  The positions of their quadrature
+    points are formed here."""
+    ei = tables.interior_edges
+    speed = model.max_wavespeed(
+        np.take(trace_u, ei, axis=0),
+        np.take(tables.mesh.edge_normal, ei, axis=0)[:, None, :],
+        tables.edge_points(ei),
+    )  # (E, nqe | 1)
+    # One pass per point: a reduction over the short last axis is slow.
+    alpha = speed[:, 0]
+    for q in range(1, speed.shape[1]):
+        alpha = np.maximum(alpha, speed[:, q])
+    return alpha
+
+
+def damping_theta(tables, model, coef, speed, dt, c1=1.0, c2=1.0):
+    """Per-element damping factor theta in (0, 1], from the fastest wave
+    speed `speed` (E,) of each interior edge (`interior_edge_speeds`).
 
     theta_K = exp(-(dt / N_K) sum_e alpha_e sigma_{e,K} / ell_{e,K}) over
-    the N_K interior edges of K, with alpha_e the fastest wave speed of the
-    edge trace.  Exactly 1 when every component is globally constant and
-    1 - O(dt h) where u_h is smooth; near a discontinuity the exponent is
-    O(dt/ell), an order-one reduction per step.
+    the N_K interior edges of K, with alpha_e the edge's speed.  Exactly 1
+    when every component is globally constant and 1 - O(dt h) where u_h is
+    smooth; near a discontinuity the exponent is O(dt/ell), an order-one
+    reduction per step.
     """
     mesh = tables.mesh
     ei, sigma = damping_sigma(tables, model, coef, c1=c1, c2=c2)
     if len(ei) == 0 or not sigma.any():
         return np.ones(mesh.num_tris)
 
-    # Gathered along the edge axis, the positions stay component-major.
-    xy = nv_last(np.take(nv_first(trace_xy), ei, axis=1))
-    speed = model.max_wavespeed(
-        np.take(trace_u, ei, axis=0),
-        np.take(mesh.edge_normal, ei, axis=0)[:, None, :],
-        xy,
-    )  # (E, nqe | 1)
-    # One pass per point: a reduction over the short last axis is slow.
-    alpha = speed[:, 0]
-    for q in range(1, speed.shape[1]):
-        alpha = np.maximum(alpha, speed[:, q])
-
     # Sums over the edges of each element, side 0 then side 1, in edge
     # order; an element without interior edges keeps exp(-0) = 1.
     k = np.take(mesh.edge_tris, ei, axis=0).T.ravel()
-    rate = alpha * sigma.T / tables.EDGE_DIST
+    rate = speed * sigma.T / tables.EDGE_DIST
     expo = np.bincount(k, weights=rate.ravel(), minlength=mesh.num_tris)
     n_int = np.bincount(k, minlength=mesh.num_tris)
     return np.exp(-dt * expo / np.maximum(n_int, 1))

@@ -10,9 +10,17 @@ Every model exposes the same informal interface over arrays whose last axis
                                Jacobian d(f . n)/du
     max_wavespeed(u, n, xy) -- (...,) spectral bound for |n| = 1 scaling;
                                the value scales linearly with |n|
-    static_signs            -- True when d(f . n)/du does not depend on u
-                               (a linear flux), so callers may evaluate
-                               its sign and wave speed at one state
+    static_signs            -- True for a linear flux f(u, x) = u a(x) in a
+                               time-independent velocity field a, which
+                               the model gives as `velocity_at(xy)` and
+                               `normal_speed(n, xy)` (a . n).  Then
+                               d(f . n)/du does not depend on u, so its
+                               sign and wave speed may be taken at one
+                               state, and the operators keep the speeds
+                               at their fixed points for the run (see
+                               `spatial_ho.StaticSpeeds`) and form the
+                               flux from them with `linear_flux`,
+                               `linear_flux_normal` and `linear_jac_apply`
 
 `xy` carries physical coordinates for models with space-dependent flux;
 models that do not need it ignore the argument.  Leading dimensions
@@ -74,18 +82,46 @@ def _length(n):
     return np.sqrt(n[..., 0] * n[..., 0] + n[..., 1] * n[..., 1])
 
 
-def llf_flux(model, ul, ur, n, xy):
-    """Local Lax-Friedrichs (Rusanov) flux from ul to ur across n: (..., nv)."""
-    alpha = model.max_wavespeed(ul, n, xy)  # both states' for a linear flux
-    if not model.static_signs:
-        alpha = np.maximum(alpha, model.max_wavespeed(ur, n, xy))
-    central = 0.5 * (model.flux_normal(ul, n, xy) + model.flux_normal(ur, n, xy))
-    return central - 0.5 * alpha[..., None] * (ur - ul)
+def llf_flux(model, ul, ur, n, xy, speed=None):
+    """Local Lax-Friedrichs (Rusanov) flux from ul to ur across n: (..., nv).
+
+    `speed` is the normal speed a . n of a model with `static_signs`, kept
+    by the caller; with it the model is not called, and the flux has the
+    bits of the model's."""
+    if speed is not None:
+        alpha = np.abs(speed)
+        fl, fr = linear_flux_normal(ul, speed), linear_flux_normal(ur, speed)
+    else:
+        alpha = model.max_wavespeed(ul, n, xy)  # both states' for a linear flux
+        if not model.static_signs:
+            alpha = np.maximum(alpha, model.max_wavespeed(ur, n, xy))
+        fl, fr = model.flux_normal(ul, n, xy), model.flux_normal(ur, n, xy)
+    return 0.5 * (fl + fr) - 0.5 * alpha[..., None] * (ur - ul)
 
 
 # ---------------------------------------------------------------------------
 # scalar models
 # ---------------------------------------------------------------------------
+
+
+def linear_flux(u, a):
+    """The flux tensor u a of the velocities a (..., 2): (..., nv, 2),
+    `component_major`."""
+    lead = np.broadcast_shapes(u.shape[:-1], a.shape[:-1])
+    out = component_major(lead, u.shape[-1], 2)
+    return np.multiply(u[..., :, None], a[..., None, :], out=out)
+
+
+def linear_flux_normal(u, speed):
+    """The normal flux (a . n) u of the normal speeds `speed` (...,): (..., nv)."""
+    return u * speed[..., None]
+
+
+def linear_jac_apply(a, w):
+    """a_x w_x + a_y w_y of the velocities a (..., 2) for the gradient-like
+    w (..., nv, 2): (..., nv)."""
+    a = a[..., None, :]
+    return a[..., 0] * w[..., 0] + a[..., 1] * w[..., 1]
 
 
 class LinearAdvection:
@@ -106,32 +142,28 @@ class LinearAdvection:
         return self._vel(np.asarray(xy))
 
     def flux(self, u, xy):
-        a = self.velocity_at(xy)
-        lead = np.broadcast_shapes(u.shape[:-1], a.shape[:-1])
-        out = component_major(lead, u.shape[-1], 2)
-        return np.multiply(u[..., :, None], a[..., None, :], out=out)
+        return linear_flux(u, self.velocity_at(xy))
 
-    def _normal_speed(self, n, xy):
+    def normal_speed(self, n, xy):
         """a(xy) . n, in the broadcast shape of the leading dims of n, xy."""
         a = self.velocity_at(xy)
         return a[..., 0] * n[..., 0] + a[..., 1] * n[..., 1]
 
     def flux_normal(self, u, n, xy):
-        return u * self._normal_speed(n, xy)[..., None]
+        return linear_flux_normal(u, self.normal_speed(n, xy))
 
     def jac_normal(self, u, n, xy):
-        return self._normal_speed(n, xy)[..., None, None]
+        return self.normal_speed(n, xy)[..., None, None]
 
     def sign_jac_normal(self, u, n, xy):
         return np.sign(self.jac_normal(u, n, xy))
 
     def max_wavespeed(self, u, n, xy):
-        return np.abs(self._normal_speed(n, xy))
+        return np.abs(self.normal_speed(n, xy))
 
     def jac_apply(self, u, w, xy):
         """sum_d A_d(u) w[..., d] for the gradient-like tensor w (..., 1, 2)."""
-        a = self.velocity_at(xy)[..., None, :]
-        return a[..., 0] * w[..., 0] + a[..., 1] * w[..., 1]
+        return linear_jac_apply(self.velocity_at(xy), w)
 
 
 class KPP:

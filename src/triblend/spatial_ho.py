@@ -41,7 +41,8 @@ from scipy import sparse
 from .basis import basis_grad_bary, basis_hess_bary
 from .basis import basis_values, projection_matrix
 from .mesh import Mesh
-from .models import component_major, diagonal_view, nv_first, nv_last
+from .models import component_major, diagonal_view, linear_flux
+from .models import linear_flux_normal, nv_first, nv_last
 from .quadrature import edge_rule, triangle_rule
 
 # Exactness degree of the volume rule and Gauss points per edge.
@@ -350,6 +351,38 @@ class Tables:
             np.add(a, t * d, out=xy[..., q])
         return nv_last(xy)
 
+    def edge_traces(self, upt: np.ndarray):
+        """Traces of u_h at the edge quadrature points, N1D applied to each
+        edge's point values (start, end, midpoint): (NE, nqe, nv), with the
+        mean of those three values, (NE, nv).
+
+        The bits are those of the batched product N1D @ (NE, 3, nv), which
+        numpy takes as one small BLAS call per edge, a gemv for nv = 1 and
+        a gemm otherwise; here each is one call of the same kind over all
+        edges.  For nv = 1, one gemv per row of N1D against the (NE, 3)
+        values; for nv > 1, one gemm against their k-major (3, NE nv)
+        gather.  Crossing the two (one gemm for nv = 1, or a gemv per row
+        for nv = 4) changes the last bit of some traces.
+        """
+        mesh = self.mesh
+        ne, nv = mesh.num_edges, upt.shape[-1]
+        mid = upt[len(mesh.verts):]
+        trace = np.empty((ne, self.nqe, nv))
+        if nv == 1:
+            vals = np.empty((ne, 3))
+            vals[:, :2] = np.take(upt[:, 0], mesh.edge_verts)
+            vals[:, 2] = mid[:, 0]
+            for q, row in enumerate(self.N1D):
+                trace[:, q, 0] = vals @ row
+            vals = vals.T[..., None]  # (3, NE, 1)
+        else:
+            vals = np.empty((3, ne, nv))
+            np.take(upt, mesh.edge_verts.T, axis=0, out=vals[:2])
+            vals[2] = mid
+            prod = self.N1D @ vals.reshape(3, -1)  # (nqe, NE nv)
+            trace.swapaxes(0, 1)[...] = prod.reshape(self.nqe, ne, nv)
+        return trace, (vals[0] + vals[1] + vals[2]) / 3.0
+
     def coefficients(self, ubar: np.ndarray, upt: np.ndarray) -> np.ndarray:
         """Local coefficient vectors (7, NT, nvars): the point values of
         each element, then its average."""
@@ -415,6 +448,7 @@ class Tables:
             nd += ny * gy
             td = nx * gy
             td -= ny * gx
+            del gx, gy
             (n0, n1), (t0, t1) = nd, td
             # Coefficients of the reduced derivatives r[j] in each row.
             rows = (
@@ -438,19 +472,64 @@ class Tables:
         return jump
 
 
+class StaticSpeeds:
+    """What the speeds of a model with `static_signs` decide at the fixed
+    points of the operators, kept for the run.
+
+    The flux of such a model is u a(x) in a time-independent velocity
+    field, so its speeds, and everything they decide, are the same at every
+    substep.  An operator asks `get(name, build)`: for such a model the
+    first call builds the value with the operator's own code and keeps it,
+    read-only, and every later call returns it; for any other model every
+    call builds afresh and nothing is kept.  A name is a string, or a
+    string with an element block's bounds; nothing is keyed on an array.
+    The stepper shares one record between its operators, whose docstrings
+    say what each keeps: 3.54 MB in all on `rotating-shapes` at n=59.
+    """
+
+    def __init__(self, model):
+        self.keeps = bool(model.static_signs)
+        self.kept = {}  # name -> value, read-only
+
+    def get(self, name, build):
+        """The value kept under `name`, built by `build()` on first use;
+        built afresh on every call when nothing is kept."""
+        if not self.keeps:
+            return build()
+        if name not in self.kept:
+            value = build()
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray) and a.flags.writeable:
+                    a.flags.writeable = False
+            self.kept[name] = value
+        return self.kept[name]
+
+
 @dataclass
 class HOResult:
     Wpt: np.ndarray  # (6, NT, nv) upwind-weighted point residuals
     F_edge: np.ndarray  # (NE, nv) integrated edge fluxes (with |e|)
     trace_u: np.ndarray  # (NE, nqe, nv) traces used for the fluxes
-    trace_xy: np.ndarray  # (NE, nqe, 2) positions of those traces
     omega_fallback_points: int
     rescued_volume_elems: int
     rescued_trace_edges: int
 
 
 class HighOrder:
-    def __init__(self, tables: Tables, model, bc=None, enforce_domain=None):
+    """The high-order residuals.  `speeds` is the record of kept speeds
+    (`StaticSpeeds`) it shares with the other operators, its own when not
+    given.  For a model with `static_signs` it keeps, on `rotating-shapes`
+    at n=59 (6,962 elements, 10,561 edges): a . n at the edge quadrature
+    points, 0.25 MB ("edge"); the velocities at the volume quadrature
+    points, 1.78 MB (("volume", start, stop) per element block; nothing
+    for a constant field, whose velocities are broadcast views); the
+    upwind weights, 0.33 MB ("omega").  Formed at every call instead, the
+    volume velocities raised the process's peak memory: their positions
+    and values are a 3.6 MB temporary."""
+
+    def __init__(
+        self, tables: Tables, model, bc=None, enforce_domain=None, speeds=None
+    ):
         self.t = tables
         self.model = model
         self.bc = bc
@@ -460,9 +539,7 @@ class HighOrder:
         # its enforced domain in every limited mode, scalar models included,
         # so the rescue also shapes the high-order residual there.
         self.enforce_domain = enforce_domain
-        # (omega, fallback count), kept after the first call when the
-        # model's sign matrices do not depend on the state.
-        self._static_omega = None
+        self.speeds = speeds if speeds is not None else StaticSpeeds(model)
 
     # -- pieces ---------------------------------------------------------------
 
@@ -496,30 +573,36 @@ class HighOrder:
         return u, len(bad)
 
     def interface_fluxes(self, upt, t):
-        """Single-valued edge fluxes: (fluxhat (NE, nqe, nv), trace, xy, rescued)."""
+        """Single-valued edge fluxes: (fluxhat (NE, nqe, nv), trace, rescued).
+
+        A static flux is (a . n) u with a . n kept (`StaticSpeeds`, "edge"),
+        so after its first call the positions of the edge quadrature points
+        are formed for the boundary edges only."""
         tb = self.t
         mesh = tb.mesh
-        edge_u = np.empty((mesh.num_edges, 3, upt.shape[-1]))  # a, b, midpoint
-        edge_u[:, :2] = np.take(upt, mesh.edge_verts, axis=0)
-        edge_u[:, 2] = upt[len(mesh.verts):]
-        trace = tb.N1D @ edge_u
+        model = self.model
         # Edge-local rescue reference: the mean of the three edge DoFs (all
         # admissible), keeping the trace single-valued between the two sides.
-        ref = (edge_u[:, 0] + edge_u[:, 1] + edge_u[:, 2]) / 3.0
+        trace, ref = tb.edge_traces(upt)
         trace, rescued = self._rescue_states(trace, ref)
         n = mesh.edge_normal[:, None, :]
-        xy = tb.edge_points(slice(None))
-        fluxhat = self.model.flux_normal(trace, n, xy)
+        if model.static_signs:
+            speed = self.speeds.get(
+                "edge", lambda: model.normal_speed(n, tb.edge_points(slice(None)))
+            )
+            fluxhat = linear_flux_normal(trace, speed)
+        else:
+            fluxhat = model.flux_normal(trace, n, tb.edge_points(slice(None)))
         if self.bc is not None:
             # Gathered along the edge axis, each array keeps its layout.
             be = mesh.boundary_edges
             fluxhat[be] = self.bc.ho_flux(
                 np.take(trace, be, axis=0),
                 np.take(mesh.edge_normal, be, axis=0),
-                nv_last(np.take(nv_first(xy), be, axis=1)),
+                tb.edge_points(be),
                 t,
             )
-        return fluxhat, trace, xy, rescued
+        return fluxhat, trace, rescued
 
     def omega_weights(self, u_loc):
         """Upwind weights (6, NT, nv, nv), stored component-major
@@ -565,10 +648,13 @@ class HighOrder:
         weights depend on the state only through the sign
         matrices.  For a model with `static_signs` (linear advection in a
         fixed velocity field) they are built on the first call and the same
-        read-only array and count are returned after that.
+        read-only array and count are returned after that (`StaticSpeeds`,
+        "omega").
         """
-        if self._static_omega is not None:
-            return self._static_omega
+        return self.speeds.get("omega", lambda: self._weights(u_loc))
+
+    def _weights(self, u_loc):
+        """The upwind weights and fallback count of `omega_weights`."""
         tb = self.t
         mesh = tb.mesh
         model = self.model
@@ -680,11 +766,7 @@ class HighOrder:
             count = np.diff(tb.point_scatter.indptr)[mesh.tris.T[fb]]
             omega[:3][fb] = eye / count[:, None, None]
 
-        result = (omega, int(bad_v.sum() + bad_e.sum()))
-        if model.static_signs:
-            omega.flags.writeable = False
-            self._static_omega = result
-        return result
+        return omega, int(bad_v.sum() + bad_e.sum())
 
     # -- full residual ----------------------------------------------------------
 
@@ -696,9 +778,11 @@ class HighOrder:
         act as GEMMs over the component-major blocks (nv, ..., NT) (see
         `Tables`); the volume term runs by element blocks
         (`element_blocks`), and each large temporary is freed after its
-        last read."""
+        last read.  A static flux is u a with the velocities a of each
+        block kept (`StaticSpeeds`, "volume")."""
         tb = self.t
         mesh = tb.mesh
+        model = self.model
         _, nt, nv = coef.shape
         gl = np.ascontiguousarray(mesh.grad_lambda.T)  # (2, 3, NT): [d, a]
         cf = nv_first(coef)  # (nv, 7, NT)
@@ -713,9 +797,17 @@ class HighOrder:
             uq = (tb.PHI_V @ cf[:, :, blk]).T  # (E, nqv, nv)
             uq, rescued = self._rescue_states(uq, coef[6, blk])
             resc_vol += rescued
-            xy = tb.element_points(tb.BARY_V, blk)  # (nqv, E, 2)
-            fq = self.model.flux(uq.swapaxes(0, 1), xy)  # (nqv, E, nv, 2)
-            del uq, xy
+            if model.static_signs:
+                a = self.speeds.get(
+                    ("volume", blk.start, blk.stop),
+                    lambda: model.velocity_at(tb.element_points(tb.BARY_V, blk)),
+                )  # (nqv, E, 2)
+                fq = linear_flux(uq.swapaxes(0, 1), a)  # (nqv, E, nv, 2)
+            else:
+                xy = tb.element_points(tb.BARY_V, blk)
+                fq = model.flux(uq.swapaxes(0, 1), xy)
+                del xy
+            del uq
             T = block_matmul(tb.VOL_OP, fq.transpose(2, 3, 0, 1), blk, nt)
             del fq
             g = gl[..., blk]
@@ -728,7 +820,7 @@ class HighOrder:
 
         # Surface term: single-valued edge fluxes in each element's own
         # traversal direction, times signed edge length over |K|.
-        fluxhat, trace, trace_xy, resc_tr = self.interface_fluxes(upt, t)
+        fluxhat, trace, resc_tr = self.interface_fluxes(upt, t)
         nqe = tb.nqe
         # Rows e nqe + q of the (nv, NE nqe) fluxes, q reversed against the
         # edge's direction: a C-ordered (3, nqe, NT) index, in range, so
@@ -750,16 +842,14 @@ class HighOrder:
         F_edge = np.einsum(
             "q,eqv->ev", tb.wq_edge, fluxhat
         ) * mesh.edge_length[:, None]
-        return nv_last(Phi), F_edge, trace, trace_xy, resc_vol, resc_tr
+        return nv_last(Phi), F_edge, trace, resc_vol, resc_tr
 
     def compute(self, coef, upt, t) -> HOResult:
         """High-order residuals from the element coefficients coef
         (7, NT, nv) and the point values upt they were gathered from: the
         upwind-weighted point rows of `moment_residuals`, Wpt (6, NT, nv),
         a view of a component-major block, and its edge fluxes."""
-        Phi, F_edge, trace, trace_xy, resc_vol, resc_tr = self.moment_residuals(
-            coef, upt, t
-        )
+        Phi, F_edge, trace, resc_vol, resc_tr = self.moment_residuals(coef, upt, t)
         # The weights last: then only Phi, F_edge and the traces are alive
         # while they are built, and they are not alive in the volume term.
         omega, fb = self.omega_weights(coef[:6])
@@ -772,6 +862,4 @@ class HighOrder:
         for w in range(1, coef.shape[-1]):
             for d in range(6):
                 Wpt[:, d] += om[:, w, d] * Phi[w, d]
-        return HOResult(
-            nv_last(Wpt), F_edge, trace, trace_xy, fb, resc_vol, resc_tr
-        )
+        return HOResult(nv_last(Wpt), F_edge, trace, fb, resc_vol, resc_tr)

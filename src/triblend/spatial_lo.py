@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import POINT_DOF_BARY
-from .models import llf_flux, nv_first, nv_last
-from .spatial_ho import Tables, element_blocks
+from .models import linear_jac_apply, llf_flux, nv_first, nv_last
+from .spatial_ho import StaticSpeeds, Tables, element_blocks
 
 # Sub-triangle fan: (outer1, outer2, centroid) as coefficient ids, ordered
 # CCW around K; id 6 is the cell average, which the fan places at the
@@ -53,6 +53,26 @@ SLOT_SUB = np.array(
 )
 
 
+def _fan_rates(model, U, gl, xy_s, areas):
+    """The rates alpha_S (6, E) of the fans with corner states U at their
+    centroids xy_s (6, E, 2), from the barycentric gradients gl (2, 3, E)."""
+    sub_g = (FAN_GRAD @ gl).reshape(2, 6, 3, -1)  # P1 gradients of S
+    # |S| / 3 = |K| / 18.  The edge-scaled inward normals of S are
+    # 2 |S| grad(mu) = sub_g |K| / 3; wave speeds are homogeneous in the
+    # normal, so the factor |K| / 3 applies to their maximum, taken one
+    # corner at a time.  A linear flux has the same speeds at every state,
+    # so its first corner stands for all three.
+    alpha_s = 0.0
+    for u in U[: 1 if model.static_signs else 3]:
+        speeds = model.max_wavespeed(
+            nv_last(u)[:, None], nv_last(sub_g), xy_s[:, None]
+        )  # (6, 3, E)
+        alpha_s = np.maximum(alpha_s, speeds.max(axis=1))
+        del speeds
+    alpha_s *= areas / 3.0
+    return alpha_s
+
+
 @dataclass
 class LOResult:
     Phi_pt: np.ndarray  # (6, NT, nv)
@@ -60,13 +80,22 @@ class LOResult:
 
 
 class LowOrder:
-    def __init__(self, tables: Tables, model, bc=None):
+    """The low-order residuals.  `speeds` is the record of kept speeds
+    (`StaticSpeeds`) it shares with the other operators, its own when not
+    given.  For a model with `static_signs` it keeps, on `rotating-shapes`
+    at n=59: a . n at the edge midpoints, 0.08 MB ("midpoint"); the fan
+    rates alpha_S and the velocities at the fan centroids, 0.33 + 0.67 MB
+    (("fan", start, stop) per element block)."""
+
+    def __init__(self, tables: Tables, model, bc=None, speeds=None):
         self.t = tables
         self.model = model
         self.bc = bc
+        self.speeds = speeds if speeds is not None else StaticSpeeds(model)
 
     def average_fluxes(self, ubar, t):
         mesh = self.t.mesh
+        model = self.model
         left, right = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
         u0 = np.take(ubar, left, axis=0)
         # Without a handler a boundary edge sees its own element: outflow.
@@ -76,7 +105,12 @@ class LowOrder:
             u1[be] = self.bc.ghost_average(
                 u0[be], mesh.edge_normal[be], mesh.edge_mid[be], t
             )
-        fn = llf_flux(self.model, u0, u1, mesh.edge_normal, mesh.edge_mid)
+        speed = None
+        if model.static_signs:
+            speed = self.speeds.get(
+                "midpoint", lambda: model.normal_speed(mesh.edge_normal, mesh.edge_mid)
+            )
+        fn = llf_flux(model, u0, u1, mesh.edge_normal, mesh.edge_mid, speed)
         return fn * mesh.edge_length[:, None]
 
     def point_residuals(self, coef):
@@ -88,7 +122,9 @@ class LowOrder:
         own blocks.  It runs by element blocks (`element_blocks`); within
         one, the corner states of the sub-triangles are gathered corner by
         corner, (nv, 6, E) each, and the centroid corner is the average,
-        the same for all six.
+        the same for all six.  For a model with `static_signs` the fan
+        rates and the velocities at the fan centroids of each block are
+        kept (`StaticSpeeds`, "fan").
         """
         mesh = self.t.mesh
         _, nt, nv = coef.shape
@@ -108,30 +144,32 @@ class LowOrder:
         U = [np.take(c, SUB_CORNERS[:, k], axis=1) for k in range(2)]
         U.append(c[:, None, 6])  # (nv, 1, E)
         ubar_s = (U[0] + U[1] + U[2]) / 3.0  # (nv, 6, E)
-        # P1 gradients of the corner coordinates of S: (2, 6, 3, E).
-        sub_g = (FAN_GRAD @ gl).reshape(2, 6, 3, -1)
-        xy_s = self.t.element_points(FAN_CENTROID, blk)  # (6, E, 2)
-        # |S| / 3 = |K| / 18.  The edge-scaled inward normals of S are
-        # 2 |S| grad(mu) = sub_g |K| / 3; wave speeds are homogeneous in
-        # the normal, so the factor |K| / 3 applies to their maximum, taken
-        # one corner at a time.  A linear flux has the same speeds at every
-        # state, so its first corner stands for all three.
-        alpha_s = 0.0
-        for u in U[: 1 if model.static_signs else 3]:
-            speeds = model.max_wavespeed(
-                nv_last(u)[:, None], nv_last(sub_g), xy_s[:, None]
-            )  # (6, 3, E)
-            alpha_s = np.maximum(alpha_s, speeds.max(axis=1))
-            del speeds
-        alpha_s *= areas / 3.0  # (6, E)
-        grad = U[0][:, None] * sub_g[:, :, 0]  # (nv, 2, 6, E)
-        grad += U[1][:, None] * sub_g[:, :, 1]
-        grad += U[2][:, None] * sub_g[:, :, 2]
-        del U, sub_g
-        jac = model.jac_apply(
-            nv_last(ubar_s), np.moveaxis(grad, (0, 1), (-2, -1)), xy_s
-        )  # (6, E, nv)
-        del grad
+        if model.static_signs:
+
+            def kept():
+                xy_s = self.t.element_points(FAN_CENTROID, blk)
+                return _fan_rates(model, U, gl, xy_s, areas), model.velocity_at(xy_s)
+
+            alpha_s, a_s = self.speeds.get(("fan", blk.start, blk.stop), kept)
+        else:
+            xy_s = self.t.element_points(FAN_CENTROID, blk)  # (6, E, 2)
+            alpha_s = _fan_rates(model, U, gl, xy_s, areas)
+        # grad(u_S) (nv, 2, 6, E) from the P1 gradients of the corner
+        # coordinates of S, (6, 3, E), one direction at a time.
+        grad = np.empty((len(c), 2) + ubar_s.shape[1:])
+        for d, g in enumerate(gl):
+            sub_g = (FAN_GRAD @ g).reshape(6, 3, -1)
+            np.multiply(U[0], sub_g[:, 0], out=grad[:, d])
+            grad[:, d] += U[1] * sub_g[:, 1]
+            grad[:, d] += U[2] * sub_g[:, 2]
+            del sub_g
+        del U
+        w = np.moveaxis(grad, (0, 1), (-2, -1))
+        if model.static_signs:
+            jac = linear_jac_apply(a_s, w)  # (6, E, nv)
+        else:
+            jac = model.jac_apply(nv_last(ubar_s), w, xy_s)
+        del grad, w
         central = areas / 18.0 * nv_first(jac)  # (nv, 6, E)
         del jac
         # Point DoF d gets central + alpha_S (u_d - u_S) from each of the

@@ -28,8 +28,9 @@ import numpy as np
 from .basis import POINT_DOF_BARY
 from .exceptions import NumericalAbort
 from .limiting import blend_average_fluxes, blend_point_residuals, damping_theta
+from .limiting import interior_edge_speeds
 from .models import component_major
-from .spatial_ho import HighOrder, Tables, element_blocks
+from .spatial_ho import HighOrder, StaticSpeeds, Tables, element_blocks
 from .spatial_lo import LowOrder
 
 
@@ -136,8 +137,12 @@ class Stepper:
         self.mesh = mesh
         self.model = model
         self.tables = Tables(mesh)
-        self.ho = HighOrder(self.tables, model, bc, enforce_domain=enforce_domain)
-        self.lo = LowOrder(self.tables, model, bc)
+        # One record of kept speeds for every operator (`StaticSpeeds`).
+        self.speeds = StaticSpeeds(model)
+        self.ho = HighOrder(
+            self.tables, model, bc, enforce_domain=enforce_domain, speeds=self.speeds
+        )
+        self.lo = LowOrder(self.tables, model, bc, speeds=self.speeds)
         self.cfl = float(cfl)
         self.enforce_domain = enforce_domain
         self.assert_domain = assert_domain
@@ -172,9 +177,16 @@ class Stepper:
         return np.maximum(speeds.max(axis=(0, 1)), 1e-300)
 
     def compute_dt(self, ubar, upt):
-        """CFL * min over elements of inradius / max local wavespeed."""
-        lam = self._wavespeeds(ubar, upt)
-        return self.cfl * float((self._inradius / lam).min())
+        """CFL * min over elements of inradius / max local wavespeed.
+
+        For a model with `static_signs` the minimum does not depend on the
+        state: it is taken on the first call and kept (`StaticSpeeds`,
+        "cfl_rate", one float), and later calls read no state."""
+
+        def rate():
+            return float((self._inradius / self._wavespeeds(ubar, upt)).min())
+
+        return self.cfl * self.speeds.get("cfl_rate", rate)
 
     def _collapse(self, ubar, upt, t, step):
         """The abort for a time step that is not finite and positive; it
@@ -208,22 +220,28 @@ class Stepper:
             fallback = ho.omega_fallback_points
             resc_vol = ho.rescued_volume_elems
             resc_tr = ho.rescued_trace_edges
+            # The damping's edge speeds, the traces' last read; a static
+            # model's (0.08 MB on `rotating-shapes` at n=59) are kept.
+            speed = None
             if self.mode == "full":
+                speed = self.speeds.get(
+                    "damping",
+                    lambda: interior_edge_speeds(self.tables, self.model, ho.trace_u),
+                )
+            # Only the residuals stay alive.
+            Wpt, F_ho = ho.Wpt, ho.F_edge
+            del ho
+            theta = np.ones(mesh.num_tris)
+            if speed is not None:
                 theta = damping_theta(
                     self.tables,
                     self.model,
                     coef,
-                    ho.trace_u,
-                    ho.trace_xy,
+                    speed,
                     dt,
                     c1=self.damping_c1,
                     c2=self.damping_c2,
                 )
-            else:
-                theta = np.ones(mesh.num_tris)
-            # The traces' last read: only the residuals stay alive.
-            Wpt, F_ho = ho.Wpt, ho.F_edge
-            del ho
 
             if self.mode == "ho":
                 b = Wpt

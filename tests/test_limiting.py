@@ -18,6 +18,7 @@ from triblend.limiting import (
     blend_point_residuals,
     damping_sigma,
     damping_theta,
+    interior_edge_speeds,
 )
 from triblend.mesh import Mesh
 from triblend.meshgen import rect_mesh
@@ -840,9 +841,8 @@ def edge_traces(tb, upt):
 def _theta_for(mesh, model, ubar, upt, dt=1e-3):
     tb = Tables(mesh)
     coef = tb.coefficients(ubar, upt)
-    trace = edge_traces(tb, upt)
-    xy = tb.edge_points(slice(None))
-    return damping_theta(tb, model, coef, trace, xy, dt)
+    speed = interior_edge_speeds(tb, model, edge_traces(tb, upt))
+    return damping_theta(tb, model, coef, speed, dt)
 
 
 def test_damping_is_one_on_constants():
@@ -929,7 +929,7 @@ def test_damping_theta_is_the_mean_edge_rate_per_element():
     trace = edge_traces(tb, upt)
     xy = tb.edge_points(slice(None))
     dt = 1e-2
-    theta = damping_theta(tb, model, coef, trace, xy, dt)
+    theta = damping_theta(tb, model, coef, interior_edge_speeds(tb, model, trace), dt)
 
     ei, sig = damping_sigma(tb, model, coef)
     expo = np.zeros(mesh.num_tris)

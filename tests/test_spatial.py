@@ -16,9 +16,11 @@ from triblend.basis import (
 from triblend.boundary import BoundaryHandler, FarField, Outflow, Wall
 from triblend.exceptions import ConfigError
 from triblend.limiting import GasDomain, IntervalDomain, damping_theta
+from triblend.limiting import interior_edge_speeds
 from triblend.mesh import triangle_geometry
 from triblend.meshgen import rect_mesh
 from triblend.models import KPP, Euler, LinearAdvection, diagonal_view, nv_first
+from triblend.problems import get_problem, sample_initial
 from triblend.spatial_ho import (
     COND_CAP,
     OMEGA_CAP,
@@ -145,7 +147,7 @@ def reference_phi(ho, ubar, upt, t):
     fq = model.flux(tb.PHI_V @ coef, xy)  # (NT, nqv, nv, 2)
     vol = -(dvol_mat @ fq.swapaxes(2, 3).reshape(nt, -1, nv))
     vol *= mesh.areas[:, None, None]
-    fluxhat, _, _, _ = ho.interface_fluxes(upt, t)
+    fluxhat, _, _ = ho.interface_fluxes(upt, t)
     surf = w_edge_mat @ fluxhat[mesh.tri_edges].reshape(nt, -1, nv)
     return (projection_matrix() @ (vol + surf)) / mesh.areas[:, None, None]
 
@@ -280,6 +282,27 @@ def test_edge_points_lie_on_their_segments(small_mesh):
     assert np.all((tb.tq_edge > 0.0) & (tb.tq_edge < 1.0))
     want = a + tb.tq_edge[:, None] * (b - a)
     assert np.abs(xy - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("nv", [1, 4])
+def test_edge_traces_equal_batched_product_bitwise(nv):
+    # `Tables.edge_traces` takes N1D @ edge values as one BLAS call of the
+    # kind numpy makes per edge in the batched product: a gemv per row of
+    # N1D for nv = 1, one gemm for nv = 4.  Both give the batched bits on
+    # a jittered mesh of 2,241 edges; the other call for either nv does
+    # not.  This pins OpenBLAS's kernels: a failure under another BLAS is
+    # a host difference to look at in `edge_traces`, not a solver defect.
+    mesh = rect_mesh((0.0, 1.0, 0.0, 1.0), 27, jitter=0.25, seed=11)
+    tb = Tables(mesh)
+    upt = np.random.default_rng(nv).standard_normal((mesh.num_points, nv))
+    mid = len(mesh.verts) + np.arange(mesh.num_edges)
+    edge_u = upt[np.column_stack([mesh.edge_verts, mid])]  # (NE, 3, nv)
+    trace, ref = tb.edge_traces(upt)
+    assert mesh.num_edges == 2241
+    assert trace.flags.c_contiguous
+    assert trace.tobytes() == (tb.N1D @ edge_u).tobytes()
+    mean = (edge_u[:, 0] + edge_u[:, 1] + edge_u[:, 2]) / 3.0
+    assert ref.tobytes() == mean.tobytes()
 
 
 def test_dof_normals_unit_inward_at_vertices_outward_at_midpoints(small_mesh):
@@ -816,6 +839,40 @@ def test_rk3_step_memory_peak_on_euler(euler_memory_case, two_blocks):
     dt = st.compute_dt(ubar, upt)
     peak = traced_peak(lambda: st.rk3_step(ubar, upt, 0.0, dt))
     assert peak <= 2.53e6, peak
+    assert st.speeds.kept == {}  # Euler's speeds depend on the state
+
+
+def test_rk3_step_memory_peak_on_scalar():
+    # The first `full` SSP-RK3 step of `rotating-shapes` on 968 elements,
+    # after a warm-up step of another stepper.  It builds the kept speeds
+    # (`StaticSpeeds`, 0.49 MB here): 1.59 MB, against 1.39 MB when only
+    # the upwind weights were kept.  Later steps peak at 0.90 MB, against
+    # 1.34 MB, as they form no speeds.  20% margin.
+    prob = get_problem("rotating-shapes")
+    model = prob.make_model(1.4)
+    mesh = prob.mesh_builder(22)
+    mesh.name_boundary(prob.namer)
+    bc = BoundaryHandler(mesh, model, prob.boundaries(model))
+    enforce, assert_ = prob.domains(model)
+
+    def first_step():
+        st = Stepper(
+            mesh, model, bc, mode="full", enforce_domain=enforce, assert_domain=assert_
+        )
+        ubar, upt = sample_initial(prob, model, st.tables)
+        return st, lambda: st.rk3_step(ubar, upt, 0.0, st.compute_dt(ubar, upt))
+
+    first_step()[1]()
+    st, step = first_step()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert mesh.num_tris == 968 and ("fan", 0, 968) in st.speeds.kept
+    assert peak <= 1.91e6, peak
 
 
 def blocked_case(mesh, which):
@@ -894,8 +951,11 @@ def test_damping_theta_memory_peak_on_euler(euler_memory_case):
     # coefficients and formed all derivative rows at once; 1.05 MB one side
     # and one variable at a time.  The bound leaves 0.25 MB margin.
     tb, ho, coef, _, res = euler_memory_case
+    model = ho.model
     peak = traced_peak(
-        lambda: damping_theta(tb, ho.model, coef, res.trace_u, res.trace_xy, 1e-3)
+        lambda: damping_theta(
+            tb, model, coef, interior_edge_speeds(tb, model, res.trace_u), 1e-3
+        )
     )
     assert peak <= 1.3e6, peak
 

@@ -7,7 +7,7 @@ from triblend import timeloop
 
 from triblend.boundary import BoundaryHandler, FarField
 from triblend.exceptions import NumericalAbort
-from triblend.limiting import IntervalDomain, damping_theta
+from triblend.limiting import IntervalDomain, damping_theta, interior_edge_speeds
 from triblend.meshgen import rect_mesh
 from triblend.models import LinearAdvection
 from triblend.norms import point_weights
@@ -219,7 +219,7 @@ def test_full_mode_without_domain_blends_by_theta_bitwise():
     coef = tb.coefficients(ubar, upt)
     ho = stepper.ho.compute(coef, upt, 0.0)
     lo = stepper.lo.compute(coef, 0.0)
-    th = damping_theta(tb, model, coef, ho.trace_u, ho.trace_xy, dt)
+    th = damping_theta(tb, model, coef, interior_edge_speeds(tb, model, ho.trace_u), dt)
     assert th.min() < 1.0  # the discontinuous data must engage the damping
     b = lo.Phi_pt + th[:, None] * (ho.Wpt - lo.Phi_pt)
     k0, k1 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
@@ -285,6 +285,65 @@ def test_rk3_step_gathers_element_states_once(monkeypatch):
     stepper.rk3_step(ubar, upt, 0.0, dt)
     assert len(stacks) == 3
     assert len(gathers) == 3
+
+
+class UnkeptAdvection(LinearAdvection):
+    """Linear advection that does not promise static speeds: every
+    operator asks the model at every substep, and nothing is kept."""
+
+    static_signs = False
+
+
+def shapes_run(model, mode, callback=None):
+    """Three RK3 steps of `rotating-shapes` on its n=6 mesh (72 elements)."""
+    prob = get_problem("rotating-shapes")
+    mesh = prob.mesh_builder(6)
+    mesh.name_boundary(prob.namer)
+    bc = BoundaryHandler(mesh, model, prob.boundaries(model))
+    enforce, assert_ = (None, None) if mode == "ho" else prob.domains(model)
+    stepper = Stepper(
+        mesh, model, bc, mode=mode, enforce_domain=enforce, assert_domain=assert_
+    )
+    ubar, upt = sample_initial(prob, model, stepper.tables)
+    out = stepper.run(
+        ubar, upt, prob.final_time, max_steps=3, callback=callback
+    )
+    return stepper, out
+
+
+@pytest.mark.parametrize("mode", ["ho", "bp", "full"])
+def test_kept_speeds_give_the_bits_of_the_model(mode):
+    # The rotating field's speeds are kept for the run (`StaticSpeeds`);
+    # the same field without `static_signs` asks the model at every
+    # substep.  States and journals are bitwise equal.  After the first
+    # step the field is evaluated only at boundary points, by the boundary
+    # closure's fluxes: never inside the domain.
+    velocity = get_problem("rotating-shapes").make_model(1.4).velocity_at
+    step = 0
+    calls = []  # (step number, positions) of each evaluation
+
+    def counted(xy):
+        calls.append((step, np.array(xy)))
+        return velocity(xy)
+
+    def on_step(k, *_):
+        nonlocal step
+        step = k
+
+    stepper, (ubar, upt, journal, _) = shapes_run(
+        LinearAdvection(counted), mode, on_step
+    )
+    _, (ubar_f, upt_f, journal_f, _) = shapes_run(UnkeptAdvection(velocity), mode)
+    assert ubar.tobytes() == ubar_f.tobytes()
+    assert upt.tobytes() == upt_f.tobytes()
+    assert journal == journal_f and len(journal) == 3
+    assert "edge" in stepper.speeds.kept
+
+    later = [xy.reshape(-1, 2) for k, xy in calls if k >= 1]
+    assert later
+    x, y = np.concatenate(later).T
+    gap = np.minimum(np.minimum(x, 1.0 - x), np.minimum(y, 1.0 - y))
+    assert (gap <= 1e-12).all()
 
 
 def mach_stepper(n):
