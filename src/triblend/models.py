@@ -18,9 +18,10 @@ Every model exposes the same informal interface over arrays whose last axis
                                sign and wave speed may be taken at one
                                state, and the operators keep the speeds
                                at their fixed points for the run (see
-                               `spatial_ho.StaticSpeeds`) and form the
-                               flux from them with `linear_flux`,
-                               `linear_flux_normal` and `linear_jac_apply`
+                               `spatial_ho.StaticSpeeds`) and pass them
+                               back as the last argument of `flux` and
+                               `jac_apply` (velocities) and `flux_normal`
+                               (a . n), which then ignore xy
 
 `xy` carries physical coordinates for models with space-dependent flux;
 models that do not need it ignore the argument.  Leading dimensions
@@ -88,40 +89,21 @@ def llf_flux(model, ul, ur, n, xy, speed=None):
     `speed` is the normal speed a . n of a model with `static_signs`, kept
     by the caller; with it the model is not called, and the flux has the
     bits of the model's."""
-    if speed is not None:
-        alpha = np.abs(speed)
-        fl, fr = linear_flux_normal(ul, speed), linear_flux_normal(ur, speed)
-    else:
+    if speed is None:
         alpha = model.max_wavespeed(ul, n, xy)  # both states' for a linear flux
         if not model.static_signs:
             alpha = np.maximum(alpha, model.max_wavespeed(ur, n, xy))
         fl, fr = model.flux_normal(ul, n, xy), model.flux_normal(ur, n, xy)
+    else:
+        alpha = np.abs(speed)
+        fl = model.flux_normal(ul, n, xy, speed)
+        fr = model.flux_normal(ur, n, xy, speed)
     return 0.5 * (fl + fr) - 0.5 * alpha[..., None] * (ur - ul)
 
 
 # ---------------------------------------------------------------------------
 # scalar models
 # ---------------------------------------------------------------------------
-
-
-def linear_flux(u, a):
-    """The flux tensor u a of the velocities a (..., 2): (..., nv, 2),
-    `component_major`."""
-    lead = np.broadcast_shapes(u.shape[:-1], a.shape[:-1])
-    out = component_major(lead, u.shape[-1], 2)
-    return np.multiply(u[..., :, None], a[..., None, :], out=out)
-
-
-def linear_flux_normal(u, speed):
-    """The normal flux (a . n) u of the normal speeds `speed` (...,): (..., nv)."""
-    return u * speed[..., None]
-
-
-def linear_jac_apply(a, w):
-    """a_x w_x + a_y w_y of the velocities a (..., 2) for the gradient-like
-    w (..., nv, 2): (..., nv)."""
-    a = a[..., None, :]
-    return a[..., 0] * w[..., 0] + a[..., 1] * w[..., 1]
 
 
 class LinearAdvection:
@@ -141,16 +123,22 @@ class LinearAdvection:
     def velocity_at(self, xy):
         return self._vel(np.asarray(xy))
 
-    def flux(self, u, xy):
-        return linear_flux(u, self.velocity_at(xy))
+    def flux(self, u, xy, a=None):
+        """u a, with a the velocities at xy unless the caller keeps them."""
+        a = self.velocity_at(xy) if a is None else a
+        lead = np.broadcast_shapes(u.shape[:-1], a.shape[:-1])
+        out = component_major(lead, u.shape[-1], 2)
+        return np.multiply(u[..., :, None], a[..., None, :], out=out)
 
     def normal_speed(self, n, xy):
         """a(xy) . n, in the broadcast shape of the leading dims of n, xy."""
         a = self.velocity_at(xy)
         return a[..., 0] * n[..., 0] + a[..., 1] * n[..., 1]
 
-    def flux_normal(self, u, n, xy):
-        return linear_flux_normal(u, self.normal_speed(n, xy))
+    def flux_normal(self, u, n, xy, speed=None):
+        """(a . n) u, with a . n formed at xy unless the caller keeps it."""
+        speed = self.normal_speed(n, xy) if speed is None else speed
+        return u * speed[..., None]
 
     def jac_normal(self, u, n, xy):
         return self.normal_speed(n, xy)[..., None, None]
@@ -161,9 +149,11 @@ class LinearAdvection:
     def max_wavespeed(self, u, n, xy):
         return np.abs(self.normal_speed(n, xy))
 
-    def jac_apply(self, u, w, xy):
-        """sum_d A_d(u) w[..., d] for the gradient-like tensor w (..., 1, 2)."""
-        return linear_jac_apply(self.velocity_at(xy), w)
+    def jac_apply(self, u, w, xy, a=None):
+        """sum_d A_d(u) w[..., d] for the gradient-like tensor w (..., 1, 2),
+        with a the velocities at xy unless the caller keeps them."""
+        a = (self.velocity_at(xy) if a is None else a)[..., None, :]
+        return a[..., 0] * w[..., 0] + a[..., 1] * w[..., 1]
 
 
 class KPP:

@@ -41,8 +41,7 @@ from scipy import sparse
 from .basis import basis_grad_bary, basis_hess_bary
 from .basis import basis_values, projection_matrix
 from .mesh import Mesh
-from .models import component_major, diagonal_view, linear_flux
-from .models import linear_flux_normal, nv_first, nv_last
+from .models import component_major, diagonal_view, nv_first, nv_last
 from .quadrature import edge_rule, triangle_rule
 
 # Exactness degree of the volume rule and Gauss points per edge.
@@ -483,8 +482,9 @@ class StaticSpeeds:
     read-only, and every later call returns it; for any other model every
     call builds afresh and nothing is kept.  A name is a string, or a
     string with an element block's bounds; nothing is keyed on an array.
-    The stepper shares one record between its operators, whose docstrings
-    say what each keeps: 3.54 MB in all on `rotating-shapes` at n=59.
+    Each operator and the stepper keep their own record, under names of
+    their own, and their docstrings say what each keeps: 3.54 MB in all on
+    `rotating-shapes` at n=59.
     """
 
     def __init__(self, model):
@@ -516,10 +516,9 @@ class HOResult:
 
 
 class HighOrder:
-    """The high-order residuals.  `speeds` is the record of kept speeds
-    (`StaticSpeeds`) it shares with the other operators, its own when not
-    given.  For a model with `static_signs` it keeps, on `rotating-shapes`
-    at n=59 (6,962 elements, 10,561 edges): a . n at the edge quadrature
+    """The high-order residuals.  For a model with `static_signs` its
+    record `speeds` (`StaticSpeeds`) keeps, on `rotating-shapes` at n=59
+    (6,962 elements, 10,561 edges): a . n at the edge quadrature
     points, 0.25 MB ("edge"); the velocities at the volume quadrature
     points, 1.78 MB (("volume", start, stop) per element block; nothing
     for a constant field, whose velocities are broadcast views); the
@@ -527,9 +526,7 @@ class HighOrder:
     volume velocities raised the process's peak memory: their positions
     and values are a 3.6 MB temporary."""
 
-    def __init__(
-        self, tables: Tables, model, bc=None, enforce_domain=None, speeds=None
-    ):
+    def __init__(self, tables: Tables, model, bc=None, enforce_domain=None):
         self.t = tables
         self.model = model
         self.bc = bc
@@ -539,7 +536,7 @@ class HighOrder:
         # its enforced domain in every limited mode, scalar models included,
         # so the rescue also shapes the high-order residual there.
         self.enforce_domain = enforce_domain
-        self.speeds = speeds if speeds is not None else StaticSpeeds(model)
+        self.speeds = StaticSpeeds(model)
 
     # -- pieces ---------------------------------------------------------------
 
@@ -590,7 +587,7 @@ class HighOrder:
             speed = self.speeds.get(
                 "edge", lambda: model.normal_speed(n, tb.edge_points(slice(None)))
             )
-            fluxhat = linear_flux_normal(trace, speed)
+            fluxhat = model.flux_normal(trace, n, None, speed)
         else:
             fluxhat = model.flux_normal(trace, n, tb.edge_points(slice(None)))
         if self.bc is not None:
@@ -802,7 +799,7 @@ class HighOrder:
                     ("volume", blk.start, blk.stop),
                     lambda: model.velocity_at(tb.element_points(tb.BARY_V, blk)),
                 )  # (nqv, E, 2)
-                fq = linear_flux(uq.swapaxes(0, 1), a)  # (nqv, E, nv, 2)
+                fq = model.flux(uq.swapaxes(0, 1), None, a)  # (nqv, E, nv, 2)
             else:
                 xy = tb.element_points(tb.BARY_V, blk)
                 fq = model.flux(uq.swapaxes(0, 1), xy)

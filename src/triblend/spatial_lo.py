@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import POINT_DOF_BARY
-from .models import linear_jac_apply, llf_flux, nv_first, nv_last
+from .models import llf_flux, nv_first, nv_last
 from .spatial_ho import StaticSpeeds, Tables, element_blocks
 
 # Sub-triangle fan: (outer1, outer2, centroid) as coefficient ids, ordered
@@ -80,18 +80,17 @@ class LOResult:
 
 
 class LowOrder:
-    """The low-order residuals.  `speeds` is the record of kept speeds
-    (`StaticSpeeds`) it shares with the other operators, its own when not
-    given.  For a model with `static_signs` it keeps, on `rotating-shapes`
-    at n=59: a . n at the edge midpoints, 0.08 MB ("midpoint"); the fan
+    """The low-order residuals.  For a model with `static_signs` its
+    record `speeds` (`StaticSpeeds`) keeps, on `rotating-shapes` at n=59:
+    a . n at the edge midpoints, 0.08 MB ("midpoint"); the fan
     rates alpha_S and the velocities at the fan centroids, 0.33 + 0.67 MB
     (("fan", start, stop) per element block)."""
 
-    def __init__(self, tables: Tables, model, bc=None, speeds=None):
+    def __init__(self, tables: Tables, model, bc=None):
         self.t = tables
         self.model = model
         self.bc = bc
-        self.speeds = speeds if speeds is not None else StaticSpeeds(model)
+        self.speeds = StaticSpeeds(model)
 
     def average_fluxes(self, ubar, t):
         mesh = self.t.mesh
@@ -166,7 +165,7 @@ class LowOrder:
         del U
         w = np.moveaxis(grad, (0, 1), (-2, -1))
         if model.static_signs:
-            jac = linear_jac_apply(a_s, w)  # (6, E, nv)
+            jac = model.jac_apply(None, w, None, a_s)  # (6, E, nv)
         else:
             jac = model.jac_apply(nv_last(ubar_s), w, xy_s)
         del grad, w

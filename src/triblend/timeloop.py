@@ -137,12 +137,11 @@ class Stepper:
         self.mesh = mesh
         self.model = model
         self.tables = Tables(mesh)
-        # One record of kept speeds for every operator (`StaticSpeeds`).
+        self.ho = HighOrder(self.tables, model, bc, enforce_domain=enforce_domain)
+        self.lo = LowOrder(self.tables, model, bc)
+        # The stepper's own kept speeds (`StaticSpeeds`): "cfl_rate" and
+        # "damping".
         self.speeds = StaticSpeeds(model)
-        self.ho = HighOrder(
-            self.tables, model, bc, enforce_domain=enforce_domain, speeds=self.speeds
-        )
-        self.lo = LowOrder(self.tables, model, bc, speeds=self.speeds)
         self.cfl = float(cfl)
         self.enforce_domain = enforce_domain
         self.assert_domain = assert_domain

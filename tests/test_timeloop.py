@@ -337,7 +337,7 @@ def test_kept_speeds_give_the_bits_of_the_model(mode):
     assert ubar.tobytes() == ubar_f.tobytes()
     assert upt.tobytes() == upt_f.tobytes()
     assert journal == journal_f and len(journal) == 3
-    assert "edge" in stepper.speeds.kept
+    assert "edge" in stepper.ho.speeds.kept
 
     later = [xy.reshape(-1, 2) for k, xy in calls if k >= 1]
     assert later
