@@ -12,16 +12,12 @@ Every model exposes the same informal interface over arrays whose last axis
                                the value scales linearly with |n|
     static_signs            -- True for a linear flux f(u, x) = u a(x) in a
                                time-independent velocity field a, which
-                               the model gives as `velocity_at(xy)` and
-                               `normal_speed(n, xy)` (a . n).  Then
+                               the model gives as `velocity_at(xy)`.  Then
                                d(f . n)/du does not depend on u, so its
                                sign and wave speed may be taken at one
-                               state, and the operators keep the speeds
-                               at their fixed points for the run (see
-                               `spatial_ho.StaticSpeeds`) and pass them
-                               back as the last argument of `flux` and
-                               `jac_apply` (velocities) and `flux_normal`
-                               (a . n), which then ignore xy
+                               state, and the operators keep what the
+                               speeds decide (`spatial_ho.StaticSpeeds`,
+                               3.96 MB on `rotating-shapes` at n=59)
 
 `xy` carries physical coordinates for models with space-dependent flux;
 models that do not need it ignore the argument.  Leading dimensions
@@ -83,21 +79,12 @@ def _length(n):
     return np.sqrt(n[..., 0] * n[..., 0] + n[..., 1] * n[..., 1])
 
 
-def llf_flux(model, ul, ur, n, xy, speed=None):
-    """Local Lax-Friedrichs (Rusanov) flux from ul to ur across n: (..., nv).
-
-    `speed` is the normal speed a . n of a model with `static_signs`, kept
-    by the caller; with it the model is not called, and the flux has the
-    bits of the model's."""
-    if speed is None:
-        alpha = model.max_wavespeed(ul, n, xy)  # both states' for a linear flux
-        if not model.static_signs:
-            alpha = np.maximum(alpha, model.max_wavespeed(ur, n, xy))
-        fl, fr = model.flux_normal(ul, n, xy), model.flux_normal(ur, n, xy)
-    else:
-        alpha = np.abs(speed)
-        fl = model.flux_normal(ul, n, xy, speed)
-        fr = model.flux_normal(ur, n, xy, speed)
+def llf_flux(model, ul, ur, n, xy):
+    """Local Lax-Friedrichs (Rusanov) flux from ul to ur across n: (..., nv)."""
+    alpha = model.max_wavespeed(ul, n, xy)  # both states' for a linear flux
+    if not model.static_signs:
+        alpha = np.maximum(alpha, model.max_wavespeed(ur, n, xy))
+    fl, fr = model.flux_normal(ul, n, xy), model.flux_normal(ur, n, xy)
     return 0.5 * (fl + fr) - 0.5 * alpha[..., None] * (ur - ul)
 
 
@@ -123,36 +110,32 @@ class LinearAdvection:
     def velocity_at(self, xy):
         return self._vel(np.asarray(xy))
 
-    def flux(self, u, xy, a=None):
-        """u a, with a the velocities at xy unless the caller keeps them."""
-        a = self.velocity_at(xy) if a is None else a
+    def flux(self, u, xy):
+        a = self.velocity_at(xy)
         lead = np.broadcast_shapes(u.shape[:-1], a.shape[:-1])
         out = component_major(lead, u.shape[-1], 2)
         return np.multiply(u[..., :, None], a[..., None, :], out=out)
 
-    def normal_speed(self, n, xy):
+    def _normal_speed(self, n, xy):
         """a(xy) . n, in the broadcast shape of the leading dims of n, xy."""
         a = self.velocity_at(xy)
         return a[..., 0] * n[..., 0] + a[..., 1] * n[..., 1]
 
-    def flux_normal(self, u, n, xy, speed=None):
-        """(a . n) u, with a . n formed at xy unless the caller keeps it."""
-        speed = self.normal_speed(n, xy) if speed is None else speed
-        return u * speed[..., None]
+    def flux_normal(self, u, n, xy):
+        return u * self._normal_speed(n, xy)[..., None]
 
     def jac_normal(self, u, n, xy):
-        return self.normal_speed(n, xy)[..., None, None]
+        return self._normal_speed(n, xy)[..., None, None]
 
     def sign_jac_normal(self, u, n, xy):
         return np.sign(self.jac_normal(u, n, xy))
 
     def max_wavespeed(self, u, n, xy):
-        return np.abs(self.normal_speed(n, xy))
+        return np.abs(self._normal_speed(n, xy))
 
-    def jac_apply(self, u, w, xy, a=None):
-        """sum_d A_d(u) w[..., d] for the gradient-like tensor w (..., 1, 2),
-        with a the velocities at xy unless the caller keeps them."""
-        a = (self.velocity_at(xy) if a is None else a)[..., None, :]
+    def jac_apply(self, u, w, xy):
+        """sum_d A_d(u) w[..., d] for the gradient-like tensor w (..., 1, 2)."""
+        a = self.velocity_at(xy)[..., None, :]
         return a[..., 0] * w[..., 0] + a[..., 1] * w[..., 1]
 
 

@@ -63,6 +63,13 @@ COND_CAP = 1e8
 # slower than in one block).
 BLOCK_BYTES = 5_500_000
 ELEM_BYTES = 600
+# OpenBLAS computes a GEMM of at most SMALL_GEMM multiply-adds in its
+# single-threaded small-matrix kernel and a larger one threaded.  On a
+# 2-core host with two BLAS threads the larger call took 1-6 ms where the
+# product itself takes 0.2 ms (a (6, 32) by (32, 6962) product between
+# other numpy work), so `block_matmul` keeps the element kernels' calls
+# below it.
+SMALL_GEMM = 1_000_000
 
 # Cyclic relabelling that makes local edge l local edge 0: coefficient j of
 # the relabelled element is coefficient ROTATE[l, j] of the original one,
@@ -156,29 +163,30 @@ def element_blocks(nt: int, nv: int) -> list:
     """Slices of the NT elements, each of BLOCK_BYTES / (nv ELEM_BYTES)
     elements rounded down to a multiple of 8 (the last one shorter).  The
     blocked kernels are element-local, so every block gives the bits that
-    one call over all elements would; the VOL_OP GEMM needs
+    one call over all elements would; their GEMMs go through
     `block_matmul` for that."""
     size = max(8, BLOCK_BYTES // (nv * ELEM_BYTES) // 8 * 8)
     return [slice(s, min(s + size, nt)) for s in range(0, nt, size)]
 
 
-def block_matmul(A: np.ndarray, X: np.ndarray, blk: slice, nt: int) -> np.ndarray:
-    """A @ X for the element block `blk` of NT elements, X (..., k, E):
-    bitwise the block's columns of one A @ X over all NT elements.
+def block_matmul(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A @ X for X (..., k, N), in calls over column chunks of a multiple
+    of 8 columns, each of at most SMALL_GEMM multiply-adds.
 
-    A BLAS computes the last columns of a call (NT mod 8 here) in its
-    tail kernel and picks its kernels by the call's size; OpenBLAS takes a
-    small-matrix kernel below 1e6 multiply-adds, whose tail differs from
-    the large kernel's in the last bit for the 16-term products of
-    VOL_OP.  So the tail of the last of several blocks is computed again,
-    one matrix of X at a time, in a call as wide as all elements."""
-    out = A @ X
-    r = nt % 8
-    if r and blk.start > 0 and blk.stop == nt:
-        wide = np.zeros((A.shape[1], nt))
-        for i in np.ndindex(X.shape[:-2]):
-            wide[:, -r:] = X[i][:, -r:]
-            out[i][:, -r:] = (A @ wide)[:, -r:]
+    Every call then takes OpenBLAS's small-matrix kernel, and the bits of
+    each column do not depend on where the chunks, or the element blocks
+    (`element_blocks`), cut the columns, as long as each cut is a
+    multiple of 8: a BLAS computes the last columns of a call (N mod 8)
+    in its tail kernel, and the small kernel's tail differs from the
+    large kernel's in the last bit."""
+    m, k = A.shape[-2:]
+    step = max(8, SMALL_GEMM // (m * k) // 8 * 8)
+    n = X.shape[-1]
+    if n <= step:
+        return A @ X
+    out = np.empty(np.broadcast_shapes(A.shape[:-2], X.shape[:-2]) + (m, n))
+    for s in range(0, n, step):
+        np.matmul(A, X[..., s : s + step], out=out[..., s : s + step])
     return out
 
 
@@ -235,11 +243,18 @@ class Tables:
         # over a = 0, 1.  VOL_OP[(a, j), q] holds P times the weighted
         # reduced derivatives w_q (...), so P F_vol / |K| is VOL_OP applied
         # to the flux and contracted with -grad(lambda_a); the row order
-        # (a, j) keeps (j, v) one strided axis in each (a, d) slice.
+        # (a, j) keeps (j, v) one strided axis in each (a, d) slice.  Only
+        # the rows j < 6 of P, which drive the point values, are formed:
+        # the average row is the edge flux balance.
         dphi = basis_grad_bary(vr.points)  # (nqv, 7, 3)
         dred = dphi[:, :, :2] - dphi[:, :, 2:]  # (nqv, 7, 2)
-        vol = np.einsum("jk,q,qka->ajq", P, self.wq_vol, dred)
-        self.VOL_OP = np.ascontiguousarray(vol.reshape(14, -1))
+        vol = np.einsum("jk,q,qka->ajq", P[:6], self.wq_vol, dred)
+        self.VOL_OP = np.ascontiguousarray(vol.reshape(12, -1))
+        # The same entries as [j, (a, q)]: for a flux u a they act on
+        # beta_a(x_q) u_q, beta_a = -grad(lambda_a) . a, in one product.
+        self.VOL_OP_LINEAR = np.ascontiguousarray(
+            vol.transpose(1, 0, 2).reshape(6, -1)
+        )
 
         # -- edge quadrature and trace tables ---------------------------------
         er = edge_rule(EDGE_POINTS)
@@ -266,11 +281,12 @@ class Tables:
 
         # The rule is symmetric, so an element traversing an edge against
         # its stored direction meets the quadrature points in reverse order.
-        # SURF_OP[j, (l, q)] = (P PHI_E)[j] at point q of local edge l in the
-        # element's own direction, times w_q: applied to the edge fluxes
-        # scaled by the signed edge length over |K| it gives P F_surf / |K|.
-        surf = np.einsum("jk,q,lqk->jlq", P, self.wq_edge, PHI_E[0])
-        self.SURF_OP = np.ascontiguousarray(surf.reshape(7, -1))
+        # SURF_OP[j, (l, q)] = (P PHI_E)[j], j < 6, at point q of local edge
+        # l in the element's own direction, times w_q: applied to the edge
+        # fluxes scaled by the signed edge length over |K| it gives the
+        # point rows of P F_surf / |K|.
+        surf = np.einsum("jk,q,lqk->jlq", P[:6], self.wq_edge, PHI_E[0])
+        self.SURF_OP = np.ascontiguousarray(surf.reshape(6, -1))
 
         # Reduced barycentric derivatives on local edge 0, for each edge
         # side s (side s traverses the edge with orientation table s):
@@ -284,6 +300,11 @@ class Tables:
         self.EDGE_DERIV_OP = np.ascontiguousarray(
             np.stack(comps, axis=1).reshape(2, 5 * self.nqe, 7)
         )
+        # EDGE_DT[q, p]: the derivative at t_q of the Lagrange polynomial
+        # of the points t that is 1 at t_p (rows k t_q^(k-1) over t_q^k).
+        V = np.vander(t, increasing=True)
+        dV = np.c_[np.zeros(self.nqe), V[:, :-1] * np.arange(1, self.nqe)]
+        self.EDGE_DT = dV @ np.linalg.inv(V)
 
         # Damping, per interior edge: the edge ids, the local index of each
         # in its side-s element and the length sup_{x in K} dist(x, e) of
@@ -418,14 +439,18 @@ class Tables:
         DoFs, which both sides share.  Each side's element is relabelled
         (ROTATE) so that the edge is its local edge 0, which makes
         EDGE_DERIV_OP[s] one table for all edges, and its reduced
-        barycentric derivatives are contracted with n . grad(lambda_a) and
-        t . grad(lambda_a) of the relabelled vertices a = 0, 1.
+        barycentric derivatives are contracted with n . grad(lambda_a) of
+        the relabelled vertices a = 0, 1.  t points from the edge's stored
+        start to its end, and [d_n] is quadratic along the edge (P2 plus
+        the bubble, whose gradient there is l_a l_b grad(l_c)), so [d_nt]
+        is the derivative of [d_n] on the quadrature points (EDGE_DT) over
+        |e|.
         """
         mesh = self.mesh
         _, nt, nv = coef.shape
         edges = self.interior_edges
         ne = len(edges)
-        jump = np.empty((3, nv, self.nqe, ne))
+        jump = np.zeros((3, nv, self.nqe, ne))
         flat = nv_first(coef).reshape(nv, -1)
         gl = np.ascontiguousarray(mesh.grad_lambda.T).reshape(2, -1)
         nx, ny = np.take(mesh.edge_normal, edges, axis=0).T
@@ -433,59 +458,49 @@ class Tables:
         # One edge side, and within it one variable, at a time: the
         # gathered coefficients (7, E) and derivative rows (5 nqe, E) of
         # one are freed before the next ones are formed.
-        for s in range(2):
+        for s, sign in ((0, 1.0), (1, -1.0)):
             # Column j of side s's relabelled element is column ROTATE[l, j]
             # of element k = edge_tris[e, s], l = edge_side_local[s, e]:
             # entry ROTATE[l, j] NT + k of the (nv, 7 NT) coefficient rows.
             idx = np.take(ROTATE.T * nt, self.edge_side_local[s], axis=1)  # (7, E)
             idx += mesh.edge_tris[edges, s]
-            # n . grad(lambda_a) and t . grad(lambda_a) of the relabelled
-            # vertices a = 0, 1 (their entries of idx index the (2, 3 NT)
-            # rows of grad(lambda)): (2, E) each, indexed by a.
+            # n . grad(lambda_a) of the relabelled vertices a = 0, 1 (their
+            # entries of idx index the (2, 3 NT) rows of grad(lambda)):
+            # (2, E), indexed by a.
             gx, gy = np.take(gl, idx[:2], axis=1)
             nd = nx * gx
             nd += ny * gy
-            td = nx * gy
-            td -= ny * gx
             del gx, gy
-            (n0, n1), (t0, t1) = nd, td
-            # Coefficients of the reduced derivatives r[j] in each row.
+            n0, n1 = nd
+            # Signed coefficients of the reduced derivatives r[j] per row.
             rows = (
-                ((0, n0), (1, n1)),
-                ((2, n0 * n0), (3, 2.0 * n0 * n1), (4, n1 * n1)),
-                ((2, n0 * t0), (3, n0 * t1 + n1 * t0), (4, n1 * t1)),
+                ((0, sign * n0), (1, sign * n1)),
+                ((2, sign * n0 * n0), (3, sign * 2.0 * n0 * n1), (4, sign * n1 * n1)),
             )
             for v in range(nv):
-                r = self.EDGE_DERIV_OP[s] @ np.take(flat[v], idx)
+                r = block_matmul(self.EDGE_DERIV_OP[s], np.take(flat[v], idx))
                 r = r.reshape(5, self.nqe, ne)
-                for out, terms in zip(jump[:, v], rows):
-                    if s == 0:
-                        (j, w), *rest = terms
-                        np.multiply(w, r[j], out=out)
-                        for j, w in rest:
-                            out += np.multiply(w, r[j], out=buf)
-                    else:
-                        for j, w in terms:
-                            out -= np.multiply(w, r[j], out=buf)
+                for out, terms in zip(jump[:2, v], rows):
+                    for j, w in terms:
+                        out += np.multiply(w, r[j], out=buf)
                 del r
+        np.matmul(self.EDGE_DT, jump[0], out=jump[2])
+        jump[2] /= np.take(mesh.edge_length, edges)
         return jump
 
 
 class StaticSpeeds:
-    """What the speeds of a model with `static_signs` decide at the fixed
-    points of the operators, kept for the run.
-
-    The flux of such a model is u a(x) in a time-independent velocity
-    field, so its speeds, and everything they decide, are the same at every
-    substep.  An operator asks `get(name, build)`: for such a model the
-    first call builds the value with the operator's own code and keeps it,
-    read-only, and every later call returns it; for any other model every
-    call builds afresh and nothing is kept.  A name is a string, or a
-    string with an element block's bounds; nothing is keyed on an array.
-    Each operator and the stepper keep their own record, under names of
-    their own, and their docstrings say what each keeps: 3.54 MB in all on
-    `rotating-shapes` at n=59.
-    """
+    """What the speeds of a model with `static_signs` (a flux u a(x) in a
+    time-independent field) decide, the same at every substep, kept for
+    the run: speeds, upwind weights and the linear maps they make of the
+    LO residuals.  An operator asks `get(name, build)`: for such a model
+    the first call builds the value with the operator's own code and
+    keeps it, read-only; for any other model every call builds afresh and
+    nothing is kept.  A name is a string, or a string with an element
+    block's bounds.  Each operator and the stepper keep their own record,
+    and their docstrings say what it holds: 3.96 MB in all on
+    `rotating-shapes` at n=59 (`HighOrder` 2.37, `LowOrder` 1.51,
+    `Stepper` 0.08)."""
 
     def __init__(self, model):
         self.keeps = bool(model.static_signs)
@@ -519,12 +534,11 @@ class HighOrder:
     """The high-order residuals.  For a model with `static_signs` its
     record `speeds` (`StaticSpeeds`) keeps, on `rotating-shapes` at n=59
     (6,962 elements, 10,561 edges): a . n at the edge quadrature
-    points, 0.25 MB ("edge"); the velocities at the volume quadrature
-    points, 1.78 MB (("volume", start, stop) per element block; nothing
-    for a constant field, whose velocities are broadcast views); the
-    upwind weights, 0.33 MB ("omega").  Formed at every call instead, the
-    volume velocities raised the process's peak memory: their positions
-    and values are a 3.6 MB temporary."""
+    points, 0.25 MB ("edge"); the volume speeds beta_a = -grad(lambda_a)
+    . a at the volume quadrature points, 1.78 MB (("volume", start, stop)
+    per element block; one per element for a constant field, 0.40 MB on
+    the 25k elements of `advect-gauss`); the upwind weights, 0.33 MB
+    ("omega")."""
 
     def __init__(self, tables: Tables, model, bc=None, enforce_domain=None):
         self.t = tables
@@ -566,15 +580,19 @@ class HighOrder:
         r = np.take(ref, bad, axis=0).T[:, None, :]
         u = u.copy(order="K")
         ut = u.T  # (nv, nq, G)
-        ut[..., bad] = r + s * (np.take(ut, bad, axis=-1) - r)
+        # Gathered from the C-ordered one of u, u.T (not a strided view).
+        c = u.flags.c_contiguous
+        got = np.take(u, bad, axis=0).T if c else np.take(ut, bad, axis=-1)
+        ut[..., bad] = r + s * (got - r)
         return u, len(bad)
 
     def interface_fluxes(self, upt, t):
         """Single-valued edge fluxes: (fluxhat (NE, nqe, nv), trace, rescued).
 
-        A static flux is (a . n) u with a . n kept (`StaticSpeeds`, "edge"),
-        so after its first call the positions of the edge quadrature points
-        are formed for the boundary edges only."""
+        A static flux is linear, (a . n) u: its value at the unit state is
+        kept (`StaticSpeeds`, "edge"), so after its first call the positions
+        of the edge quadrature points are formed for the boundary edges
+        only."""
         tb = self.t
         mesh = tb.mesh
         model = self.model
@@ -584,10 +602,10 @@ class HighOrder:
         trace, rescued = self._rescue_states(trace, ref)
         n = mesh.edge_normal[:, None, :]
         if model.static_signs:
-            speed = self.speeds.get(
-                "edge", lambda: model.normal_speed(n, tb.edge_points(slice(None)))
-            )
-            fluxhat = model.flux_normal(trace, n, None, speed)
+            speed = self.speeds.get("edge", lambda: model.flux_normal(
+                np.ones((len(trace), 1, 1)), n, tb.edge_points(slice(None))
+            ))  # a . n, the flux of the unit state: (NE, nqe, 1)
+            fluxhat = trace * speed
         else:
             fluxhat = model.flux_normal(trace, n, tb.edge_points(slice(None)))
         if self.bc is not None:
@@ -768,15 +786,16 @@ class HighOrder:
     # -- full residual ----------------------------------------------------------
 
     def moment_residuals(self, coef, upt, t):
-        """Moment residuals Phi (7, NT, nv) of the element coefficients
-        coef (7, NT, nv) and the point values upt they were gathered from,
-        with the integrated edge fluxes F_edge (NE, nv), the traces of
+        """Point rows Phi (6, NT, nv) of the moment residuals of the element
+        coefficients coef (7, NT, nv) and the point values upt they were
+        gathered from (the average row is the balance of F_edge), with the
+        integrated edge fluxes F_edge (NE, nv), the traces of
         `interface_fluxes` and the rescue counts.  The reference operators
         act as GEMMs over the component-major blocks (nv, ..., NT) (see
         `Tables`); the volume term runs by element blocks
         (`element_blocks`), and each large temporary is freed after its
-        last read.  A static flux is u a with the velocities a of each
-        block kept (`StaticSpeeds`, "volume")."""
+        last read.  A static flux keeps beta (`_volume_speeds`) per block
+        (`StaticSpeeds`, "volume")."""
         tb = self.t
         mesh = tb.mesh
         model = self.model
@@ -786,33 +805,35 @@ class HighOrder:
 
         # Volume term: VOL_OP against the flux ((v, d), q, E), one GEMM per
         # (v, d) over the block's E elements into T (nv, 2, (a, j), E),
-        # then the contraction of (a, d) with -grad(lambda_a).  The rescue
-        # groups the states by element.
-        Phi = np.empty((nv, 7, nt))
+        # then the contraction of (a, d) with -grad(lambda_a); for a static
+        # flux, one GEMM of VOL_OP_LINEAR against beta u_q ((a, q), E) per
+        # v.  The rescue groups the states by element.
+        Phi = np.empty((nv, 6, nt))
         resc_vol = 0
         for blk in element_blocks(nt, nv):
-            uq = (tb.PHI_V @ cf[:, :, blk]).T  # (E, nqv, nv)
+            uq = block_matmul(tb.PHI_V, cf[:, :, blk]).T  # (E, nqv, nv)
             uq, rescued = self._rescue_states(uq, coef[6, blk])
             resc_vol += rescued
             if model.static_signs:
-                a = self.speeds.get(
-                    ("volume", blk.start, blk.stop),
-                    lambda: model.velocity_at(tb.element_points(tb.BARY_V, blk)),
-                )  # (nqv, E, 2)
-                fq = model.flux(uq.swapaxes(0, 1), None, a)  # (nqv, E, nv, 2)
-            else:
-                xy = tb.element_points(tb.BARY_V, blk)
-                fq = model.flux(uq.swapaxes(0, 1), xy)
-                del xy
-            del uq
-            T = block_matmul(tb.VOL_OP, fq.transpose(2, 3, 0, 1), blk, nt)
+                beta = self.speeds.get(
+                    ("volume", blk.start, blk.stop), lambda: self._volume_speeds(blk)
+                )  # (2, nqv | 1, E)
+                X = (beta * uq.T[:, None]).reshape(nv, -1, uq.shape[0])
+                del uq
+                Phi[..., blk] = block_matmul(tb.VOL_OP_LINEAR, X)
+                del X
+                continue
+            xy = tb.element_points(tb.BARY_V, blk)
+            fq = model.flux(uq.swapaxes(0, 1), xy)  # (nqv, E, nv, 2)
+            del xy, uq
+            T = block_matmul(tb.VOL_OP, fq.transpose(2, 3, 0, 1))
             del fq
             g = gl[..., blk]
-            P = np.multiply(g[0, 0], T[:, 0, :7], out=Phi[..., blk])
+            P = np.multiply(g[0, 0], T[:, 0, :6], out=Phi[..., blk])
             np.negative(P, out=P)
-            P -= g[1, 0] * T[:, 1, :7]
-            P -= g[0, 1] * T[:, 0, 7:]
-            P -= g[1, 1] * T[:, 1, 7:]
+            P -= g[1, 0] * T[:, 1, :6]
+            P -= g[0, 1] * T[:, 0, 6:]
+            P -= g[1, 1] * T[:, 1, 6:]
             del T
 
         # Surface term: single-valued edge fluxes in each element's own
@@ -834,12 +855,25 @@ class HighOrder:
             * mesh.edge_length[mesh.tri_edges]
             / mesh.areas[:, None]
         ).T[:, None, :]
-        Phi += tb.SURF_OP @ fh.reshape(nv, 3 * nqe, nt)
+        Phi += block_matmul(tb.SURF_OP, fh.reshape(nv, 3 * nqe, nt))
 
         F_edge = np.einsum(
             "q,eqv->ev", tb.wq_edge, fluxhat
         ) * mesh.edge_length[:, None]
         return nv_last(Phi), F_edge, trace, resc_vol, resc_tr
+
+    def _volume_speeds(self, blk):
+        """beta_a = -grad(lambda_a) . a(x_q) (2, nqv, E), a = 0, 1, at the
+        volume points of the elements `blk`; (2, 1, E) for a velocity that
+        the model broadcasts over the points, as a constant field's."""
+        a = self.model.velocity_at(self.t.element_points(self.t.BARY_V, blk))
+        a = a[:1] if a.strides[0] == 0 else a  # (nqv | 1, E, 2)
+        g = -self.t.mesh.grad_lambda[blk, :2].T  # (2, 2, E): [d, a]
+        beta = np.empty((2,) + a.shape[:-1])
+        for i in range(2):  # in place: only beta is kept
+            np.multiply(a[..., 0], g[0, i], out=beta[i])
+            beta[i] += g[1, i] * a[..., 1]
+        return beta
 
     def compute(self, coef, upt, t) -> HOResult:
         """High-order residuals from the element coefficients coef
@@ -855,7 +889,7 @@ class HighOrder:
         # sums one local DoF at a time.
         Phi = nv_first(Phi)
         om = omega.transpose(2, 3, 0, 1)  # (nv, nv, 6, NT)
-        Wpt = om[:, 0] * Phi[0, :6]
+        Wpt = om[:, 0] * Phi[0]
         for w in range(1, coef.shape[-1]):
             for d in range(6):
                 Wpt[:, d] += om[:, w, d] * Phi[w, d]

@@ -51,6 +51,12 @@ FAN_CENTROID = _FAN_BARY.mean(axis=1)  # (6, 3)
 SLOT_SUB = np.array(
     [np.flatnonzero((SUB_CORNERS[:, :2] == d).any(axis=1)) for d in range(6)]
 )
+# The coefficients that point DoF d's fan residual reads, STENCIL[d]:
+# itself, its neighbour in each sub-triangle SLOT_SUB[d] and the average.
+STENCIL = np.array([[d, *SUB_CORNERS[SLOT_SUB[d], :2].sum(1) - d, 6] for d in range(6)])
+# `LowOrder._fan_map` probes this many elements at a time, so that its
+# temporaries (about 1 kB per element) stay below a step's peak.
+PROBE_ELEMS = 256
 
 
 def _fan_rates(model, U, gl, xy_s, areas):
@@ -60,10 +66,9 @@ def _fan_rates(model, U, gl, xy_s, areas):
     # |S| / 3 = |K| / 18.  The edge-scaled inward normals of S are
     # 2 |S| grad(mu) = sub_g |K| / 3; wave speeds are homogeneous in the
     # normal, so the factor |K| / 3 applies to their maximum, taken one
-    # corner at a time.  A linear flux has the same speeds at every state,
-    # so its first corner stands for all three.
+    # corner at a time.
     alpha_s = 0.0
-    for u in U[: 1 if model.static_signs else 3]:
+    for u in U:
         speeds = model.max_wavespeed(
             nv_last(u)[:, None], nv_last(sub_g), xy_s[:, None]
         )  # (6, 3, E)
@@ -80,11 +85,11 @@ class LOResult:
 
 
 class LowOrder:
-    """The low-order residuals.  For a model with `static_signs` its
-    record `speeds` (`StaticSpeeds`) keeps, on `rotating-shapes` at n=59:
-    a . n at the edge midpoints, 0.08 MB ("midpoint"); the fan
-    rates alpha_S and the velocities at the fan centroids, 0.33 + 0.67 MB
-    (("fan", start, stop) per element block)."""
+    """The low-order residuals.  For a model with `static_signs` both are
+    linear maps of the state, kept from their first use in the record
+    `speeds` (`StaticSpeeds`), on `rotating-shapes` at n=59: each edge's
+    LLF weights of its two averages, 0.17 MB ("llf"); the fan map of the
+    STENCIL coefficients, 1.34 MB ("fan")."""
 
     def __init__(self, tables: Tables, model, bc=None):
         self.t = tables
@@ -93,6 +98,8 @@ class LowOrder:
         self.speeds = StaticSpeeds(model)
 
     def average_fluxes(self, ubar, t):
+        """Integrated LLF fluxes (NE, nv); for a model with `static_signs`
+        w0 u0 + w1 u1, with the kept weights of `_llf_weights`."""
         mesh = self.t.mesh
         model = self.model
         left, right = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
@@ -104,13 +111,21 @@ class LowOrder:
             u1[be] = self.bc.ghost_average(
                 u0[be], mesh.edge_normal[be], mesh.edge_mid[be], t
             )
-        speed = None
         if model.static_signs:
-            speed = self.speeds.get(
-                "midpoint", lambda: model.normal_speed(mesh.edge_normal, mesh.edge_mid)
-            )
-        fn = llf_flux(model, u0, u1, mesh.edge_normal, mesh.edge_mid, speed)
+            w = self.speeds.get("llf", self._llf_weights)
+            return w[0][:, None] * u0 + w[1][:, None] * u1
+        fn = llf_flux(model, u0, u1, mesh.edge_normal, mesh.edge_mid)
         return fn * mesh.edge_length[:, None]
+
+    def _llf_weights(self):
+        """The weights (2, NE) of u0 and u1 in the integrated LLF flux of a
+        linear model: `llf_flux` of the unit states (1, 0) and (0, 1),
+        times |e|."""
+        mesh = self.t.mesh
+        one, zero = np.ones((mesh.num_edges, 1)), np.zeros((mesh.num_edges, 1))
+        w = [llf_flux(self.model, *u, mesh.edge_normal, mesh.edge_mid)[:, 0]
+             for u in ((one, zero), (zero, one))]
+        return np.array(w) * mesh.edge_length
 
     def point_residuals(self, coef):
         """Fan residuals of the point DoFs from the element coefficients
@@ -121,19 +136,43 @@ class LowOrder:
         own blocks.  It runs by element blocks (`element_blocks`); within
         one, the corner states of the sub-triangles are gathered corner by
         corner, (nv, 6, E) each, and the centroid corner is the average,
-        the same for all six.  For a model with `static_signs` the fan
-        rates and the velocities at the fan centroids of each block are
-        kept (`StaticSpeeds`, "fan").
+        the same for all six.  For a model with `static_signs` they are
+        the kept map of `_fan_map` on the STENCIL coefficients.
         """
         mesh = self.t.mesh
         _, nt, nv = coef.shape
         c = nv_first(coef)  # (nv, 7, NT)
+        if self.model.static_signs:
+            L = self.speeds.get("fan", self._fan_map)  # (4, 6, NT)
+            Phi = L[0] * c[:, :6] + L[3] * c[:, 6:]
+            for k in (1, 2):
+                Phi += L[k] * np.take(c, STENCIL[:, k], axis=1)
+            return nv_last(Phi)
         gl = np.ascontiguousarray(mesh.grad_lambda.T)  # (2, 3, NT)
         Phi = np.empty((nv, 6, nt))
         for blk in element_blocks(nt, nv):
             self._fan(c[..., blk], gl[..., blk], mesh.areas[blk], blk, Phi[..., blk])
         Phi /= mesh.gather_points(mesh.point_area)
         return nv_last(Phi)
+
+    def _fan_map(self):
+        """The point residuals of a linear model as a map (4, 6, NT): entry
+        [k, d] weighs coefficient STENCIL[d, k] in point DoF d's residual,
+        point area included.  `_fan` of the seven unit coefficient vectors,
+        one probe and PROBE_ELEMS elements at a time."""
+        mesh = self.t.mesh
+        gl = np.ascontiguousarray(mesh.grad_lambda.T)  # (2, 3, NT)
+        L = np.empty((4, 6, mesh.num_tris))
+        for start in range(0, mesh.num_tris, PROBE_ELEMS):
+            blk = slice(start, start + PROBE_ELEMS)  # the last one clipped
+            areas = mesh.areas[blk]
+            fan = np.empty((1, 6, len(areas)))
+            for j in range(7):
+                probe = np.broadcast_to(np.eye(7)[j, :, None], (1, 7, len(areas)))
+                self._fan(probe, gl[..., blk], areas, blk, fan)
+                d, k = np.nonzero(STENCIL == j)
+                L[k, d, blk] = fan[0, d]
+        return L / mesh.gather_points(mesh.point_area)
 
     def _fan(self, c, gl, areas, blk, Phi):
         """The fan sums of the elements `blk` into Phi (nv, 6, E), from
@@ -143,16 +182,8 @@ class LowOrder:
         U = [np.take(c, SUB_CORNERS[:, k], axis=1) for k in range(2)]
         U.append(c[:, None, 6])  # (nv, 1, E)
         ubar_s = (U[0] + U[1] + U[2]) / 3.0  # (nv, 6, E)
-        if model.static_signs:
-
-            def kept():
-                xy_s = self.t.element_points(FAN_CENTROID, blk)
-                return _fan_rates(model, U, gl, xy_s, areas), model.velocity_at(xy_s)
-
-            alpha_s, a_s = self.speeds.get(("fan", blk.start, blk.stop), kept)
-        else:
-            xy_s = self.t.element_points(FAN_CENTROID, blk)  # (6, E, 2)
-            alpha_s = _fan_rates(model, U, gl, xy_s, areas)
+        xy_s = self.t.element_points(FAN_CENTROID, blk)  # (6, E, 2)
+        alpha_s = _fan_rates(model, U, gl, xy_s, areas)
         # grad(u_S) (nv, 2, 6, E) from the P1 gradients of the corner
         # coordinates of S, (6, 3, E), one direction at a time.
         grad = np.empty((len(c), 2) + ubar_s.shape[1:])
@@ -164,10 +195,7 @@ class LowOrder:
             del sub_g
         del U
         w = np.moveaxis(grad, (0, 1), (-2, -1))
-        if model.static_signs:
-            jac = model.jac_apply(None, w, None, a_s)  # (6, E, nv)
-        else:
-            jac = model.jac_apply(nv_last(ubar_s), w, xy_s)
+        jac = model.jac_apply(nv_last(ubar_s), w, xy_s)  # (6, E, nv)
         del grad, w
         central = areas / 18.0 * nv_first(jac)  # (nv, 6, E)
         del jac

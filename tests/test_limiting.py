@@ -1252,6 +1252,49 @@ def test_tangential_jumps_vanish(nv):
         assert np.abs(row - want).max() < 1e-12 * np.abs(want).max()
 
 
+def contracted_nt_jumps(tb, coef):
+    """[d_nt] (nv, nqe, E) over the interior edges as `edge_side_gradients`
+    formed it before it took the derivative of [d_n] along the edge: the
+    reduced second derivatives of each side contracted with
+    n . grad(lambda_a) and t . grad(lambda_a)."""
+    mesh = tb.mesh
+    ei = tb.interior_edges
+    _, nt, nv = coef.shape
+    by_var = nv_first(coef).reshape(nv, -1)
+    nx, ny = mesh.edge_normal[ei].T
+    out = np.zeros((nv, tb.nqe, len(ei)))
+    for s, sign in ((0, 1.0), (1, -1.0)):
+        k = mesh.edge_tris[ei, s]
+        rot = ROTATE[tb.edge_side_local[s]].T  # (7, E)
+        r = (tb.EDGE_DERIV_OP[s] @ np.take(by_var, rot * nt + k, axis=1))
+        r = r.reshape(nv, 5, tb.nqe, len(ei))
+        g = mesh.grad_lambda[k[:, None], rot[:2].T]  # (E, 2 (a), 2 (d))
+        n0, n1 = nx * g[:, :, 0].T + ny * g[:, :, 1].T
+        t0, t1 = nx * g[:, :, 1].T - ny * g[:, :, 0].T
+        out += sign * (
+            n0 * t0 * r[:, 2] + (n0 * t1 + n1 * t0) * r[:, 3] + n1 * t1 * r[:, 4]
+        )
+    return out
+
+
+@pytest.mark.parametrize("nv", [1, 4])
+def test_nt_jump_is_the_contracted_hessian(nv):
+    # `edge_side_gradients` takes [d_nt] as the derivative of [d_n] along
+    # the edge, exact because [d_n] is quadratic there (P2 plus bubble);
+    # on random states it is the t . H . n contraction to round-off.
+    mesh = rect_mesh((0.0, 1.0, 0.0, 1.0), 6, jitter=0.3, seed=13)
+    tb = Tables(mesh)
+    rng = np.random.default_rng(50 + nv)
+    coef = tb.coefficients(
+        rng.standard_normal((mesh.num_tris, nv)),
+        rng.standard_normal((mesh.num_points, nv)),
+    )
+    got = tb.edge_side_gradients(coef)[2]
+    want = contracted_nt_jumps(tb, coef)
+    assert np.abs(want).max() > 1.0
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_edge_dist_is_the_all_edge_formula_on_interior_edges():
     # The damping lengths, computed per interior edge and side, are the
     # bits of the formula evaluated over every edge.

@@ -5,13 +5,15 @@ import pytest
 
 from triblend import timeloop
 
-from triblend.boundary import BoundaryHandler, FarField
+from triblend.boundary import BoundaryHandler, FarField, Outflow
 from triblend.exceptions import NumericalAbort
 from triblend.limiting import IntervalDomain, damping_theta, interior_edge_speeds
 from triblend.meshgen import rect_mesh
-from triblend.models import LinearAdvection
+from triblend.models import LinearAdvection, llf_flux
 from triblend.norms import point_weights
 from triblend.problems import get_problem, sample_initial
+from triblend.spatial_ho import HighOrder, Tables
+from triblend.spatial_lo import STENCIL, LowOrder
 from triblend.timeloop import Stepper, initialize
 
 
@@ -294,8 +296,20 @@ class UnkeptAdvection(LinearAdvection):
     static_signs = False
 
 
-def shapes_run(model, mode, callback=None):
-    """Three RK3 steps of `rotating-shapes` on its n=6 mesh (72 elements)."""
+def kept_values(stepper):
+    """Everything the stepper's records keep, by (owner, name)."""
+    return {
+        (owner, name): value
+        for owner, speeds in (
+            ("ho", stepper.ho.speeds), ("lo", stepper.lo.speeds), ("", stepper.speeds)
+        )
+        for name, value in speeds.kept.items()
+    }
+
+
+def shapes_run(model, mode, on_step=None):
+    """Three RK3 steps of `rotating-shapes` on its n=6 mesh (72 elements);
+    on_step(stepper, k) after step k."""
     prob = get_problem("rotating-shapes")
     mesh = prob.mesh_builder(6)
     mesh.name_boundary(prob.namer)
@@ -305,6 +319,7 @@ def shapes_run(model, mode, callback=None):
         mesh, model, bc, mode=mode, enforce_domain=enforce, assert_domain=assert_
     )
     ubar, upt = sample_initial(prob, model, stepper.tables)
+    callback = None if on_step is None else (lambda k, *_: on_step(stepper, k))
     out = stepper.run(
         ubar, upt, prob.final_time, max_steps=3, callback=callback
     )
@@ -313,11 +328,13 @@ def shapes_run(model, mode, callback=None):
 
 @pytest.mark.parametrize("mode", ["ho", "bp", "full"])
 def test_kept_speeds_give_the_bits_of_the_model(mode):
-    # The rotating field's speeds are kept for the run (`StaticSpeeds`);
-    # the same field without `static_signs` asks the model at every
-    # substep.  States and journals are bitwise equal.  After the first
-    # step the field is evaluated only at boundary points, by the boundary
-    # closure's fluxes: never inside the domain.
+    # The rotating field's speeds, and the linear maps of the LO residuals
+    # and of the HO volume term, are kept for the run (`StaticSpeeds`); the
+    # same field without `static_signs` asks the model at every substep.
+    # The kept maps are probed from the model's own code, so the states
+    # agree to round-off and the journals' counts are equal.  After the
+    # first step the field is evaluated only at boundary points, by the
+    # boundary closure's fluxes: never inside the domain.
     velocity = get_problem("rotating-shapes").make_model(1.4).velocity_at
     step = 0
     calls = []  # (step number, positions) of each evaluation
@@ -326,24 +343,130 @@ def test_kept_speeds_give_the_bits_of_the_model(mode):
         calls.append((step, np.array(xy)))
         return velocity(xy)
 
-    def on_step(k, *_):
+    after_first = {}  # the kept values after step 1
+
+    def on_step(stepper, k):
         nonlocal step
         step = k
+        if k == 1:
+            after_first.update(kept_values(stepper))
 
     stepper, (ubar, upt, journal, _) = shapes_run(
         LinearAdvection(counted), mode, on_step
     )
     _, (ubar_f, upt_f, journal_f, _) = shapes_run(UnkeptAdvection(velocity), mode)
-    assert ubar.tobytes() == ubar_f.tobytes()
-    assert upt.tobytes() == upt_f.tobytes()
-    assert journal == journal_f and len(journal) == 3
+    for got, want in ((ubar, ubar_f), (upt, upt_f)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert len(journal) == len(journal_f) == 3
+    for row, row_f in zip(journal, journal_f):
+        assert row.keys() == row_f.keys()
+        for key, want in row_f.items():
+            if isinstance(want, int):
+                assert row[key] == want, key
+            else:
+                assert abs(row[key] - want) <= 1e-13 * max(1.0, abs(want)), key
+    # Nothing is rebuilt after step 1.
     assert "edge" in stepper.ho.speeds.kept
+    final = kept_values(stepper)
+    assert final.keys() == after_first.keys()
+    assert all(final[key] is value for key, value in after_first.items())
 
     later = [xy.reshape(-1, 2) for k, xy in calls if k >= 1]
     assert later
     x, y = np.concatenate(later).T
     gap = np.minimum(np.minimum(x, 1.0 - x), np.minimum(y, 1.0 - y))
     assert (gap <= 1e-12).all()
+
+
+FIELDS = {
+    "rotating": get_problem("rotating-shapes").make_model(1.4).velocity_at,
+    "constant": np.array([0.8, -0.45]),
+}
+
+
+def kept_case(field):
+    """Tables of a jittered mesh whose boundary is far field (state 0.3)
+    for x < 1/2 and outflow beyond, the boundary handlers of the field
+    with and without static speeds, and random coefficients."""
+    mesh = rect_mesh((0.0, 1.0, 0.0, 1.0), 7, jitter=0.3, seed=17)
+    mesh.name_boundary(lambda mids: np.where(mids[:, 0] < 0.5, "far", "out"))
+    tb = Tables(mesh)
+    rng = np.random.default_rng(18)
+    ubar = rng.uniform(-1.0, 2.0, (mesh.num_tris, 1))
+    upt = rng.uniform(-1.0, 2.0, (mesh.num_points, 1))
+    far = FarField(lambda xy, t: np.full(xy.shape[:-1] + (1,), 0.3))
+    bcs = {"far": far, "out": Outflow()}
+    models = LinearAdvection(FIELDS[field]), UnkeptAdvection(FIELDS[field])
+    handlers = [BoundaryHandler(mesh, m, bcs) for m in models]
+    return tb, models, handlers, ubar, upt
+
+
+def assert_close(got, want, rtol=1e-13):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_kept_fan_map_is_the_fan(field):
+    # The LO point residuals of a static model are its kept fan map
+    # applied to the STENCIL coefficients; the model without static speeds
+    # runs the fan itself.
+    tb, models, _, ubar, upt = kept_case(field)
+    coef = tb.coefficients(ubar, upt)
+    kept, fan = (LowOrder(tb, m) for m in models)
+    assert_close(kept.point_residuals(coef), fan.point_residuals(coef))
+    assert kept.speeds.kept["fan"].shape == (4, 6, tb.mesh.num_tris)
+    assert fan.speeds.kept == {}
+
+
+def test_fan_map_stencil():
+    # Unit coefficient j reaches the fan residual of point DoF d only where
+    # STENCIL[d] names j: the other rows of its probe are exactly zero.
+    tb, (model, _), _, _, _ = kept_case("rotating")
+    mesh = tb.mesh
+    lo = LowOrder(tb, model)
+    gl = np.ascontiguousarray(mesh.grad_lambda.T)
+    fan = np.empty((1, 6, mesh.num_tris))
+    for j in range(7):
+        probe = np.zeros((1, 7, mesh.num_tris))
+        probe[0, j] = 1.0
+        lo._fan(probe, gl, mesh.areas, slice(None), fan)
+        reached = (STENCIL == j).any(axis=1)
+        assert (fan[0, ~reached] == 0.0).all()
+        assert (np.abs(fan[0, reached]).max(axis=1) > 0.0).all()
+
+
+def test_kept_llf_weights_are_the_llf_flux():
+    # The kept weights of the two averages give `llf_flux` times |e| on
+    # interior and boundary edges; a boundary edge's u1 is its ghost.
+    tb, (model, _), (bc, _), ubar, _ = kept_case("rotating")
+    mesh = tb.mesh
+    got = LowOrder(tb, model, bc).average_fluxes(ubar, 0.0)
+    left, right = mesh.edge_tris.T
+    u0, u1 = ubar[left], ubar[np.where(right >= 0, right, left)]
+    be = mesh.boundary_edges
+    u1[be] = bc.ghost_average(u0[be], mesh.edge_normal[be], mesh.edge_mid[be], 0.0)
+    want = llf_flux(model, u0, u1, mesh.edge_normal, mesh.edge_mid)
+    want *= mesh.edge_length[:, None]
+    interior = right >= 0
+    assert interior.any() and not interior.all()
+    for edges in (interior, ~interior):
+        assert_close(got[edges], want[edges])
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_kept_volume_speeds_give_the_volume_term(field):
+    # A static model's HO point rows take the volume term from the kept
+    # beta = -grad(lambda) . a; a constant field keeps it once per element.
+    tb, models, handlers, ubar, upt = kept_case(field)
+    coef = tb.coefficients(ubar, upt)
+    kept, general = (HighOrder(tb, m, bc) for m, bc in zip(models, handlers))
+    got = kept.moment_residuals(coef, upt, 0.0)
+    want = general.moment_residuals(coef, upt, 0.0)
+    assert_close(got[0], want[0])
+    ((_, beta),) = [kv for kv in kept.speeds.kept.items() if kv[0][0] == "volume"]
+    nqv = 1 if field == "constant" else len(tb.wq_vol)
+    assert beta.shape == (2, nqv, tb.mesh.num_tris)
 
 
 def mach_stepper(n):
