@@ -274,6 +274,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_make_mesh(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"make-mesh needs n >= 1, not {args.n}")
     problem = get_problem(args.problem)
     mesh = problem.mesh_builder(args.n)
     mesh.name_boundary(problem.namer)

@@ -4,12 +4,16 @@ Every model exposes the same informal interface over arrays whose last axis
 (or last two axes for matrices) carries the conserved variables:
 
     nvars                   -- number of conserved variables
-    flux(u, xy)             -- (..., nvars, 2) flux tensor
-    flux_normal(u, n, xy)   -- (..., nvars) normal flux f(u) . n
+    flux_normal(u, n, xy)   -- (..., nvars) normal flux f(u) . n, linear
+                               in n; it broadcasts over stacked normals:
+                               (2, 1, E, 2) against u (1, nq, E, nvars)
+                               gives (2, nq, E, nvars)
     sign_jac_normal(...)    -- (..., nvars, nvars) matrix sign of the
                                Jacobian d(f . n)/du
     max_wavespeed(u, n, xy) -- (...,) spectral bound for |n| = 1 scaling;
                                the value scales linearly with |n|
+    jac_apply(u, w, xy)     -- (..., nvars) sum_d A_d(u) w[..., d], with
+                               A_d = d(f . e_d)/du, f . n = `flux_normal`
     static_signs            -- True for a linear flux f(u, x) = u a(x) in a
                                time-independent velocity field a, which
                                the model gives as `velocity_at(xy)`.  Then
@@ -24,7 +28,8 @@ models that do not need it ignore the argument.  Leading dimensions
 broadcast everywhere.  A result that does not depend on the state, such as
 the wave speed of a linear flux, has only the dimensions its inputs give
 it: `sign_jac_normal` and `max_wavespeed` are broadcastable
-against the leading dimensions of u, not materialized over them.
+against the leading dimensions of u, not materialized over them, and a
+constant velocity field has unit leading dimensions.
 
 Memory layout: any strides are accepted.  The element kernels store their
 arrays component-major, (nvars, local axes..., NT) with the element axis
@@ -32,8 +37,9 @@ innermost, and pass the models nv-last views of them (`nv_last`; `nv_first`
 gives the block back), so that every `u[..., i]` is one contiguous block
 and numpy's inner loops run over all elements.  Results are laid out the
 same way: arrays shaped like u follow its strides (`np.empty_like`), and
-split fluxes, flux tensors and matrices come from `component_major`, which
-puts their last one or two axes outermost in memory.
+normal fluxes of several components and matrices come from
+`component_major`, which puts their last one or two axes outermost in
+memory.
 
 `llf_flux` is the local Lax-Friedrichs two-state flux over this interface,
 shared by the low-order averages and the boundary closure.
@@ -105,16 +111,11 @@ class LinearAdvection:
             self._vel = velocity
         else:
             a = np.asarray(velocity, dtype=float)
-            self._vel = lambda xy: np.broadcast_to(a, xy.shape[:-1] + (2,))
+            self._vel = lambda xy: a.reshape((1,) * (xy.ndim - 1) + (2,))
 
     def velocity_at(self, xy):
+        """a(xy), (..., 2); a constant field's has unit leading dims."""
         return self._vel(np.asarray(xy))
-
-    def flux(self, u, xy):
-        a = self.velocity_at(xy)
-        lead = np.broadcast_shapes(u.shape[:-1], a.shape[:-1])
-        out = component_major(lead, u.shape[-1], 2)
-        return np.multiply(u[..., :, None], a[..., None, :], out=out)
 
     def _normal_speed(self, n, xy):
         """a(xy) . n, in the broadcast shape of the leading dims of n, xy."""
@@ -134,7 +135,7 @@ class LinearAdvection:
         return np.abs(self._normal_speed(n, xy))
 
     def jac_apply(self, u, w, xy):
-        """sum_d A_d(u) w[..., d] for the gradient-like tensor w (..., 1, 2)."""
+        """a . w for w (..., 1, 2): the derivative of the flux u a along w."""
         a = self.velocity_at(xy)[..., None, :]
         return a[..., 0] * w[..., 0] + a[..., 1] * w[..., 1]
 
@@ -144,12 +145,6 @@ class KPP:
 
     nvars = 1
     static_signs = False
-
-    def flux(self, u, xy=None):
-        out = component_major(u.shape[:-1], u.shape[-1], 2)
-        out[..., 0] = np.sin(u)
-        out[..., 1] = np.cos(u)
-        return out
 
     def flux_normal(self, u, n, xy=None):
         return np.sin(u) * n[..., 0:1] + np.cos(u) * n[..., 1:2]
@@ -204,7 +199,8 @@ class Euler:
 
     b1 = (gamma - 1) / c^2, b2 = b1 |v|^2 / 2 and l_i . r_j = delta_ij.
     `sign_jac_normal` builds this form entry by entry, `flux_normal_split`
-    uses its closed-form action on u, and `jac_apply` differentiates `flux`.
+    uses its closed-form action on u, and `jac_apply` differentiates the
+    flux whose normal part is `flux_normal`.
     Where f is equal on all three eigenvalues, as the sign at supersonic
     states, f(A) is exactly f(un) I.
     """
@@ -241,23 +237,10 @@ class Euler:
 
     # -- fluxes ------------------------------------------------------------
 
-    def flux(self, u, xy=None):
-        rho, vx, vy, p = self.primitives(u)
-        out = component_major(u.shape[:-1], 4, 2)
-        out[..., 0, 0] = u[..., 1]
-        out[..., 0, 1] = u[..., 2]
-        out[..., 1, 0] = u[..., 1] * vx + p
-        out[..., 1, 1] = u[..., 1] * vy
-        out[..., 2, 0] = u[..., 2] * vx
-        out[..., 2, 1] = u[..., 2] * vy + p
-        out[..., 3, 0] = (u[..., 3] + p) * vx
-        out[..., 3, 1] = (u[..., 3] + p) * vy
-        return out
-
     def flux_normal(self, u, n, xy=None):
         rho, vx, vy, p = self.primitives(u)
         vn = vx * n[..., 0] + vy * n[..., 1]
-        out = np.empty_like(u)
+        out = component_major(vn.shape, 4)  # over the lead dims of u and n
         out[..., 0] = rho * vn
         out[..., 1] = u[..., 1] * vn + p * n[..., 0]
         out[..., 2] = u[..., 2] * vn + p * n[..., 1]
@@ -326,7 +309,8 @@ class Euler:
     def jac_apply(self, u, w, xy=None):
         """A_x(u) w_x + A_y(u) w_y for gradient-like w (..., 4, 2).
 
-        The derivative of `flux` along w_d, summed over the directions d.
+        A_d = d(f . e_d)/du is the derivative of the flux whose normal part
+        is `flux_normal`; the sum runs over the directions d.
         With dp_d = (gamma - 1)(w_E,d - v . w_m,d + |v|^2 w_rho,d / 2), the
         derivative of the pressure, and D = sum_d (w_m_d,d - v_d w_rho,d),
         rho times that of the velocity's divergence, it is

@@ -209,8 +209,9 @@ class Tables:
     """Static geometry/basis tables shared by the spatial operators.
 
     Every element is affine, so element terms are reference-element tables
-    contracted at call time with `mesh.grad_lambda` (the gradients of the
-    barycentric coordinates), `mesh.areas` and the signed edge lengths, and
+    applied at call time to normal fluxes along `mesh.grad_lambda` (the
+    barycentric gradients), or contracted with them, with `mesh.areas`
+    and the signed edge lengths, and
     reference points map to each element and edge through `element_points`
     and `edge_points`.  Only connectivity and damping lengths are stored
     per edge, and no array has an element axis.  Per interior edge the
@@ -240,21 +241,14 @@ class Tables:
         self.BARY_V = vr.points  # (nqv, 3)
         # With lambda_2 = 1 - lambda_0 - lambda_1, grad(phi_j) is
         # sum_a (d phi_j / d lambda_a - d phi_j / d lambda_2) grad(lambda_a)
-        # over a = 0, 1.  VOL_OP[(a, j), q] holds P times the weighted
-        # reduced derivatives w_q (...), so P F_vol / |K| is VOL_OP applied
-        # to the flux and contracted with -grad(lambda_a); the row order
-        # (a, j) keeps (j, v) one strided axis in each (a, d) slice.  Only
-        # the rows j < 6 of P, which drive the point values, are formed:
-        # the average row is the edge flux balance.
+        # over a = 0, 1: -grad(phi_j) . f(u) sums the normal fluxes along
+        # n_a = -grad(lambda_a).  VOL_OP[j, (a, q)], P times the weighted
+        # reduced derivatives w_q (...), maps them to P F_vol / |K|, rows
+        # j < 6 only: the average row is the edge flux balance.
         dphi = basis_grad_bary(vr.points)  # (nqv, 7, 3)
         dred = dphi[:, :, :2] - dphi[:, :, 2:]  # (nqv, 7, 2)
-        vol = np.einsum("jk,q,qka->ajq", P[:6], self.wq_vol, dred)
-        self.VOL_OP = np.ascontiguousarray(vol.reshape(12, -1))
-        # The same entries as [j, (a, q)]: for a flux u a they act on
-        # beta_a(x_q) u_q, beta_a = -grad(lambda_a) . a, in one product.
-        self.VOL_OP_LINEAR = np.ascontiguousarray(
-            vol.transpose(1, 0, 2).reshape(6, -1)
-        )
+        vol = np.einsum("jk,q,qka->jaq", P[:6], self.wq_vol, dred)
+        self.VOL_OP = np.ascontiguousarray(vol.reshape(6, -1))
 
         # -- edge quadrature and trace tables ---------------------------------
         er = edge_rule(EDGE_POINTS)
@@ -266,35 +260,24 @@ class Tables:
             [(1 - t) * (1 - 2 * t), t * (2 * t - 1), 4 * t * (1 - t)], axis=1
         )  # (nqe, 3)
 
-        # Basis (and derivative) tables on each local edge for both
-        # orientations: index [o, l] with o = 0 when the element traverses the
-        # edge in the stored direction (tau = t), o = 1 otherwise (tau = 1-t).
-        PHI_E = np.empty((2, 3, self.nqe, 7))
-        DPHI_E = np.empty((2, 3, self.nqe, 7, 3))
-        D2PHI_E = np.empty((2, 3, self.nqe, 7, 3, 3))
-        for o, tau in enumerate((t, 1 - t)):
-            for l in range(3):
-                lam = _edge_bary(l, tau)
-                PHI_E[o, l] = basis_values(lam)
-                DPHI_E[o, l] = basis_grad_bary(lam)
-                D2PHI_E[o, l] = basis_hess_bary(lam)
-
         # The rule is symmetric, so an element traversing an edge against
         # its stored direction meets the quadrature points in reverse order.
-        # SURF_OP[j, (l, q)] = (P PHI_E)[j], j < 6, at point q of local edge
-        # l in the element's own direction, times w_q: applied to the edge
-        # fluxes scaled by the signed edge length over |K| it gives the
-        # point rows of P F_surf / |K|.
-        surf = np.einsum("jk,q,lqk->jlq", P[:6], self.wq_edge, PHI_E[0])
+        # SURF_OP[j, (l, q)] = w_q (P PHI_E)[j], j < 6, at point q of local
+        # edge l in the element's own direction (tau = t), maps the edge
+        # fluxes times signed edge length over |K| to P F_surf / |K|.
+        PHI_E = np.array([basis_values(_edge_bary(l, t)) for l in range(3)])
+        surf = np.einsum("jk,q,lqk->jlq", P[:6], self.wq_edge, PHI_E)
         self.SURF_OP = np.ascontiguousarray(surf.reshape(6, -1))
 
-        # Reduced barycentric derivatives on local edge 0, for each edge
-        # side s (side s traverses the edge with orientation table s):
-        # rows (d/d lambda_0, d/d lambda_1, d2/d lambda_0^2,
+        # Reduced barycentric derivatives on local edge 0 for each edge side
+        # s, traversing it along (tau = t) or against (tau = 1 - t) its stored
+        # direction: rows (d/d lambda_0, d/d lambda_1, d2/d lambda_0^2,
         # d2/d lambda_0 d lambda_1, d2/d lambda_1^2) per quadrature point,
         # with lambda_2 eliminated as above.
-        d1 = DPHI_E[:, 0, :, :, :2] - DPHI_E[:, 0, :, :, 2:]  # (2, nqe, 7, 2)
-        H = D2PHI_E[:, 0]  # (2, nqe, 7, 3, 3)
+        lam = [_edge_bary(0, tau) for tau in (t, 1 - t)]
+        DPHI_E = np.array([basis_grad_bary(x) for x in lam])  # (2, nqe, 7, 3)
+        H = np.array([basis_hess_bary(x) for x in lam])  # (2, nqe, 7, 3, 3)
+        d1 = DPHI_E[..., :2] - DPHI_E[..., 2:]  # (2, nqe, 7, 2)
         h = H[..., :2, :2] - H[..., :2, 2:] - H[..., 2:, :2] + H[..., 2:, 2:]
         comps = [d1[..., 0], d1[..., 1], h[..., 0, 0], h[..., 0, 1], h[..., 1, 1]]
         self.EDGE_DERIV_OP = np.ascontiguousarray(
@@ -531,14 +514,14 @@ class HOResult:
 
 
 class HighOrder:
-    """The high-order residuals.  For a model with `static_signs` its
+    """The high-order residuals, whose volume and edge terms take the flux
+    as normal fluxes (`_normal_flux`).  For a model with `static_signs` its
     record `speeds` (`StaticSpeeds`) keeps, on `rotating-shapes` at n=59
-    (6,962 elements, 10,561 edges): a . n at the edge quadrature
-    points, 0.25 MB ("edge"); the volume speeds beta_a = -grad(lambda_a)
-    . a at the volume quadrature points, 1.78 MB (("volume", start, stop)
-    per element block; one per element for a constant field, 0.40 MB on
-    the 25k elements of `advect-gauss`); the upwind weights, 0.33 MB
-    ("omega")."""
+    (6,962 elements, 10,561 edges), the normal flux of the unit state: a . n
+    at the edge quadrature points, 0.25 MB ("edge"), and a . n_a at the
+    volume points, 1.78 MB (("volume", start, stop) per element block; one
+    per element for a constant field, 0.40 MB on `advect-gauss`); and the
+    upwind weights, 0.33 MB ("omega")."""
 
     def __init__(self, tables: Tables, model, bc=None, enforce_domain=None):
         self.t = tables
@@ -586,28 +569,35 @@ class HighOrder:
         ut[..., bad] = r + s * (got - r)
         return u, len(bad)
 
+    def _normal_flux(self, name, u, n, points):
+        """f(u) . n at the positions `points()`.  A static flux is (a . n) u:
+        its unit-state value is kept under `name` (`StaticSpeeds`) and
+        multiplied by u, and `points` is called once.  Others: `flux_normal`."""
+        model = self.model
+        if not model.static_signs:
+            return model.flux_normal(u, n, points())
+        unit = self.speeds.get(
+            name, lambda: model.flux_normal(np.ones((1,) * u.ndim), n, points())
+        )
+        return u * unit
+
     def interface_fluxes(self, upt, t):
         """Single-valued edge fluxes: (fluxhat (NE, nqe, nv), trace, rescued).
 
-        A static flux is linear, (a . n) u: its value at the unit state is
-        kept (`StaticSpeeds`, "edge"), so after its first call the positions
-        of the edge quadrature points are formed for the boundary edges
-        only."""
+        A static flux ("edge") forms, after its first call, the positions
+        of the edge quadrature points of the boundary edges only."""
         tb = self.t
         mesh = tb.mesh
-        model = self.model
         # Edge-local rescue reference: the mean of the three edge DoFs (all
         # admissible), keeping the trace single-valued between the two sides.
         trace, ref = tb.edge_traces(upt)
         trace, rescued = self._rescue_states(trace, ref)
-        n = mesh.edge_normal[:, None, :]
-        if model.static_signs:
-            speed = self.speeds.get("edge", lambda: model.flux_normal(
-                np.ones((len(trace), 1, 1)), n, tb.edge_points(slice(None))
-            ))  # a . n, the flux of the unit state: (NE, nqe, 1)
-            fluxhat = trace * speed
-        else:
-            fluxhat = model.flux_normal(trace, n, tb.edge_points(slice(None)))
+        # Per-point normals: a constant field's kept flux multiplies in one flat
+        # loop, not one loop per edge.
+        n = np.broadcast_to(mesh.edge_normal[:, None, :], trace.shape[:-1] + (2,))
+        fluxhat = self._normal_flux(
+            "edge", trace, n, lambda: tb.edge_points(slice(None))
+        )
         if self.bc is not None:
             # Gathered along the edge axis, each array keeps its layout.
             be = mesh.boundary_edges
@@ -794,47 +784,30 @@ class HighOrder:
         act as GEMMs over the component-major blocks (nv, ..., NT) (see
         `Tables`); the volume term runs by element blocks
         (`element_blocks`), and each large temporary is freed after its
-        last read.  A static flux keeps beta (`_volume_speeds`) per block
-        (`StaticSpeeds`, "volume")."""
+        last read."""
         tb = self.t
         mesh = tb.mesh
-        model = self.model
         _, nt, nv = coef.shape
-        gl = np.ascontiguousarray(mesh.grad_lambda.T)  # (2, 3, NT): [d, a]
         cf = nv_first(coef)  # (nv, 7, NT)
 
-        # Volume term: VOL_OP against the flux ((v, d), q, E), one GEMM per
-        # (v, d) over the block's E elements into T (nv, 2, (a, j), E),
-        # then the contraction of (a, d) with -grad(lambda_a); for a static
-        # flux, one GEMM of VOL_OP_LINEAR against beta u_q ((a, q), E) per
-        # v.  The rescue groups the states by element.
+        # Volume term: the normal fluxes along n_a = -grad(lambda_a) stacked
+        # as (2, 1, E, 2) against the volume states (1, nqv, E, nv), then one
+        # GEMM of VOL_OP per v.  The rescue groups the states by element.
+        normals = nv_last(-np.ascontiguousarray(mesh.grad_lambda.T[:, :2, None]))
         Phi = np.empty((nv, 6, nt))
         resc_vol = 0
         for blk in element_blocks(nt, nv):
             uq = block_matmul(tb.PHI_V, cf[:, :, blk]).T  # (E, nqv, nv)
             uq, rescued = self._rescue_states(uq, coef[6, blk])
             resc_vol += rescued
-            if model.static_signs:
-                beta = self.speeds.get(
-                    ("volume", blk.start, blk.stop), lambda: self._volume_speeds(blk)
-                )  # (2, nqv | 1, E)
-                X = (beta * uq.T[:, None]).reshape(nv, -1, uq.shape[0])
-                del uq
-                Phi[..., blk] = block_matmul(tb.VOL_OP_LINEAR, X)
-                del X
-                continue
-            xy = tb.element_points(tb.BARY_V, blk)
-            fq = model.flux(uq.swapaxes(0, 1), xy)  # (nqv, E, nv, 2)
-            del xy, uq
-            T = block_matmul(tb.VOL_OP, fq.transpose(2, 3, 0, 1))
-            del fq
-            g = gl[..., blk]
-            P = np.multiply(g[0, 0], T[:, 0, :6], out=Phi[..., blk])
-            np.negative(P, out=P)
-            P -= g[1, 0] * T[:, 1, :6]
-            P -= g[0, 1] * T[:, 0, 6:]
-            P -= g[1, 1] * T[:, 1, 6:]
-            del T
+            f = self._normal_flux(
+                ("volume", blk.start, blk.stop), uq.swapaxes(0, 1)[None],
+                normals[:, :, blk], lambda: tb.element_points(tb.BARY_V, blk),
+            )  # (2, nqv, E, nv)
+            del uq
+            f = nv_first(f).reshape(nv, -1, f.shape[2])  # (nv, (a, q), E)
+            Phi[..., blk] = block_matmul(tb.VOL_OP, f)
+            del f
 
         # Surface term: single-valued edge fluxes in each element's own
         # traversal direction, times signed edge length over |K|.
@@ -848,7 +821,7 @@ class HighOrder:
         rows = np.where(forward, q, nqe - 1 - q)
         rows += nqe * np.ascontiguousarray(mesh.tri_edges.T)[:, None, :]
         fh = np.empty((nv, 3, nqe, nt))
-        np.take(fluxhat.reshape(-1, nv).T, rows, axis=1, out=fh, mode="wrap")
+        np.take(nv_first(fluxhat).reshape(nv, -1), rows, axis=1, out=fh, mode="wrap")
         del rows
         fh *= (
             mesh.tri_edge_orient
@@ -861,19 +834,6 @@ class HighOrder:
             "q,eqv->ev", tb.wq_edge, fluxhat
         ) * mesh.edge_length[:, None]
         return nv_last(Phi), F_edge, trace, resc_vol, resc_tr
-
-    def _volume_speeds(self, blk):
-        """beta_a = -grad(lambda_a) . a(x_q) (2, nqv, E), a = 0, 1, at the
-        volume points of the elements `blk`; (2, 1, E) for a velocity that
-        the model broadcasts over the points, as a constant field's."""
-        a = self.model.velocity_at(self.t.element_points(self.t.BARY_V, blk))
-        a = a[:1] if a.strides[0] == 0 else a  # (nqv | 1, E, 2)
-        g = -self.t.mesh.grad_lambda[blk, :2].T  # (2, 2, E): [d, a]
-        beta = np.empty((2,) + a.shape[:-1])
-        for i in range(2):  # in place: only beta is kept
-            np.multiply(a[..., 0], g[0, i], out=beta[i])
-            beta[i] += g[1, i] * a[..., 1]
-        return beta
 
     def compute(self, coef, upt, t) -> HOResult:
         """High-order residuals from the element coefficients coef

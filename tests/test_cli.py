@@ -150,6 +150,16 @@ def test_run_reads_mesh_from_file(tmp_path, capsys):
     assert "conservation drift" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("problem", ["rotating-shapes", "double-mach", "diffraction"])
+def test_make_mesh_below_one_exits_2(tmp_path, capsys, problem, n):
+    # Bad input, not a traceback from the mesh generator.
+    msh = tmp_path / "out.msh"
+    assert main(["make-mesh", problem, str(n), str(msh)]) == 2
+    assert "error: make-mesh needs n >= 1" in capsys.readouterr().err
+    assert not msh.exists()
+
+
 def test_info_reports_mesh_stats(tmp_path, capsys):
     msh = tmp_path / "m.msh"
     assert main(["make-mesh", "quadrants", "6", str(msh)]) == 0

@@ -123,7 +123,8 @@ def reference_phi(ho, ubar, upt, t):
     """Phi from per-element mapped tables, as stored before the reference
     operators: DVOL_MAT[k, j, (q, d)] = w_q (grad phi_j)_d and
     W_EDGE_MAT[k, j, (l, q)] = s_{k,l} |e_{k,l}| w_q phi_j on each local
-    edge in the element's orientation."""
+    edge in the element's orientation.  The flux tensor is formed here,
+    column d as the normal flux along the unit vector e_d."""
     tb, model = ho.t, ho.model
     mesh = tb.mesh
     nt, nv = ubar.shape
@@ -144,7 +145,8 @@ def reference_phi(ho, ubar, upt, t):
 
     coef = tb.coefficients(ubar, upt).swapaxes(0, 1)  # (NT, 7, nv)
     xy = tb.element_points(tb.BARY_V).swapaxes(0, 1)  # (NT, nqv, 2)
-    fq = model.flux(tb.PHI_V @ coef, xy)  # (NT, nqv, nv, 2)
+    uq = tb.PHI_V @ coef  # (NT, nqv, nv)
+    fq = np.stack([model.flux_normal(uq, e, xy) for e in np.eye(2)], axis=-1)
     vol = -(dvol_mat @ fq.swapaxes(2, 3).reshape(nt, -1, nv))
     vol *= mesh.areas[:, None, None]
     fluxhat, _, _ = ho.interface_fluxes(upt, t)
@@ -152,15 +154,16 @@ def reference_phi(ho, ubar, upt, t):
     return (projection_matrix() @ (vol + surf)) / mesh.areas[:, None, None]
 
 
-@pytest.mark.parametrize("which", ["euler", "advection"])
+@pytest.mark.parametrize("which", ["euler", "advection", "kpp"])
 def test_ho_residual_matches_per_element_tables(small_mesh, which):
+    # "kpp" takes the volume path of a scalar flux that is not static.
     mesh = small_mesh
     if which == "euler":
         model = Euler()
         u0 = euler_field
         bc = {"out": FarField(lambda x, t: euler_field(x))}
     else:
-        model = LinearAdvection(rotation_velocity)
+        model = LinearAdvection(rotation_velocity) if which == "advection" else KPP()
 
         def u0(xy):
             return np.sin(2 * np.pi * xy[..., 0:1]) * np.cos(np.pi * xy[..., 1:2])
@@ -904,8 +907,8 @@ def blocked_case(mesh, which):
 
 
 def test_block_matmul_equals_one_call():
-    # 16-term products, the shape of VOL_OP (12 rows) against a volume
-    # flux, over 6,001 elements in blocks of 2,288, 2,288 and 1,425 give
+    # 16-term products of 12 rows, each against a (16, E) block, over
+    # 6,001 elements in blocks of 2,288, 2,288 and 1,425 give
     # the bits of one `block_matmul` over all elements, which cuts its
     # 1.15e6 multiply-adds per matrix into calls of 5,200 columns.  The
     # plain product over all elements takes OpenBLAS's large kernel, whose

@@ -456,8 +456,9 @@ def test_kept_llf_weights_are_the_llf_flux():
 
 @pytest.mark.parametrize("field", FIELDS)
 def test_kept_volume_speeds_give_the_volume_term(field):
-    # A static model's HO point rows take the volume term from the kept
-    # beta = -grad(lambda) . a; a constant field keeps it once per element.
+    # A static model's HO point rows take the volume term from its kept
+    # normal flux of the unit state along n_a = -grad(lambda_a), a = 0, 1,
+    # (2, nqv, E, 1); a constant field keeps it once per element.
     tb, models, handlers, ubar, upt = kept_case(field)
     coef = tb.coefficients(ubar, upt)
     kept, general = (HighOrder(tb, m, bc) for m, bc in zip(models, handlers))
@@ -466,7 +467,7 @@ def test_kept_volume_speeds_give_the_volume_term(field):
     assert_close(got[0], want[0])
     ((_, beta),) = [kv for kv in kept.speeds.kept.items() if kv[0][0] == "volume"]
     nqv = 1 if field == "constant" else len(tb.wq_vol)
-    assert beta.shape == (2, nqv, tb.mesh.num_tris)
+    assert beta.shape == (2, nqv, tb.mesh.num_tris, 1)
 
 
 def mach_stepper(n):
