@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .models import nv_first
+from .models import nv_first, positions
 
 
 def _largest_root_bound(a, b, c):
@@ -321,12 +321,12 @@ def interior_edge_speeds(tables, model, trace_u):
     """Fastest wave speed of the edge traces trace_u (NE, nqe, nv), which
     `HighOrder.interface_fluxes` returns, on each interior edge
     (`Tables.interior_edges`): (E,).  The positions of their quadrature
-    points are formed here."""
+    points are formed here for a model that reads them (`positions`)."""
     ei = tables.interior_edges
     speed = model.max_wavespeed(
         np.take(trace_u, ei, axis=0),
         np.take(tables.mesh.edge_normal, ei, axis=0)[:, None, :],
-        tables.edge_points(ei),
+        positions(model, lambda: tables.edge_points(ei)),
     )  # (E, nqe | 1)
     # One pass per point: a reduction over the short last axis is slow.
     alpha = speed[:, 0]
@@ -352,7 +352,7 @@ def damping_theta(tables, model, coef, speed, dt, c1=1.0, c2=1.0):
 
     # Sums over the edges of each element, side 0 then side 1, in edge
     # order; an element without interior edges keeps exp(-0) = 1.
-    k = np.take(mesh.edge_tris, ei, axis=0).T.ravel()
+    k = np.take(tables.side_elems, ei, axis=1).ravel()
     rate = speed * sigma.T / tables.EDGE_DIST
     expo = np.bincount(k, weights=rate.ravel(), minlength=mesh.num_tris)
     n_int = np.bincount(k, minlength=mesh.num_tris)
@@ -432,14 +432,13 @@ def blend_average_fluxes(tables, domain, ubar, F_lo, F_ho, theta, dt):
     theta_K on boundary edges.  Returns (F (NE, nv), eta (NE,), n_rescued).
 
     Both sides' candidates are the sides of `_limit_candidates`, (2, NE)
-    with s_{K,e} = +1 on side 0 and -1 on side 1.  Side 1 of a boundary
-    edge repeats side 0; the rescue count keeps only the edge's own sides.
+    with s_{K,e} = +1 on side 0 and -1 on side 1 (`Tables.side_elems`,
+    `Tables.side_signs`).  Side 1 of a boundary edge repeats side 0; the
+    rescue count keeps only the edge's own sides (`Tables.side_counted`).
     """
-    mesh = tables.mesh
-    interior = mesh.edge_tris[:, 1] >= 0
-    k = np.where(interior, mesh.edge_tris.T, mesh.edge_tris[:, 0])  # (2, NE)
-    sign = np.where(interior, [[1.0], [-1.0]], 1.0)
+    k = tables.side_elems
+    lam = 3.0 * dt / np.take(tables.mesh.areas, k) * tables.side_signs
     return _limit_candidates(
-        domain, np.take(ubar, k, axis=0), 3.0 * dt / np.take(mesh.areas, k) * sign,
-        F_lo, F_ho, np.take(theta, k).min(axis=0), k == mesh.edge_tris.T,
+        domain, np.take(ubar, k, axis=0), lam,
+        F_lo, F_ho, np.take(theta, k).min(axis=0), tables.side_counted,
     )

@@ -22,12 +22,19 @@ Every model exposes the same informal interface over arrays whose last axis
                                state, and the operators keep what the
                                speeds decide (`spatial_ho.StaticSpeeds`,
                                3.96 MB on `rotating-shapes` at n=59)
+    reads_xy                -- True for a flux that depends on the
+                               position xy
 
-`xy` carries physical coordinates for models with space-dependent flux;
-models that do not need it ignore the argument.  Leading dimensions
-broadcast everywhere.  A result that does not depend on the state, such as
-the wave speed of a linear flux, has only the dimensions its inputs give
-it: `sign_jac_normal` and `max_wavespeed` are broadcastable
+`xy` carries physical coordinates for a model with `reads_xy`.  The
+operators form positions only for such a model (`positions`), and for one
+with `static_signs` too only while they build what they keep; every other
+model gets xy = None and must not read it.  Only the boundary handler
+passes the positions of the boundary points to every model: its far-field
+states read them.
+
+Leading dimensions broadcast everywhere.  A result that does not depend on
+the state, such as the wave speed of a linear flux, has only the dimensions
+its inputs give it: `sign_jac_normal` and `max_wavespeed` are broadcastable
 against the leading dimensions of u, not materialized over them, and a
 constant velocity field has unit leading dimensions.
 
@@ -80,6 +87,12 @@ def component_major(lead, *comps):
     return np.moveaxis(out, tuple(range(k)), tuple(range(-k, 0)))
 
 
+def positions(model, build):
+    """build(), the positions that `model` reads, or None for a model
+    without `reads_xy`, for which nothing is formed."""
+    return build() if model.reads_xy else None
+
+
 def _length(n):
     """Euclidean length of the 2-vectors n (..., 2): (...,)."""
     return np.sqrt(n[..., 0] * n[..., 0] + n[..., 1] * n[..., 1])
@@ -104,6 +117,7 @@ class LinearAdvection:
 
     nvars = 1
     static_signs = True
+    reads_xy = True
 
     def __init__(self, velocity):
         """velocity: (2,) constant or callable xy -> (..., 2)."""
@@ -145,6 +159,7 @@ class KPP:
 
     nvars = 1
     static_signs = False
+    reads_xy = False
 
     def flux_normal(self, u, n, xy=None):
         return np.sin(u) * n[..., 0:1] + np.cos(u) * n[..., 1:2]
@@ -207,6 +222,7 @@ class Euler:
 
     nvars = 4
     static_signs = False
+    reads_xy = False
 
     def __init__(self, gamma: float = 1.4):
         self.gamma = float(gamma)

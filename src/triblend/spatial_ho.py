@@ -34,6 +34,7 @@ branch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -41,7 +42,7 @@ from scipy import sparse
 from .basis import basis_grad_bary, basis_hess_bary
 from .basis import basis_values, projection_matrix
 from .mesh import Mesh
-from .models import component_major, diagonal_view, nv_first, nv_last
+from .models import component_major, diagonal_view, nv_first, nv_last, positions
 from .quadrature import edge_rule, triangle_rule
 
 # Exactness degree of the volume rule and Gauss points per edge.
@@ -90,6 +91,11 @@ def _edge_bary(local_edge: int, tau: np.ndarray) -> np.ndarray:
 def _local_edges(mesh: Mesh, tris: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Local index of edges[i] in triangles tris[i, s]: (E, 2), 0 if absent."""
     return np.argmax(mesh.tri_edges[tris] == edges[:, None, None], axis=2)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _inverse(A: np.ndarray):
@@ -213,12 +219,15 @@ class Tables:
     barycentric gradients), or contracted with them, with `mesh.areas`
     and the signed edge lengths, and
     reference points map to each element and edge through `element_points`
-    and `edge_points`.  Only connectivity and damping lengths are stored
-    per edge, and no array has an element axis.  Per interior edge the
-    damping keeps the edge ids (`interior_edges`) and, per side, the
-    edge's local index (`edge_side_local`, int8) and damping length
-    (`EDGE_DIST`); the normals and barycentric gradients it contracts
-    with come from the mesh at call time.
+    and `edge_points`.  Only connectivity, damping lengths and the maps
+    below are stored per edge, and no array has an element axis.  Per
+    interior edge the damping keeps the edge ids (`interior_edges`) and,
+    per side, the damping length (`EDGE_DIST`).  The per-edge maps that
+    the damping's jump kernel (`jump_index`, `jump_normal_grad`) and the average-flux
+    blend (`side_elems`, `side_signs`, `side_counted`) read at every
+    substep are built on first use and kept read-only: a `ho` run builds
+    none of them.  On `rotating-shapes` at n=59 they hold 149 B per
+    element, the rest of the tables 30 B.
 
     Layout: element arrays are indexed (k, NT, ncomp), local axis first,
     element axis next, components last, and those with components are
@@ -289,10 +298,10 @@ class Tables:
         dV = np.c_[np.zeros(self.nqe), V[:, :-1] * np.arange(1, self.nqe)]
         self.EDGE_DT = dV @ np.linalg.inv(V)
 
-        # Damping, per interior edge: the edge ids, the local index of each
-        # in its side-s element and the length sup_{x in K} dist(x, e) of
-        # that element, both (2, E).  The distance function to a segment is
-        # convex, so the sup sits at the vertex opposite the edge.
+        # Damping, per interior edge: the edge ids and the length
+        # sup_{x in K} dist(x, e) of its side-s element, (2, E).  The
+        # distance function to a segment is convex, so the sup sits at the
+        # vertex opposite the edge.
         ei = np.flatnonzero(mesh.edge_tris[:, 1] >= 0).astype(np.int32)
         self.interior_edges = ei
         tris = mesh.edge_tris[ei]
@@ -305,7 +314,6 @@ class Tables:
             opp = mesh.verts[mesh.tris[tris[:, s], (local[:, s] + 2) % 3]]
             tpar = np.clip(np.einsum("ed,ed->e", opp - a, ab) / denom, 0.0, 1.0)
             self.EDGE_DIST[s] = np.linalg.norm(opp - (a + tpar[:, None] * ab), axis=1)
-        self.edge_side_local = local.T.astype(np.int8)
 
         # Element-DoF -> point scatter operator: row p has a unit entry in
         # column j NT + k for each (k, j) where DoF j of element k is point
@@ -332,6 +340,58 @@ class Tables:
             (by_elem.data[:m], cols[:m], self.point_scatter.indptr[: nvert + 1]),
             shape=(nvert, 3 * nt),
         )
+
+    # -- per-edge maps, built on first use ---------------------------------------
+
+    @cached_property
+    def jump_index(self) -> np.ndarray:
+        """Gather index of `edge_side_gradients`, (2, 7, E) int32 over
+        `interior_edges`: entry [s, j, i] is ROTATE[l, j] NT + k, with k
+        the side-s element of edge i and l the edge's local index in k.  It
+        picks coefficient j of k, relabelled so that the edge is its local
+        edge 0, from the (nv, 7 NT) coefficient rows; its rows j = 0, 1
+        index the (2, 3 NT) rows of grad(lambda) alike."""
+        mesh = self.mesh
+        ei = self.interior_edges
+        tris = mesh.edge_tris[ei]  # (E, 2)
+        local = _local_edges(mesh, tris, ei)
+        idx = ROTATE[local.T].transpose(0, 2, 1) * mesh.num_tris
+        idx += tris.T[:, None, :]
+        return _read_only(idx.astype(np.int32))
+
+    @cached_property
+    def jump_normal_grad(self) -> np.ndarray:
+        """n . grad(lambda_a) of the relabelled vertices a = 0, 1 of each
+        side's element (`jump_index`), (2, 2, E) indexed by side, a and
+        interior edge, with n the edge's unit normal out of side 0."""
+        mesh = self.mesh
+        gl = np.ascontiguousarray(mesh.grad_lambda.T).reshape(2, -1)  # (2, 3 NT)
+        nx, ny = np.take(mesh.edge_normal, self.interior_edges, axis=0).T
+        gx, gy = np.take(gl, self.jump_index[:, :2], axis=1)
+        nd = nx * gx
+        nd += ny * gy
+        return _read_only(nd)
+
+    @cached_property
+    def side_elems(self) -> np.ndarray:
+        """The element of each edge side, (2, NE) int32: `mesh.edge_tris`
+        with side 1 of a boundary edge repeating side 0."""
+        k = self.mesh.edge_tris.T
+        return _read_only(np.where(k[1] >= 0, k, k[0]).astype(np.int32))
+
+    @cached_property
+    def side_signs(self) -> np.ndarray:
+        """Sign of each side's candidate in `blend_average_fluxes`, (2, NE)
+        int8: +1 on side 0, -1 on side 1, +1 on both sides of a boundary
+        edge."""
+        interior = self.mesh.edge_tris[:, 1] >= 0
+        return _read_only(np.where(interior, [[1], [-1]], 1).astype(np.int8))
+
+    @cached_property
+    def side_counted(self) -> np.ndarray:
+        """The edge sides that are the edge's own, (2, NE) bool: all but
+        side 1 of a boundary edge, which repeats side 0 (`side_elems`)."""
+        return _read_only(self.side_elems == self.mesh.edge_tris.T)
 
     # -- geometry and state helpers --------------------------------------------
 
@@ -386,6 +446,34 @@ class Tables:
             trace.swapaxes(0, 1)[...] = prod.reshape(self.nqe, ne, nv)
         return trace, (vals[0] + vals[1] + vals[2]) / 3.0
 
+    def surface_rows(self, fluxhat: np.ndarray) -> np.ndarray:
+        """The edge fluxes fluxhat (NE, nqe, nv) as each element sees them,
+        in its own traversal direction and times its signed edge length
+        over |K|: the rows (l, q) of SURF_OP, (nv, 3 nqe, NT).
+
+        An element edge that runs against the edge's stored direction
+        (side 1) meets the quadrature points in reverse order, and its
+        signed length is -|e|.  Per point q, the fluxes at q and, negated,
+        at nqe - 1 - q are the (nv, 2 NE) rows of both directions: side s
+        of edge e reads entry e + NE s, one gather through `mesh.tri_edges`
+        into a (nv, 3, NT) block, scaled by |e| / |K| on its way into the
+        rows.  Negating the flux or the length gives the same bits."""
+        mesh = self.mesh
+        ne, nqe, nv = fluxhat.shape
+        src = nv_first(fluxhat)  # (nv, NE, nqe)
+        rows = np.array(mesh.tri_edges.T, dtype=np.intp, order="C")  # (3, NT)
+        scale = np.take(mesh.edge_length, rows)
+        scale /= mesh.areas
+        rows += ne * (mesh.tri_edge_orient.T < 0)
+        fh = np.empty((nv, 3, nqe, mesh.num_tris))
+        both = np.empty((nv, 2, ne))
+        for q in range(nqe):
+            both[:, 0] = src[:, :, q]
+            np.negative(src[:, :, nqe - 1 - q], out=both[:, 1])
+            g = np.take(both.reshape(nv, 2 * ne), rows, axis=1, mode="wrap")
+            np.multiply(g, scale, out=fh[:, :, q])
+        return fh.reshape(nv, 3 * nqe, -1)
+
     def coefficients(self, ubar: np.ndarray, upt: np.ndarray) -> np.ndarray:
         """Local coefficient vectors (7, NT, nvars): the point values of
         each element, then its average."""
@@ -421,48 +509,35 @@ class Tables:
         formed: on an edge, u_h depends only on the edge's three point
         DoFs, which both sides share.  Each side's element is relabelled
         (ROTATE) so that the edge is its local edge 0, which makes
-        EDGE_DERIV_OP[s] one table for all edges, and its reduced
-        barycentric derivatives are contracted with n . grad(lambda_a) of
-        the relabelled vertices a = 0, 1.  t points from the edge's stored
+        EDGE_DERIV_OP[s] one table for all edges (the gather `jump_index`),
+        and its reduced barycentric derivatives are contracted with
+        n . grad(lambda_a) of the relabelled vertices a = 0, 1
+        (`jump_normal_grad`).  t points from the edge's stored
         start to its end, and [d_n] is quadratic along the edge (P2 plus
         the bubble, whose gradient there is l_a l_b grad(l_c)), so [d_nt]
         is the derivative of [d_n] on the quadrature points (EDGE_DT) over
         |e|.
         """
         mesh = self.mesh
-        _, nt, nv = coef.shape
+        nv = coef.shape[-1]
         edges = self.interior_edges
         ne = len(edges)
         jump = np.zeros((3, nv, self.nqe, ne))
         flat = nv_first(coef).reshape(nv, -1)
-        gl = np.ascontiguousarray(mesh.grad_lambda.T).reshape(2, -1)
-        nx, ny = np.take(mesh.edge_normal, edges, axis=0).T
         buf = np.empty((self.nqe, ne))
         # One edge side, and within it one variable, at a time: the
         # gathered coefficients (7, E) and derivative rows (5 nqe, E) of
         # one are freed before the next ones are formed.
         for s, sign in ((0, 1.0), (1, -1.0)):
-            # Column j of side s's relabelled element is column ROTATE[l, j]
-            # of element k = edge_tris[e, s], l = edge_side_local[s, e]:
-            # entry ROTATE[l, j] NT + k of the (nv, 7 NT) coefficient rows.
-            idx = np.take(ROTATE.T * nt, self.edge_side_local[s], axis=1)  # (7, E)
-            idx += mesh.edge_tris[edges, s]
-            # n . grad(lambda_a) of the relabelled vertices a = 0, 1 (their
-            # entries of idx index the (2, 3 NT) rows of grad(lambda)):
-            # (2, E), indexed by a.
-            gx, gy = np.take(gl, idx[:2], axis=1)
-            nd = nx * gx
-            nd += ny * gy
-            del gx, gy
-            n0, n1 = nd
+            n0, n1 = self.jump_normal_grad[s]
             # Signed coefficients of the reduced derivatives r[j] per row.
             rows = (
                 ((0, sign * n0), (1, sign * n1)),
                 ((2, sign * n0 * n0), (3, sign * 2.0 * n0 * n1), (4, sign * n1 * n1)),
             )
             for v in range(nv):
-                r = block_matmul(self.EDGE_DERIV_OP[s], np.take(flat[v], idx))
-                r = r.reshape(5, self.nqe, ne)
+                r = np.take(flat[v], self.jump_index[s])  # (7, E)
+                r = block_matmul(self.EDGE_DERIV_OP[s], r).reshape(5, self.nqe, ne)
                 for out, terms in zip(jump[:2, v], rows):
                     for j, w in terms:
                         out += np.multiply(w, r[j], out=buf)
@@ -497,8 +572,8 @@ class StaticSpeeds:
         if name not in self.kept:
             value = build()
             for a in value if isinstance(value, tuple) else (value,):
-                if isinstance(a, np.ndarray) and a.flags.writeable:
-                    a.flags.writeable = False
+                if isinstance(a, np.ndarray):
+                    _read_only(a)
             self.kept[name] = value
         return self.kept[name]
 
@@ -572,10 +647,11 @@ class HighOrder:
     def _normal_flux(self, name, u, n, points):
         """f(u) . n at the positions `points()`.  A static flux is (a . n) u:
         its unit-state value is kept under `name` (`StaticSpeeds`) and
-        multiplied by u, and `points` is called once.  Others: `flux_normal`."""
+        multiplied by u, and `points` is called once.  Others: `flux_normal`,
+        with positions only for a model that reads them (`positions`)."""
         model = self.model
         if not model.static_signs:
-            return model.flux_normal(u, n, points())
+            return model.flux_normal(u, n, positions(model, points))
         unit = self.speeds.get(
             name, lambda: model.flux_normal(np.ones((1,) * u.ndim), n, points())
         )
@@ -679,7 +755,7 @@ class HighOrder:
         S = model.sign_jac_normal(
             nv_last(np.take(ucm[:, 3:].reshape(nv, -1), mid, axis=1)),
             mesh.edge_normal,
-            mesh.edge_mid,
+            positions(model, lambda: mesh.edge_mid),
         )
         S = np.broadcast_to(S, (ne, nv, nv))
         del mid
@@ -726,17 +802,18 @@ class HighOrder:
         # its sums, their inverses and the weights keep the component-major
         # layout, so no step copies or transposes a block.
         normals = _dof_normals(mesh)  # (3, NT, 2)
-        corners = np.take(mesh.verts.T, mesh.tris.T, axis=1)  # (2, 3, NT)
         for a in range(3):
             for blk in element_blocks(nt, nv):
+                corner = positions(
+                    model,
+                    lambda: nv_last(np.take(mesh.verts.T, mesh.tris[blk, a], axis=1)),
+                )
                 S = model.sign_jac_normal(
-                    nv_last(ucm[:, a, blk]),
-                    normals[a, blk],
-                    nv_last(corners[:, a, blk]),
+                    nv_last(ucm[:, a, blk]), normals[a, blk], corner
                 )
                 np.multiply(S, 0.5, out=omega[a, blk])
-                del S
-        del normals, corners
+                del S, corner
+        del normals
         Nv = omega[:3]
         diag = diagonal_view(Nv)
         diag += 0.5
@@ -812,23 +889,7 @@ class HighOrder:
         # Surface term: single-valued edge fluxes in each element's own
         # traversal direction, times signed edge length over |K|.
         fluxhat, trace, resc_tr = self.interface_fluxes(upt, t)
-        nqe = tb.nqe
-        # Rows e nqe + q of the (nv, NE nqe) fluxes, q reversed against the
-        # edge's direction: a C-ordered (3, nqe, NT) index, in range, so
-        # that the gather writes unbuffered.
-        q = np.arange(nqe)[:, None]
-        forward = np.ascontiguousarray(mesh.tri_edge_orient.T)[:, None, :] > 0
-        rows = np.where(forward, q, nqe - 1 - q)
-        rows += nqe * np.ascontiguousarray(mesh.tri_edges.T)[:, None, :]
-        fh = np.empty((nv, 3, nqe, nt))
-        np.take(nv_first(fluxhat).reshape(nv, -1), rows, axis=1, out=fh, mode="wrap")
-        del rows
-        fh *= (
-            mesh.tri_edge_orient
-            * mesh.edge_length[mesh.tri_edges]
-            / mesh.areas[:, None]
-        ).T[:, None, :]
-        Phi += block_matmul(tb.SURF_OP, fh.reshape(nv, 3 * nqe, nt))
+        Phi += block_matmul(tb.SURF_OP, tb.surface_rows(fluxhat))
 
         F_edge = np.einsum(
             "q,eqv->ev", tb.wq_edge, fluxhat

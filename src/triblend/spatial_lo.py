@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import POINT_DOF_BARY
-from .models import llf_flux, nv_first, nv_last
+from .models import llf_flux, nv_first, nv_last, positions
 from .spatial_ho import StaticSpeeds, Tables, element_blocks
 
 # Sub-triangle fan: (outer1, outer2, centroid) as coefficient ids, ordered
@@ -61,7 +61,9 @@ PROBE_ELEMS = 256
 
 def _fan_rates(model, U, gl, xy_s, areas):
     """The rates alpha_S (6, E) of the fans with corner states U at their
-    centroids xy_s (6, E, 2), from the barycentric gradients gl (2, 3, E)."""
+    centroids xy_s (6, E, 2) or None (`positions`), from the barycentric
+    gradients gl (2, 3, E)."""
+    xy = None if xy_s is None else xy_s[:, None]
     sub_g = (FAN_GRAD @ gl).reshape(2, 6, 3, -1)  # P1 gradients of S
     # |S| / 3 = |K| / 18.  The edge-scaled inward normals of S are
     # 2 |S| grad(mu) = sub_g |K| / 3; wave speeds are homogeneous in the
@@ -70,7 +72,7 @@ def _fan_rates(model, U, gl, xy_s, areas):
     alpha_s = 0.0
     for u in U:
         speeds = model.max_wavespeed(
-            nv_last(u)[:, None], nv_last(sub_g), xy_s[:, None]
+            nv_last(u)[:, None], nv_last(sub_g), xy
         )  # (6, 3, E)
         alpha_s = np.maximum(alpha_s, speeds.max(axis=1))
         del speeds
@@ -102,10 +104,8 @@ class LowOrder:
         w0 u0 + w1 u1, with the kept weights of `_llf_weights`."""
         mesh = self.t.mesh
         model = self.model
-        left, right = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
-        u0 = np.take(ubar, left, axis=0)
         # Without a handler a boundary edge sees its own element: outflow.
-        u1 = np.take(ubar, np.where(right >= 0, right, left), axis=0)
+        u0, u1 = np.take(ubar, self.t.side_elems, axis=0)
         if self.bc is not None:
             be = mesh.boundary_edges
             u1[be] = self.bc.ghost_average(
@@ -114,7 +114,8 @@ class LowOrder:
         if model.static_signs:
             w = self.speeds.get("llf", self._llf_weights)
             return w[0][:, None] * u0 + w[1][:, None] * u1
-        fn = llf_flux(model, u0, u1, mesh.edge_normal, mesh.edge_mid)
+        xy = positions(model, lambda: mesh.edge_mid)
+        fn = llf_flux(model, u0, u1, mesh.edge_normal, xy)
         return fn * mesh.edge_length[:, None]
 
     def _llf_weights(self):
@@ -182,7 +183,7 @@ class LowOrder:
         U = [np.take(c, SUB_CORNERS[:, k], axis=1) for k in range(2)]
         U.append(c[:, None, 6])  # (nv, 1, E)
         ubar_s = (U[0] + U[1] + U[2]) / 3.0  # (nv, 6, E)
-        xy_s = self.t.element_points(FAN_CENTROID, blk)  # (6, E, 2)
+        xy_s = positions(model, lambda: self.t.element_points(FAN_CENTROID, blk))
         alpha_s = _fan_rates(model, U, gl, xy_s, areas)
         # grad(u_S) (nv, 2, 6, E) from the P1 gradients of the corner
         # coordinates of S, (6, 3, E), one direction at a time.

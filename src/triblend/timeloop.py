@@ -29,7 +29,7 @@ from .basis import POINT_DOF_BARY
 from .exceptions import NumericalAbort
 from .limiting import blend_average_fluxes, blend_point_residuals, damping_theta
 from .limiting import interior_edge_speeds
-from .models import component_major
+from .models import component_major, positions
 from .spatial_ho import HighOrder, StaticSpeeds, Tables, element_blocks
 from .spatial_lo import LowOrder
 
@@ -167,11 +167,16 @@ class Stepper:
         its seven states (the point values, then the average at the
         centroid) and its three edge normals."""
         states = self.tables.coefficients(ubar, upt)  # (7, NT, nv)
-        xy = component_major((7, self.mesh.num_tris), 2)  # laid out like states
-        xy[:6] = self.tables.element_points(POINT_DOF_BARY)
-        xy[6] = (xy[0] + xy[1] + xy[2]) / 3.0  # the vertex mean
+
+        def points():
+            xy = component_major((7, self.mesh.num_tris), 2)  # laid out like states
+            xy[:6] = self.tables.element_points(POINT_DOF_BARY)
+            xy[6] = (xy[0] + xy[1] + xy[2]) / 3.0  # the vertex mean
+            return xy[:, None]
+
         speeds = self.model.max_wavespeed(
-            states[:, None], self.mesh.outward_normal().swapaxes(0, 1), xy[:, None]
+            states[:, None], self.mesh.outward_normal().swapaxes(0, 1),
+            positions(self.model, points),
         )  # (7, 3, NT)
         return np.maximum(speeds.max(axis=(0, 1)), 1e-300)
 

@@ -949,7 +949,7 @@ def test_damping_theta_is_the_mean_edge_rate_per_element():
 def test_damping_on_a_mesh_without_interior_edges():
     mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.2, 0.9]]), np.array([[0, 1, 2]]))
     tb = Tables(mesh)
-    assert len(tb.interior_edges) == 0 and tb.edge_side_local.shape == (2, 0)
+    assert len(tb.interior_edges) == 0 and tb.jump_index.shape == (2, 7, 0)
     assert tb.EDGE_DIST.shape == (2, 0)
     model = LinearAdvection((1.0, 0.3))
     rng = np.random.default_rng(4)
@@ -1263,9 +1263,10 @@ def contracted_nt_jumps(tb, coef):
     by_var = nv_first(coef).reshape(nv, -1)
     nx, ny = mesh.edge_normal[ei].T
     out = np.zeros((nv, tb.nqe, len(ei)))
+    local = _local_edges(mesh, mesh.edge_tris[ei], ei)  # (E, 2)
     for s, sign in ((0, 1.0), (1, -1.0)):
         k = mesh.edge_tris[ei, s]
-        rot = ROTATE[tb.edge_side_local[s]].T  # (7, E)
+        rot = ROTATE[local[:, s]].T  # (7, E)
         r = (tb.EDGE_DERIV_OP[s] @ np.take(by_var, rot * nt + k, axis=1))
         r = r.reshape(nv, 5, tb.nqe, len(ei))
         g = mesh.grad_lambda[k[:, None], rot[:2].T]  # (E, 2 (a), 2 (d))
@@ -1311,4 +1312,3 @@ def test_edge_dist_is_the_all_edge_formula_on_interior_edges():
         tpar = np.clip(np.einsum("ed,ed->e", opp - a, ab) / denom, 0.0, 1.0)
         want[s] = np.linalg.norm(opp - (a + tpar[:, None] * ab), axis=1)
     assert_bitwise(tb.EDGE_DIST, want[:, tb.interior_edges])
-    assert_bitwise(tb.edge_side_local, local[tb.interior_edges].T.astype(np.int8))
