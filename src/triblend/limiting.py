@@ -355,7 +355,9 @@ def damping_theta(tables, model, coef, speed, dt, c1=1.0, c2=1.0):
     k = np.take(tables.side_elems, ei, axis=1).ravel()
     rate = speed * sigma.T / tables.EDGE_DIST
     expo = np.bincount(k, weights=rate.ravel(), minlength=mesh.num_tris)
-    n_int = np.bincount(k, minlength=mesh.num_tris)
+    # Three edges less the element's boundary edges, which are few.
+    be = np.take(mesh.edge_tris[:, 0], mesh.boundary_edges)
+    n_int = 3 - np.bincount(be, minlength=mesh.num_tris)
     return np.exp(-dt * expo / np.maximum(n_int, 1))
 
 
