@@ -56,11 +56,11 @@ def _reflect(u, n):
 
 class BoundaryHandler:
     def __init__(self, mesh: Mesh, model, bcs: dict):
-        self.mesh = mesh
         self.model = model
         self.bcs = dict(bcs)
         bnames = mesh.boundary_name.astype(str)
-        missing = set(bnames) - set(self.bcs)
+        used = set(bnames)
+        missing = used - set(self.bcs)
         if missing:
             raise ConfigError(
                 f"boundary names without a condition: {sorted(missing)}"
@@ -69,9 +69,9 @@ class BoundaryHandler:
             bc.kind == "wall" for bc in self.bcs.values()
         ):
             raise ConfigError("wall boundaries require the gas-dynamics model")
-        # Positions of each named group inside mesh.boundary_edges.
+        # Positions in mesh.boundary_edges of each name that the mesh uses.
         self.groups = {
-            nm: np.flatnonzero(bnames == nm) for nm in self.bcs
+            nm: np.flatnonzero(bnames == nm) for nm in self.bcs if nm in used
         }
 
     @staticmethod
@@ -95,8 +95,6 @@ class BoundaryHandler:
         out = np.empty_like(trace)
         nq = n[:, None, :]
         for nm, idx in self.groups.items():
-            if len(idx) == 0:
-                continue
             bc = self.bcs[nm]
             # Gathered along the edge axis, so that component-major
             # positions stay component-major.
@@ -121,7 +119,5 @@ class BoundaryHandler:
         """Exterior average states for the low-order flux: (NB, nv)."""
         out = np.empty_like(ubar0)
         for nm, idx in self.groups.items():
-            if len(idx) == 0:
-                continue
             out[idx] = self._ghost(self.bcs[nm], ubar0[idx], n[idx], xmid[idx], t)
         return out

@@ -3,14 +3,15 @@
 parse_config/serialize_config round-trip: serializing a parsed config and
 parsing it again yields the same normalized text.  Unknown sections or keys
 are rejected rather than ignored so typos surface as ConfigError, and value
-validation happens here (CFL range, positive floors, known modes) so the
-solver can trust the fields.
+validation happens here (finite numbers, CFL range, positive floors, known
+modes) so the solver can trust the fields.
 """
 
 from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field
 
 from .exceptions import ConfigError
@@ -45,6 +46,9 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if not self.problem:
             raise ConfigError("missing required key run.problem")
+        for key, val in vars(self).items():
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ConfigError(f"{key} must be finite, got {val}")
         if not 0.0 < self.cfl <= 1.0:
             raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.final_time is not None and self.final_time < 0.0:

@@ -178,7 +178,7 @@ class IntervalDomain:
 class GasDomain:
     """Positive density and internal energy for the gas-dynamics model.
 
-    States must satisfy rho in [rho_min, rho_max] and
+    States must satisfy rho_min <= rho <= rho_max, a class constant, and
 
         g(u) = rho (E - e_min) - |m|^2 / 2 >= 0,
 
@@ -187,18 +187,17 @@ class GasDomain:
     scalar quadratic.
     """
 
-    def __init__(self, rho_min=1e-10, p_min=1e-10, gamma=1.4, rho_max=1e10):
+    rho_max = 1e10
+
+    def __init__(self, rho_min=1e-10, p_min=1e-10, gamma=1.4):
         self.rho_min = float(rho_min)
         self.p_min = float(p_min)
         self.gamma = float(gamma)
-        self.rho_max = float(rho_max)
         self.e_min = self.p_min / (self.gamma - 1.0)
 
     def scaled(self, factor: float) -> "GasDomain":
         """Same set with floors multiplied by `factor` (enforcement margin)."""
-        return GasDomain(
-            self.rho_min * factor, self.p_min * factor, self.gamma, self.rho_max
-        )
+        return GasDomain(self.rho_min * factor, self.p_min * factor, self.gamma)
 
     def g(self, u):
         g = u[..., 3] - self.e_min

@@ -9,10 +9,10 @@ its problem.
 
 The invariant domains follow two rules, shared with the `[limits]`
 overrides of `triblend run`: an interval [lo, hi] is enforced as given and
-asserted padded by 1e-9 max(1, |lo|, |hi|) (`interval_domains`); a gas
-domain asserts the floors rho_min and p_min and enforces twice them
-(`gas_domains`).  `kpp` keeps one unpadded pair, because padding would
-loosen its assert.
+asserted padded by 1e-9 max(1, |lo|, |hi|) (`interval_domains`; infinite
+bounds do not count); a gas domain asserts the floors rho_min and p_min and
+enforces twice them (`gas_domains`).  `kpp` keeps one unpadded pair, because
+padding would loosen its assert.
 
 Discontinuous initial data is written as an ordered region list; the first
 region whose closure contains a point wins, which pins the values taken
@@ -100,7 +100,7 @@ def sample_initial(problem, model, tables, domain=None):
 def interval_domains(lo, hi):
     """(enforce, assert) domains of the interval [lo, hi]; the padding rule
     is in the module docstring."""
-    pad = 1e-9 * max(1.0, abs(lo), abs(hi))
+    pad = 1e-9 * max([1.0] + [abs(b) for b in (lo, hi) if math.isfinite(b)])
     return IntervalDomain(lo, hi), IntervalDomain(lo - pad, hi + pad)
 
 

@@ -590,15 +590,16 @@ class HOResult:
 
 class HighOrder:
     """The high-order residuals, whose volume and edge terms take the flux
-    as normal fluxes (`_normal_flux`).  For a model with `static_signs` its
-    record `speeds` (`StaticSpeeds`) keeps, on `rotating-shapes` at n=59
-    (6,962 elements, 10,561 edges), the normal flux of the unit state: a . n
-    at the edge quadrature points, 0.25 MB ("edge"), and a . n_a at the
-    volume points, 1.78 MB (("volume", start, stop) per element block; one
-    per element for a constant field, 0.40 MB on `advect-gauss`); and the
+    as normal fluxes (`_normal_flux`); the handler `bc` gives the flux of
+    every boundary edge.  For a model with `static_signs` its record
+    `speeds` (`StaticSpeeds`) keeps, on `rotating-shapes` at n=59 (6,962
+    elements, 10,561 edges), the normal flux of the unit state: a . n at
+    the edge quadrature points, 0.25 MB ("edge"), and a . n_a at the volume
+    points, 1.78 MB (("volume", start, stop) per element block; one per
+    element for a constant field, 0.40 MB on `advect-gauss`); and the
     upwind weights, 0.33 MB ("omega")."""
 
-    def __init__(self, tables: Tables, model, bc=None, enforce_domain=None):
+    def __init__(self, tables: Tables, model, bc, enforce_domain=None):
         self.t = tables
         self.model = model
         self.bc = bc
@@ -674,15 +675,14 @@ class HighOrder:
         fluxhat = self._normal_flux(
             "edge", trace, n, lambda: tb.edge_points(slice(None))
         )
-        if self.bc is not None:
-            # Gathered along the edge axis, each array keeps its layout.
-            be = mesh.boundary_edges
-            fluxhat[be] = self.bc.ho_flux(
-                np.take(trace, be, axis=0),
-                np.take(mesh.edge_normal, be, axis=0),
-                tb.edge_points(be),
-                t,
-            )
+        # Gathered along the edge axis, each array keeps its layout.
+        be = mesh.boundary_edges
+        fluxhat[be] = self.bc.ho_flux(
+            np.take(trace, be, axis=0),
+            np.take(mesh.edge_normal, be, axis=0),
+            tb.edge_points(be),
+            t,
+        )
         return fluxhat, trace, rescued
 
     def omega_weights(self, u_loc):

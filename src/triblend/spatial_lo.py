@@ -87,13 +87,14 @@ class LOResult:
 
 
 class LowOrder:
-    """The low-order residuals.  For a model with `static_signs` both are
-    linear maps of the state, kept from their first use in the record
-    `speeds` (`StaticSpeeds`), on `rotating-shapes` at n=59: each edge's
-    LLF weights of its two averages, 0.17 MB ("llf"); the fan map of the
-    STENCIL coefficients, 1.34 MB ("fan")."""
+    """The low-order residuals; the handler `bc` gives the ghost average of
+    every boundary edge.  For a model with `static_signs` both are linear
+    maps of the state, kept from their first use in the record `speeds`
+    (`StaticSpeeds`), on `rotating-shapes` at n=59: each edge's LLF weights
+    of its two averages, 0.17 MB ("llf"); the fan map of the STENCIL
+    coefficients, 1.34 MB ("fan")."""
 
-    def __init__(self, tables: Tables, model, bc=None):
+    def __init__(self, tables: Tables, model, bc):
         self.t = tables
         self.model = model
         self.bc = bc
@@ -104,13 +105,11 @@ class LowOrder:
         w0 u0 + w1 u1, with the kept weights of `_llf_weights`."""
         mesh = self.t.mesh
         model = self.model
-        # Without a handler a boundary edge sees its own element: outflow.
         u0, u1 = np.take(ubar, self.t.side_elems, axis=0)
-        if self.bc is not None:
-            be = mesh.boundary_edges
-            u1[be] = self.bc.ghost_average(
-                u0[be], mesh.edge_normal[be], mesh.edge_mid[be], t
-            )
+        be = mesh.boundary_edges
+        u1[be] = self.bc.ghost_average(
+            u0[be], mesh.edge_normal[be], mesh.edge_mid[be], t
+        )
         if model.static_signs:
             w = self.speeds.get("llf", self._llf_weights)
             return w[0][:, None] * u0 + w[1][:, None] * u1

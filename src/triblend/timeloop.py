@@ -120,11 +120,13 @@ def initialize(tables: Tables, u0_fn):
 
 
 class Stepper:
+    """Blended SSP-RK3 steps; the handler `bc` closes every boundary edge."""
+
     def __init__(
         self,
         mesh,
         model,
-        bc=None,
+        bc,
         *,
         cfl: float = 0.2,
         enforce_domain=None,
@@ -382,12 +384,11 @@ class Stepper:
         ubar,
         upt,
         t_end,
-        t0: float = 0.0,
         *,
         max_steps: int | None = None,
         callback=None,
     ):
-        """March to t_end.  Returns (ubar, upt, journal, totals).
+        """March from t = 0 to t_end.  Returns (ubar, upt, journal, totals).
 
         The journal is a list of per-step dicts; totals carries the
         time-integrated boundary flux (per component) for conservation
@@ -395,7 +396,7 @@ class Stepper:
         accepted step with the fresh journal row.
         """
         mesh = self.mesh
-        t = float(t0)
+        t = 0.0
         step = 0
         journal: list[dict] = []
         bflux_int = np.zeros(self.model.nvars)

@@ -9,8 +9,15 @@ the bound 2.5 applies to the last pair that Tier-1 can afford.
 
 For gas dynamics, Shu's isentropic vortex in `full` mode on the first two
 of those meshes (see `test_third_order_on_an_isentropic_vortex`).
+
+Without time stepping, the truncation rates of the `ho` operator on the
+same meshes and one more refinement (8,192 triangles), for advection, KPP
+and Euler (`test_truncation_rates_of_the_ho_operator`).  Last, the first
+gate of the non-oscillation claim, on a disc
+(`test_full_overshoots_a_disc_less_than_ho`).
 """
 
+import functools
 import math
 
 import numpy as np
@@ -18,9 +25,10 @@ import pytest
 
 from triblend.boundary import BoundaryHandler, FarField
 from triblend.meshgen import rect_mesh, refine4
-from triblend.models import Euler, LinearAdvection
+from triblend.models import KPP, Euler, LinearAdvection
 from triblend.norms import error_norms, observed_orders
 from triblend.problems import gas_domains, interval_domains
+from triblend.spatial_ho import HighOrder, Tables
 from triblend.timeloop import Stepper, initialize
 
 VELOCITY = np.array([1.0, 0.5])
@@ -36,6 +44,19 @@ def gaussian(xy, t):
 
 def shifted_gaussian(xy, t):
     return 0.5 + 0.5 * gaussian(xy, t)
+
+
+def disc(xy, t):
+    """0.75 on the disc of radius 0.35 about (-0.4, -0.2) carried with
+    VELOCITY, 0.25 elsewhere."""
+    s = xy - VELOCITY * t - np.array([-0.4, -0.2])
+    return np.where(s[..., 0] ** 2 + s[..., 1] ** 2 <= 0.35**2, 0.75, 0.25)[..., None]
+
+
+def kpp_smooth(xy, t=0.0):
+    """Smooth KPP data in [1, 3]; the operator gate reads it at t = 0 only."""
+    x, y = xy[..., 0], xy[..., 1]
+    return (2.0 + np.sin(math.pi * x) * np.cos(math.pi * y))[..., None]
 
 
 def isentropic_vortex(xy, t, beta=5.0, radius=0.25):
@@ -58,22 +79,34 @@ def isentropic_vortex(xy, t, beta=5.0, radius=0.25):
     )
 
 
+def meshes(levels):
+    """`rect_mesh(8, seed=1)` on [-1, 1]^2 and its first `levels` - 1
+    uniform refinements, every boundary edge named "far"."""
+    out = [rect_mesh((-1.0, 1.0, -1.0, 1.0), 8, seed=1)]
+    out[0].name_boundary(lambda mids: ["far"] * len(mids))
+    for _ in range(levels - 1):
+        out.append(refine4(out[-1]))
+    return out
+
+
+def advance(mesh, model, mode, exact, domains, t_end):
+    """The stepper of `exact`'s far field, and its run from the exact data
+    to t_end: (stepper, ubar, upt, journal)."""
+    bc = BoundaryHandler(mesh, model, {"far": FarField(exact)})
+    stepper = Stepper(
+        mesh, model, bc, mode=mode,
+        enforce_domain=domains[0], assert_domain=domains[1],
+    )
+    ubar, upt = initialize(stepper.tables, lambda xy: exact(xy, 0.0))
+    return (stepper, *stepper.run(ubar, upt, t_end)[:3])
+
+
 def l1_orders(model, mode, exact, domains, levels=3):
     """L1 orders of the averages and of the point values over the last
     pair of `levels` meshes, and the journal of every run."""
-    meshes = [rect_mesh((-1.0, 1.0, -1.0, 1.0), 8, seed=1)]
-    meshes[0].name_boundary(lambda mids: ["far"] * len(mids))
-    for _ in range(levels - 1):
-        meshes.append(refine4(meshes[-1]))
     hs, errors, journals = [], [], []
-    for mesh in meshes:
-        bc = BoundaryHandler(mesh, model, {"far": FarField(exact)})
-        stepper = Stepper(
-            mesh, model, bc, mode=mode,
-            enforce_domain=domains[0], assert_domain=domains[1],
-        )
-        ubar, upt = initialize(stepper.tables, lambda xy: exact(xy, 0.0))
-        ubar, upt, journal, _ = stepper.run(ubar, upt, T_END)
+    for mesh in meshes(levels):
+        stepper, ubar, upt, journal = advance(mesh, model, mode, exact, domains, T_END)
         want = initialize(stepper.tables, lambda xy: exact(xy, T_END))
         hs.append(mesh.h_max())
         errors.append(error_norms(mesh, ubar, upt, *want))
@@ -111,3 +144,88 @@ def test_third_order_on_an_isentropic_vortex():
     )
     assert averages >= 2.8 and points >= 2.8, (averages, points)
     assert all(row["eta_lo_frac"] == 0.0 for j in journals for row in j)
+
+
+def test_full_overshoots_a_disc_less_than_ho():
+    # The first gate of the non-oscillation claim: a disc of 0.75 on 0.25
+    # advected to T = 0.6 on `rect_mesh(16, seed=1)`.  The interval
+    # [-10, 10] never binds, so the difference is the damping's.  The
+    # overshoots max - 0.75 read 0.0216 (averages) and 0.0442 (points) in
+    # `full` against 0.0444 and 0.0978 in `ho`.
+    mesh = rect_mesh((-1.0, 1.0, -1.0, 1.0), 16, seed=1)
+    mesh.name_boundary(lambda mids: ["far"] * len(mids))
+    model = LinearAdvection(VELOCITY)
+    over = {}
+    for mode, domains in (("ho", (None, None)), ("full", interval_domains(-10, 10))):
+        _, ubar, upt, _ = advance(mesh, model, mode, disc, domains, 0.6)
+        over[mode] = np.array([ubar.max(), upt.max()]) - 0.75
+    assert (over["full"] < over["ho"]).all(), over
+
+
+def flux_divergence(model, u0, step=1e-3):
+    """div f(u0) at positions xy (..., 2), by fourth-order central
+    differences of the normal fluxes f(u0(x + s e_d)) . e_d."""
+
+    def div(xy):
+        out = 0.0
+        for e in np.eye(2):
+            n = np.broadcast_to(e, xy.shape)
+
+            def f(s):
+                return model.flux_normal(u0(xy + s * e), n, xy + s * e)
+
+            out = out + (8.0 * (f(step) - f(-step)) - (f(2 * step) - f(-2 * step)))
+        return out / (12.0 * step)
+
+    return div
+
+
+@pytest.mark.parametrize(
+    "model, exact",
+    [
+        (LinearAdvection(VELOCITY), gaussian),
+        (KPP(), kpp_smooth),
+        (Euler(GAMMA), isentropic_vortex),
+    ],
+    ids=["advection", "kpp", "euler"],
+)
+def test_truncation_rates_of_the_ho_operator(model, exact):
+    """The `ho` operator on exact data against the exact time derivatives
+    -div f(u), in mesh-weighted L1 on `rect_mesh(8, seed=1)` and three
+    `refine4` levels (128 to 8,192 elements), with the exact data as the
+    far field of every boundary edge.  Over the last pair the averages'
+    rates read 2.99 (advection), 3.00 (KPP) and 2.98 (Euler), the points'
+    1.98, 2.01 and 2.04; the bounds are 2.9 and 1.9.
+
+    A second-order point truncation error is consistent with the
+    third-order convergence of the point values that
+    `test_third_order_on_a_smooth_gaussian` measures.  The scheme's error
+    is of the truncation error's order only where that error is not itself
+    the operator, of size O(1/h), applied to a smooth O(h^3) change of the
+    point values; where it is, the error settles on that change, which is
+    O(h^3) (supraconvergence; Kreiss et al. 1986).  One-dimensional Active
+    Flux is the classic case: its point update reads the derivative of a
+    parabola, second order, in a third-order scheme.  The point rate reads
+    2.00 on an unjittered `rect_mesh` too, so it is not an effect of the
+    jitter.  The averages are a balance of edge fluxes, and their rate is
+    the scheme's order.  The paper's abstract claims third order from its
+    truncation analysis and states no separate rate for the point values.
+    """
+    u0 = functools.partial(exact, t=0.0)
+    hs, errors = [], []
+    for mesh in meshes(4):
+        tb = Tables(mesh)
+        bc = BoundaryHandler(mesh, model, {"far": FarField(exact)})
+        ubar, upt = initialize(tb, u0)
+        ho = HighOrder(tb, model, bc).compute(tb.coefficients(ubar, upt), upt, 0.0)
+        F = np.take(ho.F_edge, mesh.tri_edges, axis=0)  # (NT, 3, nv)
+        div = np.einsum("ke,kev->kv", mesh.tri_edge_orient.astype(float), F)
+        rate_bar, rate_pt = -div / mesh.areas[:, None], -tb.point_sums(ho.Wpt)
+        want = initialize(tb, flux_divergence(model, u0))
+        hs.append(mesh.h_max())
+        errors.append(error_norms(mesh, rate_bar, rate_pt, -want[0], -want[1]))
+    averages, points = (
+        observed_orders([e[fam]["l1"] for e in errors], hs)[-1]
+        for fam in ("internal", "boundary")
+    )
+    assert averages >= 2.9 and points >= 1.9, (averages, points)

@@ -82,6 +82,18 @@ def test_defaults_only_need_problem():
         ("[run]\nproblem = kpp\n[limits]\nrho_min = 0\n", "rho_min"),
         ("[run]\nproblem = kpp\n[output]\nlog_every = -2\n", "log_every"),
         ("[run]\nproblem = kpp\n[boundary]\ntop = slippery\n", "role"),
+        # Every number must be finite: NaN passes no comparison, and an
+        # infinite final time never ends the march.
+        ("[run]\nproblem = kpp\nfinal_time = nan\n", "final_time must be finite"),
+        ("[run]\nproblem = kpp\nfinal_time = inf\n", "final_time must be finite"),
+        ("[run]\nproblem = kpp\ngamma = nan\n", "gamma must be finite"),
+        ("[run]\nproblem = kpp\nc1 = nan\n", "c1 must be finite"),
+        ("[run]\nproblem = kpp\nc2 = inf\n", "c2 must be finite"),
+        ("[run]\nproblem = kpp\ncfl = nan\n", "cfl must be finite"),
+        ("[run]\nproblem = kpp\n[limits]\nrho_min = nan\n", "rho_min must be finite"),
+        ("[run]\nproblem = kpp\n[limits]\np_min = inf\n", "p_min must be finite"),
+        ("[run]\nproblem = kpp\n[limits]\nlo = -inf\nhi = 1\n", "lo must be finite"),
+        ("[run]\nproblem = kpp\n[limits]\nlo = 0\nhi = nan\n", "hi must be finite"),
     ],
 )
 def test_validation_rejects(text, fragment):

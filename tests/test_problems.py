@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from triblend.mesh import Mesh
 from triblend.problems import (
     builtin_problems,
     get_problem,
+    interval_domains,
     piecewise_state,
     sample_initial,
     shock_jump,
@@ -99,6 +102,61 @@ def test_catalog_problem_runs_two_steps(name, mode):
     assert np.abs(drift).max() <= 1e-12 * max(1.0, np.abs(totals["mass0"]).max())
     if limited and assert_ is not None:
         assert assert_.contains(ubar).all() and assert_.contains(upt).all()
+
+
+KPP_INTERVAL = (math.pi / 4.0, 3.5 * math.pi)  # the range of the kpp data
+
+
+@pytest.mark.parametrize(
+    "name, n, mode, interval, lo, hi",
+    [
+        ("kpp", 12, "bp", KPP_INTERVAL, *KPP_INTERVAL),
+        ("kpp", 12, "full", KPP_INTERVAL, *KPP_INTERVAL),
+        # One turn; the exact solution returns to the data in [0, 1].
+        ("rotating-shapes", 8, "full", None, 0.0, 0.99),
+    ],
+    ids=["kpp-bp", "kpp-full", "rotating-shapes-full"],
+)
+def test_scalar_catalog_run_keeps_bounds_and_mass(
+    monkeypatch, name, n, mode, interval, lo, hi
+):
+    # A complete run to the catalog final time: every step stays in the
+    # assert domain, finite and conservative to round-off, and the final
+    # state stays in [lo, hi].  `interval` replaces the catalog's
+    # invariant interval, as `[limits]` does.
+    prob = get_problem(name)
+    model = prob.make_model(1.4)
+    mesh = prob.mesh_builder(n)
+    mesh.name_boundary(prob.namer)
+    bc = BoundaryHandler(mesh, model, prob.boundaries(model))
+    enforce, assert_ = (
+        prob.domains(model) if interval is None else interval_domains(*interval)
+    )
+    stepper = Stepper(
+        mesh, model, bc, mode=mode, enforce_domain=enforce, assert_domain=assert_
+    )
+    ubar, upt = sample_initial(prob, model, stepper.tables)
+    mass0 = mesh.areas @ ubar
+    outflow = [np.zeros(1)]  # the time-integrated boundary flux
+
+    def rk3_step(ubar, upt, t, dt, step=0):
+        out = Stepper.rk3_step(stepper, ubar, upt, t, dt, step)
+        outflow[0] = outflow[0] + dt * out[2]
+        return out
+
+    def check(step, t, ubar, upt, row):
+        for u in (ubar, upt):
+            assert np.isfinite(u).all() and assert_.contains(u).all(), step
+        drift = mesh.areas @ ubar - mass0 + outflow[0]
+        assert np.abs(drift).max() <= 1e-12 * max(1.0, np.abs(mass0).max()), step
+
+    monkeypatch.setattr(stepper, "rk3_step", rk3_step)
+    ubar, upt, journal, totals = stepper.run(
+        ubar, upt, prob.final_time, callback=check
+    )
+    assert totals["t"] == prob.final_time and len(journal) == totals["steps"]
+    for u in (ubar, upt):
+        assert lo <= u.min() and u.max() <= hi, (u.min(), u.max())
 
 
 def test_shock_jump_mach10():
@@ -197,6 +255,17 @@ def test_sample_initial_rejects_out_of_domain_data():
     mesh = prob.mesh_builder(4)
     with pytest.raises(ConfigError, match="invariant domain"):
         sample_initial(prob, model, Tables(mesh), domain=IntervalDomain(0, 1))
+
+
+def test_interval_domains_pad_by_their_finite_bounds():
+    # An infinite bound does not set the pad: the finite upper bound stays
+    # asserted, 1e-9 above the enforced one.
+    enforce, assert_ = interval_domains(-np.inf, 1.0)
+    assert (enforce.lo, enforce.hi) == (-np.inf, 1.0)
+    assert (assert_.lo, assert_.hi) == (-np.inf, 1.0 + 1e-9)
+    assert not assert_.contains(np.array([[1.0 + 2e-9]]))[0]
+    _, assert_ = interval_domains(-4.0, 2.0)
+    assert (assert_.lo, assert_.hi) == (-4.0 - 4e-9, 2.0 + 4e-9)
 
 
 def test_double_mach_namer_covers_the_ramp_polygon():

@@ -2,6 +2,7 @@
 
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +42,8 @@ from triblend.spatial_lo import (
     LowOrder,
 )
 from triblend.timeloop import Stepper, initialize
+
+from handlers import all_outflow
 
 
 def named(mesh, name="out"):
@@ -259,6 +262,14 @@ def test_static_bytes_per_triangle():
     assert total / mesh.num_tris <= 480
 
 
+def test_library_line_budget():
+    # The size of `src/triblend` is tracked like its speed: a change that
+    # needs more lines raises this budget and says why in CHANGES.md.
+    files = Path(spatial_ho.__file__).parent.glob("*.py")
+    lines = sum(len(f.read_text().splitlines()) for f in files)
+    assert lines <= 4496, lines
+
+
 def test_tables_bytes_per_triangle():
     # The arrays of `Tables` alone, with the per-edge maps of the damping
     # and the blend built: 180 B per triangle on the mesh above (32 B
@@ -379,7 +390,7 @@ def test_omega_partition_of_unity(small_mesh, which):
         model = LinearAdvection(rotation_velocity)
         upt = np.sin(3 * mesh.point_xy[:, 0:1] + mesh.point_xy[:, 1:2])
     tb = Tables(mesh)
-    ho = HighOrder(tb, model)
+    ho = HighOrder(tb, model, all_outflow(mesh, model))
     omega, _fb = ho.omega_weights(upt[point_dofs(mesh).T])
     nv = model.nvars
     tot = np.zeros((mesh.num_points, nv, nv))
@@ -420,7 +431,7 @@ def test_omega_nonfinite_patch_sum_falls_back_quietly(small_mesh):
     model = Euler()
     upt = euler_field(mesh.point_xy)
     tb = Tables(mesh)
-    ho = HighOrder(tb, model)
+    ho = HighOrder(tb, model, all_outflow(mesh, model))
     omega0, fb0 = ho.omega_weights(upt[point_dofs(mesh).T])
     on_boundary = np.concatenate(
         [
@@ -530,7 +541,9 @@ def test_rescue_of_offending_groups_equals_all_rows_formula(
     # formula bitwise, because the domain's blend acts per state.
     dom, u, ref = rescue_groups(which, bad_every)
     model = Euler() if which == "gas" else LinearAdvection((1.0, 0.0))
-    ho = HighOrder(Tables(small_mesh), model, enforce_domain=dom)
+    ho = HighOrder(
+        Tables(small_mesh), model, all_outflow(small_mesh, model), enforce_domain=dom
+    )
     # Also on the transposed view of a component-major (nv, nq, G) block,
     # the layout in which `HighOrder.compute` passes the volume states, and
     # on C-order groups of three, the layout of the edge traces.
@@ -580,7 +593,9 @@ def test_rescue_of_special_groups_equals_all_rows_formula(small_mesh, which):
     # non-finite.
     dom, u, ref = special_rescue_groups(which)
     model = Euler() if which == "gas" else LinearAdvection((1.0, 0.0))
-    ho = HighOrder(Tables(small_mesh), model, enforce_domain=dom)
+    ho = HighOrder(
+        Tables(small_mesh), model, all_outflow(small_mesh, model), enforce_domain=dom
+    )
     want, want_count = reference_rescue(dom, u, ref)
     for x in (u, np.ascontiguousarray(u.T).T):
         got, count = ho._rescue_states(x, ref)
@@ -626,7 +641,7 @@ def test_omega_exactly_singular_patch_sum_falls_back_quietly(
     model = Euler()
     upt = euler_field(mesh.point_xy)
     tb = Tables(mesh)
-    ho = HighOrder(tb, model)
+    ho = HighOrder(tb, model, all_outflow(mesh, model))
     dofs = point_dofs(mesh).T
     u_loc = upt[dofs]
     omega0, fb0 = ho.omega_weights(u_loc)
@@ -663,7 +678,7 @@ def test_euler_omega_makes_no_lapack_inverse_call(small_mesh, monkeypatch):
     model = Euler()
     upt = euler_field(mesh.point_xy)
     tb = Tables(mesh)
-    ho = HighOrder(tb, model)
+    ho = HighOrder(tb, model, all_outflow(mesh, model))
     want, want_fb = ho.omega_weights(upt[point_dofs(mesh).T])
 
     def refuse(*args, **kwargs):
@@ -753,7 +768,7 @@ def test_omega_matches_the_general_path(small_mesh, which):
     # case) shows in the count only.
     mesh = small_mesh
     model, u_loc = omega_case(mesh, which)
-    ho = HighOrder(Tables(mesh), model)
+    ho = HighOrder(Tables(mesh), model, all_outflow(mesh, model))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         omega, fb = ho.omega_weights(u_loc)
@@ -777,7 +792,9 @@ def test_omega_at_midpoints_is_the_closed_form(small_mesh, which):
     # round-off; at a boundary midpoint the weight is the identity bitwise.
     mesh = small_mesh
     model, u_loc = omega_case(mesh, which)
-    omega, _fb = HighOrder(Tables(mesh), model).omega_weights(u_loc)
+    omega, _fb = HighOrder(
+        Tables(mesh), model, all_outflow(mesh, model)
+    ).omega_weights(u_loc)
     nv = model.nvars
     e = mesh.tri_edges.T  # (3, NT)
     side = (mesh.tri_edge_orient.T < 0).astype(int)
@@ -845,7 +862,7 @@ def test_lo_point_residuals_memory_peak_on_euler(euler_memory_case, two_blocks):
     # corner states; 2.05 MB one corner at a time; 1.20 MB in two element
     # blocks.  20% margin.
     tb, ho, coef, _, _ = euler_memory_case
-    lo = LowOrder(tb, ho.model)
+    lo = LowOrder(tb, ho.model, all_outflow(tb.mesh, ho.model))
     peak = traced_peak(lambda: lo.point_residuals(coef))
     assert peak <= 1.44e6, peak
 
@@ -1270,7 +1287,7 @@ def test_point_residuals_match_nv_last_kernel(which):
             return rng.uniform(-2.0, 4.0, (n, 1))
 
     tb = Tables(mesh)
-    lo = LowOrder(tb, model)
+    lo = LowOrder(tb, model, all_outflow(mesh, model))
     ubar, upt = states(mesh.num_tris), states(mesh.num_points)
     coef = tb.coefficients(ubar, upt)
     want = nv_last_point_residuals(lo, coef.swapaxes(0, 1)).swapaxes(0, 1)
@@ -1281,15 +1298,17 @@ def test_point_residuals_match_nv_last_kernel(which):
         assert np.abs(got - want).max() <= 1e-13 * scale
 
 
-def test_lo_average_fluxes_without_handler_read_boundaries_as_outflow():
-    # With no boundary handler each boundary edge sees its own element, so
-    # the LLF flux there is the outflow flux f(ubar_K) . n |e|: only the
-    # element holding mass sends any across the inflow side.
+def test_lo_average_fluxes_on_outflow_edges_are_the_own_element_flux():
+    # An `Outflow` edge sees its own element, so the LLF flux there is
+    # f(ubar_K) . n |e|: only the element holding mass sends any across the
+    # inflow side.
     mesh = rect_mesh((0.0, 1.0, 0.0, 1.0), 4)
     model = LinearAdvection(np.array([1.0, 0.0]))
     ubar = np.zeros((mesh.num_tris, 1))
     ubar[0] = 1.0
-    F = LowOrder(Tables(mesh), model).average_fluxes(ubar, 0.0)
+    F = LowOrder(Tables(mesh), model, all_outflow(mesh, model)).average_fluxes(
+        ubar, 0.0
+    )
     be = mesh.boundary_edges
     own = ubar[mesh.edge_tris[be, 0]]
     n = mesh.edge_normal[be]

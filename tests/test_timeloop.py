@@ -16,6 +16,8 @@ from triblend.spatial_ho import HighOrder, Tables
 from triblend.spatial_lo import STENCIL, LowOrder
 from triblend.timeloop import Stepper, initialize
 
+from handlers import all_outflow
+
 
 def named(mesh, name="out"):
     mesh.name_boundary(lambda mids: [name] * len(mids))
@@ -413,7 +415,7 @@ def test_kept_fan_map_is_the_fan(field):
     # runs the fan itself.
     tb, models, _, ubar, upt = kept_case(field)
     coef = tb.coefficients(ubar, upt)
-    kept, fan = (LowOrder(tb, m) for m in models)
+    kept, fan = (LowOrder(tb, m, all_outflow(tb.mesh, m)) for m in models)
     assert_close(kept.point_residuals(coef), fan.point_residuals(coef))
     assert kept.speeds.kept["fan"].shape == (4, 6, tb.mesh.num_tris)
     assert fan.speeds.kept == {}
@@ -424,7 +426,7 @@ def test_fan_map_stencil():
     # STENCIL[d] names j: the other rows of its probe are exactly zero.
     tb, (model, _), _, _, _ = kept_case("rotating")
     mesh = tb.mesh
-    lo = LowOrder(tb, model)
+    lo = LowOrder(tb, model, all_outflow(mesh, model))
     gl = np.ascontiguousarray(mesh.grad_lambda.T)
     fan = np.empty((1, 6, mesh.num_tris))
     for j in range(7):
