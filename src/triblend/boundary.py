@@ -33,9 +33,6 @@ class FarField:
         """state_fn(x (..., 2), t) -> (..., nv) exterior states."""
         self.state_fn = state_fn
 
-    def exterior(self, x, t):
-        return self.state_fn(x, t)
-
 
 class Wall:
     kind = "wall"
@@ -73,6 +70,8 @@ class BoundaryHandler:
         self.groups = {
             nm: np.flatnonzero(bnames == nm) for nm in self.bcs if nm in used
         }
+        # The boundary-edge midpoints (NB, 2), for far-field ghost averages.
+        self.mid = mesh.edge_mid[mesh.boundary_edges]
 
     @staticmethod
     def _ghost(bc, u, n, x, t):
@@ -82,7 +81,7 @@ class BoundaryHandler:
         if bc.kind == "wall":
             return _reflect(u, n)
         if bc.kind == "farfield":
-            return bc.exterior(x, t)
+            return bc.state_fn(x, t)
         raise ConfigError(f"unknown boundary kind {bc.kind!r}")
 
     def ho_flux(self, trace, n, xq, t):
@@ -115,9 +114,10 @@ class BoundaryHandler:
                 out[idx] = llf_flux(m, tr, ghost, nn, xx)
         return out
 
-    def ghost_average(self, ubar0, n, xmid, t):
-        """Exterior average states for the low-order flux: (NB, nv)."""
+    def ghost_average(self, ubar0, n, t):
+        """Exterior average states for the low-order flux, (NB, nv); a far
+        field is taken at the boundary-edge midpoints the handler keeps."""
         out = np.empty_like(ubar0)
         for nm, idx in self.groups.items():
-            out[idx] = self._ghost(self.bcs[nm], ubar0[idx], n[idx], xmid[idx], t)
+            out[idx] = self._ghost(self.bcs[nm], ubar0[idx], n[idx], self.mid[idx], t)
         return out

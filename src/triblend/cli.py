@@ -112,6 +112,9 @@ def _build(cfg: RunConfig, mesh=None):
 
 def _make_stepper(problem, model, mesh, bc, cfg):
     enforce, assert_ = _effective_domains(problem, model, cfg)
+    if cfg.mode == "bp" and enforce is None:
+        raise ConfigError(f"mode 'bp' needs an invariant domain, which problem "
+                          f"{problem.name!r} lacks: set [limits] lo and hi")
     # Only the limited modes promise the invariant domain; pure ho/lo runs
     # keep the plain finiteness check instead of the domain assert.
     limited = cfg.mode in LIMITED_MODES
@@ -194,11 +197,9 @@ def cmd_run(args) -> int:
     dump("", ubar, upt)
     diagnose("")
 
-    drift = totals["mass"] - totals["mass0"] + totals["bflux_int"]
-    rel = np.abs(drift).max() / max(1.0, np.abs(totals["mass0"]).max())
     print(
         f"done: {totals['steps']} steps to t={totals['t']:.6g}; "
-        f"{_extrema(model, ubar, upt)}; conservation drift {rel:.3e}"
+        f"{_extrema(model, ubar, upt)}; conservation drift {totals['drift']:.3e}"
     )
     print(f"outputs in {out}/")
     return 0

@@ -269,8 +269,8 @@ def _component_denominators(model, coef, areas):
 def damping_sigma(tables, model, coef, c1=1.0, c2=1.0):
     """Normalized derivative-jump measure per interior edge and side.
 
-    Returns (edge_ids, sigma) where sigma[i, s] >= 0 is the smoothness
-    measure charged to the side-s element of interior edge edge_ids[i]
+    Returns sigma (E, 2), where sigma[i, s] >= 0 is the smoothness measure
+    charged to the side-s element of interior edge i
     (`Tables.interior_edges`):
 
         sigma = max_v (c1 * ell * S1_v + c2 * ell^2 * S2_v)
@@ -283,14 +283,13 @@ def damping_sigma(tables, model, coef, c1=1.0, c2=1.0):
     deviation.  The momentum components are rotated into the (n, t)
     frame, so the measure is invariant under rigid rotations; it is also
     invariant under u -> a u + b by the normalization.  Inactive
-    (globally constant) components contribute 0.
+    (globally constant) components contribute 0, and sigma is 0 when every
+    component is inactive or there is no interior edge.
     """
     ei = tables.interior_edges
-    if len(ei) == 0:
-        return ei, np.zeros((0, 2))
     dens = _component_denominators(model, coef, tables.mesh.areas)
-    if not np.any(dens > 0):
-        return ei, np.zeros((len(ei), 2))
+    if len(ei) == 0 or not np.any(dens > 0):
+        return np.zeros((len(ei), 2))
     inv_den = np.where(dens > 0, 1.0 / np.where(dens > 0, dens, 1.0), 0.0)
 
     jump = tables.edge_side_gradients(coef)  # (3, nv, nqe, E)
@@ -313,7 +312,7 @@ def damping_sigma(tables, model, coef, c1=1.0, c2=1.0):
     sig = w1 * S1[0] + w2 * S2[0]
     for v in range(1, len(S1)):
         np.maximum(sig, w1 * S1[v] + w2 * S2[v], out=sig)
-    return ei, sig.T
+    return sig.T
 
 
 def interior_edge_speeds(tables, model, trace_u):
@@ -345,13 +344,13 @@ def damping_theta(tables, model, coef, speed, dt, c1=1.0, c2=1.0):
     reduction per step.
     """
     mesh = tables.mesh
-    ei, sigma = damping_sigma(tables, model, coef, c1=c1, c2=c2)
-    if len(ei) == 0 or not sigma.any():
+    sigma = damping_sigma(tables, model, coef, c1=c1, c2=c2)
+    if not sigma.any():
         return np.ones(mesh.num_tris)
 
     # Sums over the edges of each element, side 0 then side 1, in edge
     # order; an element without interior edges keeps exp(-0) = 1.
-    k = np.take(tables.side_elems, ei, axis=1).ravel()
+    k = np.take(tables.side_elems, tables.interior_edges, axis=1).ravel()
     rate = speed * sigma.T / tables.EDGE_DIST
     expo = np.bincount(k, weights=rate.ravel(), minlength=mesh.num_tris)
     # Three edges less the element's boundary edges, which are few.

@@ -44,6 +44,16 @@ def triangle_geometry(pts):
     return area, g
 
 
+def compact_vertices(verts, tris):
+    """Drop the vertices that no triangle uses: (verts, tris, remap), the
+    used vertices in their order, `tris` renumbered to them, and remap, the
+    new index of each old vertex or -1 for a dropped one."""
+    used = np.zeros(len(verts), dtype=bool)
+    used[np.ravel(tris)] = True
+    remap = np.where(used, np.cumsum(used) - 1, -1)
+    return verts[used], remap[np.asarray(tris)], remap
+
+
 @dataclass
 class Mesh:
     """A conforming triangle mesh that stores each fact once.
@@ -51,8 +61,9 @@ class Mesh:
     Index arrays are int32 and `tri_edge_orient` is int8; index arithmetic
     that can pass 2**31 (the edge keys of `_build_edges`) runs in int64.
     Derived where read: the point DoFs of element k, `tris[k]` and then
-    NV + `tri_edges[k]` (`gather_points`), and its centroid, the vertex
-    mean verts[tris[k]].mean(0).  Only boundary edges are named.
+    NV + `tri_edges[k]` (`gather_points`), its centroid, the vertex mean
+    verts[tris[k]].mean(0), and the edge midpoints (`edge_mid`).  Only
+    boundary edges are named.
     """
 
     verts: np.ndarray  # (NV, 2)
@@ -65,7 +76,6 @@ class Mesh:
     edge_tris: np.ndarray = field(init=False)  # (NE, 2), -1 = no side 1
     edge_length: np.ndarray = field(init=False)
     edge_normal: np.ndarray = field(init=False)  # unit, out of side 0
-    edge_mid: np.ndarray = field(init=False)
     tri_edges: np.ndarray = field(init=False)  # (NT, 3)
     tri_edge_orient: np.ndarray = field(init=False)  # (NT, 3) int8 +-1
     boundary_edges: np.ndarray = field(init=False)  # (NB,) indices into edges
@@ -142,7 +152,6 @@ class Mesh:
             np.stack([d[:, 1], -d[:, 0]], axis=1)
             / self.edge_length[:, None]
         )
-        self.edge_mid = 0.5 * (self.verts[ev[:, 0]] + self.verts[ev[:, 1]])
         self.boundary_edges = np.flatnonzero(edge_tris[:, 1] < 0).astype(np.int32)
         self.boundary_name = np.full(len(self.boundary_edges), "", dtype=object)
 
@@ -169,6 +178,12 @@ class Mesh:
     def point_xy(self) -> np.ndarray:
         """(NP, 2) new array: the vertices, then the edge midpoints."""
         return np.vstack([self.verts, self.edge_mid])
+
+    @property
+    def edge_mid(self) -> np.ndarray:
+        """(NE, 2) new array: the midpoint of each edge."""
+        ev = self.edge_verts
+        return 0.5 * (self.verts[ev[:, 0]] + self.verts[ev[:, 1]])
 
     @property
     def num_edges(self) -> int:
@@ -212,9 +227,10 @@ def read_msh(path) -> Mesh:
 
     Only 2-node lines (boundary tags) and 3-node triangles are used;
     0-dimensional point elements (tagging artifacts) are skipped, and any
-    other element type raises UnsupportedElement.  Physical names on lines
-    become the names of the boundary edges they tag; interior lines carry
-    no name.
+    other element type raises UnsupportedElement.  Nodes that no triangle
+    uses, such as the centre of a circular hole, are dropped.  Physical
+    names on lines become the names of the boundary edges they tag;
+    interior lines carry no name.
     """
     try:
         with open(path) as fh:
@@ -268,13 +284,17 @@ def read_msh(path) -> Mesh:
 
     if len(tris) == 0:
         raise MeshError("mesh contains no triangles")
-    mesh = Mesh(verts, np.asarray(tris))
+    verts, tris, remap = compact_vertices(verts, tris)
+    mesh = Mesh(verts, tris)
 
-    # Attach names from tagged line elements to the matching boundary edges.
+    # Attach names from tagged line elements to the matching boundary edges;
+    # a line through a dropped node (index -1) matches none.
     if blines:
         ends = np.sort(mesh.edge_verts[mesh.boundary_edges], axis=1).tolist()
         position = {(a, b): i for i, (a, b) in enumerate(ends)}
+        remap = remap.tolist()
         for a, b, tag in blines:
+            a, b = remap[a], remap[b]
             i = position.get((min(a, b), max(a, b)))
             if i is not None:
                 mesh.boundary_name[i] = phys_names.get(tag, str(tag))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import Delaunay
 
-from .mesh import Mesh
+from .mesh import Mesh, compact_vertices
 
 
 def rect_mesh(bounds, n, jitter=0.25, seed=0) -> Mesh:
@@ -124,7 +124,6 @@ def ldomain_mesh(n, jitter=0.15, seed=0) -> Mesh:
         )
 
     tris = []
-    used = np.zeros(len(pts), dtype=bool)
     for i in range(nx - 1):
         for j in range(ny - 1):
             cx = 0.5 * (xs[i] + xs[i + 1])
@@ -137,13 +136,8 @@ def ldomain_mesh(n, jitter=0.15, seed=0) -> Mesh:
                 tris += [[a, b, c], [a, c, d]]
             else:
                 tris += [[a, b, d], [b, c, d]]
-            used[[a, b, c, d]] = True
-
-    # Compress to the used nodes.
-    remap = -np.ones(len(pts), dtype=np.int64)
-    remap[used] = np.arange(used.sum())
-    pts = pts[used]
-    tris = remap[np.asarray(tris)]
+    # Before the jitter, which draws one offset per kept node.
+    pts, tris, _ = compact_vertices(pts, tris)
 
     # Jitter nodes strictly interior to the L.
     eps = 1e-9

@@ -320,25 +320,22 @@ class Tables:
         # p.  The entries of a row are stored in ascending order of 6 k + j,
         # element by element as np.add.at meets them on (NT, 6) arrays, and
         # its products add in stored order: the sums are bitwise those of
-        # np.add.at over the element-major values.
-        nt = mesh.num_tris
+        # np.add.at over the element-major values.  Built from int32 indices,
+        # its index arrays are int32, as the mesh's are.
+        nt, npt = mesh.num_tris, mesh.num_points
         ndof = 6 * nt
-        dofs = mesh.gather_points(np.arange(mesh.num_points))  # (6, NT)
+        point = mesh.gather_points(np.arange(npt, dtype=np.int32)).T.ravel()
         by_elem = sparse.csr_array(
-            (np.ones(ndof), (dofs.T.ravel(), np.arange(ndof))),
-            shape=(mesh.num_points, ndof),
+            (np.ones(ndof), (point, np.arange(ndof, dtype=np.int32))), shape=(npt, ndof)
         )
-        cols = (by_elem.indices % 6) * nt + by_elem.indices // 6
-        self.point_scatter = sparse.csr_array(
-            (by_elem.data, cols, by_elem.indptr), shape=by_elem.shape
-        )
+        data, cols, indptr = by_elem.data, by_elem.indices, by_elem.indptr
+        cols = cols % 6 * nt + cols // 6
+        self.point_scatter = sparse.csr_array((data, cols, indptr), shape=(npt, ndof))
         # The vertex rows come first and read only the vertex DoFs, the
         # first 3 NT columns: their operator is a view of the same arrays.
         nvert = len(mesh.verts)
-        m = self.point_scatter.indptr[nvert]
         self.vertex_scatter = sparse.csr_array(
-            (by_elem.data[:m], cols[:m], self.point_scatter.indptr[: nvert + 1]),
-            shape=(nvert, 3 * nt),
+            (data, cols, indptr[: nvert + 1]), shape=(nvert, 3 * nt)
         )
 
     # -- per-edge maps, built on first use ---------------------------------------

@@ -23,8 +23,6 @@ restriction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import POINT_DOF_BARY
@@ -80,12 +78,6 @@ def _fan_rates(model, U, gl, xy_s, areas):
     return alpha_s
 
 
-@dataclass
-class LOResult:
-    Phi_pt: np.ndarray  # (6, NT, nv)
-    F_edge: np.ndarray  # (NE, nv), integrated LLF fluxes (with |e|)
-
-
 class LowOrder:
     """The low-order residuals; the handler `bc` gives the ghost average of
     every boundary edge.  For a model with `static_signs` both are linear
@@ -107,9 +99,7 @@ class LowOrder:
         model = self.model
         u0, u1 = np.take(ubar, self.t.side_elems, axis=0)
         be = mesh.boundary_edges
-        u1[be] = self.bc.ghost_average(
-            u0[be], mesh.edge_normal[be], mesh.edge_mid[be], t
-        )
+        u1[be] = self.bc.ghost_average(u0[be], mesh.edge_normal[be], t)
         if model.static_signs:
             w = self.speeds.get("llf", self._llf_weights)
             return w[0][:, None] * u0 + w[1][:, None] * u1
@@ -204,9 +194,3 @@ class LowOrder:
         s0, s1 = SLOT_SUB.T
         np.add(central[:, s0], alpha_s[s0] * (c[:, :6] - ubar_s[:, s0]), out=Phi)
         Phi += central[:, s1] + alpha_s[s1] * (c[:, :6] - ubar_s[:, s1])
-
-    def compute(self, coef, t) -> LOResult:
-        """Low-order residuals from the element coefficients (7, NT, nv)."""
-        return LOResult(
-            self.point_residuals(coef), self.average_fluxes(coef[6], t)
-        )

@@ -215,9 +215,8 @@ class Stepper:
 
         fallback = resc_vol = resc_tr = resc_pt = resc_e = 0
         if self.mode == "lo":
-            lo = self.lo.compute(coef, t)
-            b = lo.Phi_pt
-            F = lo.F_edge
+            b = self.lo.point_residuals(coef)
+            F = self.lo.average_fluxes(ubar, t)
             eta_pt = np.zeros((6, mesh.num_tris))
             eta_e = np.zeros(mesh.num_edges)
             theta = np.ones(mesh.num_tris)
@@ -255,23 +254,21 @@ class Stepper:
                 eta_pt = np.ones((6, mesh.num_tris))
                 eta_e = np.ones(mesh.num_edges)
             else:
-                lo = self.lo.compute(coef, t)
                 b, eta_pt, resc_pt = blend_point_residuals(
                     self.tables,
                     self.enforce_domain,
                     coef[:6],
-                    lo.Phi_pt,
+                    self.lo.point_residuals(coef),
                     Wpt,
                     theta,
                     dt,
                 )
-                F_lo = lo.F_edge
-                del lo, Wpt, coef  # the point residuals' and states' last read
+                del Wpt, coef  # the point residuals' and states' last read
                 F, eta_e, resc_e = blend_average_fluxes(
                     self.tables,
                     self.enforce_domain,
                     ubar,
-                    F_lo,
+                    self.lo.average_fluxes(ubar, t),
                     F_ho,
                     theta,
                     dt,
@@ -392,15 +389,19 @@ class Stepper:
 
         The journal is a list of per-step dicts; totals carries the
         time-integrated boundary flux (per component) for conservation
-        accounting.  callback(step, t, ubar, upt, row) fires after every
-        accepted step with the fresh journal row.
+        accounting.  Every row and the totals hold the relative
+        conservation drift, max |mass - mass0 + bflux_int| over
+        max(1, max |mass0|), under "drift".  callback(step, t, ubar, upt,
+        row) fires after every accepted step with the fresh journal row.
         """
         mesh = self.mesh
         t = 0.0
         step = 0
         journal: list[dict] = []
         bflux_int = np.zeros(self.model.nvars)
-        mass0 = mesh.areas @ ubar
+        mass0 = mass = mesh.areas @ ubar
+        scale = max(1.0, np.abs(mass0).max())
+        drift = 0.0
 
         while t < t_end - 1e-12 * max(1.0, abs(t_end)):
             dt = self.compute_dt(ubar, upt)
@@ -421,7 +422,9 @@ class Stepper:
             else:
                 row["min_u"] = float(allu.min())
                 row["max_u"] = float(allu.max())
-            row["mass"] = float((mesh.areas @ ubar)[0])
+            mass = mesh.areas @ ubar
+            drift = float(np.abs(mass - mass0 + bflux_int).max() / scale)
+            row["mass"], row["drift"] = float(mass[0]), drift
             journal.append(row)
 
             if callback is not None:
@@ -433,7 +436,8 @@ class Stepper:
             "steps": step,
             "t": t,
             "mass0": mass0,
-            "mass": mesh.areas @ ubar,
+            "mass": mass,
             "bflux_int": bflux_int,
+            "drift": drift,
         }
         return ubar, upt, journal, totals

@@ -352,3 +352,20 @@ def test_convergence_checks_initial_data_like_run(tmp_path, capsys):
     for argv in (["run", cfg], ["convergence", cfg, "--levels", "3"]):
         assert main(argv) == 2
         assert "leaves the invariant domain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limits", ["", "[limits]\nlo = -1\nhi = 2\n"])
+def test_bp_without_an_invariant_domain_exits_2(tmp_path, capsys, limits):
+    # `advect-gauss` has no invariant domain, so `bp` needs one from
+    # `[limits]`; without it both commands reject the config as bad input.
+    cfg = write_cfg(
+        tmp_path,
+        "[run]\nproblem = advect-gauss\nmesh_n = 4\nmode = bp\nfinal_time = 0.5\n"
+        f"{limits}[output]\ndirectory = {tmp_path / 'o'}\nlog_every = 0\n",
+    )
+    if limits:
+        assert main(["run", cfg]) == 0
+        return
+    for argv in (["run", cfg], ["convergence", cfg, "--levels", "3"]):
+        assert main(argv) == 2
+        assert "set [limits] lo and hi" in capsys.readouterr().err

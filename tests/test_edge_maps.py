@@ -184,8 +184,8 @@ def per_call_blend_average_fluxes(tb, domain, ubar, F_lo, F_ho, theta, dt):
 
 def per_call_damping_theta(tb, model, coef, speed, dt):
     mesh = tb.mesh
-    ei, sigma = damping_sigma(tb, model, coef)
-    k = np.take(mesh.edge_tris, ei, axis=0).T.ravel()
+    sigma = damping_sigma(tb, model, coef)
+    k = np.take(mesh.edge_tris, tb.interior_edges, axis=0).T.ravel()
     rate = speed * sigma.T / tb.EDGE_DIST
     expo = np.bincount(k, weights=rate.ravel(), minlength=mesh.num_tris)
     n_int = np.bincount(k, minlength=mesh.num_tris)
@@ -198,7 +198,7 @@ def per_call_average_fluxes(lo, ubar, t):
     u0 = np.take(ubar, left, axis=0)
     u1 = np.take(ubar, np.where(right >= 0, right, left), axis=0)
     be = mesh.boundary_edges
-    u1[be] = lo.bc.ghost_average(u0[be], mesh.edge_normal[be], mesh.edge_mid[be], t)
+    u1[be] = lo.bc.ghost_average(u0[be], mesh.edge_normal[be], t)
     if model.static_signs:
         w = lo._llf_weights()
         return w[0][:, None] * u0 + w[1][:, None] * u1

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from triblend.cli import main
+from triblend.cli import _build, main
+from triblend.config import RunConfig
 from triblend.exceptions import MeshError, UnsupportedElement
 from triblend.mesh import Mesh, read_msh, triangle_geometry
 from triblend.meshgen import (
@@ -13,6 +14,7 @@ from triblend.meshgen import (
     refine4,
     write_msh2,
 )
+from triblend.problems import get_problem
 
 
 @pytest.fixture(scope="module")
@@ -428,3 +430,47 @@ def test_malformed_msh_raises_mesh_error_and_info_exits_2(
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def with_unused_node_msh22(path, extra):
+    """The MSH 2.2 file at `path` with one more node, listed first and used
+    by no element, written next to it."""
+    lines = path.read_text().splitlines()
+    at = lines.index("$Nodes") + 1
+    count = int(lines[at])
+    lines[at:at + 1] = [str(count + 1), f"{count + 1} {extra[0]!r} {extra[1]!r} 0"]
+    out = path.with_name("unused_" + path.name)
+    out.write_text("\n".join(lines) + "\n")
+    return out
+
+
+@pytest.mark.parametrize("version", ["2.2", "4.1"])
+def test_unused_msh_node_is_dropped(tmp_path, version):
+    # gmsh lists nodes that no triangle uses, such as the centre of a
+    # circular hole.  They are dropped: the mesh, its boundary names and a
+    # `full` run equal those of the same file without the node.
+    plain = tmp_path / "plain.msh"
+    if version == "2.2":
+        problem = "double-mach"
+        prob = get_problem(problem)
+        mesh = prob.mesh_builder(6)
+        mesh.name_boundary(prob.namer)
+        write_msh2(plain, mesh)
+        extra = with_unused_node_msh22(plain, (1.0, 1.0))
+    else:
+        problem = "free-stream"
+        plain.write_text(MSH41_SAMPLE)
+        extra = tmp_path / "unused.msh"
+        # Node 5 in a block of its own, listed first.
+        extra.write_text(
+            MSH41_SAMPLE.replace("2 4 1 4\n", "3 5 1 5\n2 1 0 1\n5\n0.5 0.5 0\n")
+        )
+    meshes = [read_msh(path) for path in (plain, extra)]
+    for a in ("verts", "tris", "boundary_name"):
+        assert getattr(meshes[0], a).tolist() == getattr(meshes[1], a).tolist(), a
+    journals = []
+    for path in (plain, extra):
+        cfg = RunConfig(problem=problem, mesh=str(path))
+        _, _, _, stepper, ubar, upt = _build(cfg)
+        journals.append(stepper.run(ubar, upt, 1.0, max_steps=3)[2])
+    assert len(journals[0]) == 3 and journals[0] == journals[1]

@@ -85,6 +85,7 @@ def test_mass_accounting_closes():
         drift = totals["mass"] - totals["mass0"] + totals["bflux_int"]
         scale = max(1.0, np.abs(totals["mass0"]).max())
         assert np.abs(drift).max() < 1e-13 * scale, mode
+        assert totals["drift"] == np.abs(drift).max() / scale, mode
 
 
 def test_assert_domain_violation_aborts():
@@ -191,7 +192,7 @@ def test_journal_tracks_limiter_activity():
     _, _, journal, _ = stepper.run(ubar, upt, 0.01)
     row = journal[0]
     for key in ("theta_min", "eta_lo_frac", "eta_hi_frac", "min_u", "max_u",
-                "mass", "omega_fallback"):
+                "mass", "drift", "omega_fallback"):
         assert key in row
     # Discontinuous data must actually trigger the damping.
     assert row["theta_min"] < 1.0
@@ -222,15 +223,16 @@ def test_full_mode_without_domain_blends_by_theta_bitwise():
 
     coef = tb.coefficients(ubar, upt)
     ho = stepper.ho.compute(coef, upt, 0.0)
-    lo = stepper.lo.compute(coef, 0.0)
+    Phi_lo = stepper.lo.point_residuals(coef)
+    F_lo = stepper.lo.average_fluxes(ubar, 0.0)
     th = damping_theta(tb, model, coef, interior_edge_speeds(tb, model, ho.trace_u), dt)
     assert th.min() < 1.0  # the discontinuous data must engage the damping
-    b = lo.Phi_pt + th[:, None] * (ho.Wpt - lo.Phi_pt)
+    b = Phi_lo + th[:, None] * (ho.Wpt - Phi_lo)
     k0, k1 = mesh.edge_tris[:, 0], mesh.edge_tris[:, 1]
     te = np.where(
         k1 >= 0, np.minimum(th[k0], th[np.clip(k1, 0, None)]), th[k0]
     )
-    F = lo.F_edge + te[:, None] * (ho.F_edge - lo.F_edge)
+    F = F_lo + te[:, None] * (ho.F_edge - F_lo)
     div = np.einsum(
         "ke,kev->kv", mesh.tri_edge_orient.astype(float), F[mesh.tri_edges]
     )
@@ -447,7 +449,7 @@ def test_kept_llf_weights_are_the_llf_flux():
     left, right = mesh.edge_tris.T
     u0, u1 = ubar[left], ubar[np.where(right >= 0, right, left)]
     be = mesh.boundary_edges
-    u1[be] = bc.ghost_average(u0[be], mesh.edge_normal[be], mesh.edge_mid[be], 0.0)
+    u1[be] = bc.ghost_average(u0[be], mesh.edge_normal[be], 0.0)
     want = llf_flux(model, u0, u1, mesh.edge_normal, mesh.edge_mid)
     want *= mesh.edge_length[:, None]
     interior = right >= 0
