@@ -11,6 +11,7 @@ variable TRIBLEND_OUTDIR overrides the configured output directory.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -96,8 +97,11 @@ def _build(cfg: RunConfig, mesh=None):
     problem = get_problem(cfg.problem)
     model = problem.make_model(cfg.gamma)
     mesh = mesh if mesh is not None else _mesh(cfg, problem)
-    if not all(mesh.boundary_name):
-        mesh.name_boundary(problem.namer)
+    # The namer names only the boundary edges that the mesh leaves unnamed.
+    unnamed = mesh.boundary_name == ""
+    if unnamed.any():
+        mids = mesh.edge_mid[mesh.boundary_edges[unnamed]]
+        mesh.boundary_name[unnamed] = problem.namer(mids)
     # Only the overrides: a problem's defaults may name more than a user mesh.
     unknown = set(cfg.boundary) - set(mesh.boundary_name)
     if unknown:
@@ -172,9 +176,11 @@ def cmd_run(args) -> int:
         )
 
     journal = []  # filled step by step, so an abort keeps the completed steps
+    last = [0, 0.0, ubar, upt]  # the last accepted step, its t and state
 
     def callback(step, t, ub, up, row):
         journal.append(row)
+        last[:] = step, t, ub, up
         if cfg.log_every and step % cfg.log_every == 0:
             act = (
                 f"theta_min={row['theta_min']:.3f} "
@@ -191,6 +197,12 @@ def cmd_run(args) -> int:
 
     try:
         ubar, upt, _, totals = stepper.run(ubar, upt, t_end, callback=callback)
+    except NumericalAbort as exc:
+        step, t, ub, up = last
+        dump("_last", ub, up)
+        with open(os.path.join(out, "abort.json"), "w") as fh:
+            json.dump({"message": str(exc), "step": step, "t": t}, fh, indent=2)
+        raise
     finally:
         write_journal_csv(os.path.join(out, "journal.csv"), journal)
 

@@ -24,7 +24,10 @@ def _scalar_fields(model, u):
     rho = u[..., 0]
     p = model.pressure(u)
     speed = np.hypot(u[..., 1], u[..., 2]) / rho
-    mach = speed / model.sound_speed(u)
+    # A state without positive pressure, which an unlimited run may accept
+    # and an abort record writes, has no Mach number: it prints nan or inf.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mach = speed / model.sound_speed(u)
     return [
         ("density", rho),
         ("momentum_x", u[..., 1]),

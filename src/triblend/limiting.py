@@ -309,10 +309,7 @@ def damping_sigma(tables, model, coef, c1=1.0, c2=1.0):
     S2 = (wq @ a[1]) * inv_den[:, None]
     ell = tables.EDGE_DIST  # (2, E)
     w1, w2 = c1 * ell, c2 * (ell * ell)
-    sig = w1 * S1[0] + w2 * S2[0]
-    for v in range(1, len(S1)):
-        np.maximum(sig, w1 * S1[v] + w2 * S2[v], out=sig)
-    return sig.T
+    return (w1 * S1[:, None] + w2 * S2[:, None]).max(axis=0).T
 
 
 def interior_edge_speeds(tables, model, trace_u):

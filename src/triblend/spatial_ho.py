@@ -317,25 +317,21 @@ class Tables:
 
         # Element-DoF -> point scatter operator: row p has a unit entry in
         # column j NT + k for each (k, j) where DoF j of element k is point
-        # p.  The entries of a row are stored in ascending order of 6 k + j,
-        # element by element as np.add.at meets them on (NT, 6) arrays, and
-        # its products add in stored order: the sums are bitwise those of
-        # np.add.at over the element-major values.  Built from int32 indices,
+        # p, the component-major order of the element kernels.  The entries
+        # of a row are stored, and its products add, in ascending column
+        # order: by local DoF, then by element.  Built from int32 indices,
         # its index arrays are int32, as the mesh's are.
         nt, npt = mesh.num_tris, mesh.num_points
         ndof = 6 * nt
-        point = mesh.gather_points(np.arange(npt, dtype=np.int32)).T.ravel()
-        by_elem = sparse.csr_array(
+        point = mesh.gather_points(np.arange(npt, dtype=np.int32)).ravel()
+        ps = self.point_scatter = sparse.csr_array(
             (np.ones(ndof), (point, np.arange(ndof, dtype=np.int32))), shape=(npt, ndof)
         )
-        data, cols, indptr = by_elem.data, by_elem.indices, by_elem.indptr
-        cols = cols % 6 * nt + cols // 6
-        self.point_scatter = sparse.csr_array((data, cols, indptr), shape=(npt, ndof))
         # The vertex rows come first and read only the vertex DoFs, the
         # first 3 NT columns: their operator is a view of the same arrays.
         nvert = len(mesh.verts)
         self.vertex_scatter = sparse.csr_array(
-            (data, cols, indptr[: nvert + 1]), shape=(nvert, 3 * nt)
+            (ps.data, ps.indices, ps.indptr[: nvert + 1]), shape=(nvert, 3 * nt)
         )
 
     # -- per-edge maps, built on first use ---------------------------------------
@@ -416,31 +412,18 @@ class Tables:
         edge's point values (start, end, midpoint): (NE, nqe, nv), with the
         mean of those three values, (NE, nv).
 
-        The bits are those of the batched product N1D @ (NE, 3, nv), which
-        numpy takes as one small BLAS call per edge, a gemv for nv = 1 and
-        a gemm otherwise; here each is one call of the same kind over all
-        edges.  For nv = 1, one gemv per row of N1D against the (NE, 3)
-        values; for nv > 1, one gemm against their k-major (3, NE nv)
-        gather.  Crossing the two (one gemm for nv = 1, or a gemv per row
-        for nv = 4) changes the last bit of some traces.
+        For every nv the traces are one product N1D @ (3, NE nv) against
+        the k-major gather of the point values, a single BLAS call over all
+        edges and variables.
         """
         mesh = self.mesh
         ne, nv = mesh.num_edges, upt.shape[-1]
-        mid = upt[len(mesh.verts):]
+        vals = np.empty((3, ne, nv))
+        np.take(upt, mesh.edge_verts.T, axis=0, out=vals[:2])
+        vals[2] = upt[len(mesh.verts):]
         trace = np.empty((ne, self.nqe, nv))
-        if nv == 1:
-            vals = np.empty((ne, 3))
-            vals[:, :2] = np.take(upt[:, 0], mesh.edge_verts)
-            vals[:, 2] = mid[:, 0]
-            for q, row in enumerate(self.N1D):
-                trace[:, q, 0] = vals @ row
-            vals = vals.T[..., None]  # (3, NE, 1)
-        else:
-            vals = np.empty((3, ne, nv))
-            np.take(upt, mesh.edge_verts.T, axis=0, out=vals[:2])
-            vals[2] = mid
-            prod = self.N1D @ vals.reshape(3, -1)  # (nqe, NE nv)
-            trace.swapaxes(0, 1)[...] = prod.reshape(self.nqe, ne, nv)
+        prod = self.N1D @ vals.reshape(3, -1)  # (nqe, NE nv)
+        trace.swapaxes(0, 1)[...] = prod.reshape(self.nqe, ne, nv)
         return trace, (vals[0] + vals[1] + vals[2]) / 3.0
 
     def surface_rows(self, fluxhat: np.ndarray) -> np.ndarray:
@@ -483,10 +466,12 @@ class Tables:
     def point_sums(self, x: np.ndarray) -> np.ndarray:
         """Sum element point-DoF values (6, NT, ...) per point: (NP, ...).
         The vertex-DoF values alone, (3, NT, ...), give the sums at the
-        vertices, (NV, ...).  The sums are taken one C-contiguous (6, NT)
-        block at a time and keep the component-major layout: such x, the
-        layout of the element kernels, is read without a copy, and any
-        other block is copied alone."""
+        vertices, (NV, ...).  Each point's values add in ascending (local
+        DoF, element) order, as np.add.at meets them on (6, NT, ...)
+        arrays.  The sums are taken one C-contiguous (6, NT) block at a
+        time and keep the component-major layout: such x, the layout of the
+        element kernels, is read without a copy, and any other block is
+        copied alone."""
         op = self.point_scatter if len(x) == 6 else self.vertex_scatter
         blocks = np.moveaxis(x, (0, 1), (-2, -1))  # (..., 6 | 3, NT)
         out = np.empty(blocks.shape[:-2] + op.shape[:1])
@@ -903,12 +888,6 @@ class HighOrder:
         # while they are built, and they are not alive in the volume term.
         omega, fb = self.omega_weights(coef[:6])
 
-        # Upwind-weighted point residuals, entry by entry over (6, NT), the
-        # sums one local DoF at a time.
-        Phi = nv_first(Phi)
-        om = omega.transpose(2, 3, 0, 1)  # (nv, nv, 6, NT)
-        Wpt = om[:, 0] * Phi[0]
-        for w in range(1, coef.shape[-1]):
-            for d in range(6):
-                Wpt[:, d] += om[:, w, d] * Phi[w, d]
+        # Upwind-weighted point residuals, entry by entry over (6, NT).
+        Wpt = np.einsum("vwdk,wdk->vdk", omega.transpose(2, 3, 0, 1), nv_first(Phi))
         return HOResult(nv_last(Wpt), F_edge, trace, fb, resc_vol, resc_tr)

@@ -385,7 +385,8 @@ class Stepper:
         max_steps: int | None = None,
         callback=None,
     ):
-        """March from t = 0 to t_end.  Returns (ubar, upt, journal, totals).
+        """March from t = 0 to t_end, or for at most max_steps steps if
+        given.  Returns (ubar, upt, journal, totals).
 
         The journal is a list of per-step dicts; totals carries the
         time-integrated boundary flux (per component) for conservation
@@ -403,7 +404,8 @@ class Stepper:
         scale = max(1.0, np.abs(mass0).max())
         drift = 0.0
 
-        while t < t_end - 1e-12 * max(1.0, abs(t_end)):
+        t_stop = t_end - 1e-12 * max(1.0, abs(t_end))
+        while t < t_stop and (max_steps is None or step < max_steps):
             dt = self.compute_dt(ubar, upt)
             if not np.isfinite(dt) or dt <= 0.0:
                 raise self._collapse(ubar, upt, t, step + 1)
@@ -429,8 +431,6 @@ class Stepper:
 
             if callback is not None:
                 callback(step, t, ubar, upt, row)
-            if max_steps is not None and step >= max_steps:
-                break
 
         totals = {
             "steps": step,

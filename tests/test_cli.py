@@ -1,13 +1,15 @@
 import dataclasses
+import json
 import re
 
 import numpy as np
 import pytest
 
 from triblend.boundary import BoundaryHandler, FarField, Outflow, Wall
-from triblend.cli import _make_stepper, _resolve_boundaries, main
+from triblend.cli import _build, _make_stepper, _resolve_boundaries, main
 from triblend.config import RunConfig, load_config
 from triblend.exceptions import ConfigError
+from triblend.mesh import read_msh
 from triblend.meshgen import rect_mesh, refine4, write_msh2
 from triblend.problems import get_problem, sample_initial
 from triblend.spatial_ho import Tables
@@ -58,10 +60,24 @@ def test_unlimited_mode_on_shock_data_exits_3(tmp_path, capsys):
     # keeps one row per completed step before it.
     m = re.search(r"step (\d+), t = \S+; element \d+ at \(\S+, \S+\)", err)
     assert m, err
-    rows = (tmp_path / "o" / "journal.csv").read_text().splitlines()
+    out = tmp_path / "o"
+    rows = (out / "journal.csv").read_text().splitlines()
     steps = [int(row.split(",")[0]) for row in rows[1:]]
     assert rows[0].startswith("step,t,dt,")
     assert steps == list(range(1, int(m.group(1))))
+    # The abort record: the last accepted step and its t, and that step's
+    # state as VTK, the state the journal's last row describes.
+    record = json.loads((out / "abort.json").read_text())
+    assert record["message"] in err
+    last = rows[-1].split(",")
+    assert record["step"] == steps[-1] == int(last[0])
+    assert record["t"] == float(last[1])
+    mesh = get_problem("quadrants").mesh_builder(10)
+    pts = _read_scalars(out / "points_last.vtk", "density")
+    avg = _read_scalars(out / "averages_last.vtk", "density")
+    assert (len(pts), len(avg)) == (mesh.num_points, mesh.num_tris)
+    min_density = float(last[rows[0].split(",").index("min_density")])
+    assert min(pts.min(), avg.min()) == min_density
 
 
 def test_unmapped_boundary_name_exits_2(tmp_path, capsys):
@@ -74,6 +90,34 @@ def test_unmapped_boundary_name_exits_2(tmp_path, capsys):
     )
     assert main(["run", cfg]) == 2
     assert "boundary role for 'wall' must be one of" in capsys.readouterr().err
+
+
+def test_namer_names_only_the_untagged_edges_of_a_read_mesh(tmp_path, capsys):
+    # A mesh file with boundary lines on all but one boundary edge: the
+    # tagged edges keep the file's names, which `[boundary]` maps, and the
+    # problem's namer names the untagged edge from its midpoint.
+    prob = get_problem("free-stream")
+    mesh = prob.mesh_builder(3)
+    mesh.name_boundary(prob.namer)
+    rename = {"farfield": "inlet", "wall": "side"}
+    mesh.boundary_name[:] = [rename[nm] for nm in mesh.boundary_name]
+    mesh.boundary_name[0] = ""  # no boundary line is written for it
+    msh = tmp_path / "fs.msh"
+    write_msh2(msh, mesh)
+    cfg = write_cfg(
+        tmp_path,
+        f"[run]\nproblem = free-stream\nfinal_time = 0.01\nmesh = {msh}\n"
+        f"[output]\ndirectory = {tmp_path / 'o'}\nlog_every = 0\n"
+        "[boundary]\ninlet = farfield\nside = wall\n",
+    )
+    assert main(["run", cfg]) == 0
+    names = read_msh(str(msh)).boundary_name
+    untagged = names == ""
+    assert untagged.sum() == 1 and set(names[~untagged]) == {"inlet", "side"}
+    built = _build(load_config(cfg))[2]
+    names[untagged] = prob.namer(built.edge_mid[built.boundary_edges[untagged]])
+    assert names[untagged][0] in ("farfield", "wall")
+    assert list(built.boundary_name) == list(names)
 
 
 def test_boundary_override_of_a_missing_name_exits_2(tmp_path, capsys):

@@ -271,7 +271,7 @@ def test_library_line_budget():
     # needs more lines raises this budget and says why in CHANGES.md.
     files = Path(spatial_ho.__file__).parent.glob("*.py")
     lines = sum(len(f.read_text().splitlines()) for f in files)
-    assert lines <= 4495, lines
+    assert lines <= 4486, lines
 
 
 def test_tables_bytes_per_triangle():
@@ -322,12 +322,13 @@ def test_edge_points_lie_on_their_segments(small_mesh):
 
 @pytest.mark.parametrize("nv", [1, 4])
 def test_edge_traces_equal_batched_product_bitwise(nv):
-    # `Tables.edge_traces` takes N1D @ edge values as one BLAS call of the
-    # kind numpy makes per edge in the batched product: a gemv per row of
-    # N1D for nv = 1, one gemm for nv = 4.  Both give the batched bits on
-    # a jittered mesh of 2,241 edges; the other call for either nv does
-    # not.  This pins OpenBLAS's kernels: a failure under another BLAS is
-    # a host difference to look at in `edge_traces`, not a solver defect.
+    # `Tables.edge_traces` takes N1D @ edge values as one product over the
+    # whole batch, against the k-major (3, NE nv) gather, for every nv.
+    # For nv = 4 its bits are also those of numpy's batched product
+    # N1D @ (NE, 3, nv), one gemm per edge; for nv = 1 that product takes
+    # a gemv per edge and differs in the last bit of some traces.  This
+    # pins OpenBLAS's kernels: a failure under another BLAS is a host
+    # difference to look at in `edge_traces`, not a solver defect.
     mesh = rect_mesh((0.0, 1.0, 0.0, 1.0), 27, jitter=0.25, seed=11)
     tb = Tables(mesh)
     upt = np.random.default_rng(nv).standard_normal((mesh.num_points, nv))
@@ -336,7 +337,11 @@ def test_edge_traces_equal_batched_product_bitwise(nv):
     trace, ref = tb.edge_traces(upt)
     assert mesh.num_edges == 2241
     assert trace.flags.c_contiguous
-    assert trace.tobytes() == (tb.N1D @ edge_u).tobytes()
+    k_major = np.ascontiguousarray(edge_u.transpose(1, 0, 2)).reshape(3, -1)
+    want = (tb.N1D @ k_major).reshape(tb.nqe, mesh.num_edges, nv).swapaxes(0, 1)
+    assert trace.tobytes() == want.tobytes()
+    if nv > 1:
+        assert trace.tobytes() == (tb.N1D @ edge_u).tobytes()
     mean = (edge_u[:, 0] + edge_u[:, 1] + edge_u[:, 2]) / 3.0
     assert ref.tobytes() == mean.tobytes()
 
@@ -403,6 +408,30 @@ def test_omega_partition_of_unity(small_mesh, which):
     assert err < 1e-12
 
 
+@pytest.mark.parametrize("which", ["euler", "advection"])
+def test_upwind_point_rows_are_the_weighted_sum_bitwise(small_mesh, which):
+    # `HighOrder.compute`'s one contraction gives the bits of
+    # Wpt = sum_w omega[..., v, w] Phi[..., w], added in ascending w.
+    mesh = small_mesh
+    if which == "euler":
+        model = Euler()
+        upt = euler_field(mesh.point_xy)
+    else:
+        model = LinearAdvection(rotation_velocity)
+        upt = np.sin(3 * mesh.point_xy[:, 0:1] + mesh.point_xy[:, 1:2])
+    tb = Tables(mesh)
+    ho = HighOrder(tb, model, all_outflow(mesh, model))
+    ubar = np.ones((mesh.num_tris, 1)) * upt.mean(axis=0)
+    coef = tb.coefficients(ubar, upt)
+    Phi = ho.moment_residuals(coef, upt, 0.0)[0]
+    omega, _ = ho.omega_weights(coef[:6])
+    want = omega[..., 0] * Phi[..., None, 0]
+    for w in range(1, model.nvars):
+        want += omega[..., w] * Phi[..., None, w]
+    got = ho.compute(coef, upt, 0.0).Wpt
+    assert got.tobytes() == want.tobytes()
+
+
 def test_point_sums_equal_add_at_bitwise(small_mesh):
     mesh = small_mesh
     tb = Tables(mesh)
@@ -411,11 +440,11 @@ def test_point_sums_equal_add_at_bitwise(small_mesh):
         size = (mesh.num_tris, 6) + shape
         x = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
         want = np.zeros((mesh.num_points,) + shape)
-        np.add.at(want, point_dofs(mesh), x)
+        np.add.at(want, point_dofs(mesh).T, x.swapaxes(0, 1))
         # point_sums takes (6, NT, ...) and adds each point's values in the
-        # order np.add.at meets them on the element-major (NT, 6, ...)
-        # array, for plain and for component-major input (the layout of
-        # the element kernels).
+        # order np.add.at meets them on that array, by local DoF and then
+        # by element, for plain and for component-major input (the layout
+        # of the element kernels).
         got = tb.point_sums(np.ascontiguousarray(x.swapaxes(0, 1)))
         assert got.shape == want.shape
         assert np.array_equal(got, want)

@@ -63,6 +63,22 @@ def test_run_lands_exactly_on_final_time():
     assert totals["steps"] == len(journal)
 
 
+@pytest.mark.parametrize("max_steps", [0, 2])
+def test_run_takes_at_most_max_steps(max_steps):
+    # The limit is checked before each step: max_steps=0 takes none and
+    # returns the initial state itself.
+    mesh, model, stepper, exact = linear_setup()
+    ubar, upt = initialize(stepper.tables, lambda xy: exact(xy, 0.0))
+    calls = []
+    ub, up, journal, totals = stepper.run(
+        ubar, upt, 1.0, max_steps=max_steps, callback=lambda *a: calls.append(a)
+    )
+    assert totals["steps"] == len(journal) == len(calls) == max_steps
+    if max_steps == 0:
+        assert ub is ubar and up is upt
+        assert totals["t"] == 0.0 and totals["drift"] == 0.0
+
+
 def test_mass_accounting_closes():
     # areas @ ubar changes only through the boundary fluxes the journal
     # integrates, for every mode.
