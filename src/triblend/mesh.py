@@ -25,7 +25,8 @@ from .exceptions import MeshError, UnsupportedElement
 def triangle_geometry(pts):
     """Areas and barycentric gradients for triangles given by vertex coords.
 
-    pts: (..., 3, 2).  Returns (area (...,), grad_lambda (..., 3, 2)).
+    pts: (..., 3, 2).  Returns (area (...,), grad_lambda (2, 3, ...)), with
+    component d of grad(lambda_m) in entry [d, m] (component-major).
     Raises MeshError on non-positive (clockwise or degenerate) triangles.
     """
     pts = np.asarray(pts, dtype=float)
@@ -35,12 +36,12 @@ def triangle_geometry(pts):
     if np.any(det <= 0):
         raise MeshError("degenerate or clockwise triangle")
     area = 0.5 * det
-    g = np.empty(pts.shape[:-2] + (3, 2))
+    g = np.empty((2, 3) + pts.shape[:-2])
     for m in range(3):
         a = pts[..., (m + 1) % 3, :]
         b = pts[..., (m + 2) % 3, :]
-        g[..., m, 0] = (a[..., 1] - b[..., 1]) / det
-        g[..., m, 1] = (b[..., 0] - a[..., 0]) / det
+        g[0, m] = (a[..., 1] - b[..., 1]) / det
+        g[1, m] = (b[..., 0] - a[..., 0]) / det
     return area, g
 
 
@@ -70,7 +71,7 @@ class Mesh:
     tris: np.ndarray  # (NT, 3) int32, CCW
     # geometry
     areas: np.ndarray = field(init=False)
-    grad_lambda: np.ndarray = field(init=False)  # (NT, 3, 2)
+    grad_lambda: np.ndarray = field(init=False)  # (2, 3, NT), component-major
     # edges
     edge_verts: np.ndarray = field(init=False)  # (NE, 2) in side-0 direction
     edge_tris: np.ndarray = field(init=False)  # (NE, 2), -1 = no side 1

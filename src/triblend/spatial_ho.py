@@ -98,6 +98,54 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _reference_operators():
+    """The rules and operators of `Tables` that no mesh changes, read-only."""
+    P = projection_matrix()
+    vr = triangle_rule(VOL_DEGREE)
+    # With lambda_2 = 1 - lambda_0 - lambda_1, grad(phi_j) is
+    # sum_a (d phi_j / d lambda_a - d phi_j / d lambda_2) grad(lambda_a)
+    # over a = 0, 1: -grad(phi_j) . f(u) sums the normal fluxes along
+    # n_a = -grad(lambda_a).  VOL_OP[j, (a, q)], P times the weighted
+    # reduced derivatives w_q (...), maps them to P F_vol / |K|, rows
+    # j < 6 only: the average row is the edge flux balance.
+    dphi = basis_grad_bary(vr.points)  # (nqv, 7, 3)
+    vol = np.einsum("jk,q,qka->jaq", P[:6], vr.weights, dphi[..., :2] - dphi[..., 2:])
+    er = edge_rule(EDGE_POINTS)
+    t = er.points  # positions along the edge, in [0, 1]
+    # 1D P2 shapes in the stored edge direction for (a, b, midpoint): (nqe, 3).
+    n1d = np.stack([(1 - t) * (1 - 2 * t), t * (2 * t - 1), 4 * t * (1 - t)], 1)
+    # The rule is symmetric, so an element traversing an edge against its
+    # stored direction meets the quadrature points in reverse order.
+    # SURF_OP[j, (l, q)] = w_q (P PHI_E)[j], j < 6, at point q of local edge
+    # l in the element's own direction (tau = t), maps the edge fluxes times
+    # signed edge length over |K| to P F_surf / |K|.
+    PHI_E = np.array([basis_values(_edge_bary(l, t)) for l in range(3)])
+    surf = np.einsum("jk,q,lqk->jlq", P[:6], er.weights, PHI_E)
+    # Reduced barycentric derivatives on local edge 0 for each edge side s,
+    # traversing it along (tau = t) or against (tau = 1 - t) its stored
+    # direction: rows (d/d lambda_0, d/d lambda_1, d2/d lambda_0^2,
+    # d2/d lambda_0 d lambda_1, d2/d lambda_1^2) per quadrature point, with
+    # lambda_2 eliminated as above.
+    lam = [_edge_bary(0, tau) for tau in (t, 1 - t)]
+    DPHI_E = np.array([basis_grad_bary(x) for x in lam])  # (2, nqe, 7, 3)
+    H = np.array([basis_hess_bary(x) for x in lam])  # (2, nqe, 7, 3, 3)
+    d1 = DPHI_E[..., :2] - DPHI_E[..., 2:]  # (2, nqe, 7, 2)
+    h = H[..., :2, :2] - H[..., :2, 2:] - H[..., 2:, :2] + H[..., 2:, 2:]
+    comps = [d1[..., 0], d1[..., 1], h[..., 0, 0], h[..., 0, 1], h[..., 1, 1]]
+    deriv = np.stack(comps, axis=1).reshape(2, 5 * len(t), 7)
+    # EDGE_DT[q, p]: the derivative at t_q of the Lagrange polynomial of the
+    # points t that is 1 at t_p (rows k t_q^(k-1) over t_q^k).
+    V = np.vander(t, increasing=True)
+    dV = np.c_[np.zeros(len(t)), V[:, :-1] * np.arange(1, len(t))]
+    ops = (vr.points, basis_values(vr.points), vr.weights, vol.reshape(6, -1), t,
+           er.weights, n1d, surf.reshape(6, -1), deriv, dV @ np.linalg.inv(V))
+    return [_read_only(np.ascontiguousarray(a)) for a in ops]
+
+
+(BARY_V, PHI_V, WQ_VOL, VOL_OP, TQ_EDGE, WQ_EDGE, N1D, SURF_OP, EDGE_DERIV_OP,
+ EDGE_DT) = _reference_operators()
+
+
 def _inverse(A: np.ndarray):
     """Inverses of the finite matrices A (M, nv, nv), nv = 1 or 4.
 
@@ -200,7 +248,7 @@ def _dof_normals(mesh: Mesh) -> np.ndarray:
     """Unit normals of the upwind weights at the vertex DoFs, (3, NT, 2)
     component-major: the inward normals grad(lambda) / |grad(lambda)|
     opposite each vertex.  The midpoint DoFs use `mesh.edge_normal`."""
-    gl = mesh.grad_lambda.T  # (2, 3, NT)
+    gl = mesh.grad_lambda  # (2, 3, NT)
     n = np.empty(gl.shape)
     np.divide(gl, np.sqrt(gl[0] * gl[0] + gl[1] * gl[1]), out=n)
     return nv_last(n)
@@ -219,8 +267,10 @@ class Tables:
     barycentric gradients), or contracted with them, with `mesh.areas`
     and the signed edge lengths, and
     reference points map to each element and edge through `element_points`
-    and `edge_points`.  Only connectivity, damping lengths and the maps
-    below are stored per edge, and no array has an element axis.  Per
+    and `edge_points`.  The rules and reference operators, which no mesh
+    changes, are module constants read as class attributes.  Only
+    connectivity, damping lengths and the maps below are stored per edge,
+    and no array has an element axis.  Per
     interior edge the damping keeps the edge ids (`interior_edges`) and,
     per side, the damping length (`EDGE_DIST`).  The per-edge maps that
     the damping's jump kernel (`jump_index`, `jump_normal_grad`) and the average-flux
@@ -239,65 +289,12 @@ class Tables:
     accepted, at the cost of strided loops or a copy.
     """
 
+    BARY_V, PHI_V, wq_vol, VOL_OP = BARY_V, PHI_V, WQ_VOL, VOL_OP
+    tq_edge, wq_edge, N1D, SURF_OP = TQ_EDGE, WQ_EDGE, N1D, SURF_OP
+    EDGE_DERIV_OP, EDGE_DT, nqe = EDGE_DERIV_OP, EDGE_DT, len(TQ_EDGE)
+
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
-        P = projection_matrix()
-
-        # -- volume quadrature ------------------------------------------------
-        vr = triangle_rule(VOL_DEGREE)
-        self.wq_vol = vr.weights
-        self.PHI_V = basis_values(vr.points)  # (nqv, 7)
-        self.BARY_V = vr.points  # (nqv, 3)
-        # With lambda_2 = 1 - lambda_0 - lambda_1, grad(phi_j) is
-        # sum_a (d phi_j / d lambda_a - d phi_j / d lambda_2) grad(lambda_a)
-        # over a = 0, 1: -grad(phi_j) . f(u) sums the normal fluxes along
-        # n_a = -grad(lambda_a).  VOL_OP[j, (a, q)], P times the weighted
-        # reduced derivatives w_q (...), maps them to P F_vol / |K|, rows
-        # j < 6 only: the average row is the edge flux balance.
-        dphi = basis_grad_bary(vr.points)  # (nqv, 7, 3)
-        dred = dphi[:, :, :2] - dphi[:, :, 2:]  # (nqv, 7, 2)
-        vol = np.einsum("jk,q,qka->jaq", P[:6], self.wq_vol, dred)
-        self.VOL_OP = np.ascontiguousarray(vol.reshape(6, -1))
-
-        # -- edge quadrature and trace tables ---------------------------------
-        er = edge_rule(EDGE_POINTS)
-        self.wq_edge = er.weights
-        self.tq_edge = t = er.points  # positions along the edge, in [0, 1]
-        self.nqe = len(t)
-        # 1D P2 shapes in the stored edge direction for (a, b, midpoint).
-        self.N1D = np.stack(
-            [(1 - t) * (1 - 2 * t), t * (2 * t - 1), 4 * t * (1 - t)], axis=1
-        )  # (nqe, 3)
-
-        # The rule is symmetric, so an element traversing an edge against
-        # its stored direction meets the quadrature points in reverse order.
-        # SURF_OP[j, (l, q)] = w_q (P PHI_E)[j], j < 6, at point q of local
-        # edge l in the element's own direction (tau = t), maps the edge
-        # fluxes times signed edge length over |K| to P F_surf / |K|.
-        PHI_E = np.array([basis_values(_edge_bary(l, t)) for l in range(3)])
-        surf = np.einsum("jk,q,lqk->jlq", P[:6], self.wq_edge, PHI_E)
-        self.SURF_OP = np.ascontiguousarray(surf.reshape(6, -1))
-
-        # Reduced barycentric derivatives on local edge 0 for each edge side
-        # s, traversing it along (tau = t) or against (tau = 1 - t) its stored
-        # direction: rows (d/d lambda_0, d/d lambda_1, d2/d lambda_0^2,
-        # d2/d lambda_0 d lambda_1, d2/d lambda_1^2) per quadrature point,
-        # with lambda_2 eliminated as above.
-        lam = [_edge_bary(0, tau) for tau in (t, 1 - t)]
-        DPHI_E = np.array([basis_grad_bary(x) for x in lam])  # (2, nqe, 7, 3)
-        H = np.array([basis_hess_bary(x) for x in lam])  # (2, nqe, 7, 3, 3)
-        d1 = DPHI_E[..., :2] - DPHI_E[..., 2:]  # (2, nqe, 7, 2)
-        h = H[..., :2, :2] - H[..., :2, 2:] - H[..., 2:, :2] + H[..., 2:, 2:]
-        comps = [d1[..., 0], d1[..., 1], h[..., 0, 0], h[..., 0, 1], h[..., 1, 1]]
-        self.EDGE_DERIV_OP = np.ascontiguousarray(
-            np.stack(comps, axis=1).reshape(2, 5 * self.nqe, 7)
-        )
-        # EDGE_DT[q, p]: the derivative at t_q of the Lagrange polynomial
-        # of the points t that is 1 at t_p (rows k t_q^(k-1) over t_q^k).
-        V = np.vander(t, increasing=True)
-        dV = np.c_[np.zeros(self.nqe), V[:, :-1] * np.arange(1, self.nqe)]
-        self.EDGE_DT = dV @ np.linalg.inv(V)
-
         # Damping, per interior edge: the edge ids and the length
         # sup_{x in K} dist(x, e) of its side-s element, (2, E).  The
         # distance function to a segment is convex, so the sup sits at the
@@ -358,7 +355,7 @@ class Tables:
         side's element (`jump_index`), (2, 2, E) indexed by side, a and
         interior edge, with n the edge's unit normal out of side 0."""
         mesh = self.mesh
-        gl = np.ascontiguousarray(mesh.grad_lambda.T).reshape(2, -1)  # (2, 3 NT)
+        gl = mesh.grad_lambda.reshape(2, -1)  # (2, 3 NT)
         nx, ny = np.take(mesh.edge_normal, self.interior_edges, axis=0).T
         gx, gy = np.take(gl, self.jump_index[:, :2], axis=1)
         nd = nx * gx
@@ -426,6 +423,15 @@ class Tables:
         trace.swapaxes(0, 1)[...] = prod.reshape(self.nqe, ne, nv)
         return trace, (vals[0] + vals[1] + vals[2]) / 3.0
 
+    def edge_sides(self) -> np.ndarray:
+        """Side index (3, NT) intp, C-ordered, into (2 NE) rows of both edge
+        sides: [l, k] is e + NE s for the edge e on local edge l of element
+        k, with s = 1 where k traverses e against its stored direction."""
+        mesh = self.mesh
+        side = np.array(mesh.tri_edges.T, dtype=np.intp, order="C")
+        side += mesh.num_edges * (mesh.tri_edge_orient.T < 0)
+        return side
+
     def surface_rows(self, fluxhat: np.ndarray) -> np.ndarray:
         """The edge fluxes fluxhat (NE, nqe, nv) as each element sees them,
         in its own traversal direction and times its signed edge length
@@ -435,16 +441,15 @@ class Tables:
         (side 1) meets the quadrature points in reverse order, and its
         signed length is -|e|.  Per point q, the fluxes at q and, negated,
         at nqe - 1 - q are the (nv, 2 NE) rows of both directions: side s
-        of edge e reads entry e + NE s, one gather through `mesh.tri_edges`
+        of edge e reads entry e + NE s, one gather through `edge_sides`
         into a (nv, 3, NT) block, scaled by |e| / |K| on its way into the
         rows.  Negating the flux or the length gives the same bits."""
         mesh = self.mesh
         ne, nqe, nv = fluxhat.shape
         src = nv_first(fluxhat)  # (nv, NE, nqe)
-        rows = np.array(mesh.tri_edges.T, dtype=np.intp, order="C")  # (3, NT)
-        scale = np.take(mesh.edge_length, rows)
+        rows = self.edge_sides()
+        scale = np.take(mesh.edge_length, mesh.tri_edges.T)
         scale /= mesh.areas
-        rows += ne * (mesh.tri_edge_orient.T < 0)
         fh = np.empty((nv, 3, nqe, mesh.num_tris))
         both = np.empty((nv, 2, ne))
         for q in range(nqe):
@@ -729,13 +734,13 @@ class HighOrder:
 
         # Edge midpoints first, from one sign block along the edge normals
         # taken before the weights exist.  Each edge's state comes from its
-        # side-0 element, the one that traverses it forward, at local DoF
-        # 3 + l: flat index l NT + k of the (3 NT) midpoint DoFs.
-        side1 = mesh.tri_edge_orient.T < 0  # (3, NT)
-        mid = np.empty(ne, dtype=np.intp)
-        mid[mesh.tri_edges.T[~side1]] = np.flatnonzero(~side1)
+        # side 0: the midpoint DoF l NT + k of the (3 NT) whose side index
+        # (`edge_sides`) side[l, k] = e + NE s has s = 0.
+        side = tb.edge_sides()  # (3, NT)
+        mid = np.empty(2 * ne, dtype=np.intp)
+        mid[side.ravel()] = np.arange(side.size)
         S = model.sign_jac_normal(
-            nv_last(np.take(ucm[:, 3:].reshape(nv, -1), mid, axis=1)),
+            nv_last(np.take(ucm[:, 3:].reshape(nv, -1), mid[:ne], axis=1)),
             mesh.edge_normal,
             positions(model, lambda: mesh.edge_mid),
         )
@@ -746,15 +751,10 @@ class HighOrder:
         k = mesh.edge_tris.T  # (2, NE); -1 where there is no side 1
         e_side = np.where(k >= 0, eps[k], 0.0)
         scale = 1.0 + e_side[0] + e_side[1]
-        # Element k's midpoint on its local edge l reads side s of that
-        # edge: entry side[l, k] = e + NE s of the (2 NE) side weights,
-        # C-ordered and in range, so that each gather writes unbuffered.
-        edges = mesh.tri_edges.T  # (3, NT)
-        side = np.array(edges, dtype=np.intp, order="C")
-        side += ne * side1
-        # Both sides' weights entry by entry, gathered into the weights'
-        # blocks; their squares sum to the Frobenius norms (2, NE) in the
-        # order of `_frobenius`.
+        # Both sides' weights entry by entry, gathered through `side` (in
+        # range and C-ordered, so that each gather writes unbuffered) into
+        # the weights' blocks; their squares sum to the Frobenius norms
+        # (2, NE) in the order of `_frobenius`.
         w = np.empty((2, ne))
         sq = np.zeros((2, ne))
         for i in range(nv):
@@ -776,8 +776,8 @@ class HighOrder:
             (~np.isfinite(norms) | (norms > OMEGA_CAP)).any(axis=0),
         )
         del sq, norms
-        om[:, :, 3:][..., bad_e[edges]] = eye[..., None] / 2.0
-        om[:, :, 3:][..., boundary[edges]] = eye[..., None]
+        om[:, :, 3:][..., bad_e[mesh.tri_edges.T]] = eye[..., None] / 2.0
+        om[:, :, 3:][..., boundary[mesh.tri_edges.T]] = eye[..., None]
 
         # Vertices.  N_K = S / 2 + (1/2 + eps_K) Id, formed in the weights'
         # block of each local vertex from signs taken by element blocks;
@@ -852,7 +852,7 @@ class HighOrder:
         # Volume term: the normal fluxes along n_a = -grad(lambda_a) stacked
         # as (2, 1, E, 2) against the volume states (1, nqv, E, nv), then one
         # GEMM of VOL_OP per v.  The rescue groups the states by element.
-        normals = nv_last(-np.ascontiguousarray(mesh.grad_lambda.T[:, :2, None]))
+        normals = nv_last(-mesh.grad_lambda[:, :2, None])
         Phi = np.empty((nv, 6, nt))
         resc_vol = 0
         for blk in element_blocks(nt, nv):

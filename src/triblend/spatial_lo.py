@@ -138,10 +138,9 @@ class LowOrder:
             for k in (1, 2):
                 Phi += L[k] * np.take(c, STENCIL[:, k], axis=1)
             return nv_last(Phi)
-        gl = np.ascontiguousarray(mesh.grad_lambda.T)  # (2, 3, NT)
         Phi = np.empty((nv, 6, nt))
         for blk in element_blocks(nt, nv):
-            self._fan(c[..., blk], gl[..., blk], mesh.areas[blk], blk, Phi[..., blk])
+            self._fan(c[..., blk], blk, Phi[..., blk])
         Phi /= mesh.gather_points(mesh.point_area)
         return nv_last(Phi)
 
@@ -151,24 +150,24 @@ class LowOrder:
         point area included.  `_fan` of the seven unit coefficient vectors,
         one probe and PROBE_ELEMS elements at a time."""
         mesh = self.t.mesh
-        gl = np.ascontiguousarray(mesh.grad_lambda.T)  # (2, 3, NT)
-        L = np.empty((4, 6, mesh.num_tris))
-        for start in range(0, mesh.num_tris, PROBE_ELEMS):
-            blk = slice(start, start + PROBE_ELEMS)  # the last one clipped
-            areas = mesh.areas[blk]
-            fan = np.empty((1, 6, len(areas)))
+        nt = mesh.num_tris
+        L = np.empty((4, 6, nt))
+        for start in range(0, nt, PROBE_ELEMS):
+            blk = slice(start, min(start + PROBE_ELEMS, nt))
+            fan = np.empty((1, 6, blk.stop - start))
             for j in range(7):
-                probe = np.broadcast_to(np.eye(7)[j, :, None], (1, 7, len(areas)))
-                self._fan(probe, gl[..., blk], areas, blk, fan)
+                probe = np.broadcast_to(np.eye(7)[j, :, None], (1, 7, fan.shape[-1]))
+                self._fan(probe, blk, fan)
                 d, k = np.nonzero(STENCIL == j)
                 L[k, d, blk] = fan[0, d]
         return L / mesh.gather_points(mesh.point_area)
 
-    def _fan(self, c, gl, areas, blk, Phi):
-        """The fan sums of the elements `blk` into Phi (nv, 6, E), from
-        their coefficients c (nv, 7, E), barycentric gradients gl (2, 3, E)
-        and areas (E,); `point_residuals` divides by the point areas."""
+    def _fan(self, c, blk, Phi):
+        """The fan sums of the elements `blk` (a slice) into Phi (nv, 6, E),
+        from their coefficients c (nv, 7, E); `point_residuals` divides by
+        the point areas."""
         model = self.model
+        gl, areas = self.t.mesh.grad_lambda[..., blk], self.t.mesh.areas[blk]
         U = [np.take(c, SUB_CORNERS[:, k], axis=1) for k in range(2)]
         U.append(c[:, None, 6])  # (nv, 1, E)
         ubar_s = (U[0] + U[1] + U[2]) / 3.0  # (nv, 6, E)

@@ -96,7 +96,7 @@ def test_kept_maps_equal_their_derivation_from_the_mesh(which):
             rot = ROTATE[list(mesh.tri_edges[k]).index(e)]
             idx[s, :, i] = rot * nt + k
             for a in range(2):
-                gx, gy = mesh.grad_lambda[k, rot[a]]
+                gx, gy = mesh.grad_lambda[:, rot[a], k]
                 nd[s, a, i] = nx * gx + ny * gy
     elems = np.empty((2, ne), dtype=np.int64)
     signs = np.empty((2, ne), dtype=np.int64)
@@ -131,7 +131,7 @@ def per_call_edge_side_gradients(tb, coef):
     local = _local_edges(mesh, mesh.edge_tris[edges], edges).T.astype(np.int8)
     jump = np.zeros((3, nv, tb.nqe, ne))
     flat = nv_first(coef).reshape(nv, -1)
-    gl = np.ascontiguousarray(mesh.grad_lambda.T).reshape(2, -1)
+    gl = mesh.grad_lambda.reshape(2, -1)
     nx, ny = np.take(mesh.edge_normal, edges, axis=0).T
     buf = np.empty((tb.nqe, ne))
     for s, sign in ((0, 1.0), (1, -1.0)):

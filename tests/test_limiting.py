@@ -1161,8 +1161,8 @@ def xy_frame_jumps(tb, coef):
         rot = ROTATE[local[:, s]].T
         c = np.take(by_var, rot * nt + k, axis=1)
         r = (tb.EDGE_DERIV_OP[s] @ c).reshape(nv, 5, nqe, ne)
-        g0 = mesh.grad_lambda[k, rot[0]].T
-        g1 = mesh.grad_lambda[k, rot[1]].T
+        g0 = mesh.grad_lambda[:, rot[0], k]
+        g1 = mesh.grad_lambda[:, rot[1], k]
         for d in range(2):
             grad[s, d] = g0[d] * r[:, 0] + g1[d] * r[:, 1]
         for i, (d, e) in enumerate(((0, 0), (0, 1), (1, 1))):
@@ -1269,7 +1269,7 @@ def contracted_nt_jumps(tb, coef):
         rot = ROTATE[local[:, s]].T  # (7, E)
         r = (tb.EDGE_DERIV_OP[s] @ np.take(by_var, rot * nt + k, axis=1))
         r = r.reshape(nv, 5, tb.nqe, len(ei))
-        g = mesh.grad_lambda[k[:, None], rot[:2].T]  # (E, 2 (a), 2 (d))
+        g = mesh.grad_lambda.T[k[:, None], rot[:2].T]  # (E, 2 (a), 2 (d))
         n0, n1 = nx * g[:, :, 0].T + ny * g[:, :, 1].T
         t0, t1 = nx * g[:, :, 1].T - ny * g[:, :, 0].T
         out += sign * (

@@ -29,9 +29,10 @@ def centroids(m):
 def test_triangle_geometry_basic():
     area, g = triangle_geometry(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     assert area == pytest.approx(0.5)
-    assert np.allclose(g[0], [-1, -1])
-    assert np.allclose(g[1], [1, 0])
-    assert np.allclose(g[2], [0, 1])
+    assert g.shape == (2, 3)  # component-major
+    assert np.allclose(g[:, 0], [-1, -1])
+    assert np.allclose(g[:, 1], [1, 0])
+    assert np.allclose(g[:, 2], [0, 1])
 
 
 def test_triangle_geometry_rejects_clockwise():
@@ -42,10 +43,13 @@ def test_triangle_geometry_rejects_clockwise():
 def test_gradients_are_affine_duals(small_mesh):
     m = small_mesh
     pts = m.verts[m.tris]  # (NT, 3, 2)
+    # Stored component-major, the layout of the kernels that read it.
+    assert m.grad_lambda.shape == (2, 3, m.num_tris)
+    assert m.grad_lambda.flags.c_contiguous
     for i in range(3):
         for j in range(3):
             d = np.einsum(
-                "td,td->t", m.grad_lambda[:, i], pts[:, j] - pts[:, i]
+                "dt,td->t", m.grad_lambda[:, i], pts[:, j] - pts[:, i]
             )
             want = 0.0 if i == j else -1.0
             assert np.allclose(d, want, atol=1e-12)

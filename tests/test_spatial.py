@@ -99,7 +99,7 @@ def test_sub_normals_sum_zero(small_mesh):
     # gradients FAN_GRAD grad(lambda) times |K| / 3: each is the opposite
     # edge of S turned inward, and the three close.
     mesh = small_mesh
-    sub_g = (FAN_GRAD @ mesh.grad_lambda).reshape(-1, 6, 3, 2)
+    sub_g = (FAN_GRAD @ mesh.grad_lambda.T).reshape(-1, 6, 3, 2)
     normals = sub_g * (mesh.areas[:, None, None, None] / 3.0)
     xy = fan_corners(mesh)
     for m in range(3):
@@ -114,8 +114,8 @@ def test_fan_gradients_and_centroids_from_the_affine_map(small_mesh):
     # geometry of the fan's own corners to round-off.
     mesh = small_mesh
     xy = fan_corners(mesh)
-    _, want_g = triangle_geometry(xy)
-    got_g = (FAN_GRAD @ mesh.grad_lambda).reshape(want_g.shape)
+    want_g = np.moveaxis(triangle_geometry(xy)[1], (0, 1), (-1, -2))
+    got_g = (FAN_GRAD @ mesh.grad_lambda.T).reshape(want_g.shape)
     assert np.abs(got_g - want_g).max() <= 1e-13 * np.abs(want_g).max()
     assert set(np.unique(FAN_GRAD)) <= set(range(-2, 4))
     got_c = Tables(mesh).element_points(FAN_CENTROID)  # (6, NT, 2)
@@ -132,7 +132,7 @@ def reference_phi(ho, ubar, upt, t):
     mesh = tb.mesh
     nt, nv = ubar.shape
     dphi_v = basis_grad_bary(tb.BARY_V)  # (nqv, 7, 3)
-    dvol = np.einsum("q,qjm,kmd->kjqd", tb.wq_vol, dphi_v, mesh.grad_lambda)
+    dvol = np.einsum("q,qjm,dmk->kjqd", tb.wq_vol, dphi_v, mesh.grad_lambda)
     dvol_mat = dvol.reshape(nt, 7, -1)
     # Basis values on local edge l, traversed in the stored direction
     # (o = 0) or against it (o = 1): (2, 3, nqe, 7).
@@ -222,7 +222,7 @@ def test_edge_side_gradients_exact_on_quadratics(small_mesh):
         for s, sign in ((0, 1.0), (1, -1.0)):
             k = mesh.edge_tris[e, s]
             a, b = (list(mesh.tris[k]).index(v) for v in mesh.edge_verts[e])
-            g = mesh.grad_lambda[k]
+            g = mesh.grad_lambda[..., k].T
             ga, gb, gc = g[a], g[b], g[3 - a - b]
             # l_a = 1 - t and l_b = t at the points of the stored direction.
             la, lb = 1.0 - t, t
@@ -1277,7 +1277,7 @@ def nv_last_point_residuals(lo, coef):
     coef = np.ascontiguousarray(coef)
     U = np.take(coef, SUB_CORNERS, axis=1)  # (NT, 6, 3, nv)
     ubar_s = (U[:, :, 0] + U[:, :, 1] + U[:, :, 2]) / 3.0
-    sub_g = (FAN_GRAD @ mesh.grad_lambda).reshape(-1, 6, 3, 2)
+    sub_g = (FAN_GRAD @ mesh.grad_lambda.T).reshape(-1, 6, 3, 2)
     grad = U.swapaxes(-1, -2) @ sub_g  # (NT, 6, nv, 2)
     xy_s = FAN_CENTROID @ mesh.verts[mesh.tris]
     central = (

@@ -445,12 +445,11 @@ def test_fan_map_stencil():
     tb, (model, _), _, _, _ = kept_case("rotating")
     mesh = tb.mesh
     lo = LowOrder(tb, model, all_outflow(mesh, model))
-    gl = np.ascontiguousarray(mesh.grad_lambda.T)
     fan = np.empty((1, 6, mesh.num_tris))
     for j in range(7):
         probe = np.zeros((1, 7, mesh.num_tris))
         probe[0, j] = 1.0
-        lo._fan(probe, gl, mesh.areas, slice(None), fan)
+        lo._fan(probe, slice(None), fan)
         reached = (STENCIL == j).any(axis=1)
         assert (fan[0, ~reached] == 0.0).all()
         assert (np.abs(fan[0, reached]).max(axis=1) > 0.0).all()
