@@ -21,9 +21,9 @@ from .boundary import BoundaryHandler, FarField, Outflow, Wall
 from .config import RunConfig, load_config
 from .exceptions import ConfigError, MeshError, NumericalAbort, TriblendError
 from .io_vtk import (
+    journal_writer,
     write_convergence_csv,
     write_diagnostics_csv,
-    write_journal_csv,
     write_vtk_averages,
     write_vtk_points,
 )
@@ -175,11 +175,10 @@ def cmd_run(args) -> int:
             stepper.last_eta_edge,
         )
 
-    journal = []  # filled step by step, so an abort keeps the completed steps
     last = [0, 0.0, ubar, upt]  # the last accepted step, its t and state
 
     def callback(step, t, ub, up, row):
-        journal.append(row)
+        journal(row)  # the journal's writer, opened below
         last[:] = step, t, ub, up
         if cfg.log_every and step % cfg.log_every == 0:
             act = (
@@ -195,16 +194,20 @@ def cmd_run(args) -> int:
         if cfg.diagnostics_every and step % cfg.diagnostics_every == 0:
             diagnose(f"_{step:06d}")
 
-    try:
-        ubar, upt, _, totals = stepper.run(ubar, upt, t_end, callback=callback)
-    except NumericalAbort as exc:
-        step, t, ub, up = last
-        dump("_last", ub, up)
-        with open(os.path.join(out, "abort.json"), "w") as fh:
-            json.dump({"message": str(exc), "step": step, "t": t}, fh, indent=2)
-        raise
-    finally:
-        write_journal_csv(os.path.join(out, "journal.csv"), journal)
+    # One flushed row per accepted step, so an abort keeps the completed
+    # steps; a run of no step leaves the file empty.
+    with open(os.path.join(out, "journal.csv"), "w", newline="") as fh:
+        journal = journal_writer(fh)
+        try:
+            ubar, upt, _, totals = stepper.run(ubar, upt, t_end, callback=callback)
+        except NumericalAbort as exc:
+            step, t, ub, up = last
+            dump("_last", ub, up)
+            # The last accepted step and its t, then where the run broke.
+            record = {"message": str(exc), "step": step, "t": t, "abort": exc.record}
+            with open(os.path.join(out, "abort.json"), "w") as fa:
+                json.dump(record, fa, indent=2)
+            raise
 
     dump("", ubar, upt)
     diagnose("")

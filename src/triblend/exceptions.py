@@ -18,4 +18,14 @@ class UnsupportedElement(MeshError):
 
 
 class NumericalAbort(TriblendError):
-    """The run left the invariant domain or otherwise broke down (exit code 3)."""
+    """The run left the invariant domain or otherwise broke down (exit code 3).
+
+    `record` holds the message's facts as JSON-ready fields: `step`, `stage`
+    (None for a collapsed time step), `t`, and either `dofs`, the offending
+    DoFs named (kind "point" or "average", index, position `xy`, `state`),
+    or `element`, the element whose time step collapsed (index, `xy`,
+    `wave_speed`)."""
+
+    def __init__(self, message, **record):
+        super().__init__(message)
+        self.record = record

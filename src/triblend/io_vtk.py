@@ -90,9 +90,19 @@ def _write_rows(path, rows, fmt):
         writer.writerows({k: fmt(v) for k, v in row.items()} for row in rows)
 
 
-def write_journal_csv(path, journal) -> None:
-    """Per-step progress rows as CSV."""
-    _write_rows(path, journal, lambda v: v)
+def journal_writer(fh):
+    """A function that writes one per-step progress row to the open text
+    file fh as CSV, after the first row's keys as the header, and flushes
+    it: fh holds every row written so far, and stays empty without one."""
+
+    def write(row):
+        writer = csv.DictWriter(fh, fieldnames=list(row))
+        if fh.tell() == 0:
+            writer.writeheader()
+        writer.writerow(row)
+        fh.flush()
+
+    return write
 
 
 def write_diagnostics_csv(path, mesh, theta, eta_point, eta_edge) -> None:

@@ -106,8 +106,13 @@ def _pin_malloc_thresholds() -> None:
 
 def initialize(tables: Tables, u0_fn):
     """Cell averages by volume quadrature and exact point values of u0.
-    The averages are taken by element blocks (`element_blocks`): on a
-    large scalar mesh the whole-mesh quadrature values outgrow a step."""
+
+    Each average is c0 + sum_q w_q (u0(x_q) - c0), with c0 = u0(x_0) the
+    element's own value at its first quadrature point, so that an element
+    on which u0 is constant keeps that value exactly: the plain
+    sum_q w_q u0(x_q) gives 1 + 2^-52 for u0 = 1.  The averages are taken
+    by element blocks (`element_blocks`): on a large scalar mesh the
+    whole-mesh quadrature values outgrow a step."""
     upt = np.asarray(u0_fn(tables.mesh.point_xy), dtype=float)
     nt = tables.mesh.num_tris
     ubar = np.empty((nt,) + upt.shape[1:])
@@ -115,7 +120,9 @@ def initialize(tables: Tables, u0_fn):
         # Element by element, (E, nqv, 2): a u0 that allocates its result
         # in C order keeps each element's quadrature values together.
         xy = tables.element_points(tables.BARY_V, blk).swapaxes(0, 1)
-        ubar[blk] = np.einsum("q,kqv->kv", tables.wq_vol, u0_fn(xy))
+        uq = u0_fn(xy)
+        c0 = uq[:, 0]
+        ubar[blk] = c0 + np.einsum("q,kqv->kv", tables.wq_vol, uq - c0[:, None])
     return ubar, upt
 
 
@@ -200,10 +207,12 @@ class Stepper:
         lam = self._wavespeeds(ubar, upt)
         dt_k = self._inradius / lam
         k = int(np.argmax(~(np.isfinite(dt_k) & (dt_k > 0.0))))
-        x, y = self.mesh.verts[self.mesh.tris[k]].mean(axis=0)
+        x, y = self.mesh.verts[self.mesh.tris[k]].mean(axis=0).tolist()
+        element = {"index": k, "xy": [x, y], "wave_speed": float(lam[k])}
         return NumericalAbort(
             f"time step collapsed: step {step}, t = {t:.6g}; element {k} at "
-            f"({x:.6g}, {y:.6g}) has wave speed {lam[k]:.6g}"
+            f"({x:.6g}, {y:.6g}) has wave speed {lam[k]:.6g}",
+            step=step, stage=None, t=float(t), element=element,
         )
 
     # -- one forward-Euler substep ------------------------------------------------
@@ -321,9 +330,14 @@ class Stepper:
                 f"({', '.join(f'{v:.6g}' for v in u)})"
                 for kind, i, xy, u in sites[:3]
             )
+            dofs = [
+                {"kind": kind, "index": int(i), "xy": xy.tolist(), "state": u.tolist()}
+                for kind, i, xy, u in sites[:3]
+            ]
             raise NumericalAbort(
                 f"inadmissible state: step {step}, stage {stage}, t = {t:.6g}, "
-                f"{bad} offending DoFs: {where}"
+                f"{bad} offending DoFs: {where}",
+                step=step, stage=stage, t=float(t), dofs=dofs,
             )
 
     # -- full RK step -------------------------------------------------------------

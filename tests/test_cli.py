@@ -13,6 +13,7 @@ from triblend.mesh import read_msh
 from triblend.meshgen import rect_mesh, refine4, write_msh2
 from triblend.problems import get_problem, sample_initial
 from triblend.spatial_ho import Tables
+from triblend.timeloop import Stepper
 
 
 def write_cfg(tmp_path, text, name="run.ini"):
@@ -58,7 +59,10 @@ def test_unlimited_mode_on_shock_data_exits_3(tmp_path, capsys):
     assert "numerical abort" in err
     # The abort names the step that failed and where, and the journal
     # keeps one row per completed step before it.
-    m = re.search(r"step (\d+), t = \S+; element \d+ at \(\S+, \S+\)", err)
+    m = re.search(
+        r"step (\d+), t = \S+; element (\d+) at \((\S+), (\S+)\) has wave speed (\S+)",
+        err,
+    )
     assert m, err
     out = tmp_path / "o"
     rows = (out / "journal.csv").read_text().splitlines()
@@ -72,6 +76,15 @@ def test_unlimited_mode_on_shock_data_exits_3(tmp_path, capsys):
     last = rows[-1].split(",")
     assert record["step"] == steps[-1] == int(last[0])
     assert record["t"] == float(last[1])
+    # Where the run broke, as fields: the step after the last accepted
+    # one, at its t, and the element whose time step collapsed.
+    abort = record["abort"]
+    assert abort["step"] == int(m.group(1)) == steps[-1] + 1
+    assert abort["stage"] is None and abort["t"] == record["t"]
+    element = abort["element"]
+    assert element["index"] == int(m.group(2))
+    assert [f"{v:.6g}" for v in element["xy"]] == [m.group(3), m.group(4)]
+    assert f"{element['wave_speed']:.6g}" == m.group(5)
     mesh = get_problem("quadrants").mesh_builder(10)
     pts = _read_scalars(out / "points_last.vtk", "density")
     avg = _read_scalars(out / "averages_last.vtk", "density")
@@ -156,6 +169,27 @@ def test_zero_time_run_outputs_initial_data(tmp_path, capsys):
         _read_scalars(out / "averages.vtk", "density"), ubar[:, 0]
     )
     assert (out / "journal.csv").read_text() == ""
+
+
+def test_journal_streams_one_row_per_accepted_step(tmp_path, capsys, monkeypatch):
+    # When the callback of step k fires, journal.csv already holds the
+    # header and k rows: an abort or a kill keeps every completed step.
+    out = tmp_path / "o"
+    cfg = write_cfg(tmp_path, FS_RUN.format(T=0.02, out=out))
+    seen = []
+    run = Stepper.run
+
+    def spy(self, ubar, upt, t_end, callback, **kw):
+        def check(step, *args):
+            callback(step, *args)
+            seen.append((step, len((out / "journal.csv").read_text().splitlines())))
+
+        return run(self, ubar, upt, t_end, callback=check, **kw)
+
+    monkeypatch.setattr(Stepper, "run", spy)
+    assert main(["run", cfg]) == 0
+    assert len(seen) >= 2
+    assert seen == [(k, k + 1) for k in range(1, len(seen) + 1)]
 
 
 def test_replay_is_bitwise_deterministic(tmp_path, capsys):

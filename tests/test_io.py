@@ -3,9 +3,9 @@ import csv
 import numpy as np
 
 from triblend.io_vtk import (
+    journal_writer,
     write_convergence_csv,
     write_diagnostics_csv,
-    write_journal_csv,
     write_vtk_averages,
     write_vtk_points,
 )
@@ -117,7 +117,12 @@ def test_journal_csv_round_trip(tmp_path):
         {"step": 2, "t": 0.3, "dt": 0.2, "theta_min": 1.0},
     ]
     path = tmp_path / "j.csv"
-    write_journal_csv(path, rows)
+    with open(path, "w", newline="") as out:
+        write = journal_writer(out)
+        for k, row in enumerate(rows, 1):
+            write(row)
+            # Flushed: the file holds the header and k rows.
+            assert len(path.read_text().splitlines()) == k + 1
     with open(path, newline="") as fh:
         got = list(csv.DictReader(fh))
     assert len(got) == 2
@@ -125,7 +130,8 @@ def test_journal_csv_round_trip(tmp_path):
     assert float(got[1]["dt"]) == 0.2
 
     empty = tmp_path / "empty.csv"
-    write_journal_csv(empty, [])
+    with open(empty, "w", newline="") as out:
+        journal_writer(out)
     assert empty.read_text() == ""
 
 

@@ -148,6 +148,28 @@ def test_scalar_catalog_run_keeps_bounds_and_mass(name, n, mode, interval, lo, h
         assert lo <= u.min() and u.max() <= hi, (u.min(), u.max())
 
 
+@pytest.mark.xfail(
+    raises=NumericalAbort,
+    reason="defect 2 (ROADMAP item 3): the `outflow` closure blows up on the "
+    "top edge; the run aborts at t = 0.128",
+)
+def test_diffraction_bp_reaches_its_final_time():
+    # The paper's title names boundary conditions: a limited Euler run must
+    # not break down on its boundary.
+    prob = get_problem("diffraction")
+    model = prob.make_model(1.4)
+    mesh = prob.mesh_builder(6)
+    mesh.name_boundary(prob.namer)
+    bc = BoundaryHandler(mesh, model, prob.boundaries(model))
+    enforce, assert_ = prob.domains(model)
+    stepper = Stepper(
+        mesh, model, bc, mode="bp", enforce_domain=enforce, assert_domain=assert_
+    )
+    ubar, upt = sample_initial(prob, model, stepper.tables)
+    _, _, _, totals = stepper.run(ubar, upt, 0.35)
+    assert totals["t"] == 0.35
+
+
 def test_shock_jump_mach10():
     # Normal-shock state behind a Mach-10 front into (rho, p) = (1.4, 1.0):
     # frozen from the Rankine-Hugoniot oracle in test_models.

@@ -271,7 +271,7 @@ def test_library_line_budget():
     # needs more lines raises this budget and says why in CHANGES.md.
     files = Path(spatial_ho.__file__).parent.glob("*.py")
     lines = sum(len(f.read_text().splitlines()) for f in files)
-    assert lines <= 4486, lines
+    assert lines <= 4523, lines
 
 
 def test_tables_bytes_per_triangle():

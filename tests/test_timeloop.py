@@ -11,7 +11,7 @@ from triblend.limiting import IntervalDomain, damping_theta, interior_edge_speed
 from triblend.meshgen import rect_mesh
 from triblend.models import LinearAdvection, llf_flux
 from triblend.norms import point_weights
-from triblend.problems import get_problem, sample_initial
+from triblend.problems import get_problem, interval_domains, sample_initial
 from triblend.spatial_ho import HighOrder, Tables
 from triblend.spatial_lo import STENCIL, LowOrder
 from triblend.timeloop import Stepper, initialize
@@ -51,6 +51,35 @@ def test_rk3_step_exact_on_affine_data():
     want_bar, want_pt = initialize(stepper.tables, lambda xy: exact(xy, dt))
     assert np.abs(ubar1 - want_bar).max() < 1e-12
     assert np.abs(upt1 - want_pt).max() < 1e-12
+
+
+def constant(c):
+    return lambda xy, t=0.0: np.full(xy.shape[:-1] + (1,), c)
+
+
+@pytest.mark.parametrize("c, lo, hi", [(1.0, 0.0, 1.0), (2.0, 1.0, 2.0)])
+def test_initialize_maps_a_constant_on_a_bound_to_itself(c, lo, hi):
+    # Defect 1, cause 2: summed as sum_q w_q u0(x_q), the averages of the
+    # constant 1 were 1 + 2^-52, outside [0, 1], and those of 2 were
+    # 2 + 2^-51.
+    tables = Tables(rect_mesh((-1.0, 1.0, -1.0, 1.0), 16, seed=2))
+    ubar, upt = initialize(tables, constant(c))
+    assert (ubar == c).all() and (upt == c).all()
+    assert IntervalDomain(lo, hi).contains(ubar).all()
+
+
+def test_initialize_keeps_the_kpp_plateau():
+    # Every element inside the disc of the `kpp` data averages to the
+    # plateau 3.5 pi exactly, and no average leaves the data's range; the
+    # disc is convex, so an element with its vertices in it lies in it.
+    prob = get_problem("kpp")
+    mesh = prob.mesh_builder(20)
+    lo, hi = np.pi / 4.0, 3.5 * np.pi
+    ubar, upt = initialize(Tables(mesh), lambda xy: prob.initial(None, xy))
+    inside = (upt[mesh.tris] == hi).all(axis=(1, 2))
+    assert inside.sum() >= 100
+    assert (ubar[inside] == hi).all()
+    assert IntervalDomain(lo, hi).contains(ubar).all()
 
 
 def test_run_lands_exactly_on_final_time():
@@ -133,6 +162,12 @@ def test_nan_point_value_abort_names_the_point():
         "inadmissible state: step 4, stage 0, t = 0, 1 offending DoFs: "
         f"point 3 at ({x:.6g}, {y:.6g}) state (nan)"
     )
+    # The same as fields, for the abort record.
+    record = info.value.record
+    assert (record["step"], record["stage"], record["t"]) == (4, 0, 0.0)
+    [dof] = record["dofs"]
+    assert (dof["kind"], dof["index"], dof["xy"]) == ("point", 3, [x, y])
+    assert len(dof["state"]) == 1 and np.isnan(dof["state"][0])
 
 
 @pytest.mark.parametrize("mode", ["ho", "full"])
@@ -191,6 +226,31 @@ def test_low_order_mode_average_bounds():
     assert ubar.min() >= -eps and ubar.max() <= 1.0 + eps
     assert np.isfinite(upt).all()
     assert upt.min() > -0.1 and upt.max() < 1.1
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    reason="defect 1 (ROADMAP item 1): the average blend limits the whole "
+    "edge flux, which switches off the inflow edges of a state on a bound",
+)
+@pytest.mark.parametrize("mode", ["bp", "full"])
+def test_constant_on_a_bound_stays_put(mode):
+    # u = 1 on [0, 1] under a = (1, 0.5), with a far field of the same
+    # constant, is a steady state; the limited modes must keep it to
+    # round-off.  They leave it by about 0.3.
+    mesh = rect_mesh((-1.0, 1.0, -1.0, 1.0), 16, seed=2)
+    mesh.name_boundary(lambda mids: ["far"] * len(mids))
+    model = LinearAdvection(np.array([1.0, 0.5]))
+    bc = BoundaryHandler(mesh, model, {"far": FarField(constant(1.0))})
+    enforce, assert_ = interval_domains(0.0, 1.0)
+    stepper = Stepper(
+        mesh, model, bc, mode=mode, enforce_domain=enforce, assert_domain=assert_
+    )
+    ubar, upt = initialize(stepper.tables, constant(1.0))
+    ubar, upt, _, totals = stepper.run(ubar, upt, 0.2)
+    assert totals["t"] == 0.2
+    assert np.abs(ubar - 1.0).max() <= 1e-12
+    assert np.abs(upt - 1.0).max() <= 1e-12
 
 
 def test_journal_tracks_limiter_activity():
