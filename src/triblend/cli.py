@@ -37,7 +37,7 @@ from .problems import (
     interval_domains,
     sample_initial,
 )
-from .timeloop import LIMITED_MODES, Stepper, initialize
+from .timeloop import Stepper, initialize
 
 
 def _effective_domains(problem, model, cfg):
@@ -97,11 +97,7 @@ def _build(cfg: RunConfig, mesh=None):
     problem = get_problem(cfg.problem)
     model = problem.make_model(cfg.gamma)
     mesh = mesh if mesh is not None else _mesh(cfg, problem)
-    # The namer names only the boundary edges that the mesh leaves unnamed.
-    unnamed = mesh.boundary_name == ""
-    if unnamed.any():
-        mids = mesh.edge_mid[mesh.boundary_edges[unnamed]]
-        mesh.boundary_name[unnamed] = problem.namer(mids)
+    mesh.name_boundary(problem.namer)
     # Only the overrides: a problem's defaults may name more than a user mesh.
     unknown = set(cfg.boundary) - set(mesh.boundary_name)
     if unknown:
@@ -116,19 +112,13 @@ def _build(cfg: RunConfig, mesh=None):
 
 def _make_stepper(problem, model, mesh, bc, cfg):
     enforce, assert_ = _effective_domains(problem, model, cfg)
-    if cfg.mode == "bp" and enforce is None:
-        raise ConfigError(f"mode 'bp' needs an invariant domain, which problem "
-                          f"{problem.name!r} lacks: set [limits] lo and hi")
-    # Only the limited modes promise the invariant domain; pure ho/lo runs
-    # keep the plain finiteness check instead of the domain assert.
-    limited = cfg.mode in LIMITED_MODES
     return Stepper(
         mesh,
         model,
         bc,
         cfl=cfg.cfl,
-        enforce_domain=enforce if limited else None,
-        assert_domain=assert_ if limited else None,
+        enforce_domain=enforce,
+        assert_domain=assert_,
         mode=cfg.mode,
         damping_c1=cfg.c1,
         damping_c2=cfg.c2,
@@ -205,8 +195,10 @@ def cmd_run(args) -> int:
             dump("_last", ub, up)
             # The last accepted step and its t, then where the run broke.
             record = {"message": str(exc), "step": step, "t": t, "abort": exc.record}
+            # Strict JSON: a non-finite number (Python's NaN, Infinity) is null.
+            record = json.loads(json.dumps(record), parse_constant=lambda _: None)
             with open(os.path.join(out, "abort.json"), "w") as fa:
-                json.dump(record, fa, indent=2)
+                json.dump(record, fa, indent=2, allow_nan=False)
             raise
 
     dump("", ubar, upt)

@@ -361,26 +361,27 @@ def damping_theta(tables, model, coef, speed, dt, c1=1.0, c2=1.0):
 # ---------------------------------------------------------------------------
 
 
-def _limit_candidates(domain, base, lam, F_lo, F_ho, cap, counted=True):
+def _limit_candidates(domain, base, lam, F_lo, F_ho, cap):
     """Limit the candidates base - lam F of S sides, base (S, ..., nv) and
     lam (S, ...), for an update F between F_lo and F_ho (..., nv).
 
     Where a low-order candidate leaves `domain` (a breach of the CFL
     margin), F_lo is first scaled by its largest admissible blend; only
-    these candidates, those that `counted` keeps, are blended, gathered by
-    index.  Then eta <= cap is the largest blend towards F_ho.  Bounds
-    combine by the minimum over the sides.  Returns (F_lo + eta (F_ho -
-    F_lo), eta, n_rescued); without a domain eta is the cap.
+    these candidates are blended, gathered by index.  Then eta <= cap is
+    the largest blend towards F_ho.  Bounds combine by the minimum over the
+    sides.  Returns (F_lo + eta (F_ho - F_lo), eta, n_rescued), with
+    n_rescued the number of DoFs (entries of F) with a rescued side;
+    without a domain eta is the cap.
     """
     n_rescued = 0
     eta = cap
     if domain is not None:
         step = lam[..., None]
         c0 = base - step * F_lo
-        bad = ~domain.contains(c0) & counted
+        bad = ~domain.contains(c0)
         idx = np.nonzero(bad)
-        n_rescued = len(idx[0])
-        if n_rescued:
+        if len(idx[0]):
+            n_rescued = int(np.count_nonzero(bad.any(axis=0)))
             ub = base[idx]
             r = np.ones(bad.shape)
             r[idx] = domain.max_blend(ub, c0[idx] - ub)
@@ -430,12 +431,12 @@ def blend_average_fluxes(tables, domain, ubar, F_lo, F_ho, theta, dt):
 
     Both sides' candidates are the sides of `_limit_candidates`, (2, NE)
     with s_{K,e} = +1 on side 0 and -1 on side 1 (`Tables.side_elems`,
-    `Tables.side_signs`).  Side 1 of a boundary edge repeats side 0; the
-    rescue count keeps only the edge's own sides (`Tables.side_counted`).
+    `Tables.side_signs`).  Side 1 of a boundary edge repeats side 0.  The
+    rescue count is the number of edges with a rescued side.
     """
     k = tables.side_elems
     lam = 3.0 * dt / np.take(tables.mesh.areas, k) * tables.side_signs
     return _limit_candidates(
         domain, np.take(ubar, k, axis=0), lam,
-        F_lo, F_ho, np.take(theta, k).min(axis=0), tables.side_counted,
+        F_lo, F_ho, np.take(theta, k).min(axis=0),
     )

@@ -214,8 +214,9 @@ class Mesh:
         return (n * self.tri_edge_orient.T).T
 
     def name_boundary(self, namer) -> None:
-        """Assign names to boundary edges: namer(midpoints (NB, 2)) -> list."""
-        self.boundary_name[:] = namer(self.edge_mid[self.boundary_edges])
+        """Name the unnamed boundary edges: namer(their midpoints (n, 2)) -> list."""
+        unnamed = self.boundary_name == ""
+        self.boundary_name[unnamed] = namer(self.edge_mid[self.boundary_edges[unnamed]])
 
 
 # ---------------------------------------------------------------------------

@@ -270,14 +270,14 @@ class Tables:
     and `edge_points`.  The rules and reference operators, which no mesh
     changes, are module constants read as class attributes.  Only
     connectivity, damping lengths and the maps below are stored per edge,
-    and no array has an element axis.  Per
-    interior edge the damping keeps the edge ids (`interior_edges`) and,
-    per side, the damping length (`EDGE_DIST`).  The per-edge maps that
-    the damping's jump kernel (`jump_index`, `jump_normal_grad`) and the average-flux
-    blend (`side_elems`, `side_signs`, `side_counted`) read at every
-    substep are built on first use and kept read-only: a `ho` run builds
-    none of them.  On `rotating-shapes` at n=59 they hold 149 B per
-    element, the rest of the tables 30 B.
+    and no array has an element axis.  Per interior edge the damping keeps
+    the edge ids (`interior_edges`) and, per side, the damping length
+    (`EDGE_DIST`).  The per-edge maps that the damping's jump kernel
+    (`jump_index`, `jump_normal_grad`) and the average-flux blend
+    (`side_elems`, `side_signs`) read at every substep are built on first
+    use and kept read-only: a `ho` run builds none of them.  On
+    `rotating-shapes` at n=59 they hold 146 B per element, the rest of the
+    tables 30 B.
 
     Layout: element arrays are indexed (k, NT, ncomp), local axis first,
     element axis next, components last, and those with components are
@@ -376,12 +376,6 @@ class Tables:
         edge."""
         interior = self.mesh.edge_tris[:, 1] >= 0
         return _read_only(np.where(interior, [[1], [-1]], 1).astype(np.int8))
-
-    @cached_property
-    def side_counted(self) -> np.ndarray:
-        """The edge sides that are the edge's own, (2, NE) bool: all but
-        side 1 of a boundary edge, which repeats side 0 (`side_elems`)."""
-        return _read_only(self.side_elems == self.mesh.edge_tris.T)
 
     # -- geometry and state helpers --------------------------------------------
 
@@ -593,8 +587,8 @@ class HighOrder:
         # Domain toward which `_rescue_states` pulls inadmissible volume
         # quadrature states and edge traces before the flux sees them, so
         # that gas dynamics stays finite on overshoots.  The stepper passes
-        # its enforced domain in every limited mode, scalar models included,
-        # so the rescue also shapes the high-order residual there.
+        # its enforced domain in its limited mode only, scalar models
+        # included, so the rescue also shapes the high-order residual there.
         self.enforce_domain = enforce_domain
         self.speeds = StaticSpeeds(model)
 

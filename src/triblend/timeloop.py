@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .basis import POINT_DOF_BARY
-from .exceptions import NumericalAbort
+from .exceptions import ConfigError, NumericalAbort
 from .limiting import blend_average_fluxes, blend_point_residuals, damping_theta
 from .limiting import interior_edge_speeds
 from .models import component_major, positions
@@ -34,9 +34,8 @@ from .spatial_ho import HighOrder, StaticSpeeds, Tables, element_blocks
 from .spatial_lo import LowOrder
 
 
-# Stepping modes; the limited ones promise the invariant domain.
+# Stepping modes; see `Stepper`.
 MODES = ("ho", "lo", "bp", "full")
-LIMITED_MODES = ("bp", "full")
 
 # How a step's journal statistics combine those of its three substeps: the
 # limiter counts add up, theta takes the minimum, the eta fractions average.
@@ -127,7 +126,12 @@ def initialize(tables: Tables, u0_fn):
 
 
 class Stepper:
-    """Blended SSP-RK3 steps; the handler `bc` closes every boundary edge."""
+    """Blended SSP-RK3 steps; the handler `bc` closes every boundary edge.
+
+    Only `full` uses the domains: it blends `ho` and `lo` under the enforce
+    domain, damped unless c1 = c2 = 0, and checks each stage against the
+    assert domain.  `bp` is `full` with c1 = c2 = 0.  `ho` and `lo` check
+    finiteness only, and their HO operator rescues no state."""
 
     def __init__(
         self,
@@ -142,6 +146,15 @@ class Stepper:
         damping_c1: float = 1.0,
         damping_c2: float = 1.0,
     ):
+        if mode not in MODES:
+            raise ValueError(f"unknown stepping mode {mode!r}")
+        if mode == "bp" and enforce_domain is None:
+            raise ConfigError("mode 'bp' needs an invariant domain (enforce_domain), "
+                              "which the problem lacks: set [limits] lo and hi")
+        if mode == "bp":
+            mode, damping_c1, damping_c2 = "full", 0.0, 0.0
+        if mode != "full":
+            enforce_domain = assert_domain = None
         _pin_malloc_thresholds()
         self.mesh = mesh
         self.model = model
@@ -154,13 +167,10 @@ class Stepper:
         self.cfl = float(cfl)
         self.enforce_domain = enforce_domain
         self.assert_domain = assert_domain
-        if mode not in MODES:
-            raise ValueError(f"unknown stepping mode {mode!r}")
-        if mode == "bp" and enforce_domain is None:
-            raise ValueError("mode 'bp' requires an enforce_domain")
         self.mode = mode
         self.damping_c1 = float(damping_c1)
         self.damping_c2 = float(damping_c2)
+        self._damped = mode == "full" and (self.damping_c1 > 0 or self.damping_c2 > 0)
 
         self._inradius = mesh.inradius()
 
@@ -237,7 +247,7 @@ class Stepper:
             # The damping's edge speeds, the traces' last read; a static
             # model's (0.08 MB on `rotating-shapes` at n=59) are kept.
             speed = None
-            if self.mode == "full":
+            if self._damped:
                 speed = self.speeds.get(
                     "damping",
                     lambda: interior_edge_speeds(self.tables, self.model, ho.trace_u),

@@ -19,7 +19,7 @@ from triblend.spatial_ho import ROTATE, HighOrder, Tables, _local_edges, block_m
 from triblend.spatial_lo import LowOrder
 from triblend.timeloop import Stepper, initialize
 
-MAPS = ("jump_index", "jump_normal_grad", "side_elems", "side_signs", "side_counted")
+MAPS = ("jump_index", "jump_normal_grad", "side_elems", "side_signs")
 SIDE_MAPS = MAPS[2:]
 
 
@@ -80,8 +80,8 @@ CASES = ["euler", "advection"]
 def test_kept_maps_equal_their_derivation_from_the_mesh(which):
     # Edge by edge from the mesh: the jump kernel's gather index and
     # n . grad(lambda) of each interior edge side, and each edge side's
-    # element, sign and count, where side 1 of a boundary edge repeats
-    # side 0 with sign +1 and is not counted.
+    # element and sign, where side 1 of a boundary edge repeats side 0
+    # with sign +1.
     mesh = mixed_case(which)[0]
     tb = Tables(mesh)
     nt, ne = mesh.num_tris, mesh.num_edges
@@ -100,18 +100,15 @@ def test_kept_maps_equal_their_derivation_from_the_mesh(which):
                 nd[s, a, i] = nx * gx + ny * gy
     elems = np.empty((2, ne), dtype=np.int64)
     signs = np.empty((2, ne), dtype=np.int64)
-    counted = np.empty((2, ne), dtype=bool)
     for e, (k0, k1) in enumerate(mesh.edge_tris):
         boundary = k1 < 0
         elems[:, e] = (k0, k0) if boundary else (k0, k1)
         signs[:, e] = (1, 1) if boundary else (1, -1)
-        counted[:, e] = (True, not boundary)
     want = {
         "jump_index": (idx, np.int32),
         "jump_normal_grad": (nd, np.float64),
         "side_elems": (elems, np.int32),
         "side_signs": (signs, np.int8),
-        "side_counted": (counted, np.bool_),
     }
     for name, (value, dtype) in want.items():
         got = getattr(tb, name)
@@ -178,7 +175,7 @@ def per_call_blend_average_fluxes(tb, domain, ubar, F_lo, F_ho, theta, dt):
     sign = np.where(interior, [[1.0], [-1.0]], 1.0)
     return _limit_candidates(
         domain, np.take(ubar, k, axis=0), 3.0 * dt / np.take(mesh.areas, k) * sign,
-        F_lo, F_ho, np.take(theta, k).min(axis=0), k == mesh.edge_tris.T,
+        F_lo, F_ho, np.take(theta, k).min(axis=0),
     )
 
 
@@ -248,8 +245,7 @@ def test_map_kernels_equal_the_per_call_formulas(which):
 
 def one_step(which, mode):
     mesh, model, bc, dom, field = mixed_case(which)
-    enforce = None if mode == "ho" else dom
-    st = Stepper(mesh, model, bc, mode=mode, enforce_domain=enforce)
+    st = Stepper(mesh, model, bc, mode=mode, enforce_domain=dom)
     ubar, upt = initialize(st.tables, field)
     st.rk3_step(ubar, upt, 0.0, st.compute_dt(ubar, upt))
     return st

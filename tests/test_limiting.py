@@ -480,7 +480,7 @@ def reference_blend_average_fluxes(tables, domain, ubar, F_lo, F_ho, theta, dt):
     one candidate set."""
     mesh = tables.mesh
     interior = mesh.edge_tris[:, 1] >= 0
-    n_rescued = 0
+    rescued = np.zeros(len(F_lo), dtype=bool)
     if domain is not None:
         sides = []
         for s, sign in ((0, 1.0), (1, -1.0)):
@@ -494,10 +494,10 @@ def reference_blend_average_fluxes(tables, domain, ubar, F_lo, F_ho, theta, dt):
                 ok |= ~interior
             bad = ~ok
             if bad.any():
-                n_rescued += int(bad.sum())
+                rescued |= bad
                 eta_r = domain.max_blend(ub, c - ub)
                 r = np.minimum(r, np.where(bad, eta_r, 1.0))
-        if n_rescued:
+        if rescued.any():
             F_lo = F_lo * r[:, None]
     dF = F_ho - F_lo
     eta = np.ones(len(F_lo))
@@ -516,7 +516,7 @@ def reference_blend_average_fluxes(tables, domain, ubar, F_lo, F_ho, theta, dt):
         ),
     )
     F = F_lo + eta[:, None] * dF
-    return F, eta, n_rescued
+    return F, eta, int(rescued.sum())
 
 
 def _rescued_sides(tb, domain, ubar, F_lo, dt):
@@ -585,7 +585,7 @@ def test_blend_average_fluxes_bitwise_per_side_reference(case):
         # Rescues on one side only, on both sides, and on boundary edges.
         bad = _rescued_sides(tb, domain, ubar, F_lo, dt)
         boundary = mesh.edge_tris[:, 1] < 0
-        assert got[2] == bad.sum()
+        assert got[2] == bad.any(axis=0).sum()  # edges, not edge sides
         assert (bad[0] ^ bad[1])[~boundary].any()
         assert (bad[0] & bad[1]).any() and bad[0, boundary].any()
     else:
@@ -714,8 +714,15 @@ def test_rescue_blends_only_the_offending_candidates(kind):
     for g, w in zip(got[:2], want[:2]):
         assert_bitwise(g, w)
     n_candidates = 6 * tb.mesh.num_tris if kind == "points" else 2 * tb.mesh.num_edges
+    n_offending = got[2]
+    if kind == "edges":
+        # The count is of edges; side 1 of a boundary edge repeats side 0.
+        bad = _rescued_sides(tb, domain, base, F_lo, dt)
+        boundary = tb.mesh.edge_tris[:, 1] < 0
+        assert got[2] == bad.any(axis=0).sum()
+        n_offending = bad.sum() + bad[0, boundary].sum()
     assert 0 < got[2] < n_candidates
-    assert rec.sizes == [got[2], n_candidates]
+    assert rec.sizes == [n_offending, n_candidates]
 
 
 def test_ho_rescue_blends_groups_not_states():

@@ -82,11 +82,8 @@ def test_catalog_problem_runs_two_steps(name, mode):
     mesh.name_boundary(prob.namer)
     bc = BoundaryHandler(mesh, model, prob.boundaries(model))
     enforce, assert_ = prob.domains(model)
-    limited = mode in ("bp", "full")
     stepper = Stepper(
-        mesh, model, bc, mode=mode,
-        enforce_domain=enforce if limited else None,
-        assert_domain=assert_ if limited else None,
+        mesh, model, bc, mode=mode, enforce_domain=enforce, assert_domain=assert_
     )
     ubar, upt = sample_initial(prob, model, stepper.tables)
     try:
@@ -100,7 +97,7 @@ def test_catalog_problem_runs_two_steps(name, mode):
     assert np.isfinite(ubar).all() and np.isfinite(upt).all()
     drift = totals["mass"] - totals["mass0"] + totals["bflux_int"]
     assert np.abs(drift).max() <= 1e-12 * max(1.0, np.abs(totals["mass0"]).max())
-    if limited and assert_ is not None:
+    if stepper.assert_domain is not None:  # the limited modes only
         assert assert_.contains(ubar).all() and assert_.contains(upt).all()
 
 

@@ -6,7 +6,7 @@ import pytest
 from triblend import timeloop
 
 from triblend.boundary import BoundaryHandler, FarField, Outflow
-from triblend.exceptions import NumericalAbort
+from triblend.exceptions import ConfigError, NumericalAbort
 from triblend.limiting import IntervalDomain, damping_theta, interior_edge_speeds
 from triblend.meshgen import rect_mesh
 from triblend.models import LinearAdvection, llf_flux
@@ -118,12 +118,11 @@ def test_mass_accounting_closes():
     bc = BoundaryHandler(mesh, model, prob.boundaries(model))
     enforce, assert_ = prob.domains(model)
     for mode in ("ho", "lo", "bp", "full"):
-        # Only the limited modes promise the invariant domain; asserting it
-        # for ho/lo would abort on the discontinuous data.
-        checked = assert_ if mode in ("bp", "full") else None
+        # The stepper asserts the domain in the limited modes only: ho and
+        # lo would abort on the discontinuous data.
         stepper = Stepper(
             mesh, model, bc, cfl=0.2, mode=mode,
-            enforce_domain=enforce, assert_domain=checked,
+            enforce_domain=enforce, assert_domain=assert_,
         )
         ubar, upt = sample_initial(prob, model, stepper.tables)
         _, _, _, totals = stepper.run(ubar, upt, 0.02)
@@ -180,7 +179,7 @@ def test_zero_sound_speed_point_falls_back_quietly(mode):
     mesh = prob.mesh_builder(4)
     mesh.name_boundary(prob.namer)
     bc = BoundaryHandler(mesh, model, prob.boundaries(model))
-    enforce, assert_ = prob.domains(model) if mode == "full" else (None, None)
+    enforce, assert_ = prob.domains(model)
     stepper = Stepper(
         mesh, model, bc, mode=mode, enforce_domain=enforce, assert_domain=assert_
     )
@@ -205,7 +204,7 @@ def test_mode_validation():
     mesh, model, stepper, _ = linear_setup()
     with pytest.raises(ValueError, match="mode"):
         Stepper(mesh, model, stepper.ho.bc, mode="turbo")
-    with pytest.raises(ValueError, match="enforce_domain"):
+    with pytest.raises(ConfigError, match="enforce_domain"):
         Stepper(mesh, model, stepper.ho.bc, mode="bp")
 
 
@@ -387,17 +386,16 @@ def kept_values(stepper):
     }
 
 
-def shapes_run(model, mode, on_step=None):
+def shapes_run(model, mode, on_step=None, **kw):
     """Three RK3 steps of `rotating-shapes` on its n=6 mesh (72 elements);
-    on_step(stepper, k) after step k."""
+    on_step(stepper, k) after step k.  The stepper gets the problem's
+    domains, and `kw` on top."""
     prob = get_problem("rotating-shapes")
     mesh = prob.mesh_builder(6)
     mesh.name_boundary(prob.namer)
     bc = BoundaryHandler(mesh, model, prob.boundaries(model))
-    enforce, assert_ = (None, None) if mode == "ho" else prob.domains(model)
-    stepper = Stepper(
-        mesh, model, bc, mode=mode, enforce_domain=enforce, assert_domain=assert_
-    )
+    domains = dict(zip(("enforce_domain", "assert_domain"), prob.domains(model)))
+    stepper = Stepper(mesh, model, bc, mode=mode, **{**domains, **kw})
     ubar, upt = sample_initial(prob, model, stepper.tables)
     callback = None if on_step is None else (lambda k, *_: on_step(stepper, k))
     out = stepper.run(
@@ -456,6 +454,44 @@ def test_kept_speeds_give_the_bits_of_the_model(mode):
     x, y = np.concatenate(later).T
     gap = np.minimum(np.minimum(x, 1.0 - x), np.minimum(y, 1.0 - y))
     assert (gap <= 1e-12).all()
+
+
+def assert_same_run(a, b):
+    """Bitwise the same final states, and equal journals."""
+    for got, want in zip(a[:2], b[:2]):
+        assert got.tobytes() == want.tobytes()
+    assert a[2] == b[2]
+
+
+@pytest.mark.parametrize("mode", ["ho", "lo"])
+def test_unlimited_modes_ignore_the_domains(mode):
+    # Only the limited modes use the domains: given the problem's pair, `ho`
+    # rescues no HO state and neither mode asserts the domain, so both step
+    # bitwise as without domains.  The shapes touch the bounds of [0, 1],
+    # where a rescue would act.
+    model = get_problem("rotating-shapes").make_model(1.4)
+    stepper, got = shapes_run(model, mode)
+    _, want = shapes_run(model, mode, enforce_domain=None, assert_domain=None)
+    assert stepper.enforce_domain is None and stepper.assert_domain is None
+    assert_same_run(got, want)
+    assert not any(row["rescued_volume"] or row["rescued_trace"] for row in got[2])
+
+
+def test_undamped_full_computes_no_damping(monkeypatch):
+    # `bp` is `full` with c1 = c2 = 0, and neither forms edge speeds or
+    # theta: theta is 1.
+    def called(*args, **kwargs):
+        raise AssertionError("the damping was computed")
+
+    monkeypatch.setattr(timeloop, "damping_theta", called)
+    monkeypatch.setattr(timeloop, "interior_edge_speeds", called)
+    model = get_problem("rotating-shapes").make_model(1.4)
+    bp, got = shapes_run(model, "bp")
+    _, want = shapes_run(model, "full", damping_c1=0.0, damping_c2=0.0)
+    assert (bp.mode, bp.damping_c1, bp.damping_c2) == ("full", 0.0, 0.0)
+    assert_same_run(got, want)
+    assert all(row["theta_min"] == 1.0 for row in got[2])
+    assert any(row["eta_hi_frac"] < 1.0 for row in got[2])  # the domain limits
 
 
 FIELDS = {
